@@ -17,15 +17,15 @@ from __future__ import annotations
 
 EMPTY_MARKER = "-"
 
-_BITSET = frozenset("01")
-
 
 class CodeError(ValueError):
     """A bit stream does not parse as the expected code."""
 
 
 def is_bits(s: str) -> bool:
-    return isinstance(s, str) and all(c in _BITSET for c in s)
+    # strip() removes every leading and trailing '0'/'1' in one C-level
+    # pass, so nothing is left exactly when the string holds no other char
+    return isinstance(s, str) and not s.strip("01")
 
 
 def check_bits(s: str) -> str:

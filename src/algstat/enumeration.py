@@ -293,7 +293,10 @@ def import_table(path: str | Path) -> ComplexityTable:
 
     Imported entries carry no per-length program counts (the file format
     stores only output, K, witness and m)."""
-    text = Path(path).read_text(encoding="ascii")
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError:
+        raise TableFormatError(f"table file is not ASCII text: {path}") from None
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -14,11 +14,19 @@ rank <= N_k at equal width, the first differing bit always has
 rank-bit 0 and N-bit 1, giving the exact I = m 0 i / N = m 1 n split.
 When x is the last member the two words coincide; the record is then
 flagged degenerate with m_x the longest proper prefix.
+
+sk() walks the canonical outputs once and builds, next to the member
+tuple, a {member: rank} map, so a rank or index lookup costs O(1).
+Because both words have the same width, l(m_x) has a closed form in
+the rank alone: width - 1 when rank == N_k, otherwise
+width - bit_length(rank XOR N_k). The X(r) checks build each of the at
+most L + 1 levels once and read l(m_x) from that form, so they cost
+O(N * levels) for N table outputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bits import bits_to_text
@@ -32,9 +40,11 @@ class SkIndex:
     n_k: int
     width: int  # index width in bits = bit_length(n_k)
     t_k: int  # |S^k \ S^{k-1}|
+    # member -> 1-based rank; derived from members, so not part of identity
+    ranks: dict[str, int] = field(compare=False, repr=False)
 
     def __contains__(self, x: str) -> bool:
-        return x in self.members
+        return x in self.ranks
 
     def __len__(self) -> int:
         return self.n_k
@@ -42,8 +52,8 @@ class SkIndex:
     def rank_of(self, x: str) -> int:
         """1-based position in the canonical enumeration."""
         try:
-            return self.members.index(x) + 1
-        except ValueError:
+            return self.ranks[x]
+        except KeyError:
             raise KeyError(f"{bits_to_text(x)} is not in S^{self.k}") from None
 
     def index_of(self, x: str) -> str:
@@ -72,7 +82,17 @@ def sk(table: ComplexityTable, k: int) -> SkIndex:
         n_k=n_k,
         width=n_k.bit_length(),
         t_k=newest,
+        ranks={x: rank for rank, x in enumerate(members, 1)},
     )
+
+
+def _mx_len(idx: SkIndex, rank: int) -> int:
+    """l(m_x) for the member at ``rank``: the index and N-words share
+    every bit above the highest bit of rank XOR N_k; when they are equal
+    (x enumerated last) m_x is the longest proper prefix."""
+    if rank == idx.n_k:
+        return idx.width - 1
+    return idx.width - (rank ^ idx.n_k).bit_length()
 
 
 @dataclass(frozen=True)
@@ -87,19 +107,22 @@ class MxRecord:
 
 
 def mx(table: ComplexityTable, k: int, x: str) -> MxRecord:
-    idx = sk(table, k)
-    word = idx.index_of(x)  # KeyError if x is not in S^k
+    return _mx_record(sk(table, k), x)
+
+
+def _mx_record(idx: SkIndex, x: str) -> MxRecord:
+    rank = idx.rank_of(x)  # KeyError if x is not in S^k
+    word = idx.index_of(x)
     n_word = idx.n_word()
-    if word == n_word:
-        m = word[:-1]
-        return MxRecord(x=x, k=k, index=word, m_x=m, i_x=word[len(m):],
-                        n_x=word[len(m):], degenerate=True)
-    split = next(i for i in range(idx.width) if word[i] != n_word[i])
+    split = _mx_len(idx, rank)
+    if rank == idx.n_k:
+        return MxRecord(x=x, k=idx.k, index=word, m_x=word[:split], i_x=word[split:],
+                        n_x=word[split:], degenerate=True)
     # rank < N_k at equal width forces the 0/1 orientation
     assert word[split] == "0" and n_word[split] == "1"
     return MxRecord(
         x=x,
-        k=k,
+        k=idx.k,
         index=word,
         m_x=word[:split],
         i_x=word[split + 1:],
@@ -113,7 +136,7 @@ def sk_mx(table: ComplexityTable, k: int, x: str) -> tuple[str, ...]:
     near-optimal explicit set for x. Degenerate records drop the forced
     0 (the subset is then the <= 2 members sharing m_x itself)."""
     idx = sk(table, k)
-    rec = mx(table, k, x)
+    rec = _mx_record(idx, x)
     prefix = rec.m_x if rec.degenerate else rec.m_x + "0"
     return tuple(y for y in idx.members if idx.index_of(y).startswith(prefix))
 
@@ -134,7 +157,8 @@ class XrRow:
 
 
 def _mx_lengths(table: ComplexityTable) -> dict[str, int]:
-    """l(m_x) for every table string, each at its own level k = K(x)."""
+    """l(m_x) for every table string, each at its own level k = K(x).
+    Each level is built once; l(m_x) then follows from the rank alone."""
     levels: dict[int, SkIndex] = {}
     out: dict[str, int] = {}
     for x in table.sorted_outputs():
@@ -142,7 +166,7 @@ def _mx_lengths(table: ComplexityTable) -> dict[str, int]:
         idx = levels.get(k)
         if idx is None:
             idx = levels[k] = sk(table, k)
-        out[x] = len(mx(table, k, x).m_x)
+        out[x] = _mx_len(idx, idx.ranks[x])
     return out
 
 

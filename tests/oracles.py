@@ -81,6 +81,46 @@ def predicted_halting_by_length(L: int, conditioned_on_long_str: bool = False) -
     return [0 if b < 3 else f(b - 3) for b in range(L + 1)]
 
 
+def _naive_level(table, k: int):
+    """S^k rebuilt from the table alone: (members in canonical order,
+    index width, N-word)."""
+    canonical = table.sorted_outputs()
+    members = tuple(y for y in canonical if table.k_of(y) <= k)
+    width = len(members).bit_length()
+    return members, width, format(len(members), f"0{width}b")
+
+
+def _naive_split(members, width, n_word, x: str):
+    """(index word, l(m_x)) by scanning for the first bit where the index
+    of x and the N-word differ; the longest proper prefix when equal."""
+    word = format(members.index(x) + 1, f"0{width}b")
+    if word == n_word:
+        return word, width - 1
+    return word, next(i for i in range(width) if word[i] != n_word[i])
+
+
+def naive_mx_lengths(table) -> dict[str, int]:
+    """l(m_x) for every output at k = K(x), rebuilding S^{K(x)} for each
+    string and comparing the index and N-words bit by bit. Quadratic in
+    the number of outputs; the reference for skstats._mx_lengths."""
+    out = {}
+    for x in table.sorted_outputs():
+        members, width, n_word = _naive_level(table, table.k_of(x))
+        out[x] = _naive_split(members, width, n_word, x)[1]
+    return out
+
+
+def naive_sk_mx(table, k: int, x: str) -> tuple[str, ...]:
+    """Members of S^k whose index words continue m_x with 0 (with m_x
+    alone when x is the last member), by filtering every index word."""
+    members, width, n_word = _naive_level(table, k)
+    word, split = _naive_split(members, width, n_word, x)
+    prefix = word[:split] if word == n_word else word[:split] + "0"
+    return tuple(
+        y for y in members if _naive_split(members, width, n_word, y)[0].startswith(prefix)
+    )
+
+
 def blind_models(x: str, alpha_max: int):
     """Models of x found by decoding *every* bit string shorter than
     alpha_max — the grammar-free ground truth for enumerate_models."""

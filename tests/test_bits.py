@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from algstat.bits import (
@@ -18,6 +18,7 @@ from algstat.bits import (
     bits_to_text,
     ceil_log2,
     ceil_log2_ratio,
+    is_bits,
     nat_len,
     nat_to_bits,
     pair,
@@ -135,3 +136,14 @@ class TestTextForm:
     def test_rejects_garbage(self):
         with pytest.raises(CodeError):
             text_to_bits("012")
+
+    # mostly-bit text reaches the interior characters strip() must not miss
+    @given(st.text() | st.text(alphabet="01") | st.text(alphabet="01 2a\n-\u00e9"))
+    @example("")
+    @example("0a1")
+    def test_is_bits_matches_per_char_definition(self, s):
+        assert is_bits(s) == all(c in "01" for c in s)
+
+    def test_is_bits_rejects_non_str(self):
+        assert not is_bits(b"01")
+        assert not is_bits(None)

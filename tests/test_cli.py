@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -310,10 +312,24 @@ class TestUsageErrors:
         capsys.readouterr()
 
 
+def console_script() -> list[str]:
+    """Command prefix for the ``algstat`` console script: the installed
+    script when it is on PATH, otherwise the entry point that
+    pyproject.toml declares, run the way an installed script runs it."""
+    installed = shutil.which("algstat")
+    if installed is not None:
+        return [installed]
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["algstat"]
+    module, _, func = target.partition(":")
+    return [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())"]
+
+
 class TestEntryPoint:
     def test_console_script(self, cli_cache):
         proc = subprocess.run(
-            ["algstat", "k", "0110", "--max-len", "12", "--cache-dir", cli_cache],
+            [*console_script(), "k", "0110", "--max-len", "12", "--cache-dir", cli_cache],
             capture_output=True,
             text=True,
         )

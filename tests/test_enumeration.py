@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from algstat import _pykernel
+from algstat.cache import load_or_build, table_path
 from algstat.enumeration import (
     ComplexityTable,
     EntryCapExceeded,
@@ -238,3 +239,30 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(TableFormatError):
             import_table(path)
+
+    @pytest.mark.parametrize(
+        "bad_record",
+        ["0120 7 0001100 1/2^7", "01 7 00a1100 1/2^7"],
+        ids=["output", "witness"],
+    )
+    def test_non_bit_character_rejected(self, tmp_path, bad_record):
+        path = tmp_path / "t.table"
+        export_table(build_table(8), path)
+        text = path.read_text()
+        assert "\n01 7 0001100 1/2^7\n" in text
+        path.write_text(text.replace("\n01 7 0001100 1/2^7\n", f"\n{bad_record}\n"))
+        with pytest.raises(TableFormatError):
+            import_table(path)
+
+    def test_undecodable_cache_file_is_rebuilt(self, tmp_path):
+        table, built = load_or_build(8, cache_dir=tmp_path)
+        assert built
+        path = table_path(tmp_path, 8, Budgets(), Condition.none().fingerprint())
+        text = path.read_text()
+        assert "\n- 3 " in text
+        path.write_bytes(text.replace("\n- 3 ", "\n\u00e9 3 ", 1).encode("utf-8"))
+        with pytest.raises(TableFormatError):
+            import_table(path)
+        again, built = load_or_build(8, cache_dir=tmp_path)
+        assert built and again == table
+        assert import_table(path) == table

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from algstat.skstats import (
+    _mx_lengths,
     logn_gap,
     mx,
     sk,
@@ -19,6 +20,7 @@ from algstat.skstats import (
     xr_csv,
     xr_report,
 )
+from oracles import naive_mx_lengths, naive_sk_mx
 
 
 class TestSk:
@@ -54,6 +56,12 @@ class TestSk:
 
     def test_csv(self, table_l22):
         assert sk_csv(table_l22, 5) == "member,K,index\n-,3,01\n0,5,10\n1,5,11\n"
+
+    def test_rank_map_is_not_identity(self, table_l12):
+        a, b = sk(table_l12, 7), sk(table_l12, 7)
+        assert a == b and hash(a) == hash(b)
+        assert "ranks" not in repr(a)
+        assert [a.rank_of(x) for x in a.members] == list(range(1, a.n_k + 1))
 
 
 class TestMx:
@@ -95,6 +103,18 @@ class TestMx:
                     assert len(members) <= 2
                 else:
                     assert len(members) <= 1 << len(rec.i_x)
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("fixture", ["table_l12", "table_l22"])
+    def test_mx_lengths(self, fixture, request):
+        table = request.getfixturevalue(fixture)
+        assert _mx_lengths(table) == naive_mx_lengths(table)
+
+    def test_sk_mx_every_member(self, table_l12):
+        for k in (5, 7, 9):
+            for x in sk(table_l12, k).members:
+                assert sk_mx(table_l12, k, x) == naive_sk_mx(table_l12, k, x)
 
 
 class TestXr:
