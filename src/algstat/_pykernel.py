@@ -1,21 +1,25 @@
-"""Pure-Python enumeration kernel.
+"""The enumeration kernel.
 
-Walks the opcode decode tree and records every halting program up to a
-length cap. The compiled kernel (``algstat._kernel``) implements the same
-two entry points with identical results; backend choice happens in
-``algstat.kernel``.
+Walks the opcode decode tree once from the root and records every halting
+program up to a length cap. ``walk`` tabulates the programs per output;
+``collect`` lists them one by one. ``algstat.kernel.compile_condition``
+flattens a Condition into the arguments both take.
 
 Soundness of the pruning: steps, buffer length and input pointer are
 monotone along a branch, so a token whose own budget check fails here is
 exactly a token on which the machine would fail, and no halting program
-passes through it.
+passes through it. The codebook comes sorted by codeword length, so once
+one SFDECODE codeword overruns the length cap or the step budget, every
+later one does too; the output check depends on the element, whose
+lengths are not sorted, so it skips a codeword rather than ending the
+scan.
 """
 
 from __future__ import annotations
 
 _COMPL = str.maketrans("01", "10")
 
-# cond_kind values shared with the compiled kernel
+# cond_kind values
 COND_NONE = 0
 COND_STR = 1
 COND_MODEL = 2
@@ -29,26 +33,17 @@ def walk(
     cond_bits: str,
     book_codes: tuple[str, ...],
     book_elems: tuple[str, ...],
-    prefix: str = "",
-    min_len: int = 0,
 ):
-    """Enumerate halting programs p with l(p) <= L, l(p) >= min_len and
-    p starting with ``prefix``.
+    """Enumerate halting programs p with l(p) <= L.
 
     Returns entries mapping output -> [K, witness, m_num, by_length]
     with m_num = sum over that output's programs of 2**(L - l(p)) and
     by_length a dict counting that output's halting programs by length.
+    ``book_codes`` must be sorted by length, as compile_condition does.
     """
     entries: dict[str, list] = {}
-    plen = len(prefix)
     cond_len = len(cond_bits)
-    nbook = len(book_codes)
-
-    def matches(cur_len: int, tb: str) -> bool:
-        if cur_len >= plen:
-            return True
-        end = min(plen, cur_len + len(tb))
-        return prefix[cur_len:end] == tb[: end - cur_len]
+    book = tuple(zip(book_codes, book_elems))
 
     def rec(cur: str, steps: int, buf: str, ptr: int) -> None:
         cur_len = len(cur)
@@ -56,7 +51,7 @@ def walk(
 
         # HALT
         total = cur_len + 3
-        if total <= L and total >= min_len and steps + 1 <= max_steps and matches(cur_len, "100"):
+        if total <= L and steps + 1 <= max_steps:
             p = cur + "100"
             e = entries.get(buf)
             if e is None:
@@ -71,46 +66,30 @@ def walk(
 
         # EMIT0 / EMIT1 (non-HALT tokens need 3 more bits for the HALT)
         if cur_len + 5 <= L and steps + 1 <= max_steps and buf_len + 1 <= max_output:
-            if matches(cur_len, "00"):
-                rec(cur + "00", steps + 1, buf + "0", ptr)
-            if matches(cur_len, "01"):
-                rec(cur + "01", steps + 1, buf + "1", ptr)
+            rec(cur + "00", steps + 1, buf + "0", ptr)
+            rec(cur + "01", steps + 1, buf + "1", ptr)
 
         # COPYIN
         if cond_kind == COND_STR and cur_len + 8 <= L:
             for cc, m in (("00", 1), ("01", 2), ("10", 4), ("11", 8)):
-                if (
-                    ptr + m <= cond_len
-                    and steps + m <= max_steps
-                    and buf_len + m <= max_output
-                ):
-                    tb = "101" + cc
-                    if matches(cur_len, tb):
-                        rec(cur + tb, steps + m, buf + cond_bits[ptr : ptr + m], ptr + m)
+                if ptr + m <= cond_len and steps + m <= max_steps and buf_len + m <= max_output:
+                    rec(cur + "101" + cc, steps + m, buf + cond_bits[ptr : ptr + m], ptr + m)
 
         # DOUBLE / FLIP
         if cur_len + 7 <= L and 2 * buf_len <= max_output:
             cost = buf_len if buf_len > 1 else 1
             if steps + cost <= max_steps:
-                if matches(cur_len, "1100"):
-                    rec(cur + "1100", steps + cost, buf + buf, ptr)
-                if matches(cur_len, "1101"):
-                    rec(cur + "1101", steps + cost, buf + buf.translate(_COMPL), ptr)
+                rec(cur + "1100", steps + cost, buf + buf, ptr)
+                rec(cur + "1101", steps + cost, buf + buf.translate(_COMPL), ptr)
 
         # SFDECODE
         if cond_kind == COND_MODEL:
-            for i in range(nbook):
-                cw = book_codes[i]
-                elem = book_elems[i]
+            for cw, elem in book:
                 cw_len = len(cw)
-                if (
-                    cur_len + 7 + cw_len <= L
-                    and steps + cw_len <= max_steps
-                    and buf_len + len(elem) <= max_output
-                ):
-                    tb = "1110" + cw
-                    if matches(cur_len, tb):
-                        rec(cur + tb, steps + cw_len, buf + elem, ptr)
+                if cur_len + 7 + cw_len > L or steps + cw_len > max_steps:
+                    break
+                if buf_len + len(elem) <= max_output:
+                    rec(cur + "1110" + cw, steps + cw_len, buf + elem, ptr)
 
     rec("", 0, "", 0)
     return entries
@@ -126,10 +105,11 @@ def collect(
     book_elems: tuple[str, ...],
 ):
     """All halting programs with l(p) <= L as (program, output, steps),
-    sorted by (length, lexicographic)."""
+    sorted by (length, lexicographic). ``book_codes`` must be sorted by
+    length, as for ``walk``."""
     progs: list[tuple[str, str, int]] = []
     cond_len = len(cond_bits)
-    nbook = len(book_codes)
+    book = tuple(zip(book_codes, book_elems))
 
     def rec(cur: str, steps: int, buf: str, ptr: int) -> None:
         cur_len = len(cur)
@@ -149,13 +129,10 @@ def collect(
                 rec(cur + "1100", steps + cost, buf + buf, ptr)
                 rec(cur + "1101", steps + cost, buf + buf.translate(_COMPL), ptr)
         if cond_kind == COND_MODEL:
-            for i in range(nbook):
-                cw, elem = book_codes[i], book_elems[i]
-                if (
-                    cur_len + 7 + len(cw) <= L
-                    and steps + len(cw) <= max_steps
-                    and buf_len + len(elem) <= max_output
-                ):
+            for cw, elem in book:
+                if cur_len + 7 + len(cw) > L or steps + len(cw) > max_steps:
+                    break
+                if buf_len + len(elem) <= max_output:
                     rec(cur + "1110" + cw, steps + len(cw), buf + elem, ptr)
 
     rec("", 0, "", 0)

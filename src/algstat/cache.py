@@ -8,11 +8,16 @@ use-case needs only those persisted fields.
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
+from . import _pykernel
 from .enumeration import ComplexityTable, TableError, build_table, export_table, import_table
+from .kernel import walk_args
 from .machine import MACHINE_VERSION, Budgets, Condition
 
 ENV_CACHE_DIR = "ALGSTAT_CACHE_DIR"
@@ -37,16 +42,16 @@ def load_or_build(
     L: int,
     cond: Condition | None = None,
     budgets: Budgets | None = None,
-    workers: int = 1,
     cache_dir: str | Path | None = None,
     warn: Callable[[str], None] | None = None,
-    backend: str | None = None,
+    walked: Callable[[], dict[str, list]] | None = None,
 ) -> tuple[ComplexityTable, bool]:
     """Fetch a table from the cache or build and cache it.
 
     Returns (table, was_built). ``warn`` is called with a message when a
     cold-cache build starts. A stale or unreadable cache file is rebuilt
-    and overwritten, never trusted.
+    and overwritten, never trusted. ``walked`` is passed on to
+    ``build_table`` when the table has to be built.
     """
     cond = cond if cond is not None else Condition.none()
     budgets = budgets if budgets is not None else Budgets()
@@ -67,9 +72,59 @@ def load_or_build(
             return table, False
     if warn is not None:
         warn(f"cache miss: enumerating L={L} under condition [{cond.serial()}]")
-    table = build_table(L, cond, budgets, workers=workers, backend=backend)
+    table = build_table(L, cond, budgets, walked=walked)
     cache_dir.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     export_table(table, tmp)
     os.replace(tmp, path)
     return table, True
+
+
+def load_or_build_many(
+    L: int,
+    conds: Sequence[Condition],
+    budgets: Budgets | None = None,
+    workers: int = 1,
+    cache_dir: str | Path | None = None,
+    warn: Callable[[str], None] | None = None,
+) -> list[ComplexityTable]:
+    """``load_or_build`` for many conditions at one cap; the tables come
+    back in the order of ``conds``.
+
+    Each distinct condition is looked up once, in order, so the ``cache
+    miss`` notes come out in condition order. When workers > 1 and more
+    than one distinct condition has no cache file, the kernel walks of
+    those tables run in a pool of that many processes while this process
+    imports the cached tables and tabulates and exports the built ones.
+    A single table is never split, so the result does not depend on
+    ``workers``.
+    """
+    budgets = budgets if budgets is not None else Budgets()
+    cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    unique: dict[str, Condition] = {}
+    for cond in conds:
+        unique.setdefault(cond.fingerprint(), cond)
+    absent = [fp for fp in unique if not table_path(cache_dir, L, budgets, fp).exists()]
+    tables: dict[str, ComplexityTable] = {}
+    if workers > 1 and len(absent) > 1:
+        workers = min(workers, len(absent))
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+            # Submitted lazily: at most `workers` walks run or wait ahead of
+            # the table being made here, which bounds the results held at once.
+            submitted = (
+                (fp, pool.submit(_pykernel.walk, *walk_args(L, unique[fp], budgets)))
+                for fp in absent
+            )
+            walks = dict(itertools.islice(submitted, workers))
+            for fp, cond in unique.items():
+                walk = walks.pop(fp, None)
+                walked = None
+                if walk is not None:
+                    walks.update(itertools.islice(submitted, 1))
+                    walked = walk.result
+                tables[fp], _ = load_or_build(L, cond, budgets, cache_dir, warn, walked)
+    else:
+        for fp, cond in unique.items():
+            tables[fp], _ = load_or_build(L, cond, budgets, cache_dir, warn)
+    return [tables[cond.fingerprint()] for cond in conds]

@@ -143,9 +143,7 @@ def _config(args: argparse.Namespace) -> Config:
 
 
 def _table(cfg: Config, L: int, cond: Condition | None = None):
-    table, _ = load_or_build(
-        L, cond, cfg.budgets, workers=cfg.workers, cache_dir=cfg.cache_dir, warn=_warn
-    )
+    table, _ = load_or_build(L, cond, cfg.budgets, cache_dir=cfg.cache_dir, warn=_warn)
     return table
 
 
@@ -174,9 +172,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     L = cfg.L if cfg.L is not None else (
         DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN
     )
-    table, built = load_or_build(
-        L, cond, cfg.budgets, workers=cfg.workers, cache_dir=cfg.cache_dir, warn=_warn
-    )
+    table, built = load_or_build(L, cond, cfg.budgets, cache_dir=cfg.cache_dir, warn=_warn)
     if args.out:
         export_table(table, args.out)
         _warn(f"wrote {args.out}")
@@ -283,7 +279,6 @@ def cmd_probstat(args: argparse.Namespace) -> int:
         dist,
         L_c=cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN,
         budgets=cfg.budgets,
-        workers=cfg.workers,
         cache_dir=cfg.cache_dir,
         warn=_warn,
     )
@@ -450,7 +445,13 @@ def _add_table_flags(p: argparse.ArgumentParser, cond: bool = False) -> None:
     p.add_argument("--max-len", type=int, metavar="L", help="program-length cap")
     p.add_argument("--steps", type=int, default=DEFAULT_MAX_STEPS, metavar="T")
     p.add_argument("--max-out", type=int, default=DEFAULT_MAX_OUTPUT, metavar="O")
-    p.add_argument("--workers", type=int, default=1, metavar="N")
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        metavar="N",
+        help="build independent tables in N processes (a one-table command ignores it)",
+    )
     p.add_argument(
         "--cache-dir",
         metavar="DIR",

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .bits import bits_to_text, pair
-from .cache import load_or_build
+from .cache import load_or_build, load_or_build_many
 from .enumeration import DEFAULT_COND_MAX_LEN, ComplexityTable
 from .machine import Budgets, Condition
 
@@ -63,16 +63,12 @@ def k_cond(
     cond: Condition,
     L_c: int = DEFAULT_COND_MAX_LEN,
     budgets: Budgets | None = None,
-    workers: int = 1,
     cache_dir: str | Path | None = None,
     warn: Callable[[str], None] | None = None,
-    backend: str | None = None,
 ) -> int | None:
     """Exact K(x | cond) under the conditional cap, or None if absent.
     Builds (and caches) the conditional table on first use."""
-    table, _ = load_or_build(
-        L_c, cond, budgets, workers=workers, cache_dir=cache_dir, warn=warn, backend=backend
-    )
+    table, _ = load_or_build(L_c, cond, budgets, cache_dir=cache_dir, warn=warn)
     return table.k_of(x)
 
 
@@ -136,7 +132,6 @@ def soi_audit(
     workers: int = 1,
     cache_dir: str | Path | None = None,
     warn: Callable[[str], None] | None = None,
-    backend: str | None = None,
 ) -> SoiReport:
     """Sweep all strings of length <= len_cap.
 
@@ -148,12 +143,10 @@ def soi_audit(
     """
     xs = _all_strings(len_cap)
     k_un = {x: require_k(table, x) for x in xs}
-    cond_tables: dict[str, ComplexityTable] = {}
-    for x in xs:
-        cond = Condition.string(shortest_program(table, x))
-        cond_tables[x], _ = load_or_build(
-            L_c, cond, workers=workers, cache_dir=cache_dir, warn=warn, backend=backend
-        )
+    conds = [Condition.string(shortest_program(table, x)) for x in xs]
+    cond_tables = dict(
+        zip(xs, load_or_build_many(L_c, conds, workers=workers, cache_dir=cache_dir, warn=warn))
+    )
 
     def kc(y: str, given: str) -> int:
         k = cond_tables[given].k_of(y)

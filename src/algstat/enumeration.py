@@ -7,28 +7,26 @@ shortest program in length-then-lexicographic order), the per-length
 halting-program counts, and the exact dyadic mass m = sum 2^{-l(p)} over
 programs producing that output.
 
-Builds walk the opcode decode tree, never raw bit strings. The tree is
-split at a fixed shallow depth into one "short" subtask plus one subtask
-per bit prefix; results merge with an order-canonical rule, so tables are
-identical for any worker count.
+Each build is one serial walk of the opcode decode tree from its root,
+never of raw bit strings. Independent tables can be built side by side
+(see ``cache.load_or_build_many``); a single table is never split.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
+from . import _pykernel
 from .bits import bits_to_text, text_to_bits
-from .kernel import compile_condition, get_backend
+from .kernel import walk_args
 from .machine import MACHINE_VERSION, Budgets, Condition
 
 DEFAULT_MAX_LEN = 24
 DEFAULT_COND_MAX_LEN = 22
 DEFAULT_ENTRY_CAP = 5_000_000
-_SPLIT_PREFIX_LEN = 6  # decode tree split depth for parallel builds
 
 
 class TableError(Exception):
@@ -146,77 +144,29 @@ class ComplexityTable:
 # -- building --------------------------------------------------------------
 
 
-def _walk_task(args):
-    backend, L, T, O, kind, bits, codes, elems, prefix, min_len = args
-    return get_backend(backend).walk(L, T, O, kind, bits, codes, elems, prefix, min_len)
-
-
-def _tasks(L: int, budgets: Budgets, compiled, backend_name: str | None):
-    kind, bits, codes, elems = compiled
-    base = (backend_name, L, budgets.max_steps, budgets.max_output, kind, bits, codes, elems)
-    if L <= _SPLIT_PREFIX_LEN + 3:
-        return [base + ("", 0)]
-    plen = _SPLIT_PREFIX_LEN
-    tasks = [(backend_name, plen - 1, budgets.max_steps, budgets.max_output, kind, bits, codes, elems, "", 0)]
-    for k in range(1 << plen):
-        tasks.append(base + (format(k, f"0{plen}b"), plen))
-    return tasks
-
-
-def _merge(total: dict[str, list], part: dict[str, list]) -> None:
-    for out, src in part.items():
-        e = total.get(out)
-        if e is None:
-            total[out] = src
-        else:
-            if (src[0], src[1]) < (e[0], e[1]):
-                e[0], e[1] = src[0], src[1]
-            e[2] += src[2]
-            bl = e[3]
-            for l, c in src[3].items():
-                bl[l] = bl.get(l, 0) + c
-
-
 def build_table(
     L: int,
     cond: Condition | None = None,
     budgets: Budgets | None = None,
-    workers: int = 1,
     entry_cap: int = DEFAULT_ENTRY_CAP,
-    backend: str | None = None,
+    walked: Callable[[], dict[str, list]] | None = None,
 ) -> ComplexityTable:
     """Enumerate all halting programs of length <= L and tabulate them.
 
-    The result is independent of ``workers`` (order-canonical merge) and
-    of ``backend`` (the kernels are exact twins).
+    ``walked``, when given, returns the result of the kernel walk for
+    these arguments, ``_pykernel.walk(*walk_args(L, cond, budgets))``,
+    run elsewhere (``cache.load_or_build_many`` runs the walks of many
+    tables in a process pool).
     """
     if L < 3:
         raise ValueError("L must be at least 3 (HALT alone is 3 bits)")
     cond = cond if cond is not None else Condition.none()
     budgets = budgets if budgets is not None else Budgets()
-    tasks = _tasks(L, budgets, compile_condition(cond), backend)
+    found = walked() if walked is not None else _pykernel.walk(*walk_args(L, cond, budgets))
+    if len(found) > entry_cap:
+        raise EntryCapExceeded(f"{len(found)} outputs exceeds entry cap {entry_cap}")
 
-    merged: dict[str, list] = {}
-
-    def _fold(task, part):
-        # masses come back scaled to the task's own cap; bring them to L
-        shift = L - task[1]
-        if shift:
-            for e in part.values():
-                e[2] <<= shift
-        _merge(merged, part)
-
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for task, part in zip(tasks, pool.map(_walk_task, tasks, chunksize=4)):
-                _fold(task, part)
-    else:
-        for task in tasks:
-            _fold(task, _walk_task(task))
-    if len(merged) > entry_cap:
-        raise EntryCapExceeded(f"{len(merged)} outputs exceeds entry cap {entry_cap}")
-
-    entries = {out: Entry(e[0], e[1], e[2], e[3]) for out, e in merged.items()}
+    entries = {out: Entry(e[0], e[1], e[2], e[3]) for out, e in found.items()}
     table = ComplexityTable(L, budgets, cond.fingerprint(), entries, cond_serial=cond.serial())
     if table.kraft_sum() > 1:
         raise TableError("internal error: Kraft sum exceeds 1")
@@ -227,7 +177,6 @@ def enumerate_halting(
     L: int,
     cond: Condition | None = None,
     budgets: Budgets | None = None,
-    backend: str | None = None,
 ) -> Iterator[tuple[str, str, int]]:
     """Yield (program, output, steps) for every halting program of
     length <= L, each exactly once, in (length, lexicographic) order."""
@@ -235,10 +184,7 @@ def enumerate_halting(
         raise ValueError("L must be at least 3 (HALT alone is 3 bits)")
     cond = cond if cond is not None else Condition.none()
     budgets = budgets if budgets is not None else Budgets()
-    kind, bits, codes, elems = compile_condition(cond)
-    yield from get_backend(backend).collect(
-        L, budgets.max_steps, budgets.max_output, kind, bits, codes, elems
-    )
+    yield from _pykernel.collect(*walk_args(L, cond, budgets))
 
 
 def find_prefix_violation(programs: Iterable[str]) -> tuple[str, str] | None:

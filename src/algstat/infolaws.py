@@ -31,7 +31,7 @@ from .bits import (
     std,
     text_to_bits,
 )
-from .cache import load_or_build
+from .cache import load_or_build_many
 from .complexity import (
     DEFAULT_SOI_LEN_CAP,
     Absent,
@@ -525,7 +525,6 @@ def nonincrease_audit(
     workers: int = 1,
     cache_dir: str | Path | None = None,
     warn: Callable[[str], None] | None = None,
-    backend: str | None = None,
 ) -> NonincreaseReport:
     """Max over (x, y, q) of I(q(x):y) - I(x:y) - l(q), with I(a:b) =
     K(b) - K(b | a's witness) and q actually run on the machine. The
@@ -543,12 +542,7 @@ def nonincrease_audit(
             needed.add(out)
     if L_c is None:
         L_c = 2 * max(len(s) for s in needed | set(xs)) + 3
-    cond_k: dict[str, ComplexityTable] = {}
-    for s in sorted(needed, key=_canon_key):
-        cond = Condition.string(shortest_program(table, s))
-        cond_k[s], _ = load_or_build(
-            L_c, cond, budgets, workers=workers, cache_dir=cache_dir, warn=warn, backend=backend
-        )
+    cond_k = _label_cond_tables(needed, table, L_c, budgets, workers, cache_dir, warn)
 
     def kc(y: str, given: str) -> int:
         k = cond_k[given].k_of(y)
@@ -582,15 +576,11 @@ def _label_cond_tables(
     workers: int,
     cache_dir: str | Path | None,
     warn: Callable[[str], None] | None,
-    backend: str | None,
 ) -> dict[str, ComplexityTable]:
-    out: dict[str, ComplexityTable] = {}
-    for label in sorted(set(labels), key=_canon_key):
-        cond = Condition.string(shortest_program(table, label))
-        out[label], _ = load_or_build(
-            L_c, cond, budgets, workers=workers, cache_dir=cache_dir, warn=warn, backend=backend
-        )
-    return out
+    """The table conditioned on each label's shortest program, keyed by label."""
+    ordered = sorted(set(labels), key=_canon_key)
+    conds = [Condition.string(shortest_program(table, label)) for label in ordered]
+    return dict(zip(ordered, load_or_build_many(L_c, conds, budgets, workers, cache_dir, warn)))
 
 
 def _auto_cond_cap(strings: Iterable[str]) -> int:
@@ -656,15 +646,12 @@ def _deficiency_terms(
     workers: int,
     cache_dir: str | Path | None,
     warn: Callable[[str], None] | None,
-    backend: str | None,
 ) -> tuple[dict[str, ComplexityTable], int]:
     xs = joint.x_domain(cap)
     images = {statistic(x) for x in xs}
     if L_c is None:
         L_c = _auto_cond_cap(set(xs) | images)
-    tables = _label_cond_tables(
-        joint.thetas, table, L_c, budgets, workers, cache_dir, warn, backend
-    )
+    tables = _label_cond_tables(joint.thetas, table, L_c, budgets, workers, cache_dir, warn)
     return tables, L_c
 
 
@@ -680,7 +667,6 @@ def theta_suff_audit(
     workers: int = 1,
     cache_dir: str | Path | None = None,
     warn: Callable[[str], None] | None = None,
-    backend: str | None = None,
 ) -> ThetaSuffReport:
     """Per-(parameter, x) deficiency d = I(theta:x) - I(theta:S(x)) with
     I(a:b) = K(b) - K(b | a's witness), plus the exact joint mass sitting
@@ -689,7 +675,7 @@ def theta_suff_audit(
     read off one object: small-deficiency mass tracks classical
     sufficiency and vice versa."""
     cond_tables, L_c = _deficiency_terms(
-        joint, statistic, table, cap, L_c, budgets, workers, cache_dir, warn, backend
+        joint, statistic, table, cap, L_c, budgets, workers, cache_dir, warn
     )
 
     def kc(y: str, label: str) -> int:
@@ -759,7 +745,6 @@ def suff_identity_audit(
     workers: int = 1,
     cache_dir: str | Path | None = None,
     warn: Callable[[str], None] | None = None,
-    backend: str | None = None,
 ) -> SuffIdentityReport:
     """Two ways of pricing x through a sufficient statistic should agree:
     describing x directly given the best-fitting parameter, or naming the
@@ -767,7 +752,7 @@ def suff_identity_audit(
     The agreement gap is a machine constant; the audit measures its max
     over the joint's support."""
     cond_tables, L_c = _deficiency_terms(
-        joint, statistic, table, cap, L_c, budgets, workers, cache_dir, warn, backend
+        joint, statistic, table, cap, L_c, budgets, workers, cache_dir, warn
     )
 
     def kc(y: str, label: str) -> int:
@@ -847,7 +832,6 @@ def laws_audit(
     workers: int = 1,
     cache_dir: str | Path | None = None,
     warn: Callable[[str], None] | None = None,
-    backend: str | None = None,
 ) -> LawsAudit:
     """Run the whole measured-constants battery on one table (deep enough
     to cover the pair sweep) plus, when a second table is supplied, the
@@ -860,7 +844,6 @@ def laws_audit(
         workers=workers,
         cache_dir=cache_dir,
         warn=warn,
-        backend=backend,
     )
     ni = nonincrease_audit(
         table,
@@ -869,7 +852,6 @@ def laws_audit(
         workers=workers,
         cache_dir=cache_dir,
         warn=warn,
-        backend=backend,
     )
     joints = standard_joints()
     expected = tuple(
@@ -885,7 +867,6 @@ def laws_audit(
         workers=workers,
         cache_dir=cache_dir,
         warn=warn,
-        backend=backend,
     )
     identity = suff_identity_audit(
         pair_joint,
@@ -896,7 +877,6 @@ def laws_audit(
         workers=workers,
         cache_dir=cache_dir,
         warn=warn,
-        backend=backend,
     )
     gap = logn_gap(level_table) if level_table is not None else None
     return LawsAudit(soi, ni, expected, theta, identity, gap)

@@ -1,46 +1,24 @@
-"""Choice between the compiled and pure-Python enumeration kernels.
+"""The kernel's calling convention.
 
-The compiled kernel is optional: when `algstat._kernel` (built from
-_kernel.pyx) is importable it is used by default, otherwise the package
-silently runs on the pure-Python twin. Set ALGSTAT_KERNEL=py or =c to
-force a backend (forcing "c" without the extension is an error).
+``compile_condition`` flattens a Condition into the plain, picklable
+arguments that ``algstat._pykernel.walk`` and ``collect`` take;
+``walk_args`` adds the length cap and the budgets.
 """
 
 from __future__ import annotations
 
-import os
-
 from . import _pykernel
-from .machine import Condition
-
-try:
-    from . import _kernel as _compiled  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover - depends on build environment
-    _compiled = None
-
-HAVE_COMPILED = _compiled is not None
+from .machine import Budgets, Condition
 
 
-def get_backend(name: str | None = None):
-    """Return the kernel module to use ("auto"/"c"/"py")."""
-    name = name or os.environ.get("ALGSTAT_KERNEL", "auto")
-    if name == "auto":
-        return _compiled if HAVE_COMPILED else _pykernel
-    if name in ("c", "compiled"):
-        if not HAVE_COMPILED:
-            raise RuntimeError("compiled kernel requested but algstat._kernel is not built")
-        return _compiled
-    if name in ("py", "python"):
-        return _pykernel
-    raise ValueError(f"unknown kernel backend {name!r}")
-
-
-def backend_name(name: str | None = None) -> str:
-    return "c" if get_backend(name) is _compiled and _compiled is not None else "py"
+def backend_name() -> str:
+    """Name of the enumeration kernel; there is one, the pure-Python walk."""
+    return "py"
 
 
 def compile_condition(cond: Condition) -> tuple[int, str, tuple[str, ...], tuple[str, ...]]:
-    """Flatten a Condition into the picklable form both kernels take."""
+    """Flatten a Condition into (cond_kind, cond_bits, book_codes,
+    book_elems), with the codebook sorted by codeword length."""
     if cond.kind == Condition.NONE_KIND:
         return _pykernel.COND_NONE, "", (), ()
     if cond.kind == Condition.STR_KIND:
@@ -50,3 +28,9 @@ def compile_condition(cond: Condition) -> tuple[int, str, tuple[str, ...], tuple
     codes = tuple(cw for cw, _ in pairs)
     elems = tuple(elem for _, elem in pairs)
     return _pykernel.COND_MODEL, "", codes, elems
+
+
+def walk_args(L: int, cond: Condition, budgets: Budgets) -> tuple:
+    """The positional arguments of ``_pykernel.walk`` and ``collect`` for
+    one table."""
+    return (L, budgets.max_steps, budgets.max_output, *compile_condition(cond))

@@ -364,10 +364,8 @@ def deficiency_p(
     dist: DistDesc,
     L_c: int = DEFAULT_COND_MAX_LEN,
     budgets: Budgets | None = None,
-    workers: int = 1,
     cache_dir: str | Path | None = None,
     warn: Callable[[str], None] | None = None,
-    backend: str | None = None,
     cap: int = DEFAULT_DENOTE_CAP,
     _cache: _CondCache | None = None,
 ) -> ProbDeficiencyRecord:
@@ -380,7 +378,7 @@ def deficiency_p(
     mx = dist.mass(x)
     if mx == 0:
         raise ValueError(f"{bits_to_text(x)} has zero mass under {format_distlang(dist)}")
-    cache = _cache or _CondCache(L_c, budgets, workers, cache_dir, warn, backend)
+    cache = _cache or _CondCache(L_c, budgets, 1, cache_dir, warn)
     table = cache.table(model_condition(dist))
 
     def k_or_raise(y: str) -> int:

@@ -46,7 +46,7 @@ from .bits import (
     std_len,
     text_to_bits,
 )
-from .cache import load_or_build
+from .cache import load_or_build_many
 from .complexity import Absent, require_k
 from .enumeration import DEFAULT_COND_MAX_LEN, ComplexityTable
 from .machine import Budgets, Condition
@@ -564,30 +564,28 @@ class DeficiencyRecord:
 class _CondCache:
     """Per-run memo of conditional tables keyed by condition fingerprint."""
 
-    def __init__(self, L_c, budgets, workers, cache_dir, warn, backend):
+    def __init__(self, L_c, budgets, workers, cache_dir, warn):
         self.L_c = L_c
         self.budgets = budgets
         self.workers = workers
         self.cache_dir = cache_dir
         self.warn = warn
-        self.backend = backend
         self._tables: dict[str, ComplexityTable] = {}
+
+    def prefetch(self, conds: list[Condition]) -> None:
+        """Load or build every table not yet held, up to ``workers`` at a time."""
+        missing = [c for c in conds if c.fingerprint() not in self._tables]
+        tables = load_or_build_many(
+            self.L_c, missing, self.budgets, self.workers, self.cache_dir, self.warn
+        )
+        for cond, t in zip(missing, tables):
+            self._tables[cond.fingerprint()] = t
 
     def table(self, cond: Condition) -> ComplexityTable:
         fp = cond.fingerprint()
-        t = self._tables.get(fp)
-        if t is None:
-            t, _ = load_or_build(
-                self.L_c,
-                cond,
-                self.budgets,
-                workers=self.workers,
-                cache_dir=self.cache_dir,
-                warn=self.warn,
-                backend=self.backend,
-            )
-            self._tables[fp] = t
-        return t
+        if fp not in self._tables:
+            self.prefetch([cond])
+        return self._tables[fp]
 
 
 def _normalized_deficiencies(
@@ -620,18 +618,19 @@ def deficiency(
     workers: int = 1,
     cache_dir: str | Path | None = None,
     warn: Callable[[str], None] | None = None,
-    backend: str | None = None,
     denote_cap: int = DEFAULT_DENOTE_CAP,
     _cache: "_CondCache | None" = None,
 ) -> DeficiencyRecord:
     if not desc.member(x):
         raise ValueError(f"{bits_to_text(x)} is not in {format_setlang(desc)}")
-    cache = _cache or _CondCache(L_c, budgets, workers, cache_dir, warn, backend)
+    cache = _cache or _CondCache(L_c, budgets, workers, cache_dir, warn)
     members = desc.denote(denote_cap)
     log_size = ceil_log2(desc.size(denote_cap))
 
-    k_set, d_norm = _normalized_deficiencies(x, members, cache.table(uniform_condition(desc)))
-    _, d_star = _normalized_deficiencies(x, members, cache.table(star_condition(desc)))
+    uniform, star = uniform_condition(desc), star_condition(desc)
+    cache.prefetch([uniform, star])
+    k_set, d_norm = _normalized_deficiencies(x, members, cache.table(uniform))
+    _, d_star = _normalized_deficiencies(x, members, cache.table(star))
     return DeficiencyRecord(
         x=x,
         desc=desc,
@@ -698,7 +697,6 @@ def structfn(
     workers: int = 1,
     cache_dir: str | Path | None = None,
     warn: Callable[[str], None] | None = None,
-    backend: str | None = None,
     denote_cap: int = DEFAULT_DENOTE_CAP,
 ) -> StructureCurve:
     """The h / beta / beta_star / lambda curves of x over the model family.
@@ -707,7 +705,11 @@ def structfn(
     strictly below alpha; beta curves minimize the normalized
     deficiencies; rows run from the first alpha admitting a model."""
     models = enumerate_models(x, alpha_max, opts)
-    cache = _CondCache(L_c, budgets, workers, cache_dir, warn, backend)
+    cache = _CondCache(L_c, budgets, workers, cache_dir, warn)
+    if include_deficiency:
+        cache.prefetch(
+            [c for desc in models for c in (uniform_condition(desc), star_condition(desc))]
+        )
     per_model: list[tuple[int, float, int | None, int | None]] = []
     for desc in models:
         log2_size = math.log2(desc.size(denote_cap))
@@ -826,17 +828,15 @@ def nonstoch_scan(
     opts: ModelOpts | None = None,
     L_c: int = DEFAULT_COND_MAX_LEN,
     budgets: Budgets | None = None,
-    workers: int = 1,
     cache_dir: str | Path | None = None,
     warn: Callable[[str], None] | None = None,
-    backend: str | None = None,
 ) -> NonStochReport:
     """For every x of length n, the least model length whose delta_star
     is within beta — the most structure-resistant strings stand out as
     the argmax. Exhaustive and deterministic; n is capped at 12."""
     if n > 12:
         raise ValueError("scan is exhaustive over 2^n strings; n > 12 is not supported")
-    cache = _CondCache(L_c, budgets, workers, cache_dir, warn, backend)
+    cache = _CondCache(L_c, budgets, 1, cache_dir, warn)
     min_len: dict[str, int] = {}
     for v in range(1 << n):
         x = format(v, f"0{n}b") if n else ""

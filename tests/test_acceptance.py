@@ -12,6 +12,7 @@ import random
 import time
 from fractions import Fraction
 
+from algstat.cache import load_or_build_many
 from algstat.complexity import AUDIT_MAX_LEN
 from algstat.constants import load_constants, regression_check
 from algstat.enumeration import build_table, enumerate_halting, export_table, find_prefix_violation
@@ -30,6 +31,7 @@ from algstat.models_set import (
     structfn,
     suffstat,
     two_part,
+    uniform_condition,
 )
 from algstat.skstats import sk_csv, slice_bound_check, xr_bound_check, xr_csv
 from oracles import naive_entries
@@ -49,7 +51,7 @@ def _done(n: int, name: str, detail: str = "") -> None:
 
 def test_01_prefix_free_domain():
     start = time.monotonic()
-    build_table(20, workers=4)
+    build_table(20)
     programs = [p for p, _, _ in enumerate_halting(20)]
     violation = find_prefix_violation(programs)
     elapsed = time.monotonic() - start
@@ -177,22 +179,31 @@ def test_09_law_audits(table_l29, table_l22, cond_cache):
     _done(9, "law audits", f"{len(lines)} slacks within +1 bit of frozen")
 
 
-def test_10_determinism(tmp_path, cond_cache, table_l22):
-    one = build_table(16, workers=1)
-    eight = build_table(16, workers=8)
-    paths = [tmp_path / name for name in ("w1a.tsv", "w8a.tsv", "w1b.tsv", "w8b.tsv")]
-    export_table(one, paths[0])
-    export_table(eight, paths[1])
-    export_table(build_table(16, workers=1), paths[2])
-    export_table(build_table(16, workers=8), paths[3])
-    blobs = [p.read_bytes() for p in paths]
-    assert len(set(blobs)) == 1, "table exports differ across workers or runs"
+def test_10_determinism(tmp_path, table_l22):
+    conds = [
+        Condition.none(),
+        Condition.string("1011"),
+        uniform_condition(Hamming(4, 2)),
+        Condition.string("0110"),
+    ]
+    one = load_or_build_many(16, conds, workers=1, cache_dir=tmp_path / "w1")
+    eight = load_or_build_many(16, conds, workers=8, cache_dir=tmp_path / "w8")
+    assert one == eight
+    export_table(build_table(16), tmp_path / "rebuilt.tsv")
+    blobs = {
+        workers: {p.name: p.read_bytes() for p in (tmp_path / workers).iterdir()}
+        for workers in ("w1", "w8")
+    }
+    assert len(blobs["w1"]) == len(conds)
+    assert blobs["w1"] == blobs["w8"], "table exports differ across workers"
+    plain = [b for name, b in blobs["w1"].items() if Condition.none().fingerprint()[:16] in name]
+    assert plain == [(tmp_path / "rebuilt.tsv").read_bytes()], "table exports differ across runs"
 
-    assert xr_csv(one) == xr_csv(eight)
-    assert sk_csv(one, 9) == sk_csv(eight, 9)
+    assert xr_csv(one[0]) == xr_csv(eight[0])
+    assert sk_csv(one[0], 9) == sk_csv(eight[0], 9)
 
-    curve_a = structfn("0110", 12, L_c=15, workers=1, cache_dir=cond_cache)
-    curve_b = structfn("0110", 12, L_c=15, workers=8, cache_dir=cond_cache)
+    curve_a = structfn("0110", 12, L_c=15, workers=1, cache_dir=tmp_path / "s1")
+    curve_b = structfn("0110", 12, L_c=15, workers=8, cache_dir=tmp_path / "s8")
     assert curve_a.to_csv() == curve_b.to_csv()
 
     # the demo needs every 8-bit K, so it runs on the deeper session table

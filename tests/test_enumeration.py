@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
 from fractions import Fraction
 
 import pytest
 
-from algstat import _pykernel
-from algstat.cache import load_or_build, table_path
+from algstat import _pykernel, cache
+from algstat.cache import load_or_build, load_or_build_many, table_path
 from algstat.enumeration import (
     ComplexityTable,
     EntryCapExceeded,
@@ -19,13 +20,29 @@ from algstat.enumeration import (
     find_prefix_violation,
     import_table,
 )
-from algstat.kernel import HAVE_COMPILED, compile_condition, get_backend
+from algstat.kernel import backend_name, walk_args
 from algstat.machine import Budgets, Condition, run
 from oracles import ToyModel, naive_entries, naive_halting_programs, predicted_halting_by_length
+
+# Codewords of lengths 1 to 4, listed out of order, whose element lengths
+# (4, 5, 0, 1, 2 by codeword length) are not monotone: under a tight output
+# budget the first codeword is skipped while later, longer ones still fit.
+MIXED_BOOK = ToyModel(
+    "1011", [("1110", "1"), ("0", "0110"), ("110", ""), ("10", "11011"), ("1111", "00")]
+)
+TIGHT = Budgets(max_steps=6, max_output=3)
+MIXED_BOOK_CASES = [
+    pytest.param(12, Condition.of_model(MIXED_BOOK), None, id="mixed-book"),
+    pytest.param(12, Condition.of_model(MIXED_BOOK), TIGHT, id="mixed-book-tight"),
+]
 
 
 def entry_dicts(table: ComplexityTable):
     return {x: (e.k, e.witness, e.m_num, e.by_length) for x, e in table.entries.items()}
+
+
+def by_length_then_lex(progs):
+    return sorted(progs, key=lambda t: (len(t[0]), t[0]))
 
 
 class TestSmallCases:
@@ -64,22 +81,34 @@ class TestOracleEquivalence:
         cond = Condition.string("1011")
         assert entry_dicts(build_table(9, cond)) == naive_entries(9, cond)
 
-    def test_model_condition(self):
-        cond = Condition.of_model(ToyModel("110", [("0", "000"), ("10", "111"), ("11", "101")]))
-        assert entry_dicts(build_table(10, cond)) == naive_entries(10, cond)
+    @pytest.mark.parametrize(
+        "L, cond, budgets",
+        [
+            pytest.param(
+                10,
+                Condition.of_model(ToyModel("110", [("0", "000"), ("10", "111"), ("11", "101")])),
+                None,
+                id="three-codewords",
+            ),
+            *MIXED_BOOK_CASES,
+        ],
+    )
+    def test_model_condition(self, L, cond, budgets):
+        assert entry_dicts(build_table(L, cond, budgets)) == naive_entries(L, cond, budgets)
 
     def test_tight_budgets(self):
         budgets = Budgets(max_steps=3, max_output=2)
         assert entry_dicts(build_table(10, budgets=budgets)) == naive_entries(10, budgets=budgets)
 
-    def test_program_stream_matches_oracle(self):
-        cond = Condition.string("01")
-        got = list(enumerate_halting(9, cond))
-        want = naive_halting_programs(9, cond)
-        assert sorted(got, key=lambda t: (len(t[0]), t[0])) == sorted(
-            want, key=lambda t: (len(t[0]), t[0])
-        )
-        assert got == sorted(got, key=lambda t: (len(t[0]), t[0]))
+    @pytest.mark.parametrize(
+        "L, cond, budgets",
+        [pytest.param(9, Condition.string("01"), None, id="str"), *MIXED_BOOK_CASES],
+    )
+    def test_program_stream_matches_oracle(self, L, cond, budgets):
+        got = list(enumerate_halting(L, cond, budgets))
+        want = naive_halting_programs(L, cond, budgets)
+        assert by_length_then_lex(got) == by_length_then_lex(want)
+        assert got == by_length_then_lex(got)
 
 
 class TestCountsAndInvariants:
@@ -127,46 +156,100 @@ class TestCountsAndInvariants:
             build_table(12, entry_cap=3)
 
 
+def _cache_files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+SMALL_CONDS = [
+    Condition.string("0110"),
+    Condition.none(),
+    Condition.of_model(MIXED_BOOK),
+    Condition.string("1"),
+]
+
+
 class TestDeterminismAndBackends:
-    def test_workers_do_not_change_the_table(self, tmp_path):
-        t1 = build_table(14, workers=1)
-        t4 = build_table(14, workers=4)
-        assert t1 == t4
-        p1, p4 = tmp_path / "w1.table", tmp_path / "w4.table"
-        export_table(t1, p1)
-        export_table(t4, p4)
-        assert p1.read_bytes() == p4.read_bytes()
+    def test_workers_do_not_change_the_table(self, tmp_path, monkeypatch):
+        pools = []
+
+        class CountingPool(cache.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cache, "ProcessPoolExecutor", CountingPool)
+        t1 = load_or_build_many(14, SMALL_CONDS, workers=1, cache_dir=tmp_path / "w1")
+        assert pools == []
+        t2 = load_or_build_many(14, SMALL_CONDS, workers=2, cache_dir=tmp_path / "w2")
+        assert pools == [(2,)]
+        assert t1 == t2
+        files = _cache_files(tmp_path / "w1")
+        assert len(files) == len(SMALL_CONDS)
+        assert files == _cache_files(tmp_path / "w2")
 
     def test_two_builds_identical(self):
         assert build_table(13) == build_table(13)
 
-    @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-    def test_backends_agree_on_walk(self):
-        cases = [
-            (12, 100, 50, *compile_condition(Condition.none()), "", 0),
-            (12, 100, 50, *compile_condition(Condition.string("1011")), "", 0),
-            (14, 1000, 64, *compile_condition(Condition.none()), "0001", 4),
-            (
-                11,
-                1000,
-                64,
-                *compile_condition(
-                    Condition.of_model(ToyModel("0", [("0", "00"), ("1", "111")]))
-                ),
-                "",
-                0,
-            ),
+
+class TestLoadOrBuildMany:
+    def test_tables_come_back_in_input_order(self, tmp_path):
+        tables = load_or_build_many(10, SMALL_CONDS, workers=2, cache_dir=tmp_path)
+        assert [t.cond_fingerprint for t in tables] == [c.fingerprint() for c in SMALL_CONDS]
+        for cond, table in zip(SMALL_CONDS, tables):
+            assert table == build_table(10, cond)
+
+    def test_duplicates_are_built_once(self, tmp_path):
+        notes = []
+        conds = [SMALL_CONDS[0], SMALL_CONDS[1], SMALL_CONDS[0], SMALL_CONDS[1]]
+        tables = load_or_build_many(10, conds, workers=2, cache_dir=tmp_path, warn=notes.append)
+        assert notes == [
+            f"cache miss: enumerating L=10 under condition [{c.serial()}]" for c in conds[:2]
         ]
-        for args in cases:
-            assert get_backend("py").walk(*args) == get_backend("c").walk(*args)
+        assert tables[0] is tables[2] and tables[1] is tables[3]
+        assert len(_cache_files(tmp_path)) == 2
 
-    @pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-    def test_backends_agree_on_collect(self):
-        args = (12, 100, 50, *compile_condition(Condition.string("0110")))
-        assert get_backend("py").collect(*args) == get_backend("c").collect(*args)
+    def test_all_hits_start_no_pool(self, tmp_path, monkeypatch):
+        built = load_or_build_many(10, SMALL_CONDS, cache_dir=tmp_path)
 
-    def test_pykernel_is_the_fallback(self):
-        assert get_backend("py") is _pykernel
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started for cached tables")
+
+        monkeypatch.setattr(cache, "ProcessPoolExecutor", no_pool)
+        notes = []
+        again = load_or_build_many(
+            10, SMALL_CONDS, workers=2, cache_dir=tmp_path, warn=notes.append
+        )
+        assert again == built
+        assert notes == []
+
+
+class TestKernelContract:
+    """The benchmark's tracer wraps ``_pykernel.walk`` and reads the
+    condition kind from its fourth positional argument."""
+
+    def test_backend_name(self):
+        assert backend_name() == "py"
+
+    def test_walk_takes_seven_positional_arguments(self):
+        params = list(inspect.signature(_pykernel.walk).parameters.values())
+        assert [p.name for p in params] == [
+            "L", "max_steps", "max_output", "cond_kind", "cond_bits", "book_codes", "book_elems"
+        ]
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in params)
+
+    @pytest.mark.parametrize(
+        "cond, kind",
+        [
+            (Condition.none(), _pykernel.COND_NONE),
+            (Condition.string("01"), _pykernel.COND_STR),
+            (Condition.of_model(MIXED_BOOK), _pykernel.COND_MODEL),
+        ],
+        ids=["none", "str", "model"],
+    )
+    def test_condition_kind_is_argument_three(self, cond, kind):
+        args = walk_args(10, cond, Budgets())
+        assert len(args) == 7 and args[3] == kind
+        assert {0: "none", 1: "str", 2: "model"}[kind] == cond.kind
 
 
 class TestPersistence:
