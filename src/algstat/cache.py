@@ -9,7 +9,6 @@ use-case needs only those persisted fields.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -97,7 +96,10 @@ def load_or_build_many(
     those tables run in a pool of that many processes while this process
     imports the cached tables and tabulates and exports the built ones.
     A single table is never split, so the result does not depend on
-    ``workers``.
+    ``workers``. The pool uses the platform's default start method; where
+    that is not ``fork`` (macOS, Windows, and Linux from Python 3.14 on),
+    a script that passes workers > 1 needs the usual
+    ``if __name__ == "__main__":`` guard.
     """
     budgets = budgets if budgets is not None else Budgets()
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
@@ -108,8 +110,7 @@ def load_or_build_many(
     tables: dict[str, ComplexityTable] = {}
     if workers > 1 and len(absent) > 1:
         workers = min(workers, len(absent))
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+        with ProcessPoolExecutor(workers) as pool:
             # Submitted lazily: at most `workers` walks run or wait ahead of
             # the table being made here, which bounds the results held at once.
             submitted = (

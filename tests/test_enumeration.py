@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import inspect
+import multiprocessing
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -221,6 +224,21 @@ class TestLoadOrBuildMany:
         )
         assert again == built
         assert notes == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork", reason="the default start method is not fork"
+    )
+    def test_script_without_main_guard(self, tmp_path):
+        script = tmp_path / "script.py"
+        script.write_text(
+            "from algstat.cache import load_or_build_many\n"
+            "from algstat.machine import Condition\n"
+            "conds = [Condition.none(), Condition.string('1')]\n"
+            f"print(len(load_or_build_many(8, conds, workers=2, cache_dir={str(tmp_path)!r})))\n"
+        )
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "2\n"
 
 
 class TestKernelContract:
