@@ -362,9 +362,9 @@ def cmd_laws(args: argparse.Namespace) -> int:
         lines.append(line)
         all_ok = all_ok and ok
 
-    level_L = cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN
+    level = None
     if sel in ("xr", "slices", "all"):
-        level = _table(cfg, level_L)
+        level = _table(cfg, cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN)
         if sel in ("xr", "all"):
             _, _, rows = xr_bound_check(level)
             for row in rows:
@@ -383,7 +383,7 @@ def cmd_laws(args: argparse.Namespace) -> int:
         deep = _table(cfg, AUDIT_MAX_LEN)
         common = dict(workers=cfg.workers, cache_dir=cfg.cache_dir, warn=_warn)
         if sel == "all":
-            audit = laws_audit(deep, level_table=_table(cfg, level_L), **common)
+            audit = laws_audit(deep, level_table=level, **common)
             measured.update(audit.measured())
             theta_rep = audit.theta
         elif sel == "soi":
@@ -441,17 +441,20 @@ def cmd_laws(args: argparse.Namespace) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _add_table_flags(p: argparse.ArgumentParser, cond: bool = False) -> None:
+def _add_table_flags(
+    p: argparse.ArgumentParser, cond: bool = False, workers: bool = False
+) -> None:
     p.add_argument("--max-len", type=int, metavar="L", help="program-length cap")
     p.add_argument("--steps", type=int, default=DEFAULT_MAX_STEPS, metavar="T")
     p.add_argument("--max-out", type=int, default=DEFAULT_MAX_OUTPUT, metavar="O")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="build independent tables in N processes (a one-table command ignores it)",
-    )
+    if workers:
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            metavar="N",
+            help="build the independent tables this command needs in N processes",
+        )
     p.add_argument(
         "--cache-dir",
         metavar="DIR",
@@ -497,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-max", type=int, metavar="A")
     p.add_argument("--no-deficiency", action="store_true", help="skip the beta columns")
     _add_model_flags(p)
-    _add_table_flags(p)
+    _add_table_flags(p, workers=True)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(fn=cmd_structfn)
 
@@ -524,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constants", metavar="FILE", help="constants file (default: packaged)")
     p.add_argument("--freeze", action="store_true", help="write measured constants and exit")
     p.add_argument("--joint", metavar="FILE", help="audit a joint-model file instead")
-    _add_table_flags(p)
+    _add_table_flags(p, workers=True)
     p.add_argument("--out", metavar="FILE")
     p.set_defaults(fn=cmd_laws)
 

@@ -14,13 +14,16 @@ never of raw bit strings. Independent tables can be built side by side
 
 from __future__ import annotations
 
+import gc
 import itertools
+import re
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import _pykernel
-from .bits import bits_to_text, text_to_bits
+from .bits import EMPTY_MARKER, bits_to_text
 from .kernel import walk_args
 from .machine import MACHINE_VERSION, Budgets, Condition
 
@@ -144,6 +147,21 @@ class ComplexityTable:
 # -- building --------------------------------------------------------------
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Disable the cyclic garbage collector, then restore the state found.
+
+    Tables are large acyclic containers; building one triggers collections
+    that walk every object made so far and free none of them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def build_table(
     L: int,
     cond: Condition | None = None,
@@ -162,11 +180,11 @@ def build_table(
         raise ValueError("L must be at least 3 (HALT alone is 3 bits)")
     cond = cond if cond is not None else Condition.none()
     budgets = budgets if budgets is not None else Budgets()
-    found = walked() if walked is not None else _pykernel.walk(*walk_args(L, cond, budgets))
-    if len(found) > entry_cap:
-        raise EntryCapExceeded(f"{len(found)} outputs exceeds entry cap {entry_cap}")
-
-    entries = {out: Entry(e[0], e[1], e[2], e[3]) for out, e in found.items()}
+    with _gc_paused():
+        found = walked() if walked is not None else _pykernel.walk(*walk_args(L, cond, budgets))
+        if len(found) > entry_cap:
+            raise EntryCapExceeded(f"{len(found)} outputs exceeds entry cap {entry_cap}")
+        entries = {out: Entry(e[0], e[1], e[2], e[3]) for out, e in found.items()}
     table = ComplexityTable(L, budgets, cond.fingerprint(), entries, cond_serial=cond.serial())
     if table.kraft_sum() > 1:
         raise TableError("internal error: Kraft sum exceeds 1")
@@ -234,20 +252,95 @@ def _header_int(line: str, key: str) -> int:
         raise TableFormatError(f"non-integer {key} header: {line!r}") from None
 
 
-def import_table(path: str | Path) -> ComplexityTable:
-    """Parse a table file; validates version, caps and the Kraft bound.
+# One record: output, K, witness and m = num/2^exp, single-space separated,
+# with '-' for an empty string. The search finds the first newline that is
+# neither the body's last nor followed by a whole record and a newline, so a
+# miss proves every record of a block well formed in one C-level pass.
+_BAD_RECORD = re.compile(r"\n(?!(?:[01]+|-) [0-9]+ (?:[01]+|-) [0-9]+/2\^[0-9]+\n|\Z)")
 
-    Imported entries carry no per-length program counts (the file format
-    stores only output, K, witness and m)."""
+# Records are parsed in blocks of about this many characters, so the
+# temporary token strings of one block are all the import holds besides the
+# table it builds.
+_IMPORT_BLOCK_CHARS = 1 << 20
+
+
+def _empty_dashes(column: list[str]) -> None:
+    """Replace each '-' token in place by the empty string it stands for."""
+    i = -1
+    try:
+        while True:
+            i = column.index(EMPTY_MARKER, i + 1)
+            column[i] = ""
+    except ValueError:
+        pass
+
+
+def _by_distinct(column: list[str], convert: Callable[[str], int]) -> list[int]:
+    """``[convert(t) for t in column]``, calling ``convert`` once per distinct
+    token: a table has a few dozen K values and a few hundred masses."""
+    value = {t: convert(t) for t in set(column)}
+    return list(map(value.__getitem__, column))
+
+
+def _mass_num(text: str, L: int) -> int:
+    """m over 2**L from a well-formed ``num/2^exp`` token."""
+    num_text, _, exp_text = text.partition("/2^")
+    num, exp = int(num_text), int(exp_text)
+    if exp > L or num < 1:
+        raise TableFormatError(f"mass out of range: {text!r}")
+    return num << (L - exp)
+
+
+def _parse_block(text: str, start: int, end: int, L: int, entries: dict[str, Entry]) -> int:
+    """Add the records of text[start:end] to ``entries``; return their count.
+
+    ``text[start - 1]`` is the newline ending the line before the block, and
+    ``text[end - 1]`` the newline ending its last record."""
+    bad = _BAD_RECORD.search(text, start - 1, end)
+    if bad is not None:
+        line_end = text.find("\n", bad.end(), end)
+        raise TableFormatError(f"malformed record: {text[bad.end() : line_end]!r}")
+    tokens = text[start:end].split()
+    outs, wits = tokens[0::4], tokens[2::4]
+    try:
+        ks = _by_distinct(tokens[1::4], int)
+        m_nums = _by_distinct(tokens[3::4], lambda t: _mass_num(t, L))
+    except ValueError:  # more digits than int() converts
+        raise TableFormatError("number too long in a record") from None
+    del tokens
+    _empty_dashes(outs)
+    _empty_dashes(wits)
+    if list(map(len, wits)) != ks:
+        x = next(x for x, w, k in zip(outs, wits, ks) if len(w) != k)
+        raise TableFormatError(f"witness length disagrees with K for output {bits_to_text(x)!r}")
+    # tuple.__new__ makes each Entry in C, as Entry._make does without a
+    # Python call per record.
+    made = map(tuple.__new__, itertools.repeat(Entry), zip(ks, wits, m_nums, itertools.repeat(None)))
+    entries.update(zip(outs, made))
+    return len(outs)
+
+
+def import_table(path: str | Path) -> ComplexityTable:
+    """Parse a table file; validates version, caps, every record and the
+    Kraft bound.
+
+    The records are checked and converted in blocks, a column at a time; a
+    file with any malformed record, non-positive or out-of-range mass,
+    witness whose length is not K, or repeated output is rejected, as is
+    one that is not ASCII text. Imported entries carry no per-length
+    program counts (the file format stores only output, K, witness and m)."""
     try:
         text = Path(path).read_text(encoding="ascii")
     except UnicodeDecodeError:
         raise TableFormatError(f"table file is not ASCII text: {path}") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if len(lines) < 5:
-        raise TableFormatError("truncated table file: incomplete header")
+    if text and not text.endswith("\n"):
+        text += "\n"
+    start = 0
+    for _ in range(5):
+        start = text.find("\n", start) + 1
+        if not start:
+            raise TableFormatError("truncated table file: incomplete header")
+    lines = text[:start].split("\n")
 
     mparts = lines[0].split()
     if len(mparts) != 2 or mparts[0] != "machine":
@@ -263,25 +356,14 @@ def import_table(path: str | Path) -> ComplexityTable:
     fingerprint = cparts[1]
 
     entries: dict[str, Entry] = {}
-    for ln in lines[5:]:
-        fields = ln.split()
-        if len(fields) != 4:
-            raise TableFormatError(f"malformed record: {ln!r}")
-        try:
-            out = text_to_bits(fields[0])
-            witness = text_to_bits(fields[2])
-            k = int(fields[1])
-            num_text, _, exp_text = fields[3].partition("/2^")
-            num, exp = int(num_text), int(exp_text)
-        except ValueError:
-            raise TableFormatError(f"malformed record: {ln!r}") from None
-        if len(witness) != k:
-            raise TableFormatError(f"witness length disagrees with K in record: {ln!r}")
-        if not (0 <= exp <= L) or num < 1:
-            raise TableFormatError(f"mass out of range in record: {ln!r}")
-        if out in entries:
-            raise TableFormatError(f"duplicate output in table file: {fields[0]}")
-        entries[out] = Entry(k, witness, num << (L - exp), None)
+    records = 0
+    with _gc_paused():
+        while start < len(text):
+            end = text.find("\n", min(start + _IMPORT_BLOCK_CHARS, len(text)) - 1) + 1
+            records += _parse_block(text, start, end, L, entries)
+            start = end
+    if len(entries) != records:
+        raise TableFormatError("duplicate output in table file")
 
     table = ComplexityTable(L, Budgets(T, O), fingerprint, entries)
     if table.kraft_sum() > 1:

@@ -4,15 +4,19 @@ The naive table oracle runs the machine on *every* bit string up to a
 length cap — no decode-tree walk, no pruning — so it cross-checks the
 enumeration kernels against the machine semantics alone. The counting
 recurrences predict halting-program totals per length straight from the
-opcode length table, independently of both.
+opcode length table, independently of both. The naive table-file parser
+reads one record at a time.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
-from algstat.machine import Budgets, Condition, Status, run
+from algstat.bits import text_to_bits
+from algstat.enumeration import ComplexityTable, Entry, TableFormatError, TableVersionError
+from algstat.machine import MACHINE_VERSION, Budgets, Condition, Status, run
 
 
 def naive_entries(L: int, cond: Condition | None = None, budgets: Budgets | None = None):
@@ -47,6 +51,71 @@ def naive_halting_programs(L: int, cond: Condition | None = None, budgets: Budge
             if r.status is Status.HALTED:
                 progs.append((p, r.output, r.steps))
     return progs
+
+
+def _naive_header_int(line: str, key: str) -> int:
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != key:
+        raise TableFormatError(f"expected '{key} <value>' header line, got {line!r}")
+    try:
+        return int(parts[1])
+    except ValueError:
+        raise TableFormatError(f"non-integer {key} header: {line!r}") from None
+
+
+def naive_import_table(path) -> ComplexityTable:
+    """Table file parser that splits and converts one record at a time,
+    with ``str.split`` and ``int``: the reference for
+    enumeration.import_table, which may reject more files than this (such
+    as records separated by tabs or runs of spaces) but never fewer."""
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError:
+        raise TableFormatError(f"table file is not ASCII text: {path}") from None
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if len(lines) < 5:
+        raise TableFormatError("truncated table file: incomplete header")
+
+    mparts = lines[0].split()
+    if len(mparts) != 2 or mparts[0] != "machine":
+        raise TableFormatError(f"expected 'machine <version>' header line, got {lines[0]!r}")
+    if mparts[1] != MACHINE_VERSION:
+        raise TableVersionError(f"table written by {mparts[1]!r}, this build is {MACHINE_VERSION!r}")
+    L = _naive_header_int(lines[1], "L")
+    T = _naive_header_int(lines[2], "T")
+    O = _naive_header_int(lines[3], "O")
+    cparts = lines[4].split()
+    if len(cparts) != 2 or cparts[0] != "condition":
+        raise TableFormatError(f"expected 'condition <fingerprint>' header line, got {lines[4]!r}")
+    fingerprint = cparts[1]
+
+    entries: dict[str, Entry] = {}
+    for ln in lines[5:]:
+        fields = ln.split()
+        if len(fields) != 4:
+            raise TableFormatError(f"malformed record: {ln!r}")
+        try:
+            out = text_to_bits(fields[0])
+            witness = text_to_bits(fields[2])
+            k = int(fields[1])
+            num_text, _, exp_text = fields[3].partition("/2^")
+            num, exp = int(num_text), int(exp_text)
+        except ValueError:
+            raise TableFormatError(f"malformed record: {ln!r}") from None
+        if len(witness) != k:
+            raise TableFormatError(f"witness length disagrees with K in record: {ln!r}")
+        if not (0 <= exp <= L) or num < 1:
+            raise TableFormatError(f"mass out of range in record: {ln!r}")
+        if out in entries:
+            raise TableFormatError(f"duplicate output in table file: {fields[0]}")
+        entries[out] = Entry(k, witness, num << (L - exp), None)
+
+    table = ComplexityTable(L, Budgets(T, O), fingerprint, entries)
+    if table.kraft_sum() > 1:
+        raise TableFormatError("corrupt table: Kraft sum exceeds 1")
+    return table
 
 
 @lru_cache(maxsize=None)

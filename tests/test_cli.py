@@ -114,7 +114,7 @@ class TestEnumerate:
     def test_export_is_deterministic(self, run, tmp_path):
         f1, f2 = tmp_path / "a.tsv", tmp_path / "b.tsv"
         run("enumerate", "--max-len", "12", "--out", str(f1))
-        run("enumerate", "--max-len", "12", "--workers", "8", "--out", str(f2))
+        run("enumerate", "--max-len", "12", "--out", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_env_cache_dir(self, capsys, tmp_path, monkeypatch):
@@ -302,6 +302,7 @@ class TestUsageErrors:
             ["suffstat", "0", "--beta", "-1"],
             ["probstat", "0101", "geom:1/2"],
             ["laws", "--audit", "everything"],
+            ["structfn", "0", "--workers", "0"],
         ],
     )
     def test_exit_one(self, argv, capsys):

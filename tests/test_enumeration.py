@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import gc
 import inspect
 import multiprocessing
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from algstat import _pykernel, cache
+from algstat import _pykernel, cache, enumeration
 from algstat.cache import load_or_build, load_or_build_many, table_path
 from algstat.enumeration import (
     ComplexityTable,
+    Entry,
     EntryCapExceeded,
     TableFormatError,
     TableVersionError,
@@ -25,7 +31,13 @@ from algstat.enumeration import (
 )
 from algstat.kernel import backend_name, walk_args
 from algstat.machine import Budgets, Condition, run
-from oracles import ToyModel, naive_entries, naive_halting_programs, predicted_halting_by_length
+from oracles import (
+    ToyModel,
+    naive_entries,
+    naive_halting_programs,
+    naive_import_table,
+    predicted_halting_by_length,
+)
 
 # Codewords of lengths 1 to 4, listed out of order, whose element lengths
 # (4, 5, 0, 1, 2 by codeword length) are not monotone: under a tight output
@@ -367,3 +379,158 @@ class TestPersistence:
         again, built = load_or_build(8, cache_dir=tmp_path)
         assert built and again == table
         assert import_table(path) == table
+
+
+# Record edits for the import fuzz test: a field replaced, dropped or
+# doubled; a separator, numerator or exponent replaced; a line dropped,
+# doubled or inserted.
+_EDITS = ["replace", "drop", "dup", "sep", "num", "exp", "drop_line", "dup_line", "insert_line"]
+_TOKENS = [
+    "-", "", "+5", "1_0", "-1", "\t", "  ", "1/2^3/2^4", "a",
+    "0", "05", "7", "100", "2/2^3", "1/2^0", "1/2^8", "1/2^9", "9" * 5000,
+]
+# What the per-line parser tolerates and export_table never writes: other
+# whitespace between or around fields, and signs or underscores in numbers.
+_NON_CANONICAL = re.compile(r"[\t+_]|  |^ | $", re.M)
+
+
+def _edited(records: list[str], edit: str, i: int, j: int, token: str) -> list[str]:
+    records = list(records)
+    i %= len(records)
+    fields = records[i].split(" ")
+    if edit == "replace":
+        fields[j] = token
+    elif edit == "drop":
+        del fields[j]
+    elif edit == "dup":
+        fields.insert(j, fields[j])
+    elif edit in ("num", "exp"):
+        num, exp = fields[3].split("/2^")
+        fields[3] = f"{token}/2^{exp}" if edit == "num" else f"{num}/2^{token}"
+    if edit == "sep":
+        records[i] = " ".join(fields[: j % 3 + 1]) + token + " ".join(fields[j % 3 + 1 :])
+    elif edit == "drop_line":
+        del records[i]
+    elif edit == "dup_line":
+        records.insert(i, records[i])
+    elif edit == "insert_line":
+        records.insert(i, token)
+    else:
+        records[i] = " ".join(fields)
+    return records
+
+
+def _import_like_oracle(path) -> ComplexityTable | None:
+    """import_table(path), checked against the per-line parser: a file the
+    oracle rejects is rejected, a file both accept gives the same table,
+    and a file only the oracle accepts is one export_table never writes."""
+    try:
+        expected = naive_import_table(path)
+    except TableFormatError:
+        with pytest.raises(TableFormatError):
+            import_table(path)
+        return None
+    try:
+        table = import_table(path)
+    except TableFormatError:
+        assert _NON_CANONICAL.search(path.read_text())
+        return None
+    assert table == expected
+    assert all(e.by_length is None for e in table.entries.values())
+    return table
+
+
+def _l8_file(tmp_path, body: str):
+    """An unconditioned L=8 table file with this record text."""
+    path = tmp_path / "t.table"
+    fingerprint = Condition.none().fingerprint()
+    path.write_text(f"machine tpm1-v1\nL 8\nT 100000\nO 4096\ncondition {fingerprint}\n{body}")
+    return path
+
+
+@pytest.fixture(scope="module")
+def small_export(tmp_path_factory):
+    path = tmp_path_factory.mktemp("bulk-import") / "t.table"
+    export_table(build_table(8), path)
+    return path
+
+
+class TestBulkImport:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edit=st.sampled_from(_EDITS),
+        i=st.integers(0, 100),
+        j=st.integers(0, 3),
+        token=st.sampled_from(_TOKENS),
+        block_chars=st.sampled_from([1, 40, 1 << 20]),
+    )
+    def test_edited_record_against_oracle(self, small_export, edit, i, j, token, block_chars):
+        lines = small_export.read_text().splitlines()
+        path = small_export.with_name("edited.table")
+        records = _edited(lines[5:], edit, i, j, token)
+        path.write_text("\n".join(lines[:5] + records) + "\n")
+        with mock.patch.object(enumeration, "_IMPORT_BLOCK_CHARS", block_chars):
+            _import_like_oracle(path)
+
+    @pytest.mark.parametrize(
+        "body, entries",
+        [
+            pytest.param("", {}, id="header-only"),
+            pytest.param(
+                "- 3 100 1/2^3\n01 7 0001100 1/2^7",
+                {"": Entry(3, "100", 1 << 5, None), "01": Entry(7, "0001100", 1 << 1, None)},
+                id="no-final-newline",
+            ),
+            pytest.param("- 3 100 1/2^3\n", {"": Entry(3, "100", 1 << 5, None)}, id="dash-output"),
+            pytest.param("- 0 - 1/2^0\n", {"": Entry(0, "", 1 << 8, None)}, id="dash-witness"),
+        ],
+    )
+    def test_edge_files(self, tmp_path, body, entries):
+        table = _import_like_oracle(_l8_file(tmp_path, body))
+        assert table is not None and table.entries == entries
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("- 3 100 1/2^9\n", "mass out of range"),
+            ("- 3 100 0/2^3\n", "mass out of range"),
+            ("- 3 100 1/2^3\n0 4 100 1/2^3\n", "witness length disagrees with K for output '0'"),
+            ("- 3 100 1/2^3\n- 3 100 1/2^3\n", "duplicate output"),
+            ("- +3 100 1/2^3\n", "malformed record: '- \\+3 100 1/2\\^3'"),
+            ("- 3 100 1/2^3 \n", "malformed record"),
+            ("- 3 100 1/2^3\n\n", "malformed record: ''"),
+            ("- " + "9" * 5000 + " 100 1/2^3\n", "number too long"),
+        ],
+    )
+    def test_rejected_records(self, tmp_path, body, message):
+        with pytest.raises(TableFormatError, match=message):
+            import_table(_l8_file(tmp_path, body))
+
+    @pytest.mark.parametrize("block_chars", [1, 7, 64, 1 << 20])
+    def test_blocks_do_not_change_the_table(self, tmp_path, block_chars):
+        t = build_table(12, Condition.string("10"))
+        path = tmp_path / "t.table"
+        export_table(t, path)
+        with mock.patch.object(enumeration, "_IMPORT_BLOCK_CHARS", block_chars):
+            assert import_table(path) == t
+            text = path.read_text()
+            path.write_text(text + text.splitlines()[-1] + "\n")
+            with pytest.raises(TableFormatError, match="duplicate"):
+                import_table(path)
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_gc_state_is_restored(self, small_export, tmp_path, enabled):
+        bad = tmp_path / "bad.table"
+        bad.write_text(small_export.read_text() + "0110 5\n")
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            import_table(small_export)
+            assert gc.isenabled() is enabled
+            with pytest.raises(TableFormatError):
+                import_table(bad)
+            assert gc.isenabled() is enabled
+            build_table(8)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
