@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from dataclasses import dataclass
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
@@ -79,53 +80,64 @@ def load_or_build(
     return table, True
 
 
-def load_or_build_many(
-    L: int,
-    conds: Sequence[Condition],
-    budgets: Budgets | None = None,
-    workers: int = 1,
-    cache_dir: str | Path | None = None,
-    warn: Callable[[str], None] | None = None,
-) -> list[ComplexityTable]:
-    """``load_or_build`` for many conditions at one cap; the tables come
-    back in the order of ``conds``.
+@dataclass(frozen=True)
+class TableSource:
+    """Where the tables an analysis reads come from: the budgets they are
+    built under, the cache directory they live in (``None`` resolves the
+    default on each lookup, as ``load_or_build`` does), how many processes
+    walk cache misses, and where ``cache miss`` notes go."""
 
-    Each distinct condition is looked up once, in order, so the ``cache
-    miss`` notes come out in condition order. When workers > 1 and more
-    than one distinct condition has no cache file, the kernel walks of
-    those tables run in a pool of that many processes while this process
-    imports the cached tables and tabulates and exports the built ones.
-    A single table is never split, so the result does not depend on
-    ``workers``. The pool uses the platform's default start method; where
-    that is not ``fork`` (macOS, Windows, and Linux from Python 3.14 on),
-    a script that passes workers > 1 needs the usual
-    ``if __name__ == "__main__":`` guard.
-    """
-    budgets = budgets if budgets is not None else Budgets()
-    cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    unique: dict[str, Condition] = {}
-    for cond in conds:
-        unique.setdefault(cond.fingerprint(), cond)
-    absent = [fp for fp in unique if not table_path(cache_dir, L, budgets, fp).exists()]
-    tables: dict[str, ComplexityTable] = {}
-    if workers > 1 and len(absent) > 1:
-        workers = min(workers, len(absent))
-        with ProcessPoolExecutor(workers) as pool:
-            # Submitted lazily: at most `workers` walks run or wait ahead of
-            # the table being made here, which bounds the results held at once.
-            submitted = (
-                (fp, pool.submit(_pykernel.walk, *walk_args(L, unique[fp], budgets)))
-                for fp in absent
-            )
-            walks = dict(itertools.islice(submitted, workers))
+    budgets: Budgets = Budgets()
+    workers: int = 1
+    cache_dir: str | Path | None = None
+    warn: Callable[[str], None] | None = None
+
+    def table(self, L: int, cond: Condition | None = None) -> ComplexityTable:
+        """``load_or_build`` under this source's settings; returns only the table."""
+        table, _ = load_or_build(L, cond, self.budgets, self.cache_dir, self.warn)
+        return table
+
+    def tables(self, L: int, conds: Sequence[Condition]) -> list[ComplexityTable]:
+        """``load_or_build`` for many conditions at one cap; the tables come
+        back in the order of ``conds``.
+
+        Each distinct condition is looked up once, in order, so the ``cache
+        miss`` notes come out in condition order. When workers > 1 and more
+        than one distinct condition has no cache file, the kernel walks of
+        those tables run in a pool of that many processes while this process
+        imports the cached tables and tabulates and exports the built ones.
+        A single table is never split, so the result does not depend on
+        ``workers``. The pool uses the platform's default start method; where
+        that is not ``fork`` (macOS, Windows, and Linux from Python 3.14 on),
+        a script that passes workers > 1 needs the usual
+        ``if __name__ == "__main__":`` guard.
+        """
+        cache_dir = Path(self.cache_dir) if self.cache_dir is not None else default_cache_dir()
+        unique: dict[str, Condition] = {}
+        for cond in conds:
+            unique.setdefault(cond.fingerprint(), cond)
+        absent = [fp for fp in unique if not table_path(cache_dir, L, self.budgets, fp).exists()]
+        tables: dict[str, ComplexityTable] = {}
+        if self.workers > 1 and len(absent) > 1:
+            workers = min(self.workers, len(absent))
+            with ProcessPoolExecutor(workers) as pool:
+                # Submitted lazily: at most `workers` walks run or wait ahead of
+                # the table being made here, which bounds the results held at once.
+                submitted = (
+                    (fp, pool.submit(_pykernel.walk, *walk_args(L, unique[fp], self.budgets)))
+                    for fp in absent
+                )
+                walks = dict(itertools.islice(submitted, workers))
+                for fp, cond in unique.items():
+                    walk = walks.pop(fp, None)
+                    walked = None
+                    if walk is not None:
+                        walks.update(itertools.islice(submitted, 1))
+                        walked = walk.result
+                    tables[fp], _ = load_or_build(
+                        L, cond, self.budgets, cache_dir, self.warn, walked
+                    )
+        else:
             for fp, cond in unique.items():
-                walk = walks.pop(fp, None)
-                walked = None
-                if walk is not None:
-                    walks.update(itertools.islice(submitted, 1))
-                    walked = walk.result
-                tables[fp], _ = load_or_build(L, cond, budgets, cache_dir, warn, walked)
-    else:
-        for fp, cond in unique.items():
-            tables[fp], _ = load_or_build(L, cond, budgets, cache_dir, warn)
-    return [tables[cond.fingerprint()] for cond in conds]
+                tables[fp], _ = load_or_build(L, cond, self.budgets, cache_dir, self.warn)
+        return [tables[cond.fingerprint()] for cond in conds]

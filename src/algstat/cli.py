@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bits import CodeError, bits_to_text, pair, text_to_bits
-from .cache import ENV_CACHE_DIR, load_or_build
+from .cache import ENV_CACHE_DIR, TableSource, load_or_build
 from .complexity import (
     AUDIT_MAX_LEN,
     DEFAULT_SOI_LEN_CAP,
@@ -48,13 +48,7 @@ from .infolaws import (
     theta_suff_audit,
     weight_models,
 )
-from .machine import (
-    DEFAULT_MAX_OUTPUT,
-    DEFAULT_MAX_STEPS,
-    MACHINE_VERSION,
-    Budgets,
-    Condition,
-)
+from .machine import DEFAULT_MAX_OUTPUT, DEFAULT_MAX_STEPS, Budgets, Condition
 from .models_prob import (
     bernoulli_demo,
     deficiency_p,
@@ -101,11 +95,8 @@ def _warn(message: str) -> None:
 class Config:
     """Resolved run configuration shared by the command handlers."""
 
-    machine: str
     L: int | None
-    budgets: Budgets
-    workers: int
-    cache_dir: str | None
+    source: TableSource
     constants_path: str | None
     alpha_max: int | None
     beta: int
@@ -114,9 +105,10 @@ class Config:
     def __post_init__(self):
         if self.L is not None and self.L <= 0:
             raise ValueError("--max-len must be positive")
-        if self.budgets.max_steps <= 0 or self.budgets.max_output <= 0:
+        budgets = self.source.budgets
+        if budgets.max_steps <= 0 or budgets.max_output <= 0:
             raise ValueError("--steps and --max-out must be positive")
-        if self.workers <= 0:
+        if self.source.workers <= 0:
             raise ValueError("--workers must be positive")
         if self.beta < 0:
             raise ValueError("--beta must be >= 0")
@@ -124,14 +116,16 @@ class Config:
 
 def _config(args: argparse.Namespace) -> Config:
     return Config(
-        machine=MACHINE_VERSION,
         L=getattr(args, "max_len", None),
-        budgets=Budgets(
-            max_steps=getattr(args, "steps", DEFAULT_MAX_STEPS),
-            max_output=getattr(args, "max_out", DEFAULT_MAX_OUTPUT),
+        source=TableSource(
+            budgets=Budgets(
+                max_steps=getattr(args, "steps", DEFAULT_MAX_STEPS),
+                max_output=getattr(args, "max_out", DEFAULT_MAX_OUTPUT),
+            ),
+            workers=getattr(args, "workers", 1),
+            cache_dir=getattr(args, "cache_dir", None),
+            warn=_warn,
         ),
-        workers=getattr(args, "workers", 1),
-        cache_dir=getattr(args, "cache_dir", None),
         constants_path=getattr(args, "constants", None),
         alpha_max=getattr(args, "alpha_max", None),
         beta=getattr(args, "beta", 0),
@@ -140,11 +134,6 @@ def _config(args: argparse.Namespace) -> Config:
             list_cap=getattr(args, "list_cap", ModelOpts().list_cap),
         ),
     )
-
-
-def _table(cfg: Config, L: int, cond: Condition | None = None):
-    table, _ = load_or_build(L, cond, cfg.budgets, cache_dir=cfg.cache_dir, warn=_warn)
-    return table
 
 
 def _condition(args: argparse.Namespace) -> Condition | None:
@@ -172,7 +161,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     L = cfg.L if cfg.L is not None else (
         DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN
     )
-    table, built = load_or_build(L, cond, cfg.budgets, cache_dir=cfg.cache_dir, warn=_warn)
+    table, built = load_or_build(L, cond, cfg.source.budgets, cfg.source.cache_dir, _warn)
     if args.out:
         export_table(table, args.out)
         _warn(f"wrote {args.out}")
@@ -190,7 +179,7 @@ def cmd_k(args: argparse.Namespace) -> int:
     L = cfg.L if cfg.L is not None else (
         DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN
     )
-    table = _table(cfg, L, cond)
+    table = cfg.source.table(L, cond)
     x = text_to_bits(args.x)
     k = table.k_of(x)
     if k is None:
@@ -201,7 +190,7 @@ def cmd_k(args: argparse.Namespace) -> int:
 
 def cmd_mi(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    table = _table(cfg, cfg.L if cfg.L is not None else DEFAULT_MAX_LEN)
+    table = cfg.source.table(cfg.L if cfg.L is not None else DEFAULT_MAX_LEN)
     rec = mutual_info(table, text_to_bits(args.x), text_to_bits(args.y))
     print(f"I={rec.i} K(x)={rec.kx} K(y)={rec.ky} K(pair)={rec.kxy}")
     return EXIT_OK
@@ -219,10 +208,7 @@ def cmd_structfn(args: argparse.Namespace) -> int:
         cfg.opts,
         include_deficiency=not args.no_deficiency,
         L_c=cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN,
-        budgets=cfg.budgets,
-        workers=cfg.workers,
-        cache_dir=cfg.cache_dir,
-        warn=_warn,
+        source=cfg.source,
     )
     _emit(curve.to_csv(), args.out)
     return EXIT_OK
@@ -245,14 +231,14 @@ def cmd_suffstat(args: argparse.Namespace) -> int:
 
 def cmd_sk(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    table = _table(cfg, cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN)
+    table = cfg.source.table(cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN)
     _emit(sk_csv(table, args.k), args.out)
     return EXIT_OK
 
 
 def cmd_xr(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    table = _table(cfg, cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN)
+    table = cfg.source.table(cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN)
     _emit(xr_csv(table), args.out)
     return EXIT_OK
 
@@ -264,7 +250,7 @@ def cmd_bernoulli(args: argparse.Namespace) -> int:
     else:
         # every n-bit string must be in the table; 2n+3 is the emit bound
         L = max(DEFAULT_MAX_LEN, 2 * args.n + 3)
-    table = _table(cfg, L)
+    table = cfg.source.table(L)
     rep = bernoulli_demo(table, args.n, cfg.beta, cfg.opts)
     _emit(rep.to_csv(), args.out)
     return EXIT_OK
@@ -278,9 +264,7 @@ def cmd_probstat(args: argparse.Namespace) -> int:
         x,
         dist,
         L_c=cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN,
-        budgets=cfg.budgets,
-        cache_dir=cfg.cache_dir,
-        warn=_warn,
+        source=cfg.source,
     )
     rep = suffstat_p(x, cfg.beta, cfg.opts)
     lines = [
@@ -319,7 +303,7 @@ def _laws_joint(args: argparse.Namespace, cfg: Config) -> int:
         )
     else:
         need = 2 * max(len(s) for s in strings) + 3
-    table = _table(cfg, max(cfg.L or 0, need, DEFAULT_MAX_LEN))
+    table = cfg.source.table(max(cfg.L or 0, need, DEFAULT_MAX_LEN))
     if audit == "expected-mi":
         rep = expected_mi_audit(joint, table)
         _warn(f"expected={float(rep.expected):.9f} classical={_fmt_real(rep.prob_i)} k_p={rep.k_p}")
@@ -328,10 +312,7 @@ def _laws_joint(args: argparse.Namespace, cfg: Config) -> int:
     if statistic is None:
         raise ValueError("the joint-model file has no statistic line")
     if audit == "theta":
-        rep = theta_suff_audit(
-            joint, statistic, table,
-            workers=cfg.workers, cache_dir=cfg.cache_dir, warn=_warn,
-        )
+        rep = theta_suff_audit(joint, statistic, table, source=cfg.source)
         _warn(f"prob_sufficient={rep.prob_sufficient} minimal_tau={rep.minimal_tau()}")
         _emit(rep.to_csv(), args.out)
         return EXIT_OK
@@ -341,8 +322,7 @@ def _laws_joint(args: argparse.Namespace, cfg: Config) -> int:
     if len(lens) != 1:
         raise ValueError("the identity audit needs a fixed-length data domain")
     rep = suff_identity_audit(
-        joint, statistic, table, weight_models(lens.pop()),
-        workers=cfg.workers, cache_dir=cfg.cache_dir, warn=_warn,
+        joint, statistic, table, weight_models(lens.pop()), source=cfg.source
     )
     _warn(f"max_gap={rep.max_gap}")
     _emit(rep.to_csv(), args.out)
@@ -364,7 +344,7 @@ def cmd_laws(args: argparse.Namespace) -> int:
 
     level = None
     if sel in ("xr", "slices", "all"):
-        level = _table(cfg, cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN)
+        level = cfg.source.table(cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN)
         if sel in ("xr", "all"):
             _, _, rows = xr_bound_check(level)
             for row in rows:
@@ -380,19 +360,19 @@ def cmd_laws(args: argparse.Namespace) -> int:
 
     measured: dict[str, int] = {}
     if sel in ("soi", "nonincrease", "expected-mi", "theta", "identity", "all"):
-        deep = _table(cfg, AUDIT_MAX_LEN)
-        common = dict(workers=cfg.workers, cache_dir=cfg.cache_dir, warn=_warn)
+        source = cfg.source
+        deep = source.table(AUDIT_MAX_LEN)
         if sel == "all":
-            audit = laws_audit(deep, level_table=level, **common)
+            audit = laws_audit(deep, level_table=level, source=source)
             measured.update(audit.measured())
             theta_rep = audit.theta
         elif sel == "soi":
             rep = soi_audit(
-                deep, len_cap=DEFAULT_SOI_LEN_CAP, L_c=2 * DEFAULT_SOI_LEN_CAP + 3, **common
+                deep, len_cap=DEFAULT_SOI_LEN_CAP, L_c=2 * DEFAULT_SOI_LEN_CAP + 3, source=source
             )
             measured.update(rep.measured())
         elif sel == "nonincrease":
-            measured.update(nonincrease_audit(deep, **common).measured())
+            measured.update(nonincrease_audit(deep, source=source).measured())
         elif sel == "expected-mi":
             slacks = [
                 expected_mi_audit(j, deep).slack_bits for _, j in sorted(standard_joints().items())
@@ -401,17 +381,17 @@ def cmd_laws(args: argparse.Namespace) -> int:
         else:
             pair_joint = standard_joints()["bernoulli-pair"]
             if sel == "theta":
-                theta_rep = theta_suff_audit(pair_joint, Statistic("weight"), deep, **common)
+                theta_rep = theta_suff_audit(pair_joint, Statistic("weight"), deep, source=source)
                 measured.update(theta_rep.measured())
             else:
                 rep = suff_identity_audit(
-                    pair_joint, Statistic("weight"), deep, weight_models(2), **common
+                    pair_joint, Statistic("weight"), deep, weight_models(2), source=source
                 )
                 measured.update(rep.measured())
         if sel in ("theta", "all"):
             record(*_pass_line("theta weight-prob-sufficient", theta_rep.prob_sufficient))
             id_rep = theta_suff_audit(
-                standard_joints()["bernoulli-pair"], Statistic("identity"), deep, **common
+                standard_joints()["bernoulli-pair"], Statistic("identity"), deep, source=source
             )
             record(*_pass_line("theta identity-deficiency-zero", all(r.d == 0 for r in id_rep.rows)))
 

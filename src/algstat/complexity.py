@@ -10,13 +10,12 @@ an approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .bits import bits_to_text, pair
-from .cache import load_or_build, load_or_build_many
+from .cache import TableSource
 from .enumeration import DEFAULT_COND_MAX_LEN, ComplexityTable
-from .machine import Budgets, Condition
+from .machine import Condition
 
 # Unconditional cap that covers pair(x, y) for the default audit sweep:
 # pairs of length-<=4 strings reach 13 bits, and any 13-bit string has an
@@ -62,14 +61,11 @@ def k_cond(
     x: str,
     cond: Condition,
     L_c: int = DEFAULT_COND_MAX_LEN,
-    budgets: Budgets | None = None,
-    cache_dir: str | Path | None = None,
-    warn: Callable[[str], None] | None = None,
+    source: TableSource = TableSource(),
 ) -> int | None:
     """Exact K(x | cond) under the conditional cap, or None if absent.
     Builds (and caches) the conditional table on first use."""
-    table, _ = load_or_build(L_c, cond, budgets, cache_dir=cache_dir, warn=warn)
-    return table.k_of(x)
+    return source.table(L_c, cond).k_of(x)
 
 
 class MIRecord(NamedTuple):
@@ -129,9 +125,7 @@ def soi_audit(
     table: ComplexityTable,
     len_cap: int = DEFAULT_SOI_LEN_CAP,
     L_c: int = DEFAULT_COND_MAX_LEN,
-    workers: int = 1,
-    cache_dir: str | Path | None = None,
-    warn: Callable[[str], None] | None = None,
+    source: TableSource = TableSource(),
 ) -> SoiReport:
     """Sweep all strings of length <= len_cap.
 
@@ -144,9 +138,7 @@ def soi_audit(
     xs = _all_strings(len_cap)
     k_un = {x: require_k(table, x) for x in xs}
     conds = [Condition.string(shortest_program(table, x)) for x in xs]
-    cond_tables = dict(
-        zip(xs, load_or_build_many(L_c, conds, workers=workers, cache_dir=cache_dir, warn=warn))
-    )
+    cond_tables = dict(zip(xs, source.tables(L_c, conds)))
 
     def kc(y: str, given: str) -> int:
         k = cond_tables[given].k_of(y)

@@ -9,7 +9,7 @@ programs producing that output.
 
 Each build is one serial walk of the opcode decode tree from its root,
 never of raw bit strings. Independent tables can be built side by side
-(see ``cache.load_or_build_many``); a single table is never split.
+(see ``cache.TableSource.tables``); a single table is never split.
 """
 
 from __future__ import annotations
@@ -173,7 +173,7 @@ def build_table(
 
     ``walked``, when given, returns the result of the kernel walk for
     these arguments, ``_pykernel.walk(*walk_args(L, cond, budgets))``,
-    run elsewhere (``cache.load_or_build_many`` runs the walks of many
+    run elsewhere (``cache.TableSource.tables`` runs the walks of many
     tables in a process pool).
     """
     if L < 3:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bits import (
@@ -31,7 +30,7 @@ from .bits import (
     std,
     text_to_bits,
 )
-from .cache import load_or_build_many
+from .cache import TableSource
 from .complexity import (
     DEFAULT_SOI_LEN_CAP,
     Absent,
@@ -521,10 +520,7 @@ def nonincrease_audit(
     transforms: Sequence[Transform] | None = None,
     len_cap: int = DEFAULT_NI_LEN_CAP,
     L_c: int | None = None,
-    budgets: Budgets | None = None,
-    workers: int = 1,
-    cache_dir: str | Path | None = None,
-    warn: Callable[[str], None] | None = None,
+    source: TableSource = TableSource(),
 ) -> NonincreaseReport:
     """Max over (x, y, q) of I(q(x):y) - I(x:y) - l(q), with I(a:b) =
     K(b) - K(b | a's witness) and q actually run on the machine. The
@@ -537,12 +533,12 @@ def nonincrease_audit(
     needed = set(xs)
     for q in transforms:
         for x in xs:
-            program, out = q.apply(x, budgets)
+            program, out = q.apply(x, source.budgets)
             applied[(q.name, x)] = (program, out)
             needed.add(out)
     if L_c is None:
         L_c = 2 * max(len(s) for s in needed | set(xs)) + 3
-    cond_k = _label_cond_tables(needed, table, L_c, budgets, workers, cache_dir, warn)
+    cond_k = _label_cond_tables(needed, table, L_c, source)
 
     def kc(y: str, given: str) -> int:
         k = cond_k[given].k_of(y)
@@ -572,15 +568,12 @@ def _label_cond_tables(
     labels: Iterable[str],
     table: ComplexityTable,
     L_c: int,
-    budgets: Budgets | None,
-    workers: int,
-    cache_dir: str | Path | None,
-    warn: Callable[[str], None] | None,
+    source: TableSource,
 ) -> dict[str, ComplexityTable]:
     """The table conditioned on each label's shortest program, keyed by label."""
     ordered = sorted(set(labels), key=_canon_key)
     conds = [Condition.string(shortest_program(table, label)) for label in ordered]
-    return dict(zip(ordered, load_or_build_many(L_c, conds, budgets, workers, cache_dir, warn)))
+    return dict(zip(ordered, source.tables(L_c, conds)))
 
 
 def _auto_cond_cap(strings: Iterable[str]) -> int:
@@ -642,16 +635,13 @@ def _deficiency_terms(
     table: ComplexityTable,
     cap: int,
     L_c: int | None,
-    budgets: Budgets | None,
-    workers: int,
-    cache_dir: str | Path | None,
-    warn: Callable[[str], None] | None,
+    source: TableSource,
 ) -> tuple[dict[str, ComplexityTable], int]:
     xs = joint.x_domain(cap)
     images = {statistic(x) for x in xs}
     if L_c is None:
         L_c = _auto_cond_cap(set(xs) | images)
-    tables = _label_cond_tables(joint.thetas, table, L_c, budgets, workers, cache_dir, warn)
+    tables = _label_cond_tables(joint.thetas, table, L_c, source)
     return tables, L_c
 
 
@@ -663,10 +653,7 @@ def theta_suff_audit(
     L_c: int | None = None,
     tol: float = TOL,
     cap: int = DEFAULT_DENOTE_CAP,
-    budgets: Budgets | None = None,
-    workers: int = 1,
-    cache_dir: str | Path | None = None,
-    warn: Callable[[str], None] | None = None,
+    source: TableSource = TableSource(),
 ) -> ThetaSuffReport:
     """Per-(parameter, x) deficiency d = I(theta:x) - I(theta:S(x)) with
     I(a:b) = K(b) - K(b | a's witness), plus the exact joint mass sitting
@@ -674,9 +661,7 @@ def theta_suff_audit(
     sufficiency verdict so both directions of the correspondence can be
     read off one object: small-deficiency mass tracks classical
     sufficiency and vice versa."""
-    cond_tables, L_c = _deficiency_terms(
-        joint, statistic, table, cap, L_c, budgets, workers, cache_dir, warn
-    )
+    cond_tables, L_c = _deficiency_terms(joint, statistic, table, cap, L_c, source)
 
     def kc(y: str, label: str) -> int:
         k = cond_tables[label].k_of(y)
@@ -741,19 +726,14 @@ def suff_identity_audit(
     model_of: Callable[[str], SetDesc],
     L_c: int | None = None,
     cap: int = DEFAULT_DENOTE_CAP,
-    budgets: Budgets | None = None,
-    workers: int = 1,
-    cache_dir: str | Path | None = None,
-    warn: Callable[[str], None] | None = None,
+    source: TableSource = TableSource(),
 ) -> SuffIdentityReport:
     """Two ways of pricing x through a sufficient statistic should agree:
     describing x directly given the best-fitting parameter, or naming the
     statistic's value and then x's index inside that value's model class.
     The agreement gap is a machine constant; the audit measures its max
     over the joint's support."""
-    cond_tables, L_c = _deficiency_terms(
-        joint, statistic, table, cap, L_c, budgets, workers, cache_dir, warn
-    )
+    cond_tables, L_c = _deficiency_terms(joint, statistic, table, cap, L_c, source)
 
     def kc(y: str, label: str) -> int:
         k = cond_tables[label].k_of(y)
@@ -828,55 +808,23 @@ def laws_audit(
     level_table: ComplexityTable | None = None,
     soi_len_cap: int = DEFAULT_SOI_LEN_CAP,
     ni_len_cap: int = DEFAULT_NI_LEN_CAP,
-    budgets: Budgets | None = None,
-    workers: int = 1,
-    cache_dir: str | Path | None = None,
-    warn: Callable[[str], None] | None = None,
+    source: TableSource = TableSource(),
 ) -> LawsAudit:
     """Run the whole measured-constants battery on one table (deep enough
     to cover the pair sweep) plus, when a second table is supplied, the
     level-size gap check. Conditional caps follow the emit-only bound;
     see the individual audits. Deterministic throughout."""
-    soi = soi_audit(
-        table,
-        len_cap=soi_len_cap,
-        L_c=2 * soi_len_cap + 3,
-        workers=workers,
-        cache_dir=cache_dir,
-        warn=warn,
-    )
-    ni = nonincrease_audit(
-        table,
-        len_cap=ni_len_cap,
-        budgets=budgets,
-        workers=workers,
-        cache_dir=cache_dir,
-        warn=warn,
-    )
+    soi = soi_audit(table, len_cap=soi_len_cap, L_c=2 * soi_len_cap + 3, source=source)
+    ni = nonincrease_audit(table, len_cap=ni_len_cap, source=source)
     joints = standard_joints()
     expected = tuple(
         (name, expected_mi_audit(joint, table)) for name, joint in sorted(joints.items())
     )
     weight = Statistic("weight")
     pair_joint = joints["bernoulli-pair"]
-    theta = theta_suff_audit(
-        pair_joint,
-        weight,
-        table,
-        budgets=budgets,
-        workers=workers,
-        cache_dir=cache_dir,
-        warn=warn,
-    )
+    theta = theta_suff_audit(pair_joint, weight, table, source=source)
     identity = suff_identity_audit(
-        pair_joint,
-        weight,
-        table,
-        model_of=weight_models(2),
-        budgets=budgets,
-        workers=workers,
-        cache_dir=cache_dir,
-        warn=warn,
+        pair_joint, weight, table, model_of=weight_models(2), source=source
     )
     gap = logn_gap(level_table) if level_table is not None else None
     return LawsAudit(soi, ni, expected, theta, identity, gap)

@@ -26,8 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .bits import (
     BitReader,
@@ -39,9 +38,10 @@ from .bits import (
     std,
     text_to_bits,
 )
+from .cache import TableSource
 from .complexity import Absent, require_k
 from .enumeration import DEFAULT_COND_MAX_LEN, ComplexityTable
-from .machine import Budgets, Condition
+from .machine import Condition
 from .models_set import (
     DEFAULT_DENOTE_CAP,
     CapExceeded,
@@ -50,7 +50,6 @@ from .models_set import (
     ModelOpts,
     SetDesc,
     Singleton,
-    _CondCache,
     _read_desc,
     encode as encode_set,
     enumerate_models,
@@ -363,11 +362,8 @@ def deficiency_p(
     x: str,
     dist: DistDesc,
     L_c: int = DEFAULT_COND_MAX_LEN,
-    budgets: Budgets | None = None,
-    cache_dir: str | Path | None = None,
-    warn: Callable[[str], None] | None = None,
+    source: TableSource = TableSource(),
     cap: int = DEFAULT_DENOTE_CAP,
-    _cache: _CondCache | None = None,
 ) -> ProbDeficiencyRecord:
     """Randomness deficiency of x within dist, normalized against the
     least-deficient domain element. The winner of the normalization is
@@ -378,8 +374,7 @@ def deficiency_p(
     mx = dist.mass(x)
     if mx == 0:
         raise ValueError(f"{bits_to_text(x)} has zero mass under {format_distlang(dist)}")
-    cache = _cache or _CondCache(L_c, budgets, 1, cache_dir, warn)
-    table = cache.table(model_condition(dist))
+    table = source.table(L_c, model_condition(dist))
 
     def k_or_raise(y: str) -> int:
         k = table.k_of(y)
@@ -435,8 +430,12 @@ def suffstat_p(
         raise ValueError("beta must be >= 0")
     if family is None:
         singleton_total = two_part_p(x, UniformOn(Singleton(x)))
-        # set codes are 2 bits shorter than their uniform wrap
-        alpha_cap = singleton_total + beta + 1 - 2
+        # set codes are 2 bits shorter than their uniform wrap; the
+        # family's alpha bound clamps long strings and runaway betas, as
+        # in suffstat
+        alpha_cap = min(
+            singleton_total + beta + 1 - 2, (opts or ModelOpts()).alpha_bound
+        )
         family = [UniformOn(d) for d in enumerate_models(x, alpha_cap, opts)]
     candidates = [(two_part_p(x, d), d) for d in family if d.mass(x) > 0]
     if not candidates:

@@ -29,8 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .bits import (
     BitReader,
@@ -46,13 +45,13 @@ from .bits import (
     std_len,
     text_to_bits,
 )
-from .cache import load_or_build_many
+from .cache import TableSource
 from .complexity import Absent, require_k
 from .enumeration import DEFAULT_COND_MAX_LEN, ComplexityTable
-from .machine import Budgets, Condition
+from .machine import Condition
 
 DEFAULT_DENOTE_CAP = 1 << 20
-DEFAULT_ALPHA_BOUND = 40
+DEFAULT_ALPHA_BOUND = 36
 
 
 class SetLangError(CodeError):
@@ -561,33 +560,6 @@ class DeficiencyRecord:
         return self.delta_norm <= beta
 
 
-class _CondCache:
-    """Per-run memo of conditional tables keyed by condition fingerprint."""
-
-    def __init__(self, L_c, budgets, workers, cache_dir, warn):
-        self.L_c = L_c
-        self.budgets = budgets
-        self.workers = workers
-        self.cache_dir = cache_dir
-        self.warn = warn
-        self._tables: dict[str, ComplexityTable] = {}
-
-    def prefetch(self, conds: list[Condition]) -> None:
-        """Load or build every table not yet held, up to ``workers`` at a time."""
-        missing = [c for c in conds if c.fingerprint() not in self._tables]
-        tables = load_or_build_many(
-            self.L_c, missing, self.budgets, self.workers, self.cache_dir, self.warn
-        )
-        for cond, t in zip(missing, tables):
-            self._tables[cond.fingerprint()] = t
-
-    def table(self, cond: Condition) -> ComplexityTable:
-        fp = cond.fingerprint()
-        if fp not in self._tables:
-            self.prefetch([cond])
-        return self._tables[fp]
-
-
 def _normalized_deficiencies(
     x: str, members: list[str], table: ComplexityTable
 ) -> tuple[int, int]:
@@ -610,27 +582,38 @@ def _normalized_deficiencies(
     return kx, kmax - kx
 
 
+def _model_conditions(desc: SetDesc) -> list[Condition]:
+    """The two conditions a deficiency reads: S as a model, then (S, K(S))."""
+    return [uniform_condition(desc), star_condition(desc)]
+
+
 def deficiency(
     x: str,
     desc: SetDesc,
     L_c: int = DEFAULT_COND_MAX_LEN,
-    budgets: Budgets | None = None,
-    workers: int = 1,
-    cache_dir: str | Path | None = None,
-    warn: Callable[[str], None] | None = None,
+    source: TableSource = TableSource(),
     denote_cap: int = DEFAULT_DENOTE_CAP,
-    _cache: "_CondCache | None" = None,
 ) -> DeficiencyRecord:
     if not desc.member(x):
         raise ValueError(f"{bits_to_text(x)} is not in {format_setlang(desc)}")
-    cache = _cache or _CondCache(L_c, budgets, workers, cache_dir, warn)
     members = desc.denote(denote_cap)
-    log_size = ceil_log2(desc.size(denote_cap))
+    uniform, star = source.tables(L_c, _model_conditions(desc))
+    return _deficiency(x, desc, members, uniform, star, denote_cap)
 
-    uniform, star = uniform_condition(desc), star_condition(desc)
-    cache.prefetch([uniform, star])
-    k_set, d_norm = _normalized_deficiencies(x, members, cache.table(uniform))
-    _, d_star = _normalized_deficiencies(x, members, cache.table(star))
+
+def _deficiency(
+    x: str,
+    desc: SetDesc,
+    members: list[str],
+    uniform: ComplexityTable,
+    star: ComplexityTable,
+    denote_cap: int,
+) -> DeficiencyRecord:
+    """The deficiencies of x in S from S's members and its two conditional
+    tables, as ``_model_conditions`` orders them."""
+    log_size = ceil_log2(desc.size(denote_cap))
+    k_set, d_norm = _normalized_deficiencies(x, members, uniform)
+    _, d_star = _normalized_deficiencies(x, members, star)
     return DeficiencyRecord(
         x=x,
         desc=desc,
@@ -693,10 +676,7 @@ def structfn(
     opts: ModelOpts | None = None,
     include_deficiency: bool = True,
     L_c: int = DEFAULT_COND_MAX_LEN,
-    budgets: Budgets | None = None,
-    workers: int = 1,
-    cache_dir: str | Path | None = None,
-    warn: Callable[[str], None] | None = None,
+    source: TableSource = TableSource(),
     denote_cap: int = DEFAULT_DENOTE_CAP,
 ) -> StructureCurve:
     """The h / beta / beta_star / lambda curves of x over the model family.
@@ -705,18 +685,17 @@ def structfn(
     strictly below alpha; beta curves minimize the normalized
     deficiencies; rows run from the first alpha admitting a model."""
     models = enumerate_models(x, alpha_max, opts)
-    cache = _CondCache(L_c, budgets, workers, cache_dir, warn)
+    tables: list[ComplexityTable] = []
     if include_deficiency:
-        cache.prefetch(
-            [c for desc in models for c in (uniform_condition(desc), star_condition(desc))]
-        )
+        conds = [c for desc in models for c in _model_conditions(desc)]
+        tables = source.tables(L_c, conds)
     per_model: list[tuple[int, float, int | None, int | None]] = []
-    for desc in models:
+    for i, desc in enumerate(models):
         log2_size = math.log2(desc.size(denote_cap))
         if include_deficiency:
-            rec = deficiency(
-                x, desc, L_c=L_c, budgets=budgets, denote_cap=denote_cap, _cache=cache
-            )
+            members = desc.denote(denote_cap)
+            uniform, star = tables[2 * i], tables[2 * i + 1]
+            rec = _deficiency(x, desc, members, uniform, star, denote_cap)
             per_model.append((desc.code_len, log2_size, rec.delta_norm, rec.delta_star))
         else:
             per_model.append((desc.code_len, log2_size, None, None))
@@ -827,16 +806,14 @@ def nonstoch_scan(
     beta: int,
     opts: ModelOpts | None = None,
     L_c: int = DEFAULT_COND_MAX_LEN,
-    budgets: Budgets | None = None,
-    cache_dir: str | Path | None = None,
-    warn: Callable[[str], None] | None = None,
+    source: TableSource = TableSource(),
 ) -> NonStochReport:
     """For every x of length n, the least model length whose delta_star
     is within beta — the most structure-resistant strings stand out as
     the argmax. Exhaustive and deterministic; n is capped at 12."""
     if n > 12:
         raise ValueError("scan is exhaustive over 2^n strings; n > 12 is not supported")
-    cache = _CondCache(L_c, budgets, 1, cache_dir, warn)
+    tables: dict[str, ComplexityTable] = {}  # by condition fingerprint
     min_len: dict[str, int] = {}
     for v in range(1 << n):
         x = format(v, f"0{n}b") if n else ""
@@ -848,7 +825,11 @@ def nonstoch_scan(
             if best is not None and desc.code_len >= best:
                 break  # models come sorted by length
             members = desc.denote()
-            _, d_star = _normalized_deficiencies(x, members, cache.table(star_condition(desc)))
+            cond = star_condition(desc)
+            table = tables.get(cond.fingerprint())
+            if table is None:
+                table = tables[cond.fingerprint()] = source.table(L_c, cond)
+            _, d_star = _normalized_deficiencies(x, members, table)
             if d_star <= beta:
                 best = desc.code_len
         assert best is not None

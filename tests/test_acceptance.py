@@ -12,7 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from algstat.cache import load_or_build_many
+from algstat.cache import TableSource
 from algstat.complexity import AUDIT_MAX_LEN
 from algstat.constants import load_constants, regression_check
 from algstat.enumeration import build_table, enumerate_halting, export_table, find_prefix_violation
@@ -153,15 +153,15 @@ def test_08_uniform_wrap_equals_set_deficiency(cond_cache):
     for i in range(100):
         desc = _random_desc(rng)
         x = rng.choice(desc.denote())
-        rp = deficiency_p(x, UniformOn(desc), L_c=15, cache_dir=cond_cache)
-        rs = deficiency(x, desc, L_c=15, cache_dir=cond_cache)
+        rp = deficiency_p(x, UniformOn(desc), L_c=15, source=TableSource(cache_dir=cond_cache))
+        rs = deficiency(x, desc, L_c=15, source=TableSource(cache_dir=cond_cache))
         assert rp.k_cond == rs.k_cond_set, f"model {i}: {desc!r}, x={x!r}"
         assert rp.delta_norm == rs.delta_norm, f"model {i}: {desc!r}, x={x!r}"
     _done(8, "uniform/set correspondence", "100 random models, exact equality")
 
 
 def test_09_law_audits(table_l29, table_l22, cond_cache):
-    audit = laws_audit(table_l29, level_table=table_l22, cache_dir=cond_cache)
+    audit = laws_audit(table_l29, level_table=table_l22, source=TableSource(cache_dir=cond_cache))
     frozen = load_constants()
     lines = regression_check(audit.measured(), frozen)
     bad = [l for l in lines if not l.ok]
@@ -169,7 +169,7 @@ def test_09_law_audits(table_l29, table_l22, cond_cache):
 
     pair_joint = standard_joints()["bernoulli-pair"]
     identity = theta_suff_audit(
-        pair_joint, Statistic("identity"), table_l29, cache_dir=cond_cache
+        pair_joint, Statistic("identity"), table_l29, source=TableSource(cache_dir=cond_cache)
     )
     assert all(r.d == 0 for r in identity.rows), "identity statistic shows deficiency"
 
@@ -186,8 +186,8 @@ def test_10_determinism(tmp_path, table_l22):
         uniform_condition(Hamming(4, 2)),
         Condition.string("0110"),
     ]
-    one = load_or_build_many(16, conds, workers=1, cache_dir=tmp_path / "w1")
-    eight = load_or_build_many(16, conds, workers=8, cache_dir=tmp_path / "w8")
+    one = TableSource(workers=1, cache_dir=tmp_path / "w1").tables(16, conds)
+    eight = TableSource(workers=8, cache_dir=tmp_path / "w8").tables(16, conds)
     assert one == eight
     export_table(build_table(16), tmp_path / "rebuilt.tsv")
     blobs = {
@@ -202,8 +202,12 @@ def test_10_determinism(tmp_path, table_l22):
     assert xr_csv(one[0]) == xr_csv(eight[0])
     assert sk_csv(one[0], 9) == sk_csv(eight[0], 9)
 
-    curve_a = structfn("0110", 12, L_c=15, workers=1, cache_dir=tmp_path / "s1")
-    curve_b = structfn("0110", 12, L_c=15, workers=8, cache_dir=tmp_path / "s8")
+    curve_a = structfn(
+        "0110", 12, L_c=15, source=TableSource(workers=1, cache_dir=tmp_path / "s1")
+    )
+    curve_b = structfn(
+        "0110", 12, L_c=15, source=TableSource(workers=8, cache_dir=tmp_path / "s8")
+    )
     assert curve_a.to_csv() == curve_b.to_csv()
 
     # the demo needs every 8-bit K, so it runs on the deeper session table

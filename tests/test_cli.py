@@ -163,6 +163,11 @@ class TestCsvCommands:
         )
         assert out.splitlines()[1] == "8,4,,,12"
 
+    def test_structfn_alpha_beyond_bound(self, run):
+        code, out, err = run("structfn", "0110", "--alpha-max", "40")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "alpha_max 40 exceeds configured bound 36" in err
+
     def test_bernoulli(self, run):
         code, out, _ = run("bernoulli", "4", "--max-len", "12")
         assert code == EXIT_OK
@@ -218,6 +223,13 @@ class TestLaws:
         code, out, _ = run("laws", "--audit", "nonincrease", "--max-len", "22")
         assert code == EXIT_OK
         assert "nonincrease measured=-3 frozen=-3 PASS" in out.splitlines()
+
+    def test_steps_reach_every_table(self, run, tmp_path):
+        code, _, _ = run("laws", "--audit", "soi", "--steps", "300", "--cache-dir", str(tmp_path))
+        assert code == EXIT_OK
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names
+        assert [n for n in names if "_T300_" not in n] == []
 
     def test_freeze_reproduces_packaged_file(self, run, tmp_path):
         target = tmp_path / "frozen.txt"

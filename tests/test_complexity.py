@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algstat.bits import pair
+from algstat.cache import TableSource
 from algstat.complexity import (
     Absent,
     k_cond,
@@ -66,24 +67,26 @@ class TestLookups:
 class TestConditional:
     def test_copy_beats_emit(self, cond_cache):
         # Given the string itself, one COPYIN token reproduces it.
-        assert k_cond("1011", Condition.string("1011"), cache_dir=cond_cache) == 8
+        source = TableSource(cache_dir=cond_cache)
+        assert k_cond("1011", Condition.string("1011"), source=source) == 8
 
     def test_conditioning_never_hurts_much(self, table_l22, cond_cache):
         # The emit-only bound is condition-free.
         cond = Condition.string("00")
         for x in ("", "0", "11", "0101"):
-            kc = k_cond(x, cond, cache_dir=cond_cache)
+            kc = k_cond(x, cond, source=TableSource(cache_dir=cond_cache))
             assert kc is not None and kc <= 2 * len(x) + 3
 
     def test_absent_is_none(self, cond_cache):
-        assert k_cond("0" * 9, Condition.string("1"), L_c=12, cache_dir=cond_cache) is None
+        source = TableSource(cache_dir=cond_cache)
+        assert k_cond("0" * 9, Condition.string("1"), L_c=12, source=source) is None
 
     def test_small_cap_matches_default_cap(self, cond_cache):
         # Minima below both caps agree, so audits may run on shallow tables.
         cond = Condition.string("0110")
         for x in ("", "0", "10", "110"):
-            assert k_cond(x, cond, L_c=11, cache_dir=cond_cache) == k_cond(
-                x, cond, L_c=14, cache_dir=cond_cache
+            assert k_cond(x, cond, L_c=11, source=TableSource(cache_dir=cond_cache)) == k_cond(
+                x, cond, L_c=14, source=TableSource(cache_dir=cond_cache)
             )
 
 
@@ -114,7 +117,7 @@ class TestMutualInfo:
 class TestSoiAudit:
     def test_empty_string_only(self, cond_cache):
         t = build_table(8)
-        rep = soi_audit(t, len_cap=0, L_c=8, cache_dir=cond_cache)
+        rep = soi_audit(t, len_cap=0, L_c=8, source=TableSource(cache_dir=cond_cache))
         assert rep.pairs_checked == 1
         # K(<e,e>) = 5, K(e) = 3, K(e|e*) = 3.
         assert rep.additivity_max_slack == 1
@@ -122,7 +125,7 @@ class TestSoiAudit:
 
     def test_length_two_sweep(self, cond_cache):
         t = build_table(17)
-        rep = soi_audit(t, len_cap=2, L_c=14, cache_dir=cond_cache)
+        rep = soi_audit(t, len_cap=2, L_c=14, source=TableSource(cache_dir=cond_cache))
         assert rep.pairs_checked == 49
         assert rep.measured() == {
             "soi_additivity": 3,
@@ -133,11 +136,11 @@ class TestSoiAudit:
 
     def test_argmax_is_reported(self, cond_cache):
         t = build_table(17)
-        rep = soi_audit(t, len_cap=2, L_c=14, cache_dir=cond_cache)
+        rep = soi_audit(t, len_cap=2, L_c=14, source=TableSource(cache_dir=cond_cache))
         x, y = rep.additivity_argmax
         assert len(x) <= 2 and len(y) <= 2
 
     def test_cap_too_small_raises(self, cond_cache):
         t = build_table(12)
         with pytest.raises(Absent):
-            soi_audit(t, len_cap=2, L_c=14, cache_dir=cond_cache)
+            soi_audit(t, len_cap=2, L_c=14, source=TableSource(cache_dir=cond_cache))

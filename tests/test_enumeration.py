@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algstat import _pykernel, cache, enumeration
-from algstat.cache import load_or_build, load_or_build_many, table_path
+from algstat.cache import TableSource, load_or_build, table_path
 from algstat.enumeration import (
     ComplexityTable,
     Entry,
@@ -193,9 +193,9 @@ class TestDeterminismAndBackends:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(cache, "ProcessPoolExecutor", CountingPool)
-        t1 = load_or_build_many(14, SMALL_CONDS, workers=1, cache_dir=tmp_path / "w1")
+        t1 = TableSource(workers=1, cache_dir=tmp_path / "w1").tables(14, SMALL_CONDS)
         assert pools == []
-        t2 = load_or_build_many(14, SMALL_CONDS, workers=2, cache_dir=tmp_path / "w2")
+        t2 = TableSource(workers=2, cache_dir=tmp_path / "w2").tables(14, SMALL_CONDS)
         assert pools == [(2,)]
         assert t1 == t2
         files = _cache_files(tmp_path / "w1")
@@ -207,8 +207,10 @@ class TestDeterminismAndBackends:
 
 
 class TestLoadOrBuildMany:
+    """``TableSource.tables``, the batch lookup over many conditions."""
+
     def test_tables_come_back_in_input_order(self, tmp_path):
-        tables = load_or_build_many(10, SMALL_CONDS, workers=2, cache_dir=tmp_path)
+        tables = TableSource(workers=2, cache_dir=tmp_path).tables(10, SMALL_CONDS)
         assert [t.cond_fingerprint for t in tables] == [c.fingerprint() for c in SMALL_CONDS]
         for cond, table in zip(SMALL_CONDS, tables):
             assert table == build_table(10, cond)
@@ -216,7 +218,8 @@ class TestLoadOrBuildMany:
     def test_duplicates_are_built_once(self, tmp_path):
         notes = []
         conds = [SMALL_CONDS[0], SMALL_CONDS[1], SMALL_CONDS[0], SMALL_CONDS[1]]
-        tables = load_or_build_many(10, conds, workers=2, cache_dir=tmp_path, warn=notes.append)
+        source = TableSource(workers=2, cache_dir=tmp_path, warn=notes.append)
+        tables = source.tables(10, conds)
         assert notes == [
             f"cache miss: enumerating L=10 under condition [{c.serial()}]" for c in conds[:2]
         ]
@@ -224,15 +227,15 @@ class TestLoadOrBuildMany:
         assert len(_cache_files(tmp_path)) == 2
 
     def test_all_hits_start_no_pool(self, tmp_path, monkeypatch):
-        built = load_or_build_many(10, SMALL_CONDS, cache_dir=tmp_path)
+        built = TableSource(cache_dir=tmp_path).tables(10, SMALL_CONDS)
 
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started for cached tables")
 
         monkeypatch.setattr(cache, "ProcessPoolExecutor", no_pool)
         notes = []
-        again = load_or_build_many(
-            10, SMALL_CONDS, workers=2, cache_dir=tmp_path, warn=notes.append
+        again = TableSource(workers=2, cache_dir=tmp_path, warn=notes.append).tables(
+            10, SMALL_CONDS
         )
         assert again == built
         assert notes == []
@@ -243,10 +246,11 @@ class TestLoadOrBuildMany:
     def test_script_without_main_guard(self, tmp_path):
         script = tmp_path / "script.py"
         script.write_text(
-            "from algstat.cache import load_or_build_many\n"
+            "from algstat.cache import TableSource\n"
             "from algstat.machine import Condition\n"
             "conds = [Condition.none(), Condition.string('1')]\n"
-            f"print(len(load_or_build_many(8, conds, workers=2, cache_dir={str(tmp_path)!r})))\n"
+            f"source = TableSource(workers=2, cache_dir={str(tmp_path)!r})\n"
+            "print(len(source.tables(8, conds)))\n"
         )
         proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

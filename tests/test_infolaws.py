@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from algstat.cache import TableSource
 from algstat.complexity import AUDIT_MAX_LEN
 from algstat.constants import load_constants
 from algstat.enumeration import build_table
@@ -238,14 +239,15 @@ class TestTransforms:
             bad.apply("01")
 
     def test_nonincrease_sweep(self, table_l29, cond_cache):
-        rep = nonincrease_audit(table_l29, len_cap=2, cache_dir=cond_cache)
+        rep = nonincrease_audit(table_l29, len_cap=2, source=TableSource(cache_dir=cond_cache))
         assert rep.pairs_checked == 49
         assert rep.max_deficit == -3
         assert {t.name for t in rep.per_transform} == {"drop-last", "copy", "const-empty"}
         assert rep.measured() == {"nonincrease": -3}
 
     def test_csv(self, table_l29, cond_cache):
-        lines = nonincrease_audit(table_l29, len_cap=2, cache_dir=cond_cache).to_csv().splitlines()
+        source = TableSource(cache_dir=cond_cache)
+        lines = nonincrease_audit(table_l29, len_cap=2, source=source).to_csv().splitlines()
         assert lines[0] == "transform,max_deficit,x,y"
         assert lines[1] == "drop-last,-3,-,-"
 
@@ -253,7 +255,8 @@ class TestTransforms:
 class TestMachineSufficiency:
     def test_theta_rows_all_zero(self, table_l29, bernoulli_pair, cond_cache):
         rep = theta_suff_audit(
-            bernoulli_pair, Statistic("weight"), table_l29, cache_dir=cond_cache
+            bernoulli_pair, Statistic("weight"), table_l29,
+            source=TableSource(cache_dir=cond_cache)
         )
         assert all(r.d == 0 for r in rep.rows)
         assert rep.minimal_tau() == 0
@@ -262,18 +265,24 @@ class TestMachineSufficiency:
 
     def test_threshold_verdict(self, table_l29, bernoulli_pair, cond_cache):
         rep = theta_suff_audit(
-            bernoulli_pair, Statistic("weight"), table_l29, threshold=0, cache_dir=cond_cache
+            bernoulli_pair,
+            Statistic("weight"),
+            table_l29,
+            threshold=0,
+            source=TableSource(cache_dir=cond_cache),
         )
         assert rep.passed
         no_threshold = theta_suff_audit(
-            bernoulli_pair, Statistic("weight"), table_l29, cache_dir=cond_cache
+            bernoulli_pair, Statistic("weight"), table_l29,
+            source=TableSource(cache_dir=cond_cache)
         )
         with pytest.raises(ValueError):
             no_threshold.passed
 
     def test_theta_csv(self, table_l29, bernoulli_pair, cond_cache):
         rep = theta_suff_audit(
-            bernoulli_pair, Statistic("weight"), table_l29, cache_dir=cond_cache
+            bernoulli_pair, Statistic("weight"), table_l29,
+            source=TableSource(cache_dir=cond_cache)
         )
         lines = rep.to_csv().splitlines()
         assert lines[0] == "theta,x,statistic,p,d"
@@ -285,7 +294,7 @@ class TestMachineSufficiency:
             Statistic("weight"),
             table_l29,
             model_of=weight_models(2),
-            cache_dir=cond_cache,
+            source=TableSource(cache_dir=cond_cache),
         )
         assert [(r.x, r.theta_star, r.lhs, r.rhs) for r in rep.rows] == [
             ("00", "0", 7, 3),
@@ -303,17 +312,22 @@ class TestMachineSufficiency:
 
 class TestBattery:
     def test_matches_frozen_constants(self, table_l29, table_l22, cond_cache):
-        audit = laws_audit(table_l29, level_table=table_l22, cache_dir=cond_cache)
+        source = TableSource(cache_dir=cond_cache)
+        audit = laws_audit(table_l29, level_table=table_l22, source=source)
         assert audit.measured() == load_constants()
 
     def test_level_gap_optional(self, table_l29, cond_cache):
-        audit = laws_audit(table_l29, cache_dir=cond_cache)
+        audit = laws_audit(table_l29, source=TableSource(cache_dir=cond_cache))
         assert audit.level_gap is None
         assert "logn_gap" not in audit.measured()
 
     def test_deterministic_across_workers(self, table_l29, table_l22, cond_cache):
-        one = laws_audit(table_l29, level_table=table_l22, workers=1, cache_dir=cond_cache)
-        four = laws_audit(table_l29, level_table=table_l22, workers=4, cache_dir=cond_cache)
+        one = laws_audit(
+            table_l29, level_table=table_l22, source=TableSource(workers=1, cache_dir=cond_cache)
+        )
+        four = laws_audit(
+            table_l29, level_table=table_l22, source=TableSource(workers=4, cache_dir=cond_cache)
+        )
         assert one.measured() == four.measured()
         assert one.theta.to_csv() == four.theta.to_csv()
         assert one.identity.to_csv() == four.identity.to_csv()

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from algstat.bits import bar_nat, std
+from algstat.cache import TableSource
 from algstat.models_prob import (
     Bernoulli,
     DistLangError,
@@ -27,7 +28,7 @@ from algstat.models_prob import (
     suffstat_p,
     two_part_p,
 )
-from algstat.models_set import All, Hamming, ListSet, Singleton, deficiency
+from algstat.models_set import All, Hamming, ListSet, ModelOpts, Singleton, deficiency
 
 B2 = Bernoulli(2, Fraction(1, 4))
 B8 = Bernoulli(8, Fraction(1, 4))
@@ -142,19 +143,19 @@ class TestCodebook:
 
 class TestDeficiencyP:
     def test_all_zeros_is_nearly_typical(self, cond_cache):
-        r = deficiency_p("0" * 8, B8, L_c=19, cache_dir=cond_cache)
+        r = deficiency_p("0" * 8, B8, L_c=19, source=TableSource(cache_dir=cond_cache))
         assert r.k_cond == 11
         assert r.neglog == pytest.approx(16 - 8 * math.log2(3))
         assert r.delta_norm == pytest.approx(0.2451125, abs=1e-6)
         assert r.typical(1) and not r.typical(0)
 
     def test_alternating_string_is_flagged(self, cond_cache):
-        r = deficiency_p("01" * 4, B8, L_c=19, cache_dir=cond_cache)
+        r = deficiency_p("01" * 4, B8, L_c=19, source=TableSource(cache_dir=cond_cache))
         assert r.k_cond == 15
         assert r.delta_norm == pytest.approx(math.log2(6))
 
     def test_all_ones_is_far(self, cond_cache):
-        r = deficiency_p("1" * 8, B8, L_c=19, cache_dir=cond_cache)
+        r = deficiency_p("1" * 8, B8, L_c=19, source=TableSource(cache_dir=cond_cache))
         assert r.delta_raw == pytest.approx(1.0)
         assert r.delta_norm == pytest.approx(8.9248125, abs=1e-6)
 
@@ -167,8 +168,8 @@ class TestDeficiencyP:
     )
     def test_uniform_wrap_equals_set_deficiency(self, desc, cond_cache):
         for x in desc.denote():
-            rp = deficiency_p(x, UniformOn(desc), L_c=15, cache_dir=cond_cache)
-            rs = deficiency(x, desc, L_c=15, cache_dir=cond_cache)
+            rp = deficiency_p(x, UniformOn(desc), L_c=15, source=TableSource(cache_dir=cond_cache))
+            rs = deficiency(x, desc, L_c=15, source=TableSource(cache_dir=cond_cache))
             assert rp.k_cond == rs.k_cond_set
             assert rp.delta_norm == rs.delta_norm
 
@@ -191,6 +192,19 @@ class TestTwoPartAndSuffStat:
         rep = suffstat_p("0101", family=fam, reference_lambda=13)
         assert rep.minimal in fam
         assert rep.in_class_sufficient is not None
+
+    def test_default_family_clamped_to_alpha_bound(self):
+        # 13 + 5 + 1 - 2 = 17 bits would exceed the bound; the clamp
+        # keeps All(4) (9 bits) and drops the Singleton
+        rep = suffstat_p("0101", beta=5, opts=ModelOpts(alpha_bound=10))
+        assert rep.lambda_min == 13
+        assert rep.minimal == UniformOn(All(4))
+        assert UniformOn(Singleton("0101")) not in rep.optimal
+
+    def test_long_string_within_default_bound(self):
+        # a 26-bit string's Singleton cap (38) passes the default bound
+        rep = suffstat_p("01" * 13)
+        assert rep.minimal == UniformOn(All(26))
 
     def test_zero_mass_family_rejected(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,67 @@
+"""One `TableSource` carries the table settings into every analysis: its
+budgets reach each table an analysis builds, and no public function takes
+those settings as parameters of its own."""
+
+from __future__ import annotations
+
+import inspect
+from fractions import Fraction
+
+import pytest
+
+from algstat import complexity, infolaws, models_prob, models_set
+from algstat.cache import TableSource
+from algstat.complexity import soi_audit
+from algstat.enumeration import build_table
+from algstat.infolaws import nonincrease_audit
+from algstat.machine import Budgets
+from algstat.models_prob import Bernoulli, deficiency_p
+from algstat.models_set import structfn
+
+ANALYSES = [
+    pytest.param(lambda source: structfn("0", 8, L_c=10, source=source), id="structfn"),
+    pytest.param(
+        lambda source: deficiency_p("0", Bernoulli(1, Fraction(1, 2)), L_c=10, source=source),
+        id="deficiency_p",
+    ),
+    pytest.param(
+        lambda source: nonincrease_audit(build_table(12), len_cap=1, source=source),
+        id="nonincrease_audit",
+    ),
+    pytest.param(
+        lambda source: soi_audit(build_table(8), len_cap=0, L_c=8, source=source),
+        id="soi_audit",
+    ),
+]
+
+
+@pytest.mark.parametrize("analysis", ANALYSES)
+def test_source_budgets_reach_every_table(analysis, tmp_path):
+    analysis(TableSource(budgets=Budgets(max_steps=300), cache_dir=tmp_path))
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names
+    assert [n for n in names if "_T300_" not in n] == []
+
+
+TABLE_SETTINGS = {"budgets", "workers", "cache_dir", "warn", "_cache"}
+
+
+@pytest.mark.parametrize("module", [complexity, models_set, models_prob, infolaws])
+def test_no_public_function_takes_table_settings(module):
+    public = [
+        (name, obj)
+        for name, obj in vars(module).items()
+        if not name.startswith("_")
+        and callable(obj)
+        and getattr(obj, "__module__", None) == module.__name__
+    ]
+    assert public
+    threaded = {}
+    for name, obj in public:
+        try:
+            params = set(inspect.signature(obj).parameters)
+        except (TypeError, ValueError):  # no introspectable signature
+            continue
+        if params & TABLE_SETTINGS:
+            threaded[name] = sorted(params & TABLE_SETTINGS)
+    assert threaded == {}
