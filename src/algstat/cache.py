@@ -1,9 +1,10 @@
 """On-disk cache of complexity tables, keyed by build parameters.
 
 File names carry machine version, caps and the condition fingerprint, so
-incompatible tables can never be loaded by accident. Imported tables lack
-per-length program counts (the file keeps only K/witness/m); every cached
-use-case needs only those persisted fields.
+incompatible tables can never be loaded by accident. An imported table
+has no length histogram (the file keeps only K/witness/m), so its
+``count_by_length()`` is None; every cached use-case needs only the
+persisted fields.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def load_or_build(
     budgets: Budgets | None = None,
     cache_dir: str | Path | None = None,
     warn: Callable[[str], None] | None = None,
-    walked: Callable[[], dict[str, list]] | None = None,
+    walked: Callable[[], tuple[dict[str, list], list[int]]] | None = None,
 ) -> tuple[ComplexityTable, bool]:
     """Fetch a table from the cache or build and cache it.
 

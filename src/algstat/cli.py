@@ -21,6 +21,7 @@ from .complexity import (
     DEFAULT_SOI_LEN_CAP,
     Absent,
     mutual_info,
+    require_k,
     soi_audit,
 )
 from .constants import (
@@ -105,9 +106,8 @@ class Config:
     def __post_init__(self):
         if self.L is not None and self.L <= 0:
             raise ValueError("--max-len must be positive")
-        budgets = self.source.budgets
-        if budgets.max_steps <= 0 or budgets.max_output <= 0:
-            raise ValueError("--steps and --max-out must be positive")
+        if self.source.budgets.max_output <= 0:
+            raise ValueError("--max-out must be positive")
         if self.source.workers <= 0:
             raise ValueError("--workers must be positive")
         if self.beta < 0:
@@ -167,7 +167,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         _warn(f"wrote {args.out}")
     print(
         f"machine={table.machine_version} L={table.L} "
-        f"condition={table.cond_fingerprint} entries={len(table.sorted_outputs())} "
+        f"condition={table.cond_fingerprint} entries={len(table)} "
         f"{'built' if built else 'cached'}"
     )
     return EXIT_OK
@@ -181,9 +181,7 @@ def cmd_k(args: argparse.Namespace) -> int:
     )
     table = cfg.source.table(L, cond)
     x = text_to_bits(args.x)
-    k = table.k_of(x)
-    if k is None:
-        raise Absent(x, table.L, conditioned=cond is not None)
+    k = require_k(table, x)
     print(f"K={k} witness={table.witness_of(x)}")
     return EXIT_OK
 

@@ -37,14 +37,15 @@ class Absent(Exception):
         self.L = L
 
 
-def k_of(table: ComplexityTable, x: str) -> int | None:
-    return table.k_of(x)
+_UNCONDITIONED = Condition.none().fingerprint()
 
 
 def require_k(table: ComplexityTable, x: str) -> int:
+    """K(x) read off ``table``; raises Absent, naming the table as
+    conditional when it is, if x lies beyond its cap."""
     k = table.k_of(x)
     if k is None:
-        raise Absent(x, table.L)
+        raise Absent(x, table.L, conditioned=table.cond_fingerprint != _UNCONDITIONED)
     return k
 
 
@@ -140,12 +141,6 @@ def soi_audit(
     conds = [Condition.string(shortest_program(table, x)) for x in xs]
     cond_tables = dict(zip(xs, source.tables(L_c, conds)))
 
-    def kc(y: str, given: str) -> int:
-        k = cond_tables[given].k_of(y)
-        if k is None:
-            raise Absent(y, L_c, conditioned=True)
-        return k
-
     add_max, add_arg = -1, ("", "")
     swap_max = 0
     kxy: dict[tuple[str, str], int] = {}
@@ -154,7 +149,7 @@ def soi_audit(
             kxy[(x, y)] = require_k(table, pair(x, y))
     for x in xs:
         for y in xs:
-            slack = abs(kxy[(x, y)] - k_un[x] - kc(y, x))
+            slack = abs(kxy[(x, y)] - k_un[x] - require_k(cond_tables[x], y))
             if slack > add_max:
                 add_max, add_arg = slack, (x, y)
             swap_max = max(swap_max, abs(kxy[(x, y)] - kxy[(y, x)]))
@@ -162,21 +157,16 @@ def soi_audit(
     self_gap = 0
     for x in xs:
         i_xx = 2 * k_un[x] - kxy[(x, x)]
-        self_gap = max(self_gap, abs(i_xx - (k_un[x] - kc(x, x))))
+        self_gap = max(self_gap, abs(i_xx - (k_un[x] - require_k(cond_tables[x], x))))
 
     tri_max, tri_arg = 0, ("", "", "")
     for y in xs:
         t_y = cond_tables[y]
         for z in xs:
             t_z = cond_tables[z]
-            kzy = t_y.k_of(z)
-            if kzy is None:
-                raise Absent(z, L_c, conditioned=True)
+            kzy = require_k(t_y, z)
             for x in xs:
-                kx_y, kx_z = t_y.k_of(x), t_z.k_of(x)
-                if kx_y is None or kx_z is None:
-                    raise Absent(x, L_c, conditioned=True)
-                deficit = kx_y - kzy - kx_z
+                deficit = require_k(t_y, x) - kzy - require_k(t_z, x)
                 if deficit > tri_max:
                     tri_max, tri_arg = deficit, (x, y, z)
 

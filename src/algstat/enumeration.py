@@ -3,13 +3,14 @@
 A ComplexityTable records, for every output producible by a halting
 program of length <= L under a fixed condition and budgets: the exact
 complexity K (shortest program length), the canonical witness (first
-shortest program in length-then-lexicographic order), the per-length
-halting-program counts, and the exact dyadic mass m = sum 2^{-l(p)} over
-programs producing that output.
+shortest program in length-then-lexicographic order) and the exact dyadic
+mass m = sum 2^{-l(p)} over programs producing that output. A built table
+also keeps one histogram of its halting programs by length.
 
 Each build is one serial walk of the opcode decode tree from its root,
-never of raw bit strings. Independent tables can be built side by side
-(see ``cache.TableSource.tables``); a single table is never split.
+never of raw bit strings; ``enumerate_halting`` lists the programs through
+the same traversal. Independent tables can be built side by side (see
+``cache.TableSource.tables``); a single table is never split.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class Entry(NamedTuple):
     k: int
     witness: str
     m_num: int  # numerator of m over 2**L
-    by_length: dict[int, int] | None  # None for imported tables
 
 
 class ComplexityTable:
@@ -66,6 +66,7 @@ class ComplexityTable:
         entries: dict[str, Entry],
         cond_serial: str | None = None,
         machine_version: str = MACHINE_VERSION,
+        hist: list[int] | None = None,
     ):
         self.machine_version = machine_version
         self.L = L
@@ -73,6 +74,7 @@ class ComplexityTable:
         self.cond_fingerprint = cond_fingerprint
         self.cond_serial = cond_serial
         self.entries = entries
+        self._hist = hist
         self._sorted: list[str] | None = None
 
     # -- lookups ---------------------------------------------------------
@@ -106,31 +108,17 @@ class ComplexityTable:
         return Fraction(sum(e.m_num for e in self.entries.values()), 1 << self.L)
 
     def count_by_length(self) -> list[int] | None:
-        """Halting programs per length, summed over outputs (None after import)."""
-        hist = [0] * (self.L + 1)
-        for e in self.entries.values():
-            if e.by_length is None:
-                return None
-            for l, c in e.by_length.items():
-                hist[l] += c
-        return hist
+        """Halting programs per length, indexed 0..L, or None for an imported
+        table: the file does not store the histogram, so equality ignores it."""
+        return list(self._hist) if self._hist is not None else None
 
     def halting_count(self) -> int | None:
-        hist = self.count_by_length()
-        return sum(hist) if hist is not None else None
+        return sum(self._hist) if self._hist is not None else None
 
     # -- identity --------------------------------------------------------
 
     def _identity(self):
-        # by_length is an in-memory enrichment, not part of the persisted
-        # identity, so equality ignores it.
-        return (
-            self.machine_version,
-            self.L,
-            self.budgets,
-            self.cond_fingerprint,
-            {x: (e.k, e.witness, e.m_num) for x, e in self.entries.items()},
-        )
+        return (self.machine_version, self.L, self.budgets, self.cond_fingerprint, self.entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ComplexityTable):
@@ -167,7 +155,7 @@ def build_table(
     cond: Condition | None = None,
     budgets: Budgets | None = None,
     entry_cap: int = DEFAULT_ENTRY_CAP,
-    walked: Callable[[], dict[str, list]] | None = None,
+    walked: Callable[[], tuple[dict[str, list], list[int]]] | None = None,
 ) -> ComplexityTable:
     """Enumerate all halting programs of length <= L and tabulate them.
 
@@ -181,11 +169,16 @@ def build_table(
     cond = cond if cond is not None else Condition.none()
     budgets = budgets if budgets is not None else Budgets()
     with _gc_paused():
-        found = walked() if walked is not None else _pykernel.walk(*walk_args(L, cond, budgets))
+        if walked is None:
+            found, hist = _pykernel.walk(*walk_args(L, cond, budgets))
+        else:
+            found, hist = walked()
         if len(found) > entry_cap:
             raise EntryCapExceeded(f"{len(found)} outputs exceeds entry cap {entry_cap}")
-        entries = {out: Entry(e[0], e[1], e[2], e[3]) for out, e in found.items()}
-    table = ComplexityTable(L, budgets, cond.fingerprint(), entries, cond_serial=cond.serial())
+        entries = {out: Entry(e[0], e[1], e[2]) for out, e in found.items()}
+    table = ComplexityTable(
+        L, budgets, cond.fingerprint(), entries, cond_serial=cond.serial(), hist=hist
+    )
     if table.kraft_sum() > 1:
         raise TableError("internal error: Kraft sum exceeds 1")
     return table
@@ -202,7 +195,10 @@ def enumerate_halting(
         raise ValueError("L must be at least 3 (HALT alone is 3 bits)")
     cond = cond if cond is not None else Condition.none()
     budgets = budgets if budgets is not None else Budgets()
-    yield from _pykernel.collect(*walk_args(L, cond, budgets))
+    programs: list[tuple[str, str, int]] = []
+    _pykernel.traverse(*walk_args(L, cond, budgets), lambda *found: programs.append(found))
+    programs.sort(key=lambda t: (len(t[0]), t[0]))
+    yield from programs
 
 
 def find_prefix_violation(programs: Iterable[str]) -> tuple[str, str] | None:
@@ -315,7 +311,7 @@ def _parse_block(text: str, start: int, end: int, L: int, entries: dict[str, Ent
         raise TableFormatError(f"witness length disagrees with K for output {bits_to_text(x)!r}")
     # tuple.__new__ makes each Entry in C, as Entry._make does without a
     # Python call per record.
-    made = map(tuple.__new__, itertools.repeat(Entry), zip(ks, wits, m_nums, itertools.repeat(None)))
+    made = map(tuple.__new__, itertools.repeat(Entry), zip(ks, wits, m_nums))
     entries.update(zip(outs, made))
     return len(outs)
 
@@ -327,8 +323,8 @@ def import_table(path: str | Path) -> ComplexityTable:
     The records are checked and converted in blocks, a column at a time; a
     file with any malformed record, non-positive or out-of-range mass,
     witness whose length is not K, or repeated output is rejected, as is
-    one that is not ASCII text. Imported entries carry no per-length
-    program counts (the file format stores only output, K, witness and m)."""
+    one that is not ASCII text. An imported table has no length histogram
+    (the file format stores only output, K, witness and m)."""
     try:
         text = Path(path).read_text(encoding="ascii")
     except UnicodeDecodeError:

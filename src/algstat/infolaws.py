@@ -33,7 +33,6 @@ from .bits import (
 from .cache import TableSource
 from .complexity import (
     DEFAULT_SOI_LEN_CAP,
-    Absent,
     SoiReport,
     _all_strings,
     mutual_info,
@@ -540,12 +539,6 @@ def nonincrease_audit(
         L_c = 2 * max(len(s) for s in needed | set(xs)) + 3
     cond_k = _label_cond_tables(needed, table, L_c, source)
 
-    def kc(y: str, given: str) -> int:
-        k = cond_k[given].k_of(y)
-        if k is None:
-            raise Absent(y, L_c, conditioned=True)
-        return k
-
     per: list[TransformMax] = []
     for q in transforms:
         best, arg = None, ("", "")
@@ -553,7 +546,7 @@ def nonincrease_audit(
             program, out = applied[(q.name, x)]
             for y in xs:
                 # K(y) cancels between the two information terms.
-                deficit = kc(y, x) - kc(y, out) - len(program)
+                deficit = require_k(cond_k[x], y) - require_k(cond_k[out], y) - len(program)
                 if best is None or deficit > best:
                     best, arg = deficit, (x, y)
         assert best is not None
@@ -636,13 +629,12 @@ def _deficiency_terms(
     cap: int,
     L_c: int | None,
     source: TableSource,
-) -> tuple[dict[str, ComplexityTable], int]:
+) -> dict[str, ComplexityTable]:
     xs = joint.x_domain(cap)
     images = {statistic(x) for x in xs}
     if L_c is None:
         L_c = _auto_cond_cap(set(xs) | images)
-    tables = _label_cond_tables(joint.thetas, table, L_c, source)
-    return tables, L_c
+    return _label_cond_tables(joint.thetas, table, L_c, source)
 
 
 def theta_suff_audit(
@@ -661,22 +653,16 @@ def theta_suff_audit(
     sufficiency verdict so both directions of the correspondence can be
     read off one object: small-deficiency mass tracks classical
     sufficiency and vice versa."""
-    cond_tables, L_c = _deficiency_terms(joint, statistic, table, cap, L_c, source)
-
-    def kc(y: str, label: str) -> int:
-        k = cond_tables[label].k_of(y)
-        if k is None:
-            raise Absent(y, L_c, conditioned=True)
-        return k
-
+    cond_tables = _deficiency_terms(joint, statistic, table, cap, L_c, source)
     rows = []
     for idx, x, p in joint.support(cap):
         if p == 0:
             continue
         label = joint.thetas[idx]
         s_x = statistic(x)
-        i_x = require_k(table, x) - kc(x, label)
-        i_s = require_k(table, s_x) - kc(s_x, label)
+        given = cond_tables[label]
+        i_x = require_k(table, x) - require_k(given, x)
+        i_s = require_k(table, s_x) - require_k(given, s_x)
         rows.append(ThetaSuffRow(label, x, s_x, p, i_x - i_s))
     verdict = prob_suff_check(joint, statistic, tol=tol, cap=cap).sufficient
     return ThetaSuffReport(tuple(rows), threshold, verdict, tol)
@@ -733,23 +719,19 @@ def suff_identity_audit(
     statistic's value and then x's index inside that value's model class.
     The agreement gap is a machine constant; the audit measures its max
     over the joint's support."""
-    cond_tables, L_c = _deficiency_terms(joint, statistic, table, cap, L_c, source)
-
-    def kc(y: str, label: str) -> int:
-        k = cond_tables[label].k_of(y)
-        if k is None:
-            raise Absent(y, L_c, conditioned=True)
-        return k
-
+    cond_tables = _deficiency_terms(joint, statistic, table, cap, L_c, source)
     rows = []
     for x in joint.x_domain(cap):
         scores = [p * d.mass(x) for p, d in zip(joint.priors, joint.dists)]
         best = max(range(len(scores)), key=lambda i: (scores[i], -i))
         label = joint.thetas[best]
         s_x = statistic(x)
-        d = (require_k(table, x) - kc(x, label)) - (require_k(table, s_x) - kc(s_x, label))
-        lhs = kc(x, label) + d
-        rhs = kc(s_x, label) + ceil_log2(model_of(s_x).size())
+        given = cond_tables[label]
+        k_x, k_x_given = require_k(table, x), require_k(given, x)
+        k_s, k_s_given = require_k(table, s_x), require_k(given, s_x)
+        d = (k_x - k_x_given) - (k_s - k_s_given)
+        lhs = k_x_given + d
+        rhs = k_s_given + ceil_log2(model_of(s_x).size())
         rows.append(SuffIdentityRow(x, label, lhs, rhs))
     return SuffIdentityReport(tuple(rows))
 

@@ -1,7 +1,7 @@
 """The kernel's calling convention.
 
 ``compile_condition`` flattens a Condition into the plain, picklable
-arguments that ``algstat._pykernel.walk`` and ``collect`` take;
+arguments that ``algstat._pykernel.walk`` and ``traverse`` take;
 ``walk_args`` adds the length cap and the budgets.
 """
 
@@ -31,6 +31,6 @@ def compile_condition(cond: Condition) -> tuple[int, str, tuple[str, ...], tuple
 
 
 def walk_args(L: int, cond: Condition, budgets: Budgets) -> tuple:
-    """The positional arguments of ``_pykernel.walk`` and ``collect`` for
-    one table."""
+    """The positional arguments of ``_pykernel.walk`` for one table; those
+    of ``_pykernel.traverse`` less its callback."""
     return (L, budgets.max_steps, budgets.max_output, *compile_condition(cond))

@@ -39,7 +39,7 @@ from .bits import (
     text_to_bits,
 )
 from .cache import TableSource
-from .complexity import Absent, require_k
+from .complexity import require_k
 from .enumeration import DEFAULT_COND_MAX_LEN, ComplexityTable
 from .machine import Condition
 from .models_set import (
@@ -375,17 +375,10 @@ def deficiency_p(
     if mx == 0:
         raise ValueError(f"{bits_to_text(x)} has zero mass under {format_distlang(dist)}")
     table = source.table(L_c, model_condition(dist))
-
-    def k_or_raise(y: str) -> int:
-        k = table.k_of(y)
-        if k is None:
-            raise Absent(y, table.L, conditioned=True)
-        return k
-
-    kx = k_or_raise(x)
+    kx = require_k(table, x)
     best_y, best_k, best_score = None, None, Fraction(-1)
     for y in dist.domain(cap):
-        ky = k_or_raise(y)
+        ky = require_k(table, y)
         score = dist.mass(y) * (1 << ky)  # large score = small deficiency
         if score > best_score:
             best_y, best_k, best_score = y, ky, score
@@ -464,10 +457,7 @@ def pk(table: ComplexityTable, k: int) -> UniformOn:
     explicit list in canonical order."""
     if k > table.L:
         raise ValueError(f"k={k} exceeds the table cap L={table.L}")
-    members = sorted(
-        (x for x in table.sorted_outputs() if table.k_of(x) <= k),
-        key=lambda s: (len(s), s),
-    )
+    members = [x for x in table.sorted_outputs() if table.k_of(x) <= k]
     if not members:
         raise ValueError(f"no strings of complexity <= {k} in the table")
     return UniformOn(ListSet(tuple(members)))

@@ -46,7 +46,7 @@ from .bits import (
     text_to_bits,
 )
 from .cache import TableSource
-from .complexity import Absent, require_k
+from .complexity import require_k
 from .enumeration import DEFAULT_COND_MAX_LEN, ComplexityTable
 from .machine import Condition
 
@@ -567,18 +567,13 @@ def _normalized_deficiencies(
     kx = None
     kmax = -1
     for y in members:
-        k = table.k_of(y)
-        if k is None:
-            raise Absent(y, table.L, conditioned=True)
+        k = require_k(table, y)
         if k > kmax:
             kmax = k
         if y == x:
             kx = k
     if kx is None:
-        k = table.k_of(x)
-        if k is None:
-            raise Absent(x, table.L, conditioned=True)
-        kx = k
+        kx = require_k(table, x)
     return kx, kmax - kx
 
 

@@ -20,25 +20,27 @@ from algstat.machine import MACHINE_VERSION, Budgets, Condition, Status, run
 
 
 def naive_entries(L: int, cond: Condition | None = None, budgets: Budgets | None = None):
-    """Map output -> (K, witness, m_num over 2**L, by_length) by running
-    all 2^{L+1}-2 candidate strings. Only sane for L <= 13 or so."""
+    """(entries, hist) by running all 2^{L+1}-2 candidate strings: entries
+    maps output -> (K, witness, m_num over 2**L), and hist[l] counts the
+    halting programs of length l. Only sane for L <= 13 or so."""
     entries: dict[str, list] = {}
+    hist = [0] * (L + 1)
     for l in range(3, L + 1):
         for tup in product("01", repeat=l):
             p = "".join(tup)
             r = run(p, cond, budgets)
             if r.status is not Status.HALTED:
                 continue
+            hist[l] += 1
             out = r.output
             e = entries.get(out)
             if e is None:
-                entries[out] = [l, p, 1 << (L - l), {l: 1}]
+                entries[out] = [l, p, 1 << (L - l)]
             else:
                 # first hit at the smallest length is lexicographically
                 # smallest because product() yields in lex order
                 e[2] += 1 << (L - l)
-                e[3][l] = e[3].get(l, 0) + 1
-    return {out: (e[0], e[1], e[2], e[3]) for out, e in entries.items()}
+    return {out: tuple(e) for out, e in entries.items()}, hist
 
 
 def naive_halting_programs(L: int, cond: Condition | None = None, budgets: Budgets | None = None):
@@ -110,7 +112,7 @@ def naive_import_table(path) -> ComplexityTable:
             raise TableFormatError(f"mass out of range in record: {ln!r}")
         if out in entries:
             raise TableFormatError(f"duplicate output in table file: {fields[0]}")
-        entries[out] = Entry(k, witness, num << (L - exp), None)
+        entries[out] = Entry(k, witness, num << (L - exp))
 
     table = ComplexityTable(L, Budgets(T, O), fingerprint, entries)
     if table.kraft_sum() > 1:

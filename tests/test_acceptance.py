@@ -72,18 +72,19 @@ def test_02_kraft_sum(table_l24):
 def test_03_oracle_equivalence():
     for L in (5, 9, 12):
         table = build_table(L)
-        got = {x: (e.k, e.witness, e.m_num, e.by_length) for x, e in table.entries.items()}
+        entries = {x: (e.k, e.witness, e.m_num) for x, e in table.entries.items()}
+        got = entries, table.count_by_length()
         assert got == naive_entries(L), f"table diverges from the oracle at L={L}"
     _done(3, "oracle equivalence", "L in {5, 9, 12} bit-identical")
 
 
 def test_04_spot_complexities(table_l22):
-    oracle = naive_entries(15)
+    oracle, _ = naive_entries(15)
     spots = {"": 3, "0": 5, "0000": 11, "0110": 11, "01010101": 15}
     for x, expected in spots.items():
         assert oracle[x][0] == expected, f"oracle disagrees at {x!r}"
         assert table_l22.k_of(x) == expected, f"table disagrees at {x!r}"
-    cond_oracle = naive_entries(8, Condition.string("1011"))
+    cond_oracle, _ = naive_entries(8, Condition.string("1011"))
     assert cond_oracle["1011"][0] == 8
     assert build_table(8, Condition.string("1011")).k_of("1011") == 8
     _done(4, "spot complexities", "5 plain + 1 conditional, zero tolerance")

@@ -315,6 +315,8 @@ class TestUsageErrors:
             ["probstat", "0101", "geom:1/2"],
             ["laws", "--audit", "everything"],
             ["structfn", "0", "--workers", "0"],
+            ["k", "0", "--steps", "0"],
+            ["k", "0", "--max-out", "0"],
         ],
     )
     def test_exit_one(self, argv, capsys):

@@ -11,7 +11,6 @@ from algstat.cache import TableSource
 from algstat.complexity import (
     Absent,
     k_cond,
-    k_of,
     mutual_info,
     require_k,
     shortest_program,
@@ -34,13 +33,18 @@ class TestLookups:
         assert require_k(table_l22, "01" * 4) == 15
 
     def test_k_of_is_total(self, table_l12):
-        assert k_of(table_l12, "0") == 5
-        assert k_of(table_l12, "0" * 9) is None
+        assert table_l12.k_of("0") == 5
+        assert table_l12.k_of("0" * 9) is None
 
     def test_require_k_raises_beyond_horizon(self, table_l12):
         with pytest.raises(Absent) as exc:
             require_k(table_l12, "0" * 9)
         assert "enlarge it" in str(exc.value)
+
+    def test_require_k_names_a_conditional_table(self):
+        with pytest.raises(Absent) as exc:
+            require_k(build_table(8, Condition.string("1")), "0" * 9)
+        assert "within the conditional table's cap L=8;" in str(exc.value)
 
     def test_witness_reproduces_string(self, table_l12):
         for x in ("", "0", "1", "0110"):

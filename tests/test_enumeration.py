@@ -52,8 +52,9 @@ MIXED_BOOK_CASES = [
 ]
 
 
-def entry_dicts(table: ComplexityTable):
-    return {x: (e.k, e.witness, e.m_num, e.by_length) for x, e in table.entries.items()}
+def table_view(table: ComplexityTable):
+    """(entries, hist) in the form ``naive_entries`` returns."""
+    return {x: (e.k, e.witness, e.m_num) for x, e in table.entries.items()}, table.count_by_length()
 
 
 def by_length_then_lex(progs):
@@ -87,14 +88,14 @@ class TestSmallCases:
 
 class TestOracleEquivalence:
     def test_unconditioned_l10(self):
-        assert entry_dicts(build_table(10)) == naive_entries(10)
+        assert table_view(build_table(10)) == naive_entries(10)
 
     def test_unconditioned_l12(self, table_l12):
-        assert entry_dicts(table_l12) == naive_entries(12)
+        assert table_view(table_l12) == naive_entries(12)
 
     def test_str_condition(self):
         cond = Condition.string("1011")
-        assert entry_dicts(build_table(9, cond)) == naive_entries(9, cond)
+        assert table_view(build_table(9, cond)) == naive_entries(9, cond)
 
     @pytest.mark.parametrize(
         "L, cond, budgets",
@@ -109,11 +110,11 @@ class TestOracleEquivalence:
         ],
     )
     def test_model_condition(self, L, cond, budgets):
-        assert entry_dicts(build_table(L, cond, budgets)) == naive_entries(L, cond, budgets)
+        assert table_view(build_table(L, cond, budgets)) == naive_entries(L, cond, budgets)
 
     def test_tight_budgets(self):
         budgets = Budgets(max_steps=3, max_output=2)
-        assert entry_dicts(build_table(10, budgets=budgets)) == naive_entries(10, budgets=budgets)
+        assert table_view(build_table(10, budgets=budgets)) == naive_entries(10, budgets=budgets)
 
     @pytest.mark.parametrize(
         "L, cond, budgets",
@@ -198,6 +199,7 @@ class TestDeterminismAndBackends:
         t2 = TableSource(workers=2, cache_dir=tmp_path / "w2").tables(14, SMALL_CONDS)
         assert pools == [(2,)]
         assert t1 == t2
+        assert [t.count_by_length() for t in t1] == [t.count_by_length() for t in t2]
         files = _cache_files(tmp_path / "w1")
         assert len(files) == len(SMALL_CONDS)
         assert files == _cache_files(tmp_path / "w2")
@@ -293,6 +295,9 @@ class TestPersistence:
         export_table(t, path)
         back = import_table(path)
         assert back == t
+        # the length histogram is not stored, so only the built table has one
+        assert back.count_by_length() is None and back.halting_count() is None
+        assert sum(t.count_by_length()) == t.halting_count() > 0
         # and the file form is a fixed point
         path2 = tmp_path / "t2.table"
         export_table(back, path2)
@@ -440,7 +445,7 @@ def _import_like_oracle(path) -> ComplexityTable | None:
         assert _NON_CANONICAL.search(path.read_text())
         return None
     assert table == expected
-    assert all(e.by_length is None for e in table.entries.values())
+    assert table.count_by_length() is None and table.halting_count() is None
     return table
 
 
@@ -482,11 +487,11 @@ class TestBulkImport:
             pytest.param("", {}, id="header-only"),
             pytest.param(
                 "- 3 100 1/2^3\n01 7 0001100 1/2^7",
-                {"": Entry(3, "100", 1 << 5, None), "01": Entry(7, "0001100", 1 << 1, None)},
+                {"": Entry(3, "100", 1 << 5), "01": Entry(7, "0001100", 1 << 1)},
                 id="no-final-newline",
             ),
-            pytest.param("- 3 100 1/2^3\n", {"": Entry(3, "100", 1 << 5, None)}, id="dash-output"),
-            pytest.param("- 0 - 1/2^0\n", {"": Entry(0, "", 1 << 8, None)}, id="dash-witness"),
+            pytest.param("- 3 100 1/2^3\n", {"": Entry(3, "100", 1 << 5)}, id="dash-output"),
+            pytest.param("- 0 - 1/2^0\n", {"": Entry(0, "", 1 << 8)}, id="dash-witness"),
         ],
     )
     def test_edge_files(self, tmp_path, body, entries):
