@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -120,6 +119,10 @@ class TableSource:
         absent = [fp for fp in unique if not table_path(cache_dir, L, self.budgets, fp).exists()]
         tables: dict[str, ComplexityTable] = {}
         if self.workers > 1 and len(absent) > 1:
+            # Imported only when a pool starts: it pulls in multiprocessing,
+            # which a one-table call never needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             workers = min(self.workers, len(absent))
             with ProcessPoolExecutor(workers) as pool:
                 # Submitted lazily: at most `workers` walks run or wait ahead of

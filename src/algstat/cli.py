@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import constants, infolaws, models_prob, models_set, skstats
 from .bits import CodeError, bits_to_text, pair, text_to_bits
 from .cache import ENV_CACHE_DIR, TableSource, load_or_build
 from .complexity import (
@@ -24,53 +25,13 @@ from .complexity import (
     require_k,
     soi_audit,
 )
-from .constants import (
-    ConstantsError,
-    load_constants,
-    regression_check,
-    save_constants,
-)
 from .enumeration import (
     DEFAULT_COND_MAX_LEN,
     DEFAULT_MAX_LEN,
     TableError,
     export_table,
 )
-from .infolaws import (
-    JointModelError,
-    Statistic,
-    expected_mi_audit,
-    laws_audit,
-    nonincrease_audit,
-    parse_joint_text,
-    prob_suff_check,
-    standard_joints,
-    suff_identity_audit,
-    theta_suff_audit,
-    weight_models,
-)
 from .machine import DEFAULT_MAX_OUTPUT, DEFAULT_MAX_STEPS, Budgets, Condition
-from .models_prob import (
-    bernoulli_demo,
-    deficiency_p,
-    format_distlang,
-    parse_distlang,
-    suffstat_p,
-    two_part_p,
-)
-from .models_set import (
-    CapExceeded,
-    ModelOpts,
-    Singleton,
-    _fmt_real,
-    format_setlang,
-    parse_setlang,
-    structfn,
-    suffstat,
-    two_part,
-    uniform_condition,
-)
-from .skstats import _dyadic_csv, sk_csv, slice_bound_check, xr_bound_check, xr_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -101,7 +62,6 @@ class Config:
     constants_path: str | None
     alpha_max: int | None
     beta: int
-    opts: ModelOpts
 
     def __post_init__(self):
         if self.L is not None and self.L <= 0:
@@ -129,18 +89,21 @@ def _config(args: argparse.Namespace) -> Config:
         constants_path=getattr(args, "constants", None),
         alpha_max=getattr(args, "alpha_max", None),
         beta=getattr(args, "beta", 0),
-        opts=ModelOpts(
-            union_width=getattr(args, "union_width", ModelOpts().union_width),
-            list_cap=getattr(args, "list_cap", ModelOpts().list_cap),
-        ),
     )
+
+
+def _model_opts(args: argparse.Namespace) -> models_set.ModelOpts:
+    """The model-search options of a command that takes ``--union-width`` and
+    ``--list-cap``; a flag left out keeps ``ModelOpts``' own default."""
+    given = {"union_width": args.union_width, "list_cap": args.list_cap}
+    return models_set.ModelOpts(**{k: v for k, v in given.items() if v is not None})
 
 
 def _condition(args: argparse.Namespace) -> Condition | None:
     if getattr(args, "cond", None) is not None:
         return Condition.string(text_to_bits(args.cond))
     if getattr(args, "cond_set", None) is not None:
-        return uniform_condition(parse_setlang(args.cond_set))
+        return models_set.uniform_condition(models_set.parse_setlang(args.cond_set))
     return None
 
 
@@ -196,14 +159,15 @@ def cmd_mi(args: argparse.Namespace) -> int:
 
 def cmd_structfn(args: argparse.Namespace) -> int:
     cfg = _config(args)
+    opts = _model_opts(args)
     x = text_to_bits(args.x)
     alpha_max = cfg.alpha_max
     if alpha_max is None:
-        alpha_max = min(two_part(x, Singleton(x)) + 1, cfg.opts.alpha_bound)
-    curve = structfn(
+        alpha_max = min(models_set.two_part(x, models_set.Singleton(x)) + 1, opts.alpha_bound)
+    curve = models_set.structfn(
         x,
         alpha_max,
-        cfg.opts,
+        opts,
         include_deficiency=not args.no_deficiency,
         L_c=cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN,
         source=cfg.source,
@@ -215,13 +179,13 @@ def cmd_structfn(args: argparse.Namespace) -> int:
 def cmd_suffstat(args: argparse.Namespace) -> int:
     cfg = _config(args)
     x = text_to_bits(args.x)
-    rep = suffstat(x, cfg.beta, cfg.opts)
+    rep = models_set.suffstat(x, cfg.beta, _model_opts(args))
     lines = [
         f"x={bits_to_text(x)}",
         f"beta={rep.beta}",
         f"lambda_min={rep.lambda_min}",
-        f"minimal={format_setlang(rep.minimal)}",
-        "optimal=" + ";".join(format_setlang(d) for d in rep.optimal),
+        f"minimal={models_set.format_setlang(rep.minimal)}",
+        "optimal=" + ";".join(models_set.format_setlang(d) for d in rep.optimal),
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -230,14 +194,14 @@ def cmd_suffstat(args: argparse.Namespace) -> int:
 def cmd_sk(args: argparse.Namespace) -> int:
     cfg = _config(args)
     table = cfg.source.table(cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN)
-    _emit(sk_csv(table, args.k), args.out)
+    _emit(skstats.sk_csv(table, args.k), args.out)
     return EXIT_OK
 
 
 def cmd_xr(args: argparse.Namespace) -> int:
     cfg = _config(args)
     table = cfg.source.table(cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN)
-    _emit(xr_csv(table), args.out)
+    _emit(skstats.xr_csv(table), args.out)
     return EXIT_OK
 
 
@@ -249,7 +213,7 @@ def cmd_bernoulli(args: argparse.Namespace) -> int:
         # every n-bit string must be in the table; 2n+3 is the emit bound
         L = max(DEFAULT_MAX_LEN, 2 * args.n + 3)
     table = cfg.source.table(L)
-    rep = bernoulli_demo(table, args.n, cfg.beta, cfg.opts)
+    rep = models_prob.bernoulli_demo(table, args.n, cfg.beta, _model_opts(args))
     _emit(rep.to_csv(), args.out)
     return EXIT_OK
 
@@ -257,23 +221,23 @@ def cmd_bernoulli(args: argparse.Namespace) -> int:
 def cmd_probstat(args: argparse.Namespace) -> int:
     cfg = _config(args)
     x = text_to_bits(args.x)
-    dist = parse_distlang(args.dist)
-    rec = deficiency_p(
+    dist = models_prob.parse_distlang(args.dist)
+    rec = models_prob.deficiency_p(
         x,
         dist,
         L_c=cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN,
         source=cfg.source,
     )
-    rep = suffstat_p(x, cfg.beta, cfg.opts)
+    rep = models_prob.suffstat_p(x, cfg.beta, _model_opts(args))
     lines = [
         f"x={bits_to_text(x)}",
-        f"dist={format_distlang(dist)}",
-        f"neglog={_fmt_real(rec.neglog)}",
+        f"dist={models_prob.format_distlang(dist)}",
+        f"neglog={models_set._fmt_real(rec.neglog)}",
         f"K_cond={rec.k_cond}",
-        f"delta_norm={_fmt_real(rec.delta_norm)}",
-        f"two_part={two_part_p(x, dist)}",
+        f"delta_norm={models_set._fmt_real(rec.delta_norm)}",
+        f"two_part={models_prob.two_part_p(x, dist)}",
         f"lambda_min={rep.lambda_min}",
-        f"minimal={format_distlang(rep.minimal)}",
+        f"minimal={models_prob.format_distlang(rep.minimal)}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -289,7 +253,7 @@ def _pass_line(name: str, ok: bool, detail: str = "") -> tuple[str, bool]:
 
 def _laws_joint(args: argparse.Namespace, cfg: Config) -> int:
     """Audit a user-supplied joint model file; the report is CSV."""
-    joint, statistic = parse_joint_text(Path(args.joint).read_text(encoding="ascii"))
+    joint, statistic = infolaws.parse_joint_text(Path(args.joint).read_text(encoding="ascii"))
     audit = args.audit if args.audit != "all" else "theta"
     if audit not in ("expected-mi", "theta", "identity"):
         raise ValueError(f"--joint supports the expected-mi/theta/identity audits, not {audit!r}")
@@ -303,14 +267,14 @@ def _laws_joint(args: argparse.Namespace, cfg: Config) -> int:
         need = 2 * max(len(s) for s in strings) + 3
     table = cfg.source.table(max(cfg.L or 0, need, DEFAULT_MAX_LEN))
     if audit == "expected-mi":
-        rep = expected_mi_audit(joint, table)
-        _warn(f"expected={float(rep.expected):.9f} classical={_fmt_real(rep.prob_i)} k_p={rep.k_p}")
+        rep = infolaws.expected_mi_audit(joint, table)
+        _warn(f"expected={float(rep.expected):.9f} classical={models_set._fmt_real(rep.prob_i)} k_p={rep.k_p}")
         _emit(rep.to_csv(), args.out)
         return EXIT_OK
     if statistic is None:
         raise ValueError("the joint-model file has no statistic line")
     if audit == "theta":
-        rep = theta_suff_audit(joint, statistic, table, source=cfg.source)
+        rep = infolaws.theta_suff_audit(joint, statistic, table, source=cfg.source)
         _warn(f"prob_sufficient={rep.prob_sufficient} minimal_tau={rep.minimal_tau()}")
         _emit(rep.to_csv(), args.out)
         return EXIT_OK
@@ -319,8 +283,8 @@ def _laws_joint(args: argparse.Namespace, cfg: Config) -> int:
     lens = {len(x) for x in joint.x_domain()}
     if len(lens) != 1:
         raise ValueError("the identity audit needs a fixed-length data domain")
-    rep = suff_identity_audit(
-        joint, statistic, table, weight_models(lens.pop()), source=cfg.source
+    rep = infolaws.suff_identity_audit(
+        joint, statistic, table, infolaws.weight_models(lens.pop()), source=cfg.source
     )
     _warn(f"max_gap={rep.max_gap}")
     _emit(rep.to_csv(), args.out)
@@ -344,24 +308,24 @@ def cmd_laws(args: argparse.Namespace) -> int:
     if sel in ("xr", "slices", "all"):
         level = cfg.source.table(cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN)
         if sel in ("xr", "all"):
-            _, _, rows = xr_bound_check(level)
+            _, _, rows = skstats.xr_bound_check(level)
             for row in rows:
                 record(
                     *_pass_line(
                         f"xr r={row.r}",
                         row.passed,
-                        f"sum={_dyadic_csv(row.mass_sum)} bound={_dyadic_csv(row.bound)}",
+                        f"sum={skstats._dyadic_csv(row.mass_sum)} bound={skstats._dyadic_csv(row.bound)}",
                     )
                 )
         if sel in ("slices", "all"):
-            record(*_pass_line("slice-bound", slice_bound_check(level)))
+            record(*_pass_line("slice-bound", skstats.slice_bound_check(level)))
 
     measured: dict[str, int] = {}
     if sel in ("soi", "nonincrease", "expected-mi", "theta", "identity", "all"):
         source = cfg.source
         deep = source.table(AUDIT_MAX_LEN)
         if sel == "all":
-            audit = laws_audit(deep, level_table=level, source=source)
+            audit = infolaws.laws_audit(deep, level_table=level, source=source)
             measured.update(audit.measured())
             theta_rep = audit.theta
         elif sel == "soi":
@@ -370,26 +334,26 @@ def cmd_laws(args: argparse.Namespace) -> int:
             )
             measured.update(rep.measured())
         elif sel == "nonincrease":
-            measured.update(nonincrease_audit(deep, source=source).measured())
+            measured.update(infolaws.nonincrease_audit(deep, source=source).measured())
         elif sel == "expected-mi":
             slacks = [
-                expected_mi_audit(j, deep).slack_bits for _, j in sorted(standard_joints().items())
+                infolaws.expected_mi_audit(j, deep).slack_bits for _, j in sorted(infolaws.standard_joints().items())
             ]
             measured["expected_mi"] = max(slacks)
         else:
-            pair_joint = standard_joints()["bernoulli-pair"]
+            pair_joint = infolaws.standard_joints()["bernoulli-pair"]
             if sel == "theta":
-                theta_rep = theta_suff_audit(pair_joint, Statistic("weight"), deep, source=source)
+                theta_rep = infolaws.theta_suff_audit(pair_joint, infolaws.Statistic("weight"), deep, source=source)
                 measured.update(theta_rep.measured())
             else:
-                rep = suff_identity_audit(
-                    pair_joint, Statistic("weight"), deep, weight_models(2), source=source
+                rep = infolaws.suff_identity_audit(
+                    pair_joint, infolaws.Statistic("weight"), deep, infolaws.weight_models(2), source=source
                 )
                 measured.update(rep.measured())
         if sel in ("theta", "all"):
             record(*_pass_line("theta weight-prob-sufficient", theta_rep.prob_sufficient))
-            id_rep = theta_suff_audit(
-                standard_joints()["bernoulli-pair"], Statistic("identity"), deep, source=source
+            id_rep = infolaws.theta_suff_audit(
+                infolaws.standard_joints()["bernoulli-pair"], infolaws.Statistic("identity"), deep, source=source
             )
             record(*_pass_line("theta identity-deficiency-zero", all(r.d == 0 for r in id_rep.rows)))
 
@@ -398,15 +362,15 @@ def cmd_laws(args: argparse.Namespace) -> int:
             raise ValueError("--freeze requires --audit all (a full battery)")
         if not cfg.constants_path:
             raise ValueError("--freeze needs --constants PATH to write to")
-        save_constants(measured, cfg.constants_path)
+        constants.save_constants(measured, cfg.constants_path)
         for name in sorted(measured):
             lines.append(f"{name} measured={measured[name]} frozen")
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
 
     if measured:
-        frozen = load_constants(cfg.constants_path)
-        for check in regression_check(measured, frozen):
+        frozen = constants.load_constants(cfg.constants_path)
+        for check in constants.regression_check(measured, frozen):
             have = "-" if check.frozen is None else str(check.frozen)
             record(
                 *_pass_line(check.name, check.ok, f"measured={check.measured} frozen={have}")
@@ -449,8 +413,9 @@ def _add_table_flags(
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--union-width", type=int, default=ModelOpts().union_width)
-    p.add_argument("--list-cap", type=int, default=ModelOpts().list_cap)
+    # No defaults here: building the parser must not run models_set.
+    p.add_argument("--union-width", type=int)
+    p.add_argument("--list-cap", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -534,12 +499,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    # Python evaluates this tuple only when an exception arrives, so the
+    # lazily loaded modules named in it run only on an error.
     except (
         Absent,
-        CapExceeded,
+        models_set.CapExceeded,
         CodeError,
-        ConstantsError,
-        JointModelError,
+        constants.ConstantsError,
+        infolaws.JointModelError,
         TableError,
         ValueError,
         OSError,

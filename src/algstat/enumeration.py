@@ -99,7 +99,9 @@ class ComplexityTable:
 
     def sorted_outputs(self) -> list[str]:
         if self._sorted is None:
-            self._sorted = sorted(self.entries, key=lambda s: (len(s), s))
+            # Stable by length over the lexicographic order: (length, lex) order,
+            # in two C-level sorts.
+            self._sorted = sorted(sorted(self.entries), key=len)
         return self._sorted
 
     # -- aggregates ------------------------------------------------------
@@ -230,11 +232,12 @@ def export_table(table: ComplexityTable, path: str | Path) -> None:
         f"O {table.budgets.max_output}",
         f"condition {table.cond_fingerprint}",
     ]
+    entries = table.entries
+    # A table has a few hundred distinct masses; witnesses are never empty (K >= 3).
+    mass_text = {m: _dyadic_text(m, table.L) for m in {e.m_num for e in entries.values()}}
     for out in table.sorted_outputs():
-        e = table.entries[out]
-        lines.append(
-            f"{bits_to_text(out)} {e.k} {bits_to_text(e.witness)} {_dyadic_text(e.m_num, table.L)}"
-        )
+        k, witness, m_num = entries[out]
+        lines.append(f"{bits_to_text(out)} {k} {witness} {mass_text[m_num]}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

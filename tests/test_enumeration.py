@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import gc
 import inspect
 import multiprocessing
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algstat import _pykernel, cache, enumeration
+from algstat import _pykernel, enumeration
 from algstat.cache import TableSource, load_or_build, table_path
 from algstat.enumeration import (
     ComplexityTable,
@@ -188,12 +189,13 @@ class TestDeterminismAndBackends:
     def test_workers_do_not_change_the_table(self, tmp_path, monkeypatch):
         pools = []
 
-        class CountingPool(cache.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(args)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(cache, "ProcessPoolExecutor", CountingPool)
+        # cache imports the pool from concurrent.futures when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         t1 = TableSource(workers=1, cache_dir=tmp_path / "w1").tables(14, SMALL_CONDS)
         assert pools == []
         t2 = TableSource(workers=2, cache_dir=tmp_path / "w2").tables(14, SMALL_CONDS)
@@ -234,7 +236,7 @@ class TestLoadOrBuildMany:
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started for cached tables")
 
-        monkeypatch.setattr(cache, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         notes = []
         again = TableSource(workers=2, cache_dir=tmp_path, warn=notes.append).tables(
             10, SMALL_CONDS
