@@ -1,10 +1,11 @@
 """On-disk cache of complexity tables, keyed by build parameters.
 
-File names carry machine version, caps and the condition fingerprint, so
-incompatible tables can never be loaded by accident. An imported table
-has no length histogram (the file keeps only K/witness/m), so its
-``count_by_length()`` is None; every cached use-case needs only the
-persisted fields.
+File names carry machine version, file format, caps and the condition
+fingerprint, so incompatible tables can never be loaded by accident, and a
+file of an older format is a plain cache miss. A file stores every field
+of a built table, its length histogram included, and is sealed with a
+SHA-256 of its records; ``import_table`` checks it when it opens the file
+and parses each output length's records when they are first read.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import _pykernel
-from .enumeration import ComplexityTable, TableError, build_table, export_table, import_table
+from .enumeration import (
+    TABLE_FORMAT,
+    ComplexityTable,
+    TableError,
+    build_table,
+    export_table,
+    import_table,
+)
 from .kernel import walk_args
 from .machine import MACHINE_VERSION, Budgets, Condition
 
@@ -32,7 +40,7 @@ def default_cache_dir() -> Path:
 
 def table_path(cache_dir: str | Path, L: int, budgets: Budgets, fingerprint: str) -> Path:
     name = (
-        f"{MACHINE_VERSION}_L{L}_T{budgets.max_steps}"
+        f"{MACHINE_VERSION}_F{TABLE_FORMAT}_L{L}_T{budgets.max_steps}"
         f"_O{budgets.max_output}_{fingerprint[:16]}.table"
     )
     return Path(cache_dir) / name
@@ -49,9 +57,12 @@ def load_or_build(
     """Fetch a table from the cache or build and cache it.
 
     Returns (table, was_built). ``warn`` is called with a message when a
-    cold-cache build starts. A stale or unreadable cache file is rebuilt
-    and overwritten, never trusted. ``walked`` is passed on to
-    ``build_table`` when the table has to be built.
+    cold-cache build starts. A cache file that fails the checks
+    ``import_table`` makes on opening it (an edited body fails its digest)
+    is rebuilt and overwritten, never trusted; a record error that only a
+    segment's parse finds raises ``TableFormatError`` at the first lookup
+    that reads it. ``walked`` is passed on to ``build_table`` when the table
+    has to be built.
     """
     cond = cond if cond is not None else Condition.none()
     budgets = budgets if budgets is not None else Budgets()

@@ -4,8 +4,8 @@ A ComplexityTable records, for every output producible by a halting
 program of length <= L under a fixed condition and budgets: the exact
 complexity K (shortest program length), the canonical witness (first
 shortest program in length-then-lexicographic order) and the exact dyadic
-mass m = sum 2^{-l(p)} over programs producing that output. A built table
-also keeps one histogram of its halting programs by length.
+mass m = sum 2^{-l(p)} over programs producing that output, and one
+histogram of its halting programs by length.
 
 Each build is one serial walk of the opcode decode tree from its root,
 never of raw bit strings; ``enumerate_halting`` lists the programs through
@@ -15,11 +15,14 @@ the same traversal. Independent tables can be built side by side (see
 
 from __future__ import annotations
 
+import bisect
 import gc
+import hashlib
 import itertools
 import re
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -56,43 +59,54 @@ class Entry(NamedTuple):
 
 
 class ComplexityTable:
-    """Immutable result of one exhaustive enumeration."""
+    """Immutable result of one exhaustive enumeration.
+
+    ``entries`` maps each output to its Entry. A table read from a file
+    (``import_table``) holds its records unparsed, one segment per output
+    length; a lookup parses the segment of ``len(x)`` on first use, and
+    ``entries`` and everything built on it parse them all."""
 
     def __init__(
         self,
         L: int,
         budgets: Budgets,
         cond_fingerprint: str,
-        entries: dict[str, Entry],
+        entries: dict[str, Entry] | _Segments,
+        hist: list[int],
         cond_serial: str | None = None,
         machine_version: str = MACHINE_VERSION,
-        hist: list[int] | None = None,
     ):
         self.machine_version = machine_version
         self.L = L
         self.budgets = budgets
         self.cond_fingerprint = cond_fingerprint
         self.cond_serial = cond_serial
-        self.entries = entries
+        self._entries = entries
         self._hist = hist
         self._sorted: list[str] | None = None
+
+    @property
+    def entries(self) -> dict[str, Entry]:
+        if isinstance(self._entries, _Segments):
+            self._entries = self._entries.parse_all()
+        return self._entries
 
     # -- lookups ---------------------------------------------------------
 
     def k_of(self, x: str) -> int | None:
-        e = self.entries.get(x)
+        e = self._entries.get(x)
         return e.k if e is not None else None
 
     def witness_of(self, x: str) -> str | None:
-        e = self.entries.get(x)
+        e = self._entries.get(x)
         return e.witness if e is not None else None
 
     def m_of(self, x: str) -> Fraction:
-        e = self.entries.get(x)
+        e = self._entries.get(x)
         return Fraction(e.m_num, 1 << self.L) if e is not None else Fraction(0)
 
     def __contains__(self, x: str) -> bool:
-        return x in self.entries
+        return x in self._entries
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -109,18 +123,24 @@ class ComplexityTable:
     def kraft_sum(self) -> Fraction:
         return Fraction(sum(e.m_num for e in self.entries.values()), 1 << self.L)
 
-    def count_by_length(self) -> list[int] | None:
-        """Halting programs per length, indexed 0..L, or None for an imported
-        table: the file does not store the histogram, so equality ignores it."""
-        return list(self._hist) if self._hist is not None else None
+    def count_by_length(self) -> list[int]:
+        """Halting programs per length, indexed 0..L."""
+        return list(self._hist)
 
-    def halting_count(self) -> int | None:
-        return sum(self._hist) if self._hist is not None else None
+    def halting_count(self) -> int:
+        return sum(self._hist)
 
     # -- identity --------------------------------------------------------
 
     def _identity(self):
-        return (self.machine_version, self.L, self.budgets, self.cond_fingerprint, self.entries)
+        return (
+            self.machine_version,
+            self.L,
+            self.budgets,
+            self.cond_fingerprint,
+            self._hist,
+            self.entries,
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ComplexityTable):
@@ -128,10 +148,7 @@ class ComplexityTable:
         return self._identity() == other._identity()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ComplexityTable(L={self.L}, outputs={len(self.entries)}, "
-            f"cond={self.cond_fingerprint[:12]})"
-        )
+        return f"ComplexityTable(L={self.L}, cond={self.cond_fingerprint[:12]})"
 
 
 # -- building --------------------------------------------------------------
@@ -179,7 +196,7 @@ def build_table(
             raise EntryCapExceeded(f"{len(found)} outputs exceeds entry cap {entry_cap}")
         entries = {out: Entry(e[0], e[1], e[2]) for out, e in found.items()}
     table = ComplexityTable(
-        L, budgets, cond.fingerprint(), entries, cond_serial=cond.serial(), hist=hist
+        L, budgets, cond.fingerprint(), entries, hist, cond_serial=cond.serial()
     )
     if table.kraft_sum() > 1:
         raise TableError("internal error: Kraft sum exceeds 1")
@@ -216,6 +233,26 @@ def find_prefix_violation(programs: Iterable[str]) -> tuple[str, str] | None:
 
 
 # -- persistence ------------------------------------------------------------
+#
+# A table file (format 2) is ASCII text: nine header lines, then the body.
+#
+#     machine tpm1-v1
+#     L 16
+#     T 100000
+#     O 4096
+#     condition <fingerprint>
+#     format 2
+#     hist <halting programs of length 0> ... <of length L>
+#     index <n>,<records>,<bytes>,<mass> ...    one entry per output length n
+#     sha256 <hex digest of the body>
+#
+# The body holds one record per output, ``output witness m_num/2^exp``, in
+# (length, lex) order, '-' standing for the empty output; K is the witness's
+# length. The records of one output length are one contiguous segment, whose
+# record count, byte count and mass numerator over 2^L the index gives.
+
+TABLE_FORMAT = 2
+_HEADER_LINES = 9
 
 
 def _dyadic_text(m_num: int, L: int) -> str:
@@ -224,21 +261,41 @@ def _dyadic_text(m_num: int, L: int) -> str:
 
 
 def export_table(table: ComplexityTable, path: str | Path) -> None:
-    """Write the line-oriented text form. Deterministic byte-for-byte."""
-    lines = [
+    """Write the format-2 text form. Deterministic byte-for-byte."""
+    L = table.L
+    entries = table.entries
+    outs = table.sorted_outputs()
+    records = list(map(entries.__getitem__, outs))
+    # A table has a few hundred distinct masses; witnesses are never empty (K >= 3).
+    mass_text = {m: _dyadic_text(m, L) for m in set(map(itemgetter(2), records))}
+    lines = [f"{bits_to_text(x)} {e.witness} {mass_text[e.m_num]}\n" for x, e in zip(outs, records)]
+    # One index entry per run of equal output lengths in the (length, lex) order.
+    sizes = map(len, lines)
+    masses = map(itemgetter(2), records)
+    index = []
+    start = 0
+    while start < len(outs):
+        n = len(outs[start])
+        count = bisect.bisect_right(outs, n, start, key=len) - start
+        size = sum(itertools.islice(sizes, count))
+        index.append(f"{n},{count},{size},{sum(itertools.islice(masses, count))}")
+        start += count
+    body = "".join(lines).encode("ascii")
+    del lines
+    header = [
         f"machine {table.machine_version}",
-        f"L {table.L}",
+        f"L {L}",
         f"T {table.budgets.max_steps}",
         f"O {table.budgets.max_output}",
         f"condition {table.cond_fingerprint}",
+        f"format {TABLE_FORMAT}",
+        " ".join(["hist", *map(str, table.count_by_length())]),
+        " ".join(["index", *index]),
+        f"sha256 {hashlib.sha256(body).hexdigest()}",
     ]
-    entries = table.entries
-    # A table has a few hundred distinct masses; witnesses are never empty (K >= 3).
-    mass_text = {m: _dyadic_text(m, table.L) for m in {e.m_num for e in entries.values()}}
-    for out in table.sorted_outputs():
-        k, witness, m_num = entries[out]
-        lines.append(f"{bits_to_text(out)} {k} {witness} {mass_text[m_num]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with open(path, "wb") as f:
+        f.write(("\n".join(header) + "\n").encode("ascii"))
+        f.write(body)
 
 
 def _header_int(line: str, key: str) -> int:
@@ -251,32 +308,39 @@ def _header_int(line: str, key: str) -> int:
         raise TableFormatError(f"non-integer {key} header: {line!r}") from None
 
 
-# One record: output, K, witness and m = num/2^exp, single-space separated,
-# with '-' for an empty string. The search finds the first newline that is
-# neither the body's last nor followed by a whole record and a newline, so a
-# miss proves every record of a block well formed in one C-level pass.
-_BAD_RECORD = re.compile(r"\n(?!(?:[01]+|-) [0-9]+ (?:[01]+|-) [0-9]+/2\^[0-9]+\n|\Z)")
-
-# Records are parsed in blocks of about this many characters, so the
-# temporary token strings of one block are all the import holds besides the
-# table it builds.
-_IMPORT_BLOCK_CHARS = 1 << 20
-
-
-def _empty_dashes(column: list[str]) -> None:
-    """Replace each '-' token in place by the empty string it stands for."""
-    i = -1
+def _header_naturals(line: str, key: str, sep: str | None = None) -> list[list[int]]:
+    """The fields after ``key`` on a header line, each split at ``sep`` into
+    non-negative integers."""
+    parts = line.split()
+    if not parts or parts[0] != key:
+        raise TableFormatError(f"expected '{key} ...' header line, got {line[:80]!r}")
+    fields = [field.split(sep) for field in parts[1:]]
+    if not all(t.isdigit() for field in fields for t in field):
+        raise TableFormatError(f"malformed {key} header: {line[:80]!r}")
     try:
-        while True:
-            i = column.index(EMPTY_MARKER, i + 1)
-            column[i] = ""
-    except ValueError:
-        pass
+        return [[int(t) for t in field] for field in fields]
+    except ValueError:  # more digits than int() converts
+        raise TableFormatError(f"number too long in the {key} header") from None
+
+
+def _bad_record(n: int) -> re.Pattern[str]:
+    """A record of the segment of output length n is its output, witness and
+    m = num/2^exp, single-space separated, with '-' for the empty output.
+    The pattern finds the first newline that is neither the segment's last
+    nor followed by a whole record and a newline, so a miss proves every
+    record of the segment well formed, and of length n, in one C-level pass."""
+    output = EMPTY_MARKER if n == 0 else f"[01]{{{n}}}"
+    return re.compile(rf"\n(?!{output} [01]+ [0-9]+/2\^[0-9]+\n|\Z)")
+
+
+# A record of any output length: tells a record in the wrong segment from a
+# malformed one.
+_RECORD = re.compile(r"(?:[01]+|-) [01]+ [0-9]+/2\^[0-9]+")
 
 
 def _by_distinct(column: list[str], convert: Callable[[str], int]) -> list[int]:
     """``[convert(t) for t in column]``, calling ``convert`` once per distinct
-    token: a table has a few dozen K values and a few hundred masses."""
+    token: a table has a few hundred masses."""
     value = {t: convert(t) for t in set(column)}
     return list(map(value.__getitem__, column))
 
@@ -290,55 +354,97 @@ def _mass_num(text: str, L: int) -> int:
     return num << (L - exp)
 
 
-def _parse_block(text: str, start: int, end: int, L: int, entries: dict[str, Entry]) -> int:
-    """Add the records of text[start:end] to ``entries``; return their count.
-
-    ``text[start - 1]`` is the newline ending the line before the block, and
-    ``text[end - 1]`` the newline ending its last record."""
-    bad = _BAD_RECORD.search(text, start - 1, end)
+def _parse_segment(
+    text: str, n: int, L: int, start: int, end: int, count: int, mass: int
+) -> dict[str, Entry]:
+    """The records of output length ``n``, ``text[start:end]``, checked
+    against their index entry: ``count`` records whose masses sum to
+    ``mass`` over 2**L."""
+    if text[start - 1] != "\n" or text[end - 1] != "\n":
+        raise TableFormatError(f"segment of output length {n} does not hold whole records")
+    bad = _bad_record(n).search(text, start - 1, end)
     if bad is not None:
-        line_end = text.find("\n", bad.end(), end)
-        raise TableFormatError(f"malformed record: {text[bad.end() : line_end]!r}")
+        line = text[bad.end() : text.find("\n", bad.end(), end)]
+        if _RECORD.fullmatch(line):
+            raise TableFormatError(f"record {line!r} in the segment of output length {n}")
+        raise TableFormatError(f"malformed record: {line!r}")
     tokens = text[start:end].split()
-    outs, wits = tokens[0::4], tokens[2::4]
+    outs, wits = tokens[0::3], tokens[1::3]
     try:
-        ks = _by_distinct(tokens[1::4], int)
-        m_nums = _by_distinct(tokens[3::4], lambda t: _mass_num(t, L))
+        m_nums = _by_distinct(tokens[2::3], lambda t: _mass_num(t, L))
     except ValueError:  # more digits than int() converts
         raise TableFormatError("number too long in a record") from None
     del tokens
-    _empty_dashes(outs)
-    _empty_dashes(wits)
-    if list(map(len, wits)) != ks:
-        x = next(x for x, w, k in zip(outs, wits, ks) if len(w) != k)
-        raise TableFormatError(f"witness length disagrees with K for output {bits_to_text(x)!r}")
+    if len(outs) != count or sum(m_nums) != mass:
+        raise TableFormatError(f"segment of output length {n} disagrees with its index entry")
+    if n == 0:
+        outs = [""] * count
     # tuple.__new__ makes each Entry in C, as Entry._make does without a
     # Python call per record.
-    made = map(tuple.__new__, itertools.repeat(Entry), zip(ks, wits, m_nums))
-    entries.update(zip(outs, made))
-    return len(outs)
+    made = map(tuple.__new__, itertools.repeat(Entry), zip(map(len, wits), wits, m_nums))
+    segment = dict(zip(outs, made))
+    if len(segment) != count:
+        raise TableFormatError("duplicate output in table file")
+    return segment
+
+
+class _Segments:
+    """The unparsed records of a table file, parsed one output length at a
+    time: a lookup reads the segment of its own length only."""
+
+    def __init__(self, text: str, L: int, index: dict[int, tuple[int, int, int, int]]):
+        self._text = text
+        self._L = L
+        self._index = index  # n -> (start, end, records, mass)
+        self._parsed: dict[int, dict[str, Entry]] = {}
+
+    def segment(self, n: int) -> dict[str, Entry]:
+        seg = self._parsed.get(n)
+        if seg is None:
+            if n not in self._index:
+                return {}
+            with _gc_paused():
+                seg = _parse_segment(self._text, n, self._L, *self._index[n])
+            self._parsed[n] = seg
+        return seg
+
+    def get(self, x: str) -> Entry | None:
+        return self.segment(len(x)).get(x)
+
+    def __contains__(self, x: str) -> bool:
+        return x in self.segment(len(x))
+
+    def parse_all(self) -> dict[str, Entry]:
+        entries: dict[str, Entry] = {}
+        for n in self._index:
+            entries.update(self.segment(n))
+            del self._parsed[n]
+        return entries
 
 
 def import_table(path: str | Path) -> ComplexityTable:
-    """Parse a table file; validates version, caps, every record and the
-    Kraft bound.
+    """Open a format-2 table file.
 
-    The records are checked and converted in blocks, a column at a time; a
-    file with any malformed record, non-positive or out-of-range mass,
-    witness whose length is not K, or repeated output is rejected, as is
-    one that is not ASCII text. An imported table has no length histogram
-    (the file format stores only output, K, witness and m)."""
+    Checked here: the file is ASCII text; the machine version, L, budgets,
+    condition and format lines; the body's SHA-256 against the header's; the
+    index's byte counts add up to the body's length; and its masses sum to
+    at most 2^L and to the Kraft mass of the length histogram. The records
+    are parsed a segment at a time, when first read (see ComplexityTable):
+    a segment with a malformed record, a mass out of range, an output not
+    of the segment's length, a repeated output, or a record count or mass
+    sum other than its index entry's raises TableFormatError then."""
+    data = Path(path).read_bytes()
     try:
-        text = Path(path).read_text(encoding="ascii")
+        text = data.decode("ascii")
     except UnicodeDecodeError:
         raise TableFormatError(f"table file is not ASCII text: {path}") from None
-    if text and not text.endswith("\n"):
-        text += "\n"
     start = 0
-    for _ in range(5):
+    for _ in range(_HEADER_LINES):
         start = text.find("\n", start) + 1
         if not start:
             raise TableFormatError("truncated table file: incomplete header")
+    digest = hashlib.sha256(memoryview(data)[start:]).hexdigest()
+    del data
     lines = text[:start].split("\n")
 
     mparts = lines[0].split()
@@ -349,22 +455,41 @@ def import_table(path: str | Path) -> ComplexityTable:
     L = _header_int(lines[1], "L")
     T = _header_int(lines[2], "T")
     O = _header_int(lines[3], "O")
+    try:
+        budgets = Budgets(T, O)
+    except ValueError as exc:
+        raise TableFormatError(f"table header budgets: {exc}") from None
     cparts = lines[4].split()
     if len(cparts) != 2 or cparts[0] != "condition":
         raise TableFormatError(f"expected 'condition <fingerprint>' header line, got {lines[4]!r}")
     fingerprint = cparts[1]
-
-    entries: dict[str, Entry] = {}
-    records = 0
-    with _gc_paused():
-        while start < len(text):
-            end = text.find("\n", min(start + _IMPORT_BLOCK_CHARS, len(text)) - 1) + 1
-            records += _parse_block(text, start, end, L, entries)
-            start = end
-    if len(entries) != records:
-        raise TableFormatError("duplicate output in table file")
-
-    table = ComplexityTable(L, Budgets(T, O), fingerprint, entries)
-    if table.kraft_sum() > 1:
+    if lines[5] != f"format {TABLE_FORMAT}":
+        raise TableFormatError(
+            f"expected 'format {TABLE_FORMAT}' header line, got {lines[5][:80]!r}"
+        )
+    hist = [h for (h,) in _header_naturals(lines[6], "hist")]
+    if L < 0 or len(hist) != L + 1:
+        raise TableFormatError(f"expected {L + 1} histogram counts, got {len(hist)}")
+    index = _header_naturals(lines[7], "index", ",")
+    if any(len(entry) != 4 for entry in index):
+        raise TableFormatError("malformed index header: an entry is not n,records,bytes,mass")
+    if any(a[0] >= b[0] for a, b in itertools.pairwise(index)):
+        raise TableFormatError("index output lengths are not strictly increasing")
+    if lines[8] != f"sha256 {digest}":
+        raise TableFormatError("table body does not match the sha256 digest in its header")
+    bounds = list(itertools.accumulate([entry[2] for entry in index], initial=start))
+    if bounds[-1] != len(text):
+        raise TableFormatError("index byte counts do not add up to the body length")
+    total = sum(entry[3] for entry in index)
+    if total > 1 << L:
         raise TableFormatError("corrupt table: Kraft sum exceeds 1")
-    return table
+    if total != sum(h << (L - l) for l, h in enumerate(hist)):
+        raise TableFormatError("index masses disagree with the length histogram")
+
+    if not text.endswith("\n"):  # read a last record without its newline as if it had one
+        text += "\n"
+        bounds[-1] += 1
+    segments = {
+        n: (a, b, count, m) for (n, count, _, m), a, b in zip(index, bounds, bounds[1:])
+    }
+    return ComplexityTable(L, budgets, fingerprint, _Segments(text, L, segments), hist)

@@ -5,16 +5,18 @@ length cap — no decode-tree walk, no pruning — so it cross-checks the
 enumeration kernels against the machine semantics alone. The counting
 recurrences predict halting-program totals per length straight from the
 opcode length table, independently of both. The naive table-file parser
-reads one record at a time.
+reads one record at a time, and ``seal`` writes a file around any record
+text.
 """
 
 from __future__ import annotations
 
+import hashlib
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
-from algstat.bits import text_to_bits
+from algstat.bits import check_bits, text_to_bits
 from algstat.enumeration import ComplexityTable, Entry, TableFormatError, TableVersionError
 from algstat.machine import MACHINE_VERSION, Budgets, Condition, Status, run
 
@@ -65,20 +67,33 @@ def _naive_header_int(line: str, key: str) -> int:
         raise TableFormatError(f"non-integer {key} header: {line!r}") from None
 
 
+def _naive_header_naturals(line: str, key: str) -> list[list[int]]:
+    parts = line.split()
+    if not parts or parts[0] != key:
+        raise TableFormatError(f"expected '{key} ...' header line, got {line!r}")
+    try:
+        fields = [[int(t) for t in field.split(",")] for field in parts[1:]]
+    except ValueError:
+        raise TableFormatError(f"malformed {key} header: {line!r}") from None
+    if any(v < 0 for field in fields for v in field):
+        raise TableFormatError(f"negative number in {key} header: {line!r}")
+    return fields
+
+
 def naive_import_table(path) -> ComplexityTable:
-    """Table file parser that splits and converts one record at a time,
-    with ``str.split`` and ``int``: the reference for
-    enumeration.import_table, which may reject more files than this (such
-    as records separated by tabs or runs of spaces) but never fewer."""
+    """Format-2 table file parser that reads every record at once, splitting
+    and converting one line at a time with ``str.split`` and ``int``: the
+    reference for enumeration.import_table followed by a read of every
+    segment, which may reject more files than this (such as records
+    separated by tabs or runs of spaces) but never fewer."""
     try:
         text = Path(path).read_text(encoding="ascii")
     except UnicodeDecodeError:
         raise TableFormatError(f"table file is not ASCII text: {path}") from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if len(lines) < 5:
+    lines = text.split("\n", 9)
+    if len(lines) < 10:
         raise TableFormatError("truncated table file: incomplete header")
+    body = lines.pop()
 
     mparts = lines[0].split()
     if len(mparts) != 2 or mparts[0] != "machine":
@@ -92,32 +107,102 @@ def naive_import_table(path) -> ComplexityTable:
     if len(cparts) != 2 or cparts[0] != "condition":
         raise TableFormatError(f"expected 'condition <fingerprint>' header line, got {lines[4]!r}")
     fingerprint = cparts[1]
+    if lines[5].split() != ["format", "2"]:
+        raise TableFormatError(f"expected 'format 2' header line, got {lines[5]!r}")
+    hist = [h for (h,) in _naive_header_naturals(lines[6], "hist")]
+    if len(hist) != L + 1:
+        raise TableFormatError(f"expected {L + 1} histogram counts, got {len(hist)}")
+    index = _naive_header_naturals(lines[7], "index")
+    if any(len(entry) != 4 for entry in index):
+        raise TableFormatError(f"malformed index header: {lines[7]!r}")
+    if lines[8].split() != ["sha256", hashlib.sha256(body.encode("ascii")).hexdigest()]:
+        raise TableFormatError("table body does not match its sha256 digest")
+    if sum(size for _, _, size, _ in index) != len(body):
+        raise TableFormatError("index byte counts do not add up to the body length")
+    total = sum(mass for *_, mass in index)
+    if total > 1 << L or total != sum(h * 2 ** (L - l) for l, h in enumerate(hist)):
+        raise TableFormatError("index masses exceed 1 or disagree with the histogram")
 
     entries: dict[str, Entry] = {}
-    for ln in lines[5:]:
-        fields = ln.split()
-        if len(fields) != 4:
-            raise TableFormatError(f"malformed record: {ln!r}")
-        try:
-            out = text_to_bits(fields[0])
-            witness = text_to_bits(fields[2])
-            k = int(fields[1])
-            num_text, _, exp_text = fields[3].partition("/2^")
-            num, exp = int(num_text), int(exp_text)
-        except ValueError:
-            raise TableFormatError(f"malformed record: {ln!r}") from None
-        if len(witness) != k:
-            raise TableFormatError(f"witness length disagrees with K in record: {ln!r}")
-        if not (0 <= exp <= L) or num < 1:
-            raise TableFormatError(f"mass out of range in record: {ln!r}")
-        if out in entries:
-            raise TableFormatError(f"duplicate output in table file: {fields[0]}")
-        entries[out] = Entry(k, witness, num << (L - exp))
+    previous = -1
+    pos = 0
+    for n, count, size, mass in index:
+        if n <= previous:
+            raise TableFormatError("index output lengths are not increasing")
+        previous = n
+        records = body[pos : pos + size].split("\n")
+        pos += size
+        if records[-1] == "":
+            records.pop()
+        elif pos < len(body):
+            raise TableFormatError(f"segment of output length {n} ends inside a record")
+        seg_mass = 0
+        for ln in records:
+            fields = ln.split()
+            if len(fields) != 3:
+                raise TableFormatError(f"malformed record: {ln!r}")
+            try:
+                out = text_to_bits(fields[0])
+                witness = check_bits(fields[1])
+                num_text, _, exp_text = fields[2].partition("/2^")
+                num, exp = int(num_text), int(exp_text)
+            except ValueError:
+                raise TableFormatError(f"malformed record: {ln!r}") from None
+            if not witness:
+                raise TableFormatError(f"empty witness in record: {ln!r}")
+            if len(out) != n:
+                raise TableFormatError(f"record {ln!r} in the segment of output length {n}")
+            if not (0 <= exp <= L) or num < 1:
+                raise TableFormatError(f"mass out of range in record: {ln!r}")
+            if out in entries:
+                raise TableFormatError(f"duplicate output in table file: {fields[0]}")
+            entries[out] = Entry(len(witness), witness, num << (L - exp))
+            seg_mass += num << (L - exp)
+        if len(records) != count or seg_mass != mass:
+            raise TableFormatError(f"segment of output length {n} disagrees with its index entry")
 
-    table = ComplexityTable(L, Budgets(T, O), fingerprint, entries)
+    table = ComplexityTable(L, Budgets(T, O), fingerprint, entries, hist)
     if table.kraft_sum() > 1:
         raise TableFormatError("corrupt table: Kraft sum exceeds 1")
     return table
+
+
+def seal(preamble: list[str], body: str) -> str:
+    """A format-2 file of the five ``preamble`` lines (machine, L, T, O,
+    condition) and this record text, whose index, histogram and digest agree
+    with what ``naive_import_table`` reads in the records: each run of
+    consecutive records whose outputs have one length is a segment, a mass
+    that does not parse counts as 0, and the histogram puts the whole mass
+    at length L. Only the records can then make the file fail."""
+    L = int(preamble[1].split()[1])
+    parts = body.split("\n")
+    lines = [p + "\n" for p in parts[:-1]] + ([parts[-1]] if parts[-1] else [])
+    runs: list[list[int]] = []  # [n, records, bytes, mass]
+    for ln in lines:
+        fields = ln.split()
+        token = fields[0] if fields else ""
+        n = 0 if token == "-" else len(token)
+        mass = 0
+        if fields:
+            num, _, exp = fields[-1].partition("/2^")
+            if num.isdigit() and exp.isdigit() and len(num + exp) < 100 and int(exp) <= L:
+                mass = int(num) << (L - int(exp))
+        if not runs or runs[-1][0] != n:
+            runs.append([n, 0, 0, 0])
+        runs[-1][1] += 1
+        runs[-1][2] += len(ln)
+        runs[-1][3] += mass
+    hist = [0] * L + [sum(run[3] for run in runs)]
+    return "\n".join(
+        [
+            *preamble,
+            "format 2",
+            " ".join(["hist", *map(str, hist)]),
+            " ".join(["index", *(",".join(map(str, run)) for run in runs)]),
+            f"sha256 {hashlib.sha256(body.encode('ascii')).hexdigest()}",
+            body,
+        ]
+    )
 
 
 @lru_cache(maxsize=None)

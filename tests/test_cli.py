@@ -299,6 +299,29 @@ class TestLawsJoint:
         assert code == EXIT_USAGE and "soi" in err
 
 
+class TestTamperedCache:
+    def test_segment_error_exits_one_and_prints_no_number(self, run, tmp_path):
+        code, _, _ = run("enumerate", "--max-len", "12", "--cache-dir", str(tmp_path), cache=False)
+        assert code == EXIT_OK
+        (path,) = tmp_path.iterdir()
+        lines = path.read_text().split("\n")
+        # one more record for output length 4 than the segment holds; the
+        # index is outside the digest, so the file still opens
+        fields = lines[7].split()
+        i = next(i for i, f in enumerate(fields) if f.startswith("4,"))
+        n, count, size, mass = fields[i].split(",")
+        fields[i] = f"{n},{int(count) + 1},{size},{mass}"
+        lines[7] = " ".join(fields)
+        path.write_text("\n".join(lines))
+        argv = ("k", "0110", "--max-len", "12", "--cache-dir", str(tmp_path))
+        code, out, err = run(*argv, cache=False)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("algstat: error: ") and "index entry" in err
+        # a lookup of another length still reads its own, intact segment
+        code, out, _ = run("k", "01", *argv[2:], cache=False)
+        assert (code, out) == (EXIT_OK, "K=7 witness=0001100\n")
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
