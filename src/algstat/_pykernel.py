@@ -10,11 +10,15 @@ arguments both take.
 Soundness of the pruning: steps, buffer length and input pointer are
 monotone along a branch, so a token whose own budget check fails here is
 exactly a token on which the machine would fail, and no halting program
-passes through it. The codebook comes sorted by codeword length, so once
-one SFDECODE codeword overruns the length cap or the step budget, every
-later one does too; the output check depends on the element, whose
-lengths are not sorted, so it skips a codeword rather than ending the
-scan.
+passes through it. The same monotonicity makes an output budget of n an
+exact slice: the walk under ``max_output=n`` finds exactly the halting
+programs whose output has at most n bits, which is why an analysis may
+ask for a table only up to the longest string it reads
+(``cache.TableSource.capped``). The codebook comes sorted by codeword
+length, so once one SFDECODE codeword overruns the length cap or the step
+budget, every later one does too; the output check depends on the
+element, whose lengths are not sorted, so it skips a codeword rather than
+ending the scan.
 """
 
 from __future__ import annotations

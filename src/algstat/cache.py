@@ -6,13 +6,25 @@ file of an older format is a plain cache miss. A file stores every field
 of a built table, its length histogram included, and is sealed with a
 SHA-256 of its records; ``import_table`` checks it when it opens the file
 and parses each output length's records when they are first read.
+
+An analysis that knows the longest string it will look up in a table asks
+for that table through ``TableSource.capped``, so the table is built under
+an output budget no larger than that length. The slice is exact: every
+opcode only appends to the output, so a halting program whose output has
+at most n bits never holds more than n, and the table built under
+``Budgets(T, n)`` holds exactly the outputs of length <= n of the
+``Budgets(T, O)`` table, each with the same K, witness and mass. The
+``laws`` audits cap their deep table at the longest pair they read and
+their conditional tables at the longest string they read them at;
+``structfn`` and ``deficiency`` cap each model's tables at its longest
+member.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -102,6 +114,16 @@ class TableSource:
     workers: int = 1
     cache_dir: str | Path | None = None
     warn: Callable[[str], None] | None = None
+
+    def capped(self, n: int) -> TableSource:
+        """This source with the output budget lowered to n when it is larger.
+
+        For an analysis that looks up no string longer than n bits: the
+        tables it gets are exactly the full ones restricted to outputs of
+        at most n bits (see the module docstring)."""
+        if n >= self.budgets.max_output:
+            return self
+        return replace(self, budgets=replace(self.budgets, max_output=n))
 
     def table(self, L: int, cond: Condition | None = None) -> ComplexityTable:
         """``load_or_build`` under this source's settings; returns only the table."""

@@ -265,7 +265,12 @@ def _laws_joint(args: argparse.Namespace, cfg: Config) -> int:
         )
     else:
         need = 2 * max(len(s) for s in strings) + 3
-    table = cfg.source.table(max(cfg.L or 0, need, DEFAULT_MAX_LEN))
+    # Built up to the longest string any audit of this file reads, so that
+    # the audits of one file share a table, as the default battery does.
+    reach = infolaws.expected_mi_reach(joint)
+    if statistic is not None:
+        reach = max(reach, infolaws.theta_reach(joint, statistic))
+    table = cfg.source.capped(reach).table(max(cfg.L or 0, need, DEFAULT_MAX_LEN))
     if audit == "expected-mi":
         rep = infolaws.expected_mi_audit(joint, table)
         _warn(f"expected={float(rep.expected):.9f} classical={models_set._fmt_real(rep.prob_i)} k_p={rep.k_p}")
@@ -323,7 +328,8 @@ def cmd_laws(args: argparse.Namespace) -> int:
     measured: dict[str, int] = {}
     if sel in ("soi", "nonincrease", "expected-mi", "theta", "identity", "all"):
         source = cfg.source
-        deep = source.table(AUDIT_MAX_LEN)
+        # Every selection reads the one deep table the whole battery needs.
+        deep = source.capped(infolaws.laws_reach(source=source)).table(AUDIT_MAX_LEN)
         if sel == "all":
             audit = infolaws.laws_audit(deep, level_table=level, source=source)
             measured.update(audit.measured())

@@ -25,14 +25,25 @@ DEFAULT_SOI_LEN_CAP = 4
 
 
 class Absent(Exception):
-    """A queried string lies outside the table's horizon."""
+    """A queried string lies outside the table's horizon: beyond its length
+    cap, or longer than its output budget (``max_output``, when given)."""
 
-    def __init__(self, x: str, L: int, conditioned: bool = False):
+    def __init__(
+        self, x: str, L: int, conditioned: bool = False, max_output: int | None = None
+    ):
         where = "conditional table" if conditioned else "table"
-        super().__init__(
-            f"{bits_to_text(x)} has no program within the {where}'s cap L={L}; "
-            f"enlarge it (see `algstat enumerate --max-len`)"
-        )
+        if max_output is not None and len(x) > max_output:
+            message = (
+                f"{bits_to_text(x)} is longer than the {where}'s output budget "
+                f"O={max_output}; no program within it prints the string "
+                f"(see `--max-out`)"
+            )
+        else:
+            message = (
+                f"{bits_to_text(x)} has no program within the {where}'s cap L={L}; "
+                f"enlarge it (see `algstat enumerate --max-len`)"
+            )
+        super().__init__(message)
         self.x = x
         self.L = L
 
@@ -40,21 +51,32 @@ class Absent(Exception):
 _UNCONDITIONED = Condition.none().fingerprint()
 
 
+def _absent(table: ComplexityTable, x: str) -> Absent:
+    return Absent(
+        x,
+        table.L,
+        conditioned=table.cond_fingerprint != _UNCONDITIONED,
+        max_output=table.budgets.max_output,
+    )
+
+
 def require_k(table: ComplexityTable, x: str) -> int:
     """K(x) read off ``table``; raises Absent, naming the table as
-    conditional when it is, if x lies beyond its cap."""
+    conditional when it is and naming its output budget when x is longer
+    than that, if x lies beyond its horizon."""
     k = table.k_of(x)
     if k is None:
-        raise Absent(x, table.L, conditioned=table.cond_fingerprint != _UNCONDITIONED)
+        raise _absent(table, x)
     return k
 
 
 def shortest_program(table: ComplexityTable, x: str) -> str:
     """x*: the canonical witness. Its length is K(x) and, to the machine,
-    it carries both x and K(x) — which is why conditions use it."""
+    it carries both x and K(x) — which is why conditions use it. Raises
+    Absent as ``require_k`` does."""
     w = table.witness_of(x)
     if w is None:
-        raise Absent(x, table.L)
+        raise _absent(table, x)
     return w
 
 
@@ -134,12 +156,14 @@ def soi_audit(
     as the max absolute slack. Triangle: the minimal nonnegative c making
     K(x|y*) <= K(z|y*) + K(x|z*) + c hold across the sweep. Also measures
     the self-information gap and the pairing-order gap feeding the frozen
-    constants file.
+    constants file. ``table`` is read at the swept strings and their pairs;
+    the conditional tables only at the swept strings, so they are built
+    under an output budget of len_cap.
     """
     xs = _all_strings(len_cap)
     k_un = {x: require_k(table, x) for x in xs}
     conds = [Condition.string(shortest_program(table, x)) for x in xs]
-    cond_tables = dict(zip(xs, source.tables(L_c, conds)))
+    cond_tables = dict(zip(xs, source.capped(len_cap).tables(L_c, conds)))
 
     add_max, add_arg = -1, ("", "")
     swap_max = 0

@@ -27,6 +27,7 @@ from .bits import (
     ceil_log2,
     check_bits,
     nat_to_bits,
+    pair_len,
     std,
     text_to_bits,
 )
@@ -419,6 +420,15 @@ class ExpectedMIReport:
         return "\n".join(lines) + "\n"
 
 
+def expected_mi_reach(joint: JointModel, cap: int = DEFAULT_DENOTE_CAP) -> int:
+    """The longest string ``expected_mi_audit`` looks up in its table: the
+    pair of a label with a data string of positive joint mass."""
+    return max(
+        (pair_len(len(joint.thetas[idx]), len(x)) for idx, x, p in joint.support(cap) if p != 0),
+        default=0,
+    )
+
+
 def expected_mi_audit(
     joint: JointModel, table: ComplexityTable, cap: int = DEFAULT_DENOTE_CAP
 ) -> ExpectedMIReport:
@@ -514,6 +524,13 @@ class NonincreaseReport:
         return "\n".join(lines) + "\n"
 
 
+def _applied(
+    transforms: Sequence[Transform], xs: Sequence[str], budgets: Budgets
+) -> dict[tuple[str, str], tuple[str, str]]:
+    """(transform name, x) -> (program, q(x)) for every transform q and x."""
+    return {(q.name, x): q.apply(x, budgets) for q in transforms for x in xs}
+
+
 def nonincrease_audit(
     table: ComplexityTable,
     transforms: Sequence[Transform] | None = None,
@@ -524,20 +541,18 @@ def nonincrease_audit(
     """Max over (x, y, q) of I(q(x):y) - I(x:y) - l(q), with I(a:b) =
     K(b) - K(b | a's witness) and q actually run on the machine. The
     conditional cap defaults to the emit-only bound for the sweep, which
-    already pins the exact minima; larger caps cannot change them."""
+    already pins the exact minima; larger caps cannot change them.
+    ``table`` is read at the swept strings and their images, whose
+    witnesses condition the other tables; those are read only at the swept
+    strings, so they are built under an output budget of len_cap."""
     if transforms is None:
         transforms = default_transforms()
     xs = _all_strings(len_cap)
-    applied: dict[tuple[str, str], tuple[str, str]] = {}
-    needed = set(xs)
-    for q in transforms:
-        for x in xs:
-            program, out = q.apply(x, source.budgets)
-            applied[(q.name, x)] = (program, out)
-            needed.add(out)
+    applied = _applied(transforms, xs, source.budgets)
+    needed = set(xs) | {out for _, out in applied.values()}
     if L_c is None:
-        L_c = 2 * max(len(s) for s in needed | set(xs)) + 3
-    cond_k = _label_cond_tables(needed, table, L_c, source)
+        L_c = 2 * max(len(s) for s in needed) + 3
+    cond_k = _label_cond_tables(needed, table, L_c, source.capped(len_cap))
 
     per: list[TransformMax] = []
     for q in transforms:
@@ -622,6 +637,15 @@ class ThetaSuffReport:
         return "\n".join(lines) + "\n"
 
 
+def theta_reach(joint: JointModel, statistic: Statistic, cap: int = DEFAULT_DENOTE_CAP) -> int:
+    """The longest string ``theta_suff_audit`` and ``suff_identity_audit``
+    look up in their unconditional table: the labels, the data strings and
+    the statistic's values."""
+    xs = joint.x_domain(cap)
+    strings = set(xs) | {statistic(x) for x in xs} | set(joint.thetas)
+    return max(map(len, strings))
+
+
 def _deficiency_terms(
     joint: JointModel,
     statistic: Statistic,
@@ -630,11 +654,14 @@ def _deficiency_terms(
     L_c: int | None,
     source: TableSource,
 ) -> dict[str, ComplexityTable]:
+    """The table conditioned on each label's witness. It is read only at
+    the data strings and the statistic's values, so it is built under an
+    output budget of the longest of them."""
     xs = joint.x_domain(cap)
-    images = {statistic(x) for x in xs}
+    read = set(xs) | {statistic(x) for x in xs}
     if L_c is None:
-        L_c = _auto_cond_cap(set(xs) | images)
-    return _label_cond_tables(joint.thetas, table, L_c, source)
+        L_c = _auto_cond_cap(read)
+    return _label_cond_tables(joint.thetas, table, L_c, source.capped(max(map(len, read))))
 
 
 def theta_suff_audit(
@@ -785,6 +812,29 @@ class LawsAudit:
         return out
 
 
+def laws_reach(
+    soi_len_cap: int = DEFAULT_SOI_LEN_CAP,
+    ni_len_cap: int = DEFAULT_NI_LEN_CAP,
+    source: TableSource = TableSource(),
+) -> int:
+    """The longest string the battery looks up in its deep table, over
+    every audit ``laws_audit`` runs and the identity-statistic theta audit
+    of the ``laws`` command: the deep table can be built under an output
+    budget of this many bits. The transforms of the non-increase audit run
+    under the source's budgets, as in that audit."""
+    joints = standard_joints()
+    pair_joint = joints["bernoulli-pair"]
+    transformed = _applied(default_transforms(), _all_strings(ni_len_cap), source.budgets)
+    return max(
+        pair_len(soi_len_cap, soi_len_cap),  # soi: pairs of two swept strings
+        ni_len_cap,  # non-increase: the swept strings and their images
+        *(len(out) for _, out in transformed.values()),
+        *(expected_mi_reach(joint) for joint in joints.values()),
+        theta_reach(pair_joint, Statistic("weight")),
+        theta_reach(pair_joint, Statistic("identity")),
+    )
+
+
 def laws_audit(
     table: ComplexityTable,
     level_table: ComplexityTable | None = None,
@@ -793,9 +843,10 @@ def laws_audit(
     source: TableSource = TableSource(),
 ) -> LawsAudit:
     """Run the whole measured-constants battery on one table (deep enough
-    to cover the pair sweep) plus, when a second table is supplied, the
-    level-size gap check. Conditional caps follow the emit-only bound;
-    see the individual audits. Deterministic throughout."""
+    to cover the pair sweep, with the outputs of up to ``laws_reach``
+    bits) plus, when a second table is supplied, the level-size gap
+    check. Conditional caps follow the emit-only bound; see the
+    individual audits. Deterministic throughout."""
     soi = soi_audit(table, len_cap=soi_len_cap, L_c=2 * soi_len_cap + 3, source=source)
     ni = nonincrease_audit(table, len_cap=ni_len_cap, source=source)
     joints = standard_joints()

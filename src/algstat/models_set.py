@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .bits import (
     BitReader,
@@ -582,6 +582,28 @@ def _model_conditions(desc: SetDesc) -> list[Condition]:
     return [uniform_condition(desc), star_condition(desc)]
 
 
+def _model_tables(
+    models: Sequence[SetDesc],
+    members: Sequence[list[str]],
+    L_c: int,
+    source: TableSource,
+) -> list[tuple[ComplexityTable, ComplexityTable]]:
+    """Each model's two conditional tables, as ``_model_conditions`` orders
+    them. A deficiency reads them only at the model's members, so they are
+    built under an output budget of its longest member; the models that
+    share that length share one ``source.tables`` call."""
+    by_reach: dict[int, list[int]] = {}
+    for i, elems in enumerate(members):
+        by_reach.setdefault(max(map(len, elems)), []).append(i)
+    pairs: dict[int, tuple[ComplexityTable, ComplexityTable]] = {}
+    for reach, idx in by_reach.items():
+        conds = [c for i in idx for c in _model_conditions(models[i])]
+        tables = source.capped(reach).tables(L_c, conds)
+        for j, i in enumerate(idx):
+            pairs[i] = (tables[2 * j], tables[2 * j + 1])
+    return [pairs[i] for i in range(len(models))]
+
+
 def deficiency(
     x: str,
     desc: SetDesc,
@@ -592,7 +614,7 @@ def deficiency(
     if not desc.member(x):
         raise ValueError(f"{bits_to_text(x)} is not in {format_setlang(desc)}")
     members = desc.denote(denote_cap)
-    uniform, star = source.tables(L_c, _model_conditions(desc))
+    [(uniform, star)] = _model_tables([desc], [members], L_c, source)
     return _deficiency(x, desc, members, uniform, star, denote_cap)
 
 
@@ -680,17 +702,17 @@ def structfn(
     strictly below alpha; beta curves minimize the normalized
     deficiencies; rows run from the first alpha admitting a model."""
     models = enumerate_models(x, alpha_max, opts)
-    tables: list[ComplexityTable] = []
+    members: list[list[str]] = []
+    tables: list[tuple[ComplexityTable, ComplexityTable]] = []
     if include_deficiency:
-        conds = [c for desc in models for c in _model_conditions(desc)]
-        tables = source.tables(L_c, conds)
+        members = [desc.denote(denote_cap) for desc in models]
+        tables = _model_tables(models, members, L_c, source)
     per_model: list[tuple[int, float, int | None, int | None]] = []
     for i, desc in enumerate(models):
         log2_size = math.log2(desc.size(denote_cap))
         if include_deficiency:
-            members = desc.denote(denote_cap)
-            uniform, star = tables[2 * i], tables[2 * i + 1]
-            rec = _deficiency(x, desc, members, uniform, star, denote_cap)
+            uniform, star = tables[i]
+            rec = _deficiency(x, desc, members[i], uniform, star, denote_cap)
             per_model.append((desc.code_len, log2_size, rec.delta_norm, rec.delta_star))
         else:
             per_model.append((desc.code_len, log2_size, None, None))
@@ -823,7 +845,9 @@ def nonstoch_scan(
             cond = star_condition(desc)
             table = tables.get(cond.fingerprint())
             if table is None:
-                table = tables[cond.fingerprint()] = source.table(L_c, cond)
+                # read only at the members: built up to the longest of them
+                reach = max(map(len, members))
+                table = tables[cond.fingerprint()] = source.capped(reach).table(L_c, cond)
             _, d_star = _normalized_deficiencies(x, members, table)
             if d_star <= beta:
                 best = desc.code_len
