@@ -329,7 +329,7 @@ def cmd_laws(args: argparse.Namespace) -> int:
     if sel in ("soi", "nonincrease", "expected-mi", "theta", "identity", "all"):
         source = cfg.source
         # Every selection reads the one deep table the whole battery needs.
-        deep = source.capped(infolaws.laws_reach(source=source)).table(AUDIT_MAX_LEN)
+        deep = source.capped(infolaws.laws_reach()).table(AUDIT_MAX_LEN)
         if sel == "all":
             audit = infolaws.laws_audit(deep, level_table=level, source=source)
             measured.update(audit.measured())

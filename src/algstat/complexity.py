@@ -24,15 +24,17 @@ AUDIT_MAX_LEN = 29
 DEFAULT_SOI_LEN_CAP = 4
 
 
+_UNCONDITIONED = Condition.none().fingerprint()
+
+
 class Absent(Exception):
     """A queried string lies outside the table's horizon: beyond its length
-    cap, or longer than its output budget (``max_output``, when given)."""
+    cap, or longer than its output budget."""
 
-    def __init__(
-        self, x: str, L: int, conditioned: bool = False, max_output: int | None = None
-    ):
-        where = "conditional table" if conditioned else "table"
-        if max_output is not None and len(x) > max_output:
+    def __init__(self, x: str, table: ComplexityTable):
+        where = "table" if table.cond_fingerprint == _UNCONDITIONED else "conditional table"
+        max_output = table.budgets.max_output
+        if len(x) > max_output:
             message = (
                 f"{bits_to_text(x)} is longer than the {where}'s output budget "
                 f"O={max_output}; no program within it prints the string "
@@ -40,24 +42,12 @@ class Absent(Exception):
             )
         else:
             message = (
-                f"{bits_to_text(x)} has no program within the {where}'s cap L={L}; "
+                f"{bits_to_text(x)} has no program within the {where}'s cap L={table.L}; "
                 f"enlarge it (see `algstat enumerate --max-len`)"
             )
         super().__init__(message)
         self.x = x
-        self.L = L
-
-
-_UNCONDITIONED = Condition.none().fingerprint()
-
-
-def _absent(table: ComplexityTable, x: str) -> Absent:
-    return Absent(
-        x,
-        table.L,
-        conditioned=table.cond_fingerprint != _UNCONDITIONED,
-        max_output=table.budgets.max_output,
-    )
+        self.L = table.L
 
 
 def require_k(table: ComplexityTable, x: str) -> int:
@@ -66,7 +56,7 @@ def require_k(table: ComplexityTable, x: str) -> int:
     than that, if x lies beyond its horizon."""
     k = table.k_of(x)
     if k is None:
-        raise _absent(table, x)
+        raise Absent(x, table)
     return k
 
 
@@ -76,7 +66,7 @@ def shortest_program(table: ComplexityTable, x: str) -> str:
     Absent as ``require_k`` does."""
     w = table.witness_of(x)
     if w is None:
-        raise _absent(table, x)
+        raise Absent(x, table)
     return w
 
 

@@ -420,11 +420,16 @@ class ExpectedMIReport:
         return "\n".join(lines) + "\n"
 
 
-def expected_mi_reach(joint: JointModel, cap: int = DEFAULT_DENOTE_CAP) -> int:
-    """The longest string ``expected_mi_audit`` looks up in its table: the
-    pair of a label with a data string of positive joint mass."""
+def expected_mi_reach(joint: JointModel) -> int:
+    """The longest string ``expected_mi_audit`` looks up in its table at
+    its default cap: the pair of a label with a data string of positive
+    joint mass."""
     return max(
-        (pair_len(len(joint.thetas[idx]), len(x)) for idx, x, p in joint.support(cap) if p != 0),
+        (
+            pair_len(len(joint.thetas[idx]), len(x))
+            for idx, x, p in joint.support(DEFAULT_DENOTE_CAP)
+            if p != 0
+        ),
         default=0,
     )
 
@@ -637,11 +642,11 @@ class ThetaSuffReport:
         return "\n".join(lines) + "\n"
 
 
-def theta_reach(joint: JointModel, statistic: Statistic, cap: int = DEFAULT_DENOTE_CAP) -> int:
+def theta_reach(joint: JointModel, statistic: Statistic) -> int:
     """The longest string ``theta_suff_audit`` and ``suff_identity_audit``
-    look up in their unconditional table: the labels, the data strings and
-    the statistic's values."""
-    xs = joint.x_domain(cap)
+    look up in their unconditional table at their default cap: the labels,
+    the data strings and the statistic's values."""
+    xs = joint.x_domain(DEFAULT_DENOTE_CAP)
     strings = set(xs) | {statistic(x) for x in xs} | set(joint.thetas)
     return max(map(len, strings))
 
@@ -812,22 +817,20 @@ class LawsAudit:
         return out
 
 
-def laws_reach(
-    soi_len_cap: int = DEFAULT_SOI_LEN_CAP,
-    ni_len_cap: int = DEFAULT_NI_LEN_CAP,
-    source: TableSource = TableSource(),
-) -> int:
-    """The longest string the battery looks up in its deep table, over
-    every audit ``laws_audit`` runs and the identity-statistic theta audit
-    of the ``laws`` command: the deep table can be built under an output
-    budget of this many bits. The transforms of the non-increase audit run
-    under the source's budgets, as in that audit."""
+def laws_reach() -> int:
+    """The longest string the default battery looks up in its deep table:
+    the deep table can be built under an output budget of this many bits.
+    It must list the audits ``laws_audit`` runs at its defaults, plus the
+    identity-statistic theta audit of the ``laws`` command. The transforms
+    run under the default budgets: a halting program's output does not
+    depend on them, and a transform that does not halt under a smaller
+    budget fails the non-increase audit itself."""
     joints = standard_joints()
     pair_joint = joints["bernoulli-pair"]
-    transformed = _applied(default_transforms(), _all_strings(ni_len_cap), source.budgets)
+    transformed = _applied(default_transforms(), _all_strings(DEFAULT_NI_LEN_CAP), Budgets())
     return max(
-        pair_len(soi_len_cap, soi_len_cap),  # soi: pairs of two swept strings
-        ni_len_cap,  # non-increase: the swept strings and their images
+        pair_len(DEFAULT_SOI_LEN_CAP, DEFAULT_SOI_LEN_CAP),  # soi: pairs of two swept strings
+        DEFAULT_NI_LEN_CAP,  # non-increase: the swept strings and their images
         *(len(out) for _, out in transformed.values()),
         *(expected_mi_reach(joint) for joint in joints.values()),
         theta_reach(pair_joint, Statistic("weight")),

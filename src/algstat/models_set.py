@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .bits import (
     BitReader,
@@ -582,28 +582,6 @@ def _model_conditions(desc: SetDesc) -> list[Condition]:
     return [uniform_condition(desc), star_condition(desc)]
 
 
-def _model_tables(
-    models: Sequence[SetDesc],
-    members: Sequence[list[str]],
-    L_c: int,
-    source: TableSource,
-) -> list[tuple[ComplexityTable, ComplexityTable]]:
-    """Each model's two conditional tables, as ``_model_conditions`` orders
-    them. A deficiency reads them only at the model's members, so they are
-    built under an output budget of its longest member; the models that
-    share that length share one ``source.tables`` call."""
-    by_reach: dict[int, list[int]] = {}
-    for i, elems in enumerate(members):
-        by_reach.setdefault(max(map(len, elems)), []).append(i)
-    pairs: dict[int, tuple[ComplexityTable, ComplexityTable]] = {}
-    for reach, idx in by_reach.items():
-        conds = [c for i in idx for c in _model_conditions(models[i])]
-        tables = source.capped(reach).tables(L_c, conds)
-        for j, i in enumerate(idx):
-            pairs[i] = (tables[2 * j], tables[2 * j + 1])
-    return [pairs[i] for i in range(len(models))]
-
-
 def deficiency(
     x: str,
     desc: SetDesc,
@@ -614,7 +592,8 @@ def deficiency(
     if not desc.member(x):
         raise ValueError(f"{bits_to_text(x)} is not in {format_setlang(desc)}")
     members = desc.denote(denote_cap)
-    [(uniform, star)] = _model_tables([desc], [members], L_c, source)
+    # read only at the members: built up to the longest of them
+    uniform, star = source.capped(max(map(len, members))).tables(L_c, _model_conditions(desc))
     return _deficiency(x, desc, members, uniform, star, denote_cap)
 
 
@@ -703,15 +682,18 @@ def structfn(
     deficiencies; rows run from the first alpha admitting a model."""
     models = enumerate_models(x, alpha_max, opts)
     members: list[list[str]] = []
-    tables: list[tuple[ComplexityTable, ComplexityTable]] = []
+    tables: list[ComplexityTable] = []
     if include_deficiency:
         members = [desc.denote(denote_cap) for desc in models]
-        tables = _model_tables(models, members, L_c, source)
+        conds = [c for desc in models for c in _model_conditions(desc)]
+        # read only at the members: built up to the longest of them
+        reach = max((len(m) for elems in members for m in elems), default=0)
+        tables = source.capped(reach).tables(L_c, conds)
     per_model: list[tuple[int, float, int | None, int | None]] = []
     for i, desc in enumerate(models):
         log2_size = math.log2(desc.size(denote_cap))
         if include_deficiency:
-            uniform, star = tables[i]
+            uniform, star = tables[2 * i], tables[2 * i + 1]
             rec = _deficiency(x, desc, members[i], uniform, star, denote_cap)
             per_model.append((desc.code_len, log2_size, rec.delta_norm, rec.delta_star))
         else:

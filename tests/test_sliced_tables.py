@@ -128,6 +128,27 @@ def test_laws_reads_one_sliced_deep_table(tmp_path, capsys):
     assert "_O13_" in deep
 
 
+# Under a small --max-out the non-increase transforms stop with OUTPUT on the
+# longer swept strings; selections that never run that audit must not fail.
+@pytest.mark.parametrize(
+    "audit,stdout",
+    [
+        (
+            "theta",
+            "theta weight-prob-sufficient PASS\n"
+            "theta identity-deficiency-zero PASS\n"
+            "theta_tau measured=0 frozen=0 PASS\n",
+        ),
+        ("identity", "suff_identity measured=4 frozen=4 PASS\n"),
+    ],
+    ids=["theta", "identity"],
+)
+def test_laws_selection_under_a_small_output_budget(audit, stdout, tmp_path, capsys):
+    argv = ["laws", "--audit", audit, "--max-out", "4", "--cache-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == stdout
+
+
 @pytest.mark.parametrize("x", ["00010111", "01101001"])
 def test_structfn_reads_model_tables_up_to_its_length(x, tmp_path, capsys):
     assert main(["structfn", x, "--cache-dir", str(tmp_path)]) == EXIT_OK
