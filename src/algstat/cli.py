@@ -257,6 +257,15 @@ def _laws_joint(args: argparse.Namespace, cfg: Config) -> int:
     audit = args.audit if args.audit != "all" else "theta"
     if audit not in ("expected-mi", "theta", "identity"):
         raise ValueError(f"--joint supports the expected-mi/theta/identity audits, not {audit!r}")
+    # Checked before the table lookup, so that a file these audits reject
+    # costs no table build.
+    if audit != "expected-mi" and statistic is None:
+        raise ValueError("the joint-model file has no statistic line")
+    if audit == "identity":
+        if statistic.kind != "weight":
+            raise ValueError("the identity audit needs the weight statistic")
+        if len({len(x) for x in joint.x_domain()}) != 1:
+            raise ValueError("the identity audit needs a fixed-length data domain")
     strings = set(joint.x_domain()) | set(joint.thetas)
     if audit == "expected-mi":
         # pairs of label and data must be inside the table
@@ -276,20 +285,14 @@ def _laws_joint(args: argparse.Namespace, cfg: Config) -> int:
         _warn(f"expected={float(rep.expected):.9f} classical={models_set._fmt_real(rep.prob_i)} k_p={rep.k_p}")
         _emit(rep.to_csv(), args.out)
         return EXIT_OK
-    if statistic is None:
-        raise ValueError("the joint-model file has no statistic line")
     if audit == "theta":
         rep = infolaws.theta_suff_audit(joint, statistic, table, source=cfg.source)
         _warn(f"prob_sufficient={rep.prob_sufficient} minimal_tau={rep.minimal_tau()}")
         _emit(rep.to_csv(), args.out)
         return EXIT_OK
-    if statistic.kind != "weight":
-        raise ValueError("the identity audit needs the weight statistic")
-    lens = {len(x) for x in joint.x_domain()}
-    if len(lens) != 1:
-        raise ValueError("the identity audit needs a fixed-length data domain")
+    n = len(joint.x_domain()[0])
     rep = infolaws.suff_identity_audit(
-        joint, statistic, table, infolaws.weight_models(lens.pop()), source=cfg.source
+        joint, statistic, table, infolaws.weight_models(n), source=cfg.source
     )
     _warn(f"max_gap={rep.max_gap}")
     _emit(rep.to_csv(), args.out)

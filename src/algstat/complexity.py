@@ -10,7 +10,8 @@ an approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from operator import sub
+from typing import NamedTuple, Sequence
 
 from .bits import bits_to_text, pair
 from .cache import TableSource
@@ -58,6 +59,16 @@ def require_k(table: ComplexityTable, x: str) -> int:
     if k is None:
         raise Absent(x, table)
     return k
+
+
+def require_ks(table: ComplexityTable, xs: Sequence[str]) -> list[int]:
+    """``[require_k(table, x) for x in xs]`` in one read of the table
+    (``ComplexityTable.ks_of``); raises Absent for the first x in xs that
+    lies beyond its horizon."""
+    ks = table.ks_of(xs)
+    if None in ks:
+        raise Absent(xs[ks.index(None)], table)
+    return ks
 
 
 def shortest_program(table: ComplexityTable, x: str) -> str:
@@ -151,38 +162,39 @@ def soi_audit(
     under an output budget of len_cap.
     """
     xs = _all_strings(len_cap)
-    k_un = {x: require_k(table, x) for x in xs}
+    n = len(xs)
+    pairs = [pair(x, y) for x in xs for y in xs]
+    # One read of ``table`` for the swept strings and their pairs, some of
+    # which are swept strings too (for instance <e, y> = 0y).
+    strings = list(dict.fromkeys(xs + pairs))
+    k_deep = dict(zip(strings, require_ks(table, strings)))
+    k_un = [k_deep[x] for x in xs]
+    # kxy[i][j] = K(<x_i, x_j>); given[i][j] = K(x_j | x_i*).
+    kxy = [[k_deep[p] for p in pairs[i : i + n]] for i in range(0, n * n, n)]
     conds = [Condition.string(shortest_program(table, x)) for x in xs]
-    cond_tables = dict(zip(xs, source.capped(len_cap).tables(L_c, conds)))
+    cond_tables = source.capped(len_cap).tables(L_c, conds)
+    given = [require_ks(t, xs) for t in cond_tables]
 
     add_max, add_arg = -1, ("", "")
-    swap_max = 0
-    kxy: dict[tuple[str, str], int] = {}
-    for x in xs:
-        for y in xs:
-            kxy[(x, y)] = require_k(table, pair(x, y))
-    for x in xs:
-        for y in xs:
-            slack = abs(kxy[(x, y)] - k_un[x] - require_k(cond_tables[x], y))
-            if slack > add_max:
-                add_max, add_arg = slack, (x, y)
-            swap_max = max(swap_max, abs(kxy[(x, y)] - kxy[(y, x)]))
+    for x, kx, row, row_given in zip(xs, k_un, kxy, given):
+        slacks = [abs(a - kx - b) for a, b in zip(row, row_given)]
+        slack = max(slacks)
+        if slack > add_max:
+            add_max, add_arg = slack, (x, xs[slacks.index(slack)])
+    swap_max = max(max(map(abs, map(sub, row, col))) for row, col in zip(kxy, zip(*kxy)))
+    self_gap = max(
+        abs(2 * k_un[i] - kxy[i][i] - (k_un[i] - given[i][i])) for i in range(n)
+    )
 
-    self_gap = 0
-    for x in xs:
-        i_xx = 2 * k_un[x] - kxy[(x, x)]
-        self_gap = max(self_gap, abs(i_xx - (k_un[x] - require_k(cond_tables[x], x))))
-
+    # K(x|y*) - K(z|y*) - K(x|z*) over every x, for each (y, z).
     tri_max, tri_arg = 0, ("", "", "")
-    for y in xs:
-        t_y = cond_tables[y]
-        for z in xs:
-            t_z = cond_tables[z]
-            kzy = require_k(t_y, z)
-            for x in xs:
-                deficit = require_k(t_y, x) - kzy - require_k(t_z, x)
-                if deficit > tri_max:
-                    tri_max, tri_arg = deficit, (x, y, z)
+    for y, row_y in zip(xs, given):
+        for z, kzy, row_z in zip(xs, row_y, given):
+            deficit = max(map(sub, row_y, row_z)) - kzy
+            if deficit > tri_max:
+                tri_max = deficit
+                x = xs[list(map(sub, row_y, row_z)).index(deficit + kzy)]
+                tri_arg = (x, y, z)
 
     return SoiReport(
         len_cap=len_cap,

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _pykernel
 from .bits import EMPTY_MARKER, bits_to_text
@@ -96,6 +96,17 @@ class ComplexityTable:
     def k_of(self, x: str) -> int | None:
         e = self._entries.get(x)
         return e.k if e is not None else None
+
+    def ks_of(self, xs: Sequence[str]) -> list[int | None]:
+        """``[self.k_of(x) for x in xs]``, reading the segment of each
+        output length once."""
+        entries = self._entries
+        if isinstance(entries, _Segments):
+            segments = {n: entries.segment(n) for n in set(map(len, xs))}
+            found = [segments[len(x)].get(x) for x in xs]
+        else:
+            found = list(map(entries.get, xs))
+        return [None if e is None else e[0] for e in found]
 
     def witness_of(self, x: str) -> str | None:
         e = self._entries.get(x)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bits import (
@@ -38,6 +39,7 @@ from .complexity import (
     _all_strings,
     mutual_info,
     require_k,
+    require_ks,
     shortest_program,
     soi_audit,
 )
@@ -558,17 +560,19 @@ def nonincrease_audit(
     if L_c is None:
         L_c = 2 * max(len(s) for s in needed) + 3
     cond_k = _label_cond_tables(needed, table, L_c, source.capped(len_cap))
+    # given[a][j] = K(x_j | a*) for each label a.
+    given = {label: require_ks(t, xs) for label, t in cond_k.items()}
 
     per: list[TransformMax] = []
     for q in transforms:
         best, arg = None, ("", "")
         for x in xs:
             program, out = applied[(q.name, x)]
-            for y in xs:
-                # K(y) cancels between the two information terms.
-                deficit = require_k(cond_k[x], y) - require_k(cond_k[out], y) - len(program)
-                if best is None or deficit > best:
-                    best, arg = deficit, (x, y)
+            # K(y) cancels between the two information terms.
+            deficit = max(map(sub, given[x], given[out])) - len(program)
+            if best is None or deficit > best:
+                gaps = list(map(sub, given[x], given[out]))
+                best, arg = deficit, (x, xs[gaps.index(deficit + len(program))])
         assert best is not None
         per.append(TransformMax(q.name, best, arg))
     return NonincreaseReport(len_cap, len(xs) * len(xs), tuple(per))

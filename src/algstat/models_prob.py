@@ -23,6 +23,7 @@ are meaningful here; the missing mass simply has no codeword).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,7 +40,7 @@ from .bits import (
     text_to_bits,
 )
 from .cache import TableSource
-from .complexity import require_k
+from .complexity import require_k, require_ks
 from .enumeration import DEFAULT_COND_MAX_LEN, ComplexityTable
 from .machine import Condition
 from .models_set import (
@@ -353,9 +354,19 @@ class ProbDeficiencyRecord:
     k_cond: int  # K(x | Model(dist))
     delta_raw: float  # neglog - k_cond, before shifting out the machine's offset
     delta_norm: float  # delta_raw - min_y delta_raw(y), always >= 0
+    mass: Fraction  # m(x) under dist
+    best_y: str  # the least-deficient domain element
+    best_mass: Fraction  # m(best_y)
+    best_k: int  # K(best_y | Model(dist))
 
-    def typical(self, beta: float) -> bool:
-        return self.delta_norm <= beta + 1e-9
+    def typical(self, beta: int) -> bool:
+        """delta_norm <= beta, decided exactly: delta_norm is
+        log2(m(best_y) / m(x)) - K(x) + K(best_y), so the test is
+        m(best_y) <= m(x) * 2^(beta + K(x) - K(best_y)) in rationals. The
+        float fields are for display only."""
+        return self.best_mass <= self.mass * Fraction(2) ** (
+            operator.index(beta) + self.k_cond - self.best_k
+        )
 
 
 def deficiency_p(
@@ -377,8 +388,8 @@ def deficiency_p(
     table = source.table(L_c, model_condition(dist))
     kx = require_k(table, x)
     best_y, best_k, best_score = None, None, Fraction(-1)
-    for y in dist.domain(cap):
-        ky = require_k(table, y)
+    domain = dist.domain(cap)
+    for y, ky in zip(domain, require_ks(table, domain)):
         score = dist.mass(y) * (1 << ky)  # large score = small deficiency
         if score > best_score:
             best_y, best_k, best_score = y, ky, score
@@ -388,6 +399,7 @@ def deficiency_p(
     return ProbDeficiencyRecord(
         x=x, dist=dist, neglog=dist.neglog(x), k_cond=kx,
         delta_raw=delta_raw, delta_norm=delta_norm,
+        mass=mx, best_y=best_y, best_mass=dist.mass(best_y), best_k=best_k,
     )
 
 

@@ -19,13 +19,16 @@ sk() walks the canonical outputs once and builds, next to the member
 tuple, a {member: rank} map, so a rank or index lookup costs O(1).
 Because both words have the same width, l(m_x) has a closed form in
 the rank alone: width - 1 when rank == N_k, otherwise
-width - bit_length(rank XOR N_k). The X(r) checks build each of the at
-most L + 1 levels once and read l(m_x) from that form, so they cost
-O(N * levels) for N table outputs.
+width - bit_length(rank XOR N_k). The X(r) checks build no level: one
+pass over the outputs keeps a running count per level, which gives each
+x its rank in S^{K(x)}, and the final counts give every N_k, so they
+cost O(N * levels) integer additions for N table outputs.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -69,8 +72,8 @@ def sk(table: ComplexityTable, k: int) -> SkIndex:
         raise ValueError(f"k={k} exceeds the table cap L={table.L}")
     members = []
     newest = 0
-    for x in table.sorted_outputs():  # already canonical (length, lex)
-        kx = table.k_of(x)
+    outs = table.sorted_outputs()  # already canonical (length, lex)
+    for x, kx in zip(outs, table.ks_of(outs)):
         if kx <= k:
             members.append(x)
             if kx == k:
@@ -86,13 +89,15 @@ def sk(table: ComplexityTable, k: int) -> SkIndex:
     )
 
 
-def _mx_len(idx: SkIndex, rank: int) -> int:
-    """l(m_x) for the member at ``rank``: the index and N-words share
-    every bit above the highest bit of rank XOR N_k; when they are equal
-    (x enumerated last) m_x is the longest proper prefix."""
-    if rank == idx.n_k:
-        return idx.width - 1
-    return idx.width - (rank ^ idx.n_k).bit_length()
+def _mx_len(rank: int, n_k: int) -> int:
+    """l(m_x) for the member at ``rank`` of a level of N_k members: the
+    index and N-words share every bit above the highest bit of rank XOR
+    N_k; when they are equal (x enumerated last) m_x is the longest
+    proper prefix."""
+    width = n_k.bit_length()
+    if rank == n_k:
+        return width - 1
+    return width - (rank ^ n_k).bit_length()
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,7 @@ def _mx_record(idx: SkIndex, x: str) -> MxRecord:
     rank = idx.rank_of(x)  # KeyError if x is not in S^k
     word = idx.index_of(x)
     n_word = idx.n_word()
-    split = _mx_len(idx, rank)
+    split = _mx_len(rank, idx.n_k)
     if rank == idx.n_k:
         return MxRecord(x=x, k=idx.k, index=word, m_x=word[:split], i_x=word[split:],
                         n_x=word[split:], degenerate=True)
@@ -156,36 +161,47 @@ class XrRow:
         return self.mass_sum <= self.bound
 
 
+def _mx_pass(table: ComplexityTable) -> tuple[list[str], list[int], list[int]]:
+    """(canonical outputs, K of each, l(m_x) of each at k = K(x)) in one
+    pass over the outputs. The pass keeps a running count per level, so
+    the rank of x in S^{K(x)} is the number of outputs up to x with K at
+    most K(x); N_k follows from the final counts, and l(m_x) from the two."""
+    outs = table.sorted_outputs()
+    ks = table.ks_of(outs)
+    seen = [0] * (table.L + 1)
+    ranks = []
+    for k in ks:
+        seen[k] += 1
+        ranks.append(sum(seen[: k + 1]))
+    n_at = list(itertools.accumulate(seen))
+    return outs, ks, list(map(_mx_len, ranks, map(n_at.__getitem__, ks)))
+
+
 def _mx_lengths(table: ComplexityTable) -> dict[str, int]:
-    """l(m_x) for every table string, each at its own level k = K(x).
-    Each level is built once; l(m_x) then follows from the rank alone."""
-    levels: dict[int, SkIndex] = {}
-    out: dict[str, int] = {}
-    for x in table.sorted_outputs():
-        k = table.k_of(x)
-        idx = levels.get(k)
-        if idx is None:
-            idx = levels[k] = sk(table, k)
-        out[x] = _mx_len(idx, idx.ranks[x])
-    return out
+    """l(m_x) for every table string, each at its own level k = K(x)."""
+    outs, _, lengths = _mx_pass(table)
+    return dict(zip(outs, lengths))
 
 
 def xr(table: ComplexityTable, r: int) -> tuple[str, ...]:
     """X(r) = {x : l(m_x) >= r} with m_x taken at k = K(x), canonical
     order, restricted to the table support."""
-    lengths = _mx_lengths(table)
-    return tuple(x for x in table.sorted_outputs() if lengths[x] >= r)
+    outs, _, lengths = _mx_pass(table)
+    return tuple(itertools.compress(outs, [l >= r for l in lengths]))
 
 
 def xr_report(table: ComplexityTable) -> list[XrRow]:
-    """One row per r from 0 up to the first empty X(r)."""
-    lengths = _mx_lengths(table)
-    canonical = table.sorted_outputs()
+    """One row per r from 0 up to the first empty X(r). Each mass sum is
+    summed as an integer numerator over 2^L."""
+    outs, ks, lengths = _mx_pass(table)
+    L = table.L
+    masses = [1 << (L - k) for k in ks]
     rows = []
     r = 0
     while True:
-        members = tuple(x for x in canonical if lengths[x] >= r)
-        mass = sum((Fraction(1, 1 << table.k_of(x)) for x in members), Fraction(0))
+        chosen = [l >= r for l in lengths]
+        members = tuple(itertools.compress(outs, chosen))
+        mass = Fraction(sum(itertools.compress(masses, chosen)), 1 << L)
         rows.append(XrRow(r=r, members=members, mass_sum=mass, bound=Fraction(4, 1 << r)))
         if not members:
             break
@@ -203,29 +219,29 @@ def xr_bound_check(table: ComplexityTable) -> tuple[bool, Fraction, list[XrRow]]
 
 def slice_bound_check(table: ComplexityTable) -> bool:
     """|X(r) ∩ (S^k \\ S^{k-1})| <= 2^(-r+1) N_k for every (k, r), checked
-    as the integer inequality count * 2^r <= 2 * N_k."""
-    lengths = _mx_lengths(table)
-    ks = {x: table.k_of(x) for x in table.sorted_outputs()}
-    n_at: dict[int, int] = {}
-    for k in sorted(set(ks.values())):
-        n_at[k] = sum(1 for v in ks.values() if v <= k)
-    max_r = max(lengths.values(), default=0)
-    for k in n_at:
-        slice_members = [x for x in ks if ks[x] == k]
-        for r in range(max_r + 2):
-            count = sum(1 for x in slice_members if lengths[x] >= r)
-            if count * (1 << r) > 2 * n_at[k]:
-                return False
+    as the integer inequality count * 2^r <= 2 * N_k. The counts come from
+    one tally of the outputs by K and l(m_x)."""
+    _, ks, lengths = _mx_pass(table)
+    max_r = max(lengths, default=0)
+    # by_level[k][l]: the outputs of complexity k with l(m_x) = l
+    by_level: dict[int, list[int]] = {}
+    for k, l in zip(ks, lengths):
+        by_level.setdefault(k, [0] * (max_r + 2))[l] += 1
+    n_k = 0
+    for k in sorted(by_level):
+        hist = by_level[k]
+        n_k += sum(hist)
+        # |X(r) ∩ (S^k \\ S^{k-1})| for r = max_r + 1 down to 0
+        counts = itertools.accumulate(reversed(hist))
+        if any(count << r > 2 * n_k for r, count in zip(range(max_r + 1, -1, -1), counts)):
+            return False
     return True
 
 
 def t_kraft_sum(table: ComplexityTable) -> Fraction:
     """Sum over k of t_k 2^-k; at most 1 because S^k growth mirrors the
     prefix-free program tree."""
-    counts: dict[int, int] = {}
-    for x in table.sorted_outputs():
-        k = table.k_of(x)
-        counts[k] = counts.get(k, 0) + 1
+    counts = Counter(table.ks_of(table.sorted_outputs()))
     return sum((Fraction(t, 1 << k) for k, t in counts.items()), Fraction(0))
 
 
@@ -235,10 +251,7 @@ def logn_gap(table: ComplexityTable) -> int:
     from .bits import nat_to_bits
 
     worst = 0
-    counts: dict[int, int] = {}
-    for x in table.sorted_outputs():
-        k = table.k_of(x)
-        counts[k] = counts.get(k, 0) + 1
+    counts = Counter(table.ks_of(table.sorted_outputs()))
     for k in range(min(counts), table.L + 1):
         n_seen = sum(t for kk, t in counts.items() if kk <= k)
         if n_seen == 0:

@@ -6,12 +6,15 @@ enumeration kernels against the machine semantics alone. The counting
 recurrences predict halting-program totals per length straight from the
 opcode length table, independently of both. The naive table-file parser
 reads one record at a time, and ``seal`` writes a file around any record
-text.
+text. The law-audit and X(r) references recompute each quantity term by
+term, one lookup at a time, as the library computed them before it swept
+whole K lists.
 """
 
 from __future__ import annotations
 
 import hashlib
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -305,3 +308,125 @@ class ToyModel:
 
     def codebook_pairs(self) -> list[tuple[str, str]]:
         return list(self._pairs)
+
+
+# -- the law audits, one K lookup per (table, string, triple) ----------------
+
+
+def naive_soi_audit(table, len_cap: int, L_c: int, source):
+    """complexity.soi_audit as three nested loops that call require_k for
+    every term: the reference for its sweeps over per-table K lists,
+    argmax tie-breaks included."""
+    from algstat.bits import pair
+    from algstat.complexity import SoiReport, _all_strings, require_k, shortest_program
+
+    xs = _all_strings(len_cap)
+    k_un = {x: require_k(table, x) for x in xs}
+    conds = [Condition.string(shortest_program(table, x)) for x in xs]
+    cond_tables = dict(zip(xs, source.capped(len_cap).tables(L_c, conds)))
+
+    add_max, add_arg = -1, ("", "")
+    swap_max = 0
+    kxy: dict[tuple[str, str], int] = {}
+    for x in xs:
+        for y in xs:
+            kxy[(x, y)] = require_k(table, pair(x, y))
+    for x in xs:
+        for y in xs:
+            slack = abs(kxy[(x, y)] - k_un[x] - require_k(cond_tables[x], y))
+            if slack > add_max:
+                add_max, add_arg = slack, (x, y)
+            swap_max = max(swap_max, abs(kxy[(x, y)] - kxy[(y, x)]))
+
+    self_gap = 0
+    for x in xs:
+        i_xx = 2 * k_un[x] - kxy[(x, x)]
+        self_gap = max(self_gap, abs(i_xx - (k_un[x] - require_k(cond_tables[x], x))))
+
+    tri_max, tri_arg = 0, ("", "", "")
+    for y in xs:
+        t_y = cond_tables[y]
+        for z in xs:
+            t_z = cond_tables[z]
+            kzy = require_k(t_y, z)
+            for x in xs:
+                deficit = require_k(t_y, x) - kzy - require_k(t_z, x)
+                if deficit > tri_max:
+                    tri_max, tri_arg = deficit, (x, y, z)
+
+    return SoiReport(
+        len_cap=len_cap,
+        pairs_checked=len(xs) * len(xs),
+        additivity_max_slack=add_max,
+        additivity_argmax=add_arg,
+        triangle_c=tri_max,
+        triangle_argmax=tri_arg,
+        mi_self_gap_max=self_gap,
+        mi_swap_gap_max=swap_max,
+    )
+
+
+def naive_nonincrease_audit(table, len_cap: int, source, transforms=None, L_c=None):
+    """infolaws.nonincrease_audit as a loop over (transform, x, y) that
+    calls require_k twice per triple: the reference for its sweeps."""
+    from algstat.complexity import _all_strings, require_k
+    from algstat.infolaws import (
+        NonincreaseReport,
+        TransformMax,
+        _applied,
+        _label_cond_tables,
+        default_transforms,
+    )
+
+    if transforms is None:
+        transforms = default_transforms()
+    xs = _all_strings(len_cap)
+    applied = _applied(transforms, xs, source.budgets)
+    needed = set(xs) | {out for _, out in applied.values()}
+    if L_c is None:
+        L_c = 2 * max(len(s) for s in needed) + 3
+    cond_k = _label_cond_tables(needed, table, L_c, source.capped(len_cap))
+
+    per = []
+    for q in transforms:
+        best, arg = None, ("", "")
+        for x in xs:
+            program, out = applied[(q.name, x)]
+            for y in xs:
+                # K(y) cancels between the two information terms.
+                deficit = require_k(cond_k[x], y) - require_k(cond_k[out], y) - len(program)
+                if best is None or deficit > best:
+                    best, arg = deficit, (x, y)
+        assert best is not None
+        per.append(TransformMax(q.name, best, arg))
+    return NonincreaseReport(len_cap, len(xs) * len(xs), tuple(per))
+
+
+def naive_xr_mass_sums(table, lengths: dict[str, int]) -> list[Fraction]:
+    """The sum of 2^-K(x) over X(r), one Fraction term per member, for r
+    from 0 up to the first empty X(r), given l(m_x) for every output."""
+    sums = []
+    r = 0
+    while True:
+        members = [x for x in table.sorted_outputs() if lengths[x] >= r]
+        sums.append(sum((Fraction(1, 1 << table.k_of(x)) for x in members), Fraction(0)))
+        if not members:
+            return sums
+        r += 1
+
+
+def naive_slice_bound_check(table, lengths: dict[str, int]) -> bool:
+    """skstats.slice_bound_check as a scan of every slice S^k \\ S^{k-1}
+    for every r, given l(m_x) for every output."""
+    ks = {x: table.k_of(x) for x in table.sorted_outputs()}
+    n_at: dict[int, int] = {}
+    for k in sorted(set(ks.values())):
+        n_at[k] = sum(1 for v in ks.values() if v <= k)
+    max_r = max(lengths.values(), default=0)
+    for k in n_at:
+        slice_members = [x for x in ks if ks[x] == k]
+        for r in range(max_r + 2):
+            count = sum(1 for x in slice_members if lengths[x] >= r)
+            if count * (1 << r) > 2 * n_at[k]:
+                return False
+    return True

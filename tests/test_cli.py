@@ -298,6 +298,25 @@ class TestLawsJoint:
         code, _, err = run("laws", "--joint", joint_file, "--audit", "soi")
         assert code == EXIT_USAGE and "soi" in err
 
+    @pytest.mark.parametrize(
+        "text, audit, message",
+        [
+            ("theta 0 1/2\ntheta 1 1/2\ndist 0 bern:2,1/4\ndist 1 bern:2,3/4\n", "theta", "no statistic line"),
+            ("theta 0 1/2\ntheta 1 1/2\ndist 0 bern:2,1/4\ndist 1 bern:2,3/4\n", "identity", "no statistic line"),
+            ("theta 0 1/1\ndist 0 bern:2,1/2\nstatistic identity\n", "identity", "weight statistic"),
+            ("theta 0 1/2\ntheta 1 1/2\ndist 0 bern:1,1/2\ndist 1 bern:2,1/2\nstatistic weight\n", "identity", "fixed-length"),
+        ],
+        ids=["theta-no-statistic", "identity-no-statistic", "identity-not-weight", "identity-mixed-lengths"],
+    )
+    def test_rejected_before_any_table(self, run, tmp_path, text, audit, message):
+        path = tmp_path / "joint.txt"
+        path.write_text(text, encoding="ascii")
+        cache = tmp_path / "cache"
+        code, out, err = run("laws", "--joint", str(path), "--audit", audit, "--cache-dir", str(cache))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert message in err and "cache miss" not in err
+        assert not cache.exists() or not any(cache.iterdir())
+
 
 class TestTamperedCache:
     def test_segment_error_exits_one_and_prints_no_number(self, run, tmp_path):

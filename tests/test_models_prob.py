@@ -159,6 +159,34 @@ class TestDeficiencyP:
         assert r.delta_raw == pytest.approx(1.0)
         assert r.delta_norm == pytest.approx(8.9248125, abs=1e-6)
 
+    def test_typical_at_the_boundary(self, cond_cache):
+        """A uniform model gives every element the same mass, so delta_norm is
+        the integer K(best_y) - K(x) and beta = delta_norm is the boundary."""
+        source = TableSource(cache_dir=cond_cache)
+        dist = UniformOn(ListSet(("0", "1", "0110", "111")))
+        records = [deficiency_p(x, dist, L_c=15, source=source) for x in dist.domain()]
+        assert any(r.delta_norm > 0 for r in records)
+        for r in records:
+            beta = int(r.delta_norm)
+            assert r.delta_norm == beta
+            assert r.typical(beta) and not r.typical(beta - 1)
+
+    @pytest.mark.parametrize("desc", [Hamming(4, 2), ListSet(("0", "1", "0110"))])
+    def test_typical_agrees_with_the_set_deficiency(self, desc, cond_cache):
+        """These sets have 6 and 3 members, so -log2 m is irrational; the exact
+        test still agrees with the integer set deficiency at every beta."""
+        source = TableSource(cache_dir=cond_cache)
+        for x in desc.denote():
+            rp = deficiency_p(x, UniformOn(desc), L_c=15, source=source)
+            rs = deficiency(x, desc, L_c=15, source=source)
+            for beta in range(-1, rs.delta_norm + 2):
+                assert rp.typical(beta) == rs.typical(beta)
+
+    def test_typical_needs_an_integer_beta(self, cond_cache):
+        r = deficiency_p("0" * 8, B8, L_c=19, source=TableSource(cache_dir=cond_cache))
+        with pytest.raises(TypeError):
+            r.typical(0.5)
+
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError):
             deficiency_p("000", B2)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from algstat import skstats
 from algstat.skstats import (
     _mx_lengths,
     logn_gap,
@@ -20,7 +21,23 @@ from algstat.skstats import (
     xr_csv,
     xr_report,
 )
-from oracles import naive_mx_lengths, naive_sk_mx
+from oracles import (
+    naive_mx_lengths,
+    naive_sk_mx,
+    naive_slice_bound_check,
+    naive_xr_mass_sums,
+)
+
+
+@pytest.fixture(scope="module")
+def naive_table_l12(table_l12):
+    return naive_mx_lengths(table_l12)
+
+
+@pytest.fixture(scope="module")
+def naive_table_l22(table_l22):
+    """The quadratic oracle's l(m_x) on the L=22 table, computed once."""
+    return naive_mx_lengths(table_l22)
 
 
 class TestSk:
@@ -109,7 +126,33 @@ class TestAgainstOracle:
     @pytest.mark.parametrize("fixture", ["table_l12", "table_l22"])
     def test_mx_lengths(self, fixture, request):
         table = request.getfixturevalue(fixture)
-        assert _mx_lengths(table) == naive_mx_lengths(table)
+        assert _mx_lengths(table) == request.getfixturevalue(f"naive_{fixture}")
+
+    def test_xr_rows(self, table_l22, naive_table_l22):
+        rows = xr_report(table_l22)
+        assert [row.mass_sum for row in rows] == naive_xr_mass_sums(table_l22, naive_table_l22)
+        for row in rows:
+            expected = tuple(x for x in table_l22.sorted_outputs() if naive_table_l22[x] >= row.r)
+            assert row.members == expected == xr(table_l22, row.r)
+
+    @pytest.mark.parametrize(
+        "shift",
+        [
+            pytest.param(lambda k, l: l, id="true-lengths"),
+            pytest.param(lambda k, l: l + 1, id="all-plus-one"),
+            pytest.param(lambda k, l: l + 2, id="all-plus-two"),
+            pytest.param(lambda k, l: l + 3 * (k == 17), id="level-17-plus-three"),
+            pytest.param(lambda k, l: l + (l >= 5), id="long-prefixes-plus-one"),
+        ],
+    )
+    def test_slice_bound_check(self, table_l22, naive_table_l22, shift, monkeypatch):
+        """The bound holds for the true lengths whatever the table, so the
+        check is also compared on lengths shifted until it fails."""
+        outs, ks, _ = skstats._mx_pass(table_l22)
+        lengths = [shift(table_l22.k_of(x), naive_table_l22[x]) for x in outs]
+        monkeypatch.setattr(skstats, "_mx_pass", lambda table: (outs, ks, lengths))
+        expected = naive_slice_bound_check(table_l22, dict(zip(outs, lengths)))
+        assert slice_bound_check(table_l22) == expected
 
     def test_sk_mx_every_member(self, table_l12):
         for k in (5, 7, 9):
