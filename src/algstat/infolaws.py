@@ -560,8 +560,9 @@ def nonincrease_audit(
     if L_c is None:
         L_c = 2 * max(len(s) for s in needed) + 3
     cond_k = _label_cond_tables(needed, table, L_c, source.capped(len_cap))
-    # given[a][j] = K(x_j | a*) for each label a.
-    given = {label: require_ks(t, xs) for label, t in cond_k.items()}
+    # given[a][j] = K(x_j | a*) for each label a. Each table is let go once
+    # its row is read, so that at most one of them is held parsed.
+    given = {label: require_ks(cond_k.pop(label), xs) for label in list(cond_k)}
 
     per: list[TransformMax] = []
     for q in transforms:
