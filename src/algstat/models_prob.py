@@ -40,7 +40,7 @@ from .bits import (
     text_to_bits,
 )
 from .cache import TableSource
-from .complexity import require_k, require_ks
+from .complexity import require_k
 from .enumeration import DEFAULT_COND_MAX_LEN, ComplexityTable
 from .machine import Condition
 from .models_set import (
@@ -388,8 +388,8 @@ def deficiency_p(
     table = source.table(L_c, model_condition(dist))
     kx = require_k(table, x)
     best_y, best_k, best_score = None, None, Fraction(-1)
-    domain = dist.domain(cap)
-    for y, ky in zip(domain, require_ks(table, domain)):
+    for y in dist.domain(cap):
+        ky = require_k(table, y)
         score = dist.mass(y) * (1 << ky)  # large score = small deficiency
         if score > best_score:
             best_y, best_k, best_score = y, ky, score

@@ -72,8 +72,8 @@ def sk(table: ComplexityTable, k: int) -> SkIndex:
         raise ValueError(f"k={k} exceeds the table cap L={table.L}")
     members = []
     newest = 0
-    outs = table.sorted_outputs()  # already canonical (length, lex)
-    for x, kx in zip(outs, table.ks_of(outs)):
+    for x in table.sorted_outputs():  # already canonical (length, lex)
+        kx = table.k_of(x)
         if kx <= k:
             members.append(x)
             if kx == k:
@@ -241,7 +241,10 @@ def slice_bound_check(table: ComplexityTable) -> bool:
 def t_kraft_sum(table: ComplexityTable) -> Fraction:
     """Sum over k of t_k 2^-k; at most 1 because S^k growth mirrors the
     prefix-free program tree."""
-    counts = Counter(table.ks_of(table.sorted_outputs()))
+    counts: dict[int, int] = {}
+    for x in table.sorted_outputs():
+        k = table.k_of(x)
+        counts[k] = counts.get(k, 0) + 1
     return sum((Fraction(t, 1 << k) for k, t in counts.items()), Fraction(0))
 
 
