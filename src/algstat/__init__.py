@@ -80,7 +80,6 @@ _LAZY_EXPORTS = {
     infolaws: (
         "JointModel",
         "JointModelError",
-        "LawsAudit",
         "Statistic",
         "Transform",
         "default_transforms",
@@ -198,7 +197,6 @@ __all__ = [
     "Hamming",
     "JointModel",
     "JointModelError",
-    "LawsAudit",
     "ListSet",
     "MIRecord",
     "ModelOpts",

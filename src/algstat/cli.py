@@ -15,29 +15,27 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import constants, infolaws, models_prob, models_set, skstats
-from .bits import CodeError, bits_to_text, pair, text_to_bits
+from .bits import CodeError, bits_to_text, text_to_bits
 from .cache import ENV_CACHE_DIR, TableSource, load_or_build
-from .complexity import (
-    AUDIT_MAX_LEN,
-    DEFAULT_SOI_LEN_CAP,
-    Absent,
-    mutual_info,
-    require_k,
-    soi_audit,
-)
-from .enumeration import (
-    DEFAULT_COND_MAX_LEN,
-    DEFAULT_MAX_LEN,
-    TableError,
-    export_table,
-)
+from .complexity import AUDIT_MAX_LEN, Absent, mutual_info, require_k
+from .enumeration import DEFAULT_COND_MAX_LEN, DEFAULT_MAX_LEN, TableError, export_table
 from .machine import DEFAULT_MAX_OUTPUT, DEFAULT_MAX_STEPS, Budgets, Condition
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_REGRESSION = 2
 
-_AUDITS = ("all", "xr", "slices", "soi", "nonincrease", "expected-mi", "theta", "identity")
+
+class _AuditChoices:
+    """The ``--audit`` choices, read from ``infolaws.AUDIT_CHOICES`` only when
+    a ``laws`` command line is checked or its help is printed, so that
+    building the parser does not run ``infolaws``."""
+
+    def __contains__(self, name: object) -> bool:
+        return name in infolaws.AUDIT_CHOICES
+
+    def __iter__(self):
+        return iter(infolaws.AUDIT_CHOICES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -121,9 +119,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     cfg = _config(args)
     cond = _condition(args)
-    L = cfg.L if cfg.L is not None else (
-        DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN
-    )
+    L = cfg.L or (DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN)
     table, built = load_or_build(L, cond, cfg.source.budgets, cfg.source.cache_dir, _warn)
     if args.out:
         export_table(table, args.out)
@@ -139,9 +135,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_k(args: argparse.Namespace) -> int:
     cfg = _config(args)
     cond = _condition(args)
-    L = cfg.L if cfg.L is not None else (
-        DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN
-    )
+    L = cfg.L or (DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN)
     table = cfg.source.table(L, cond)
     x = text_to_bits(args.x)
     k = require_k(table, x)
@@ -151,7 +145,7 @@ def cmd_k(args: argparse.Namespace) -> int:
 
 def cmd_mi(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    table = cfg.source.table(cfg.L if cfg.L is not None else DEFAULT_MAX_LEN)
+    table = cfg.source.table(cfg.L or DEFAULT_MAX_LEN)
     rec = mutual_info(table, text_to_bits(args.x), text_to_bits(args.y))
     print(f"I={rec.i} K(x)={rec.kx} K(y)={rec.ky} K(pair)={rec.kxy}")
     return EXIT_OK
@@ -169,7 +163,7 @@ def cmd_structfn(args: argparse.Namespace) -> int:
         alpha_max,
         opts,
         include_deficiency=not args.no_deficiency,
-        L_c=cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN,
+        L_c=cfg.L or DEFAULT_COND_MAX_LEN,
         source=cfg.source,
     )
     _emit(curve.to_csv(), args.out)
@@ -193,26 +187,22 @@ def cmd_suffstat(args: argparse.Namespace) -> int:
 
 def cmd_sk(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    table = cfg.source.table(cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN)
+    table = cfg.source.table(cfg.L or DEFAULT_COND_MAX_LEN)
     _emit(skstats.sk_csv(table, args.k), args.out)
     return EXIT_OK
 
 
 def cmd_xr(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    table = cfg.source.table(cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN)
+    table = cfg.source.table(cfg.L or DEFAULT_COND_MAX_LEN)
     _emit(skstats.xr_csv(table), args.out)
     return EXIT_OK
 
 
 def cmd_bernoulli(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    if cfg.L is not None:
-        L = cfg.L
-    else:
-        # every n-bit string must be in the table; 2n+3 is the emit bound
-        L = max(DEFAULT_MAX_LEN, 2 * args.n + 3)
-    table = cfg.source.table(L)
+    # every n-bit string must be in the table; 2n+3 is the emit bound
+    table = cfg.source.table(cfg.L or max(DEFAULT_MAX_LEN, 2 * args.n + 3))
     rep = models_prob.bernoulli_demo(table, args.n, cfg.beta, _model_opts(args))
     _emit(rep.to_csv(), args.out)
     return EXIT_OK
@@ -222,12 +212,7 @@ def cmd_probstat(args: argparse.Namespace) -> int:
     cfg = _config(args)
     x = text_to_bits(args.x)
     dist = models_prob.parse_distlang(args.dist)
-    rec = models_prob.deficiency_p(
-        x,
-        dist,
-        L_c=cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN,
-        source=cfg.source,
-    )
+    rec = models_prob.deficiency_p(x, dist, L_c=cfg.L or DEFAULT_COND_MAX_LEN, source=cfg.source)
     rep = models_prob.suffstat_p(x, cfg.beta, _model_opts(args))
     lines = [
         f"x={bits_to_text(x)}",
@@ -246,11 +231,6 @@ def cmd_probstat(args: argparse.Namespace) -> int:
 # -- the laws command ----------------------------------------------------------
 
 
-def _pass_line(name: str, ok: bool, detail: str = "") -> tuple[str, bool]:
-    suffix = f" {detail}" if detail else ""
-    return f"{name}{suffix} {'PASS' if ok else 'FAIL'}", ok
-
-
 def _laws_joint(args: argparse.Namespace, cfg: Config) -> int:
     """Audit a user-supplied joint model file; the report is CSV."""
     joint, statistic = infolaws.parse_joint_text(Path(args.joint).read_text(encoding="ascii"))
@@ -266,127 +246,71 @@ def _laws_joint(args: argparse.Namespace, cfg: Config) -> int:
             raise ValueError("the identity audit needs the weight statistic")
         if len({len(x) for x in joint.x_domain()}) != 1:
             raise ValueError("the identity audit needs a fixed-length data domain")
-    strings = set(joint.x_domain()) | set(joint.thetas)
-    if audit == "expected-mi":
-        # pairs of label and data must be inside the table
-        need = max(
-            2 * len(pair(t, x)) + 3 for t in joint.thetas for x in joint.x_domain()
-        )
-    else:
-        need = 2 * max(len(s) for s in strings) + 3
     # Built up to the longest string any audit of this file reads, so that
     # the audits of one file share a table, as the default battery does.
+    # Every string s has an emit-only program of 2|s| + 3 bits, so a cap of
+    # 2 * reach + 3 keeps each of them inside the table.
     reach = infolaws.expected_mi_reach(joint)
     if statistic is not None:
         reach = max(reach, infolaws.theta_reach(joint, statistic))
-    table = cfg.source.capped(reach).table(max(cfg.L or 0, need, DEFAULT_MAX_LEN))
+    table = cfg.source.capped(reach).table(max(cfg.L or 0, 2 * reach + 3, DEFAULT_MAX_LEN))
     if audit == "expected-mi":
         rep = infolaws.expected_mi_audit(joint, table)
-        _warn(f"expected={float(rep.expected):.9f} classical={models_set._fmt_real(rep.prob_i)} k_p={rep.k_p}")
-        _emit(rep.to_csv(), args.out)
-        return EXIT_OK
-    if audit == "theta":
+        classical = models_set._fmt_real(rep.prob_i)
+        summary = f"expected={float(rep.expected):.9f} classical={classical} k_p={rep.k_p}"
+    elif audit == "theta":
         rep = infolaws.theta_suff_audit(joint, statistic, table, source=cfg.source)
-        _warn(f"prob_sufficient={rep.prob_sufficient} minimal_tau={rep.minimal_tau()}")
-        _emit(rep.to_csv(), args.out)
-        return EXIT_OK
-    n = len(joint.x_domain()[0])
-    rep = infolaws.suff_identity_audit(
-        joint, statistic, table, infolaws.weight_models(n), source=cfg.source
-    )
-    _warn(f"max_gap={rep.max_gap}")
+        summary = f"prob_sufficient={rep.prob_sufficient} minimal_tau={rep.minimal_tau()}"
+    else:
+        n = len(joint.x_domain()[0])
+        rep = infolaws.suff_identity_audit(
+            joint, statistic, table, infolaws.weight_models(n), source=cfg.source
+        )
+        summary = f"max_gap={rep.max_gap}"
+    _warn(summary)
     _emit(rep.to_csv(), args.out)
     return EXIT_OK
 
 
 def cmd_laws(args: argparse.Namespace) -> int:
+    """Run the audits ``--audit`` selects from the battery's registry
+    (``infolaws.AUDITS``) and check the constants they measure against the
+    frozen file; with ``--freeze``, write that file instead. Builds the
+    level table if a selected audit reads it, then the deep table if one
+    reads that; ``--joint FILE`` audits a joint-model file instead."""
     cfg = _config(args)
-    if args.joint:
-        return _laws_joint(args, cfg)
-    sel = args.audit
-    lines: list[str] = []
-    all_ok = True
-
-    def record(line: str, ok: bool) -> None:
-        nonlocal all_ok
-        lines.append(line)
-        all_ok = all_ok and ok
-
-    level = None
-    if sel in ("xr", "slices", "all"):
-        level = cfg.source.table(cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN)
-        if sel in ("xr", "all"):
-            _, _, rows = skstats.xr_bound_check(level)
-            for row in rows:
-                record(
-                    *_pass_line(
-                        f"xr r={row.r}",
-                        row.passed,
-                        f"sum={skstats._dyadic_csv(row.mass_sum)} bound={skstats._dyadic_csv(row.bound)}",
-                    )
-                )
-        if sel in ("slices", "all"):
-            record(*_pass_line("slice-bound", skstats.slice_bound_check(level)))
-
-    measured: dict[str, int] = {}
-    if sel in ("soi", "nonincrease", "expected-mi", "theta", "identity", "all"):
-        source = cfg.source
-        # Every selection reads the one deep table the whole battery needs.
-        deep = source.capped(infolaws.laws_reach()).table(AUDIT_MAX_LEN)
-        if sel == "all":
-            audit = infolaws.laws_audit(deep, level_table=level, source=source)
-            measured.update(audit.measured())
-            theta_rep = audit.theta
-        elif sel == "soi":
-            rep = soi_audit(
-                deep, len_cap=DEFAULT_SOI_LEN_CAP, L_c=2 * DEFAULT_SOI_LEN_CAP + 3, source=source
-            )
-            measured.update(rep.measured())
-        elif sel == "nonincrease":
-            measured.update(infolaws.nonincrease_audit(deep, source=source).measured())
-        elif sel == "expected-mi":
-            slacks = [
-                infolaws.expected_mi_audit(j, deep).slack_bits for _, j in sorted(infolaws.standard_joints().items())
-            ]
-            measured["expected_mi"] = max(slacks)
-        else:
-            pair_joint = infolaws.standard_joints()["bernoulli-pair"]
-            if sel == "theta":
-                theta_rep = infolaws.theta_suff_audit(pair_joint, infolaws.Statistic("weight"), deep, source=source)
-                measured.update(theta_rep.measured())
-            else:
-                rep = infolaws.suff_identity_audit(
-                    pair_joint, infolaws.Statistic("weight"), deep, infolaws.weight_models(2), source=source
-                )
-                measured.update(rep.measured())
-        if sel in ("theta", "all"):
-            record(*_pass_line("theta weight-prob-sufficient", theta_rep.prob_sufficient))
-            id_rep = infolaws.theta_suff_audit(
-                infolaws.standard_joints()["bernoulli-pair"], infolaws.Statistic("identity"), deep, source=source
-            )
-            record(*_pass_line("theta identity-deficiency-zero", all(r.d == 0 for r in id_rep.rows)))
-
     if args.freeze:
-        if sel != "all":
+        # Checked before any table is built.
+        if args.joint:
+            raise ValueError("--freeze freezes the default battery; it does not take --joint")
+        if args.audit != "all":
             raise ValueError("--freeze requires --audit all (a full battery)")
         if not cfg.constants_path:
             raise ValueError("--freeze needs --constants PATH to write to")
+    if args.joint:
+        return _laws_joint(args, cfg)
+    reads = {a.reads for a in infolaws.selected_audits(args.audit)}
+    level = deep = None
+    if "level" in reads:
+        level = cfg.source.table(cfg.L or DEFAULT_COND_MAX_LEN)
+    if "deep" in reads:
+        # Every selection reads the one deep table the whole battery needs.
+        deep = cfg.source.capped(infolaws.laws_reach()).table(AUDIT_MAX_LEN)
+    runs = infolaws.laws_audit(deep, level, source=cfg.source, audit=args.audit).values()
+    checks = [check for run in runs for check in run.checks]
+    measured = {name: value for run in runs for name, value in run.measured.items()}
+    if args.freeze:
         constants.save_constants(measured, cfg.constants_path)
-        for name in sorted(measured):
-            lines.append(f"{name} measured={measured[name]} frozen")
-        _emit("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
-
-    if measured:
+    elif measured:
         frozen = constants.load_constants(cfg.constants_path)
-        for check in constants.regression_check(measured, frozen):
-            have = "-" if check.frozen is None else str(check.frozen)
-            record(
-                *_pass_line(check.name, check.ok, f"measured={check.measured} frozen={have}")
-            )
-
+        for c in constants.regression_check(measured, frozen):
+            have = "-" if c.frozen is None else c.frozen
+            checks.append((f"{c.name} measured={c.measured} frozen={have}", c.ok))
+    lines = [f"{line} {'PASS' if ok else 'FAIL'}" for line, ok in checks]
+    if args.freeze:
+        lines.extend(f"{name} measured={measured[name]} frozen" for name in sorted(measured))
     _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK if all_ok else EXIT_REGRESSION
+    return EXIT_OK if args.freeze or all(ok for _, ok in checks) else EXIT_REGRESSION
 
 
 # -- parser --------------------------------------------------------------------
@@ -475,7 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_xr)
 
     p = sub.add_parser("laws", help="information-law audits against frozen constants")
-    p.add_argument("--audit", choices=_AUDITS, default="all")
+    p.add_argument(
+        "--audit",
+        choices=_AuditChoices(),
+        default="all",
+        metavar="NAME",
+        help="the audit to run: %(choices)s (default: %(default)s)",
+    )
     p.add_argument("--constants", metavar="FILE", help="constants file (default: packaged)")
     p.add_argument("--freeze", action="store_true", help="write measured constants and exit")
     p.add_argument("--joint", metavar="FILE", help="audit a joint-model file instead")

@@ -15,6 +15,7 @@ canonical witness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +36,6 @@ from .bits import (
 from .cache import TableSource
 from .complexity import (
     DEFAULT_SOI_LEN_CAP,
-    SoiReport,
     _all_strings,
     mutual_info,
     require_k,
@@ -45,16 +45,9 @@ from .complexity import (
 )
 from .enumeration import ComplexityTable
 from .machine import Budgets, Condition, Op, run
-from .models_prob import (
-    Bernoulli,
-    DistDesc,
-    TableDist,
-    _rat_bits,
-    format_distlang,
-    parse_distlang,
-)
+from .models_prob import Bernoulli, DistDesc, TableDist, _rat_bits, format_distlang, parse_distlang
 from .models_set import DEFAULT_DENOTE_CAP, SetDesc, Hamming, _fmt_real
-from .skstats import logn_gap
+from .skstats import _dyadic_csv, logn_gap, slice_bound_check, xr_bound_check
 
 TOL = 1e-9
 DEFAULT_NI_LEN_CAP = 6
@@ -411,9 +404,6 @@ class ExpectedMIReport:
     def slack_bits(self) -> int:
         return max(0, math.ceil(self.slack - TOL))
 
-    def measured(self) -> dict[str, int]:
-        return {"expected_mi": self.slack_bits}
-
     def to_csv(self) -> str:
         lines = ["theta,x,p,I_alg"]
         lines.extend(
@@ -538,6 +528,14 @@ def _applied(
     return {(q.name, x): q.apply(x, budgets) for q in transforms for x in xs}
 
 
+@functools.cache
+def _default_images(len_cap: int, budgets: Budgets) -> dict[tuple[str, str], tuple[str, str]]:
+    """``_applied`` for the default transforms on every string of at most
+    len_cap bits, computed once per (len_cap, budgets): the battery's
+    deep-table reach and its non-increase audit share it."""
+    return _applied(default_transforms(), _all_strings(len_cap), budgets)
+
+
 def nonincrease_audit(
     table: ComplexityTable,
     transforms: Sequence[Transform] | None = None,
@@ -552,10 +550,12 @@ def nonincrease_audit(
     ``table`` is read at the swept strings and their images, whose
     witnesses condition the other tables; those are read only at the swept
     strings, so they are built under an output budget of len_cap."""
+    xs = _all_strings(len_cap)
     if transforms is None:
         transforms = default_transforms()
-    xs = _all_strings(len_cap)
-    applied = _applied(transforms, xs, source.budgets)
+        applied = _default_images(len_cap, source.budgets)
+    else:
+        applied = _applied(transforms, xs, source.budgets)
     needed = set(xs) | {out for _, out in applied.values()}
     if L_c is None:
         L_c = 2 * max(len(s) for s in needed) + 3
@@ -592,13 +592,6 @@ def _label_cond_tables(
     ordered = sorted(set(labels), key=_canon_key)
     conds = [Condition.string(shortest_program(table, label)) for label in ordered]
     return dict(zip(ordered, source.tables(L_c, conds)))
-
-
-def _auto_cond_cap(strings: Iterable[str]) -> int:
-    # Emit-only programs of length 2l+3 exist under every condition, so
-    # this cap keeps every audited string inside the table while leaving
-    # the minima equal to what any larger cap would report.
-    return 2 * max((len(s) for s in strings), default=0) + 3
 
 
 class ThetaSuffRow(NamedTuple):
@@ -670,7 +663,10 @@ def _deficiency_terms(
     xs = joint.x_domain(cap)
     read = set(xs) | {statistic(x) for x in xs}
     if L_c is None:
-        L_c = _auto_cond_cap(read)
+        # Emit-only programs of length 2l+3 exist under every condition, so
+        # this cap keeps every audited string inside the table while leaving
+        # the minima equal to what any larger cap would report.
+        L_c = 2 * max(map(len, read)) + 3
     return _label_cond_tables(joint.thetas, table, L_c, source.capped(max(map(len, read))))
 
 
@@ -735,11 +731,7 @@ class SuffIdentityReport:
 def weight_models(n: int) -> Callable[[str], SetDesc]:
     """Associate each weight label with the set of length-n strings of
     that weight, giving the statistic's value a concrete model class."""
-
-    def model_of(label: str) -> SetDesc:
-        return Hamming(n, bits_to_nat(label))
-
-    return model_of
+    return lambda label: Hamming(n, bits_to_nat(label))
 
 
 def suff_identity_audit(
@@ -802,70 +794,147 @@ def standard_joints() -> dict[str, JointModel]:
     }
 
 
-@dataclass(frozen=True)
-class LawsAudit:
-    soi: SoiReport
-    nonincrease: NonincreaseReport
-    expected: tuple[tuple[str, ExpectedMIReport], ...]
-    theta: ThetaSuffReport
-    identity: SuffIdentityReport
-    level_gap: int | None
+# -- the law battery: one record per audit --------------------------------------
 
-    def measured(self) -> dict[str, int]:
-        out = dict(self.soi.measured())
-        out.update(self.nonincrease.measured())
-        out["expected_mi"] = max(rep.slack_bits for _, rep in self.expected)
-        out.update(self.theta.measured())
-        out.update(self.identity.measured())
-        if self.level_gap is not None:
-            out["logn_gap"] = self.level_gap
-        return out
+
+class AuditRun(NamedTuple):
+    """One audit's report, its (line, passed) checks and the constants it measured."""
+
+    report: object
+    checks: tuple[tuple[str, bool], ...]
+    measured: dict[str, int]
+
+
+class Audit(NamedTuple):
+    """One audit of the ``laws`` battery. ``run(table, source)`` gets the
+    table ``reads`` names: ``"level"``, the unconditional table read whole,
+    or ``"deep"``, the AUDIT_MAX_LEN table built up to ``laws_reach()`` bits
+    of output, the most any record's ``reach()`` looks up there. A record
+    not ``selectable`` runs only in the whole battery. Run steps call the
+    audits by their module names, so a wrapper put in their place sees them."""
+
+    name: str
+    reads: str
+    run: Callable[[ComplexityTable, TableSource], AuditRun]
+    reach: Callable[[], int] = lambda: 0
+    selectable: bool = True
+
+
+def _reported(rep) -> AuditRun:
+    return AuditRun(rep, (), rep.measured())
+
+
+def _xr_run(table: ComplexityTable, source: TableSource) -> AuditRun:
+    rows = xr_bound_check(table)[2]
+    checks = tuple(
+        (f"xr r={r.r} sum={_dyadic_csv(r.mass_sum)} bound={_dyadic_csv(r.bound)}", r.passed)
+        for r in rows
+    )
+    return AuditRun(rows, checks, {})
+
+
+def _slices_run(table: ComplexityTable, source: TableSource) -> AuditRun:
+    ok = slice_bound_check(table)
+    return AuditRun(ok, (("slice-bound", ok),), {})
+
+
+def _soi_run(table: ComplexityTable, source: TableSource) -> AuditRun:
+    cap = DEFAULT_SOI_LEN_CAP
+    return _reported(soi_audit(table, len_cap=cap, L_c=2 * cap + 3, source=source))
+
+
+def _nonincrease_run(table: ComplexityTable, source: TableSource) -> AuditRun:
+    return _reported(nonincrease_audit(table, source=source))
+
+
+def _nonincrease_reach() -> int:
+    # The swept strings and their images, under the default budgets: a halting
+    # program's output does not depend on them, and a transform that does not
+    # halt under a smaller budget fails the audit itself.
+    images = _default_images(DEFAULT_NI_LEN_CAP, Budgets()).values()
+    return max(DEFAULT_NI_LEN_CAP, *(len(out) for _, out in images))
+
+
+def _expected_mi_run(table: ComplexityTable, source: TableSource) -> AuditRun:
+    reps = tuple((n, expected_mi_audit(j, table)) for n, j in sorted(standard_joints().items()))
+    return AuditRun(reps, (), {"expected_mi": max(rep.slack_bits for _, rep in reps)})
+
+
+def _expected_mi_reach() -> int:
+    return max(map(expected_mi_reach, standard_joints().values()))
+
+
+_PAIR = standard_joints()["bernoulli-pair"]
+
+
+def _pair_reach(statistic: str) -> int:
+    return theta_reach(_PAIR, Statistic(statistic))
+
+
+def _theta_run(table: ComplexityTable, source: TableSource) -> AuditRun:
+    rep = theta_suff_audit(_PAIR, Statistic("weight"), table, source=source)
+    identity = theta_suff_audit(_PAIR, Statistic("identity"), table, source=source)
+    checks = (
+        ("theta weight-prob-sufficient", rep.prob_sufficient),
+        ("theta identity-deficiency-zero", all(r.d == 0 for r in identity.rows)),
+    )
+    return AuditRun(rep, checks, rep.measured())
+
+
+def _identity_run(table: ComplexityTable, source: TableSource) -> AuditRun:
+    rep = suff_identity_audit(_PAIR, Statistic("weight"), table, weight_models(2), source=source)
+    return _reported(rep)
+
+
+def _logn_gap_run(table: ComplexityTable, source: TableSource) -> AuditRun:
+    gap = logn_gap(table)
+    return AuditRun(gap, (), {"logn_gap": gap})
+
+
+AUDITS: tuple[Audit, ...] = (
+    Audit("xr", "level", _xr_run),
+    Audit("slices", "level", _slices_run),
+    # the soi sweep reads pairs of two swept strings
+    Audit("soi", "deep", _soi_run, lambda: pair_len(DEFAULT_SOI_LEN_CAP, DEFAULT_SOI_LEN_CAP)),
+    Audit("nonincrease", "deep", _nonincrease_run, _nonincrease_reach),
+    Audit("expected-mi", "deep", _expected_mi_run, _expected_mi_reach),
+    Audit("theta", "deep", _theta_run, lambda: max(map(_pair_reach, ("weight", "identity")))),
+    Audit("identity", "deep", _identity_run, lambda: _pair_reach("weight")),
+    Audit("logn_gap", "level", _logn_gap_run, selectable=False),
+)
+AUDIT_CHOICES = ("all", *(a.name for a in AUDITS if a.selectable))
+
+
+def selected_audits(audit: str = "all") -> tuple[Audit, ...]:
+    """The records an ``--audit`` choice runs: all for ``"all"``, else the
+    one of that name."""
+    if audit not in AUDIT_CHOICES:
+        raise ValueError(f"unknown audit {audit!r}: choose from {', '.join(AUDIT_CHOICES)}")
+    return tuple(a for a in AUDITS if audit in ("all", a.name))
 
 
 def laws_reach() -> int:
-    """The longest string the default battery looks up in its deep table:
-    the deep table can be built under an output budget of this many bits.
-    It must list the audits ``laws_audit`` runs at its defaults, plus the
-    identity-statistic theta audit of the ``laws`` command. The transforms
-    run under the default budgets: a halting program's output does not
-    depend on them, and a transform that does not halt under a smaller
-    budget fails the non-increase audit itself."""
-    joints = standard_joints()
-    pair_joint = joints["bernoulli-pair"]
-    transformed = _applied(default_transforms(), _all_strings(DEFAULT_NI_LEN_CAP), Budgets())
-    return max(
-        pair_len(DEFAULT_SOI_LEN_CAP, DEFAULT_SOI_LEN_CAP),  # soi: pairs of two swept strings
-        DEFAULT_NI_LEN_CAP,  # non-increase: the swept strings and their images
-        *(len(out) for _, out in transformed.values()),
-        *(expected_mi_reach(joint) for joint in joints.values()),
-        theta_reach(pair_joint, Statistic("weight")),
-        theta_reach(pair_joint, Statistic("identity")),
-    )
+    """The longest string any audit of the battery looks up in its deep
+    table, which is built under an output budget of this many bits
+    whichever audits are selected, so that every selection reads one file."""
+    return max(a.reach() for a in AUDITS)
 
 
 def laws_audit(
-    table: ComplexityTable,
+    table: ComplexityTable | None,
     level_table: ComplexityTable | None = None,
-    soi_len_cap: int = DEFAULT_SOI_LEN_CAP,
-    ni_len_cap: int = DEFAULT_NI_LEN_CAP,
     source: TableSource = TableSource(),
-) -> LawsAudit:
-    """Run the whole measured-constants battery on one table (deep enough
-    to cover the pair sweep, with the outputs of up to ``laws_reach``
-    bits) plus, when a second table is supplied, the level-size gap
-    check. Conditional caps follow the emit-only bound; see the
-    individual audits. Deterministic throughout."""
-    soi = soi_audit(table, len_cap=soi_len_cap, L_c=2 * soi_len_cap + 3, source=source)
-    ni = nonincrease_audit(table, len_cap=ni_len_cap, source=source)
-    joints = standard_joints()
-    expected = tuple(
-        (name, expected_mi_audit(joint, table)) for name, joint in sorted(joints.items())
-    )
-    weight = Statistic("weight")
-    pair_joint = joints["bernoulli-pair"]
-    theta = theta_suff_audit(pair_joint, weight, table, source=source)
-    identity = suff_identity_audit(
-        pair_joint, weight, table, model_of=weight_models(2), source=source
-    )
-    gap = logn_gap(level_table) if level_table is not None else None
-    return LawsAudit(soi, ni, expected, theta, identity, gap)
+    audit: str = "all",
+) -> dict[str, AuditRun]:
+    """Run the audits ``audit`` selects (see ``selected_audits``), in
+    registry order and keyed by name: the deep ones on ``table``, built up
+    to ``laws_reach()`` bits of output at least, the level ones on
+    ``level_table``. A record whose table is None is skipped, so the X(r),
+    slice-bound and log N_k checks need a level table. Conditional caps
+    follow the emit-only bound; see the individual audits."""
+    tables = {"deep": table, "level": level_table}
+    return {
+        a.name: a.run(tables[a.reads], source)
+        for a in selected_audits(audit)
+        if tables[a.reads] is not None
+    }

@@ -162,11 +162,13 @@ def test_08_uniform_wrap_equals_set_deficiency(cond_cache):
 
 
 def test_09_law_audits(table_l29, table_l22, cond_cache):
-    audit = laws_audit(table_l29, level_table=table_l22, source=TableSource(cache_dir=cond_cache))
-    frozen = load_constants()
-    lines = regression_check(audit.measured(), frozen)
+    runs = laws_audit(table_l29, level_table=table_l22, source=TableSource(cache_dir=cond_cache))
+    measured = {name: v for run in runs.values() for name, v in run.measured.items()}
+    lines = regression_check(measured, load_constants())
     bad = [l for l in lines if not l.ok]
     assert not bad, f"regressed: {[(l.name, l.measured, l.frozen) for l in bad]}"
+    failed = [line for run in runs.values() for line, ok in run.checks if not ok]
+    assert not failed, f"failed checks: {failed}"
 
     pair_joint = standard_joints()["bernoulli-pair"]
     identity = theta_suff_audit(

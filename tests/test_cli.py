@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from algstat import infolaws
 from algstat.cache import ENV_CACHE_DIR
 from algstat.cli import EXIT_OK, EXIT_REGRESSION, EXIT_USAGE, main
 from algstat.constants import load_constants
@@ -23,6 +24,42 @@ GOOD_CONSTANTS = {
     "soi_triangle": 0,
     "suff_identity": 4,
     "theta_tau": 0,
+}
+
+# The stdout of each `laws --audit` selection at the default table settings.
+XR_LINES = [
+    "xr r=0 sum=134461/2^19 bound=4 PASS",
+    "xr r=1 sum=259757/2^21 bound=2 PASS",
+    "xr r=2 sum=34501/2^20 bound=1 PASS",
+    "xr r=3 sum=9977/2^20 bound=1/2^1 PASS",
+    "xr r=4 sum=1471/2^19 bound=1/2^2 PASS",
+    "xr r=5 sum=479/2^19 bound=1/2^3 PASS",
+    "xr r=6 sum=239/2^19 bound=1/2^4 PASS",
+    "xr r=7 sum=63/2^19 bound=1/2^5 PASS",
+    "xr r=8 sum=19/2^19 bound=1/2^6 PASS",
+    "xr r=9 sum=5/2^19 bound=1/2^7 PASS",
+    "xr r=10 sum=3/2^19 bound=1/2^8 PASS",
+    "xr r=11 sum=1/2^20 bound=1/2^9 PASS",
+    "xr r=12 sum=0 bound=1/2^10 PASS",
+]
+THETA_LINES = ["theta weight-prob-sufficient PASS", "theta identity-deficiency-zero PASS"]
+
+
+def _regression_lines(*names: str) -> list[str]:
+    return [f"{n} measured={GOOD_CONSTANTS[n]} frozen={GOOD_CONSTANTS[n]} PASS" for n in names]
+
+
+SELECTION_STDOUT = {
+    "all": (
+        XR_LINES + ["slice-bound PASS"] + THETA_LINES + _regression_lines(*sorted(GOOD_CONSTANTS))
+    ),
+    "xr": XR_LINES,
+    "slices": ["slice-bound PASS"],
+    "soi": _regression_lines("mi_self_gap", "mi_swap_gap", "soi_additivity", "soi_triangle"),
+    "nonincrease": _regression_lines("nonincrease"),
+    "expected-mi": _regression_lines("expected_mi"),
+    "theta": THETA_LINES + _regression_lines("theta_tau"),
+    "identity": _regression_lines("suff_identity"),
 }
 
 
@@ -241,6 +278,56 @@ class TestLaws:
         assert "soi_additivity measured=10 frozen" in out
         assert load_constants(target) == load_constants() == GOOD_CONSTANTS
 
+    @pytest.mark.parametrize("audit", list(SELECTION_STDOUT))
+    def test_every_selection_cold_and_warm(self, run, tmp_path, audit):
+        argv = ("laws", "--audit", audit, "--cache-dir", str(tmp_path))
+        cold = run(*argv)
+        warm = run(*argv)
+        expected = "\n".join(SELECTION_STDOUT[audit]) + "\n"
+        assert cold[:2] == warm[:2] == (EXIT_OK, expected)
+        assert warm[2] == ""
+        if audit == "all":
+            assert len(list(tmp_path.iterdir())) == 162
+            builds = [l for l in cold[2].splitlines() if "cache miss" in l]
+            assert [b.split()[4] for b in builds[:2]] == ["L=22", "L=29"]
+
+    @pytest.mark.parametrize("audit", ["all", "nonincrease"])
+    def test_transforms_run_once(self, run, monkeypatch, audit):
+        calls = []
+        apply = infolaws.Transform.apply
+
+        def counted(self, *args):
+            calls.append(self.name)
+            return apply(self, *args)
+
+        monkeypatch.setattr(infolaws.Transform, "apply", counted)
+        infolaws._default_images.cache_clear()
+        code, _, _ = run("laws", "--audit", audit)
+        assert code == EXIT_OK
+        # 3 default transforms x the 127 strings of at most 6 bits
+        assert len(calls) == 3 * 127
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--audit", "soi", "--freeze"], "--audit all"),
+            (["--freeze"], "--constants"),
+            (["--joint", "JOINT", "--freeze", "--constants", "OUT"], "--joint"),
+        ],
+        ids=["one-audit", "no-constants", "joint"],
+    )
+    def test_freeze_misuse_rejected_before_any_table(self, run, tmp_path, argv, message):
+        joint = tmp_path / "joint.txt"
+        joint.write_text("theta 0 1/1\ndist 0 bern:2,1/2\nstatistic weight\n", encoding="ascii")
+        out_file = tmp_path / "frozen.txt"
+        argv = [{"JOINT": str(joint), "OUT": str(out_file)}.get(a, a) for a in argv]
+        cache = tmp_path / "cache"
+        code, out, err = run("laws", *argv, "--cache-dir", str(cache))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert message in err and "cache miss" not in err
+        assert not cache.exists() or not any(cache.iterdir())
+        assert not out_file.exists()
+
     def test_freeze_needs_path_and_full_battery(self, run):
         code, _, err = run("laws", "--audit", "all", "--freeze", "--max-len", "22")
         assert code == EXIT_USAGE and "--constants" in err
@@ -293,6 +380,26 @@ class TestLawsJoint:
         path.write_text("theta 0 1/1\ndist 0 bern:2,1/2\n", encoding="ascii")
         code, _, err = run("laws", "--joint", str(path), "--audit", "theta")
         assert code == EXIT_USAGE and "statistic" in err
+
+    def test_statistic_values_set_the_cap(self, run, tmp_path):
+        """The table's program-length cap covers the statistic's values, not
+        only the data strings and the labels."""
+        path = tmp_path / "joint.txt"
+        path.write_text(
+            "theta 0 1/2\ntheta 1 1/2\ndist 0 bern:1,1/4\ndist 1 bern:1,3/4\n"
+            "statistic map{0:00000100000,1:00000100001}\n",
+            encoding="ascii",
+        )
+        code, out, err = run("laws", "--joint", str(path), "--audit", "theta")
+        assert code == EXIT_OK
+        assert out.splitlines() == [
+            "theta,x,statistic,p,d",
+            "0,0,00000100000,3/8,-3",
+            "0,1,00000100001,1/8,-3",
+            "1,0,00000100000,1/8,0",
+            "1,1,00000100001,3/8,0",
+        ]
+        assert "prob_sufficient=True minimal_tau=0" in err
 
     def test_unsupported_audit(self, run, joint_file):
         code, _, err = run("laws", "--joint", joint_file, "--audit", "soi")

@@ -13,6 +13,8 @@ from algstat.complexity import AUDIT_MAX_LEN
 from algstat.constants import load_constants
 from algstat.enumeration import build_table
 from algstat.infolaws import (
+    AUDITS,
+    AUDIT_CHOICES,
     JointModel,
     JointModelError,
     Statistic,
@@ -310,16 +312,23 @@ class TestMachineSufficiency:
         assert model_of("1").size() == 6  # weight 2
 
 
+def _measured(runs) -> dict[str, int]:
+    return {name: v for run in runs.values() for name, v in run.measured.items()}
+
+
 class TestBattery:
     def test_matches_frozen_constants(self, table_l29, table_l22, cond_cache):
         source = TableSource(cache_dir=cond_cache)
-        audit = laws_audit(table_l29, level_table=table_l22, source=source)
-        assert audit.measured() == load_constants()
+        runs = laws_audit(table_l29, level_table=table_l22, source=source)
+        assert list(runs) == [a.name for a in AUDITS]
+        assert _measured(runs) == load_constants()
+        assert all(ok for run in runs.values() for _, ok in run.checks)
+        assert runs["logn_gap"].report == load_constants()["logn_gap"]
 
     def test_level_gap_optional(self, table_l29, cond_cache):
-        audit = laws_audit(table_l29, source=TableSource(cache_dir=cond_cache))
-        assert audit.level_gap is None
-        assert "logn_gap" not in audit.measured()
+        runs = laws_audit(table_l29, source=TableSource(cache_dir=cond_cache))
+        assert [a.reads for a in AUDITS if a.name in runs] == ["deep"] * 5
+        assert "logn_gap" not in _measured(runs)
 
     def test_deterministic_across_workers(self, table_l29, table_l22, cond_cache):
         one = laws_audit(
@@ -328,7 +337,19 @@ class TestBattery:
         four = laws_audit(
             table_l29, level_table=table_l22, source=TableSource(workers=4, cache_dir=cond_cache)
         )
-        assert one.measured() == four.measured()
-        assert one.theta.to_csv() == four.theta.to_csv()
-        assert one.identity.to_csv() == four.identity.to_csv()
-        assert one.nonincrease.to_csv() == four.nonincrease.to_csv()
+        assert _measured(one) == _measured(four)
+        for name in ("theta", "identity", "nonincrease"):
+            assert one[name].report.to_csv() == four[name].report.to_csv()
+
+    def test_selection_runs_one_record(self, table_l29, cond_cache):
+        runs = laws_audit(table_l29, source=TableSource(cache_dir=cond_cache), audit="theta")
+        assert list(runs) == ["theta"]
+        assert [line for line, _ in runs["theta"].checks] == [
+            "theta weight-prob-sufficient",
+            "theta identity-deficiency-zero",
+        ]
+        assert AUDIT_CHOICES == (
+            "all", "xr", "slices", "soi", "nonincrease", "expected-mi", "theta", "identity"
+        )
+        with pytest.raises(ValueError, match="unknown audit 'logn_gap'"):
+            laws_audit(table_l29, audit="logn_gap")

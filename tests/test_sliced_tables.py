@@ -129,24 +129,33 @@ def test_laws_reads_one_sliced_deep_table(tmp_path, capsys):
 
 
 # Under a small --max-out the non-increase transforms stop with OUTPUT on the
-# longer swept strings; selections that never run that audit must not fail.
+# longer swept strings, so that audit fails, and so does the whole battery (at
+# the pairs of the soi sweep, which runs first); selections that never run it
+# must not fail.
 @pytest.mark.parametrize(
-    "audit,stdout",
+    "audit,code,stdout,error",
     [
         (
             "theta",
+            EXIT_OK,
             "theta weight-prob-sufficient PASS\n"
             "theta identity-deficiency-zero PASS\n"
             "theta_tau measured=0 frozen=0 PASS\n",
+            None,
         ),
-        ("identity", "suff_identity measured=4 frozen=4 PASS\n"),
+        ("identity", EXIT_OK, "suff_identity measured=4 frozen=4 PASS\n", None),
+        ("nonincrease", EXIT_USAGE, "", "transform 'drop-last' fails on 000000: OUT_OF_OUTPUT"),
+        ("all", EXIT_USAGE, "", "00000 is longer than the table's output budget O=4"),
     ],
-    ids=["theta", "identity"],
+    ids=["theta", "identity", "nonincrease", "all"],
 )
-def test_laws_selection_under_a_small_output_budget(audit, stdout, tmp_path, capsys):
+def test_laws_selection_under_a_small_output_budget(audit, code, stdout, error, tmp_path, capsys):
     argv = ["laws", "--audit", audit, "--max-out", "4", "--cache-dir", str(tmp_path)]
-    assert main(argv) == EXIT_OK
-    assert capsys.readouterr().out == stdout
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == stdout
+    if error is not None:
+        assert err.splitlines()[-1].startswith(f"algstat: error: {error}")
 
 
 @pytest.mark.parametrize("x", ["00010111", "01101001"])
