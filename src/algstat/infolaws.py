@@ -15,7 +15,6 @@ canonical witness.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +44,14 @@ from .complexity import (
 )
 from .enumeration import ComplexityTable
 from .machine import Budgets, Condition, Op, run
-from .models_prob import Bernoulli, DistDesc, TableDist, _rat_bits, format_distlang, parse_distlang
+from .models_prob import (
+    Bernoulli,
+    DistDesc,
+    TableDist,
+    _rat_bits,
+    format_distlang,
+    parse_distlang,
+)
 from .models_set import DEFAULT_DENOTE_CAP, SetDesc, Hamming, _fmt_real
 from .skstats import _dyadic_csv, logn_gap, slice_bound_check, xr_bound_check
 
@@ -528,14 +534,6 @@ def _applied(
     return {(q.name, x): q.apply(x, budgets) for q in transforms for x in xs}
 
 
-@functools.cache
-def _default_images(len_cap: int, budgets: Budgets) -> dict[tuple[str, str], tuple[str, str]]:
-    """``_applied`` for the default transforms on every string of at most
-    len_cap bits, computed once per (len_cap, budgets): the battery's
-    deep-table reach and its non-increase audit share it."""
-    return _applied(default_transforms(), _all_strings(len_cap), budgets)
-
-
 def nonincrease_audit(
     table: ComplexityTable,
     transforms: Sequence[Transform] | None = None,
@@ -550,12 +548,10 @@ def nonincrease_audit(
     ``table`` is read at the swept strings and their images, whose
     witnesses condition the other tables; those are read only at the swept
     strings, so they are built under an output budget of len_cap."""
-    xs = _all_strings(len_cap)
     if transforms is None:
         transforms = default_transforms()
-        applied = _default_images(len_cap, source.budgets)
-    else:
-        applied = _applied(transforms, xs, source.budgets)
+    xs = _all_strings(len_cap)
+    applied = _applied(transforms, xs, source.budgets)
     needed = set(xs) | {out for _, out in applied.values()}
     if L_c is None:
         L_c = 2 * max(len(s) for s in needed) + 3
@@ -592,6 +588,13 @@ def _label_cond_tables(
     ordered = sorted(set(labels), key=_canon_key)
     conds = [Condition.string(shortest_program(table, label)) for label in ordered]
     return dict(zip(ordered, source.tables(L_c, conds)))
+
+
+def _auto_cond_cap(strings: Iterable[str]) -> int:
+    # Emit-only programs of length 2l+3 exist under every condition, so
+    # this cap keeps every audited string inside the table while leaving
+    # the minima equal to what any larger cap would report.
+    return 2 * max((len(s) for s in strings), default=0) + 3
 
 
 class ThetaSuffRow(NamedTuple):
@@ -663,10 +666,7 @@ def _deficiency_terms(
     xs = joint.x_domain(cap)
     read = set(xs) | {statistic(x) for x in xs}
     if L_c is None:
-        # Emit-only programs of length 2l+3 exist under every condition, so
-        # this cap keeps every audited string inside the table while leaving
-        # the minima equal to what any larger cap would report.
-        L_c = 2 * max(map(len, read)) + 3
+        L_c = _auto_cond_cap(read)
     return _label_cond_tables(joint.thetas, table, L_c, source.capped(max(map(len, read))))
 
 
@@ -731,7 +731,11 @@ class SuffIdentityReport:
 def weight_models(n: int) -> Callable[[str], SetDesc]:
     """Associate each weight label with the set of length-n strings of
     that weight, giving the statistic's value a concrete model class."""
-    return lambda label: Hamming(n, bits_to_nat(label))
+
+    def model_of(label: str) -> SetDesc:
+        return Hamming(n, bits_to_nat(label))
+
+    return model_of
 
 
 def suff_identity_audit(
@@ -809,19 +813,15 @@ class Audit(NamedTuple):
     """One audit of the ``laws`` battery. ``run(table, source)`` gets the
     table ``reads`` names: ``"level"``, the unconditional table read whole,
     or ``"deep"``, the AUDIT_MAX_LEN table built up to ``laws_reach()`` bits
-    of output, the most any record's ``reach()`` looks up there. A record
+    of output, the most any record's ``reach`` looks up there. A record
     not ``selectable`` runs only in the whole battery. Run steps call the
     audits by their module names, so a wrapper put in their place sees them."""
 
     name: str
     reads: str
     run: Callable[[ComplexityTable, TableSource], AuditRun]
-    reach: Callable[[], int] = lambda: 0
+    reach: int = 0
     selectable: bool = True
-
-
-def _reported(rep) -> AuditRun:
-    return AuditRun(rep, (), rep.measured())
 
 
 def _xr_run(table: ComplexityTable, source: TableSource) -> AuditRun:
@@ -840,31 +840,22 @@ def _slices_run(table: ComplexityTable, source: TableSource) -> AuditRun:
 
 def _soi_run(table: ComplexityTable, source: TableSource) -> AuditRun:
     cap = DEFAULT_SOI_LEN_CAP
-    return _reported(soi_audit(table, len_cap=cap, L_c=2 * cap + 3, source=source))
+    rep = soi_audit(table, len_cap=cap, L_c=2 * cap + 3, source=source)
+    return AuditRun(rep, (), rep.measured())
 
 
 def _nonincrease_run(table: ComplexityTable, source: TableSource) -> AuditRun:
-    return _reported(nonincrease_audit(table, source=source))
+    rep = nonincrease_audit(table, source=source)
+    return AuditRun(rep, (), rep.measured())
 
 
-def _nonincrease_reach() -> int:
-    # The swept strings and their images, under the default budgets: a halting
-    # program's output does not depend on them, and a transform that does not
-    # halt under a smaller budget fails the audit itself.
-    images = _default_images(DEFAULT_NI_LEN_CAP, Budgets()).values()
-    return max(DEFAULT_NI_LEN_CAP, *(len(out) for _, out in images))
+_JOINTS = standard_joints()
+_PAIR = _JOINTS["bernoulli-pair"]
 
 
 def _expected_mi_run(table: ComplexityTable, source: TableSource) -> AuditRun:
-    reps = tuple((n, expected_mi_audit(j, table)) for n, j in sorted(standard_joints().items()))
+    reps = tuple((n, expected_mi_audit(j, table)) for n, j in sorted(_JOINTS.items()))
     return AuditRun(reps, (), {"expected_mi": max(rep.slack_bits for _, rep in reps)})
-
-
-def _expected_mi_reach() -> int:
-    return max(map(expected_mi_reach, standard_joints().values()))
-
-
-_PAIR = standard_joints()["bernoulli-pair"]
 
 
 def _pair_reach(statistic: str) -> int:
@@ -883,7 +874,7 @@ def _theta_run(table: ComplexityTable, source: TableSource) -> AuditRun:
 
 def _identity_run(table: ComplexityTable, source: TableSource) -> AuditRun:
     rep = suff_identity_audit(_PAIR, Statistic("weight"), table, weight_models(2), source=source)
-    return _reported(rep)
+    return AuditRun(rep, (), rep.measured())
 
 
 def _logn_gap_run(table: ComplexityTable, source: TableSource) -> AuditRun:
@@ -895,11 +886,13 @@ AUDITS: tuple[Audit, ...] = (
     Audit("xr", "level", _xr_run),
     Audit("slices", "level", _slices_run),
     # the soi sweep reads pairs of two swept strings
-    Audit("soi", "deep", _soi_run, lambda: pair_len(DEFAULT_SOI_LEN_CAP, DEFAULT_SOI_LEN_CAP)),
-    Audit("nonincrease", "deep", _nonincrease_run, _nonincrease_reach),
-    Audit("expected-mi", "deep", _expected_mi_run, _expected_mi_reach),
-    Audit("theta", "deep", _theta_run, lambda: max(map(_pair_reach, ("weight", "identity")))),
-    Audit("identity", "deep", _identity_run, lambda: _pair_reach("weight")),
+    Audit("soi", "deep", _soi_run, pair_len(DEFAULT_SOI_LEN_CAP, DEFAULT_SOI_LEN_CAP)),
+    # the swept strings and their images: the default transforms never
+    # lengthen x, and an image beyond the deep table's reach raises Absent
+    Audit("nonincrease", "deep", _nonincrease_run, DEFAULT_NI_LEN_CAP),
+    Audit("expected-mi", "deep", _expected_mi_run, max(map(expected_mi_reach, _JOINTS.values()))),
+    Audit("theta", "deep", _theta_run, max(map(_pair_reach, ("weight", "identity")))),
+    Audit("identity", "deep", _identity_run, _pair_reach("weight")),
     Audit("logn_gap", "level", _logn_gap_run, selectable=False),
 )
 AUDIT_CHOICES = ("all", *(a.name for a in AUDITS if a.selectable))
@@ -917,12 +910,13 @@ def laws_reach() -> int:
     """The longest string any audit of the battery looks up in its deep
     table, which is built under an output budget of this many bits
     whichever audits are selected, so that every selection reads one file."""
-    return max(a.reach() for a in AUDITS)
+    return max(a.reach for a in AUDITS)
 
 
 def laws_audit(
     table: ComplexityTable | None,
     level_table: ComplexityTable | None = None,
+    *,
     source: TableSource = TableSource(),
     audit: str = "all",
 ) -> dict[str, AuditRun]:
