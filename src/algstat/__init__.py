@@ -176,118 +176,6 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MACHINE_VERSION",
-    "Absent",
-    "All",
-    "Bernoulli",
-    "BernoulliDemoReport",
-    "Budgets",
-    "CapExceeded",
-    "CodeError",
-    "Codebook",
-    "ComplexityTable",
-    "Condition",
-    "ConstantsError",
-    "Cyl",
-    "DeficiencyRecord",
-    "DistDesc",
-    "DistLangError",
-    "EntryCapExceeded",
-    "Hamming",
-    "JointModel",
-    "JointModelError",
-    "ListSet",
-    "MIRecord",
-    "ModelOpts",
-    "MxRecord",
-    "NonStochReport",
-    "ProbDeficiencyRecord",
-    "RunOutcome",
-    "SetDesc",
-    "SetLangError",
-    "Singleton",
-    "SkIndex",
-    "SoiReport",
-    "Statistic",
-    "Status",
-    "StructureCurve",
-    "SuffStatPReport",
-    "SuffStatReport",
-    "TableDist",
-    "TableError",
-    "TableFormatError",
-    "TableSource",
-    "TableVersionError",
-    "Transform",
-    "UniformOn",
-    "UnionSet",
-    "XrRow",
-    "__version__",
-    "bar",
-    "bernoulli_demo",
-    "bits_to_nat",
-    "build_table",
-    "codebook",
-    "codeword_length",
-    "default_transforms",
-    "deficiency",
-    "deficiency_p",
-    "enumerate_halting",
-    "enumerate_models",
-    "expected_mi_audit",
-    "export_table",
-    "find_prefix_violation",
-    "format_distlang",
-    "format_joint_text",
-    "format_setlang",
-    "import_table",
-    "k_cond",
-    "laws_audit",
-    "load_constants",
-    "load_or_build",
-    "logn_gap",
-    "model_condition",
-    "mutual_info",
-    "mx",
-    "nat_to_bits",
-    "nonincrease_audit",
-    "nonstoch_scan",
-    "opcode_decode",
-    "pair",
-    "parse_distlang",
-    "parse_joint_text",
-    "parse_setlang",
-    "pk",
-    "prior_sweep",
-    "prob_mi",
-    "prob_suff_check",
-    "pushforward",
-    "regression_check",
-    "require_k",
-    "run",
-    "save_constants",
-    "shortest_program",
-    "sk",
-    "sk_csv",
-    "sk_mx",
-    "slice_bound_check",
-    "soi_audit",
-    "standard_joints",
-    "std",
-    "stochastic",
-    "structfn",
-    "suff_identity_audit",
-    "suffstat",
-    "suffstat_p",
-    "t_kraft_sum",
-    "theta_suff_audit",
-    "two_part",
-    "two_part_p",
-    "unpair",
-    "weight_models",
-    "xr",
-    "xr_bound_check",
-    "xr_csv",
-    "xr_report",
-]
+# The eager re-exports are the public names above that are not modules.
+_EAGER = [n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, type(sys))]
+__all__ = sorted([*_EAGER, *_ORIGIN, "__version__"])

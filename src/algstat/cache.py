@@ -13,11 +13,14 @@ an output budget no larger than that length. The slice is exact: every
 opcode only appends to the output, so a halting program whose output has
 at most n bits never holds more than n, and the table built under
 ``Budgets(T, n)`` holds exactly the outputs of length <= n of the
-``Budgets(T, O)`` table, each with the same K, witness and mass. The
-``laws`` audits cap their deep table at the longest pair they read and
-their conditional tables at the longest string they read them at;
-``structfn`` and ``deficiency`` cap each model's tables at its longest
-member.
+``Budgets(T, O)`` table, each with the same K, witness and mass.
+
+An analysis that reads only K and witnesses, of strings of at most n bits,
+asks through ``TableSource.k_tables``, which also derives the program-length
+cap: 2n+3, the length of an emit-only program of an n-bit string (see
+there). One rule thus caps the tables of ``structfn``, ``deficiency``,
+``nonstoch_scan``, ``deficiency_p``, ``bernoulli``, the ``laws`` deep table
+and the conditional tables of its audits.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ from .kernel import walk_args
 from .machine import MACHINE_VERSION, Budgets, Condition
 
 ENV_CACHE_DIR = "ALGSTAT_CACHE_DIR"
+# The largest cap ``TableSource.k_tables`` derives: that of the ``laws``
+# deep table, which reads strings of up to 13 bits.
+AUDIT_MAX_LEN = 29
 
 
 def default_cache_dir() -> Path:
@@ -124,6 +130,39 @@ class TableSource:
         if n >= self.budgets.max_output:
             return self
         return replace(self, budgets=replace(self.budgets, max_output=n))
+
+    def k_tables(
+        self, n: int, conds: Sequence[Condition], L: int | None = None
+    ) -> list[ComplexityTable]:
+        """The tables, one per condition in ``conds``, of a reader that looks
+        up only K and witnesses, of strings of at most n bits: built under an
+        output budget of n (``capped``) and, unless ``L`` is given, a
+        program-length cap of 2n+3.
+
+        That cap is exact. Under any condition ``tpm1-v1`` prints an n-bit
+        string with n EMITs and a HALT, a program of 2n+3 bits, so every
+        shortest program of the string lies within the cap, and the table
+        gives it the K and witness of any larger cap. (Under a step budget
+        below n+1 a string may instead be Absent, never given a wrong K.)
+        Masses and halting counts grow with the cap, so their readers keep
+        a fixed one: ``sk``, ``xr``, the ``laws`` level table, ``enumerate``.
+        So do the readers of one string (``k``, ``k --cond``, ``k_cond``,
+        ``mi``), which find a long compressible string at the fixed cap
+        without the far longer walk of 2n+3.
+
+        A derived cap above AUDIT_MAX_LEN (n > 13) raises ValueError before
+        any table is built. An explicit ``L``, as ``--max-len`` gives, is
+        used as it is; a string with no program within it is Absent.
+        """
+        if L is None:
+            L = 2 * n + 3
+            if L > AUDIT_MAX_LEN:
+                raise ValueError(
+                    f"strings of {n} bits need tables with a program-length cap of "
+                    f"L={L}, above the largest derived cap L={AUDIT_MAX_LEN}; pass "
+                    f"--max-len (L_c in the library) to build them anyway"
+                )
+        return self.capped(n).tables(L, conds)
 
     def table(self, L: int, cond: Condition | None = None) -> ComplexityTable:
         """``load_or_build`` under this source's settings; returns only the table."""

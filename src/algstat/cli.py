@@ -17,12 +17,7 @@ from pathlib import Path
 from . import constants, infolaws, models_prob, models_set, skstats
 from .bits import CodeError, bits_to_text, text_to_bits
 from .cache import ENV_CACHE_DIR, TableSource, load_or_build
-from .complexity import (
-    AUDIT_MAX_LEN,
-    Absent,
-    mutual_info,
-    require_k,
-)
+from .complexity import Absent, mutual_info, require_k
 from .enumeration import (
     DEFAULT_COND_MAX_LEN,
     DEFAULT_MAX_LEN,
@@ -165,7 +160,7 @@ def cmd_structfn(args: argparse.Namespace) -> int:
         alpha_max,
         opts,
         include_deficiency=not args.no_deficiency,
-        L_c=cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN,
+        L_c=cfg.L,
         source=cfg.source,
     )
     _emit(curve.to_csv(), args.out)
@@ -203,12 +198,7 @@ def cmd_xr(args: argparse.Namespace) -> int:
 
 def cmd_bernoulli(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    if cfg.L is not None:
-        L = cfg.L
-    else:
-        # every n-bit string must be in the table; 2n+3 is the emit bound
-        L = max(DEFAULT_MAX_LEN, 2 * args.n + 3)
-    table = cfg.source.table(L)
+    [table] = cfg.source.k_tables(args.n, [Condition.none()], cfg.L)
     rep = models_prob.bernoulli_demo(table, args.n, cfg.beta, _model_opts(args))
     _emit(rep.to_csv(), args.out)
     return EXIT_OK
@@ -218,12 +208,7 @@ def cmd_probstat(args: argparse.Namespace) -> int:
     cfg = _config(args)
     x = text_to_bits(args.x)
     dist = models_prob.parse_distlang(args.dist)
-    rec = models_prob.deficiency_p(
-        x,
-        dist,
-        L_c=cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN,
-        source=cfg.source,
-    )
+    rec = models_prob.deficiency_p(x, dist, L_c=cfg.L, source=cfg.source)
     rep = models_prob.suffstat_p(x, cfg.beta, _model_opts(args))
     lines = [
         f"x={bits_to_text(x)}",
@@ -257,14 +242,12 @@ def _laws_joint(args: argparse.Namespace, cfg: Config) -> int:
             raise ValueError("the identity audit needs the weight statistic")
         if len({len(x) for x in joint.x_domain()}) != 1:
             raise ValueError("the identity audit needs a fixed-length data domain")
-    # Built up to the longest string any audit of this file reads, so that
+    # Built for the longest string any audit of this file reads, so that
     # the audits of one file share a table, as the default battery does.
-    # Every string s has an emit-only program of 2|s| + 3 bits, so a cap of
-    # 2 * reach + 3 keeps each of them inside the table.
     reach = infolaws.expected_mi_reach(joint)
     if statistic is not None:
         reach = max(reach, infolaws.theta_reach(joint, statistic))
-    table = cfg.source.capped(reach).table(max(cfg.L or 0, 2 * reach + 3, DEFAULT_MAX_LEN))
+    [table] = cfg.source.k_tables(reach, [Condition.none()], cfg.L)
     if audit == "expected-mi":
         rep = infolaws.expected_mi_audit(joint, table)
         _warn(f"expected={float(rep.expected):.9f} classical={models_set._fmt_real(rep.prob_i)} k_p={rep.k_p}")
@@ -307,7 +290,7 @@ def cmd_laws(args: argparse.Namespace) -> int:
         level = cfg.source.table(cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN)
     if "deep" in reads:
         # Every selection reads the one deep table the whole battery needs.
-        deep = cfg.source.capped(infolaws.laws_reach()).table(AUDIT_MAX_LEN)
+        [deep] = cfg.source.k_tables(infolaws.laws_reach(), [Condition.none()])
     runs = infolaws.laws_audit(deep, level, source=cfg.source, audit=args.audit).values()
     checks = [check for run in runs for check in run.checks]
     measured = {name: value for run in runs for name, value in run.measured.items()}

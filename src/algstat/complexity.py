@@ -18,10 +18,6 @@ from .cache import TableSource
 from .enumeration import DEFAULT_COND_MAX_LEN, ComplexityTable
 from .machine import Condition
 
-# Unconditional cap that covers pair(x, y) for the default audit sweep:
-# pairs of length-<=4 strings reach 13 bits, and any 13-bit string has an
-# emit-only program of length 2*13+3 = 29.
-AUDIT_MAX_LEN = 29
 DEFAULT_SOI_LEN_CAP = 4
 
 
@@ -148,7 +144,7 @@ class SoiReport:
 def soi_audit(
     table: ComplexityTable,
     len_cap: int = DEFAULT_SOI_LEN_CAP,
-    L_c: int = DEFAULT_COND_MAX_LEN,
+    L_c: int | None = None,
     source: TableSource = TableSource(),
 ) -> SoiReport:
     """Sweep all strings of length <= len_cap.
@@ -158,8 +154,8 @@ def soi_audit(
     K(x|y*) <= K(z|y*) + K(x|z*) + c hold across the sweep. Also measures
     the self-information gap and the pairing-order gap feeding the frozen
     constants file. ``table`` is read at the swept strings and their pairs;
-    the conditional tables only at the swept strings, so they are built
-    under an output budget of len_cap.
+    the conditional tables only at the swept strings, so they come from
+    ``source.k_tables(len_cap, ...)``, at the cap L_c if it is given.
     """
     xs = _all_strings(len_cap)
     n = len(xs)
@@ -172,7 +168,7 @@ def soi_audit(
     # kxy[i][j] = K(<x_i, x_j>); given[i][j] = K(x_j | x_i*).
     kxy = [[k_deep[p] for p in pairs[i : i + n]] for i in range(0, n * n, n)]
     conds = [Condition.string(shortest_program(table, x)) for x in xs]
-    cond_tables = source.capped(len_cap).tables(L_c, conds)
+    cond_tables = source.k_tables(len_cap, conds, L_c)
     given = [require_ks(t, xs) for t in cond_tables]
 
     add_max, add_arg = -1, ("", "")

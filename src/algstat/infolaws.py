@@ -542,20 +542,17 @@ def nonincrease_audit(
     source: TableSource = TableSource(),
 ) -> NonincreaseReport:
     """Max over (x, y, q) of I(q(x):y) - I(x:y) - l(q), with I(a:b) =
-    K(b) - K(b | a's witness) and q actually run on the machine. The
-    conditional cap defaults to the emit-only bound for the sweep, which
-    already pins the exact minima; larger caps cannot change them.
+    K(b) - K(b | a's witness) and q actually run on the machine.
     ``table`` is read at the swept strings and their images, whose
     witnesses condition the other tables; those are read only at the swept
-    strings, so they are built under an output budget of len_cap."""
+    strings, so they come from ``source.k_tables(len_cap, ...)``, at the
+    cap L_c if it is given."""
     if transforms is None:
         transforms = default_transforms()
     xs = _all_strings(len_cap)
     applied = _applied(transforms, xs, source.budgets)
     needed = set(xs) | {out for _, out in applied.values()}
-    if L_c is None:
-        L_c = 2 * max(len(s) for s in needed) + 3
-    cond_k = _label_cond_tables(needed, table, L_c, source.capped(len_cap))
+    cond_k = _label_cond_tables(needed, table, len_cap, L_c, source)
     # given[a][j] = K(x_j | a*) for each label a. Each table is let go once
     # its row is read, so that at most one of them is held parsed.
     given = {label: require_ks(cond_k.pop(label), xs) for label in list(cond_k)}
@@ -581,20 +578,15 @@ def nonincrease_audit(
 def _label_cond_tables(
     labels: Iterable[str],
     table: ComplexityTable,
-    L_c: int,
+    n: int,
+    L_c: int | None,
     source: TableSource,
 ) -> dict[str, ComplexityTable]:
-    """The table conditioned on each label's shortest program, keyed by label."""
+    """The table conditioned on each label's shortest program, keyed by
+    label, for lookups of strings of at most n bits (``TableSource.k_tables``)."""
     ordered = sorted(set(labels), key=_canon_key)
     conds = [Condition.string(shortest_program(table, label)) for label in ordered]
-    return dict(zip(ordered, source.tables(L_c, conds)))
-
-
-def _auto_cond_cap(strings: Iterable[str]) -> int:
-    # Emit-only programs of length 2l+3 exist under every condition, so
-    # this cap keeps every audited string inside the table while leaving
-    # the minima equal to what any larger cap would report.
-    return 2 * max((len(s) for s in strings), default=0) + 3
+    return dict(zip(ordered, source.k_tables(n, conds, L_c)))
 
 
 class ThetaSuffRow(NamedTuple):
@@ -661,13 +653,11 @@ def _deficiency_terms(
     source: TableSource,
 ) -> dict[str, ComplexityTable]:
     """The table conditioned on each label's witness. It is read only at
-    the data strings and the statistic's values, so it is built under an
-    output budget of the longest of them."""
+    the data strings and the statistic's values, so it is built for
+    lookups of the longest of them."""
     xs = joint.x_domain(cap)
     read = set(xs) | {statistic(x) for x in xs}
-    if L_c is None:
-        L_c = _auto_cond_cap(read)
-    return _label_cond_tables(joint.thetas, table, L_c, source.capped(max(map(len, read))))
+    return _label_cond_tables(joint.thetas, table, max(map(len, read)), L_c, source)
 
 
 def theta_suff_audit(
@@ -812,8 +802,8 @@ class AuditRun(NamedTuple):
 class Audit(NamedTuple):
     """One audit of the ``laws`` battery. ``run(table, source)`` gets the
     table ``reads`` names: ``"level"``, the unconditional table read whole,
-    or ``"deep"``, the AUDIT_MAX_LEN table built up to ``laws_reach()`` bits
-    of output, the most any record's ``reach`` looks up there. A record
+    or ``"deep"``, the ``TableSource.k_tables`` table of ``laws_reach()``
+    bits, the most any record's ``reach`` looks up there. A record
     not ``selectable`` runs only in the whole battery. Run steps call the
     audits by their module names, so a wrapper put in their place sees them."""
 
@@ -839,8 +829,7 @@ def _slices_run(table: ComplexityTable, source: TableSource) -> AuditRun:
 
 
 def _soi_run(table: ComplexityTable, source: TableSource) -> AuditRun:
-    cap = DEFAULT_SOI_LEN_CAP
-    rep = soi_audit(table, len_cap=cap, L_c=2 * cap + 3, source=source)
+    rep = soi_audit(table, source=source)
     return AuditRun(rep, (), rep.measured())
 
 
@@ -924,8 +913,8 @@ def laws_audit(
     registry order and keyed by name: the deep ones on ``table``, built up
     to ``laws_reach()`` bits of output at least, the level ones on
     ``level_table``. A record whose table is None is skipped, so the X(r),
-    slice-bound and log N_k checks need a level table. Conditional caps
-    follow the emit-only bound; see the individual audits."""
+    slice-bound and log N_k checks need a level table. The conditional
+    tables come from ``source.k_tables``; see the individual audits."""
     tables = {"deep": table, "level": level_table}
     return {
         a.name: a.run(tables[a.reads], source)

@@ -41,7 +41,7 @@ from .bits import (
 )
 from .cache import TableSource
 from .complexity import require_k
-from .enumeration import DEFAULT_COND_MAX_LEN, ComplexityTable
+from .enumeration import ComplexityTable
 from .machine import Condition
 from .models_set import (
     DEFAULT_DENOTE_CAP,
@@ -372,7 +372,7 @@ class ProbDeficiencyRecord:
 def deficiency_p(
     x: str,
     dist: DistDesc,
-    L_c: int = DEFAULT_COND_MAX_LEN,
+    L_c: int | None = None,
     source: TableSource = TableSource(),
     cap: int = DEFAULT_DENOTE_CAP,
 ) -> ProbDeficiencyRecord:
@@ -385,10 +385,12 @@ def deficiency_p(
     mx = dist.mass(x)
     if mx == 0:
         raise ValueError(f"{bits_to_text(x)} has zero mass under {format_distlang(dist)}")
-    table = source.table(L_c, model_condition(dist))
+    domain = dist.domain(cap)
+    # read only at the domain: built up to its longest member
+    [table] = source.k_tables(max(map(len, domain)), [model_condition(dist)], L_c)
     kx = require_k(table, x)
     best_y, best_k, best_score = None, None, Fraction(-1)
-    for y in dist.domain(cap):
+    for y in domain:
         ky = require_k(table, y)
         score = dist.mass(y) * (1 << ky)  # large score = small deficiency
         if score > best_score:

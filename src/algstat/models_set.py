@@ -47,7 +47,7 @@ from .bits import (
 )
 from .cache import TableSource
 from .complexity import require_k
-from .enumeration import DEFAULT_COND_MAX_LEN, ComplexityTable
+from .enumeration import ComplexityTable
 from .machine import Condition
 
 DEFAULT_DENOTE_CAP = 1 << 20
@@ -585,7 +585,7 @@ def _model_conditions(desc: SetDesc) -> list[Condition]:
 def deficiency(
     x: str,
     desc: SetDesc,
-    L_c: int = DEFAULT_COND_MAX_LEN,
+    L_c: int | None = None,
     source: TableSource = TableSource(),
     denote_cap: int = DEFAULT_DENOTE_CAP,
 ) -> DeficiencyRecord:
@@ -593,7 +593,7 @@ def deficiency(
         raise ValueError(f"{bits_to_text(x)} is not in {format_setlang(desc)}")
     members = desc.denote(denote_cap)
     # read only at the members: built up to the longest of them
-    uniform, star = source.capped(max(map(len, members))).tables(L_c, _model_conditions(desc))
+    uniform, star = source.k_tables(max(map(len, members)), _model_conditions(desc), L_c)
     return _deficiency(x, desc, members, uniform, star, denote_cap)
 
 
@@ -671,7 +671,7 @@ def structfn(
     alpha_max: int,
     opts: ModelOpts | None = None,
     include_deficiency: bool = True,
-    L_c: int = DEFAULT_COND_MAX_LEN,
+    L_c: int | None = None,
     source: TableSource = TableSource(),
     denote_cap: int = DEFAULT_DENOTE_CAP,
 ) -> StructureCurve:
@@ -688,7 +688,7 @@ def structfn(
         conds = [c for desc in models for c in _model_conditions(desc)]
         # read only at the members: built up to the longest of them
         reach = max((len(m) for elems in members for m in elems), default=0)
-        tables = source.capped(reach).tables(L_c, conds)
+        tables = source.k_tables(reach, conds, L_c)
     per_model: list[tuple[int, float, int | None, int | None]] = []
     for i, desc in enumerate(models):
         log2_size = math.log2(desc.size(denote_cap))
@@ -804,7 +804,7 @@ def nonstoch_scan(
     n: int,
     beta: int,
     opts: ModelOpts | None = None,
-    L_c: int = DEFAULT_COND_MAX_LEN,
+    L_c: int | None = None,
     source: TableSource = TableSource(),
 ) -> NonStochReport:
     """For every x of length n, the least model length whose delta_star
@@ -828,8 +828,8 @@ def nonstoch_scan(
             table = tables.get(cond.fingerprint())
             if table is None:
                 # read only at the members: built up to the longest of them
-                reach = max(map(len, members))
-                table = tables[cond.fingerprint()] = source.capped(reach).table(L_c, cond)
+                [table] = source.k_tables(max(map(len, members)), [cond], L_c)
+                tables[cond.fingerprint()] = table
             _, d_star = _normalized_deficiencies(x, members, table)
             if d_star <= beta:
                 best = desc.code_len

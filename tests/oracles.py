@@ -369,23 +369,18 @@ def naive_soi_audit(table, len_cap: int, L_c: int, source):
 def naive_nonincrease_audit(table, len_cap: int, source, transforms=None, L_c=None):
     """infolaws.nonincrease_audit as a loop over (transform, x, y) that
     calls require_k twice per triple: the reference for its sweeps."""
-    from algstat.complexity import _all_strings, require_k
-    from algstat.infolaws import (
-        NonincreaseReport,
-        TransformMax,
-        _applied,
-        _label_cond_tables,
-        default_transforms,
-    )
+    from algstat.complexity import _all_strings, require_k, shortest_program
+    from algstat.infolaws import NonincreaseReport, TransformMax, _applied, default_transforms
 
     if transforms is None:
         transforms = default_transforms()
     xs = _all_strings(len_cap)
     applied = _applied(transforms, xs, source.budgets)
-    needed = set(xs) | {out for _, out in applied.values()}
+    needed = sorted(set(xs) | {out for _, out in applied.values()})
     if L_c is None:
-        L_c = 2 * max(len(s) for s in needed) + 3
-    cond_k = _label_cond_tables(needed, table, L_c, source.capped(len_cap))
+        L_c = 2 * len_cap + 3
+    conds = [Condition.string(shortest_program(table, s)) for s in needed]
+    cond_k = dict(zip(needed, source.capped(len_cap).tables(L_c, conds)))
 
     per = []
     for q in transforms:

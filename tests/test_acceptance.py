@@ -12,8 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-from algstat.cache import TableSource
-from algstat.complexity import AUDIT_MAX_LEN
+from algstat.cache import AUDIT_MAX_LEN, TableSource
 from algstat.constants import load_constants, regression_check
 from algstat.enumeration import build_table, enumerate_halting, export_table, find_prefix_violation
 from algstat.infolaws import Statistic, laws_audit, prob_suff_check, standard_joints, theta_suff_audit

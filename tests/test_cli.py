@@ -129,6 +129,15 @@ class TestQueries:
             "minimal=unif(all:4)",
         ]
 
+    def test_probstat_table_is_sliced_to_the_domain(self, run, tmp_path):
+        """Without --max-len the table is built for the 4-bit domain: output
+        budget 4 and cap 2*4+3, and the answer is the one above."""
+        code, out, _ = run("probstat", "0101", "bern:4,1/4", "--cache-dir", str(tmp_path))
+        assert code == EXIT_OK
+        assert out.splitlines()[3] == "K_cond=11"
+        [name] = [p.name for p in tmp_path.iterdir()]
+        assert "_L11_" in name and "_O4_" in name
+
 
 class TestEnumerate:
     def test_build_then_cache(self, run):
@@ -193,6 +202,15 @@ class TestCsvCommands:
             "11,4,0,0,15",
             "12,0,0,0,12",
         ]
+
+    def test_structfn_ten_bits(self, run, tmp_path):
+        """A 10-bit string's model tables are built at the derived cap 2*10+3,
+        where the old fixed cap of 22 left members of all:10 Absent."""
+        code, out, err = run("structfn", "0110100110", "--cache-dir", str(tmp_path))
+        assert code == EXIT_OK, err
+        assert out.splitlines()[:2] == ["alpha,h,beta,beta_star,lambda", "10,10,0,4,20"]
+        names = [p.name for p in tmp_path.iterdir()]
+        assert names and [n for n in names if "_L23_" not in n or "_O10_" not in n] == []
 
     def test_structfn_no_deficiency(self, run):
         _, out, _ = run(
@@ -401,6 +419,14 @@ class TestLawsJoint:
             "1,1,00000100001,3/8,0",
         ]
         assert "prob_sufficient=True minimal_tau=0" in err
+
+    def test_max_len_is_honoured(self, run, joint_file):
+        """An explicit --max-len caps the table, as in every other command,
+        even below the derived cap; a string with no program within it is
+        Absent."""
+        code, out, err = run("laws", "--joint", joint_file, "--audit", "theta", "--max-len", "6")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "algstat: error: 00 has no program within the table's cap L=6" in err
 
     def test_unsupported_audit(self, run, joint_file):
         code, _, err = run("laws", "--joint", joint_file, "--audit", "soi")

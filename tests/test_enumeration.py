@@ -175,6 +175,19 @@ class TestCountsAndInvariants:
         with pytest.raises(EntryCapExceeded):
             build_table(12, entry_cap=3)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        L=st.integers(3, 14),
+        cond=st.sampled_from(
+            [Condition.none(), Condition.string("0110"), Condition.of_model(MIXED_BOOK)]
+        ),
+    )
+    def test_mass_is_at_least_two_to_the_minus_k(self, L, cond):
+        """m_L(x) >= 2^-K(x): the witness alone contributes 2^-K(x)."""
+        table = build_table(L, cond)
+        for x, e in table.entries.items():
+            assert table.m_of(x) >= Fraction(1, 1 << e.k)
+
 
 def _cache_files(directory):
     return {p.name: p.read_bytes() for p in directory.iterdir()}

@@ -8,8 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from algstat.cache import TableSource
-from algstat.complexity import AUDIT_MAX_LEN
+from algstat.cache import AUDIT_MAX_LEN, TableSource
 from algstat.constants import load_constants
 from algstat.enumeration import build_table
 from algstat.infolaws import (

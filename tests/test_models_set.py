@@ -189,6 +189,14 @@ class TestDeficiency:
         r = deficiency("0110", ListSet(("0110", "1001")), L_c=15, source=source)
         assert (r.log_size, r.k_cond_set, r.delta_norm, r.delta_star) == (1, 8, 0, 0)
 
+    def test_ten_bits_at_the_derived_cap(self, cond_cache):
+        """By default a model's tables are capped at 2n+3 for its n-bit
+        members; a deeper cap gives the same record."""
+        source = TableSource(cache_dir=cond_cache)
+        x = "0110100110"
+        derived = deficiency(x, All(10), source=source)
+        assert derived == deficiency(x, All(10), L_c=25, source=source)
+
     def test_nonmember_rejected(self):
         with pytest.raises(ValueError):
             deficiency("1", All(2))

@@ -3,7 +3,9 @@
 Every opcode only appends to the output, so the table built under
 ``Budgets(T, n)`` is the ``Budgets(T, O)`` table restricted to outputs of at
 most n bits. The analyses that know their longest lookup ask for that slice
-(``TableSource.capped``); a reader whose bound is wrong must fail loudly."""
+(``TableSource.capped``); a reader whose bound is wrong must fail loudly.
+A reader of K and witnesses alone also gets the program-length cap 2n+3
+(``TableSource.k_tables``), which no deeper cap improves on."""
 
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 
 from algstat.cache import TableSource
 from algstat.cli import EXIT_OK, EXIT_USAGE, main
-from algstat.complexity import Absent, require_k, shortest_program
+from algstat.complexity import Absent, _all_strings, require_k, shortest_program
 from algstat.enumeration import build_table, export_table, import_table
 from algstat.machine import DEFAULT_MAX_OUTPUT, Budgets, Condition, run
 from algstat.models_set import Hamming, uniform_condition
@@ -85,6 +87,37 @@ def test_capped_lowers_only_the_output_budget():
     assert capped.budgets == Budgets(max_steps=300, max_output=13)
     assert (capped.workers, capped.cache_dir) == (2, None)
     assert source.capped(40) is source and source.capped(99) is source
+
+
+@pytest.fixture(scope="module")
+def k_cache(tmp_path_factory):
+    return tmp_path_factory.mktemp("k-tables")
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.text("01", max_size=5), c=st.text("01", max_size=4))
+def test_derived_cap_gives_the_k_and_witness_of_a_deeper_table(k_cache, x, c):
+    """Every string of at most |x| bits has the same K and witness at the
+    derived cap 2|x|+3 as 3 bits deeper, under a string condition."""
+    source, n = TableSource(cache_dir=k_cache), len(x)
+    [derived] = source.k_tables(n, [Condition.string(c)])
+    [deeper] = source.k_tables(n, [Condition.string(c)], 2 * n + 6)
+    assert (derived.L, derived.budgets.max_output) == (2 * n + 3, n)
+    assert derived.k_of(x) is not None
+    for y in _all_strings(n):
+        assert (derived.k_of(y), derived.witness_of(y)) == (deeper.k_of(y), deeper.witness_of(y))
+
+
+def test_k_tables_refuse_a_derived_cap_beyond_the_battery(tmp_path):
+    """n = 14 would derive L = 31, above the deep table's 29: an error that
+    names --max-len, before any table is built. An explicit cap is used as
+    it is."""
+    source = TableSource(cache_dir=tmp_path)
+    with pytest.raises(ValueError, match="L=31, above the largest derived cap L=29; pass --max-len"):
+        source.k_tables(14, [Condition.none()])
+    assert list(tmp_path.iterdir()) == []
+    [table] = source.k_tables(14, [Condition.none()], 5)
+    assert (table.L, table.budgets.max_output) == (5, 14)
 
 
 class TestMissBeyondTheOutputBudget:
@@ -164,4 +197,4 @@ def test_structfn_reads_model_tables_up_to_its_length(x, tmp_path, capsys):
     assert _digest(capsys.readouterr().out) == EXPECTED["structfn"][x]
     names = [p.name for p in tmp_path.iterdir()]
     assert names
-    assert [name for name in names if "_O8_" not in name] == []
+    assert [name for name in names if "_L19_" not in name or "_O8_" not in name] == []

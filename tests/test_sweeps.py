@@ -9,9 +9,8 @@ import random
 import pytest
 
 from algstat.bits import pair
-from algstat.cache import TableSource
+from algstat.cache import AUDIT_MAX_LEN, TableSource
 from algstat.complexity import (
-    AUDIT_MAX_LEN,
     DEFAULT_SOI_LEN_CAP,
     Absent,
     _all_strings,
@@ -138,6 +137,9 @@ class _MadeUpSource:
 
     def capped(self, n: int) -> _MadeUpSource:
         return self
+
+    def k_tables(self, n: int, conds, L: int | None = None):
+        return self.tables(L, conds)
 
     def tables(self, L: int, conds):
         return [
