@@ -176,6 +176,8 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-# The eager re-exports are the public names above that are not modules.
+# The eager re-exports are the public names above that are not modules, so
+# only a re-export may be bound here under a public name: a helper imported
+# as one (``Path``, a typing name) would be exported silently.
 _EAGER = [n for n, v in globals().items() if not n.startswith("_") and not isinstance(v, type(sys))]
 __all__ = sorted([*_EAGER, *_ORIGIN, "__version__"])

@@ -17,8 +17,10 @@ at most n bits never holds more than n, and the table built under
 
 An analysis that reads only K and witnesses, of strings of at most n bits,
 asks through ``TableSource.k_tables``, which also derives the program-length
-cap: 2n+3, the length of an emit-only program of an n-bit string (see
-there). One rule thus caps the tables of ``structfn``, ``deficiency``,
+cap from n and the condition (``k_cap``): 2n+3, the length of an emit-only
+program of an n-bit string, or under a model condition, whose readers look
+up only members, 7 plus the longest codeword when that is less (see there).
+One rule thus caps the tables of ``structfn``, ``deficiency``,
 ``nonstoch_scan``, ``deficiency_p``, ``bernoulli``, the ``laws`` deep table
 and the conditional tables of its audits.
 """
@@ -136,33 +138,40 @@ class TableSource:
     ) -> list[ComplexityTable]:
         """The tables, one per condition in ``conds``, of a reader that looks
         up only K and witnesses, of strings of at most n bits: built under an
-        output budget of n (``capped``) and, unless ``L`` is given, a
-        program-length cap of 2n+3.
+        output budget of n (``capped``) and, unless ``L`` is given, the
+        program-length cap ``k_cap`` derives from n and the condition.
 
-        That cap is exact. Under any condition ``tpm1-v1`` prints an n-bit
-        string with n EMITs and a HALT, a program of 2n+3 bits, so every
-        shortest program of the string lies within the cap, and the table
-        gives it the K and witness of any larger cap. (Under a step budget
-        below n+1 a string may instead be Absent, never given a wrong K.)
+        That cap is exact. A table holds a string only with a program within
+        its cap, so it gives any string it holds the K and witness of every
+        deeper cap; the derived cap is one within which every string the
+        reader looks up has a program. Under any condition ``tpm1-v1``
+        prints an n-bit string with n EMITs and a HALT, in 2n+3 bits. Under
+        a model condition SFDECODE, the member's codeword and a HALT print
+        a member in 7 bits plus its codeword, so a model-conditioned reader,
+        which looks up only the model's members, needs no cap beyond 7 plus
+        the longest codeword. (Under a step budget below either program's
+        run a string may instead be Absent, never given a wrong K.)
         Masses and halting counts grow with the cap, so their readers keep
         a fixed one: ``sk``, ``xr``, the ``laws`` level table, ``enumerate``.
         So do the readers of one string (``k``, ``k --cond``, ``k_cond``,
         ``mi``), which find a long compressible string at the fixed cap
         without the far longer walk of 2n+3.
 
-        A derived cap above AUDIT_MAX_LEN (n > 13) raises ValueError before
-        any table is built. An explicit ``L``, as ``--max-len`` gives, is
-        used as it is; a string with no program within it is Absent.
+        A derived cap above AUDIT_MAX_LEN (2n+3 with n > 13, under a string
+        or no condition) raises ValueError before any table is built. An
+        explicit ``L``, as ``--max-len`` gives, is used as it is; a string
+        with no program within it is Absent.
         """
-        if L is None:
-            L = 2 * n + 3
-            if L > AUDIT_MAX_LEN:
-                raise ValueError(
-                    f"strings of {n} bits need tables with a program-length cap of "
-                    f"L={L}, above the largest derived cap L={AUDIT_MAX_LEN}; pass "
-                    f"--max-len (L_c in the library) to build them anyway"
-                )
-        return self.capped(n).tables(L, conds)
+        if L is not None:
+            return self.capped(n).tables(L, conds)
+        caps = [k_cap(n, cond) for cond in conds]
+        if max(caps, default=0) > AUDIT_MAX_LEN:
+            raise ValueError(
+                f"strings of {n} bits need tables with a program-length cap of "
+                f"L={max(caps)}, above the largest derived cap L={AUDIT_MAX_LEN}; pass "
+                f"--max-len (L_c in the library) to build them anyway"
+            )
+        return self.capped(n)._tables(list(zip(caps, conds)))
 
     def table(self, L: int, cond: Condition | None = None) -> ComplexityTable:
         """``load_or_build`` under this source's settings; returns only the table."""
@@ -184,12 +193,18 @@ class TableSource:
         a script that passes workers > 1 needs the usual
         ``if __name__ == "__main__":`` guard.
         """
+        return self._tables([(L, cond) for cond in conds])
+
+    def _tables(self, jobs: Sequence[tuple[int, Condition]]) -> list[ComplexityTable]:
+        """``tables`` with a cap per condition: one table per (cap, condition)."""
         cache_dir = Path(self.cache_dir) if self.cache_dir is not None else default_cache_dir()
-        unique: dict[str, Condition] = {}
-        for cond in conds:
-            unique.setdefault(cond.fingerprint(), cond)
-        absent = [fp for fp in unique if not table_path(cache_dir, L, self.budgets, fp).exists()]
-        tables: dict[str, ComplexityTable] = {}
+        unique: dict[tuple[int, str], Condition] = {}
+        for L, cond in jobs:
+            unique.setdefault((L, cond.fingerprint()), cond)
+        absent = [
+            (L, fp) for L, fp in unique if not table_path(cache_dir, L, self.budgets, fp).exists()
+        ]
+        tables: dict[tuple[int, str], ComplexityTable] = {}
         if self.workers > 1 and len(absent) > 1:
             # Imported only when a pool starts: it pulls in multiprocessing,
             # which a one-table call never needs.
@@ -200,20 +215,30 @@ class TableSource:
                 # Submitted lazily: at most `workers` walks run or wait ahead of
                 # the table being made here, which bounds the results held at once.
                 submitted = (
-                    (fp, pool.submit(_pykernel.walk, *walk_args(L, unique[fp], self.budgets)))
-                    for fp in absent
+                    (key, pool.submit(_pykernel.walk, *walk_args(key[0], unique[key], self.budgets)))
+                    for key in absent
                 )
                 walks = dict(itertools.islice(submitted, workers))
-                for fp, cond in unique.items():
-                    walk = walks.pop(fp, None)
+                for key, cond in unique.items():
+                    walk = walks.pop(key, None)
                     walked = None
                     if walk is not None:
                         walks.update(itertools.islice(submitted, 1))
                         walked = walk.result
-                    tables[fp], _ = load_or_build(
-                        L, cond, self.budgets, cache_dir, self.warn, walked
+                    tables[key], _ = load_or_build(
+                        key[0], cond, self.budgets, cache_dir, self.warn, walked
                     )
         else:
-            for fp, cond in unique.items():
-                tables[fp], _ = load_or_build(L, cond, self.budgets, cache_dir, self.warn)
-        return [tables[cond.fingerprint()] for cond in conds]
+            for key, cond in unique.items():
+                tables[key], _ = load_or_build(key[0], cond, self.budgets, cache_dir, self.warn)
+        return [tables[L, cond.fingerprint()] for L, cond in jobs]
+
+
+def k_cap(n: int, cond: Condition) -> int:
+    """The program-length cap ``TableSource.k_tables`` derives for lookups
+    of strings of at most n bits under ``cond``: 2n+3, or under a model
+    condition the least of that and 7 plus the longest codeword."""
+    if cond.kind != Condition.MODEL_KIND:
+        return 2 * n + 3
+    book, _ = cond.sf_book()
+    return min(2 * n + 3, 7 + max(map(len, book), default=0))

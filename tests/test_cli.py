@@ -138,6 +138,18 @@ class TestQueries:
         [name] = [p.name for p in tmp_path.iterdir()]
         assert "_L11_" in name and "_O4_" in name
 
+    def test_probstat_long_members_of_a_short_codebook(self, run, tmp_path):
+        """Under the distribution a member is SFDECODE, its codeword and a
+        HALT, so 16-bit members get a table at 7 + 1 bits, not 2*16+3."""
+        code, out, err = run(
+            "probstat", "0000000000000000", "table{0000000000000000:1/2,1111111111111111:1/2}",
+            "--cache-dir", str(tmp_path),
+        )
+        assert code == EXIT_OK, err
+        assert out.splitlines()[3:5] == ["K_cond=8", "delta_norm=0"]
+        [name] = [p.name for p in tmp_path.iterdir()]
+        assert "_L8_" in name and "_O16_" in name
+
 
 class TestEnumerate:
     def test_build_then_cache(self, run):
@@ -204,13 +216,17 @@ class TestCsvCommands:
         ]
 
     def test_structfn_ten_bits(self, run, tmp_path):
-        """A 10-bit string's model tables are built at the derived cap 2*10+3,
-        where the old fixed cap of 22 left members of all:10 Absent."""
+        """A 10-bit string's star tables are built at the derived cap 2*10+3,
+        where the old fixed cap of 22 left members of all:10 Absent; its
+        uniform tables at 7 plus their codeword length, from 7 (the
+        singleton) up."""
         code, out, err = run("structfn", "0110100110", "--cache-dir", str(tmp_path))
         assert code == EXIT_OK, err
         assert out.splitlines()[:2] == ["alpha,h,beta,beta_star,lambda", "10,10,0,4,20"]
         names = [p.name for p in tmp_path.iterdir()]
-        assert names and [n for n in names if "_L23_" not in n or "_O10_" not in n] == []
+        assert names and [n for n in names if "_O10_" not in n] == []
+        caps = {int(n.split("_L")[1].split("_")[0]) for n in names}
+        assert (min(caps), max(caps)) == (7, 23)
 
     def test_structfn_no_deficiency(self, run):
         _, out, _ = run(
@@ -427,6 +443,21 @@ class TestLawsJoint:
         code, out, err = run("laws", "--joint", joint_file, "--audit", "theta", "--max-len", "6")
         assert (code, out) == (EXIT_USAGE, "")
         assert "algstat: error: 00 has no program within the table's cap L=6" in err
+
+    def test_statistic_beyond_thirteen_bits_needs_max_len(self, run, tmp_path):
+        """Values of 14 bits would derive L = 2*14+3 = 31, above the deep
+        table's 29: exit 1 naming --max-len, before any table is built."""
+        path = tmp_path / "joint.txt"
+        path.write_text(
+            "theta 0 1/2\ntheta 1 1/2\ndist 0 bern:1,1/4\ndist 1 bern:1,3/4\n"
+            "statistic map{0:00000100000000,1:00000100000001}\n",
+            encoding="ascii",
+        )
+        cache = tmp_path / "cache"
+        code, out, err = run("laws", "--joint", str(path), "--audit", "theta", "--cache-dir", str(cache))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "need tables with a program-length cap of L=31" in err and "pass --max-len" in err
+        assert not cache.exists()
 
     def test_unsupported_audit(self, run, joint_file):
         code, _, err = run("laws", "--joint", joint_file, "--audit", "soi")

@@ -4,8 +4,9 @@ Every opcode only appends to the output, so the table built under
 ``Budgets(T, n)`` is the ``Budgets(T, O)`` table restricted to outputs of at
 most n bits. The analyses that know their longest lookup ask for that slice
 (``TableSource.capped``); a reader whose bound is wrong must fail loudly.
-A reader of K and witnesses alone also gets the program-length cap 2n+3
-(``TableSource.k_tables``), which no deeper cap improves on."""
+A reader of K and witnesses alone also gets a derived program-length cap
+(``TableSource.k_tables``): 2n+3, or under a model condition 7 plus the
+longest codeword when that is less; no deeper cap improves on it."""
 
 from __future__ import annotations
 
@@ -18,12 +19,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algstat.cache import TableSource
+from algstat.cache import TableSource, table_path
 from algstat.cli import EXIT_OK, EXIT_USAGE, main
 from algstat.complexity import Absent, _all_strings, require_k, shortest_program
 from algstat.enumeration import build_table, export_table, import_table
 from algstat.machine import DEFAULT_MAX_OUTPUT, Budgets, Condition, run
-from algstat.models_set import Hamming, uniform_condition
+from algstat.bits import ceil_log2
+from algstat.models_prob import model_condition, parse_distlang
+from algstat.models_set import (
+    Hamming,
+    ModelOpts,
+    Singleton,
+    enumerate_models,
+    star_condition,
+    two_part,
+    uniform_condition,
+)
 from oracles import ToyModel
 
 EXPECTED = json.loads(
@@ -106,6 +117,32 @@ def test_derived_cap_gives_the_k_and_witness_of_a_deeper_table(k_cache, x, c):
     assert derived.k_of(x) is not None
     for y in _all_strings(n):
         assert (derived.k_of(y), derived.witness_of(y)) == (deeper.k_of(y), deeper.witness_of(y))
+
+
+MODEL_CONDITIONS = [
+    CONDITIONS[3],
+    uniform_condition(Hamming(4, 2)),
+    uniform_condition(Hamming(6, 1)),
+    model_condition(parse_distlang("table{000000:1/2,010101:1/4,111111:1/4}")),
+    model_condition(parse_distlang("bern:3,1/4")),
+]
+
+
+@pytest.mark.parametrize("cond", MODEL_CONDITIONS, ids=lambda c: c.serial()[:24])
+def test_derived_model_cap_gives_the_k_and_witness_of_every_member(k_cache, cond):
+    """Under a model condition the derived cap is 7 plus the longest
+    codeword when that is below 2n+3, and every member has the K and
+    witness of the 2n+3 table there."""
+    book, _ = cond.sf_book()
+    members = set(book.values())
+    n = max(map(len, members))
+    source = TableSource(cache_dir=k_cache)
+    [derived] = source.k_tables(n, [cond])
+    [full] = source.k_tables(n, [cond], 2 * n + 3)
+    assert derived.L == min(2 * n + 3, 7 + max(map(len, book)))
+    for y in members:
+        assert derived.k_of(y) is not None
+        assert (derived.k_of(y), derived.witness_of(y)) == (full.k_of(y), full.witness_of(y))
 
 
 def test_k_tables_refuse_a_derived_cap_beyond_the_battery(tmp_path):
@@ -193,8 +230,15 @@ def test_laws_selection_under_a_small_output_budget(audit, code, stdout, error, 
 
 @pytest.mark.parametrize("x", ["00010111", "01101001"])
 def test_structfn_reads_model_tables_up_to_its_length(x, tmp_path, capsys):
+    """Every table is sliced to the 8 bits of x. A star table, a string
+    condition, is capped at 2*8+3 = 19; a uniform table at 7 plus its
+    codeword length ceil(log2 |S|), which SFDECODE, the codeword and a HALT
+    print any member in."""
     assert main(["structfn", x, "--cache-dir", str(tmp_path)]) == EXIT_OK
     assert _digest(capsys.readouterr().out) == EXPECTED["structfn"][x]
-    names = [p.name for p in tmp_path.iterdir()]
-    assert names
-    assert [name for name in names if "_L19_" not in name or "_O8_" not in name] == []
+    budgets = Budgets(max_output=8)
+    want = set()
+    for desc in enumerate_models(x, min(two_part(x, Singleton(x)) + 1, ModelOpts().alpha_bound)):
+        for L, cond in ((7 + ceil_log2(desc.size()), uniform_condition(desc)), (19, star_condition(desc))):
+            want.add(table_path(tmp_path, L, budgets, cond.fingerprint()).name)
+    assert {p.name for p in tmp_path.iterdir()} == want
