@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import _pykernel
 from .enumeration import (
@@ -111,8 +110,7 @@ def load_or_build(
     return table, True
 
 
-@dataclass(frozen=True)
-class TableSource:
+class TableSource(NamedTuple):
     """Where the tables an analysis reads come from: the budgets they are
     built under, the cache directory they live in (``None`` resolves the
     default on each lookup, as ``load_or_build`` does), how many processes
@@ -131,7 +129,7 @@ class TableSource:
         at most n bits (see the module docstring)."""
         if n >= self.budgets.max_output:
             return self
-        return replace(self, budgets=replace(self.budgets, max_output=n))
+        return self._replace(budgets=Budgets(self.budgets.max_steps, n))
 
     def k_tables(
         self, n: int, conds: Sequence[Condition], L: int | None = None

@@ -11,16 +11,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import constants, infolaws, models_prob, models_set, skstats
+from ._record import Record
 from .bits import CodeError, bits_to_text, text_to_bits
 from .cache import ENV_CACHE_DIR, TableSource, load_or_build
 from .complexity import Absent, mutual_info, require_k
 from .enumeration import (
     DEFAULT_COND_MAX_LEN,
     DEFAULT_MAX_LEN,
+    LEVEL_MAX_LEN,
     TableError,
     export_table,
 )
@@ -44,25 +45,29 @@ def _warn(message: str) -> None:
     print(f"algstat: {message}", file=sys.stderr)
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(Record):
     """Resolved run configuration shared by the command handlers."""
 
-    L: int | None
-    source: TableSource
-    constants_path: str | None
-    alpha_max: int | None
-    beta: int
+    __slots__ = ("L", "source", "constants_path", "alpha_max", "beta")
 
-    def __post_init__(self):
-        if self.L is not None and self.L <= 0:
+    def __init__(
+        self,
+        L: int | None,
+        source: TableSource,
+        constants_path: str | None,
+        alpha_max: int | None,
+        beta: int,
+    ):
+        if L is not None and L <= 0:
             raise ValueError("--max-len must be positive")
-        if self.source.budgets.max_output <= 0:
+        if source.budgets.max_output <= 0:
             raise ValueError("--max-out must be positive")
-        if self.source.workers <= 0:
+        if source.workers <= 0:
             raise ValueError("--workers must be positive")
-        if self.beta < 0:
+        if beta < 0:
             raise ValueError("--beta must be >= 0")
+        for name, value in zip(self.__slots__, (L, source, constants_path, alpha_max, beta)):
+            object.__setattr__(self, name, value)
 
 
 def _config(args: argparse.Namespace) -> Config:
@@ -184,14 +189,14 @@ def cmd_suffstat(args: argparse.Namespace) -> int:
 
 def cmd_sk(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    table = cfg.source.table(cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN)
+    table = cfg.source.table(cfg.L if cfg.L is not None else LEVEL_MAX_LEN)
     _emit(skstats.sk_csv(table, args.k), args.out)
     return EXIT_OK
 
 
 def cmd_xr(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    table = cfg.source.table(cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN)
+    table = cfg.source.table(cfg.L if cfg.L is not None else LEVEL_MAX_LEN)
     _emit(skstats.xr_csv(table), args.out)
     return EXIT_OK
 
@@ -287,7 +292,7 @@ def cmd_laws(args: argparse.Namespace) -> int:
     reads = {a.reads for a in infolaws.selected_audits(args.audit)}
     level = deep = None
     if "level" in reads:
-        level = cfg.source.table(cfg.L if cfg.L is not None else DEFAULT_COND_MAX_LEN)
+        level = cfg.source.table(cfg.L if cfg.L is not None else LEVEL_MAX_LEN)
     if "deep" in reads:
         # Every selection reads the one deep table the whole battery needs.
         [deep] = cfg.source.k_tables(infolaws.laws_reach(), [Condition.none()])

@@ -9,7 +9,6 @@ an approximation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import sub
 from typing import NamedTuple, Sequence
 
@@ -119,8 +118,7 @@ def _all_strings(len_cap: int) -> list[str]:
     return out
 
 
-@dataclass(frozen=True)
-class SoiReport:
+class SoiReport(NamedTuple):
     """Measured machine constants for the complexity laws on one sweep."""
 
     len_cap: int

@@ -32,7 +32,12 @@ from .kernel import walk_args
 from .machine import MACHINE_VERSION, Budgets, Condition
 
 DEFAULT_MAX_LEN = 24
+# The fixed cap of one-string readers under a condition: `k --cond`,
+# `enumerate --cond` and `complexity.k_cond`.
 DEFAULT_COND_MAX_LEN = 22
+# The fixed cap of the unconditional level table that `sk`, `xr` and the
+# `laws` level audits read whole.
+LEVEL_MAX_LEN = 22
 DEFAULT_ENTRY_CAP = 5_000_000
 
 

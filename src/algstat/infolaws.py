@@ -16,11 +16,11 @@ canonical witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from ._record import Record
 from .bits import (
     bar_nat,
     bits_to_nat,
@@ -75,8 +75,7 @@ def _log2_frac(q: Fraction) -> float:
 # -- joint models and statistics ----------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class JointModel:
+class JointModel(Record):
     """p(i, x) = priors[i] * dists[i].mass(x), everything an exact rational.
 
     Labels are distinct bit strings; priors sum to exactly 1. Per-label
@@ -84,24 +83,30 @@ class JointModel:
     guarantee a total of at most 1 each.
     """
 
-    thetas: tuple[str, ...]
-    priors: tuple[Fraction, ...]
-    dists: tuple[DistDesc, ...]
+    __slots__ = ("thetas", "priors", "dists")
 
-    def __post_init__(self):
-        if not self.thetas:
+    def __init__(
+        self,
+        thetas: tuple[str, ...],
+        priors: tuple[Fraction, ...],
+        dists: tuple[DistDesc, ...],
+    ):
+        if not thetas:
             raise JointModelError("a joint model needs at least one parameter")
-        if len(set(self.thetas)) != len(self.thetas):
+        if len(set(thetas)) != len(thetas):
             raise JointModelError("duplicate parameter labels")
-        for label in self.thetas:
+        for label in thetas:
             check_bits(label)
-        if not (len(self.priors) == len(self.dists) == len(self.thetas)):
+        if not (len(priors) == len(dists) == len(thetas)):
             raise JointModelError("labels, priors and distributions must align")
-        object.__setattr__(self, "priors", tuple(Fraction(p) for p in self.priors))
-        if any(p < 0 for p in self.priors):
+        priors = tuple(Fraction(p) for p in priors)
+        if any(p < 0 for p in priors):
             raise JointModelError("priors must be nonnegative")
-        if sum(self.priors, Fraction(0)) != 1:
+        if sum(priors, Fraction(0)) != 1:
             raise JointModelError("priors must sum to exactly 1")
+        object.__setattr__(self, "thetas", thetas)
+        object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "dists", dists)
 
     def x_domain(self, cap: int = DEFAULT_DENOTE_CAP) -> tuple[str, ...]:
         seen: set[str] = set()
@@ -144,8 +149,7 @@ class JointModel:
 _STAT_KINDS = ("weight", "identity", "constant", "map")
 
 
-@dataclass(frozen=True, slots=True)
-class Statistic:
+class Statistic(Record):
     """Total map from data strings to label strings.
 
     ``weight`` sends x to the canonical name of its 1-count, ``identity``
@@ -153,24 +157,23 @@ class Statistic:
     up in an explicit table and is total only on its keys.
     """
 
-    kind: str
-    table: tuple[tuple[str, str], ...] = ()
+    __slots__ = ("kind", "table")
 
-    def __post_init__(self):
-        if self.kind not in _STAT_KINDS:
-            raise JointModelError(f"unknown statistic kind {self.kind!r}")
-        if self.kind == "map":
-            for k, v in self.table:
+    def __init__(self, kind: str, table: tuple[tuple[str, str], ...] = ()):
+        if kind not in _STAT_KINDS:
+            raise JointModelError(f"unknown statistic kind {kind!r}")
+        if kind == "map":
+            for k, v in table:
                 check_bits(k)
                 check_bits(v)
-            keys = [k for k, _ in self.table]
+            keys = [k for k, _ in table]
             if len(set(keys)) != len(keys):
                 raise JointModelError("duplicate keys in map statistic")
-            object.__setattr__(
-                self, "table", tuple(sorted(self.table, key=lambda kv: _canon_key(kv[0])))
-            )
-        elif self.table:
-            raise JointModelError(f"{self.kind} statistic takes no table")
+            table = tuple(sorted(table, key=lambda kv: _canon_key(kv[0])))
+        elif table:
+            raise JointModelError(f"{kind} statistic takes no table")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "table", table)
 
     def __call__(self, x: str) -> str:
         if self.kind == "weight":
@@ -343,8 +346,7 @@ class PriorCheckRow(NamedTuple):
     sufficient: bool
 
 
-@dataclass(frozen=True)
-class SuffCheckReport:
+class SuffCheckReport(NamedTuple):
     statistic: Statistic
     rows: tuple[PriorCheckRow, ...]
     tol: float
@@ -395,8 +397,7 @@ class ExpectedMIRow(NamedTuple):
     i_alg: int
 
 
-@dataclass(frozen=True)
-class ExpectedMIReport:
+class ExpectedMIReport(NamedTuple):
     rows: tuple[ExpectedMIRow, ...]
     expected: Fraction  # sum of p * I(label : x), exact
     prob_i: float
@@ -452,8 +453,7 @@ def expected_mi_audit(
 # -- processing cannot create information -------------------------------------
 
 
-@dataclass(frozen=True)
-class Transform:
+class Transform(NamedTuple):
     """A straight-line machine program family. For each input x the
     builder returns program bits that, run with condition Str(x), write
     the transformed string; the program's length prices the transform."""
@@ -505,8 +505,7 @@ class TransformMax(NamedTuple):
     argmax: tuple[str, str]  # (x, y)
 
 
-@dataclass(frozen=True)
-class NonincreaseReport:
+class NonincreaseReport(NamedTuple):
     len_cap: int
     pairs_checked: int
     per_transform: tuple[TransformMax, ...]
@@ -597,8 +596,7 @@ class ThetaSuffRow(NamedTuple):
     d: int
 
 
-@dataclass(frozen=True)
-class ThetaSuffReport:
+class ThetaSuffReport(NamedTuple):
     rows: tuple[ThetaSuffRow, ...]
     threshold: int | None
     prob_sufficient: bool
@@ -698,8 +696,7 @@ class SuffIdentityRow(NamedTuple):
     rhs: int  # K(S(x) | same witness) + model cost of S(x)'s class
 
 
-@dataclass(frozen=True)
-class SuffIdentityReport:
+class SuffIdentityReport(NamedTuple):
     rows: tuple[SuffIdentityRow, ...]
 
     @property

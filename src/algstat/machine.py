@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import NamedTuple, Protocol, runtime_checkable
 
+from ._record import Record
 from .bits import bits_to_text, check_bits
 
 MACHINE_VERSION = "tpm1-v1"
@@ -56,8 +56,7 @@ class Op(enum.Enum):
     RESERVED = "1111"
 
 
-@dataclass(frozen=True)
-class OpToken:
+class OpToken(NamedTuple):
     op: Op
     consumed: int
     copy_n: int = 0  # bits copied, COPYIN only
@@ -176,14 +175,14 @@ class Condition:
         return f"Condition({self.serial()!r})"
 
 
-@dataclass(frozen=True)
-class Budgets:
-    max_steps: int = DEFAULT_MAX_STEPS
-    max_output: int = DEFAULT_MAX_OUTPUT
+class Budgets(Record):
+    __slots__ = ("max_steps", "max_output")
 
-    def __post_init__(self):
-        if self.max_steps < 1 or self.max_output < 0:
+    def __init__(self, max_steps: int = DEFAULT_MAX_STEPS, max_output: int = DEFAULT_MAX_OUTPUT):
+        if max_steps < 1 or max_output < 0:
             raise ValueError("budgets must satisfy max_steps >= 1, max_output >= 0")
+        object.__setattr__(self, "max_steps", max_steps)
+        object.__setattr__(self, "max_output", max_output)
 
 
 class Status(enum.Enum):
@@ -194,8 +193,7 @@ class Status(enum.Enum):
     INVALID_PREFIX = "invalid-prefix"
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     status: Status
     output: str | None = None
     steps: int = 0

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
+from ._record import Record
 from .bits import (
     BitReader,
     CodeError,
@@ -92,9 +92,10 @@ def _parse_rat_text(text: str) -> Fraction:
 # -- distribution AST ---------------------------------------------------------
 
 
-class DistDesc:
+class DistDesc(Record):
     """Base class. Also a valid machine Model condition: the machine sees
-    ``code`` plus the canonical codebook."""
+    ``code`` plus the canonical codebook. Instances are immutable, and two
+    of different kinds never compare equal."""
 
     __slots__ = ()
 
@@ -125,9 +126,11 @@ class DistDesc:
         return codebook(self).pairs_codeword_first()
 
 
-@dataclass(frozen=True, slots=True)
 class UniformOn(DistDesc):
-    desc: SetDesc
+    __slots__ = ("desc",)
+
+    def __init__(self, desc: SetDesc):
+        object.__setattr__(self, "desc", desc)
 
     def domain(self, cap: int = DEFAULT_DENOTE_CAP) -> list[str]:
         return self.desc.denote(cap)
@@ -138,18 +141,17 @@ class UniformOn(DistDesc):
         return Fraction(1, self.desc.size())
 
 
-@dataclass(frozen=True, slots=True)
 class Bernoulli(DistDesc):
-    n: int
-    p: Fraction
+    __slots__ = ("n", "p")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, p: Fraction):
+        if n < 0:
             raise DistLangError("Bernoulli needs n >= 0")
-        if not isinstance(self.p, Fraction):
-            object.__setattr__(self, "p", Fraction(self.p))
-        if not 0 < self.p < 1:
+        p = Fraction(p)
+        if not 0 < p < 1:
             raise DistLangError("Bernoulli needs p strictly between 0 and 1")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
 
     def domain(self, cap: int = DEFAULT_DENOTE_CAP) -> list[str]:
         if (1 << self.n) > cap:
@@ -163,16 +165,15 @@ class Bernoulli(DistDesc):
         return self.p**ones * (1 - self.p) ** (self.n - ones)
 
 
-@dataclass(frozen=True, slots=True)
 class TableDist(DistDesc):
-    entries: tuple[tuple[str, Fraction], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries: tuple[tuple[str, Fraction], ...]):
+        if not entries:
             raise DistLangError("Table needs at least one entry")
         fixed = []
         total = Fraction(0)
-        for x, q in self.entries:
+        for x, q in entries:
             check_bits(x)
             q = Fraction(q)
             if not 0 < q <= 1:
@@ -284,8 +285,7 @@ def parse_distlang(text: str) -> DistDesc:
 # -- canonical Shannon–Fano codebook ------------------------------------------
 
 
-@dataclass(frozen=True)
-class Codebook:
+class Codebook(NamedTuple):
     """(element, codeword) per domain element, canonical domain order.
 
     Codeword lengths are ceil(-log2 mass); assignment is shorter-first
@@ -346,8 +346,7 @@ def model_condition(dist: DistDesc) -> Condition:
     return Condition.of_model(dist)
 
 
-@dataclass(frozen=True)
-class ProbDeficiencyRecord:
+class ProbDeficiencyRecord(NamedTuple):
     x: str
     dist: DistDesc
     neglog: float
@@ -410,8 +409,7 @@ def two_part_p(x: str, dist: DistDesc) -> int:
     return dist.code_len + codeword_length(dist, x)
 
 
-@dataclass(frozen=True)
-class SuffStatPReport:
+class SuffStatPReport(NamedTuple):
     x: str
     beta: int
     lambda_min: int
@@ -489,8 +487,7 @@ class DemoRow(NamedTuple):
     flagged: bool  # weight-class total exceeds K(x) + beta
 
 
-@dataclass(frozen=True)
-class BernoulliDemoReport:
+class BernoulliDemoReport(NamedTuple):
     n: int
     beta: int
     rows: tuple[DemoRow, ...]

@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
+from ._record import Record
 from .bits import (
     BitReader,
     CodeError,
@@ -65,8 +65,9 @@ class CapExceeded(Exception):
 # -- description AST ---------------------------------------------------------
 
 
-class SetDesc:
-    """Base class; concrete shapes below. Instances are immutable."""
+class SetDesc(Record):
+    """Base class; concrete shapes below. Instances are immutable, and two
+    of different shapes never compare equal."""
 
     __slots__ = ()
 
@@ -89,12 +90,11 @@ class SetDesc:
         raise NotImplementedError
 
 
-@dataclass(frozen=True, slots=True)
 class Singleton(SetDesc):
-    x: str
+    __slots__ = ("x",)
 
-    def __post_init__(self):
-        check_bits(self.x)
+    def __init__(self, x: str):
+        object.__setattr__(self, "x", check_bits(x))
 
     def member(self, x: str) -> bool:
         return x == self.x
@@ -106,13 +106,13 @@ class Singleton(SetDesc):
         return [self.x]
 
 
-@dataclass(frozen=True, slots=True)
 class All(SetDesc):
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int):
+        if n < 0:
             raise SetLangError("All(n) needs n >= 0")
+        object.__setattr__(self, "n", n)
 
     def member(self, x: str) -> bool:
         return len(x) == self.n
@@ -126,15 +126,15 @@ class All(SetDesc):
         return [format(v, f"0{self.n}b") if self.n else "" for v in range(1 << self.n)]
 
 
-@dataclass(frozen=True, slots=True)
 class Cyl(SetDesc):
-    prefix: str
-    n: int
+    __slots__ = ("prefix", "n")
 
-    def __post_init__(self):
-        check_bits(self.prefix)
-        if not 0 <= len(self.prefix) <= self.n:
+    def __init__(self, prefix: str, n: int):
+        check_bits(prefix)
+        if not 0 <= len(prefix) <= n:
             raise SetLangError("Cyl needs l(prefix) <= n")
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "n", n)
 
     def member(self, x: str) -> bool:
         return len(x) == self.n and x.startswith(self.prefix)
@@ -149,14 +149,14 @@ class Cyl(SetDesc):
         return [self.prefix + (format(v, f"0{free}b") if free else "") for v in range(1 << free)]
 
 
-@dataclass(frozen=True, slots=True)
 class Hamming(SetDesc):
-    n: int
-    s: int
+    __slots__ = ("n", "s")
 
-    def __post_init__(self):
-        if not 0 <= self.s <= self.n:
+    def __init__(self, n: int, s: int):
+        if not 0 <= s <= n:
             raise SetLangError("Hamming needs 0 <= s <= n")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "s", s)
 
     def member(self, x: str) -> bool:
         return len(x) == self.n and x.count("1") == self.s
@@ -177,13 +177,13 @@ class Hamming(SetDesc):
         return out
 
 
-@dataclass(frozen=True, slots=True)
 class UnionSet(SetDesc):
-    parts: tuple[SetDesc, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if len(self.parts) < 2:
+    def __init__(self, parts: tuple[SetDesc, ...]):
+        if len(parts) < 2:
             raise SetLangError("Union needs at least 2 parts")
+        object.__setattr__(self, "parts", parts)
 
     def member(self, x: str) -> bool:
         return any(p.member(x) for p in self.parts)
@@ -266,15 +266,15 @@ def _intersection_size(parts: tuple[SetDesc, ...]) -> int:
     return math.comb(free, w_free)
 
 
-@dataclass(frozen=True, slots=True)
 class ListSet(SetDesc):
-    elems: tuple[str, ...]
+    __slots__ = ("elems",)
 
-    def __post_init__(self):
-        if not self.elems:
+    def __init__(self, elems: tuple[str, ...]):
+        if not elems:
             raise SetLangError("List needs at least 1 element")
-        for e in self.elems:
+        for e in elems:
             check_bits(e)
+        object.__setattr__(self, "elems", elems)
 
     def member(self, x: str) -> bool:
         return x in self.elems
@@ -412,8 +412,7 @@ def parse_setlang(text: str) -> SetDesc:
 # -- model enumeration -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModelOpts:
+class ModelOpts(NamedTuple):
     union_width: int = 3  # max parts per union (depth stays 1: parts are base sets)
     list_cap: int = 4  # max elements per list
     alpha_bound: int = DEFAULT_ALPHA_BOUND
@@ -546,8 +545,7 @@ def star_condition(desc: SetDesc) -> Condition:
     return Condition.string(pair(code, nat_to_bits(len(code))))
 
 
-@dataclass(frozen=True)
-class DeficiencyRecord:
+class DeficiencyRecord(NamedTuple):
     x: str
     desc: SetDesc
     log_size: int  # ceil(log2 |S|)
@@ -639,8 +637,7 @@ class CurveRow(NamedTuple):
     lam: float  # h + alpha
 
 
-@dataclass(frozen=True)
-class StructureCurve:
+class StructureCurve(NamedTuple):
     x: str
     alpha_max: int
     rows: tuple[CurveRow, ...]
@@ -716,8 +713,7 @@ def structfn(
 # -- sufficient statistics and stochasticity ----------------------------------
 
 
-@dataclass(frozen=True)
-class SuffStatReport:
+class SuffStatReport(NamedTuple):
     x: str
     beta: int
     lambda_min: int
@@ -787,8 +783,7 @@ def stochastic(
     return False
 
 
-@dataclass(frozen=True)
-class NonStochReport:
+class NonStochReport(NamedTuple):
     n: int
     beta: int
     min_len: dict[str, int]  # x -> minimal model length with delta_star <= beta

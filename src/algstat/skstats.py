@@ -29,22 +29,28 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
+from ._record import Record
 from .bits import bits_to_text
 from .enumeration import ComplexityTable
 
 
-@dataclass(frozen=True)
-class SkIndex:
-    k: int
-    members: tuple[str, ...]  # canonical (length, lex) order
-    n_k: int
-    width: int  # index width in bits = bit_length(n_k)
-    t_k: int  # |S^k \ S^{k-1}|
-    # member -> 1-based rank; derived from members, so not part of identity
-    ranks: dict[str, int] = field(compare=False, repr=False)
+class SkIndex(Record):
+    # k; members in canonical (length, lex) order; n_k = len(members); the
+    # index width in bits, bit_length(n_k); t_k = |S^k \ S^{k-1}|; and
+    # ranks, member -> 1-based rank, derived from members and so not part
+    # of the record's identity or repr
+    __slots__ = ("k", "members", "n_k", "width", "t_k", "ranks")
+
+    def __init__(self, k: int, members: tuple[str, ...], n_k: int, width: int, t_k: int):
+        ranks = {x: rank for rank, x in enumerate(members, 1)}
+        for name, value in zip(self.__slots__, (k, members, n_k, width, t_k, ranks)):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return self.k, self.members, self.n_k, self.width, self.t_k
 
     def __contains__(self, x: str) -> bool:
         return x in self.ranks
@@ -85,7 +91,6 @@ def sk(table: ComplexityTable, k: int) -> SkIndex:
         n_k=n_k,
         width=n_k.bit_length(),
         t_k=newest,
-        ranks={x: rank for rank, x in enumerate(members, 1)},
     )
 
 
@@ -100,8 +105,7 @@ def _mx_len(rank: int, n_k: int) -> int:
     return width - (rank ^ n_k).bit_length()
 
 
-@dataclass(frozen=True)
-class MxRecord:
+class MxRecord(NamedTuple):
     x: str
     k: int
     index: str  # padded I_x
@@ -149,8 +153,7 @@ def sk_mx(table: ComplexityTable, k: int, x: str) -> tuple[str, ...]:
 # -- X(r): strings enumerated close to the end --------------------------------
 
 
-@dataclass(frozen=True)
-class XrRow:
+class XrRow(NamedTuple):
     r: int
     members: tuple[str, ...]
     mass_sum: Fraction  # sum of 2^-K(x) over the members

@@ -25,14 +25,21 @@ LAZY = [
     "algstat.skstats",
 ]
 
+# Modules that no start-up path may import: ``dataclasses`` generates code
+# for every class it decorates, and it pulls in ``inspect``.
+SLOW = ["dataclasses", "inspect"]
+
 # Runs one command in a fresh interpreter, then prints which lazy modules
-# have run and whether the process pool was imported, as the last stdout line.
+# have run, whether the process pool was imported and which SLOW modules
+# were loaded, as the last stdout line.
 PROBE = f"""
 import json, sys, types
 from algstat.cli import main
 rc = main(sys.argv[1:])
 ran = [n for n in {LAZY!r} if type(sys.modules[n]) is types.ModuleType]
-print(json.dumps({{"rc": rc, "ran": ran, "pool": "concurrent.futures.process" in sys.modules}}))
+slow = [n for n in {SLOW!r} if n in sys.modules]
+pool = "concurrent.futures.process" in sys.modules
+print(json.dumps({{"rc": rc, "ran": ran, "pool": pool, "slow": slow}}))
 """
 
 
@@ -67,7 +74,33 @@ def test_commands_run_only_the_modules_they_use(warm_cache, argv, ran):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     probe = json.loads(proc.stdout.splitlines()[-1])
-    assert probe == {"rc": 0, "ran": ran, "pool": False}
+    assert probe == {"rc": 0, "ran": ran, "pool": False, "slow": []}
+
+
+@pytest.mark.parametrize(
+    "argv, ran, pool",
+    [
+        (["laws"], LAZY, False),
+        (
+            ["structfn", "0110", "--workers", "2"],
+            ["algstat.models_prob", "algstat.models_set"],
+            True,
+        ),
+    ],
+)
+def test_battery_and_pool_load_no_slow_module(tmp_path, argv, ran, pool):
+    """A cold ``laws`` runs every analysis module, and a cold ``structfn``
+    at two workers starts the pool; neither path loads a SLOW module."""
+    proc = fresh("-c", PROBE, *argv, "--cache-dir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe == {"rc": 0, "ran": ran, "pool": pool, "slow": []}
+
+
+@pytest.mark.parametrize("module", ["algstat", "algstat.cli"])
+def test_import_loads_no_slow_module(module):
+    proc = fresh("-c", f"import sys, {module}; print([n for n in {SLOW!r} if n in sys.modules])")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_error_path_loads_the_exceptions_it_names(warm_cache):
