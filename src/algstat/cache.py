@@ -72,6 +72,8 @@ def load_or_build(
     cache_dir: str | Path | None = None,
     warn: Callable[[str], None] | None = None,
     walked: Callable[[], tuple[dict[str, list], list[int]]] | None = None,
+    *,
+    _found: tuple[Path, bool] | None = None,
 ) -> tuple[ComplexityTable, bool]:
     """Fetch a table from the cache or build and cache it.
 
@@ -81,14 +83,20 @@ def load_or_build(
     is rebuilt and overwritten, never trusted; a record error that only a
     segment's parse finds raises ``TableFormatError`` at the first lookup
     that reads it. ``walked`` is passed on to ``build_table`` when the table
-    has to be built.
+    has to be built. ``_found`` is private to ``TableSource``: the table's
+    file, as ``table_path`` names it, and whether it existed when the
+    caller looked, so that neither is made again here.
     """
     cond = cond if cond is not None else Condition.none()
     budgets = budgets if budgets is not None else Budgets()
-    cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     fingerprint = cond.fingerprint()
-    path = table_path(cache_dir, L, budgets, fingerprint)
-    if path.exists():
+    if _found is None:
+        cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+        path = table_path(cache_dir, L, budgets, fingerprint)
+        cached = path.exists()
+    else:
+        path, cached = _found
+    if cached:
         try:
             table = import_table(path)
         except TableError:
@@ -103,7 +111,7 @@ def load_or_build(
     if warn is not None:
         warn(f"cache miss: enumerating L={L} under condition [{cond.serial()}]")
     table = build_table(L, cond, budgets, walked=walked)
-    cache_dir.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     export_table(table, tmp)
     os.replace(tmp, path)
@@ -199,9 +207,10 @@ class TableSource(NamedTuple):
         unique: dict[tuple[int, str], Condition] = {}
         for L, cond in jobs:
             unique.setdefault((L, cond.fingerprint()), cond)
-        absent = [
-            (L, fp) for L, fp in unique if not table_path(cache_dir, L, self.budgets, fp).exists()
-        ]
+        # Each file is named and stat-ed once, here.
+        paths = {key: table_path(cache_dir, key[0], self.budgets, key[1]) for key in unique}
+        cached = {key: path.exists() for key, path in paths.items()}
+        absent = [key for key in unique if not cached[key]]
         tables: dict[tuple[int, str], ComplexityTable] = {}
         if self.workers > 1 and len(absent) > 1:
             # Imported only when a pool starts: it pulls in multiprocessing,
@@ -224,11 +233,15 @@ class TableSource(NamedTuple):
                         walks.update(itertools.islice(submitted, 1))
                         walked = walk.result
                     tables[key], _ = load_or_build(
-                        key[0], cond, self.budgets, cache_dir, self.warn, walked
+                        key[0], cond, self.budgets, cache_dir, self.warn, walked,
+                        _found=(paths[key], cached[key]),
                     )
         else:
             for key, cond in unique.items():
-                tables[key], _ = load_or_build(key[0], cond, self.budgets, cache_dir, self.warn)
+                tables[key], _ = load_or_build(
+                    key[0], cond, self.budgets, cache_dir, self.warn,
+                    _found=(paths[key], cached[key]),
+                )
         return [tables[L, cond.fingerprint()] for L, cond in jobs]
 
 

@@ -7,10 +7,11 @@ shortest program in length-then-lexicographic order) and the exact dyadic
 mass m = sum 2^{-l(p)} over programs producing that output, and one
 histogram of its halting programs by length.
 
-Each build is one serial walk of the opcode decode tree from its root,
-never of raw bit strings; ``enumerate_halting`` lists the programs through
-the same traversal. Independent tables can be built side by side (see
-``cache.TableSource.tables``); a single table is never split.
+Each build is one serial walk of the machine's states (see
+``_pykernel``), never of raw bit strings; ``enumerate_halting`` lists the
+programs through a traversal of the opcode decode tree. Independent tables
+can be built side by side (see ``cache.TableSource.tables``); a single
+table is never split.
 """
 
 from __future__ import annotations
@@ -210,7 +211,8 @@ def build_table(
             found, hist = walked()
         if len(found) > entry_cap:
             raise EntryCapExceeded(f"{len(found)} outputs exceeds entry cap {entry_cap}")
-        entries = {out: Entry(e[0], e[1], e[2]) for out, e in found.items()}
+        # Each [K, witness, m_num] list becomes an Entry in C (see _parse_segment).
+        entries = dict(zip(found, map(tuple.__new__, itertools.repeat(Entry), found.values())))
     table = ComplexityTable(
         L, budgets, cond.fingerprint(), entries, hist, cond_serial=cond.serial()
     )

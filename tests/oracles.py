@@ -2,7 +2,10 @@
 
 The naive table oracle runs the machine on *every* bit string up to a
 length cap — no decode-tree walk, no pruning — so it cross-checks the
-enumeration kernels against the machine semantics alone. The counting
+enumeration kernels against the machine semantics alone. ``tree_walk``
+tabulates the kernel's decode-tree traversal one halting program at a
+time, as the kernel's ``walk`` did before it walked machine states; it is
+the reference for ``walk`` at lengths the naive oracle cannot reach. The counting
 recurrences predict halting-program totals per length straight from the
 opcode length table, independently of both. The naive table-file parser
 reads one record at a time, and ``seal`` writes a file around any record
@@ -19,6 +22,7 @@ from functools import lru_cache
 from itertools import product
 from pathlib import Path
 
+from algstat import _pykernel
 from algstat.bits import check_bits, text_to_bits
 from algstat.enumeration import ComplexityTable, Entry, TableFormatError, TableVersionError
 from algstat.machine import MACHINE_VERSION, Budgets, Condition, Status, run
@@ -46,6 +50,38 @@ def naive_entries(L: int, cond: Condition | None = None, budgets: Budgets | None
                 # smallest because product() yields in lex order
                 e[2] += 1 << (L - l)
     return {out: tuple(e) for out, e in entries.items()}, hist
+
+
+def tree_walk(
+    L: int,
+    max_steps: int,
+    max_output: int,
+    cond_kind: int,
+    cond_bits: str,
+    book_codes: tuple[str, ...],
+    book_elems: tuple[str, ...],
+) -> tuple[dict[str, list], list[int]]:
+    """``_pykernel.walk`` by one callback per halting program of
+    ``_pykernel.traverse``: (entries, hist) with entries mapping output ->
+    [K, witness, m_num over 2**L]."""
+    entries: dict[str, list] = {}
+    hist = [0] * (L + 1)
+    get = entries.get
+
+    def halt(p: str, out: str, steps: int) -> None:
+        total = len(p)
+        hist[total] += 1
+        e = get(out)
+        if e is None:
+            entries[out] = [total, p, 1 << (L - total)]
+        else:
+            if total < e[0] or (total == e[0] and p < e[1]):
+                e[0] = total
+                e[1] = p
+            e[2] += 1 << (L - total)
+
+    _pykernel.traverse(L, max_steps, max_output, cond_kind, cond_bits, book_codes, book_elems, halt)
+    return entries, hist
 
 
 def naive_halting_programs(L: int, cond: Condition | None = None, budgets: Budgets | None = None):

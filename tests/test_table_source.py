@@ -9,12 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from algstat import complexity, infolaws, models_prob, models_set
+from algstat import cache, complexity, infolaws, models_prob, models_set
 from algstat.cache import TableSource
 from algstat.complexity import soi_audit
 from algstat.enumeration import build_table
 from algstat.infolaws import nonincrease_audit
-from algstat.machine import Budgets
+from algstat.machine import Budgets, Condition
 from algstat.models_prob import Bernoulli, deficiency_p
 from algstat.models_set import structfn
 
@@ -65,3 +65,19 @@ def test_no_public_function_takes_table_settings(module):
         if params & TABLE_SETTINGS:
             threaded[name] = sorted(params & TABLE_SETTINGS)
     assert threaded == {}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_cached_table_is_named_and_stat_ed_once(workers, tmp_path, monkeypatch):
+    """``TableSource`` names each distinct table's file once, cold and warm,
+    and hands it on to ``load_or_build`` rather than naming it again."""
+    named = []
+    real = cache.table_path
+    monkeypatch.setattr(cache, "table_path", lambda *args: named.append(args) or real(*args))
+    conds = [Condition.string("1"), Condition.none(), Condition.string("1"), Condition.string("01")]
+    source = TableSource(workers=workers, cache_dir=tmp_path)
+    for _ in ("cold", "warm"):
+        named.clear()
+        tables = source.tables(8, conds)
+        assert len(named) == 3 == len(set(named))
+        assert tables[0] is tables[2]
