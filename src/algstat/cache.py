@@ -207,7 +207,7 @@ class TableSource(NamedTuple):
         unique: dict[tuple[int, str], Condition] = {}
         for L, cond in jobs:
             unique.setdefault((L, cond.fingerprint()), cond)
-        # Each file is named and stat-ed once, here.
+        # Each file is named and stat-ed once, here; load_or_build takes both.
         paths = {key: table_path(cache_dir, key[0], self.budgets, key[1]) for key in unique}
         cached = {key: path.exists() for key, path in paths.items()}
         absent = [key for key in unique if not cached[key]]

@@ -5,9 +5,9 @@ length cap — no decode-tree walk, no pruning — so it cross-checks the
 enumeration kernels against the machine semantics alone. ``tree_walk``
 tabulates the kernel's decode-tree traversal one halting program at a
 time, as the kernel's ``walk`` did before it walked machine states; it is
-the reference for ``walk`` at lengths the naive oracle cannot reach. The counting
-recurrences predict halting-program totals per length straight from the
-opcode length table, independently of both. The naive table-file parser
+the reference for ``walk`` at lengths the naive oracle cannot reach. The
+counting recurrences predict halting-program totals per length straight
+from the opcode length table, independently of both. The naive table-file parser
 reads one record at a time, and ``seal`` writes a file around any record
 text. The law-audit and X(r) references recompute each quantity term by
 term, one lookup at a time, as the library computed them before it swept

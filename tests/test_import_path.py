@@ -30,8 +30,8 @@ LAZY = [
 SLOW = ["dataclasses", "inspect"]
 
 # Runs one command in a fresh interpreter, then prints which lazy modules
-# have run, whether the process pool was imported and which SLOW modules
-# were loaded, as the last stdout line.
+# have run, whether the process pool was imported, which SLOW modules were
+# loaded and whether the kernel's state walk was, as the last stdout line.
 PROBE = f"""
 import json, sys, types
 from algstat.cli import main
@@ -39,7 +39,8 @@ rc = main(sys.argv[1:])
 ran = [n for n in {LAZY!r} if type(sys.modules[n]) is types.ModuleType]
 slow = [n for n in {SLOW!r} if n in sys.modules]
 pool = "concurrent.futures.process" in sys.modules
-print(json.dumps({{"rc": rc, "ran": ran, "pool": pool, "slow": slow}}))
+walked = "algstat._statewalk" in sys.modules
+print(json.dumps({{"rc": rc, "ran": ran, "pool": pool, "slow": slow, "walked": walked}}))
 """
 
 
@@ -74,7 +75,7 @@ def test_commands_run_only_the_modules_they_use(warm_cache, argv, ran):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     probe = json.loads(proc.stdout.splitlines()[-1])
-    assert probe == {"rc": 0, "ran": ran, "pool": False, "slow": []}
+    assert probe == {"rc": 0, "ran": ran, "pool": False, "slow": [], "walked": False}
 
 
 @pytest.mark.parametrize(
@@ -89,12 +90,13 @@ def test_commands_run_only_the_modules_they_use(warm_cache, argv, ran):
     ],
 )
 def test_battery_and_pool_load_no_slow_module(tmp_path, argv, ran, pool):
-    """A cold ``laws`` runs every analysis module, and a cold ``structfn``
-    at two workers starts the pool; neither path loads a SLOW module."""
+    """A cold ``laws`` runs every analysis module and walks in this process,
+    and a cold ``structfn`` at two workers walks in the pool it starts;
+    neither path loads a SLOW module."""
     proc = fresh("-c", PROBE, *argv, "--cache-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
-    assert probe == {"rc": 0, "ran": ran, "pool": pool, "slow": []}
+    assert probe == {"rc": 0, "ran": ran, "pool": pool, "slow": [], "walked": not pool}
 
 
 @pytest.mark.parametrize("module", ["algstat", "algstat.cli"])

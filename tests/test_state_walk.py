@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algstat import _pykernel, cli
+from algstat import _pykernel, _statewalk, cli
 from algstat.cache import AUDIT_MAX_LEN
 from algstat.enumeration import LEVEL_MAX_LEN
 from algstat.kernel import walk_args
@@ -79,7 +79,7 @@ def test_walk_never_calls_traverse(monkeypatch):
         raise AssertionError("walk called traverse")
 
     monkeypatch.setattr(_pykernel, "traverse", refuse)
-    _pykernel._condition_free.cache_clear()
+    _statewalk._condition_free.cache_clear()
     for cond in (Condition.none(), Condition.string("0110"), Condition.of_model(BOOK_WITH_LOOPS)):
         entries, hist = _pykernel.walk(*walk_args(12, cond, Budgets()))
         assert entries and sum(hist)
@@ -146,9 +146,9 @@ def test_condition_order_and_edits_do_not_reach_later_walks():
     returned changes no later walk."""
     a = walk_args(15, Condition.string("0110"), Budgets(max_output=6))
     b = walk_args(15, Condition.string("11101"), Budgets(max_output=6))
-    _pykernel._condition_free.cache_clear()
+    _statewalk._condition_free.cache_clear()
     first = [_pykernel.walk(*a), _pykernel.walk(*b)]
-    _pykernel._condition_free.cache_clear()
+    _statewalk._condition_free.cache_clear()
     second = [_pykernel.walk(*b), _pykernel.walk(*a)]
     assert first == second[::-1] == [tree_walk(*a), tree_walk(*b)]
 
