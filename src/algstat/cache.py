@@ -48,6 +48,12 @@ ENV_CACHE_DIR = "ALGSTAT_CACHE_DIR"
 # The largest cap ``TableSource.k_tables`` derives: that of the ``laws``
 # deep table, which reads strings of up to 13 bits.
 AUDIT_MAX_LEN = 29
+# The shortest program-length cap whose cache misses go to the pool. Cold
+# ``structfn`` at --workers 2 against 1 on a 2-vCPU VM (Python 3.11, medians
+# of 3): x0.69 at 10 bits, whose longest walks are the L=23 star tables, so
+# the pool loses there; x1.10 at 11 bits (L=25) and x1.16 at 12 bits (L=27).
+# A shorter walk takes a few ms, less than a worker costs to start and feed.
+POOL_MIN_L = 25
 
 
 def default_cache_dir() -> Path:
@@ -189,14 +195,16 @@ class TableSource(NamedTuple):
         back in the order of ``conds``.
 
         Each distinct condition is looked up once, in order, so the ``cache
-        miss`` notes come out in condition order. When workers > 1 and more
-        than one distinct condition has no cache file, the kernel walks of
-        those tables run in a pool of that many processes while this process
-        imports the cached tables and tabulates and exports the built ones.
-        A single table is never split, so the result does not depend on
-        ``workers``. The pool uses the platform's default start method; where
-        that is not ``fork`` (macOS, Windows, and Linux from Python 3.14 on),
-        a script that passes workers > 1 needs the usual
+        miss`` notes come out in condition order. A cache miss whose cap is
+        at least ``POOL_MIN_L`` is a long walk. When workers > 1 and more
+        than one long walk is due, those walks run in a pool of that many
+        processes, while this process walks the short misses, imports the
+        cached tables and tabulates and exports the built ones. Otherwise
+        every miss is walked here and no pool starts. A single table is never
+        split, so the result does not depend on ``workers``. The pool uses
+        the platform's default start method; where that is not ``fork``
+        (macOS, Windows, and Linux from Python 3.14 on), a script that passes
+        workers > 1 and can reach caps of ``POOL_MIN_L`` needs the usual
         ``if __name__ == "__main__":`` guard.
         """
         return self._tables([(L, cond) for cond in conds])
@@ -210,20 +218,22 @@ class TableSource(NamedTuple):
         # Each file is named and stat-ed once, here; load_or_build takes both.
         paths = {key: table_path(cache_dir, key[0], self.budgets, key[1]) for key in unique}
         cached = {key: path.exists() for key, path in paths.items()}
-        absent = [key for key in unique if not cached[key]]
+        # Only the long misses go to the pool; the loop below walks the short
+        # ones in this process, as it does every miss when no pool starts.
+        long = [key for key in unique if not cached[key] and key[0] >= POOL_MIN_L]
         tables: dict[tuple[int, str], ComplexityTable] = {}
-        if self.workers > 1 and len(absent) > 1:
+        if self.workers > 1 and len(long) > 1:
             # Imported only when a pool starts: it pulls in multiprocessing,
-            # which a one-table call never needs.
+            # which a call without two long misses never needs.
             from concurrent.futures import ProcessPoolExecutor
 
-            workers = min(self.workers, len(absent))
+            workers = min(self.workers, len(long))
             with ProcessPoolExecutor(workers) as pool:
                 # Submitted lazily: at most `workers` walks run or wait ahead of
                 # the table being made here, which bounds the results held at once.
                 submitted = (
                     (key, pool.submit(_pykernel.walk, *walk_args(key[0], unique[key], self.budgets)))
-                    for key in absent
+                    for key in long
                 )
                 walks = dict(itertools.islice(submitted, workers))
                 for key, cond in unique.items():
@@ -251,5 +261,4 @@ def k_cap(n: int, cond: Condition) -> int:
     condition the least of that and 7 plus the longest codeword."""
     if cond.kind != Condition.MODEL_KIND:
         return 2 * n + 3
-    book, _ = cond.sf_book()
-    return min(2 * n + 3, 7 + max(map(len, book), default=0))
+    return min(2 * n + 3, 7 + cond.model.max_codeword_len())

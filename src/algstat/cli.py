@@ -328,7 +328,7 @@ def _add_table_flags(
             type=int,
             default=1,
             metavar="N",
-            help="build the independent tables this command needs in N processes",
+            help="walk this command's long cache misses in N processes",
         )
     p.add_argument(
         "--cache-dir",

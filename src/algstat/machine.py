@@ -105,12 +105,16 @@ class ConditionModel(Protocol):
 
     ``code`` is the model's prefix-free description (used for condition
     fingerprints); ``codebook_pairs`` lists (codeword, element) in
-    canonical order with the codewords forming a prefix-free code.
+    canonical order with the codewords forming a prefix-free code;
+    ``max_codeword_len`` is the length of the longest of those codewords
+    (0 for an empty book), found without building the book.
     """
 
     code: str
 
     def codebook_pairs(self) -> list[tuple[str, str]]: ...
+
+    def max_codeword_len(self) -> int: ...
 
 
 class Condition:

@@ -34,6 +34,7 @@ from .bits import (
     CodeError,
     bar_nat,
     bits_to_text,
+    ceil_log2,
     ceil_log2_ratio,
     check_bits,
     std,
@@ -114,6 +115,11 @@ class DistDesc(Record):
     def mass(self, x: str) -> Fraction:
         raise NotImplementedError
 
+    def max_codeword_len(self) -> int:
+        """The length of the longest codeword of ``codebook(self)``, that is
+        ceil(-log2) of the least mass in the domain, without the book."""
+        raise NotImplementedError
+
     def neglog(self, x: str) -> float:
         """-log2 mass as a real (documented 1e-9 precision); +inf marks
         zero mass. Comparisons elsewhere go through exact rationals."""
@@ -140,6 +146,9 @@ class UniformOn(DistDesc):
             return Fraction(0)
         return Fraction(1, self.desc.size())
 
+    def max_codeword_len(self) -> int:
+        return ceil_log2(self.desc.size())
+
 
 class Bernoulli(DistDesc):
     __slots__ = ("n", "p")
@@ -163,6 +172,11 @@ class Bernoulli(DistDesc):
             return Fraction(0)
         ones = x.count("1")
         return self.p**ones * (1 - self.p) ** (self.n - ones)
+
+    def max_codeword_len(self) -> int:
+        # the least mass is that of n copies of the less likely bit
+        q = min(self.p, 1 - self.p)
+        return ceil_log2_ratio(q.denominator**self.n, q.numerator**self.n)
 
 
 class TableDist(DistDesc):
@@ -196,6 +210,9 @@ class TableDist(DistDesc):
             if y == x:
                 return q
         return Fraction(0)
+
+    def max_codeword_len(self) -> int:
+        return max(ceil_log2_ratio(q.denominator, q.numerator) for _, q in self.entries)
 
 
 # -- encoding ----------------------------------------------------------------
@@ -323,6 +340,15 @@ def codeword_length(dist: DistDesc, x: str) -> int:
 
 def codebook(dist: DistDesc, cap: int = DEFAULT_DENOTE_CAP) -> Codebook:
     domain = dist.domain(cap)
+    if isinstance(dist, UniformOn):
+        # Every codeword has the same length, so packing gives the i-th
+        # element i in that many bits: one size() for the whole book.
+        width = dist.max_codeword_len()
+        return Codebook(
+            assignments=tuple(
+                (x, format(i, f"0{width}b") if width else "") for i, x in enumerate(domain)
+            )
+        )
     with_lengths = [(codeword_length(dist, x), i, x) for i, x in enumerate(domain)]
     with_lengths.sort(key=lambda t: (t[0], t[1]))
     assigned: dict[str, str] = {}

@@ -345,6 +345,31 @@ class ToyModel:
     def codebook_pairs(self) -> list[tuple[str, str]]:
         return list(self._pairs)
 
+    def max_codeword_len(self) -> int:
+        return max((len(cw) for cw, _ in self._pairs), default=0)
+
+
+def naive_codebook(dist):
+    """models_prob.codebook by its definition, for every kind of model: each
+    domain element's codeword length is ceil(-log2 mass) from its own
+    ``mass`` call, and shorter codewords are packed first (ties in domain
+    order), each the last one plus 1, shifted to its length."""
+    from algstat.bits import ceil_log2_ratio
+    from algstat.models_prob import Codebook
+
+    lengths = []
+    for i, x in enumerate(dist.domain()):
+        m = dist.mass(x)
+        lengths.append((ceil_log2_ratio(m.denominator, m.numerator), i, x))
+    assigned = {}
+    value, prev = 0, None
+    for length, _, x in sorted(lengths):
+        value = value if prev is None else value << (length - prev)
+        assert value < 1 << length, "Kraft overflow"
+        assigned[x] = format(value, f"0{length}b") if length else ""
+        value, prev = value + 1, length
+    return Codebook(assignments=tuple((x, assigned[x]) for x in dist.domain()))
+
 
 # -- the law audits, one K lookup per (table, string, triple) ----------------
 

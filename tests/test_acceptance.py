@@ -12,6 +12,7 @@ import random
 import time
 from fractions import Fraction
 
+from algstat import cache
 from algstat.cache import AUDIT_MAX_LEN, TableSource
 from algstat.constants import load_constants, regression_check
 from algstat.enumeration import build_table, enumerate_halting, export_table, find_prefix_violation
@@ -181,7 +182,9 @@ def test_09_law_audits(table_l29, table_l22, cond_cache):
     _done(9, "law audits", f"{len(lines)} slacks within +1 bit of frozen")
 
 
-def test_10_determinism(tmp_path, table_l22):
+def test_10_determinism(tmp_path, table_l22, monkeypatch):
+    # every walk here is short; lowered, the threshold sends them to the pool
+    monkeypatch.setattr(cache, "POOL_MIN_L", 0)
     conds = [
         Condition.none(),
         Condition.string("1011"),

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algstat import _pykernel, enumeration
+from algstat import _pykernel, cache, enumeration
 from algstat.cache import TableSource, load_or_build, table_path
 from algstat.enumeration import (
     TABLE_FORMAT,
@@ -33,7 +33,7 @@ from algstat.enumeration import (
 )
 from algstat.kernel import backend_name, walk_args
 from algstat.machine import Budgets, Condition, run
-from algstat.models_set import Hamming, uniform_condition
+from algstat.models_set import Hamming, Singleton, uniform_condition
 from oracles import (
     ToyModel,
     naive_entries,
@@ -212,6 +212,8 @@ class TestDeterminismAndBackends:
 
         # cache imports the pool from concurrent.futures when it starts one
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        # these walks are short; lowered, the threshold sends them all to the pool
+        monkeypatch.setattr(cache, "POOL_MIN_L", 0)
         t1 = TableSource(workers=1, cache_dir=tmp_path / "w1").tables(14, SMALL_CONDS)
         assert pools == []
         t2 = TableSource(workers=2, cache_dir=tmp_path / "w2").tables(14, SMALL_CONDS)
@@ -260,14 +262,47 @@ class TestLoadOrBuildMany:
         assert again == built
         assert notes == []
 
+    def test_only_long_misses_go_to_the_pool(self, tmp_path, monkeypatch):
+        """Under k_tables(4, ...) the string and plain tables get the cap
+        2·4+3 = 11 and the uniform ones 7 plus their longest codeword (10 and
+        7). With the threshold at 11, only the three long misses are walked in
+        the pool, and tables, files and notes are those of one process."""
+        submitted = []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append((args[0], args[4]))  # the cap and a string condition
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cache, "POOL_MIN_L", 11)
+        conds = [
+            Condition.string("1"),
+            uniform_condition(Hamming(4, 2)),
+            Condition.none(),
+            uniform_condition(Singleton("0110")),
+            Condition.string("01"),
+        ]
+        runs = {}
+        for workers in (1, 2):
+            notes = []
+            source = TableSource(workers=workers, cache_dir=tmp_path / f"w{workers}", warn=notes.append)
+            runs[workers] = source.k_tables(4, conds), notes, _cache_files(tmp_path / f"w{workers}")
+        assert submitted == [(11, "1"), (11, ""), (11, "01")]
+        assert [t.L for t in runs[2][0]] == [11, 10, 11, 7, 11]
+        assert runs[1] == runs[2]
+        assert len(runs[2][1]) == len(conds)
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork", reason="the default start method is not fork"
     )
     def test_script_without_main_guard(self, tmp_path):
         script = tmp_path / "script.py"
         script.write_text(
+            "from algstat import cache\n"
             "from algstat.cache import TableSource\n"
             "from algstat.machine import Condition\n"
+            "cache.POOL_MIN_L = 0\n"
             "conds = [Condition.none(), Condition.string('1')]\n"
             f"source = TableSource(workers=2, cache_dir={str(tmp_path)!r})\n"
             "print(len(source.tables(8, conds)))\n"
@@ -481,6 +516,7 @@ class TestCacheFormat:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(cache, "POOL_MIN_L", 0)
         conds = SMALL_CONDS[:2]
         budgets = Budgets()
         for cond in conds:

@@ -44,6 +44,10 @@ print(json.dumps({{"rc": rc, "ran": ran, "pool": pool, "slow": slow, "walked": w
 """
 
 
+# The PROBE with every cache miss sent to the pool, however short its walk.
+POOL_PROBE = "import algstat.cache\nalgstat.cache.POOL_MIN_L = 0\n" + PROBE
+
+
 def fresh(*argv: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -87,13 +91,21 @@ def test_commands_run_only_the_modules_they_use(warm_cache, argv, ran):
             ["algstat.models_prob", "algstat.models_set"],
             True,
         ),
+        (
+            ["structfn", "0110", "--workers", "2"],
+            ["algstat.models_prob", "algstat.models_set"],
+            False,
+        ),
     ],
 )
 def test_battery_and_pool_load_no_slow_module(tmp_path, argv, ran, pool):
     """A cold ``laws`` runs every analysis module and walks in this process,
-    and a cold ``structfn`` at two workers walks in the pool it starts;
-    neither path loads a SLOW module."""
-    proc = fresh("-c", PROBE, *argv, "--cache-dir", str(tmp_path))
+    and so does a cold 4-bit ``structfn`` at two workers, whose walks are all
+    short. Where ``pool`` is expected, the probe lowers the pool threshold to
+    0, and that ``structfn`` walks in the pool it starts. No path loads a
+    SLOW module."""
+    script = POOL_PROBE if pool else PROBE
+    proc = fresh("-c", script, *argv, "--cache-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe == {"rc": 0, "ran": ran, "pool": pool, "slow": [], "walked": not pool}

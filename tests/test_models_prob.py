@@ -8,6 +8,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algstat.bits import bar_nat, std
 from algstat.cache import TableSource
@@ -23,15 +25,52 @@ from algstat.models_prob import (
     deficiency_p,
     encode_dist,
     format_distlang,
+    model_condition,
     parse_distlang,
     pk,
     suffstat_p,
     two_part_p,
 )
-from algstat.models_set import All, Hamming, ListSet, ModelOpts, Singleton, deficiency
+from algstat.models_set import (
+    DEFAULT_ALPHA_BOUND,
+    All,
+    CapExceeded,
+    Cyl,
+    Hamming,
+    ListSet,
+    ModelOpts,
+    Singleton,
+    UnionSet,
+    deficiency,
+    enumerate_models,
+    two_part,
+)
+from oracles import naive_codebook
 
 B2 = Bernoulli(2, Fraction(1, 4))
 B8 = Bernoulli(8, Fraction(1, 4))
+
+short_bits = st.text("01", max_size=5)
+simple_sets = st.one_of(
+    short_bits.map(Singleton),
+    st.integers(0, 7).map(All),
+    st.builds(lambda prefix, free: Cyl(prefix, len(prefix) + free), short_bits, st.integers(0, 4)),
+    st.integers(0, 8).flatmap(lambda n: st.integers(0, n).map(lambda s: Hamming(n, s))),
+    st.lists(short_bits, min_size=1, max_size=6).map(lambda elems: ListSet(tuple(elems))),
+)
+uniform_models = st.one_of(
+    simple_sets, st.lists(simple_sets, min_size=2, max_size=3).map(lambda ps: UnionSet(tuple(ps)))
+).map(UniformOn)
+probabilities = st.builds(lambda a, b: Fraction(a, a + b), st.integers(1, 40), st.integers(1, 40))
+bernoulli_models = st.builds(Bernoulli, st.integers(0, 9), probabilities)
+# weights over a total of at least their sum: masses in (0, 1] summing to at most 1
+table_models = st.builds(
+    lambda weights, spare: TableDist(
+        tuple((x, Fraction(w, sum(weights.values()) + spare)) for x, w in weights.items())
+    ),
+    st.dictionaries(short_bits, st.integers(1, 64), min_size=1, max_size=6),
+    st.integers(0, 64),
+)
 
 
 def rat_bits(q: Fraction) -> str:
@@ -139,6 +178,52 @@ class TestCodebook:
     def test_kraft_never_exceeds_one(self):
         for dist in (B2, B8, UniformOn(All(6))):
             assert codebook(dist).kraft_sum() <= 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(dist=st.one_of(uniform_models, bernoulli_models, table_models))
+    def test_max_codeword_len_is_the_longest_codeword(self, dist):
+        """The closed forms (uniform, Bernoulli) and the scan (table) give the
+        longest codeword of the book packed from every element's mass."""
+        book = naive_codebook(dist)
+        longest = max(len(cw) for _, cw in book.assignments)
+        assert dist.max_codeword_len() == longest
+        assert codebook(dist) == book
+
+    @pytest.mark.parametrize("x", ["01101001", "011010011001"])
+    def test_uniform_books_of_structfn_models_equal_the_packed_book(self, x):
+        """Every uniform model a default ``structfn`` reads gets the book of
+        the mass-by-mass packing from the closed form."""
+        models = enumerate_models(x, min(two_part(x, Singleton(x)) + 1, DEFAULT_ALPHA_BOUND))
+        assert len(models) > 1
+        for desc in models:
+            assert codebook(UniformOn(desc)) == naive_codebook(UniformOn(desc))
+
+    @pytest.mark.parametrize(
+        "lookup, message",
+        [
+            (
+                lambda source: source.k_tables(21, [model_condition(UniformOn(All(21)))]),
+                r"\|All\(21\)\| = 2\^21 exceeds cap 1048576",
+            ),
+            (
+                lambda source: source.k_tables(21, [model_condition(Bernoulli(21, Fraction(1, 2)))]),
+                r"Bernoulli domain 2\^21 exceeds cap 1048576",
+            ),
+            (
+                lambda source: deficiency_p("0" * 21, Bernoulli(21, Fraction(1, 3)), source=source),
+                r"Bernoulli domain 2\^21 exceeds cap 1048576",
+            ),
+        ],
+        ids=["uniform", "bernoulli", "deficiency_p"],
+    )
+    def test_a_domain_beyond_the_denote_cap_fails_the_cold_build(self, lookup, message, tmp_path):
+        """The derived cap reads no book, so it no longer meets the denote
+        cap (here at L=28); the cold build, which needs the book, raises the
+        same error, and no table file is written. An analysis lists the
+        domain before it asks for the table, and fails there."""
+        with pytest.raises(CapExceeded, match=f"^{message}$"):
+            lookup(TableSource(cache_dir=tmp_path))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDeficiencyP:

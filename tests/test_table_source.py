@@ -73,6 +73,7 @@ def test_each_cached_table_is_named_and_stat_ed_once(workers, tmp_path, monkeypa
     and hands it on to ``load_or_build`` rather than naming it again."""
     named = []
     real = cache.table_path
+    monkeypatch.setattr(cache, "POOL_MIN_L", 0)  # so that workers=2 starts a pool
     monkeypatch.setattr(cache, "table_path", lambda *args: named.append(args) or real(*args))
     conds = [Condition.string("1"), Condition.none(), Condition.string("1"), Condition.string("01")]
     source = TableSource(workers=workers, cache_dir=tmp_path)
