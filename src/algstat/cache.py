@@ -48,11 +48,13 @@ ENV_CACHE_DIR = "ALGSTAT_CACHE_DIR"
 # The largest cap ``TableSource.k_tables`` derives: that of the ``laws``
 # deep table, which reads strings of up to 13 bits.
 AUDIT_MAX_LEN = 29
-# The shortest program-length cap whose cache misses go to the pool. Cold
-# ``structfn`` at --workers 2 against 1 on a 2-vCPU VM (Python 3.11, medians
-# of 3): x0.69 at 10 bits, whose longest walks are the L=23 star tables, so
-# the pool loses there; x1.10 at 11 bits (L=25) and x1.16 at 12 bits (L=27).
-# A shorter walk takes a few ms, less than a worker costs to start and feed.
+# The shortest program-length cap whose cache misses go to the pool. A
+# shorter walk takes a few ms, less than a worker costs to start and feed.
+# Cold ``structfn`` on a 2-vCPU VM (Python 3.11): at 10 bits, whose longest
+# walks are the L=23 star tables, sending those to a pool of 2 took 0.45 s
+# against 0.38 s walked here (medians of 7); at 11 bits (L=25) the pool took
+# 1.37 s against 1.61 s, and at 12 bits (L=27) 2.84 s against 4.12 s
+# (medians of 3).
 POOL_MIN_L = 25
 
 
