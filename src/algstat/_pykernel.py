@@ -53,11 +53,16 @@ passes through it. The same monotonicity makes an output budget of n an
 exact slice: the walk under ``max_output=n`` finds exactly the halting
 programs whose output has at most n bits, which is why an analysis may
 ask for a table only up to the longest string it reads
-(``cache.TableSource.capped``). The codebook comes sorted by codeword
-length, so once one SFDECODE codeword overruns the length cap or the step
-budget, every later one does too; the output check depends on the
-element, whose lengths are not sorted, so it skips a codeword rather than
-ending the scan.
+(``cache.TableSource.capped``). Nor does a walk read a string condition
+past bit O: no opcode shortens the buffer and COPYIN appends exactly the
+m bits it advances the pointer by, so pointer <= |buffer| <= O in every
+state, and a COPYIN that passes ``ptr + m <= len(c)`` but would read past
+bit O fails ``n + m <= O``. The walk under c equals the walk under c[:O]
+for every L and T (``cache.TableSource.tables`` keys tables by the cut
+condition). The codebook comes sorted by codeword length, so once one
+SFDECODE codeword overruns the length cap or the step budget, every later
+one does too; the output check depends on the element, whose lengths are
+not sorted, so it skips a codeword rather than ending the scan.
 """
 
 from __future__ import annotations

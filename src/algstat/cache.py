@@ -15,6 +15,18 @@ at most n bits never holds more than n, and the table built under
 ``Budgets(T, n)`` holds exactly the outputs of length <= n of the
 ``Budgets(T, O)`` table, each with the same K, witness and mass.
 
+The output budget also bounds what a walk reads of a string condition c.
+No opcode shortens the buffer, and COPYIN appends exactly the m bits it
+advances the input pointer by, so pointer <= |buffer| <= O in every state
+a walk reaches: a halting program reads only c[:O], and a COPYIN that
+would read past bit O also overruns the output budget. The table under c
+thus has the same halting programs, outputs, lengths and steps as the
+table under c[:O], for every step budget. ``TableSource.tables`` and
+``k_tables`` therefore cut each string condition to its first O bits
+before naming, looking up or walking its table, and a ``cache miss``
+note and a file name show the cut condition. ``load_or_build`` and
+``TableSource.table`` keep the condition they are given.
+
 An analysis that reads only K and witnesses, of strings of at most n bits,
 asks through ``TableSource.k_tables``, which also derives the program-length
 cap from n and the condition (``k_cap``): 2n+3, the length of an emit-only
@@ -196,8 +208,9 @@ class TableSource(NamedTuple):
         """``load_or_build`` for many conditions at one cap; the tables come
         back in the order of ``conds``.
 
-        Each distinct condition is looked up once, in order, so the ``cache
-        miss`` notes come out in condition order. A cache miss whose cap is
+        Each distinct condition, a string condition cut to its first O bits
+        (see ``_tables``), is looked up once, in order, so the ``cache miss``
+        notes come out in condition order. A cache miss whose cap is
         at least ``POOL_MIN_L`` is a long walk. When workers > 1 and more
         than one long walk is due, those walks run in a pool of that many
         processes, while this process walks the short misses, imports the
@@ -212,7 +225,19 @@ class TableSource(NamedTuple):
         return self._tables([(L, cond) for cond in conds])
 
     def _tables(self, jobs: Sequence[tuple[int, Condition]]) -> list[ComplexityTable]:
-        """``tables`` with a cap per condition: one table per (cap, condition)."""
+        """``tables`` with a cap per condition: one table per (cap, condition).
+
+        A string condition is cut to its first O bits, all that a walk under
+        output budget O can read (see the module docstring), before its table
+        is named, looked up or walked: conditions with the same O-bit prefix
+        share one table, one file and one ``cache miss`` note."""
+        O = self.budgets.max_output
+        jobs = [
+            (L, Condition.string(cond.bits[:O]))
+            if cond.kind == Condition.STR_KIND and len(cond.bits) > O
+            else (L, cond)
+            for L, cond in jobs
+        ]
         cache_dir = Path(self.cache_dir) if self.cache_dir is not None else default_cache_dir()
         unique: dict[tuple[int, str], Condition] = {}
         for L, cond in jobs:

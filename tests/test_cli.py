@@ -13,6 +13,7 @@ from algstat import infolaws
 from algstat.cache import ENV_CACHE_DIR
 from algstat.cli import EXIT_OK, EXIT_REGRESSION, EXIT_USAGE, main
 from algstat.constants import load_constants
+from algstat.machine import Condition
 
 GOOD_CONSTANTS = {
     "expected_mi": 4,
@@ -175,6 +176,19 @@ class TestEnumerate:
         run("enumerate", "--max-len", "12", "--out", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
 
+    def test_cond_keeps_the_requested_condition(self, run, tmp_path):
+        """A walk under --max-out 2 reads only 2 bits of the condition, but
+        ``enumerate`` builds and names the table of the condition asked for."""
+        cond = "0110100110"
+        code, out, _ = run(
+            "enumerate", "--max-len", "8", "--max-out", "2", "--cond", cond,
+            "--cache-dir", str(tmp_path),
+        )
+        assert code == EXIT_OK
+        assert f" condition={Condition.string(cond).fingerprint()} " in out
+        [name] = [p.name for p in tmp_path.iterdir()]
+        assert name.endswith(f"_{Condition.string(cond).fingerprint()[:16]}.table")
+
     def test_env_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path))
         assert main(["enumerate", "--max-len", "8"]) == EXIT_OK
@@ -321,7 +335,9 @@ class TestLaws:
         assert cold[:2] == warm[:2] == (EXIT_OK, expected)
         assert warm[2] == ""
         if audit == "all":
-            assert len(list(tmp_path.iterdir())) == 162
+            # The soi and non-increase conditions are cut to their tables'
+            # output budgets (4 and 6 bits): 7 + 15 files rather than 31 + 127.
+            assert len(list(tmp_path.iterdir())) == 26
             builds = [l for l in cold[2].splitlines() if "cache miss" in l]
             assert [b.split()[4] for b in builds[:2]] == ["L=22", "L=29"]
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algstat import _pykernel, _statewalk, cli
-from algstat.cache import AUDIT_MAX_LEN
+from algstat.cache import AUDIT_MAX_LEN, TableSource
 from algstat.enumeration import LEVEL_MAX_LEN
 from algstat.kernel import walk_args
 from algstat.machine import DEFAULT_MAX_STEPS, Budgets, Condition
@@ -22,17 +22,25 @@ from oracles import ToyModel, naive_entries, tree_walk
 # -- the walks of two commands -------------------------------------------------
 
 
-def _recorded_walks(argv: list[str], tmp_path_factory) -> list[tuple]:
+def _recorded_walks(argv: list[str], tmp_path_factory) -> tuple[list[tuple], list[tuple]]:
     """The arguments of every kernel walk a cold run of ``algstat argv``
-    makes in this process."""
-    walks = []
-    real = _pykernel.walk
+    makes in this process, and the walk arguments of every table it asks
+    ``TableSource.tables`` or ``k_tables`` for, before its string condition
+    is cut to the output budget."""
+    walks, asked = [], []
+    real_walk, real_tables = _pykernel.walk, TableSource._tables
+
+    def tables(self, jobs):
+        asked.extend(walk_args(L, cond, self.budgets) for L, cond in jobs)
+        return real_tables(self, jobs)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_pykernel, "walk", lambda *args: walks.append(args) or real(*args))
+        mp.setattr(_pykernel, "walk", lambda *args: walks.append(args) or real_walk(*args))
+        mp.setattr(TableSource, "_tables", tables)
         mp.setenv("ALGSTAT_CACHE_DIR", str(tmp_path_factory.mktemp("walks")))
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert cli.main([*argv, "--workers", "1"]) == 0
-    return walks
+    return walks, asked
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +66,9 @@ COMMAND_WALKS = {
     "laws-soi": (
         "laws",
         lambda a: a[:4] == (15, DEFAULT_MAX_STEPS, 6, _pykernel.COND_STR),
-        127,
+        15,
     ),
-    "structfn-star": ("structfn", lambda a: a[3] == _pykernel.COND_STR, 6),
+    "structfn-star": ("structfn", lambda a: a[3] == _pykernel.COND_STR, 5),
     "structfn-uniform": ("structfn", lambda a: a[3] == _pykernel.COND_MODEL, 6),
 }
 
@@ -68,10 +76,32 @@ COMMAND_WALKS = {
 @pytest.mark.parametrize("name", COMMAND_WALKS)
 def test_walk_equals_tree_walk_on_command_walks(name, command_walks):
     command, chosen, count = COMMAND_WALKS[name]
-    walks = [args for args in command_walks[command] if chosen(args)]
+    walks = [args for args in command_walks[command][0] if chosen(args)]
     assert len(walks) == count
     for args in walks:
         assert _pykernel.walk(*args) == tree_walk(*args), args[:4]
+
+
+# The tables of string conditions that a command asks for, before each
+# condition is cut to its first O bits: the 127 non-increase conditions share
+# 15 walks, and the 6 star conditions of structfn 5.
+UNCUT_ASKS = {"laws-soi": 127, "structfn-star": 6}
+
+
+@pytest.mark.parametrize("name", UNCUT_ASKS)
+def test_uncut_walks_equal_their_cut_walks(name, command_walks):
+    """Each table asked for under an uncut string condition is the walk the
+    command made under the cut one, which the test above checks against
+    ``tree_walk``."""
+    command, chosen, _ = COMMAND_WALKS[name]
+    walks, asked = command_walks[command]
+    asked = [args for args in asked if chosen(args)]
+    assert len(asked) == UNCUT_ASKS[name]
+    assert any(len(args[4]) > args[2] for args in asked)
+    for args in asked:
+        cut = (*args[:4], args[4][: args[2]], *args[5:])
+        assert cut in walks
+        assert _pykernel.walk(*args) == _pykernel.walk(*cut), args[:5]
 
 
 def test_walk_never_calls_traverse(monkeypatch):
@@ -135,6 +165,22 @@ def test_walk_equals_naive_entries(L, cond, budgets):
 def test_walk_equals_tree_walk(L, cond, budgets):
     args = walk_args(L, cond, budgets)
     assert _pykernel.walk(*args) == tree_walk(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(L=st.integers(3, 14), budgets=budgets, data=st.data())
+def test_walk_reads_only_the_first_O_bits_of_a_string_condition(L, budgets, data):
+    """pointer <= |buffer| <= O in every state, so a walk under output budget
+    O reads only c[:O]: the walk under c is the walk under c[:O], for
+    conditions shorter and longer than O and under tight step budgets."""
+    O = budgets.max_output
+    n = data.draw(st.integers(max(0, O - 4), O + 12), label="condition length")
+    bits = data.draw(st.text("01", min_size=n, max_size=n), label="condition")
+    args = walk_args(L, Condition.string(bits), budgets)
+    walked = _pykernel.walk(*args)
+    assert walked == _pykernel.walk(*walk_args(L, Condition.string(bits[:O]), budgets))
+    if L <= 12:
+        assert walked == tree_walk(*args)
 
 
 # -- the shared condition-free part ---------------------------------------------

@@ -4,12 +4,13 @@ those settings as parameters of its own."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import inspect
 from fractions import Fraction
 
 import pytest
 
-from algstat import cache, complexity, infolaws, models_prob, models_set
+from algstat import _pykernel, cache, complexity, infolaws, models_prob, models_set
 from algstat.cache import TableSource
 from algstat.complexity import soi_audit
 from algstat.enumeration import build_table
@@ -82,3 +83,46 @@ def test_each_cached_table_is_named_and_stat_ed_once(workers, tmp_path, monkeypa
         tables = source.tables(8, conds)
         assert len(named) == 3 == len(set(named))
         assert tables[0] is tables[2]
+
+
+def test_conditions_sharing_their_O_bit_prefix_share_one_table(tmp_path, monkeypatch):
+    """Under k_tables(4, ...) a walk reads only 4 bits of a string condition,
+    so 0110100 and 01101 get one walk, one file and one ``cache miss`` note,
+    and their table is the one built under each uncut condition. With the
+    pool threshold lowered, workers=2 walks both distinct prefixes in a pool
+    and writes the same files."""
+    conds = [Condition.string("0110100"), Condition.string("01101"), Condition.string("1")]
+    walks = []
+    real = _pykernel.walk
+    monkeypatch.setattr(_pykernel, "walk", lambda *args: walks.append(args) or real(*args))
+    notes = []
+    first, second, other = TableSource(cache_dir=tmp_path / "w1", warn=notes.append).k_tables(4, conds)
+    assert first is second and other is not first
+    assert [args[4] for args in walks] == ["0110", "1"]
+    assert [note.split()[-1] for note in notes] == ["0110]", "1]"]
+    for cond in conds[:2]:
+        built = build_table(11, cond, Budgets(max_output=4))
+        assert (first.entries, first.count_by_length()) == (built.entries, built.count_by_length())
+
+    monkeypatch.undo()
+    submitted = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args[4])
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cache, "POOL_MIN_L", 0)
+    TableSource(workers=2, cache_dir=tmp_path / "w2").k_tables(4, conds)
+    assert submitted == ["0110", "1"]
+    files = [{p.name: p.read_bytes() for p in (tmp_path / w).iterdir()} for w in ("w1", "w2")]
+    assert files[0] == files[1] and len(files[0]) == 2
+
+
+def test_table_keeps_the_requested_condition(tmp_path):
+    """``TableSource.table`` does not cut its condition, even where a walk
+    reads only its first O bits."""
+    cond = Condition.string("0110100110")
+    table = TableSource(budgets=Budgets(max_output=2), cache_dir=tmp_path).table(8, cond)
+    assert table.cond_fingerprint == cond.fingerprint()
