@@ -4,8 +4,8 @@ File names carry machine version, file format, caps and the condition
 fingerprint, so incompatible tables can never be loaded by accident, and a
 file of an older format is a plain cache miss. A file stores every field
 of a built table, its length histogram included, and is sealed with a
-SHA-256 of its records; ``import_table`` checks it when it opens the file
-and parses each output length's records when they are first read.
+SHA-256 of its header and records; ``import_table`` checks it when it opens
+the file and parses each output length's records when they are first read.
 
 An analysis that knows the longest string it will look up in a table asks
 for that table through ``TableSource.capped``, so the table is built under

@@ -17,6 +17,7 @@ table is never split.
 from __future__ import annotations
 
 import bisect
+import functools
 import gc
 import hashlib
 import itertools
@@ -252,25 +253,43 @@ def find_prefix_violation(programs: Iterable[str]) -> tuple[str, str] | None:
 
 # -- persistence ------------------------------------------------------------
 #
-# A table file (format 2) is ASCII text: nine header lines, then the body.
+# A table file (format 3) is ASCII text: nine header lines, then the body.
 #
 #     machine tpm1-v1
 #     L 16
 #     T 100000
 #     O 4096
 #     condition <fingerprint>
-#     format 2
+#     format 3
 #     hist <halting programs of length 0> ... <of length L>
 #     index <n>,<records>,<bytes>,<mass> ...    one entry per output length n
-#     sha256 <hex digest of the body>
+#     sha256 <hex digest of the file without this line>
 #
-# The body holds one record per output, ``output witness m_num/2^exp``, in
-# (length, lex) order, '-' standing for the empty output; K is the witness's
-# length. The records of one output length are one contiguous segment, whose
-# record count, byte count and mass numerator over 2^L the index gives.
+# The body holds one record per output, in (length, lex) order; K is the
+# witness's length. The records of one output length are one contiguous
+# segment, whose record count, byte count and mass numerator over 2^L the
+# index gives, and no index length exceeds O. A record is
+# ``output witness m_num/2^exp``, '-' standing for the empty output, except
+# in a dense segment: one of output length n >= 1 that holds 2^n records.
+# Its outputs are then every n-bit string, so record i is
+# ``witness m_num/2^exp`` for the output format(i, f"0{n}b").
 
-TABLE_FORMAT = 2
+TABLE_FORMAT = 3
 _HEADER_LINES = 9
+
+
+def _dense(n: int, count: int) -> bool:
+    """Whether the segment of output length n with ``count`` records holds
+    every n-bit string, without computing 2^n from an unchecked n."""
+    return n > 0 and count.bit_length() == n + 1 and not count & (count - 1)
+
+
+@functools.cache
+def _n_bit_strings(n: int) -> tuple[str, ...]:
+    """Every n-bit string in lex order: the outputs of a dense segment,
+    made once per process, so that every parsed dense segment of length n
+    shares its keys."""
+    return tuple(map("".join, itertools.product("01", repeat=n)))
 
 
 def _dyadic_text(m_num: int, L: int) -> str:
@@ -279,41 +298,52 @@ def _dyadic_text(m_num: int, L: int) -> str:
 
 
 def export_table(table: ComplexityTable, path: str | Path) -> None:
-    """Write the format-2 text form. Deterministic byte-for-byte."""
+    """Write the format-3 text form. Deterministic byte-for-byte."""
     L = table.L
     entries = table.entries
     outs = table.sorted_outputs()
     records = list(map(entries.__getitem__, outs))
     # A table has a few hundred distinct masses; witnesses are never empty (K >= 3).
     mass_text = {m: _dyadic_text(m, L) for m in set(map(itemgetter(2), records))}
-    lines = [f"{bits_to_text(x)} {e.witness} {mass_text[e.m_num]}\n" for x, e in zip(outs, records)]
-    # One index entry per run of equal output lengths in the (length, lex) order.
-    sizes = map(len, lines)
-    masses = map(itemgetter(2), records)
+    segments = []
     index = []
     start = 0
+    # One segment per run of equal output lengths in the (length, lex) order.
     while start < len(outs):
         n = len(outs[start])
-        count = bisect.bisect_right(outs, n, start, key=len) - start
-        size = sum(itertools.islice(sizes, count))
-        index.append(f"{n},{count},{size},{sum(itertools.islice(masses, count))}")
-        start += count
-    body = "".join(lines).encode("ascii")
-    del lines
-    header = [
-        f"machine {table.machine_version}",
-        f"L {L}",
-        f"T {table.budgets.max_steps}",
-        f"O {table.budgets.max_output}",
-        f"condition {table.cond_fingerprint}",
-        f"format {TABLE_FORMAT}",
-        " ".join(["hist", *map(str, table.count_by_length())]),
-        " ".join(["index", *index]),
-        f"sha256 {hashlib.sha256(body).hexdigest()}",
-    ]
+        end = bisect.bisect_right(outs, n, start, key=len)
+        run = records[start:end]
+        if _dense(n, end - start):
+            lines = [f"{e.witness} {mass_text[e.m_num]}\n" for e in run]
+        else:
+            lines = [
+                f"{bits_to_text(x)} {e.witness} {mass_text[e.m_num]}\n"
+                for x, e in zip(outs[start:end], run)
+            ]
+        segments.append("".join(lines).encode("ascii"))
+        index.append(f"{n},{end - start},{len(segments[-1])},{sum(map(itemgetter(2), run))}")
+        start = end
+    del records
+    header = "".join(
+        line + "\n"
+        for line in [
+            f"machine {table.machine_version}",
+            f"L {L}",
+            f"T {table.budgets.max_steps}",
+            f"O {table.budgets.max_output}",
+            f"condition {table.cond_fingerprint}",
+            f"format {TABLE_FORMAT}",
+            " ".join(["hist", *map(str, table.count_by_length())]),
+            " ".join(["index", *index]),
+        ]
+    ).encode("ascii")
+    digest = hashlib.sha256(header)
+    for segment in segments:
+        digest.update(segment)
     with open(path, "wb") as f:
-        f.write(("\n".join(header) + "\n").encode("ascii"))
-        f.write(body)
+        f.write(header)
+        f.write(f"sha256 {digest.hexdigest()}\n".encode("ascii"))
+        f.writelines(segments)
 
 
 def _header_int(line: str, key: str) -> int:
@@ -341,14 +371,20 @@ def _header_naturals(line: str, key: str, sep: str | None = None) -> list[list[i
         raise TableFormatError(f"number too long in the {key} header") from None
 
 
-def _bad_record(n: int) -> re.Pattern[str]:
+def _bad_record(n: int, dense: bool) -> re.Pattern[str]:
     """A record of the segment of output length n is its output, witness and
-    m = num/2^exp, single-space separated, with '-' for the empty output.
-    The pattern finds the first newline that is neither the segment's last
-    nor followed by a whole record and a newline, so a miss proves every
-    record of the segment well formed, and of length n, in one C-level pass."""
-    output = EMPTY_MARKER if n == 0 else f"[01]{{{n}}}"
-    return re.compile(rf"\n(?!{output} [01]+ [0-9]+/2\^[0-9]+\n|\Z)")
+    m = num/2^exp, single-space separated, with '-' for the empty output; in
+    a dense segment it is the witness and m alone. The pattern finds the
+    first newline that is neither the segment's last nor followed by a whole
+    record and a newline, so a miss proves every record of the segment well
+    formed, and of length n, in one C-level pass."""
+    if dense:
+        output = ""
+    elif n == 0:
+        output = EMPTY_MARKER + " "
+    else:
+        output = f"[01]{{{n}}} "
+    return re.compile(rf"\n(?!{output}[01]+ [0-9]+/2\^[0-9]+\n|\Z)")
 
 
 # A record of any output length: tells a record in the wrong segment from a
@@ -377,26 +413,37 @@ def _parse_segment(
 ) -> dict[str, Entry]:
     """The records of output length ``n``, ``text[start:end]``, checked
     against their index entry: ``count`` records whose masses sum to
-    ``mass`` over 2**L."""
+    ``mass`` over 2**L. A dense segment (see the format above) takes its
+    outputs from ``_n_bit_strings``, once its records are counted and
+    weighed."""
     if text[start - 1] != "\n" or text[end - 1] != "\n":
         raise TableFormatError(f"segment of output length {n} does not hold whole records")
-    bad = _bad_record(n).search(text, start - 1, end)
+    disagrees = f"segment of output length {n} disagrees with its index entry"
+    if text.count("\n", start, end) != count:
+        raise TableFormatError(disagrees)
+    dense = _dense(n, count)
+    bad = _bad_record(n, dense).search(text, start - 1, end)
     if bad is not None:
         line = text[bad.end() : text.find("\n", bad.end(), end)]
-        if _RECORD.fullmatch(line):
+        if not dense and _RECORD.fullmatch(line):
             raise TableFormatError(f"record {line!r} in the segment of output length {n}")
         raise TableFormatError(f"malformed record: {line!r}")
     tokens = text[start:end].split()
-    outs, wits = tokens[0::3], tokens[1::3]
+    width = 2 if dense else 3  # fields per record, the last two its witness and mass
+    wits = tokens[width - 2 :: width]
     try:
-        m_nums = _by_distinct(tokens[2::3], lambda t: _mass_num(t, L))
+        m_nums = _by_distinct(tokens[width - 1 :: width], lambda t: _mass_num(t, L))
     except ValueError:  # more digits than int() converts
         raise TableFormatError("number too long in a record") from None
-    del tokens
-    if len(outs) != count or sum(m_nums) != mass:
-        raise TableFormatError(f"segment of output length {n} disagrees with its index entry")
-    if n == 0:
+    if sum(m_nums) != mass:
+        raise TableFormatError(disagrees)
+    if dense:
+        outs = _n_bit_strings(n)
+    elif n == 0:
         outs = [""] * count
+    else:
+        outs = tokens[0::3]
+    del tokens
     # tuple.__new__ makes each Entry in C, as Entry._make does without a
     # Python call per record.
     made = map(tuple.__new__, itertools.repeat(Entry), zip(map(len, wits), wits, m_nums))
@@ -441,16 +488,18 @@ class _Segments:
 
 
 def import_table(path: str | Path) -> ComplexityTable:
-    """Open a format-2 table file.
+    """Open a format-3 table file.
 
     Checked here: the file is ASCII text; the machine version, L, budgets,
-    condition and format lines; the body's SHA-256 against the header's; the
-    index's byte counts add up to the body's length; and its masses sum to
-    at most 2^L and to the Kraft mass of the length histogram. The records
-    are parsed a segment at a time, when first read (see ComplexityTable):
-    a segment with a malformed record, a mass out of range, an output not
-    of the segment's length, a repeated output, or a record count or mass
-    sum other than its index entry's raises TableFormatError then."""
+    condition and format lines; the index lengths increase and none exceeds
+    O; the SHA-256 of the header lines before it and the body against the
+    header's; the index's byte counts add up to the body's length; and its
+    masses sum to at most 2^L and to the Kraft mass of the length histogram.
+    The records are parsed a segment at a time, when first read (see
+    ComplexityTable): a segment with a malformed record, a mass out of
+    range, an output not of the segment's length, a repeated output, or a
+    record count or mass sum other than its index entry's raises
+    TableFormatError then."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("ascii")
@@ -461,7 +510,10 @@ def import_table(path: str | Path) -> ComplexityTable:
         start = text.find("\n", start) + 1
         if not start:
             raise TableFormatError("truncated table file: incomplete header")
-    digest = hashlib.sha256(memoryview(data)[start:]).hexdigest()
+    # The digest covers every byte of the file but its own line.
+    sealed = hashlib.sha256(memoryview(data)[: text.rfind("\n", 0, start - 1) + 1])
+    sealed.update(memoryview(data)[start:])
+    digest = sealed.hexdigest()
     del data
     lines = text[:start].split("\n")
 
@@ -493,8 +545,10 @@ def import_table(path: str | Path) -> ComplexityTable:
         raise TableFormatError("malformed index header: an entry is not n,records,bytes,mass")
     if any(a[0] >= b[0] for a, b in itertools.pairwise(index)):
         raise TableFormatError("index output lengths are not strictly increasing")
+    if index and index[-1][0] > O:
+        raise TableFormatError(f"index output length {index[-1][0]} exceeds the output budget O={O}")
     if lines[8] != f"sha256 {digest}":
-        raise TableFormatError("table body does not match the sha256 digest in its header")
+        raise TableFormatError("table file does not match the sha256 digest in its header")
     bounds = list(itertools.accumulate([entry[2] for entry in index], initial=start))
     if bounds[-1] != len(text):
         raise TableFormatError("index byte counts do not add up to the body length")

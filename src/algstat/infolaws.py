@@ -552,9 +552,19 @@ def nonincrease_audit(
     applied = _applied(transforms, xs, source.budgets)
     needed = set(xs) | {out for _, out in applied.values()}
     cond_k = _label_cond_tables(needed, table, len_cap, L_c, source)
-    # given[a][j] = K(x_j | a*) for each label a. Each table is let go once
-    # its row is read, so that at most one of them is held parsed.
-    given = {label: require_ks(cond_k.pop(label), xs) for label in list(cond_k)}
+    # given[a][j] = K(x_j | a*) for each label a. Labels whose conditions
+    # share their first len_cap bits share one table object
+    # (TableSource.k_tables), whose row is read once. Each table is let go
+    # once its row is read, so that at most one of them is held parsed.
+    sharing: dict[int, list[str]] = {}
+    for label, cond_table in cond_k.items():
+        sharing.setdefault(id(cond_table), []).append(label)
+    given: dict[str, list[int]] = {}
+    for labels in sharing.values():
+        row = require_ks(cond_k[labels[0]], xs)
+        for label in labels:
+            del cond_k[label]
+            given[label] = row
 
     per: list[TransformMax] = []
     for q in transforms:

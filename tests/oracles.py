@@ -9,14 +9,16 @@ the reference for ``walk`` at lengths the naive oracle cannot reach. The
 counting recurrences predict halting-program totals per length straight
 from the opcode length table, independently of both. The naive table-file parser
 reads one record at a time, and ``seal`` writes a file around any record
-text. The law-audit and X(r) references recompute each quantity term by
-term, one lookup at a time, as the library computed them before it swept
-whole K lists.
+text, telling its dense segments by their outputs rather than their counts.
+The law-audit and X(r) references recompute each quantity term by term, one
+lookup at a time, as the library computed them before it swept whole K
+lists.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -119,8 +121,15 @@ def _naive_header_naturals(line: str, key: str) -> list[list[int]]:
     return fields
 
 
+def _naive_digest(header: list[str], body: str) -> str:
+    """The SHA-256 of a table file without its sha256 line: the eight header
+    lines before it, each with its newline, then the body."""
+    text = "".join(line + "\n" for line in header) + body
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
 def naive_import_table(path) -> ComplexityTable:
-    """Format-2 table file parser that reads every record at once, splitting
+    """Format-3 table file parser that reads every record at once, splitting
     and converting one line at a time with ``str.split`` and ``int``: the
     reference for enumeration.import_table followed by a read of every
     segment, which may reject more files than this (such as records
@@ -146,16 +155,18 @@ def naive_import_table(path) -> ComplexityTable:
     if len(cparts) != 2 or cparts[0] != "condition":
         raise TableFormatError(f"expected 'condition <fingerprint>' header line, got {lines[4]!r}")
     fingerprint = cparts[1]
-    if lines[5].split() != ["format", "2"]:
-        raise TableFormatError(f"expected 'format 2' header line, got {lines[5]!r}")
+    if lines[5].split() != ["format", "3"]:
+        raise TableFormatError(f"expected 'format 3' header line, got {lines[5]!r}")
     hist = [h for (h,) in _naive_header_naturals(lines[6], "hist")]
     if len(hist) != L + 1:
         raise TableFormatError(f"expected {L + 1} histogram counts, got {len(hist)}")
     index = _naive_header_naturals(lines[7], "index")
     if any(len(entry) != 4 for entry in index):
         raise TableFormatError(f"malformed index header: {lines[7]!r}")
-    if lines[8].split() != ["sha256", hashlib.sha256(body.encode("ascii")).hexdigest()]:
-        raise TableFormatError("table body does not match its sha256 digest")
+    if any(n > O for n, *_ in index):
+        raise TableFormatError(f"an index output length exceeds O: {lines[7]!r}")
+    if lines[8].split() != ["sha256", _naive_digest(lines[:8], body)]:
+        raise TableFormatError("table file does not match its sha256 digest")
     if sum(size for _, _, size, _ in index) != len(body):
         raise TableFormatError("index byte counts do not add up to the body length")
     total = sum(mass for *_, mass in index)
@@ -175,15 +186,18 @@ def naive_import_table(path) -> ComplexityTable:
             records.pop()
         elif pos < len(body):
             raise TableFormatError(f"segment of output length {n} ends inside a record")
+        # A segment of 2^n records, n >= 1, holds every n-bit string: its
+        # records give no output, and record i is that of format(i, n bits).
+        dense = n >= 1 and count == 2**n
         seg_mass = 0
-        for ln in records:
+        for i, ln in enumerate(records):
             fields = ln.split()
-            if len(fields) != 3:
+            if len(fields) != (2 if dense else 3):
                 raise TableFormatError(f"malformed record: {ln!r}")
             try:
-                out = text_to_bits(fields[0])
-                witness = check_bits(fields[1])
-                num_text, _, exp_text = fields[2].partition("/2^")
+                out = format(i, f"0{n}b") if dense else text_to_bits(fields[0])
+                witness = check_bits(fields[-2])
+                num_text, _, exp_text = fields[-1].partition("/2^")
                 num, exp = int(num_text), int(exp_text)
             except ValueError:
                 raise TableFormatError(f"malformed record: {ln!r}") from None
@@ -206,17 +220,32 @@ def naive_import_table(path) -> ComplexityTable:
     return table
 
 
+def full_records(table: ComplexityTable) -> str:
+    """The record text of ``table`` with every output written out, one
+    ``output witness num/2^exp`` line per output in (length, lex) order:
+    what ``seal`` takes."""
+    lines = []
+    for x in sorted(table.entries, key=lambda x: (len(x), x)):
+        e = table.entries[x]
+        m = Fraction(e.m_num, 2**table.L)
+        lines.append(f"{x or '-'} {e.witness} {m.numerator}/2^{m.denominator.bit_length() - 1}\n")
+    return "".join(lines)
+
+
 def seal(preamble: list[str], body: str) -> str:
-    """A format-2 file of the five ``preamble`` lines (machine, L, T, O,
-    condition) and this record text, whose index, histogram and digest agree
-    with what ``naive_import_table`` reads in the records: each run of
-    consecutive records whose outputs have one length is a segment, a mass
-    that does not parse counts as 0, and the histogram puts the whole mass
-    at length L. Only the records can then make the file fail."""
+    """A format-3 file of the five ``preamble`` lines (machine, L, T, O,
+    condition) and this record text, given with every output written out,
+    whose index, histogram and digest agree with what ``naive_import_table``
+    reads in the records: each run of consecutive records whose outputs
+    have one length is a segment, a mass that does not parse counts as 0,
+    and the histogram puts the whole mass at length L. A run whose outputs
+    are the 2^n strings of n >= 1 bits in lex order is written as a dense
+    segment, each line without its output and the separator after it. Only
+    the records can then make the file fail."""
     L = int(preamble[1].split()[1])
     parts = body.split("\n")
     lines = [p + "\n" for p in parts[:-1]] + ([parts[-1]] if parts[-1] else [])
-    runs: list[list[int]] = []  # [n, records, bytes, mass]
+    runs: list[list] = []  # [n, lines, mass, outputs]
     for ln in lines:
         fields = ln.split()
         token = fields[0] if fields else ""
@@ -227,21 +256,23 @@ def seal(preamble: list[str], body: str) -> str:
             if num.isdigit() and exp.isdigit() and len(num + exp) < 100 and int(exp) <= L:
                 mass = int(num) << (L - int(exp))
         if not runs or runs[-1][0] != n:
-            runs.append([n, 0, 0, 0])
-        runs[-1][1] += 1
-        runs[-1][2] += len(ln)
-        runs[-1][3] += mass
-    hist = [0] * L + [sum(run[3] for run in runs)]
-    return "\n".join(
-        [
-            *preamble,
-            "format 2",
-            " ".join(["hist", *map(str, hist)]),
-            " ".join(["index", *(",".join(map(str, run)) for run in runs)]),
-            f"sha256 {hashlib.sha256(body.encode('ascii')).hexdigest()}",
-            body,
-        ]
-    )
+            runs.append([n, [], 0, []])
+        runs[-1][1].append(ln)
+        runs[-1][2] += mass
+        runs[-1][3].append(token)
+    for run in runs:
+        n, run_lines, _, outs = run
+        if n >= 1 and len(outs) == 2**n and outs == [format(i, f"0{n}b") for i in range(2**n)]:
+            run[1] = [re.sub(r"^(\s*)\S+[ \t]?", r"\1", ln, count=1) for ln in run_lines]
+    hist = [0] * L + [sum(run[2] for run in runs)]
+    header = [
+        *preamble,
+        "format 3",
+        " ".join(["hist", *map(str, hist)]),
+        " ".join(["index", *(f"{n},{len(ls)},{len(''.join(ls))},{m}" for n, ls, m, _ in runs)]),
+    ]
+    out_body = "".join(ln for run in runs for ln in run[1])
+    return "\n".join([*header, f"sha256 {_naive_digest(header, out_body)}", out_body])
 
 
 @lru_cache(maxsize=None)

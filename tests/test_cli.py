@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import shutil
 import subprocess
 import sys
@@ -499,20 +500,29 @@ class TestLawsJoint:
         assert not cache.exists() or not any(cache.iterdir())
 
 
+def _edit_index_entry(path: Path, n: int, edit, reseal: bool) -> None:
+    """Replace the index entry of output length n, as [n, records, bytes,
+    mass], by ``edit(entry)``, and reseal the file if asked: the digest
+    covers the header lines before it and the body."""
+    lines = path.read_text().split("\n", 9)
+    fields = lines[7].split()
+    i = next(i for i, f in enumerate(fields) if f.startswith(f"{n},"))
+    fields[i] = ",".join(map(str, edit(list(map(int, fields[i].split(","))))))
+    lines[7] = " ".join(fields)
+    if reseal:
+        sealed = "".join(line + "\n" for line in lines[:8]) + lines[9]
+        lines[8] = f"sha256 {hashlib.sha256(sealed.encode()).hexdigest()}"
+    path.write_text("\n".join(lines))
+
+
 class TestTamperedCache:
     def test_segment_error_exits_one_and_prints_no_number(self, run, tmp_path):
         code, _, _ = run("enumerate", "--max-len", "12", "--cache-dir", str(tmp_path), cache=False)
         assert code == EXIT_OK
         (path,) = tmp_path.iterdir()
-        lines = path.read_text().split("\n")
-        # one more record for output length 4 than the segment holds; the
-        # index is outside the digest, so the file still opens
-        fields = lines[7].split()
-        i = next(i for i, f in enumerate(fields) if f.startswith("4,"))
-        n, count, size, mass = fields[i].split(",")
-        fields[i] = f"{n},{int(count) + 1},{size},{mass}"
-        lines[7] = " ".join(fields)
-        path.write_text("\n".join(lines))
+        # one more record for output length 4 than the segment holds, in a
+        # file sealed around that index, so that it still opens
+        _edit_index_entry(path, 4, lambda e: [e[0], e[1] + 1, *e[2:]], reseal=True)
         argv = ("k", "0110", "--max-len", "12", "--cache-dir", str(tmp_path))
         code, out, err = run(*argv, cache=False)
         assert (code, out) == (EXIT_USAGE, "")
@@ -520,6 +530,25 @@ class TestTamperedCache:
         # a lookup of another length still reads its own, intact segment
         code, out, _ = run("k", "01", *argv[2:], cache=False)
         assert (code, out) == (EXIT_OK, "K=7 witness=0001100\n")
+
+    @pytest.mark.parametrize("reseal", [False, True], ids=["unsealed", "resealed"])
+    def test_index_length_beyond_O_is_rebuilt(self, run, tmp_path, reseal):
+        # The L=12 table's longest outputs have 4 bits; that index entry's
+        # length is made 5000000000, still increasing. Before the header was
+        # sealed and index lengths checked against O, `k 0110` then found no
+        # program and `sk 3` raised OverflowError from the record pattern.
+        argvs = [("k", "0110", "--max-len", "12"), ("sk", "3", "--max-len", "12")]
+        expected = [run(*argv, "--cache-dir", str(tmp_path), cache=False) for argv in argvs]
+        assert [code for code, _, _ in expected] == [EXIT_OK, EXIT_OK]
+        assert expected[0][1] == "K=11 witness=00010100100\n"
+        (path,) = tmp_path.iterdir()
+        pristine = path.read_bytes()
+        for argv, (_, want, _) in zip(argvs, expected):
+            _edit_index_entry(path, 4, lambda e: [5000000000, *e[1:]], reseal)
+            code, out, err = run(*argv, "--cache-dir", str(tmp_path), cache=False)
+            assert (code, out) == (EXIT_OK, want)
+            assert "cache miss" in err and "Traceback" not in err
+            assert path.read_bytes() == pristine
 
 
 class TestUsageErrors:

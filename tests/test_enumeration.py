@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algstat import _pykernel, cache, enumeration
@@ -38,6 +38,7 @@ from oracles import (
     ToyModel,
     naive_entries,
     naive_halting_programs,
+    full_records,
     naive_import_table,
     predicted_halting_by_length,
     seal,
@@ -342,22 +343,26 @@ class TestKernelContract:
 
 
 def _reseal(path) -> None:
-    """Rewrite the sha256 header line of a table file to match its body, as
-    a writer would after editing records."""
+    """Rewrite the sha256 header line of a table file to match the header
+    lines before it and the body, as a writer would after editing them."""
     head, sep, rest = path.read_bytes().partition(b"\nsha256 ")
     body = rest.partition(b"\n")[2]
-    path.write_bytes(head + sep + hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
+    digest = hashlib.sha256(head + b"\n" + body).hexdigest()
+    path.write_bytes(head + sep + digest.encode() + b"\n" + body)
 
 
-def _edit_index(path, edit) -> None:
+def _edit_index(path, edit, reseal: bool = True) -> None:
     """Replace the index entries [n, records, bytes, mass] of a table file by
-    ``edit(entries)``; the index is outside the digest."""
+    ``edit(entries)``, and reseal the file unless told not to, as a writer of
+    a wrong index would."""
     lines = path.read_text().split("\n")
     assert lines[7].startswith("index ")
     entries = [list(map(int, e.split(","))) for e in lines[7].split()[1:]]
     edit(entries)
     lines[7] = " ".join(["index", *(",".join(map(str, e)) for e in entries)])
     path.write_text("\n".join(lines))
+    if reseal:
+        _reseal(path)
 
 
 def _format1_text(table: ComplexityTable) -> str:
@@ -403,13 +408,16 @@ class TestPersistence:
         assert head[2] == "T 100000"
         assert head[3] == "O 4096"
         assert head[4] == f"condition {Condition.none().fingerprint()}"
-        assert head[5] == f"format {TABLE_FORMAT}" == "format 2"
+        assert head[5] == f"format {TABLE_FORMAT}" == "format 3"
         assert head[6] == "hist 0 0 0 1 0 2 0"
-        # '' (1 record of 12 bytes, mass 8/64), then '0' and '1' (2 of 14, 2/64 each)
-        assert head[7] == "index 0,1,12,8 1,2,28,4"
+        # '' (1 record of 12 bytes, mass 8/64), then '0' and '1' (2 of 12, 2/64 each):
+        # 2 = 2^1 records of output length 1 are a dense segment, with no outputs
+        assert head[7] == "index 0,1,12,8 1,2,24,4"
         body = text.split("\n", 9)[9]
-        assert body == "- 100 1/2^3\n0 00100 1/2^5\n1 01100 1/2^5\n"
-        assert head[8] == f"sha256 {hashlib.sha256(body.encode()).hexdigest()}"
+        assert body == "- 100 1/2^3\n00100 1/2^5\n01100 1/2^5\n"
+        # the digest seals the eight header lines before it as well as the body
+        sealed = "".join(line + "\n" for line in head[:8]) + body
+        assert head[8] == f"sha256 {hashlib.sha256(sealed.encode()).hexdigest()}"
 
     def test_version_mismatch(self, tmp_path):
         t = build_table(6)
@@ -454,9 +462,14 @@ class TestPersistence:
         back = import_table(path)
         assert all(back.k_of(x) == len(back.witness_of(x)) == e.k for x, e in t.entries.items())
         lines = path.read_text().split("\n", 9)
-        assert "\n01 0001100 1/2^7\n" in lines[9]
-        body = lines[9].replace("\n01 0001100 1/2^7\n", "\n01 000110000 1/2^7\n")
+        # "01" is in the dense segment of output length 2, which seal writes
+        # as export does
+        records = full_records(t)
+        assert "\n01 0001100 1/2^7\n" in records and "\n0001100 1/2^7\n" in lines[9]
+        assert seal(lines[:5], records).split("\n", 9)[9] == lines[9]
+        body = records.replace("\n01 0001100 1/2^7\n", "\n01 000110000 1/2^7\n")
         path.write_text(seal(lines[:5], body))
+        assert "\n000110000 1/2^7\n" in path.read_text()
         assert import_table(path).k_of("01") == 9
 
     def test_overfull_mass_rejected(self, tmp_path):
@@ -473,21 +486,27 @@ class TestPersistence:
             import_table(path)
 
     @pytest.mark.parametrize(
-        "bad_record",
-        ["0a 0001100 1/2^7", "01 00a1100 1/2^7"],
-        ids=["output", "witness"],
+        "L, record, bad_record, x",
+        [
+            # the segment of output length 6 at L=14 holds 16 of the 64 6-bit strings
+            (14, "000000 0000001100100 1/2^13", "0a0000 0000001100100 1/2^13", "000000"),
+            (14, "000000 0000001100100 1/2^13", "000000 00a0001100100 1/2^13", "000000"),
+            # the segment of output length 2 at L=8 holds all four: the record of "01"
+            (8, "0001100 1/2^7", "00a1100 1/2^7", "01"),
+        ],
+        ids=["output", "witness", "dense-witness"],
     )
-    def test_non_bit_character_rejected(self, tmp_path, bad_record):
+    def test_non_bit_character_rejected(self, tmp_path, L, record, bad_record, x):
         path = tmp_path / "t.table"
-        export_table(build_table(8), path)
+        export_table(build_table(L), path)
         text = path.read_text()
-        assert "\n01 0001100 1/2^7\n" in text
-        path.write_text(text.replace("\n01 0001100 1/2^7\n", f"\n{bad_record}\n"))
+        assert f"\n{record}\n" in text
+        path.write_text(text.replace(f"\n{record}\n", f"\n{bad_record}\n"))
         _reseal(path)
         table = import_table(path)
         assert table.k_of("0") == 5
         with pytest.raises(TableFormatError, match="malformed record"):
-            table.k_of("01")
+            table.k_of(x)
 
     def test_undecodable_cache_file_is_rebuilt(self, tmp_path):
         table, built = load_or_build(8, cache_dir=tmp_path)
@@ -540,7 +559,7 @@ class TestCacheFormat:
         assert f"_F{TABLE_FORMAT}_" in path.name
         built = build_table(10, cond)
         path.write_text(_format1_text(built))
-        with pytest.raises(TableFormatError, match="format 2"):
+        with pytest.raises(TableFormatError, match=f"format {TABLE_FORMAT}"):
             import_table(path)
         notes = []
         table, was_built = load_or_build(10, cond, cache_dir=tmp_path, warn=notes.append)
@@ -650,10 +669,16 @@ class TestSealedFile:
     @pytest.mark.parametrize(
         "old, new",
         [
-            ("\n01 0001100 1/2^7\n", "\n01 0001101 1/2^7\n"),
-            ("\n01 0001100 1/2^7\n", "\n01 0001100 3/2^8\n"),
+            # the record of "01", in the dense segment of output length 2
+            ("\n0001100 1/2^7\n", "\n0001101 1/2^7\n"),
+            ("\n0001100 1/2^7\n", "\n0001100 3/2^8\n"),
+            # header lines that pass every other check at open: a unit of
+            # mass moved between two index entries, and two programs of
+            # length 3 moved to four of length 5 in the histogram
+            ("\nindex 0,1,12,36 1,2,24,16 2,4,56,8\n", "\nindex 0,1,12,36 1,2,24,15 2,4,56,9\n"),
+            ("\nhist 0 0 0 1 0 2 0 6 0\n", "\nhist 0 0 0 0 0 6 0 6 0\n"),
         ],
-        ids=["witness", "mass"],
+        ids=["witness", "mass", "index", "hist"],
     )
     def test_one_record_edit_fails_the_digest(self, tmp_path, old, new):
         table, built = load_or_build(8, cache_dir=tmp_path)
@@ -674,6 +699,9 @@ class TestSealedFile:
             pytest.param(-1, 3, 1 << 8, "Kraft sum exceeds 1", id="masses-over-one"),
             pytest.param(-1, 3, -1, "histogram", id="masses-off-the-histogram"),
             pytest.param(0, 2, 1, "byte counts", id="bytes-past-the-body"),
+            # the longest output length is 2, and O is 4096
+            pytest.param(-1, 0, 4095, "length 4097 exceeds the output budget O=4096", id="length-above-O"),
+            pytest.param(-1, 0, 5_000_000_000 - 2, "length 5000000000 exceeds", id="length-5000000000"),
         ],
     )
     def test_index_fails_at_open(self, tmp_path, entry, field, delta, message):
@@ -687,34 +715,138 @@ class TestSealedFile:
         with pytest.raises(TableFormatError, match=message):
             import_table(path)
 
-    @pytest.mark.parametrize("field", ["count", "mass", "boundary"])
-    def test_segment_disagreeing_with_its_index_fails_on_first_lookup(self, tmp_path, field):
-        table = build_table(10)
+    @pytest.mark.parametrize(
+        "field, n",
+        [
+            ("count", 7),
+            ("count", 5),
+            ("mass", 7),
+            ("mass", 5),
+            ("boundary", 7),
+        ],
+        ids=["count", "dense-count", "mass", "dense-mass", "boundary"],
+    )
+    def test_segment_disagreeing_with_its_index_fails_on_first_lookup(self, tmp_path, field, n):
+        # At L=16 the segments of output lengths 5 and 6 are dense (all 32
+        # and 64 strings), and those of 7 and 8 are not (32 of 128 and 256).
+        table = build_table(16)
         path = tmp_path / "t.table"
         export_table(table, path)
 
         def tamper(entries):
-            a, b = entries[2], entries[3]  # output lengths 2 and 3
+            a, b = entries[n], entries[n + 1]  # output lengths n and n + 1
+            assert a[0] == n and b[0] == n + 1
             if field == "count":
                 a[1] += 1
             elif field == "mass":  # the sum over the index is unchanged
                 a[3] += 1
                 b[3] -= 1
-            else:  # the first record of length 3 moves into the length-2 segment
-                x = next(x for x in table.sorted_outputs() if len(x) == 3)
+            else:  # the first record of length n + 1 moves into the length-n segment
+                x = next(x for x in table.sorted_outputs() if len(x) == n + 1)
                 e = table.entries[x]
-                size = len(f"{x} {e.witness} {enumeration._dyadic_text(e.m_num, 10)}\n")
+                size = len(f"{x} {e.witness} {enumeration._dyadic_text(e.m_num, 16)}\n")
                 a[1:] = [a[1] + 1, a[2] + size, a[3] + e.m_num]
                 b[1:] = [b[1] - 1, b[2] - size, b[3] - e.m_num]
 
         _edit_index(path, tamper)
         fresh = import_table(path)
         assert fresh.k_of("0") == table.k_of("0")
-        message = "in the segment of output length 2" if field == "boundary" else "index entry"
+        message = f"in the segment of output length {n}" if field == "boundary" else "index entry"
+        x = next(x for x in table.sorted_outputs() if len(x) == n)
         with pytest.raises(TableFormatError, match=message):
-            fresh.k_of("01")
+            fresh.k_of(x)
         with pytest.raises(TableFormatError):
             fresh.entries
+        with pytest.raises(TableFormatError):
+            naive_import_table(path)
+
+    @pytest.mark.parametrize(
+        "n, old, new, records, message",
+        [
+            # an output column in a dense segment: the record of "01"
+            (2, "\n0001100 45/2^12\n", "\n01 0001100 45/2^12\n", 0, "malformed record"),
+            # that record dropped, with the count and byte count to match
+            (2, "\n0001100 45/2^12\n", "\n", -1, "malformed record"),
+            # a count edited to 2^n, with no record added; the dense-count case
+            # above edits one away from 2^n
+            (6, "", "", 64 - 16, "index entry"),
+        ],
+        ids=["output-column", "dropped-record", "count-to-2^n"],
+    )
+    def test_dense_segment_tampering_fails_on_first_lookup(
+        self, tmp_path, n, old, new, records, message
+    ):
+        # At L=14 the segments of output lengths 1 to 5 are dense, and that
+        # of 6 holds 16 of the 64 6-bit strings.
+        table = build_table(14)
+        path = tmp_path / "t.table"
+        export_table(table, path)
+        text = path.read_text()
+        if old:
+            assert text.count(old) == 1
+            path.write_text(text.replace(old, new))
+
+        def tamper(entries):
+            assert entries[n][0] == n
+            entries[n][1] += records
+            entries[n][2] += len(new) - len(old)
+
+        _edit_index(path, tamper)
+        fresh = import_table(path)
+        assert fresh.k_of("0") == table.k_of("0")
+        x = next(x for x in table.sorted_outputs() if len(x) == n)
+        with pytest.raises(TableFormatError, match=message):
+            fresh.k_of(x)
+        with pytest.raises(TableFormatError):
+            naive_import_table(path)
+
+
+_ROUND_TRIP_CONDS = [
+    Condition.none(),
+    Condition.string("0110"),
+    Condition.string("1"),
+    uniform_condition(Hamming(4, 2)),
+    uniform_condition(Singleton("011")),
+    Condition.of_model(MIXED_BOOK),
+]
+
+
+class TestDenseSegments:
+    """A segment of output length n >= 1 with 2^n records stores no outputs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        L=st.integers(3, 16),
+        O=st.integers(0, 8),
+        cond=st.sampled_from(_ROUND_TRIP_CONDS),
+    )
+    @example(L=10, O=3, cond=Condition.none())  # every segment past '-' dense
+    @example(L=16, O=8, cond=Condition.none())  # dense up to 6 bits, then sparse
+    @example(L=12, O=8, cond=uniform_condition(Hamming(4, 2)))  # dense up to 4 bits, then sparse
+    @example(L=4, O=8, cond=Condition.none())  # the empty output alone, never dense
+    def test_round_trip_against_the_oracle(self, tmp_path_factory, L, O, cond):
+        table = build_table(L, cond, Budgets(max_output=O))
+        path = tmp_path_factory.mktemp("round-trip") / "t.table"
+        export_table(table, path)
+        assert import_table(path) == table == naive_import_table(path)
+        # seal, which names a dense run by its outputs, writes the same
+        # index and body as export, which names it by its record count
+        lines = path.read_text().split("\n", 9)
+        sealed = seal(lines[:5], full_records(table)).split("\n", 9)
+        assert (sealed[7], sealed[9]) == (lines[7], lines[9])
+
+    def test_parsed_tables_share_their_dense_keys(self, tmp_path):
+        paths = [tmp_path / "a.table", tmp_path / "b.table"]
+        export_table(build_table(10), paths[0])
+        export_table(build_table(12, Condition.string("01")), paths[1])
+        a, b = map(import_table, paths)
+        for n in (1, 2, 3):
+            xs = [format(i, f"0{n}b") for i in range(2**n)]
+            assert a.ks_of(xs) and b.ks_of(xs)  # parses both segments
+            keys_a = [x for x in a.sorted_outputs() if len(x) == n]
+            keys_b = [x for x in b.sorted_outputs() if len(x) == n]
+            assert keys_a == keys_b == xs
+            assert all(x is y for x, y in zip(keys_a, keys_b))
 
 
 # Record edits for the import fuzz test: a field replaced, dropped or
@@ -817,8 +949,10 @@ class TestBulkImport:
     def test_edited_record_against_oracle(self, small_export, edit, i, j, token):
         lines = small_export.read_text().splitlines()
         path = small_export.with_name("edited.table")
-        records = _edited(lines[9:], edit, i, j, token)
-        # re-sealed, so that the edit reaches the record parsers
+        # edited with every output written out, then re-sealed, so that the
+        # edit reaches the record parsers; seal writes a run that still holds
+        # every n-bit string in lex order as a dense segment
+        records = _edited(full_records(import_table(small_export)).splitlines(), edit, i, j, token)
         path.write_text(seal(lines[:5], "\n".join(records) + "\n"))
         _import_like_oracle(path)
 
@@ -870,7 +1004,7 @@ class TestBulkImport:
     def test_gc_state_is_restored(self, small_export, tmp_path, enabled):
         bad = tmp_path / "bad.table"
         lines = small_export.read_text().splitlines()
-        bad.write_text(seal(lines[:5], "\n".join(lines[9:]) + "\n0110 5\n"))
+        bad.write_text(seal(lines[:5], full_records(import_table(small_export)) + "0110 5\n"))
         was = gc.isenabled()
         try:
             (gc.enable if enabled else gc.disable)()
