@@ -35,6 +35,11 @@ up only members, 7 plus the longest codeword when that is less (see there).
 One rule thus caps the tables of ``structfn``, ``deficiency``,
 ``nonstoch_scan``, ``deficiency_p``, ``bernoulli``, the ``laws`` deep table
 and the conditional tables of its audits.
+
+A source whose ``max_len`` is set (``--max-len``) builds every table it
+hands out at that cap instead: the fixed cap given to ``table``/``tables``
+and the one ``k_tables`` derives alike. A string with no program within it
+is then Absent, never given a wrong K.
 """
 
 from __future__ import annotations
@@ -142,12 +147,19 @@ class TableSource(NamedTuple):
     """Where the tables an analysis reads come from: the budgets they are
     built under, the cache directory they live in (``None`` resolves the
     default on each lookup, as ``load_or_build`` does), how many processes
-    walk cache misses, and where ``cache miss`` notes go."""
+    walk cache misses, where ``cache miss`` notes go, and the program-length
+    cap that, when set, replaces the cap of every table it hands out."""
 
     budgets: Budgets = Budgets()
     workers: int = 1
     cache_dir: str | Path | None = None
     warn: Callable[[str], None] | None = None
+    max_len: int | None = None
+
+    def program_cap(self, L: int) -> int:
+        """The program-length cap of a table asked for at L: ``max_len``
+        when it is set, else L."""
+        return L if self.max_len is None else self.max_len
 
     def capped(self, n: int) -> TableSource:
         """This source with the output budget lowered to n when it is larger.
@@ -159,12 +171,10 @@ class TableSource(NamedTuple):
             return self
         return self._replace(budgets=Budgets(self.budgets.max_steps, n))
 
-    def k_tables(
-        self, n: int, conds: Sequence[Condition], L: int | None = None
-    ) -> list[ComplexityTable]:
+    def k_tables(self, n: int, conds: Sequence[Condition]) -> list[ComplexityTable]:
         """The tables, one per condition in ``conds``, of a reader that looks
         up only K and witnesses, of strings of at most n bits: built under an
-        output budget of n (``capped``) and, unless ``L`` is given, the
+        output budget of n (``capped``) and, unless ``max_len`` is set, the
         program-length cap ``k_cap`` derives from n and the condition.
 
         That cap is exact. A table holds a string only with a program within
@@ -184,29 +194,28 @@ class TableSource(NamedTuple):
         without the far longer walk of 2n+3.
 
         A derived cap above AUDIT_MAX_LEN (2n+3 with n > 13, under a string
-        or no condition) raises ValueError before any table is built. An
-        explicit ``L``, as ``--max-len`` gives, is used as it is; a string
-        with no program within it is Absent.
+        or no condition) raises ValueError before any table is built. A set
+        ``max_len``, as ``--max-len`` gives, is used as it is; a string with
+        no program within it is Absent.
         """
-        if L is not None:
-            return self.capped(n).tables(L, conds)
         caps = [k_cap(n, cond) for cond in conds]
-        if max(caps, default=0) > AUDIT_MAX_LEN:
+        if self.max_len is None and max(caps, default=0) > AUDIT_MAX_LEN:
             raise ValueError(
                 f"strings of {n} bits need tables with a program-length cap of "
                 f"L={max(caps)}, above the largest derived cap L={AUDIT_MAX_LEN}; pass "
-                f"--max-len (L_c in the library) to build them anyway"
+                f"--max-len (TableSource.max_len in the library) to build them anyway"
             )
         return self.capped(n)._tables(list(zip(caps, conds)))
 
     def table(self, L: int, cond: Condition | None = None) -> ComplexityTable:
-        """``load_or_build`` under this source's settings; returns only the table."""
-        table, _ = load_or_build(L, cond, self.budgets, self.cache_dir, self.warn)
+        """``load_or_build`` under this source's settings, at the cap
+        ``program_cap(L)``; returns only the table."""
+        table, _ = load_or_build(self.program_cap(L), cond, self.budgets, self.cache_dir, self.warn)
         return table
 
     def tables(self, L: int, conds: Sequence[Condition]) -> list[ComplexityTable]:
-        """``load_or_build`` for many conditions at one cap; the tables come
-        back in the order of ``conds``.
+        """``load_or_build`` for many conditions at one cap,
+        ``program_cap(L)``; the tables come back in the order of ``conds``.
 
         Each distinct condition, a string condition cut to its first O bits
         (see ``_tables``), is looked up once, in order, so the ``cache miss``
@@ -225,7 +234,8 @@ class TableSource(NamedTuple):
         return self._tables([(L, cond) for cond in conds])
 
     def _tables(self, jobs: Sequence[tuple[int, Condition]]) -> list[ComplexityTable]:
-        """``tables`` with a cap per condition: one table per (cap, condition).
+        """``tables`` with a cap per condition: one table per (cap, condition),
+        each cap replaced by ``program_cap``.
 
         A string condition is cut to its first O bits, all that a walk under
         output budget O can read (see the module docstring), before its table
@@ -233,9 +243,12 @@ class TableSource(NamedTuple):
         share one table, one file and one ``cache miss`` note."""
         O = self.budgets.max_output
         jobs = [
-            (L, Condition.string(cond.bits[:O]))
-            if cond.kind == Condition.STR_KIND and len(cond.bits) > O
-            else (L, cond)
+            (
+                self.program_cap(L),
+                Condition.string(cond.bits[:O])
+                if cond.kind == Condition.STR_KIND and len(cond.bits) > O
+                else cond,
+            )
             for L, cond in jobs
         ]
         cache_dir = Path(self.cache_dir) if self.cache_dir is not None else default_cache_dir()

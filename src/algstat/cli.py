@@ -48,17 +48,16 @@ def _warn(message: str) -> None:
 class Config(Record):
     """Resolved run configuration shared by the command handlers."""
 
-    __slots__ = ("L", "source", "constants_path", "alpha_max", "beta")
+    __slots__ = ("source", "constants_path", "alpha_max", "beta")
 
     def __init__(
         self,
-        L: int | None,
         source: TableSource,
         constants_path: str | None,
         alpha_max: int | None,
         beta: int,
     ):
-        if L is not None and L <= 0:
+        if source.max_len is not None and source.max_len <= 0:
             raise ValueError("--max-len must be positive")
         if source.budgets.max_output <= 0:
             raise ValueError("--max-out must be positive")
@@ -66,13 +65,12 @@ class Config(Record):
             raise ValueError("--workers must be positive")
         if beta < 0:
             raise ValueError("--beta must be >= 0")
-        for name, value in zip(self.__slots__, (L, source, constants_path, alpha_max, beta)):
+        for name, value in zip(self.__slots__, (source, constants_path, alpha_max, beta)):
             object.__setattr__(self, name, value)
 
 
 def _config(args: argparse.Namespace) -> Config:
     return Config(
-        L=getattr(args, "max_len", None),
         source=TableSource(
             budgets=Budgets(
                 max_steps=getattr(args, "steps", DEFAULT_MAX_STEPS),
@@ -81,6 +79,7 @@ def _config(args: argparse.Namespace) -> Config:
             workers=getattr(args, "workers", 1),
             cache_dir=getattr(args, "cache_dir", None),
             warn=_warn,
+            max_len=getattr(args, "max_len", None),
         ),
         constants_path=getattr(args, "constants", None),
         alpha_max=getattr(args, "alpha_max", None),
@@ -117,9 +116,7 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     cfg = _config(args)
     cond = _condition(args)
-    L = cfg.L if cfg.L is not None else (
-        DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN
-    )
+    L = cfg.source.program_cap(DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN)
     table, built = load_or_build(L, cond, cfg.source.budgets, cfg.source.cache_dir, _warn)
     if args.out:
         export_table(table, args.out)
@@ -135,10 +132,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_k(args: argparse.Namespace) -> int:
     cfg = _config(args)
     cond = _condition(args)
-    L = cfg.L if cfg.L is not None else (
-        DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN
-    )
-    table = cfg.source.table(L, cond)
+    table = cfg.source.table(DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN, cond)
     x = text_to_bits(args.x)
     k = require_k(table, x)
     print(f"K={k} witness={table.witness_of(x)}")
@@ -147,7 +141,7 @@ def cmd_k(args: argparse.Namespace) -> int:
 
 def cmd_mi(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    table = cfg.source.table(cfg.L if cfg.L is not None else DEFAULT_MAX_LEN)
+    table = cfg.source.table(DEFAULT_MAX_LEN)
     rec = mutual_info(table, text_to_bits(args.x), text_to_bits(args.y))
     print(f"I={rec.i} K(x)={rec.kx} K(y)={rec.ky} K(pair)={rec.kxy}")
     return EXIT_OK
@@ -165,7 +159,6 @@ def cmd_structfn(args: argparse.Namespace) -> int:
         alpha_max,
         opts,
         include_deficiency=not args.no_deficiency,
-        L_c=cfg.L,
         source=cfg.source,
     )
     _emit(curve.to_csv(), args.out)
@@ -189,21 +182,21 @@ def cmd_suffstat(args: argparse.Namespace) -> int:
 
 def cmd_sk(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    table = cfg.source.table(cfg.L if cfg.L is not None else LEVEL_MAX_LEN)
+    table = cfg.source.table(LEVEL_MAX_LEN)
     _emit(skstats.sk_csv(table, args.k), args.out)
     return EXIT_OK
 
 
 def cmd_xr(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    table = cfg.source.table(cfg.L if cfg.L is not None else LEVEL_MAX_LEN)
+    table = cfg.source.table(LEVEL_MAX_LEN)
     _emit(skstats.xr_csv(table), args.out)
     return EXIT_OK
 
 
 def cmd_bernoulli(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    [table] = cfg.source.k_tables(args.n, [Condition.none()], cfg.L)
+    [table] = cfg.source.k_tables(args.n, [Condition.none()])
     rep = models_prob.bernoulli_demo(table, args.n, cfg.beta, _model_opts(args))
     _emit(rep.to_csv(), args.out)
     return EXIT_OK
@@ -213,7 +206,7 @@ def cmd_probstat(args: argparse.Namespace) -> int:
     cfg = _config(args)
     x = text_to_bits(args.x)
     dist = models_prob.parse_distlang(args.dist)
-    rec = models_prob.deficiency_p(x, dist, L_c=cfg.L, source=cfg.source)
+    rec = models_prob.deficiency_p(x, dist, source=cfg.source)
     rep = models_prob.suffstat_p(x, cfg.beta, _model_opts(args))
     lines = [
         f"x={bits_to_text(x)}",
@@ -252,7 +245,7 @@ def _laws_joint(args: argparse.Namespace, cfg: Config) -> int:
     reach = infolaws.expected_mi_reach(joint)
     if statistic is not None:
         reach = max(reach, infolaws.theta_reach(joint, statistic))
-    [table] = cfg.source.k_tables(reach, [Condition.none()], cfg.L)
+    [table] = cfg.source.k_tables(reach, [Condition.none()])
     if audit == "expected-mi":
         rep = infolaws.expected_mi_audit(joint, table)
         _warn(f"expected={float(rep.expected):.9f} classical={models_set._fmt_real(rep.prob_i)} k_p={rep.k_p}")
@@ -290,13 +283,16 @@ def cmd_laws(args: argparse.Namespace) -> int:
     if args.joint:
         return _laws_joint(args, cfg)
     reads = {a.reads for a in infolaws.selected_audits(args.audit)}
+    # --max-len caps the level table only: the deep table and the audits'
+    # conditional tables keep their derived caps.
+    battery = cfg.source._replace(max_len=None)
     level = deep = None
     if "level" in reads:
-        level = cfg.source.table(cfg.L if cfg.L is not None else LEVEL_MAX_LEN)
+        level = cfg.source.table(LEVEL_MAX_LEN)
     if "deep" in reads:
         # Every selection reads the one deep table the whole battery needs.
-        [deep] = cfg.source.k_tables(infolaws.laws_reach(), [Condition.none()])
-    runs = infolaws.laws_audit(deep, level, source=cfg.source, audit=args.audit).values()
+        [deep] = battery.k_tables(infolaws.laws_reach(), [Condition.none()])
+    runs = infolaws.laws_audit(deep, level, source=battery, audit=args.audit).values()
     checks = [check for run in runs for check in run.checks]
     measured = {name: value for run in runs for name, value in run.measured.items()}
     if args.freeze:

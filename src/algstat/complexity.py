@@ -66,6 +66,24 @@ def require_ks(table: ComplexityTable, xs: Sequence[str]) -> list[int]:
     return ks
 
 
+def _require_rows(tables: list[ComplexityTable], xs: Sequence[str]) -> list[list[int]]:
+    """``[require_ks(t, xs) for t in tables]``, reading the row of each
+    distinct table object once: conditions that share the bits a walk reads
+    share one table (``TableSource.k_tables``). Each entry of the list is
+    set to None once its table's row is read, so that the table can be let
+    go then and at most one of them is held parsed."""
+    sharing: dict[int, list[int]] = {}
+    for i, table in enumerate(tables):
+        sharing.setdefault(id(table), []).append(i)
+    rows: list[list[int]] = [[]] * len(tables)
+    for indices in sharing.values():
+        row = require_ks(tables[indices[0]], xs)
+        for i in indices:
+            tables[i] = None
+            rows[i] = row
+    return rows
+
+
 def shortest_program(table: ComplexityTable, x: str) -> str:
     """x*: the canonical witness. Its length is K(x) and, to the machine,
     it carries both x and K(x) — which is why conditions use it. Raises
@@ -76,15 +94,11 @@ def shortest_program(table: ComplexityTable, x: str) -> str:
     return w
 
 
-def k_cond(
-    x: str,
-    cond: Condition,
-    L_c: int = DEFAULT_COND_MAX_LEN,
-    source: TableSource = TableSource(),
-) -> int | None:
-    """Exact K(x | cond) under the conditional cap, or None if absent.
-    Builds (and caches) the conditional table on first use."""
-    return source.table(L_c, cond).k_of(x)
+def k_cond(x: str, cond: Condition, source: TableSource = TableSource()) -> int | None:
+    """Exact K(x | cond) under the conditional cap (``source.max_len`` when
+    it is set), or None if absent. Builds (and caches) the conditional table
+    on first use."""
+    return source.table(DEFAULT_COND_MAX_LEN, cond).k_of(x)
 
 
 class MIRecord(NamedTuple):
@@ -142,7 +156,6 @@ class SoiReport(NamedTuple):
 def soi_audit(
     table: ComplexityTable,
     len_cap: int = DEFAULT_SOI_LEN_CAP,
-    L_c: int | None = None,
     source: TableSource = TableSource(),
 ) -> SoiReport:
     """Sweep all strings of length <= len_cap.
@@ -153,7 +166,7 @@ def soi_audit(
     the self-information gap and the pairing-order gap feeding the frozen
     constants file. ``table`` is read at the swept strings and their pairs;
     the conditional tables only at the swept strings, so they come from
-    ``source.k_tables(len_cap, ...)``, at the cap L_c if it is given.
+    ``source.k_tables(len_cap, ...)``.
     """
     xs = _all_strings(len_cap)
     n = len(xs)
@@ -166,8 +179,7 @@ def soi_audit(
     # kxy[i][j] = K(<x_i, x_j>); given[i][j] = K(x_j | x_i*).
     kxy = [[k_deep[p] for p in pairs[i : i + n]] for i in range(0, n * n, n)]
     conds = [Condition.string(shortest_program(table, x)) for x in xs]
-    cond_tables = source.k_tables(len_cap, conds, L_c)
-    given = [require_ks(t, xs) for t in cond_tables]
+    given = _require_rows(source.k_tables(len_cap, conds), xs)
 
     add_max, add_arg = -1, ("", "")
     for x, kx, row, row_given in zip(xs, k_un, kxy, given):

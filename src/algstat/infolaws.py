@@ -36,9 +36,9 @@ from .cache import TableSource
 from .complexity import (
     DEFAULT_SOI_LEN_CAP,
     _all_strings,
+    _require_rows,
     mutual_info,
     require_k,
-    require_ks,
     shortest_program,
     soi_audit,
 )
@@ -52,7 +52,7 @@ from .models_prob import (
     format_distlang,
     parse_distlang,
 )
-from .models_set import DEFAULT_DENOTE_CAP, SetDesc, Hamming, _fmt_real
+from .models_set import SetDesc, Hamming, _fmt_real
 from .skstats import _dyadic_csv, logn_gap, slice_bound_check, xr_bound_check
 
 TOL = 1e-9
@@ -108,26 +108,26 @@ class JointModel(Record):
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "dists", dists)
 
-    def x_domain(self, cap: int = DEFAULT_DENOTE_CAP) -> tuple[str, ...]:
+    def x_domain(self) -> tuple[str, ...]:
         seen: set[str] = set()
         for d in self.dists:
-            seen.update(d.domain(cap))
+            seen.update(d.domain())
         return tuple(sorted(seen, key=_canon_key))
 
-    def support(self, cap: int = DEFAULT_DENOTE_CAP) -> list[tuple[int, str, Fraction]]:
+    def support(self) -> list[tuple[int, str, Fraction]]:
         """(parameter index, x, joint mass) triples with positive mass,
         in deterministic (parameter, then canonical x) order."""
         out: list[tuple[int, str, Fraction]] = []
         for i, (p1, d) in enumerate(zip(self.priors, self.dists)):
             if p1 == 0:
                 continue
-            for x in d.domain(cap):
+            for x in d.domain():
                 out.append((i, x, p1 * d.mass(x)))
         return out
 
-    def marginal(self, cap: int = DEFAULT_DENOTE_CAP) -> dict[str, Fraction]:
+    def marginal(self) -> dict[str, Fraction]:
         p2: dict[str, Fraction] = {}
-        for _, x, p in self.support(cap):
+        for _, x, p in self.support():
             p2[x] = p2.get(x, Fraction(0)) + p
         return p2
 
@@ -297,16 +297,14 @@ def prior_sweep(joint: JointModel, steps: int = 9) -> list[tuple[Fraction, ...]]
     return rows
 
 
-def pushforward(
-    joint: JointModel, statistic: Statistic, cap: int = DEFAULT_DENOTE_CAP
-) -> JointModel:
+def pushforward(joint: JointModel, statistic: Statistic) -> JointModel:
     """The joint on (parameter, statistic value): each per-parameter
     distribution becomes an explicit table carrying the transported
     masses."""
     dists = []
     for d in joint.dists:
         acc: dict[str, Fraction] = {}
-        for x in d.domain(cap):
+        for x in d.domain():
             t = statistic(x)
             acc[t] = acc.get(t, Fraction(0)) + d.mass(x)
         entries = tuple(sorted(acc.items(), key=lambda kv: _canon_key(kv[0])))
@@ -321,12 +319,12 @@ class ProbMIReport(NamedTuple):
     h_joint: float
 
 
-def prob_mi(joint: JointModel, cap: int = DEFAULT_DENOTE_CAP) -> ProbMIReport:
+def prob_mi(joint: JointModel) -> ProbMIReport:
     """Mutual information between parameter and data, computed from the
     definition with exact masses and real logs (1e-9 is the documented
     comparison grain). Entropies come along for free."""
-    support = joint.support(cap)
-    p2 = joint.marginal(cap)
+    support = joint.support()
+    p2 = joint.marginal()
     i_val = 0.0
     h_joint = 0.0
     for idx, x, p in support:
@@ -349,7 +347,6 @@ class PriorCheckRow(NamedTuple):
 class SuffCheckReport(NamedTuple):
     statistic: Statistic
     rows: tuple[PriorCheckRow, ...]
-    tol: float
 
     @property
     def sufficient(self) -> bool:
@@ -369,11 +366,9 @@ def prob_suff_check(
     joint: JointModel,
     statistic: Statistic,
     priors: Iterable[Sequence[Fraction]] | None = None,
-    tol: float = TOL,
-    cap: int = DEFAULT_DENOTE_CAP,
 ) -> SuffCheckReport:
     """Does the statistic preserve all parameter information? Checked as
-    I(parameter; data) == I(parameter; statistic) within tol at every
+    I(parameter; data) == I(parameter; statistic) within TOL at every
     prior in the sweep (the channel computation is exact; only the final
     logs are real). Processing can only lose information, so equality is
     the sufficiency verdict."""
@@ -381,10 +376,10 @@ def prob_suff_check(
     rows = []
     for pr in sweep:
         j = joint.with_priors(pr)
-        i_x = prob_mi(j, cap).i
-        i_t = prob_mi(pushforward(j, statistic, cap), cap).i
-        rows.append(PriorCheckRow(tuple(pr), i_x, i_t, abs(i_x - i_t) <= tol))
-    return SuffCheckReport(statistic, tuple(rows), tol)
+        i_x = prob_mi(j).i
+        i_t = prob_mi(pushforward(j, statistic)).i
+        rows.append(PriorCheckRow(tuple(pr), i_x, i_t, abs(i_x - i_t) <= TOL))
+    return SuffCheckReport(statistic, tuple(rows))
 
 
 # -- expected information vs the classical value ------------------------------
@@ -420,34 +415,31 @@ class ExpectedMIReport(NamedTuple):
 
 
 def expected_mi_reach(joint: JointModel) -> int:
-    """The longest string ``expected_mi_audit`` looks up in its table at
-    its default cap: the pair of a label with a data string of positive
-    joint mass."""
+    """The longest string ``expected_mi_audit`` looks up in its table: the
+    pair of a label with a data string of positive joint mass."""
     return max(
         (
             pair_len(len(joint.thetas[idx]), len(x))
-            for idx, x, p in joint.support(DEFAULT_DENOTE_CAP)
+            for idx, x, p in joint.support()
             if p != 0
         ),
         default=0,
     )
 
 
-def expected_mi_audit(
-    joint: JointModel, table: ComplexityTable, cap: int = DEFAULT_DENOTE_CAP
-) -> ExpectedMIReport:
+def expected_mi_audit(joint: JointModel, table: ComplexityTable) -> ExpectedMIReport:
     """Average table information between parameter label and data versus
     the classical mutual information. The two agree only up to the
     description length of the joint itself, so the audit reports the
     joint's encoding length alongside the measured slack."""
     rows = []
-    for idx, x, p in joint.support(cap):
+    for idx, x, p in joint.support():
         if p == 0:
             continue
         rec = mutual_info(table, joint.thetas[idx], x)
         rows.append(ExpectedMIRow(joint.thetas[idx], x, p, rec.i))
     expected = sum((r.p * r.i_alg for r in rows), Fraction(0))
-    return ExpectedMIReport(tuple(rows), expected, prob_mi(joint, cap).i, len(joint.code()))
+    return ExpectedMIReport(tuple(rows), expected, prob_mi(joint).i, len(joint.code()))
 
 
 # -- processing cannot create information -------------------------------------
@@ -537,34 +529,21 @@ def nonincrease_audit(
     table: ComplexityTable,
     transforms: Sequence[Transform] | None = None,
     len_cap: int = DEFAULT_NI_LEN_CAP,
-    L_c: int | None = None,
     source: TableSource = TableSource(),
 ) -> NonincreaseReport:
     """Max over (x, y, q) of I(q(x):y) - I(x:y) - l(q), with I(a:b) =
     K(b) - K(b | a's witness) and q actually run on the machine.
     ``table`` is read at the swept strings and their images, whose
     witnesses condition the other tables; those are read only at the swept
-    strings, so they come from ``source.k_tables(len_cap, ...)``, at the
-    cap L_c if it is given."""
+    strings, so they come from ``source.k_tables(len_cap, ...)``."""
     if transforms is None:
         transforms = default_transforms()
     xs = _all_strings(len_cap)
     applied = _applied(transforms, xs, source.budgets)
     needed = set(xs) | {out for _, out in applied.values()}
-    cond_k = _label_cond_tables(needed, table, len_cap, L_c, source)
-    # given[a][j] = K(x_j | a*) for each label a. Labels whose conditions
-    # share their first len_cap bits share one table object
-    # (TableSource.k_tables), whose row is read once. Each table is let go
-    # once its row is read, so that at most one of them is held parsed.
-    sharing: dict[int, list[str]] = {}
-    for label, cond_table in cond_k.items():
-        sharing.setdefault(id(cond_table), []).append(label)
-    given: dict[str, list[int]] = {}
-    for labels in sharing.values():
-        row = require_ks(cond_k[labels[0]], xs)
-        for label in labels:
-            del cond_k[label]
-            given[label] = row
+    # given[a][j] = K(x_j | a*) for each label a.
+    labels, cond_tables = _label_cond_tables(needed, table, len_cap, source)
+    given = dict(zip(labels, _require_rows(cond_tables, xs)))
 
     per: list[TransformMax] = []
     for q in transforms:
@@ -588,14 +567,14 @@ def _label_cond_tables(
     labels: Iterable[str],
     table: ComplexityTable,
     n: int,
-    L_c: int | None,
     source: TableSource,
-) -> dict[str, ComplexityTable]:
-    """The table conditioned on each label's shortest program, keyed by
-    label, for lookups of strings of at most n bits (``TableSource.k_tables``)."""
+) -> tuple[list[str], list[ComplexityTable]]:
+    """The labels in canonical order and the table conditioned on each
+    one's shortest program, for lookups of strings of at most n bits
+    (``TableSource.k_tables``)."""
     ordered = sorted(set(labels), key=_canon_key)
     conds = [Condition.string(shortest_program(table, label)) for label in ordered]
-    return dict(zip(ordered, source.k_tables(n, conds, L_c)))
+    return ordered, source.k_tables(n, conds)
 
 
 class ThetaSuffRow(NamedTuple):
@@ -610,7 +589,6 @@ class ThetaSuffReport(NamedTuple):
     rows: tuple[ThetaSuffRow, ...]
     threshold: int | None
     prob_sufficient: bool
-    tol: float
 
     def mass_leq(self, threshold: int) -> Fraction:
         return sum((r.p for r in self.rows if r.d <= threshold), Fraction(0))
@@ -645,9 +623,9 @@ class ThetaSuffReport(NamedTuple):
 
 def theta_reach(joint: JointModel, statistic: Statistic) -> int:
     """The longest string ``theta_suff_audit`` and ``suff_identity_audit``
-    look up in their unconditional table at their default cap: the labels,
-    the data strings and the statistic's values."""
-    xs = joint.x_domain(DEFAULT_DENOTE_CAP)
+    look up in their unconditional table: the labels, the data strings and
+    the statistic's values."""
+    xs = joint.x_domain()
     strings = set(xs) | {statistic(x) for x in xs} | set(joint.thetas)
     return max(map(len, strings))
 
@@ -656,16 +634,14 @@ def _deficiency_terms(
     joint: JointModel,
     statistic: Statistic,
     table: ComplexityTable,
-    cap: int,
-    L_c: int | None,
     source: TableSource,
 ) -> dict[str, ComplexityTable]:
     """The table conditioned on each label's witness. It is read only at
     the data strings and the statistic's values, so it is built for
     lookups of the longest of them."""
-    xs = joint.x_domain(cap)
+    xs = joint.x_domain()
     read = set(xs) | {statistic(x) for x in xs}
-    return _label_cond_tables(joint.thetas, table, max(map(len, read)), L_c, source)
+    return dict(zip(*_label_cond_tables(joint.thetas, table, max(map(len, read)), source)))
 
 
 def theta_suff_audit(
@@ -673,9 +649,6 @@ def theta_suff_audit(
     statistic: Statistic,
     table: ComplexityTable,
     threshold: int | None = None,
-    L_c: int | None = None,
-    tol: float = TOL,
-    cap: int = DEFAULT_DENOTE_CAP,
     source: TableSource = TableSource(),
 ) -> ThetaSuffReport:
     """Per-(parameter, x) deficiency d = I(theta:x) - I(theta:S(x)) with
@@ -684,9 +657,9 @@ def theta_suff_audit(
     sufficiency verdict so both directions of the correspondence can be
     read off one object: small-deficiency mass tracks classical
     sufficiency and vice versa."""
-    cond_tables = _deficiency_terms(joint, statistic, table, cap, L_c, source)
+    cond_tables = _deficiency_terms(joint, statistic, table, source)
     rows = []
-    for idx, x, p in joint.support(cap):
+    for idx, x, p in joint.support():
         if p == 0:
             continue
         label = joint.thetas[idx]
@@ -695,8 +668,8 @@ def theta_suff_audit(
         i_x = require_k(table, x) - require_k(given, x)
         i_s = require_k(table, s_x) - require_k(given, s_x)
         rows.append(ThetaSuffRow(label, x, s_x, p, i_x - i_s))
-    verdict = prob_suff_check(joint, statistic, tol=tol, cap=cap).sufficient
-    return ThetaSuffReport(tuple(rows), threshold, verdict, tol)
+    verdict = prob_suff_check(joint, statistic).sufficient
+    return ThetaSuffReport(tuple(rows), threshold, verdict)
 
 
 class SuffIdentityRow(NamedTuple):
@@ -740,8 +713,6 @@ def suff_identity_audit(
     statistic: Statistic,
     table: ComplexityTable,
     model_of: Callable[[str], SetDesc],
-    L_c: int | None = None,
-    cap: int = DEFAULT_DENOTE_CAP,
     source: TableSource = TableSource(),
 ) -> SuffIdentityReport:
     """Two ways of pricing x through a sufficient statistic should agree:
@@ -749,9 +720,9 @@ def suff_identity_audit(
     statistic's value and then x's index inside that value's model class.
     The agreement gap is a machine constant; the audit measures its max
     over the joint's support."""
-    cond_tables = _deficiency_terms(joint, statistic, table, cap, L_c, source)
+    cond_tables = _deficiency_terms(joint, statistic, table, source)
     rows = []
-    for x in joint.x_domain(cap):
+    for x in joint.x_domain():
         scores = [p * d.mass(x) for p, d in zip(joint.priors, joint.dists)]
         best = max(range(len(scores)), key=lambda i: (scores[i], -i))
         label = joint.thetas[best]

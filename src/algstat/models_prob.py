@@ -45,13 +45,14 @@ from .complexity import require_k
 from .enumeration import ComplexityTable
 from .machine import Condition
 from .models_set import (
-    DEFAULT_DENOTE_CAP,
+    DENOTE_CAP,
     CapExceeded,
     Hamming,
     ListSet,
     ModelOpts,
     SetDesc,
     Singleton,
+    _optimal_models,
     _read_desc,
     encode as encode_set,
     enumerate_models,
@@ -108,7 +109,7 @@ class DistDesc(Record):
     def code_len(self) -> int:
         return len(self.code)
 
-    def domain(self, cap: int = DEFAULT_DENOTE_CAP) -> list[str]:
+    def domain(self) -> list[str]:
         """Positive-mass support in canonical (length, lex) order."""
         raise NotImplementedError
 
@@ -138,8 +139,8 @@ class UniformOn(DistDesc):
     def __init__(self, desc: SetDesc):
         object.__setattr__(self, "desc", desc)
 
-    def domain(self, cap: int = DEFAULT_DENOTE_CAP) -> list[str]:
-        return self.desc.denote(cap)
+    def domain(self) -> list[str]:
+        return self.desc.denote()
 
     def mass(self, x: str) -> Fraction:
         if not self.desc.member(x):
@@ -162,9 +163,9 @@ class Bernoulli(DistDesc):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "p", p)
 
-    def domain(self, cap: int = DEFAULT_DENOTE_CAP) -> list[str]:
-        if (1 << self.n) > cap:
-            raise CapExceeded(f"Bernoulli domain 2^{self.n} exceeds cap {cap}")
+    def domain(self) -> list[str]:
+        if (1 << self.n) > DENOTE_CAP:
+            raise CapExceeded(f"Bernoulli domain 2^{self.n} exceeds cap {DENOTE_CAP}")
         return [format(v, f"0{self.n}b") if self.n else "" for v in range(1 << self.n)]
 
     def mass(self, x: str) -> Fraction:
@@ -202,7 +203,7 @@ class TableDist(DistDesc):
                 raise DistLangError(f"duplicate Table entry {bits_to_text(a)}")
         object.__setattr__(self, "entries", tuple(fixed))
 
-    def domain(self, cap: int = DEFAULT_DENOTE_CAP) -> list[str]:
+    def domain(self) -> list[str]:
         return [x for x, _ in self.entries]
 
     def mass(self, x: str) -> Fraction:
@@ -338,8 +339,8 @@ def codeword_length(dist: DistDesc, x: str) -> int:
     return ceil_log2_ratio(m.denominator, m.numerator)
 
 
-def codebook(dist: DistDesc, cap: int = DEFAULT_DENOTE_CAP) -> Codebook:
-    domain = dist.domain(cap)
+def codebook(dist: DistDesc) -> Codebook:
+    domain = dist.domain()
     if isinstance(dist, UniformOn):
         # Every codeword has the same length, so packing gives the i-th
         # element i in that many bits: one size() for the whole book.
@@ -397,9 +398,7 @@ class ProbDeficiencyRecord(NamedTuple):
 def deficiency_p(
     x: str,
     dist: DistDesc,
-    L_c: int | None = None,
     source: TableSource = TableSource(),
-    cap: int = DEFAULT_DENOTE_CAP,
 ) -> ProbDeficiencyRecord:
     """Randomness deficiency of x within dist, normalized against the
     least-deficient domain element. The winner of the normalization is
@@ -410,9 +409,9 @@ def deficiency_p(
     mx = dist.mass(x)
     if mx == 0:
         raise ValueError(f"{bits_to_text(x)} has zero mass under {format_distlang(dist)}")
-    domain = dist.domain(cap)
+    domain = dist.domain()
     # read only at the domain: built up to its longest member
-    [table] = source.k_tables(max(map(len, domain)), [model_condition(dist)], L_c)
+    [table] = source.k_tables(max(map(len, domain)), [model_condition(dist)])
     kx = require_k(table, x)
     best_y, best_k, best_score = None, None, Fraction(-1)
     for y in domain:
@@ -471,20 +470,7 @@ def suffstat_p(
     candidates = [(two_part_p(x, d), d) for d in family if d.mass(x) > 0]
     if not candidates:
         raise ValueError("family gives x zero mass everywhere")
-    lambda_min = min(t for t, _ in candidates)
-    optimal = [d for t, d in candidates if t <= lambda_min + beta]
-    optimal.sort(key=lambda d: (d.code_len, d.code))
-    in_class = None
-    if reference_lambda is not None:
-        in_class = lambda_min <= reference_lambda + beta
-    return SuffStatPReport(
-        x=x,
-        beta=beta,
-        lambda_min=lambda_min,
-        optimal=tuple(optimal),
-        minimal=optimal[0],
-        in_class_sufficient=in_class,
-    )
+    return _optimal_models(SuffStatPReport, x, beta, candidates, reference_lambda)
 
 
 # -- complexity-level sets as distributions ------------------------------------

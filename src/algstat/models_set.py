@@ -28,7 +28,7 @@ import math
 import re
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from ._record import Record
 from .bits import (
@@ -50,7 +50,8 @@ from .complexity import require_k
 from .enumeration import ComplexityTable
 from .machine import Condition
 
-DEFAULT_DENOTE_CAP = 1 << 20
+# The most members a denotation or a domain materializes.
+DENOTE_CAP = 1 << 20
 DEFAULT_ALPHA_BOUND = 36
 
 
@@ -59,7 +60,7 @@ class SetLangError(CodeError):
 
 
 class CapExceeded(Exception):
-    """A denotation is larger than the materialization cap."""
+    """A denotation is larger than the materialization cap, DENOTE_CAP."""
 
 
 # -- description AST ---------------------------------------------------------
@@ -82,10 +83,10 @@ class SetDesc(Record):
     def member(self, x: str) -> bool:
         raise NotImplementedError
 
-    def size(self, cap: int = DEFAULT_DENOTE_CAP) -> int:
+    def size(self) -> int:
         raise NotImplementedError
 
-    def denote(self, cap: int = DEFAULT_DENOTE_CAP) -> list[str]:
+    def denote(self) -> list[str]:
         """Members in canonical (length, lexicographic) order."""
         raise NotImplementedError
 
@@ -99,10 +100,10 @@ class Singleton(SetDesc):
     def member(self, x: str) -> bool:
         return x == self.x
 
-    def size(self, cap: int = DEFAULT_DENOTE_CAP) -> int:
+    def size(self) -> int:
         return 1
 
-    def denote(self, cap: int = DEFAULT_DENOTE_CAP) -> list[str]:
+    def denote(self) -> list[str]:
         return [self.x]
 
 
@@ -117,12 +118,12 @@ class All(SetDesc):
     def member(self, x: str) -> bool:
         return len(x) == self.n
 
-    def size(self, cap: int = DEFAULT_DENOTE_CAP) -> int:
+    def size(self) -> int:
         return 1 << self.n
 
-    def denote(self, cap: int = DEFAULT_DENOTE_CAP) -> list[str]:
-        if self.size() > cap:
-            raise CapExceeded(f"|All({self.n})| = 2^{self.n} exceeds cap {cap}")
+    def denote(self) -> list[str]:
+        if self.size() > DENOTE_CAP:
+            raise CapExceeded(f"|All({self.n})| = 2^{self.n} exceeds cap {DENOTE_CAP}")
         return [format(v, f"0{self.n}b") if self.n else "" for v in range(1 << self.n)]
 
 
@@ -139,13 +140,13 @@ class Cyl(SetDesc):
     def member(self, x: str) -> bool:
         return len(x) == self.n and x.startswith(self.prefix)
 
-    def size(self, cap: int = DEFAULT_DENOTE_CAP) -> int:
+    def size(self) -> int:
         return 1 << (self.n - len(self.prefix))
 
-    def denote(self, cap: int = DEFAULT_DENOTE_CAP) -> list[str]:
+    def denote(self) -> list[str]:
         free = self.n - len(self.prefix)
-        if self.size() > cap:
-            raise CapExceeded(f"|Cyl| = 2^{free} exceeds cap {cap}")
+        if self.size() > DENOTE_CAP:
+            raise CapExceeded(f"|Cyl| = 2^{free} exceeds cap {DENOTE_CAP}")
         return [self.prefix + (format(v, f"0{free}b") if free else "") for v in range(1 << free)]
 
 
@@ -161,12 +162,12 @@ class Hamming(SetDesc):
     def member(self, x: str) -> bool:
         return len(x) == self.n and x.count("1") == self.s
 
-    def size(self, cap: int = DEFAULT_DENOTE_CAP) -> int:
+    def size(self) -> int:
         return math.comb(self.n, self.s)
 
-    def denote(self, cap: int = DEFAULT_DENOTE_CAP) -> list[str]:
-        if self.size() > cap:
-            raise CapExceeded(f"|Hamming({self.n},{self.s})| exceeds cap {cap}")
+    def denote(self) -> list[str]:
+        if self.size() > DENOTE_CAP:
+            raise CapExceeded(f"|Hamming({self.n},{self.s})| exceeds cap {DENOTE_CAP}")
         out = []
         for ones in combinations(range(self.n), self.s):
             chars = ["0"] * self.n
@@ -188,7 +189,7 @@ class UnionSet(SetDesc):
     def member(self, x: str) -> bool:
         return any(p.member(x) for p in self.parts)
 
-    def size(self, cap: int = DEFAULT_DENOTE_CAP) -> int:
+    def size(self) -> int:
         # inclusion-exclusion keeps huge structured unions exact without
         # materializing; nested unions fall back to the capped walk
         if len(self.parts) <= 8 and all(_is_simple(p) for p in self.parts):
@@ -198,14 +199,14 @@ class UnionSet(SetDesc):
                 for combo in combinations(self.parts, r):
                     total += sign * _intersection_size(combo)
             return total
-        return len(self.denote(cap))
+        return len(self.denote())
 
-    def denote(self, cap: int = DEFAULT_DENOTE_CAP) -> list[str]:
+    def denote(self) -> list[str]:
         seen: set[str] = set()
         for p in self.parts:
-            seen.update(p.denote(cap))
-            if len(seen) > cap:
-                raise CapExceeded(f"union grew past cap {cap}")
+            seen.update(p.denote())
+            if len(seen) > DENOTE_CAP:
+                raise CapExceeded(f"union grew past cap {DENOTE_CAP}")
         return sorted(seen, key=lambda s: (len(s), s))
 
 
@@ -279,10 +280,10 @@ class ListSet(SetDesc):
     def member(self, x: str) -> bool:
         return x in self.elems
 
-    def size(self, cap: int = DEFAULT_DENOTE_CAP) -> int:
+    def size(self) -> int:
         return len(set(self.elems))
 
-    def denote(self, cap: int = DEFAULT_DENOTE_CAP) -> list[str]:
+    def denote(self) -> list[str]:
         return sorted(set(self.elems), key=lambda s: (len(s), s))
 
 
@@ -583,16 +584,14 @@ def _model_conditions(desc: SetDesc) -> list[Condition]:
 def deficiency(
     x: str,
     desc: SetDesc,
-    L_c: int | None = None,
     source: TableSource = TableSource(),
-    denote_cap: int = DEFAULT_DENOTE_CAP,
 ) -> DeficiencyRecord:
     if not desc.member(x):
         raise ValueError(f"{bits_to_text(x)} is not in {format_setlang(desc)}")
-    members = desc.denote(denote_cap)
+    members = desc.denote()
     # read only at the members: built up to the longest of them
-    uniform, star = source.k_tables(max(map(len, members)), _model_conditions(desc), L_c)
-    return _deficiency(x, desc, members, uniform, star, denote_cap)
+    uniform, star = source.k_tables(max(map(len, members)), _model_conditions(desc))
+    return _deficiency(x, desc, members, uniform, star)
 
 
 def _deficiency(
@@ -601,11 +600,10 @@ def _deficiency(
     members: list[str],
     uniform: ComplexityTable,
     star: ComplexityTable,
-    denote_cap: int,
 ) -> DeficiencyRecord:
     """The deficiencies of x in S from S's members and its two conditional
     tables, as ``_model_conditions`` orders them."""
-    log_size = ceil_log2(desc.size(denote_cap))
+    log_size = ceil_log2(desc.size())
     k_set, d_norm = _normalized_deficiencies(x, members, uniform)
     _, d_star = _normalized_deficiencies(x, members, star)
     return DeficiencyRecord(
@@ -619,11 +617,11 @@ def _deficiency(
     )
 
 
-def two_part(x: str, desc: SetDesc, denote_cap: int = DEFAULT_DENOTE_CAP) -> int:
+def two_part(x: str, desc: SetDesc) -> int:
     """Model bits plus index bits: len(code) + ceil(log2 |S|)."""
     if not desc.member(x):
         raise ValueError(f"{bits_to_text(x)} is not in {format_setlang(desc)}")
-    return desc.code_len + ceil_log2(desc.size(denote_cap))
+    return desc.code_len + ceil_log2(desc.size())
 
 
 # -- structure function ------------------------------------------------------
@@ -668,9 +666,7 @@ def structfn(
     alpha_max: int,
     opts: ModelOpts | None = None,
     include_deficiency: bool = True,
-    L_c: int | None = None,
     source: TableSource = TableSource(),
-    denote_cap: int = DEFAULT_DENOTE_CAP,
 ) -> StructureCurve:
     """The h / beta / beta_star / lambda curves of x over the model family.
 
@@ -681,17 +677,17 @@ def structfn(
     members: list[list[str]] = []
     tables: list[ComplexityTable] = []
     if include_deficiency:
-        members = [desc.denote(denote_cap) for desc in models]
+        members = [desc.denote() for desc in models]
         conds = [c for desc in models for c in _model_conditions(desc)]
         # read only at the members: built up to the longest of them
         reach = max((len(m) for elems in members for m in elems), default=0)
-        tables = source.k_tables(reach, conds, L_c)
+        tables = source.k_tables(reach, conds)
     per_model: list[tuple[int, float, int | None, int | None]] = []
     for i, desc in enumerate(models):
-        log2_size = math.log2(desc.size(denote_cap))
+        log2_size = math.log2(desc.size())
         if include_deficiency:
             uniform, star = tables[2 * i], tables[2 * i + 1]
-            rec = _deficiency(x, desc, members[i], uniform, star, denote_cap)
+            rec = _deficiency(x, desc, members[i], uniform, star)
             per_model.append((desc.code_len, log2_size, rec.delta_norm, rec.delta_star))
         else:
             per_model.append((desc.code_len, log2_size, None, None))
@@ -728,7 +724,6 @@ def suffstat(
     opts: ModelOpts | None = None,
     family: Iterable[SetDesc] | None = None,
     reference_lambda: int | None = None,
-    denote_cap: int = DEFAULT_DENOTE_CAP,
 ) -> SuffStatReport:
     """Optimal models of x: those whose two-part total is within beta of
     the best achievable. With an explicit ``family`` the search is
@@ -745,23 +740,25 @@ def suffstat(
             two_part(x, Singleton(x)) + beta + 1, (opts or ModelOpts()).alpha_bound
         )
         family = enumerate_models(x, alpha_cap, opts)
-    candidates = [(two_part(x, d, denote_cap), d) for d in family if d.member(x)]
+    candidates = [(two_part(x, d), d) for d in family if d.member(x)]
     if not candidates:
         raise ValueError("family contains no model of x")
+    return _optimal_models(SuffStatReport, x, beta, candidates, reference_lambda)
+
+
+def _optimal_models(
+    report: type, x: str, beta: int, candidates: list[tuple[int, Any]], reference_lambda: int | None
+):
+    """The ``report`` (``SuffStatReport`` or ``SuffStatPReport``) of the
+    search over (two-part total, model) ``candidates``: the least total, the
+    models within beta of it by (code_len, code), the first of them, and
+    whether the least total is within beta of ``reference_lambda``."""
     lambda_min = min(t for t, _ in candidates)
-    optimal = [d for t, d in candidates if t <= lambda_min + beta]
-    optimal.sort(key=lambda d: (d.code_len, d.code))
-    in_class = None
-    if reference_lambda is not None:
-        in_class = lambda_min <= reference_lambda + beta
-    return SuffStatReport(
-        x=x,
-        beta=beta,
-        lambda_min=lambda_min,
-        optimal=tuple(optimal),
-        minimal=optimal[0],
-        in_class_sufficient=in_class,
+    optimal = sorted(
+        (d for t, d in candidates if t <= lambda_min + beta), key=lambda d: (d.code_len, d.code)
     )
+    in_class = None if reference_lambda is None else lambda_min <= reference_lambda + beta
+    return report(x, beta, lambda_min, tuple(optimal), optimal[0], in_class)
 
 
 def stochastic(
@@ -770,7 +767,6 @@ def stochastic(
     beta: int,
     table: ComplexityTable,
     opts: ModelOpts | None = None,
-    denote_cap: int = DEFAULT_DENOTE_CAP,
 ) -> bool:
     """(alpha, beta)-stochastic within the family: some model of code
     length <= alpha contains x with ceil(log2|S|) - K(x) <= beta. Uses
@@ -778,7 +774,7 @@ def stochastic(
     its cap) and exact integer logs."""
     kx = require_k(table, x)
     for desc in enumerate_models(x, alpha + 1, opts):
-        if ceil_log2(desc.size(denote_cap)) - kx <= beta:
+        if ceil_log2(desc.size()) - kx <= beta:
             return True
     return False
 
@@ -799,7 +795,6 @@ def nonstoch_scan(
     n: int,
     beta: int,
     opts: ModelOpts | None = None,
-    L_c: int | None = None,
     source: TableSource = TableSource(),
 ) -> NonStochReport:
     """For every x of length n, the least model length whose delta_star
@@ -823,7 +818,7 @@ def nonstoch_scan(
             table = tables.get(cond.fingerprint())
             if table is None:
                 # read only at the members: built up to the longest of them
-                [table] = source.k_tables(max(map(len, members)), [cond], L_c)
+                [table] = source.k_tables(max(map(len, members)), [cond])
                 tables[cond.fingerprint()] = table
             _, d_star = _normalized_deficiencies(x, members, table)
             if d_star <= beta:

@@ -405,17 +405,18 @@ def naive_codebook(dist):
 # -- the law audits, one K lookup per (table, string, triple) ----------------
 
 
-def naive_soi_audit(table, len_cap: int, L_c: int, source):
+def naive_soi_audit(table, len_cap: int, source):
     """complexity.soi_audit as three nested loops that call require_k for
     every term: the reference for its sweeps over per-table K lists,
-    argmax tie-breaks included."""
+    argmax tie-breaks included. The conditional tables are built at the
+    source's ``max_len``, which must be set."""
     from algstat.bits import pair
     from algstat.complexity import SoiReport, _all_strings, require_k, shortest_program
 
     xs = _all_strings(len_cap)
     k_un = {x: require_k(table, x) for x in xs}
     conds = [Condition.string(shortest_program(table, x)) for x in xs]
-    cond_tables = dict(zip(xs, source.capped(len_cap).tables(L_c, conds)))
+    cond_tables = dict(zip(xs, source.capped(len_cap).tables(source.max_len, conds)))
 
     add_max, add_arg = -1, ("", "")
     swap_max = 0
@@ -458,9 +459,11 @@ def naive_soi_audit(table, len_cap: int, L_c: int, source):
     )
 
 
-def naive_nonincrease_audit(table, len_cap: int, source, transforms=None, L_c=None):
+def naive_nonincrease_audit(table, len_cap: int, source, transforms=None):
     """infolaws.nonincrease_audit as a loop over (transform, x, y) that
-    calls require_k twice per triple: the reference for its sweeps."""
+    calls require_k twice per triple: the reference for its sweeps. The
+    conditional tables are built at the source's ``max_len``, or at the
+    emit-only cap 2 len_cap + 3 when it is not set."""
     from algstat.complexity import _all_strings, require_k, shortest_program
     from algstat.infolaws import NonincreaseReport, TransformMax, _applied, default_transforms
 
@@ -469,10 +472,9 @@ def naive_nonincrease_audit(table, len_cap: int, source, transforms=None, L_c=No
     xs = _all_strings(len_cap)
     applied = _applied(transforms, xs, source.budgets)
     needed = sorted(set(xs) | {out for _, out in applied.values()})
-    if L_c is None:
-        L_c = 2 * len_cap + 3
+    L = source.max_len if source.max_len is not None else 2 * len_cap + 3
     conds = [Condition.string(shortest_program(table, s)) for s in needed]
-    cond_k = dict(zip(needed, source.capped(len_cap).tables(L_c, conds)))
+    cond_k = dict(zip(needed, source.capped(len_cap).tables(L, conds)))
 
     per = []
     for q in transforms:

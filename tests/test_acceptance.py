@@ -154,8 +154,8 @@ def test_08_uniform_wrap_equals_set_deficiency(cond_cache):
     for i in range(100):
         desc = _random_desc(rng)
         x = rng.choice(desc.denote())
-        rp = deficiency_p(x, UniformOn(desc), L_c=15, source=TableSource(cache_dir=cond_cache))
-        rs = deficiency(x, desc, L_c=15, source=TableSource(cache_dir=cond_cache))
+        rp = deficiency_p(x, UniformOn(desc), source=TableSource(cache_dir=cond_cache, max_len=15))
+        rs = deficiency(x, desc, source=TableSource(cache_dir=cond_cache, max_len=15))
         assert rp.k_cond == rs.k_cond_set, f"model {i}: {desc!r}, x={x!r}"
         assert rp.delta_norm == rs.delta_norm, f"model {i}: {desc!r}, x={x!r}"
     _done(8, "uniform/set correspondence", "100 random models, exact equality")
@@ -176,7 +176,7 @@ def test_09_law_audits(table_l29, table_l22, cond_cache):
     )
     assert all(r.d == 0 for r in identity.rows), "identity statistic shows deficiency"
 
-    weight = prob_suff_check(pair_joint, Statistic("weight"), tol=1e-9)
+    weight = prob_suff_check(pair_joint, Statistic("weight"))
     assert weight.sufficient, "weight statistic lost information at some prior"
     assert len(weight.rows) == 10
     _done(9, "law audits", f"{len(lines)} slacks within +1 bit of frozen")
@@ -208,10 +208,10 @@ def test_10_determinism(tmp_path, table_l22, monkeypatch):
     assert sk_csv(one[0], 9) == sk_csv(eight[0], 9)
 
     curve_a = structfn(
-        "0110", 12, L_c=15, source=TableSource(workers=1, cache_dir=tmp_path / "s1")
+        "0110", 12, source=TableSource(workers=1, cache_dir=tmp_path / "s1", max_len=15)
     )
     curve_b = structfn(
-        "0110", 12, L_c=15, source=TableSource(workers=8, cache_dir=tmp_path / "s8")
+        "0110", 12, source=TableSource(workers=8, cache_dir=tmp_path / "s8", max_len=15)
     )
     assert curve_a.to_csv() == curve_b.to_csv()
 

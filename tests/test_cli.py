@@ -317,6 +317,16 @@ class TestLaws:
         assert names
         assert [n for n in names if "_T300_" not in n] == []
 
+    def test_max_len_caps_only_the_level_table(self, run, tmp_path):
+        """In the default battery --max-len caps the level table alone: the
+        deep table and the audits' conditional tables keep their derived caps."""
+        argv = ("laws", "--audit", "soi", "--max-len", "22", "--cache-dir", str(tmp_path))
+        code, out, _ = run(*argv)
+        assert (code, out) == (EXIT_OK, "\n".join(SELECTION_STDOUT["soi"]) + "\n")
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names
+        assert [n for n in names if "_L22_" in n] == []
+
     def test_freeze_reproduces_packaged_file(self, run, tmp_path):
         target = tmp_path / "frozen.txt"
         code, out, _ = run(
@@ -460,6 +470,18 @@ class TestLawsJoint:
         code, out, err = run("laws", "--joint", joint_file, "--audit", "theta", "--max-len", "6")
         assert (code, out) == (EXIT_USAGE, "")
         assert "algstat: error: 00 has no program within the table's cap L=6" in err
+
+    def test_max_len_caps_every_table_of_the_file(self, run, joint_file, tmp_path):
+        """With --joint, --max-len caps the theta audit's conditional tables
+        as well as its unconditional one. Caps are exact, so the stdout is
+        that of the derived caps."""
+        cache = tmp_path / "cache"
+        argv = ("laws", "--joint", joint_file, "--audit", "theta")
+        code, out, _ = run(*argv, "--max-len", "12", "--cache-dir", str(cache))
+        assert (code, out) == run(*argv)[:2]
+        names = sorted(p.name for p in cache.iterdir())
+        assert len(names) == 3  # the unconditional table and one per label
+        assert [n for n in names if "_L12_" not in n] == []
 
     def test_statistic_beyond_thirteen_bits_needs_max_len(self, run, tmp_path):
         """Values of 14 bits would derive L = 2*14+3 = 31, above the deep

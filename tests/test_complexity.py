@@ -82,15 +82,15 @@ class TestConditional:
             assert kc is not None and kc <= 2 * len(x) + 3
 
     def test_absent_is_none(self, cond_cache):
-        source = TableSource(cache_dir=cond_cache)
-        assert k_cond("0" * 9, Condition.string("1"), L_c=12, source=source) is None
+        source = TableSource(cache_dir=cond_cache, max_len=12)
+        assert k_cond("0" * 9, Condition.string("1"), source=source) is None
 
     def test_small_cap_matches_default_cap(self, cond_cache):
         # Minima below both caps agree, so audits may run on shallow tables.
         cond = Condition.string("0110")
         for x in ("", "0", "10", "110"):
-            assert k_cond(x, cond, L_c=11, source=TableSource(cache_dir=cond_cache)) == k_cond(
-                x, cond, L_c=14, source=TableSource(cache_dir=cond_cache)
+            assert k_cond(x, cond, source=TableSource(cache_dir=cond_cache, max_len=11)) == k_cond(
+                x, cond, source=TableSource(cache_dir=cond_cache, max_len=14)
             )
 
 
@@ -121,7 +121,7 @@ class TestMutualInfo:
 class TestSoiAudit:
     def test_empty_string_only(self, cond_cache):
         t = build_table(8)
-        rep = soi_audit(t, len_cap=0, L_c=8, source=TableSource(cache_dir=cond_cache))
+        rep = soi_audit(t, len_cap=0, source=TableSource(cache_dir=cond_cache, max_len=8))
         assert rep.pairs_checked == 1
         # K(<e,e>) = 5, K(e) = 3, K(e|e*) = 3.
         assert rep.additivity_max_slack == 1
@@ -129,7 +129,7 @@ class TestSoiAudit:
 
     def test_length_two_sweep(self, cond_cache):
         t = build_table(17)
-        rep = soi_audit(t, len_cap=2, L_c=14, source=TableSource(cache_dir=cond_cache))
+        rep = soi_audit(t, len_cap=2, source=TableSource(cache_dir=cond_cache, max_len=14))
         assert rep.pairs_checked == 49
         assert rep.measured() == {
             "soi_additivity": 3,
@@ -140,11 +140,11 @@ class TestSoiAudit:
 
     def test_argmax_is_reported(self, cond_cache):
         t = build_table(17)
-        rep = soi_audit(t, len_cap=2, L_c=14, source=TableSource(cache_dir=cond_cache))
+        rep = soi_audit(t, len_cap=2, source=TableSource(cache_dir=cond_cache, max_len=14))
         x, y = rep.additivity_argmax
         assert len(x) <= 2 and len(y) <= 2
 
     def test_cap_too_small_raises(self, cond_cache):
         t = build_table(12)
         with pytest.raises(Absent):
-            soi_audit(t, len_cap=2, L_c=14, source=TableSource(cache_dir=cond_cache))
+            soi_audit(t, len_cap=2, source=TableSource(cache_dir=cond_cache, max_len=14))

@@ -228,28 +228,28 @@ class TestCodebook:
 
 class TestDeficiencyP:
     def test_all_zeros_is_nearly_typical(self, cond_cache):
-        r = deficiency_p("0" * 8, B8, L_c=19, source=TableSource(cache_dir=cond_cache))
+        r = deficiency_p("0" * 8, B8, source=TableSource(cache_dir=cond_cache, max_len=19))
         assert r.k_cond == 11
         assert r.neglog == pytest.approx(16 - 8 * math.log2(3))
         assert r.delta_norm == pytest.approx(0.2451125, abs=1e-6)
         assert r.typical(1) and not r.typical(0)
 
     def test_alternating_string_is_flagged(self, cond_cache):
-        r = deficiency_p("01" * 4, B8, L_c=19, source=TableSource(cache_dir=cond_cache))
+        r = deficiency_p("01" * 4, B8, source=TableSource(cache_dir=cond_cache, max_len=19))
         assert r.k_cond == 15
         assert r.delta_norm == pytest.approx(math.log2(6))
 
     def test_all_ones_is_far(self, cond_cache):
-        r = deficiency_p("1" * 8, B8, L_c=19, source=TableSource(cache_dir=cond_cache))
+        r = deficiency_p("1" * 8, B8, source=TableSource(cache_dir=cond_cache, max_len=19))
         assert r.delta_raw == pytest.approx(1.0)
         assert r.delta_norm == pytest.approx(8.9248125, abs=1e-6)
 
     def test_typical_at_the_boundary(self, cond_cache):
         """A uniform model gives every element the same mass, so delta_norm is
         the integer K(best_y) - K(x) and beta = delta_norm is the boundary."""
-        source = TableSource(cache_dir=cond_cache)
+        source = TableSource(cache_dir=cond_cache, max_len=15)
         dist = UniformOn(ListSet(("0", "1", "0110", "111")))
-        records = [deficiency_p(x, dist, L_c=15, source=source) for x in dist.domain()]
+        records = [deficiency_p(x, dist, source=source) for x in dist.domain()]
         assert any(r.delta_norm > 0 for r in records)
         for r in records:
             beta = int(r.delta_norm)
@@ -260,15 +260,15 @@ class TestDeficiencyP:
     def test_typical_agrees_with_the_set_deficiency(self, desc, cond_cache):
         """These sets have 6 and 3 members, so -log2 m is irrational; the exact
         test still agrees with the integer set deficiency at every beta."""
-        source = TableSource(cache_dir=cond_cache)
+        source = TableSource(cache_dir=cond_cache, max_len=15)
         for x in desc.denote():
-            rp = deficiency_p(x, UniformOn(desc), L_c=15, source=source)
-            rs = deficiency(x, desc, L_c=15, source=source)
+            rp = deficiency_p(x, UniformOn(desc), source=source)
+            rs = deficiency(x, desc, source=source)
             for beta in range(-1, rs.delta_norm + 2):
                 assert rp.typical(beta) == rs.typical(beta)
 
     def test_typical_needs_an_integer_beta(self, cond_cache):
-        r = deficiency_p("0" * 8, B8, L_c=19, source=TableSource(cache_dir=cond_cache))
+        r = deficiency_p("0" * 8, B8, source=TableSource(cache_dir=cond_cache, max_len=19))
         with pytest.raises(TypeError):
             r.typical(0.5)
 
@@ -281,8 +281,8 @@ class TestDeficiencyP:
     )
     def test_uniform_wrap_equals_set_deficiency(self, desc, cond_cache):
         for x in desc.denote():
-            rp = deficiency_p(x, UniformOn(desc), L_c=15, source=TableSource(cache_dir=cond_cache))
-            rs = deficiency(x, desc, L_c=15, source=TableSource(cache_dir=cond_cache))
+            rp = deficiency_p(x, UniformOn(desc), source=TableSource(cache_dir=cond_cache, max_len=15))
+            rs = deficiency(x, desc, source=TableSource(cache_dir=cond_cache, max_len=15))
             assert rp.k_cond == rs.k_cond_set
             assert rp.delta_norm == rs.delta_norm
 

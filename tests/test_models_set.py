@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from algstat.cache import TableSource
 from algstat.models_set import (
     All,
+    DENOTE_CAP,
     CapExceeded,
     Cyl,
     Hamming,
@@ -77,11 +78,12 @@ class TestShapes:
         with pytest.raises(CapExceeded):
             All(25).denote()
         with pytest.raises(CapExceeded):
-            UnionSet((All(22), All(3))).denote(cap=1 << 20)
+            UnionSet((All(22), All(3))).denote()
 
     def test_union_counts_without_materializing(self):
-        # inclusion-exclusion needs no cap for simple parts
-        assert UnionSet((All(22), All(3))).size(cap=8) == (1 << 22) + 8
+        # inclusion-exclusion needs no cap for simple parts: 2^22 members
+        # are more than DENOTE_CAP lets denote() hold
+        assert UnionSet((All(22), All(3))).size() == (1 << 22) + 8 > DENOTE_CAP
 
     def test_invalid_shapes(self):
         with pytest.raises(SetLangError):
@@ -164,29 +166,29 @@ class TestEnumeration:
 
 class TestDeficiency:
     def test_singleton_is_free(self, cond_cache):
-        source = TableSource(cache_dir=cond_cache)
-        r = deficiency("01" * 4, Singleton("01" * 4), L_c=19, source=source)
+        source = TableSource(cache_dir=cond_cache, max_len=19)
+        r = deficiency("01" * 4, Singleton("01" * 4), source=source)
         # decode-the-model costs tag + empty codeword + halt
         assert r.k_cond_set == 7
         assert r.log_size == 0
         assert r.delta_norm == 0 and r.delta_star == 0
 
     def test_alternating_string_is_typical_but_star_lags(self, cond_cache):
-        r = deficiency("01" * 4, All(8), L_c=19, source=TableSource(cache_dir=cond_cache))
+        r = deficiency("01" * 4, All(8), source=TableSource(cache_dir=cond_cache, max_len=19))
         assert (r.log_size, r.k_cond_set) == (8, 15)
         assert r.delta_norm == 0
         assert r.delta_star == 4
         assert r.typical(0) and not r.typical(-1)
 
     def test_weight_class(self, cond_cache):
-        r = deficiency("01" * 4, Hamming(8, 4), L_c=19, source=TableSource(cache_dir=cond_cache))
+        r = deficiency("01" * 4, Hamming(8, 4), source=TableSource(cache_dir=cond_cache, max_len=19))
         assert (r.log_size, r.k_cond_set, r.delta_norm, r.delta_star) == (7, 14, 0, 4)
 
     def test_small_models(self, cond_cache):
-        source = TableSource(cache_dir=cond_cache)
-        r = deficiency("0110", All(4), L_c=15, source=source)
+        source = TableSource(cache_dir=cond_cache, max_len=15)
+        r = deficiency("0110", All(4), source=source)
         assert (r.log_size, r.k_cond_set, r.delta_norm, r.delta_star) == (4, 11, 0, 0)
-        r = deficiency("0110", ListSet(("0110", "1001")), L_c=15, source=source)
+        r = deficiency("0110", ListSet(("0110", "1001")), source=source)
         assert (r.log_size, r.k_cond_set, r.delta_norm, r.delta_star) == (1, 8, 0, 0)
 
     def test_ten_bits_at_the_derived_cap(self, cond_cache):
@@ -195,7 +197,7 @@ class TestDeficiency:
         source = TableSource(cache_dir=cond_cache)
         x = "0110100110"
         derived = deficiency(x, All(10), source=source)
-        assert derived == deficiency(x, All(10), L_c=25, source=source)
+        assert derived == deficiency(x, All(10), source=source._replace(max_len=25))
 
     def test_nonmember_rejected(self):
         with pytest.raises(ValueError):
@@ -219,7 +221,7 @@ class TestDeficiency:
 
 class TestStructureCurve:
     def test_alternating_four(self, cond_cache):
-        curve = structfn("0110", 12, L_c=15, source=TableSource(cache_dir=cond_cache))
+        curve = structfn("0110", 12, source=TableSource(cache_dir=cond_cache, max_len=15))
         assert [(r.alpha, r.h, r.beta, r.beta_star, r.lam) for r in curve.rows] == [
             (8, 4.0, 0, 0, 12.0),
             (9, 4.0, 0, 0, 13.0),
@@ -238,7 +240,7 @@ class TestStructureCurve:
         assert curve.h(12) == 0.0  # the singleton kicks in
 
     def test_csv_shape(self, cond_cache):
-        curve = structfn("0110", 12, L_c=15, source=TableSource(cache_dir=cond_cache))
+        curve = structfn("0110", 12, source=TableSource(cache_dir=cond_cache, max_len=15))
         lines = curve.to_csv().splitlines()
         assert lines[0] == "alpha,h,beta,beta_star,lambda"
         assert lines[1] == "8,4,0,0,12"
@@ -285,7 +287,7 @@ class TestStochasticity:
         assert not stochastic("0110", 10, -11, table_l22)
 
     def test_scan_length_four(self, cond_cache):
-        rep = nonstoch_scan(4, 0, L_c=15, source=TableSource(cache_dir=cond_cache))
+        rep = nonstoch_scan(4, 0, source=TableSource(cache_dir=cond_cache, max_len=15))
         assert rep.histogram == {7: 15, 11: 1}
         assert rep.argmax == ("1110",)
         assert rep.max_len == 11

@@ -61,7 +61,7 @@ VALIDATING = [
     JointModel(("0", "1"), (HALF, HALF), (Bernoulli(2, HALF), Bernoulli(2, Fraction(1, 4)))),
     Statistic("map", (("1", "0"), ("0", "1"))),
     SkIndex(3, ("", "0"), 2, 2, 1),
-    Config(None, TableSource(), None, None, 0),
+    Config(TableSource(), None, None, 0),
 ]
 PLAIN = [
     OpToken(Op.COPYIN, 5, 2),
@@ -98,9 +98,9 @@ PLAIN = [
         (lambda: JointModel(("0",), (HALF,), (Bernoulli(1, HALF),)), JointModelError),
         (lambda: Statistic("median"), JointModelError),
         (lambda: Statistic("weight", (("0", "1"),)), JointModelError),
-        (lambda: Config(0, TableSource(), None, None, 0), ValueError),
-        (lambda: Config(None, TableSource(workers=0), None, None, 0), ValueError),
-        (lambda: Config(None, TableSource(), None, None, -1), ValueError),
+        (lambda: Config(TableSource(max_len=0), None, None, 0), ValueError),
+        (lambda: Config(TableSource(workers=0), None, None, 0), ValueError),
+        (lambda: Config(TableSource(), None, None, -1), ValueError),
     ],
 )
 def test_invalid_arguments_raise_as_before(make, error):

@@ -112,7 +112,7 @@ def test_derived_cap_gives_the_k_and_witness_of_a_deeper_table(k_cache, x, c):
     derived cap 2|x|+3 as 3 bits deeper, under a string condition."""
     source, n = TableSource(cache_dir=k_cache), len(x)
     [derived] = source.k_tables(n, [Condition.string(c)])
-    [deeper] = source.k_tables(n, [Condition.string(c)], 2 * n + 6)
+    [deeper] = source._replace(max_len=2 * n + 6).k_tables(n, [Condition.string(c)])
     assert (derived.L, derived.budgets.max_output) == (2 * n + 3, n)
     assert derived.k_of(x) is not None
     for y in _all_strings(n):
@@ -138,7 +138,7 @@ def test_derived_model_cap_gives_the_k_and_witness_of_every_member(k_cache, cond
     n = max(map(len, members))
     source = TableSource(cache_dir=k_cache)
     [derived] = source.k_tables(n, [cond])
-    [full] = source.k_tables(n, [cond], 2 * n + 3)
+    [full] = source._replace(max_len=2 * n + 3).k_tables(n, [cond])
     assert derived.L == min(2 * n + 3, 7 + max(map(len, book)))
     for y in members:
         assert derived.k_of(y) is not None
@@ -147,13 +147,13 @@ def test_derived_model_cap_gives_the_k_and_witness_of_every_member(k_cache, cond
 
 def test_k_tables_refuse_a_derived_cap_beyond_the_battery(tmp_path):
     """n = 14 would derive L = 31, above the deep table's 29: an error that
-    names --max-len, before any table is built. An explicit cap is used as
-    it is."""
+    names --max-len, before any table is built. A source's ``max_len`` is
+    used as it is."""
     source = TableSource(cache_dir=tmp_path)
     with pytest.raises(ValueError, match="L=31, above the largest derived cap L=29; pass --max-len"):
         source.k_tables(14, [Condition.none()])
     assert list(tmp_path.iterdir()) == []
-    [table] = source.k_tables(14, [Condition.none()], 5)
+    [table] = source._replace(max_len=5).k_tables(14, [Condition.none()])
     assert (table.L, table.budgets.max_output) == (5, 14)
 
 

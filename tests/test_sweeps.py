@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from algstat import complexity
 from algstat.bits import pair
 from algstat.cache import AUDIT_MAX_LEN, TableSource
 from algstat.complexity import (
@@ -82,7 +83,7 @@ def test_soi_reads_its_pairs_before_building_conditional_tables(tmp_path):
     conditional tables is built."""
     table = build_table(17, budgets=Budgets(max_output=4))
     with pytest.raises(Absent, match="output budget O=4"):
-        soi_audit(table, len_cap=2, L_c=7, source=TableSource(cache_dir=tmp_path))
+        soi_audit(table, len_cap=2, source=TableSource(cache_dir=tmp_path, max_len=7))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -97,10 +98,9 @@ def deep(cond_cache):
 
 @pytest.mark.parametrize("len_cap", [2, 3, DEFAULT_SOI_LEN_CAP])
 def test_soi_matches_the_triple_loop(deep, cond_cache, len_cap):
-    source = TableSource(cache_dir=cond_cache)
-    L_c = 2 * len_cap + 3
-    got = soi_audit(deep, len_cap=len_cap, L_c=L_c, source=source)
-    assert got == naive_soi_audit(deep, len_cap, L_c, source)
+    source = TableSource(cache_dir=cond_cache, max_len=2 * len_cap + 3)
+    got = soi_audit(deep, len_cap=len_cap, source=source)
+    assert got == naive_soi_audit(deep, len_cap, source)
 
 
 @pytest.mark.parametrize("len_cap", [2, 3, DEFAULT_NI_LEN_CAP])
@@ -108,6 +108,18 @@ def test_nonincrease_matches_the_triple_loop(deep, cond_cache, len_cap):
     source = TableSource(cache_dir=cond_cache)
     got = nonincrease_audit(deep, len_cap=len_cap, source=source)
     assert got == naive_nonincrease_audit(deep, len_cap, source)
+
+
+def test_soi_reads_one_row_per_distinct_conditional_table(deep, cond_cache, monkeypatch):
+    """The 31 swept strings of at most 4 bits condition 7 distinct tables
+    once their witnesses are cut to 4 bits, and the audit reads each
+    table's row once."""
+    read = []
+    real = complexity.require_ks
+    monkeypatch.setattr(complexity, "require_ks", lambda t, xs: read.append(t) or real(t, xs))
+    soi_audit(deep, source=TableSource(cache_dir=cond_cache))
+    conditional = [t for t in read if t is not deep]
+    assert len(conditional) == len({id(t) for t in conditional}) == 7
 
 
 # -- made-up tables: many ties and argmaxes away from the first string --------
@@ -131,6 +143,7 @@ class _MadeUpSource:
     condition is made up, seeded by the condition."""
 
     budgets = Budgets()
+    max_len = 9
 
     def __init__(self, seed: int, strings, spread: int):
         self._seed, self._strings, self._spread = seed, strings, spread
@@ -138,8 +151,8 @@ class _MadeUpSource:
     def capped(self, n: int) -> _MadeUpSource:
         return self
 
-    def k_tables(self, n: int, conds, L: int | None = None):
-        return self.tables(L, conds)
+    def k_tables(self, n: int, conds):
+        return self.tables(self.max_len, conds)
 
     def tables(self, L: int, conds):
         return [
@@ -160,8 +173,8 @@ def test_soi_tie_breaks_match_the_triple_loop(seed):
     len_cap, spread = 2 + seed % 2, 2 + seed % 3
     deep = _made_up_deep(random.Random(seed), len_cap, spread)
     source = _MadeUpSource(seed, _all_strings(len_cap), spread)
-    got = soi_audit(deep, len_cap=len_cap, L_c=9, source=source)
-    assert got == naive_soi_audit(deep, len_cap, 9, source)
+    got = soi_audit(deep, len_cap=len_cap, source=source)
+    assert got == naive_soi_audit(deep, len_cap, source)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -169,8 +182,8 @@ def test_nonincrease_tie_breaks_match_the_triple_loop(seed):
     len_cap, spread = 2 + seed % 2, 2 + seed % 3
     deep = _made_up_deep(random.Random(seed), len_cap, spread)
     source = _MadeUpSource(seed, _all_strings(len_cap), spread)
-    got = nonincrease_audit(deep, len_cap=len_cap, L_c=9, source=source)
-    assert got == naive_nonincrease_audit(deep, len_cap, source, L_c=9)
+    got = nonincrease_audit(deep, len_cap=len_cap, source=source)
+    assert got == naive_nonincrease_audit(deep, len_cap, source)
 
 
 def test_made_up_tables_move_every_argmax():
@@ -181,9 +194,9 @@ def test_made_up_tables_move_every_argmax():
         len_cap, spread = 2 + seed % 2, 2 + seed % 3
         deep = _made_up_deep(random.Random(seed), len_cap, spread)
         source = _MadeUpSource(seed, _all_strings(len_cap), spread)
-        rep = soi_audit(deep, len_cap=len_cap, L_c=9, source=source)
+        rep = soi_audit(deep, len_cap=len_cap, source=source)
         soi_args.update([rep.additivity_argmax, rep.triangle_argmax])
-        ni = nonincrease_audit(deep, len_cap=len_cap, L_c=9, source=source)
+        ni = nonincrease_audit(deep, len_cap=len_cap, source=source)
         ni_args.update(t.argmax for t in ni.per_transform)
     assert len(soi_args) > 12 and ("", "", "") not in soi_args
     assert len(ni_args) > 6

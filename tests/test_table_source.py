@@ -1,6 +1,6 @@
 """One `TableSource` carries the table settings into every analysis: its
-budgets reach each table an analysis builds, and no public function takes
-those settings as parameters of its own."""
+budgets and its program-length cap reach each table an analysis builds,
+and no public function takes those settings as parameters of its own."""
 
 from __future__ import annotations
 
@@ -10,19 +10,21 @@ from fractions import Fraction
 
 import pytest
 
-from algstat import _pykernel, cache, complexity, infolaws, models_prob, models_set
+from algstat import _pykernel, cache, cli, complexity, infolaws, models_prob, models_set
 from algstat.cache import TableSource
 from algstat.complexity import soi_audit
 from algstat.enumeration import build_table
-from algstat.infolaws import nonincrease_audit
+from algstat.infolaws import Statistic, nonincrease_audit, standard_joints, theta_suff_audit
 from algstat.machine import Budgets, Condition
 from algstat.models_prob import Bernoulli, deficiency_p
 from algstat.models_set import structfn
 
+PAIR = standard_joints()["bernoulli-pair"]
+
 ANALYSES = [
-    pytest.param(lambda source: structfn("0", 8, L_c=10, source=source), id="structfn"),
+    pytest.param(lambda source: structfn("0", 8, source=source), id="structfn"),
     pytest.param(
-        lambda source: deficiency_p("0", Bernoulli(1, Fraction(1, 2)), L_c=10, source=source),
+        lambda source: deficiency_p("0", Bernoulli(1, Fraction(1, 2)), source=source),
         id="deficiency_p",
     ),
     pytest.param(
@@ -30,8 +32,12 @@ ANALYSES = [
         id="nonincrease_audit",
     ),
     pytest.param(
-        lambda source: soi_audit(build_table(8), len_cap=0, L_c=8, source=source),
+        lambda source: soi_audit(build_table(8), len_cap=0, source=source),
         id="soi_audit",
+    ),
+    pytest.param(
+        lambda source: theta_suff_audit(PAIR, Statistic("weight"), build_table(12), source=source),
+        id="theta_suff_audit",
     ),
 ]
 
@@ -44,7 +50,17 @@ def test_source_budgets_reach_every_table(analysis, tmp_path):
     assert [n for n in names if "_T300_" not in n] == []
 
 
-TABLE_SETTINGS = {"budgets", "workers", "cache_dir", "warn", "_cache"}
+@pytest.mark.parametrize("analysis", ANALYSES)
+def test_source_max_len_caps_every_table(analysis, tmp_path):
+    """A set ``max_len`` replaces the cap of every table an analysis builds,
+    the caps ``k_tables`` would derive included."""
+    analysis(TableSource(cache_dir=tmp_path, max_len=10))
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names
+    assert [n for n in names if "_L10_" not in n] == []
+
+
+TABLE_SETTINGS = {"budgets", "workers", "cache_dir", "warn", "_cache", "L_c"}
 
 
 @pytest.mark.parametrize("module", [complexity, models_set, models_prob, infolaws])
@@ -66,6 +82,38 @@ def test_no_public_function_takes_table_settings(module):
         if params & TABLE_SETTINGS:
             threaded[name] = sorted(params & TABLE_SETTINGS)
     assert threaded == {}
+
+
+KNOBS = {"L_c", "cap", "denote_cap", "tol"}
+
+
+@pytest.mark.parametrize("module", [cache, cli, complexity, infolaws, models_prob, models_set])
+def test_no_function_or_method_takes_a_single_valued_knob(module):
+    """The program-length cap travels in the source (``max_len``); the
+    denotation cap and the float tolerance are the constants
+    ``models_set.DENOTE_CAP`` and ``infolaws.TOL``. No function or method,
+    private ones and the model classes' included, takes any of them."""
+    functions = []
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isclass(obj):
+            functions.extend(
+                (f"{name}.{attr}", fn) for attr, fn in vars(obj).items() if inspect.isfunction(fn)
+            )
+        elif inspect.isfunction(obj):
+            functions.append((name, obj))
+    assert functions
+    knobs = {
+        name: sorted(set(inspect.signature(fn).parameters) & KNOBS) for name, fn in functions
+    }
+    assert {name: found for name, found in knobs.items() if found} == {}
+
+
+def test_the_cap_is_a_source_setting_only():
+    assert list(inspect.signature(TableSource.k_tables).parameters) == ["self", "n", "conds"]
+    assert "L" not in cli.Config.__slots__
+    assert TableSource._fields[-1] == "max_len"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
