@@ -40,16 +40,16 @@ A source whose ``max_len`` is set (``--max-len``) builds every table it
 hands out at that cap instead: the fixed cap given to ``table``/``tables``
 and the one ``k_tables`` derives alike. A string with no program within it
 is then Absent, never given a wrong K.
+
+Every cache miss is walked in the calling process, one table at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from . import _pykernel
 from .enumeration import (
     TABLE_FORMAT,
     ComplexityTable,
@@ -58,21 +58,12 @@ from .enumeration import (
     export_table,
     import_table,
 )
-from .kernel import walk_args
 from .machine import MACHINE_VERSION, Budgets, Condition
 
 ENV_CACHE_DIR = "ALGSTAT_CACHE_DIR"
 # The largest cap ``TableSource.k_tables`` derives: that of the ``laws``
 # deep table, which reads strings of up to 13 bits.
 AUDIT_MAX_LEN = 29
-# The shortest program-length cap whose cache misses go to the pool. A
-# shorter walk takes a few ms, less than a worker costs to start and feed.
-# Cold ``structfn`` on a 2-vCPU VM (Python 3.11): at 10 bits, whose longest
-# walks are the L=23 star tables, sending those to a pool of 2 took 0.45 s
-# against 0.38 s walked here (medians of 7); at 11 bits (L=25) the pool took
-# 1.37 s against 1.61 s, and at 12 bits (L=27) 2.84 s against 4.12 s
-# (medians of 3).
-POOL_MIN_L = 25
 
 
 def default_cache_dir() -> Path:
@@ -96,9 +87,6 @@ def load_or_build(
     budgets: Budgets | None = None,
     cache_dir: str | Path | None = None,
     warn: Callable[[str], None] | None = None,
-    walked: Callable[[], tuple[dict[str, list], list[int]]] | None = None,
-    *,
-    _found: tuple[Path, bool] | None = None,
 ) -> tuple[ComplexityTable, bool]:
     """Fetch a table from the cache or build and cache it.
 
@@ -107,21 +95,14 @@ def load_or_build(
     ``import_table`` makes on opening it (an edited body fails its digest)
     is rebuilt and overwritten, never trusted; a record error that only a
     segment's parse finds raises ``TableFormatError`` at the first lookup
-    that reads it. ``walked`` is passed on to ``build_table`` when the table
-    has to be built. ``_found`` is private to ``TableSource``: the table's
-    file, as ``table_path`` names it, and whether it existed when the
-    caller looked, so that neither is made again here.
+    that reads it.
     """
     cond = cond if cond is not None else Condition.none()
     budgets = budgets if budgets is not None else Budgets()
     fingerprint = cond.fingerprint()
-    if _found is None:
-        cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-        path = table_path(cache_dir, L, budgets, fingerprint)
-        cached = path.exists()
-    else:
-        path, cached = _found
-    if cached:
+    cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    path = table_path(cache_dir, L, budgets, fingerprint)
+    if path.exists():
         try:
             table = import_table(path)
         except TableError:
@@ -135,7 +116,7 @@ def load_or_build(
             return table, False
     if warn is not None:
         warn(f"cache miss: enumerating L={L} under condition [{cond.serial()}]")
-    table = build_table(L, cond, budgets, walked=walked)
+    table = build_table(L, cond, budgets)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     export_table(table, tmp)
@@ -146,12 +127,11 @@ def load_or_build(
 class TableSource(NamedTuple):
     """Where the tables an analysis reads come from: the budgets they are
     built under, the cache directory they live in (``None`` resolves the
-    default on each lookup, as ``load_or_build`` does), how many processes
-    walk cache misses, where ``cache miss`` notes go, and the program-length
-    cap that, when set, replaces the cap of every table it hands out."""
+    default on each lookup, as ``load_or_build`` does), where ``cache miss``
+    notes go, and the program-length cap that, when set, replaces the cap of
+    every table it hands out."""
 
     budgets: Budgets = Budgets()
-    workers: int = 1
     cache_dir: str | Path | None = None
     warn: Callable[[str], None] | None = None
     max_len: int | None = None
@@ -218,18 +198,9 @@ class TableSource(NamedTuple):
         ``program_cap(L)``; the tables come back in the order of ``conds``.
 
         Each distinct condition, a string condition cut to its first O bits
-        (see ``_tables``), is looked up once, in order, so the ``cache miss``
-        notes come out in condition order. A cache miss whose cap is
-        at least ``POOL_MIN_L`` is a long walk. When workers > 1 and more
-        than one long walk is due, those walks run in a pool of that many
-        processes, while this process walks the short misses, imports the
-        cached tables and tabulates and exports the built ones. Otherwise
-        every miss is walked here and no pool starts. A single table is never
-        split, so the result does not depend on ``workers``. The pool uses
-        the platform's default start method; where that is not ``fork``
-        (macOS, Windows, and Linux from Python 3.14 on), a script that passes
-        workers > 1 and can reach caps of ``POOL_MIN_L`` needs the usual
-        ``if __name__ == "__main__":`` guard.
+        (see ``_tables``), is looked up once, in order, and each cache miss
+        is walked in this process, so the ``cache miss`` notes come out in
+        condition order.
         """
         return self._tables([(L, cond) for cond in conds])
 
@@ -242,57 +213,18 @@ class TableSource(NamedTuple):
         is named, looked up or walked: conditions with the same O-bit prefix
         share one table, one file and one ``cache miss`` note."""
         O = self.budgets.max_output
-        jobs = [
-            (
-                self.program_cap(L),
-                Condition.string(cond.bits[:O])
-                if cond.kind == Condition.STR_KIND and len(cond.bits) > O
-                else cond,
-            )
-            for L, cond in jobs
-        ]
-        cache_dir = Path(self.cache_dir) if self.cache_dir is not None else default_cache_dir()
-        unique: dict[tuple[int, str], Condition] = {}
-        for L, cond in jobs:
-            unique.setdefault((L, cond.fingerprint()), cond)
-        # Each file is named and stat-ed once, here; load_or_build takes both.
-        paths = {key: table_path(cache_dir, key[0], self.budgets, key[1]) for key in unique}
-        cached = {key: path.exists() for key, path in paths.items()}
-        # Only the long misses go to the pool; the loop below walks the short
-        # ones in this process, as it does every miss when no pool starts.
-        long = [key for key in unique if not cached[key] and key[0] >= POOL_MIN_L]
         tables: dict[tuple[int, str], ComplexityTable] = {}
-        if self.workers > 1 and len(long) > 1:
-            # Imported only when a pool starts: it pulls in multiprocessing,
-            # which a call without two long misses never needs.
-            from concurrent.futures import ProcessPoolExecutor
-
-            workers = min(self.workers, len(long))
-            with ProcessPoolExecutor(workers) as pool:
-                # Submitted lazily: at most `workers` walks run or wait ahead of
-                # the table being made here, which bounds the results held at once.
-                submitted = (
-                    (key, pool.submit(_pykernel.walk, *walk_args(key[0], unique[key], self.budgets)))
-                    for key in long
-                )
-                walks = dict(itertools.islice(submitted, workers))
-                for key, cond in unique.items():
-                    walk = walks.pop(key, None)
-                    walked = None
-                    if walk is not None:
-                        walks.update(itertools.islice(submitted, 1))
-                        walked = walk.result
-                    tables[key], _ = load_or_build(
-                        key[0], cond, self.budgets, cache_dir, self.warn, walked,
-                        _found=(paths[key], cached[key]),
-                    )
-        else:
-            for key, cond in unique.items():
+        found = []
+        for L, cond in jobs:
+            if cond.kind == Condition.STR_KIND and len(cond.bits) > O:
+                cond = Condition.string(cond.bits[:O])
+            key = (self.program_cap(L), cond.fingerprint())
+            if key not in tables:
                 tables[key], _ = load_or_build(
-                    key[0], cond, self.budgets, cache_dir, self.warn,
-                    _found=(paths[key], cached[key]),
+                    key[0], cond, self.budgets, self.cache_dir, self.warn
                 )
-        return [tables[L, cond.fingerprint()] for L, cond in jobs]
+            found.append(tables[key])
+        return found
 
 
 def k_cap(n: int, cond: Condition) -> int:

@@ -4,7 +4,7 @@ run the audit batteries.
 Exit codes: 0 success, 1 usage or input error, 2 audit regression. Every
 command works from a cold cache (tables auto-build with a warning on
 stderr) and all outputs are deterministic for a given configuration,
-including across worker counts.
+whatever the cache holds.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ class Config(Record):
             raise ValueError("--max-len must be positive")
         if source.budgets.max_output <= 0:
             raise ValueError("--max-out must be positive")
-        if source.workers <= 0:
-            raise ValueError("--workers must be positive")
         if beta < 0:
             raise ValueError("--beta must be >= 0")
         for name, value in zip(self.__slots__, (source, constants_path, alpha_max, beta)):
@@ -70,13 +68,14 @@ class Config(Record):
 
 
 def _config(args: argparse.Namespace) -> Config:
+    if getattr(args, "workers", 1) <= 0:
+        raise ValueError("--workers must be positive")
     return Config(
         source=TableSource(
             budgets=Budgets(
                 max_steps=getattr(args, "steps", DEFAULT_MAX_STEPS),
                 max_output=getattr(args, "max_out", DEFAULT_MAX_OUTPUT),
             ),
-            workers=getattr(args, "workers", 1),
             cache_dir=getattr(args, "cache_dir", None),
             warn=_warn,
             max_len=getattr(args, "max_len", None),
@@ -324,7 +323,7 @@ def _add_table_flags(
             type=int,
             default=1,
             metavar="N",
-            help="walk this command's long cache misses in N processes",
+            help="accepted for compatibility; has no effect",
         )
     p.add_argument(
         "--cache-dir",

@@ -9,9 +9,7 @@ histogram of its halting programs by length.
 
 Each build is one serial walk of the machine's states (see
 ``_pykernel``), never of raw bit strings; ``enumerate_halting`` lists the
-programs through a traversal of the opcode decode tree. Independent tables
-can be built side by side (see ``cache.TableSource.tables``); a single
-table is never split.
+programs through a traversal of the opcode decode tree.
 """
 
 from __future__ import annotations
@@ -192,24 +190,14 @@ def build_table(
     cond: Condition | None = None,
     budgets: Budgets | None = None,
     entry_cap: int = DEFAULT_ENTRY_CAP,
-    walked: Callable[[], tuple[dict[str, list], list[int]]] | None = None,
 ) -> ComplexityTable:
-    """Enumerate all halting programs of length <= L and tabulate them.
-
-    ``walked``, when given, returns the result of the kernel walk for
-    these arguments, ``_pykernel.walk(*walk_args(L, cond, budgets))``,
-    run elsewhere (``cache.TableSource.tables`` runs the walks of many
-    tables in a process pool).
-    """
+    """Enumerate all halting programs of length <= L and tabulate them."""
     if L < 3:
         raise ValueError("L must be at least 3 (HALT alone is 3 bits)")
     cond = cond if cond is not None else Condition.none()
     budgets = budgets if budgets is not None else Budgets()
     with _gc_paused():
-        if walked is None:
-            found, hist = _pykernel.walk(*walk_args(L, cond, budgets))
-        else:
-            found, hist = walked()
+        found, hist = _pykernel.walk(*walk_args(L, cond, budgets))
         if len(found) > entry_cap:
             raise EntryCapExceeded(f"{len(found)} outputs exceeds entry cap {entry_cap}")
         # Each [K, witness, m_num] list becomes an Entry in C (see _parse_segment).

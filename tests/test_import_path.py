@@ -30,22 +30,19 @@ LAZY = [
 SLOW = ["dataclasses", "inspect"]
 
 # Runs one command in a fresh interpreter, then prints which lazy modules
-# have run, whether the process pool was imported, which SLOW modules were
-# loaded and whether the kernel's state walk was, as the last stdout line.
+# have run, whether a process pool's modules were imported, which SLOW
+# modules were loaded and whether the kernel's state walk was, as the last
+# stdout line.
 PROBE = f"""
 import json, sys, types
 from algstat.cli import main
 rc = main(sys.argv[1:])
 ran = [n for n in {LAZY!r} if type(sys.modules[n]) is types.ModuleType]
 slow = [n for n in {SLOW!r} if n in sys.modules]
-pool = "concurrent.futures.process" in sys.modules
+pool = any(n in sys.modules for n in ("concurrent.futures.process", "multiprocessing"))
 walked = "algstat._statewalk" in sys.modules
 print(json.dumps({{"rc": rc, "ran": ran, "pool": pool, "slow": slow, "walked": walked}}))
 """
-
-
-# The PROBE with every cache miss sent to the pool, however short its walk.
-POOL_PROBE = "import algstat.cache\nalgstat.cache.POOL_MIN_L = 0\n" + PROBE
 
 
 def fresh(*argv: str) -> subprocess.CompletedProcess:
@@ -83,32 +80,24 @@ def test_commands_run_only_the_modules_they_use(warm_cache, argv, ran):
 
 
 @pytest.mark.parametrize(
-    "argv, ran, pool",
+    "argv, ran",
     [
-        (["laws"], LAZY, False),
-        (
+        pytest.param(["laws"], LAZY, id="laws"),
+        pytest.param(
             ["structfn", "0110", "--workers", "2"],
             ["algstat.models_prob", "algstat.models_set"],
-            True,
-        ),
-        (
-            ["structfn", "0110", "--workers", "2"],
-            ["algstat.models_prob", "algstat.models_set"],
-            False,
+            id="structfn",
         ),
     ],
 )
-def test_battery_and_pool_load_no_slow_module(tmp_path, argv, ran, pool):
-    """A cold ``laws`` runs every analysis module and walks in this process,
-    and so does a cold 4-bit ``structfn`` at two workers, whose walks are all
-    short. Where ``pool`` is expected, the probe lowers the pool threshold to
-    0, and that ``structfn`` walks in the pool it starts. No path loads a
-    SLOW module."""
-    script = POOL_PROBE if pool else PROBE
-    proc = fresh("-c", script, *argv, "--cache-dir", str(tmp_path))
+def test_cold_commands_walk_here_and_load_no_slow_module(tmp_path, argv, ran):
+    """A cold ``laws`` runs every analysis module, and it and a cold
+    ``structfn`` at ``--workers 2`` walk every table in this process: no
+    process pool's modules load, nor does any SLOW module."""
+    proc = fresh("-c", PROBE, *argv, "--cache-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
-    assert probe == {"rc": 0, "ran": ran, "pool": pool, "slow": [], "walked": not pool}
+    assert probe == {"rc": 0, "ran": ran, "pool": False, "slow": [], "walked": True}
 
 
 @pytest.mark.parametrize("module", ["algstat", "algstat.cli"])

@@ -329,16 +329,13 @@ class TestBattery:
         assert [a.reads for a in AUDITS if a.name in runs] == ["deep"] * 5
         assert "logn_gap" not in _measured(runs)
 
-    def test_deterministic_across_workers(self, table_l29, table_l22, cond_cache):
-        one = laws_audit(
-            table_l29, level_table=table_l22, source=TableSource(workers=1, cache_dir=cond_cache)
-        )
-        four = laws_audit(
-            table_l29, level_table=table_l22, source=TableSource(workers=4, cache_dir=cond_cache)
-        )
-        assert _measured(one) == _measured(four)
+    def test_deterministic_across_cache_states(self, table_l29, table_l22, tmp_path):
+        source = TableSource(cache_dir=tmp_path)
+        cold = laws_audit(table_l29, level_table=table_l22, source=source)
+        warm = laws_audit(table_l29, level_table=table_l22, source=source)
+        assert _measured(cold) == _measured(warm)
         for name in ("theta", "identity", "nonincrease"):
-            assert one[name].report.to_csv() == four[name].report.to_csv()
+            assert cold[name].report.to_csv() == warm[name].report.to_csv()
 
     def test_selection_runs_one_record(self, table_l29, cond_cache):
         runs = laws_audit(table_l29, source=TableSource(cache_dir=cond_cache), audit="theta")

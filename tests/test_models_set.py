@@ -239,6 +239,17 @@ class TestStructureCurve:
         assert hs == sorted(hs, reverse=True)
         assert curve.h(12) == 0.0  # the singleton kicks in
 
+    @given(st.text("01", max_size=6), st.integers(4, 20))
+    @settings(max_examples=40, deadline=None)
+    def test_h_is_nonincreasing_in_alpha(self, x, alpha_max):
+        """h_x(alpha) is a minimum over the models below alpha, a family that
+        only grows with alpha, so it never rises."""
+        curve = structfn(x, alpha_max, include_deficiency=False)
+        alphas = [r.alpha for r in curve.rows]
+        assert alphas == list(range(alpha_max + 1 - len(alphas), alpha_max + 1))
+        hs = [curve.h(alpha) for alpha in alphas]
+        assert all(a >= b for a, b in zip(hs, hs[1:]))
+
     def test_csv_shape(self, cond_cache):
         curve = structfn("0110", 12, source=TableSource(cache_dir=cond_cache, max_len=15))
         lines = curve.to_csv().splitlines()

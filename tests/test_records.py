@@ -99,7 +99,6 @@ PLAIN = [
         (lambda: Statistic("median"), JointModelError),
         (lambda: Statistic("weight", (("0", "1"),)), JointModelError),
         (lambda: Config(TableSource(max_len=0), None, None, 0), ValueError),
-        (lambda: Config(TableSource(workers=0), None, None, 0), ValueError),
         (lambda: Config(TableSource(), None, None, -1), ValueError),
     ],
 )

@@ -93,10 +93,10 @@ def test_imported_witnesses_replay(L, cond, n):
 
 
 def test_capped_lowers_only_the_output_budget():
-    source = TableSource(budgets=Budgets(max_steps=300, max_output=40), workers=2)
+    source = TableSource(budgets=Budgets(max_steps=300, max_output=40), cache_dir="c", max_len=9)
     capped = source.capped(13)
     assert capped.budgets == Budgets(max_steps=300, max_output=13)
-    assert (capped.workers, capped.cache_dir) == (2, None)
+    assert (capped.cache_dir, capped.warn, capped.max_len) == ("c", None, 9)
     assert source.capped(40) is source and source.capped(99) is source
 
 

@@ -4,13 +4,12 @@ and no public function takes those settings as parameters of its own."""
 
 from __future__ import annotations
 
-import concurrent.futures
 import inspect
 from fractions import Fraction
 
 import pytest
 
-from algstat import _pykernel, cache, cli, complexity, infolaws, models_prob, models_set
+from algstat import _pykernel, cache, cli, complexity, enumeration, infolaws, models_prob, models_set
 from algstat.cache import TableSource
 from algstat.complexity import soi_audit
 from algstat.enumeration import build_table
@@ -116,16 +115,22 @@ def test_the_cap_is_a_source_setting_only():
     assert TableSource._fields[-1] == "max_len"
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_each_cached_table_is_named_and_stat_ed_once(workers, tmp_path, monkeypatch):
-    """``TableSource`` names each distinct table's file once, cold and warm,
-    and hands it on to ``load_or_build`` rather than naming it again."""
+def test_one_process_walks_every_table():
+    """Every cache miss is walked in the calling process: the source holds
+    no worker count, and no hook hands a walk made elsewhere to a build."""
+    assert TableSource._fields == ("budgets", "cache_dir", "warn", "max_len")
+    assert not hasattr(cache, "POOL_MIN_L")
+    for fn in (cache.load_or_build, enumeration.build_table):
+        assert "walked" not in inspect.signature(fn).parameters
+
+
+def test_each_cached_table_is_named_and_stat_ed_once(tmp_path, monkeypatch):
+    """``TableSource`` names each distinct table's file once, cold and warm."""
     named = []
     real = cache.table_path
-    monkeypatch.setattr(cache, "POOL_MIN_L", 0)  # so that workers=2 starts a pool
     monkeypatch.setattr(cache, "table_path", lambda *args: named.append(args) or real(*args))
     conds = [Condition.string("1"), Condition.none(), Condition.string("1"), Condition.string("01")]
-    source = TableSource(workers=workers, cache_dir=tmp_path)
+    source = TableSource(cache_dir=tmp_path)
     for _ in ("cold", "warm"):
         named.clear()
         tables = source.tables(8, conds)
@@ -136,36 +141,20 @@ def test_each_cached_table_is_named_and_stat_ed_once(workers, tmp_path, monkeypa
 def test_conditions_sharing_their_O_bit_prefix_share_one_table(tmp_path, monkeypatch):
     """Under k_tables(4, ...) a walk reads only 4 bits of a string condition,
     so 0110100 and 01101 get one walk, one file and one ``cache miss`` note,
-    and their table is the one built under each uncut condition. With the
-    pool threshold lowered, workers=2 walks both distinct prefixes in a pool
-    and writes the same files."""
+    and their table is the one built under each uncut condition."""
     conds = [Condition.string("0110100"), Condition.string("01101"), Condition.string("1")]
     walks = []
     real = _pykernel.walk
     monkeypatch.setattr(_pykernel, "walk", lambda *args: walks.append(args) or real(*args))
     notes = []
-    first, second, other = TableSource(cache_dir=tmp_path / "w1", warn=notes.append).k_tables(4, conds)
+    first, second, other = TableSource(cache_dir=tmp_path, warn=notes.append).k_tables(4, conds)
     assert first is second and other is not first
     assert [args[4] for args in walks] == ["0110", "1"]
     assert [note.split()[-1] for note in notes] == ["0110]", "1]"]
+    assert len(list(tmp_path.iterdir())) == 2
     for cond in conds[:2]:
         built = build_table(11, cond, Budgets(max_output=4))
         assert (first.entries, first.count_by_length()) == (built.entries, built.count_by_length())
-
-    monkeypatch.undo()
-    submitted = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, fn, *args, **kwargs):
-            submitted.append(args[4])
-            return super().submit(fn, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cache, "POOL_MIN_L", 0)
-    TableSource(workers=2, cache_dir=tmp_path / "w2").k_tables(4, conds)
-    assert submitted == ["0110", "1"]
-    files = [{p.name: p.read_bytes() for p in (tmp_path / w).iterdir()} for w in ("w1", "w2")]
-    assert files[0] == files[1] and len(files[0]) == 2
 
 
 def test_table_keeps_the_requested_condition(tmp_path):
