@@ -5,7 +5,10 @@ program of length <= L under a fixed condition and budgets: the exact
 complexity K (shortest program length), the canonical witness (first
 shortest program in length-then-lexicographic order) and the exact dyadic
 mass m = sum 2^{-l(p)} over programs producing that output, and one
-histogram of its halting programs by length.
+histogram of its halting programs by length. It holds them in one form,
+built or read from a file: a segment per output length, which holds its
+witness and mass columns alone when its outputs are every string of that
+length.
 
 Each build is one serial walk of the machine's states (see
 ``_pykernel``), never of raw bit strings; ``enumerate_halting`` lists the
@@ -14,8 +17,6 @@ programs through a traversal of the opcode decode tree.
 
 from __future__ import annotations
 
-import bisect
-import functools
 import gc
 import hashlib
 import itertools
@@ -27,7 +28,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _pykernel
-from .bits import EMPTY_MARKER, bits_to_text
+from .bits import bits_to_text
 from .kernel import walk_args
 from .machine import MACHINE_VERSION, Budgets, Condition
 
@@ -63,20 +64,102 @@ class Entry(NamedTuple):
     m_num: int  # numerator of m over 2**L
 
 
+class _Sparse(dict):
+    """A segment that does not hold every string of its length, or the
+    segment of length 0: each output mapped to its Entry."""
+
+    __slots__ = ()
+
+    @property
+    def masses(self) -> list[int]:
+        return list(map(itemgetter(2), self.values()))
+
+    def ks(self, xs: Sequence[str]) -> list[int | None]:
+        return [None if e is None else e[0] for e in map(self.get, xs)]
+
+
+# str.translate deletes every bit: what is left marks a string that is no
+# bit string, such as "0b1", " 1" or "-1", which int(x, 2) would still read.
+_NO_BITS = str.maketrans("", "", "01")
+
+
+class _Dense:
+    """A dense segment: every n-bit string for one n >= 1, so the outputs
+    follow from n. The witness and mass numerator of x are item int(x, 2)
+    of two columns, and K(x) is the witness's length."""
+
+    __slots__ = ("wits", "masses")
+
+    def __init__(self, wits: list[str], masses: list[int]):
+        self.wits = wits
+        self.masses = masses
+
+    def __len__(self) -> int:
+        return len(self.wits)
+
+    def __iter__(self) -> Iterator[str]:
+        return map("".join, itertools.product("01", repeat=len(self.wits).bit_length() - 1))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is _Dense and (self.wits, self.masses) == (other.wits, other.masses)
+
+    def __contains__(self, x: str) -> bool:
+        return not x.translate(_NO_BITS)  # x has the segment's length
+
+    def get(self, x: str) -> Entry | None:
+        if x.translate(_NO_BITS):
+            return None
+        i = int(x, 2)
+        w = self.wits[i]
+        return Entry(len(w), w, self.masses[i])
+
+    def items(self) -> Iterator[tuple[str, Entry]]:
+        made = zip(map(len, self.wits), self.wits, self.masses)
+        return zip(self, map(tuple.__new__, itertools.repeat(Entry), made))
+
+    def ks(self, xs: Sequence[str]) -> list[int | None]:
+        if "".join(xs).translate(_NO_BITS):
+            return [None if e is None else e[0] for e in map(self.get, xs)]
+        return list(map(len, map(self.wits.__getitem__, map(int, xs, itertools.repeat(2)))))
+
+
+_NO_SEGMENT = _Sparse()
+
+
+def _segments(found: dict[str, Sequence]) -> dict[int, _Sparse | _Dense]:
+    """The segments of output -> (K, witness, m_num), in increasing output
+    length, taking each output out of ``found`` as its segment is made."""
+    segments: dict[int, _Sparse | _Dense] = {}
+    for n, outs in itertools.groupby(sorted(sorted(found), key=len), len):
+        outs = list(outs)
+        rows = list(map(found.pop, outs))
+        if _dense(n, len(rows)):
+            segments[n] = _Dense(list(map(itemgetter(1), rows)), list(map(itemgetter(2), rows)))
+        else:
+            # tuple.__new__ makes each Entry in C, as Entry._make does
+            # without a Python call per record.
+            segments[n] = _Sparse(zip(outs, map(tuple.__new__, itertools.repeat(Entry), rows)))
+    return segments
+
+
 class ComplexityTable:
     """Immutable result of one exhaustive enumeration.
 
-    ``entries`` maps each output to its Entry. A table read from a file
-    (``import_table``) holds its records unparsed, one segment per output
-    length; a lookup parses the segment of ``len(x)`` on first use, and
-    ``entries`` and everything built on it parse them all."""
+    Built or read from a file, a table holds its records in one form: a
+    segment per output length. A dense segment (see the format below) is a
+    witness column and a mass column indexed by int(x, 2); any other is a
+    dict mapping each output to its Entry. A table read from a file
+    (``import_table``) holds its segments unparsed; a lookup parses the
+    segment of ``len(x)`` on first use, and a whole-table read (``entries``,
+    ``sorted_outputs``, ``kraft_sum``, ``len``, ``==``, export) parses them
+    all. ``entries`` makes a dict of every output's Entry on each call."""
 
     def __init__(
         self,
         L: int,
         budgets: Budgets,
         cond_fingerprint: str,
-        entries: dict[str, Entry] | _Segments,
+        entries: dict[str, Sequence],
         hist: list[int],
         cond_serial: str | None = None,
         machine_version: str = MACHINE_VERSION,
@@ -86,58 +169,61 @@ class ComplexityTable:
         self.budgets = budgets
         self.cond_fingerprint = cond_fingerprint
         self.cond_serial = cond_serial
-        self._entries = entries
         self._hist = hist
-        self._sorted: list[str] | None = None
+        # Output length -> segment, or (start, end, records, mass) of its
+        # records in _text until it is parsed. _segments empties what it is
+        # given, so it takes a copy here.
+        self._segs: dict[int, _Sparse | _Dense | tuple] = _segments(dict(entries))
+        self._text = ""
+
+    def _segment(self, n: int) -> _Sparse | _Dense:
+        seg = self._segs.get(n, _NO_SEGMENT)
+        if type(seg) is tuple:
+            with _gc_paused():
+                seg = self._segs[n] = _parse_segment(self._text, n, self.L, *seg)
+        return seg
+
+    def _all(self) -> dict[int, _Sparse | _Dense]:
+        return {n: self._segment(n) for n in self._segs}
 
     @property
     def entries(self) -> dict[str, Entry]:
-        if isinstance(self._entries, _Segments):
-            self._entries = self._entries.parse_all()
-        return self._entries
+        return dict(itertools.chain.from_iterable(seg.items() for seg in self._all().values()))
 
     # -- lookups ---------------------------------------------------------
 
     def k_of(self, x: str) -> int | None:
-        e = self._entries.get(x)
+        e = self._segment(len(x)).get(x)
         return e.k if e is not None else None
 
     def ks_of(self, xs: Sequence[str]) -> list[int | None]:
-        """``[self.k_of(x) for x in xs]``, reading the segment of each
-        output length once."""
-        entries = self._entries
-        if isinstance(entries, _Segments):
-            segments = {n: entries.segment(n) for n in set(map(len, xs))}
-            found = [segments[len(x)].get(x) for x in xs]
-        else:
-            found = list(map(entries.get, xs))
-        return [None if e is None else e[0] for e in found]
+        """``[self.k_of(x) for x in xs]``, reading each run of strings of
+        one length from its segment in bulk."""
+        runs = itertools.groupby(xs, len)
+        return list(itertools.chain.from_iterable(self._segment(n).ks(list(run)) for n, run in runs))
 
     def witness_of(self, x: str) -> str | None:
-        e = self._entries.get(x)
+        e = self._segment(len(x)).get(x)
         return e.witness if e is not None else None
 
     def m_of(self, x: str) -> Fraction:
-        e = self._entries.get(x)
+        e = self._segment(len(x)).get(x)
         return Fraction(e.m_num, 1 << self.L) if e is not None else Fraction(0)
 
     def __contains__(self, x: str) -> bool:
-        return x in self._entries
+        return x in self._segment(len(x))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self._all().values()))
 
     def sorted_outputs(self) -> list[str]:
-        if self._sorted is None:
-            # Stable by length over the lexicographic order: (length, lex) order,
-            # in two C-level sorts.
-            self._sorted = sorted(sorted(self.entries), key=len)
-        return self._sorted
+        """Every output, in (length, lex) order."""
+        return list(itertools.chain.from_iterable(map(sorted, self._all().values())))
 
     # -- aggregates ------------------------------------------------------
 
     def kraft_sum(self) -> Fraction:
-        return Fraction(sum(e.m_num for e in self.entries.values()), 1 << self.L)
+        return Fraction(sum(sum(seg.masses) for seg in self._all().values()), 1 << self.L)
 
     def count_by_length(self) -> list[int]:
         """Halting programs per length, indexed 0..L."""
@@ -155,7 +241,7 @@ class ComplexityTable:
             self.budgets,
             self.cond_fingerprint,
             self._hist,
-            self.entries,
+            self._all(),
         )
 
     def __eq__(self, other) -> bool:
@@ -200,11 +286,8 @@ def build_table(
         found, hist = _pykernel.walk(*walk_args(L, cond, budgets))
         if len(found) > entry_cap:
             raise EntryCapExceeded(f"{len(found)} outputs exceeds entry cap {entry_cap}")
-        # Each [K, witness, m_num] list becomes an Entry in C (see _parse_segment).
-        entries = dict(zip(found, map(tuple.__new__, itertools.repeat(Entry), found.values())))
-    table = ComplexityTable(
-        L, budgets, cond.fingerprint(), entries, hist, cond_serial=cond.serial()
-    )
+        table = ComplexityTable(L, budgets, cond.fingerprint(), {}, hist, cond_serial=cond.serial())
+        table._segs = _segments(found)
     if table.kraft_sum() > 1:
         raise TableError("internal error: Kraft sum exceeds 1")
     return table
@@ -272,14 +355,6 @@ def _dense(n: int, count: int) -> bool:
     return n > 0 and count.bit_length() == n + 1 and not count & (count - 1)
 
 
-@functools.cache
-def _n_bit_strings(n: int) -> tuple[str, ...]:
-    """Every n-bit string in lex order: the outputs of a dense segment,
-    made once per process, so that every parsed dense segment of length n
-    shares its keys."""
-    return tuple(map("".join, itertools.product("01", repeat=n)))
-
-
 def _dyadic_text(m_num: int, L: int) -> str:
     tz = (m_num & -m_num).bit_length() - 1
     return f"{m_num >> tz}/2^{L - tz}"
@@ -288,30 +363,22 @@ def _dyadic_text(m_num: int, L: int) -> str:
 def export_table(table: ComplexityTable, path: str | Path) -> None:
     """Write the format-3 text form. Deterministic byte-for-byte."""
     L = table.L
-    entries = table.entries
-    outs = table.sorted_outputs()
-    records = list(map(entries.__getitem__, outs))
+    segs = table._all()
     # A table has a few hundred distinct masses; witnesses are never empty (K >= 3).
-    mass_text = {m: _dyadic_text(m, L) for m in set(map(itemgetter(2), records))}
+    masses = set(itertools.chain.from_iterable(seg.masses for seg in segs.values()))
+    mass_text = {m: _dyadic_text(m, L) for m in masses}
     segments = []
     index = []
-    start = 0
-    # One segment per run of equal output lengths in the (length, lex) order.
-    while start < len(outs):
-        n = len(outs[start])
-        end = bisect.bisect_right(outs, n, start, key=len)
-        run = records[start:end]
-        if _dense(n, end - start):
-            lines = [f"{e.witness} {mass_text[e.m_num]}\n" for e in run]
+    for n, seg in segs.items():
+        if type(seg) is _Dense:
+            lines = [f"{w} {mass_text[m]}\n" for w, m in zip(seg.wits, seg.masses)]
         else:
             lines = [
                 f"{bits_to_text(x)} {e.witness} {mass_text[e.m_num]}\n"
-                for x, e in zip(outs[start:end], run)
+                for x, e in sorted(seg.items())
             ]
         segments.append("".join(lines).encode("ascii"))
-        index.append(f"{n},{end - start},{len(segments[-1])},{sum(map(itemgetter(2), run))}")
-        start = end
-    del records
+        index.append(f"{n},{len(seg)},{len(segments[-1])},{sum(seg.masses)}")
     header = "".join(
         line + "\n"
         for line in [
@@ -359,22 +426,15 @@ def _header_naturals(line: str, key: str, sep: str | None = None) -> list[list[i
         raise TableFormatError(f"number too long in the {key} header") from None
 
 
-def _bad_record(n: int, dense: bool) -> re.Pattern[str]:
-    """A record of the segment of output length n is its output, witness and
-    m = num/2^exp, single-space separated, with '-' for the empty output; in
-    a dense segment it is the witness and m alone. The pattern finds the
-    first newline that is neither the segment's last nor followed by a whole
-    record and a newline, so a miss proves every record of the segment well
-    formed, and of length n, in one C-level pass."""
-    if dense:
-        output = ""
-    elif n == 0:
-        output = EMPTY_MARKER + " "
-    else:
-        output = f"[01]{{{n}}} "
-    return re.compile(rf"\n(?!{output}[01]+ [0-9]+/2\^[0-9]+\n|\Z)")
-
-
+# The first newline of a segment that is neither its last nor followed by a
+# whole record and a newline: a record is its output, witness and m =
+# num/2^exp, single-space separated, with '-' for the empty output; in a
+# dense segment it is the witness and m alone. A miss proves every record of
+# the segment well formed in one C-level pass; _parse_segment checks the
+# output lengths apart.
+_BAD_DENSE = re.compile(r"\n(?![01]+ [0-9]+/2\^[0-9]+\n|\Z)")
+_BAD_SPARSE = re.compile(r"\n(?![01]+ [01]+ [0-9]+/2\^[0-9]+\n|\Z)")
+_BAD_EMPTY = re.compile(r"\n(?!- [01]+ [0-9]+/2\^[0-9]+\n|\Z)")
 # A record of any output length: tells a record in the wrong segment from a
 # malformed one.
 _RECORD = re.compile(r"(?:[01]+|-) [01]+ [0-9]+/2\^[0-9]+")
@@ -398,81 +458,46 @@ def _mass_num(text: str, L: int) -> int:
 
 def _parse_segment(
     text: str, n: int, L: int, start: int, end: int, count: int, mass: int
-) -> dict[str, Entry]:
-    """The records of output length ``n``, ``text[start:end]``, checked
-    against their index entry: ``count`` records whose masses sum to
-    ``mass`` over 2**L. A dense segment (see the format above) takes its
-    outputs from ``_n_bit_strings``, once its records are counted and
-    weighed."""
+) -> _Sparse | _Dense:
+    """The segment of output length ``n``, ``text[start:end]``, checked
+    against its index entry: ``count`` records whose masses sum to ``mass``
+    over 2**L."""
     if text[start - 1] != "\n" or text[end - 1] != "\n":
         raise TableFormatError(f"segment of output length {n} does not hold whole records")
     disagrees = f"segment of output length {n} disagrees with its index entry"
     if text.count("\n", start, end) != count:
         raise TableFormatError(disagrees)
     dense = _dense(n, count)
-    bad = _bad_record(n, dense).search(text, start - 1, end)
+    bad = (_BAD_DENSE if dense else _BAD_SPARSE if n else _BAD_EMPTY).search(text, start - 1, end)
     if bad is not None:
         line = text[bad.end() : text.find("\n", bad.end(), end)]
         if not dense and _RECORD.fullmatch(line):
             raise TableFormatError(f"record {line!r} in the segment of output length {n}")
         raise TableFormatError(f"malformed record: {line!r}")
     tokens = text[start:end].split()
+    outs = [] if dense else tokens[0::3] if n else [""] * count
+    if not set(map(len, outs)) <= {n}:
+        i = next(i for i, x in enumerate(outs) if len(x) != n)
+        line = " ".join(tokens[3 * i : 3 * i + 3])
+        raise TableFormatError(f"record {line!r} in the segment of output length {n}")
     width = 2 if dense else 3  # fields per record, the last two its witness and mass
     wits = tokens[width - 2 :: width]
     try:
         m_nums = _by_distinct(tokens[width - 1 :: width], lambda t: _mass_num(t, L))
     except ValueError:  # more digits than int() converts
         raise TableFormatError("number too long in a record") from None
+    del tokens
     if sum(m_nums) != mass:
         raise TableFormatError(disagrees)
     if dense:
-        outs = _n_bit_strings(n)
-    elif n == 0:
-        outs = [""] * count
-    else:
-        outs = tokens[0::3]
-    del tokens
+        return _Dense(wits, m_nums)
     # tuple.__new__ makes each Entry in C, as Entry._make does without a
     # Python call per record.
     made = map(tuple.__new__, itertools.repeat(Entry), zip(map(len, wits), wits, m_nums))
-    segment = dict(zip(outs, made))
+    segment = _Sparse(zip(outs, made))
     if len(segment) != count:
         raise TableFormatError("duplicate output in table file")
     return segment
-
-
-class _Segments:
-    """The unparsed records of a table file, parsed one output length at a
-    time: a lookup reads the segment of its own length only."""
-
-    def __init__(self, text: str, L: int, index: dict[int, tuple[int, int, int, int]]):
-        self._text = text
-        self._L = L
-        self._index = index  # n -> (start, end, records, mass)
-        self._parsed: dict[int, dict[str, Entry]] = {}
-
-    def segment(self, n: int) -> dict[str, Entry]:
-        seg = self._parsed.get(n)
-        if seg is None:
-            if n not in self._index:
-                return {}
-            with _gc_paused():
-                seg = _parse_segment(self._text, n, self._L, *self._index[n])
-            self._parsed[n] = seg
-        return seg
-
-    def get(self, x: str) -> Entry | None:
-        return self.segment(len(x)).get(x)
-
-    def __contains__(self, x: str) -> bool:
-        return x in self.segment(len(x))
-
-    def parse_all(self) -> dict[str, Entry]:
-        entries: dict[str, Entry] = {}
-        for n in self._index:
-            entries.update(self.segment(n))
-            del self._parsed[n]
-        return entries
 
 
 def import_table(path: str | Path) -> ComplexityTable:
@@ -549,7 +574,9 @@ def import_table(path: str | Path) -> ComplexityTable:
     if not text.endswith("\n"):  # read a last record without its newline as if it had one
         text += "\n"
         bounds[-1] += 1
-    segments = {
+    table = ComplexityTable(L, budgets, fingerprint, {}, hist)
+    table._text = text
+    table._segs = {
         n: (a, b, count, m) for (n, count, _, m), a, b in zip(index, bounds, bounds[1:])
     }
-    return ComplexityTable(L, budgets, fingerprint, _Segments(text, L, segments), hist)
+    return table

@@ -23,8 +23,7 @@ def compile_condition(cond: Condition) -> tuple[int, str, tuple[str, ...], tuple
         return _pykernel.COND_NONE, "", (), ()
     if cond.kind == Condition.STR_KIND:
         return _pykernel.COND_STR, cond.bits, (), ()
-    book, _ = cond.sf_book()
-    pairs = sorted(book.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    pairs = sorted(cond.model.codebook_pairs(), key=lambda kv: (len(kv[0]), kv[0]))
     codes = tuple(cw for cw, _ in pairs)
     elems = tuple(elem for _, elem in pairs)
     return _pykernel.COND_MODEL, "", codes, elems

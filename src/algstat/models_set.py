@@ -46,7 +46,7 @@ from .bits import (
     text_to_bits,
 )
 from .cache import TableSource
-from .complexity import require_k
+from .complexity import require_k, require_ks
 from .enumeration import ComplexityTable
 from .machine import Condition
 
@@ -562,18 +562,11 @@ class DeficiencyRecord(NamedTuple):
 def _normalized_deficiencies(
     x: str, members: list[str], table: ComplexityTable
 ) -> tuple[int, int]:
-    """(K(x|.), max_y K(y|.) - K(x|.)) over the member list."""
-    kx = None
-    kmax = -1
-    for y in members:
-        k = require_k(table, y)
-        if k > kmax:
-            kmax = k
-        if y == x:
-            kx = k
-    if kx is None:
-        kx = require_k(table, x)
-    return kx, kmax - kx
+    """(K(x|.), max_y K(y|.) - K(x|.)) over the member list, read in one
+    ``require_ks`` call."""
+    ks = require_ks(table, members)
+    kx = ks[members.index(x)] if x in members else require_k(table, x)
+    return kx, max(ks, default=-1) - kx
 
 
 def _model_conditions(desc: SetDesc) -> list[Condition]:

@@ -225,8 +225,9 @@ def full_records(table: ComplexityTable) -> str:
     ``output witness num/2^exp`` line per output in (length, lex) order:
     what ``seal`` takes."""
     lines = []
-    for x in sorted(table.entries, key=lambda x: (len(x), x)):
-        e = table.entries[x]
+    entries = table.entries
+    for x in sorted(entries, key=lambda x: (len(x), x)):
+        e = entries[x]
         m = Fraction(e.m_num, 2**table.L)
         lines.append(f"{x or '-'} {e.witness} {m.numerator}/2^{m.denominator.bit_length() - 1}\n")
     return "".join(lines)
@@ -326,12 +327,16 @@ def _naive_split(members, width, n_word, x: str):
 
 
 def naive_mx_lengths(table) -> dict[str, int]:
-    """l(m_x) for every output at k = K(x), rebuilding S^{K(x)} for each
-    string and comparing the index and N-words bit by bit. Quadratic in
-    the number of outputs; the reference for skstats._mx_lengths."""
+    """l(m_x) for every output at k = K(x), rebuilding S^k once per level
+    and comparing the index and N-words bit by bit. Quadratic in the number
+    of outputs; the reference for skstats._mx_lengths."""
     out = {}
+    levels = {}
     for x in table.sorted_outputs():
-        members, width, n_word = _naive_level(table, table.k_of(x))
+        k = table.k_of(x)
+        if k not in levels:
+            levels[k] = _naive_level(table, k)
+        members, width, n_word = levels[k]
         out[x] = _naive_split(members, width, n_word, x)[1]
     return out
 

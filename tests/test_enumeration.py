@@ -256,6 +256,18 @@ class TestKernelContract:
         ]
         assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in params)
 
+    def test_a_model_walk_builds_no_book(self):
+        """The walk takes the model's pairs in (length, codeword) order; the
+        codeword map and its prefix set are built by SFDECODE alone."""
+        cond = Condition.of_model(MIXED_BOOK)
+        args = walk_args(10, cond, Budgets())
+        pairs = sorted(MIXED_BOOK.codebook_pairs(), key=lambda p: (len(p[0]), p[0]))
+        assert list(zip(args[5], args[6])) == pairs
+        build_table(10, cond)
+        assert (cond._book, cond._book_prefixes) == (None, None)
+        assert run("1110" + "0" + "100", cond).output == "0110"
+        assert "" in cond._book_prefixes
+
     @pytest.mark.parametrize(
         "cond, kind",
         [
@@ -754,18 +766,75 @@ class TestDenseSegments:
         sealed = seal(lines[:5], full_records(table)).split("\n", 9)
         assert (sealed[7], sealed[9]) == (lines[7], lines[9])
 
-    def test_parsed_tables_share_their_dense_keys(self, tmp_path):
-        paths = [tmp_path / "a.table", tmp_path / "b.table"]
-        export_table(build_table(10), paths[0])
-        export_table(build_table(12, Condition.string("01")), paths[1])
-        a, b = map(import_table, paths)
-        for n in (1, 2, 3):
-            xs = [format(i, f"0{n}b") for i in range(2**n)]
-            assert a.ks_of(xs) and b.ks_of(xs)  # parses both segments
-            keys_a = [x for x in a.sorted_outputs() if len(x) == n]
-            keys_b = [x for x in b.sorted_outputs() if len(x) == n]
-            assert keys_a == keys_b == xs
-            assert all(x is y for x, y in zip(keys_a, keys_b))
+    def test_dense_segments_hold_only_their_columns(self, tmp_path):
+        """Built or read, a dense segment is a witness column and a mass
+        column indexed by int(x, 2): no output key, no Entry and no dict;
+        every other segment maps its outputs to Entries."""
+        for cond in (Condition.none(), Condition.string("01")):
+            built = build_table(12, cond)
+            export_table(built, tmp_path / "t.table")
+            read = import_table(tmp_path / "t.table")
+            for table in (built, read):
+                segments = table._all()
+                assert [n for n, seg in segments.items() if type(seg) is enumeration._Dense] == [
+                    1, 2, 3, 4,
+                ]
+                for n, seg in segments.items():
+                    if type(seg) is enumeration._Dense:
+                        assert not hasattr(seg, "__dict__")
+                        assert [type(c) for c in gc.get_referents(seg) if c is not type(seg)] == [
+                            list, list,
+                        ]
+                        assert len(seg.wits) == len(seg.masses) == 2**n
+                        assert {type(w) for w in seg.wits} == {str}
+                        assert {type(m) for m in seg.masses} == {int}
+                        x = format(2**n - 2, f"0{n}b")
+                        assert table.witness_of(x) == seg.wits[2**n - 2]
+                    else:
+                        assert {type(e) for e in seg.values()} == {Entry}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        L=st.integers(3, 16),
+        O=st.integers(0, 8),
+        cond=st.sampled_from(_ROUND_TRIP_CONDS),
+    )
+    @example(L=16, O=8, cond=Condition.none())  # the empty output, dense, then sparse
+    @example(L=14, O=6, cond=Condition.string("0110"))
+    @example(L=12, O=8, cond=uniform_condition(Hamming(4, 2)))
+    @example(L=4, O=8, cond=Condition.none())  # the empty output alone
+    def test_built_and_read_tables_agree(self, tmp_path_factory, L, O, cond):
+        built = build_table(L, cond, Budgets(max_output=O))
+        path = tmp_path_factory.mktemp("agree") / "t.table"
+        export_table(built, path)
+        outs = built.sorted_outputs()
+        present = set(outs)
+        # A string missing from a sparse length, one longer than O, and
+        # strings that int(x, 2) would read but are no bit strings.
+        missing = [
+            x
+            for n in sorted(set(map(len, outs)))
+            for x in (format(i, f"0{n}b") for i in range(2**n))
+            if n and x not in present
+        ][:1]
+        absent = missing + ["0" * (O + 1), "0b1", "-1", " 1", "2"]
+        read = import_table(path)
+        for x in outs + absent:
+            assert _lookups(read, x) == _lookups(built, x)
+        for x in absent:
+            assert _lookups(read, x) == (None, None, Fraction(0), False)
+        queries = absent + outs[::-1] + outs[:3]
+        assert read.ks_of(queries) == built.ks_of(queries) == [built.k_of(x) for x in queries]
+        assert outs == sorted(built.entries, key=lambda x: (len(x), x))
+        for whole in (
+            len,
+            ComplexityTable.sorted_outputs,
+            lambda t: t.entries,
+            ComplexityTable.kraft_sum,
+            ComplexityTable.count_by_length,
+        ):
+            assert whole(import_table(path)) == whole(built)
+        assert import_table(path) == built == read
 
 
 # Record edits for the import fuzz test: a field replaced, dropped or

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algstat.cache import TableSource
+from algstat.complexity import Absent
+from algstat.enumeration import ComplexityTable, Entry
+from algstat.machine import Budgets
 from algstat.models_set import (
     All,
     DENOTE_CAP,
@@ -19,6 +22,7 @@ from algstat.models_set import (
     SetLangError,
     Singleton,
     UnionSet,
+    _normalized_deficiencies,
     decode,
     deficiency,
     encode,
@@ -198,6 +202,21 @@ class TestDeficiency:
         x = "0110100110"
         derived = deficiency(x, All(10), source=source)
         assert derived == deficiency(x, All(10), source=source._replace(max_len=25))
+
+    @pytest.mark.parametrize(
+        "outputs, first_absent",
+        [(["00", "01", "10", "11"], "111"), (["00", "01", "11"], "10")],
+        ids=["dense", "sparse"],
+    )
+    def test_members_are_read_in_one_call(self, outputs, first_absent):
+        entries = {y: Entry(5 + i, "1" * (5 + i), 1) for i, y in enumerate(outputs)}
+        table = ComplexityTable(9, Budgets(), "made-up", entries, [0] * 10)
+        assert _normalized_deficiencies("01", ["00", "01"], table) == (6, 0)
+        # x outside the member list
+        assert _normalized_deficiencies("00", ["01", "11"], table) == (5, len(outputs) - 1)
+        with pytest.raises(Absent) as absent:
+            _normalized_deficiencies("00", ["00", "10", "111", "1"], table)
+        assert absent.value.x == first_absent
 
     def test_nonmember_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from algstat import complexity
+from algstat import complexity, enumeration
 from algstat.bits import pair
 from algstat.cache import AUDIT_MAX_LEN, TableSource
 from algstat.complexity import (
@@ -28,8 +28,8 @@ from oracles import naive_nonincrease_audit, naive_soi_audit
 class TestBatchLookup:
     @pytest.fixture(scope="class")
     def tables(self, tmp_path_factory):
-        """The same table as built (a dict of entries) and as imported (one
-        unparsed segment per output length)."""
+        """The same table as built (every segment parsed) and as imported
+        (one unparsed segment per output length)."""
         built = build_table(12, Condition.string("10"))
         path = tmp_path_factory.mktemp("batch") / "t.table"
         export_table(built, path)
@@ -42,16 +42,16 @@ class TestBatchLookup:
             assert table.ks_of(xs) == [table.k_of(x) for x in xs]
             assert None in table.ks_of(xs)
 
-    def test_reads_each_segment_once(self, tables):
-        _, imported = tables
-        segments = imported._entries
+    def test_reads_each_segment_once(self, tables, tmp_path, monkeypatch):
+        built, _ = tables
+        export_table(built, tmp_path / "t.table")
+        imported = import_table(tmp_path / "t.table")
         calls = []
-        original = segments.segment
-        segments.segment = lambda n: calls.append(n) or original(n)
-        try:
-            imported.ks_of(_all_strings(4) * 3)
-        finally:
-            del segments.segment
+        parse = enumeration._parse_segment
+        monkeypatch.setattr(
+            enumeration, "_parse_segment", lambda text, n, *rest: calls.append(n) or parse(text, n, *rest)
+        )
+        imported.ks_of(_all_strings(4) * 3)
         assert sorted(calls) == [0, 1, 2, 3, 4]
 
     def test_past_the_output_budget_names_o(self, tmp_path):
