@@ -20,15 +20,13 @@ from .machine import Condition
 DEFAULT_SOI_LEN_CAP = 4
 
 
-_UNCONDITIONED = Condition.none().fingerprint()
-
-
 class Absent(Exception):
     """A queried string lies outside the table's horizon: beyond its length
     cap, or longer than its output budget."""
 
     def __init__(self, x: str, table: ComplexityTable):
-        where = "table" if table.cond_fingerprint == _UNCONDITIONED else "conditional table"
+        unconditioned = table.cond_fingerprint == Condition.none().fingerprint()
+        where = "table" if unconditioned else "conditional table"
         max_output = table.budgets.max_output
         if len(x) > max_output:
             message = (

@@ -18,7 +18,6 @@ programs through a traversal of the opcode decode tree.
 from __future__ import annotations
 
 import gc
-import hashlib
 import itertools
 import re
 from contextlib import contextmanager
@@ -30,7 +29,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import _pykernel
 from .bits import bits_to_text
 from .kernel import walk_args
-from .machine import MACHINE_VERSION, Budgets, Condition
+from .machine import MACHINE_VERSION, Budgets, Condition, sha256
 
 DEFAULT_MAX_LEN = 24
 # The fixed cap of one-string readers under a condition: `k --cond`,
@@ -171,8 +170,9 @@ class ComplexityTable:
         self.cond_serial = cond_serial
         self._hist = hist
         # Output length -> segment, or (start, end, records, mass) of its
-        # records in _text until it is parsed. _segments empties what it is
-        # given, so it takes a copy here.
+        # records in _text until it is parsed; _text is dropped once no
+        # segment is left unparsed. _segments empties what it is given, so
+        # it takes a copy here.
         self._segs: dict[int, _Sparse | _Dense | tuple] = _segments(dict(entries))
         self._text = ""
 
@@ -181,6 +181,8 @@ class ComplexityTable:
         if type(seg) is tuple:
             with _gc_paused():
                 seg = self._segs[n] = _parse_segment(self._text, n, self.L, *seg)
+            if tuple not in map(type, self._segs.values()):
+                self._text = ""  # every segment is parsed: the file text is not read again
         return seg
 
     def _all(self) -> dict[int, _Sparse | _Dense]:
@@ -392,7 +394,7 @@ def export_table(table: ComplexityTable, path: str | Path) -> None:
             " ".join(["index", *index]),
         ]
     ).encode("ascii")
-    digest = hashlib.sha256(header)
+    digest = sha256(header)
     for segment in segments:
         digest.update(segment)
     with open(path, "wb") as f:
@@ -524,7 +526,7 @@ def import_table(path: str | Path) -> ComplexityTable:
         if not start:
             raise TableFormatError("truncated table file: incomplete header")
     # The digest covers every byte of the file but its own line.
-    sealed = hashlib.sha256(memoryview(data)[: text.rfind("\n", 0, start - 1) + 1])
+    sealed = sha256(memoryview(data)[: text.rfind("\n", 0, start - 1) + 1])
     sealed.update(memoryview(data)[start:])
     digest = sealed.hexdigest()
     del data

@@ -31,7 +31,7 @@ programs consume their whole bit string).
 from __future__ import annotations
 
 import enum
-import hashlib
+import functools
 from typing import NamedTuple, Protocol, runtime_checkable
 
 from ._record import Record
@@ -43,6 +43,30 @@ DEFAULT_MAX_STEPS = 100_000
 DEFAULT_MAX_OUTPUT = 4096
 
 _COMPLEMENT = str.maketrans("01", "10")
+
+
+@functools.cache
+def _sha256_constructor():
+    # Cached: a module that cannot be imported is not kept in sys.modules,
+    # so before Python 3.12 each `from _sha2 import ...` would search
+    # sys.path again.
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
+def sha256(data: bytes | memoryview = b""):
+    """A SHA-256 hash object fed ``data``: the one hash behind condition
+    fingerprints and table seals. It comes from CPython's own module where
+    there is one, as ``random.py`` takes it, imported at the first call:
+    the digests are those of ``hashlib``, which maps OpenSSL into the
+    process."""
+    return _sha256_constructor()(data)
 
 
 class Op(enum.Enum):
@@ -159,7 +183,7 @@ class Condition:
         return self._serial
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(self.serial().encode("ascii")).hexdigest()
+        return sha256(self.serial().encode("ascii")).hexdigest()
 
     def sf_book(self) -> tuple[dict[str, str], set[str]]:
         """Codeword->element map plus the set of proper codeword prefixes."""

@@ -481,7 +481,8 @@ def pk(table: ComplexityTable, k: int) -> UniformOn:
     explicit list in canonical order."""
     if k > table.L:
         raise ValueError(f"k={k} exceeds the table cap L={table.L}")
-    members = [x for x in table.sorted_outputs() if table.k_of(x) <= k]
+    outs = table.sorted_outputs()
+    members = [x for x, kx in zip(outs, table.ks_of(outs)) if kx <= k]
     if not members:
         raise ValueError(f"no strings of complexity <= {k} in the table")
     return UniformOn(ListSet(tuple(members)))

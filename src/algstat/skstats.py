@@ -76,14 +76,10 @@ def sk(table: ComplexityTable, k: int) -> SkIndex:
     """S^k with its padded index assignment."""
     if k > table.L:
         raise ValueError(f"k={k} exceeds the table cap L={table.L}")
-    members = []
-    newest = 0
-    for x in table.sorted_outputs():  # already canonical (length, lex)
-        kx = table.k_of(x)
-        if kx <= k:
-            members.append(x)
-            if kx == k:
-                newest += 1
+    outs = table.sorted_outputs()  # already canonical (length, lex)
+    ks = table.ks_of(outs)
+    members = [x for x, kx in zip(outs, ks) if kx <= k]
+    newest = ks.count(k)
     n_k = len(members)
     return SkIndex(
         k=k,
@@ -244,10 +240,7 @@ def slice_bound_check(table: ComplexityTable) -> bool:
 def t_kraft_sum(table: ComplexityTable) -> Fraction:
     """Sum over k of t_k 2^-k; at most 1 because S^k growth mirrors the
     prefix-free program tree."""
-    counts: dict[int, int] = {}
-    for x in table.sorted_outputs():
-        k = table.k_of(x)
-        counts[k] = counts.get(k, 0) + 1
+    counts = Counter(table.ks_of(table.sorted_outputs()))
     return sum((Fraction(t, 1 << k) for k, t in counts.items()), Fraction(0))
 
 
@@ -276,8 +269,8 @@ def logn_gap(table: ComplexityTable) -> int:
 def sk_csv(table: ComplexityTable, k: int) -> str:
     idx = sk(table, k)
     lines = ["member,K,index"]
-    for x in idx.members:
-        lines.append(f"{bits_to_text(x)},{table.k_of(x)},{idx.index_of(x)}")
+    for x, kx in zip(idx.members, table.ks_of(idx.members)):
+        lines.append(f"{bits_to_text(x)},{kx},{idx.index_of(x)}")
     return "\n".join(lines) + "\n"
 
 

@@ -593,6 +593,21 @@ class TestLazyRead:
         assert again.read_bytes() == path.read_bytes()
 
 
+def test_the_file_text_is_dropped_once_every_segment_is_parsed(sealed):
+    table, path = sealed
+    fresh = import_table(path)
+    lengths = sorted({len(x) for x in table.entries})
+    for n in lengths[:-1]:
+        fresh.k_of("0" * n)
+        assert fresh._text
+    fresh.k_of("0" * lengths[-1])
+    assert fresh._text == ""
+    assert fresh == table  # answered from the parsed segments
+    whole = import_table(path)
+    assert whole.sorted_outputs() == table.sorted_outputs()
+    assert whole._text == ""
+
+
 class TestSealedFile:
     """Tampering: caught at open by the digest or the index checks, or at the
     first read of the segment it touches."""

@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import algstat
+from algstat import build_table, export_table
 from algstat.cache import load_or_build
 from algstat.machine import Condition
+from algstat.models_set import Hamming, uniform_condition
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -31,8 +33,8 @@ SLOW = ["dataclasses", "inspect"]
 
 # Runs one command in a fresh interpreter, then prints which lazy modules
 # have run, whether a process pool's modules were imported, which SLOW
-# modules were loaded and whether the kernel's state walk was, as the last
-# stdout line.
+# modules were loaded, whether the kernel's state walk was run and whether
+# hashlib (which maps OpenSSL) was imported, as the last stdout line.
 PROBE = f"""
 import json, sys, types
 from algstat.cli import main
@@ -41,7 +43,9 @@ ran = [n for n in {LAZY!r} if type(sys.modules[n]) is types.ModuleType]
 slow = [n for n in {SLOW!r} if n in sys.modules]
 pool = any(n in sys.modules for n in ("concurrent.futures.process", "multiprocessing"))
 walked = "algstat._statewalk" in sys.modules
-print(json.dumps({{"rc": rc, "ran": ran, "pool": pool, "slow": slow, "walked": walked}}))
+hashlib = any(n in sys.modules for n in ("hashlib", "_hashlib"))
+print(json.dumps({{"rc": rc, "ran": ran, "pool": pool, "slow": slow, "walked": walked,
+                  "hashlib": hashlib}}))
 """
 
 
@@ -76,7 +80,9 @@ def test_commands_run_only_the_modules_they_use(warm_cache, argv, ran):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     probe = json.loads(proc.stdout.splitlines()[-1])
-    assert probe == {"rc": 0, "ran": ran, "pool": False, "slow": [], "walked": False}
+    assert probe == {
+        "rc": 0, "ran": ran, "pool": False, "slow": [], "walked": False, "hashlib": False
+    }
 
 
 @pytest.mark.parametrize(
@@ -93,17 +99,65 @@ def test_commands_run_only_the_modules_they_use(warm_cache, argv, ran):
 def test_cold_commands_walk_here_and_load_no_slow_module(tmp_path, argv, ran):
     """A cold ``laws`` runs every analysis module, and it and a cold
     ``structfn`` at ``--workers 2`` walk every table in this process: no
-    process pool's modules load, nor does any SLOW module."""
+    process pool's modules load, nor does any SLOW module or hashlib."""
     proc = fresh("-c", PROBE, *argv, "--cache-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
-    assert probe == {"rc": 0, "ran": ran, "pool": False, "slow": [], "walked": True}
+    assert probe == {
+        "rc": 0, "ran": ran, "pool": False, "slow": [], "walked": True, "hashlib": False
+    }
 
 
 @pytest.mark.parametrize("module", ["algstat", "algstat.cli"])
 def test_import_loads_no_slow_module(module):
     proc = fresh("-c", f"import sys, {module}; print([n for n in {SLOW!r} if n in sys.modules])")
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+@pytest.mark.parametrize("module", ["algstat.cli", "algstat.machine"])
+def test_import_takes_no_digest(module):
+    """Importing the package loads no hash module, built-in or hashlib;
+    the first digest taken does."""
+    hashes = ("_sha2", "_sha256", "hashlib", "_hashlib")
+    proc = fresh("-c", f"import sys, {module}; print([n for n in {hashes!r} if n in sys.modules])")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+# Takes every kind of digest in a fresh interpreter where CPython's built-in
+# SHA-256 modules cannot be imported, and prints the constructor's module,
+# the three kinds of condition fingerprint and the hex of an exported table.
+FALLBACK_PROBE = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from algstat import build_table, export_table, import_table, machine
+from algstat.machine import Condition
+from algstat.models_set import Hamming, uniform_condition
+conds = [Condition.none(), Condition.string("0110"), uniform_condition(Hamming(4, 2))]
+path = sys.argv[1]
+export_table(build_table(12, conds[1]), path)
+assert import_table(path).k_of("0110") is not None
+print(json.dumps({
+    "module": type(machine.sha256()).__module__,
+    "fingerprints": [c.fingerprint() for c in conds],
+    "table": open(path, "rb").read().hex(),
+}))
+"""
+
+
+def test_hashlib_fallback_gives_the_same_digests(tmp_path):
+    proc = fresh("-c", FALLBACK_PROBE, str(tmp_path / "fallback.table"))
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["module"] in ("_hashlib", "hashlib")
+    conds = [Condition.none(), Condition.string("0110"), uniform_condition(Hamming(4, 2))]
+    assert probe["fingerprints"] == [c.fingerprint() for c in conds]
+    # fixed digests: every cache file name and seal depends on them
+    assert probe["fingerprints"][0] == (
+        "140bedbf9c3f6d56a9846d2ba7088798683f4da0c248231336e6a05679e4fdfe"
+    )
+    here = tmp_path / "here.table"
+    export_table(build_table(12, conds[1]), here)
+    assert bytes.fromhex(probe["table"]) == here.read_bytes()
 
 
 def test_error_path_loads_the_exceptions_it_names(warm_cache):
