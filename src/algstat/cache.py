@@ -4,8 +4,9 @@ File names carry machine version, file format, caps and the condition
 fingerprint, so incompatible tables can never be loaded by accident, and a
 file of an older format is a plain cache miss. A file stores every field
 of a built table, its length histogram included, and is sealed with a
-SHA-256 of its header and records; ``import_table`` checks it when it opens
-the file and parses each output length's records when they are first read.
+SHA-256 of its header and its stored, compressed records; ``import_table``
+checks it when it opens the file, before it inflates the records, and
+parses each output length's records when they are first read.
 
 An analysis that knows the longest string it will look up in a table asks
 for that table through ``TableSource.capped``, so the table is built under
@@ -190,8 +191,7 @@ class TableSource(NamedTuple):
     def table(self, L: int, cond: Condition | None = None) -> ComplexityTable:
         """``load_or_build`` under this source's settings, at the cap
         ``program_cap(L)``; returns only the table."""
-        table, _ = load_or_build(self.program_cap(L), cond, self.budgets, self.cache_dir, self.warn)
-        return table
+        return self._load(self.program_cap(L), cond if cond is not None else Condition.none())
 
     def tables(self, L: int, conds: Sequence[Condition]) -> list[ComplexityTable]:
         """``load_or_build`` for many conditions at one cap,
@@ -220,11 +220,15 @@ class TableSource(NamedTuple):
                 cond = Condition.string(cond.bits[:O])
             key = (self.program_cap(L), cond.fingerprint())
             if key not in tables:
-                tables[key], _ = load_or_build(
-                    key[0], cond, self.budgets, self.cache_dir, self.warn
-                )
+                tables[key] = self._load(key[0], cond)
             found.append(tables[key])
         return found
+
+    def _load(self, L: int, cond: Condition) -> ComplexityTable:
+        """``load_or_build`` of one table under this source's settings: the
+        one step through which a source fetches every table it hands out."""
+        table, _ = load_or_build(L, cond, self.budgets, self.cache_dir, self.warn)
+        return table
 
 
 def k_cap(n: int, cond: Condition) -> int:

@@ -20,6 +20,8 @@ from __future__ import annotations
 import gc
 import itertools
 import re
+import sys
+import zlib
 from contextlib import contextmanager
 from fractions import Fraction
 from operator import itemgetter
@@ -170,19 +172,32 @@ class ComplexityTable:
         self.cond_serial = cond_serial
         self._hist = hist
         # Output length -> segment, or (start, end, records, mass) of its
-        # records in _text until it is parsed; _text is dropped once no
-        # segment is left unparsed. _segments empties what it is given, so
-        # it takes a copy here.
-        self._segs: dict[int, _Sparse | _Dense | tuple] = _segments(dict(entries))
-        self._text = ""
+        # records in _text, the inflated body, until it is parsed, or the
+        # error its parse raised; _text is dropped once the last unparsed
+        # segment is read out of it.
+        # _segments empties what it is given, so it takes a copy here.
+        self._segs: dict[int, _Sparse | _Dense | tuple | TableFormatError] = _segments(
+            dict(entries)
+        )
+        self._text = b""
 
     def _segment(self, n: int) -> _Sparse | _Dense:
         seg = self._segs.get(n, _NO_SEGMENT)
+        if type(seg) is TableFormatError:
+            raise seg
         if type(seg) is tuple:
-            with _gc_paused():
-                seg = self._segs[n] = _parse_segment(self._text, n, self.L, *seg)
-            if tuple not in map(type, self._segs.values()):
-                self._text = ""  # every segment is parsed: the file text is not read again
+            start, end, count, mass = seg
+            text = _segment_text(self._text, start, end)
+            if list(map(type, self._segs.values())).count(tuple) == 1:
+                # the last segment to parse: the body is not read again, and
+                # is let go before the records are made
+                self._text = b""
+            try:
+                with _gc_paused():
+                    seg = self._segs[n] = _parse_segment(text, n, self.L, count, mass)
+            except TableFormatError as exc:
+                self._segs[n] = exc  # read again, the segment fails again
+                raise
         return seg
 
     def _all(self) -> dict[int, _Sparse | _Dense]:
@@ -326,28 +341,38 @@ def find_prefix_violation(programs: Iterable[str]) -> tuple[str, str] | None:
 
 # -- persistence ------------------------------------------------------------
 #
-# A table file (format 3) is ASCII text: nine header lines, then the body.
+# A table file (format 4) is nine ASCII header lines, then the body: the
+# records, stored as one zlib stream.
 #
 #     machine tpm1-v1
 #     L 16
 #     T 100000
 #     O 4096
 #     condition <fingerprint>
-#     format 3
+#     format 4
 #     hist <halting programs of length 0> ... <of length L>
 #     index <n>,<records>,<bytes>,<mass> ...    one entry per output length n
 #     sha256 <hex digest of the file without this line>
 #
-# The body holds one record per output, in (length, lex) order; K is the
-# witness's length. The records of one output length are one contiguous
-# segment, whose record count, byte count and mass numerator over 2^L the
-# index gives, and no index length exceeds O. A record is
-# ``output witness m_num/2^exp``, '-' standing for the empty output, except
-# in a dense segment: one of output length n >= 1 that holds 2^n records.
-# Its outputs are then every n-bit string, so record i is
+# The digest seals the stored bytes: the header lines before it and the
+# compressed body. Inflated, the body holds one ASCII record per output, in
+# (length, lex) order; K is the witness's length. The records of one output
+# length are one contiguous segment, whose record count, inflated byte count
+# and mass numerator over 2^L the index gives, and no index length exceeds
+# O. A record is ``output witness m_num/2^exp``, '-' standing for the empty
+# output, except in a dense segment: one of output length n >= 1 that holds
+# 2^n records. Its outputs are then every n-bit string, so record i is
 # ``witness m_num/2^exp`` for the output format(i, f"0{n}b").
+#
+# The compression level is fixed, so an export is byte-identical across runs
+# with one zlib build; another build may compress differently, and any
+# reader accepts any sealed file.
 
-TABLE_FORMAT = 3
+TABLE_FORMAT = 4
+# Stored bytes inflated per call. Each call's output, a few times as many
+# bytes, is a small transient beside the body it is appended to; one call
+# for the whole body would hold it twice, as zlib joins its output blocks.
+_INFLATE_PIECE = 1 << 12
 _HEADER_LINES = 9
 
 
@@ -363,13 +388,16 @@ def _dyadic_text(m_num: int, L: int) -> str:
 
 
 def export_table(table: ComplexityTable, path: str | Path) -> None:
-    """Write the format-3 text form. Deterministic byte-for-byte."""
+    """Write the format-4 file: the header, then the records, fed a segment
+    at a time through one zlib stream, so that only the stream is held
+    whole. Byte-identical across runs with one zlib build."""
     L = table.L
     segs = table._all()
     # A table has a few hundred distinct masses; witnesses are never empty (K >= 3).
     masses = set(itertools.chain.from_iterable(seg.masses for seg in segs.values()))
     mass_text = {m: _dyadic_text(m, L) for m in masses}
-    segments = []
+    deflate = zlib.compressobj(zlib.Z_BEST_SPEED)
+    body = []
     index = []
     for n, seg in segs.items():
         if type(seg) is _Dense:
@@ -379,8 +407,11 @@ def export_table(table: ComplexityTable, path: str | Path) -> None:
                 f"{bits_to_text(x)} {e.witness} {mass_text[e.m_num]}\n"
                 for x, e in sorted(seg.items())
             ]
-        segments.append("".join(lines).encode("ascii"))
-        index.append(f"{n},{len(seg)},{len(segments[-1])},{sum(seg.masses)}")
+        segment = "".join(lines).encode("ascii")
+        del lines
+        body.append(deflate.compress(segment))
+        index.append(f"{n},{len(seg)},{len(segment)},{sum(seg.masses)}")
+    body.append(deflate.flush())
     header = "".join(
         line + "\n"
         for line in [
@@ -395,12 +426,12 @@ def export_table(table: ComplexityTable, path: str | Path) -> None:
         ]
     ).encode("ascii")
     digest = sha256(header)
-    for segment in segments:
-        digest.update(segment)
+    for chunk in body:
+        digest.update(chunk)
     with open(path, "wb") as f:
         f.write(header)
         f.write(f"sha256 {digest.hexdigest()}\n".encode("ascii"))
-        f.writelines(segments)
+        f.writelines(body)
 
 
 def _header_int(line: str, key: str) -> int:
@@ -458,25 +489,30 @@ def _mass_num(text: str, L: int) -> int:
     return num << (L - exp)
 
 
-def _parse_segment(
-    text: str, n: int, L: int, start: int, end: int, count: int, mass: int
-) -> _Sparse | _Dense:
-    """The segment of output length ``n``, ``text[start:end]``, checked
-    against its index entry: ``count`` records whose masses sum to ``mass``
-    over 2**L."""
-    if text[start - 1] != "\n" or text[end - 1] != "\n":
+def _segment_text(body: bytes, start: int, end: int) -> str:
+    """``body[start:end]`` of an ASCII body as text, after the newline before
+    it ('\\n' for the first segment), which the record patterns read."""
+    with memoryview(body) as view:
+        return str(view[start - 1 : end], "ascii") if start else "\n" + str(view[:end], "ascii")
+
+
+def _parse_segment(text: str, n: int, L: int, count: int, mass: int) -> _Sparse | _Dense:
+    """The segment of output length ``n``, given as ``_segment_text`` gives
+    it, checked against its index entry: ``count`` records whose masses sum
+    to ``mass`` over 2**L."""
+    if not (text.startswith("\n") and text.endswith("\n")):
         raise TableFormatError(f"segment of output length {n} does not hold whole records")
     disagrees = f"segment of output length {n} disagrees with its index entry"
-    if text.count("\n", start, end) != count:
+    if text.count("\n") != count + 1:
         raise TableFormatError(disagrees)
     dense = _dense(n, count)
-    bad = (_BAD_DENSE if dense else _BAD_SPARSE if n else _BAD_EMPTY).search(text, start - 1, end)
+    bad = (_BAD_DENSE if dense else _BAD_SPARSE if n else _BAD_EMPTY).search(text)
     if bad is not None:
-        line = text[bad.end() : text.find("\n", bad.end(), end)]
+        line = text[bad.end() : text.find("\n", bad.end())]
         if not dense and _RECORD.fullmatch(line):
             raise TableFormatError(f"record {line!r} in the segment of output length {n}")
         raise TableFormatError(f"malformed record: {line!r}")
-    tokens = text[start:end].split()
+    tokens = text.split()
     outs = [] if dense else tokens[0::3] if n else [""] * count
     if not set(map(len, outs)) <= {n}:
         i = next(i for i, x in enumerate(outs) if len(x) != n)
@@ -503,34 +539,35 @@ def _parse_segment(
 
 
 def import_table(path: str | Path) -> ComplexityTable:
-    """Open a format-3 table file.
+    """Open a format-4 table file.
 
-    Checked here: the file is ASCII text; the machine version, L, budgets,
-    condition and format lines; the index lengths increase and none exceeds
-    O; the SHA-256 of the header lines before it and the body against the
-    header's; the index's byte counts add up to the body's length; and its
-    masses sum to at most 2^L and to the Kraft mass of the length histogram.
-    The records are parsed a segment at a time, when first read (see
-    ComplexityTable): a segment with a malformed record, a mass out of
-    range, an output not of the segment's length, a repeated output, or a
-    record count or mass sum other than its index entry's raises
-    TableFormatError then."""
+    Checked here, on the stored bytes: the header is ASCII text; the machine
+    version, L, budgets, condition and format lines; the index lengths
+    increase and none exceeds O; the SHA-256 of the header lines before it
+    and the compressed body against the header's; and the index masses sum
+    to at most 2^L and to the Kraft mass of the length histogram. Only then
+    is the body inflated, to at most one byte more than the index's byte
+    counts add up to: it must be one whole zlib stream, with nothing after
+    it, of exactly that many ASCII bytes. The records are parsed a segment
+    at a time, when first read (see ComplexityTable): a segment with a
+    malformed record, a mass out of range, an output not of the segment's
+    length, a repeated output, or a record count or mass sum other than its
+    index entry's raises TableFormatError then."""
     data = Path(path).read_bytes()
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError:
-        raise TableFormatError(f"table file is not ASCII text: {path}") from None
     start = 0
     for _ in range(_HEADER_LINES):
-        start = text.find("\n", start) + 1
+        start = data.find(b"\n", start) + 1
         if not start:
             raise TableFormatError("truncated table file: incomplete header")
+    try:
+        lines = data[:start].decode("ascii").split("\n")
+    except UnicodeDecodeError:
+        raise TableFormatError(f"table file header is not ASCII text: {path}") from None
     # The digest covers every byte of the file but its own line.
-    sealed = sha256(memoryview(data)[: text.rfind("\n", 0, start - 1) + 1])
-    sealed.update(memoryview(data)[start:])
+    stored = memoryview(data)[start:]
+    sealed = sha256(memoryview(data)[: start - len(lines[8]) - 1])
+    sealed.update(stored)
     digest = sealed.hexdigest()
-    del data
-    lines = text[:start].split("\n")
 
     mparts = lines[0].split()
     if len(mparts) != 2 or mparts[0] != "machine":
@@ -564,20 +601,41 @@ def import_table(path: str | Path) -> ComplexityTable:
         raise TableFormatError(f"index output length {index[-1][0]} exceeds the output budget O={O}")
     if lines[8] != f"sha256 {digest}":
         raise TableFormatError("table file does not match the sha256 digest in its header")
-    bounds = list(itertools.accumulate([entry[2] for entry in index], initial=start))
-    if bounds[-1] != len(text):
-        raise TableFormatError("index byte counts do not add up to the body length")
     total = sum(entry[3] for entry in index)
     if total > 1 << L:
         raise TableFormatError("corrupt table: Kraft sum exceeds 1")
     if total != sum(h << (L - l) for l, h in enumerate(hist)):
         raise TableFormatError("index masses disagree with the length histogram")
 
-    if not text.endswith("\n"):  # read a last record without its newline as if it had one
-        text += "\n"
+    bounds = list(itertools.accumulate([entry[2] for entry in index], initial=0))
+    size = bounds[-1]
+    # Inflated a piece at a time into one buffer, never past one byte more
+    # than the index counts; a segment becomes text only when it is parsed.
+    body = bytearray()
+    inflate = zlib.decompressobj()
+    try:
+        for i in range(0, len(stored), _INFLATE_PIECE):
+            left = min(size + 1 - len(body), sys.maxsize)
+            body += inflate.decompress(stored[i : i + _INFLATE_PIECE], left)
+            if len(body) > size:
+                break
+    except zlib.error as exc:
+        raise TableFormatError(f"table body is not a zlib stream: {exc}") from None
+    del stored, data
+    if len(body) <= size and not inflate.eof:
+        raise TableFormatError("truncated table body: its zlib stream does not end")
+    if len(body) != size:
+        raise TableFormatError("index byte counts do not add up to the body length")
+    if inflate.unused_data:
+        raise TableFormatError("bytes after the end of the table body's zlib stream")
+    if not body.isascii():
+        raise TableFormatError(f"table body is not ASCII text: {path}")
+
+    if body and not body.endswith(b"\n"):  # read a last record without its newline as if it had one
+        body += b"\n"
         bounds[-1] += 1
     table = ComplexityTable(L, budgets, fingerprint, {}, hist)
-    table._text = text
+    table._text = body
     table._segs = {
         n: (a, b, count, m) for (n, count, _, m), a, b in zip(index, bounds, bounds[1:])
     }

@@ -892,10 +892,31 @@ def laws_audit(
     to ``laws_reach()`` bits of output at least, the level ones on
     ``level_table``. A record whose table is None is skipped, so the X(r),
     slice-bound and log N_k checks need a level table. The conditional
-    tables come from ``source.k_tables``; see the individual audits."""
+    tables come from ``source.k_tables``, each fetched once in the call
+    however many audits read it; see the individual audits."""
     tables = {"deep": table, "level": level_table}
+    source = _sharing(source)
     return {
         a.name: a.run(tables[a.reads], source)
         for a in selected_audits(audit)
         if tables[a.reads] is not None
     }
+
+
+def _sharing(source: TableSource) -> TableSource:
+    """``source`` for one ``laws_audit`` call: each table it hands out, under
+    any budgets derived from it, is fetched once however many audits read
+    it (``theta`` and ``identity`` read the same label tables), and all are
+    let go with the source when the call returns."""
+    fetched: dict[tuple, ComplexityTable] = {}
+
+    class Sharing(TableSource):
+        __slots__ = ()
+
+        def _load(self, L: int, cond: Condition) -> ComplexityTable:
+            key = (self.cache_dir, self.budgets, L, cond.fingerprint())
+            if key not in fetched:
+                fetched[key] = super()._load(L, cond)
+            return fetched[key]
+
+    return Sharing(*source)

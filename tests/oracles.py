@@ -8,8 +8,10 @@ time, as the kernel's ``walk`` did before it walked machine states; it is
 the reference for ``walk`` at lengths the naive oracle cannot reach. The
 counting recurrences predict halting-program totals per length straight
 from the opcode length table, independently of both. The naive table-file parser
-reads one record at a time, and ``seal`` writes a file around any record
-text, telling its dense segments by their outputs rather than their counts.
+inflates the whole body and reads one record at a time, and ``seal`` writes
+a file around any record text, telling its dense segments by their outputs
+rather than their counts. ``plain_text`` and ``stored`` turn a table file
+into its text, body inflated, and back, for tests that edit files.
 The law-audit and X(r) references recompute each quantity term by term, one
 lookup at a time, as the library computed them before it swept whole K
 lists.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import zlib
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -121,27 +124,53 @@ def _naive_header_naturals(line: str, key: str) -> list[list[int]]:
     return fields
 
 
-def _naive_digest(header: list[str], body: str) -> str:
+def _naive_digest(header: list[str], body: bytes) -> str:
     """The SHA-256 of a table file without its sha256 line: the eight header
-    lines before it, each with its newline, then the body."""
-    text = "".join(line + "\n" for line in header) + body
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
+    lines before it, each with its newline, then the stored body."""
+    text = "".join(line + "\n" for line in header).encode("ascii")
+    return hashlib.sha256(text + body).hexdigest()
+
+
+def plain_text(data: bytes) -> str:
+    """A format-4 table file as text: its nine header lines as they are, then
+    its body inflated, the records as format 3 stored them."""
+    *head, body = data.split(b"\n", 9)
+    return (b"\n".join([*head, zlib.decompress(body)])).decode()
+
+
+def stored(text: str) -> bytes:
+    """The table file whose ``plain_text`` is ``text``: the nine header lines
+    as they are and the rest deflated at export's level, with the sha256
+    line copied, not recomputed. The text of an export, left as it is, gives
+    back the exported bytes."""
+    *head, body = text.encode().split(b"\n", 9)
+    return b"\n".join([*head, zlib.compress(body, zlib.Z_BEST_SPEED)])
+
+
+def resealed(data: bytes) -> bytes:
+    """A table file with its sha256 line rewritten to match the header lines
+    before it and the stored body, as a writer would after editing them."""
+    head, sep, rest = data.partition(b"\nsha256 ")
+    body = rest.partition(b"\n")[2]
+    return head + sep + hashlib.sha256(head + b"\n" + body).hexdigest().encode() + b"\n" + body
 
 
 def naive_import_table(path) -> ComplexityTable:
-    """Format-3 table file parser that reads every record at once, splitting
-    and converting one line at a time with ``str.split`` and ``int``: the
-    reference for enumeration.import_table followed by a read of every
-    segment, which may reject more files than this (such as records
-    separated by tabs or runs of spaces) but never fewer."""
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except UnicodeDecodeError:
-        raise TableFormatError(f"table file is not ASCII text: {path}") from None
-    lines = text.split("\n", 9)
+    """Format-4 table file parser that inflates the whole body in one call and
+    reads every record at once, splitting and converting one line at a time
+    with ``str.split`` and ``int``: the reference for
+    enumeration.import_table followed by a read of every segment, which may
+    reject more files than this (such as records separated by tabs or runs
+    of spaces) but never fewer."""
+    data = Path(path).read_bytes()
+    lines = data.split(b"\n", 9)
     if len(lines) < 10:
         raise TableFormatError("truncated table file: incomplete header")
-    body = lines.pop()
+    deflated = lines.pop()
+    try:
+        lines = [line.decode("ascii") for line in lines]
+    except UnicodeDecodeError:
+        raise TableFormatError(f"table file header is not ASCII text: {path}") from None
 
     mparts = lines[0].split()
     if len(mparts) != 2 or mparts[0] != "machine":
@@ -155,8 +184,8 @@ def naive_import_table(path) -> ComplexityTable:
     if len(cparts) != 2 or cparts[0] != "condition":
         raise TableFormatError(f"expected 'condition <fingerprint>' header line, got {lines[4]!r}")
     fingerprint = cparts[1]
-    if lines[5].split() != ["format", "3"]:
-        raise TableFormatError(f"expected 'format 3' header line, got {lines[5]!r}")
+    if lines[5].split() != ["format", "4"]:
+        raise TableFormatError(f"expected 'format 4' header line, got {lines[5]!r}")
     hist = [h for (h,) in _naive_header_naturals(lines[6], "hist")]
     if len(hist) != L + 1:
         raise TableFormatError(f"expected {L + 1} histogram counts, got {len(hist)}")
@@ -165,8 +194,19 @@ def naive_import_table(path) -> ComplexityTable:
         raise TableFormatError(f"malformed index header: {lines[7]!r}")
     if any(n > O for n, *_ in index):
         raise TableFormatError(f"an index output length exceeds O: {lines[7]!r}")
-    if lines[8].split() != ["sha256", _naive_digest(lines[:8], body)]:
+    if lines[8].split() != ["sha256", _naive_digest(lines[:8], deflated)]:
         raise TableFormatError("table file does not match its sha256 digest")
+    inflate = zlib.decompressobj()
+    try:
+        body = inflate.decompress(deflated) + inflate.flush()
+    except zlib.error:
+        raise TableFormatError("table body is not a zlib stream") from None
+    if not inflate.eof or inflate.unused_data:
+        raise TableFormatError("table body is not one whole zlib stream")
+    try:
+        body = body.decode("ascii")
+    except UnicodeDecodeError:
+        raise TableFormatError(f"table body is not ASCII text: {path}") from None
     if sum(size for _, _, size, _ in index) != len(body):
         raise TableFormatError("index byte counts do not add up to the body length")
     total = sum(mass for *_, mass in index)
@@ -233,16 +273,17 @@ def full_records(table: ComplexityTable) -> str:
     return "".join(lines)
 
 
-def seal(preamble: list[str], body: str) -> str:
-    """A format-3 file of the five ``preamble`` lines (machine, L, T, O,
+def seal(preamble: list[str], body: str) -> bytes:
+    """A format-4 file of the five ``preamble`` lines (machine, L, T, O,
     condition) and this record text, given with every output written out,
     whose index, histogram and digest agree with what ``naive_import_table``
     reads in the records: each run of consecutive records whose outputs
     have one length is a segment, a mass that does not parse counts as 0,
     and the histogram puts the whole mass at length L. A run whose outputs
     are the 2^n strings of n >= 1 bits in lex order is written as a dense
-    segment, each line without its output and the separator after it. Only
-    the records can then make the file fail."""
+    segment, each line without its output and the separator after it. The
+    body is deflated at zlib's default level, not export's, which any
+    reader accepts. Only the records can then make the file fail."""
     L = int(preamble[1].split()[1])
     parts = body.split("\n")
     lines = [p + "\n" for p in parts[:-1]] + ([parts[-1]] if parts[-1] else [])
@@ -268,12 +309,13 @@ def seal(preamble: list[str], body: str) -> str:
     hist = [0] * L + [sum(run[2] for run in runs)]
     header = [
         *preamble,
-        "format 3",
+        "format 4",
         " ".join(["hist", *map(str, hist)]),
         " ".join(["index", *(f"{n},{len(ls)},{len(''.join(ls))},{m}" for n, ls, m, _ in runs)]),
     ]
-    out_body = "".join(ln for run in runs for ln in run[1])
-    return "\n".join([*header, f"sha256 {_naive_digest(header, out_body)}", out_body])
+    out_body = zlib.compress("".join(ln for run in runs for ln in run[1]).encode())
+    digest = _naive_digest(header, out_body)
+    return "".join(line + "\n" for line in [*header, f"sha256 {digest}"]).encode() + out_body
 
 
 @lru_cache(maxsize=None)

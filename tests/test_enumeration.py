@@ -6,6 +6,8 @@ import gc
 import hashlib
 import inspect
 import re
+import tracemalloc
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -36,8 +38,11 @@ from oracles import (
     naive_halting_programs,
     full_records,
     naive_import_table,
+    plain_text,
     predicted_halting_by_length,
+    resealed,
     seal,
+    stored,
 )
 
 # Codewords of lengths 1 to 4, listed out of order, whose element lengths
@@ -285,25 +290,34 @@ class TestKernelContract:
 
 def _reseal(path) -> None:
     """Rewrite the sha256 header line of a table file to match the header
-    lines before it and the body, as a writer would after editing them."""
-    head, sep, rest = path.read_bytes().partition(b"\nsha256 ")
-    body = rest.partition(b"\n")[2]
-    digest = hashlib.sha256(head + b"\n" + body).hexdigest()
-    path.write_bytes(head + sep + digest.encode() + b"\n" + body)
+    lines before it and the stored body, as a writer would after editing
+    them."""
+    path.write_bytes(resealed(path.read_bytes()))
+
+
+def _rewrite(path, edit, reseal: bool = False) -> None:
+    """Replace a table file by the one whose text, its body inflated
+    (``plain_text``), is ``edit(text)``: the body deflated again, and the file
+    resealed if asked."""
+    path.write_bytes(stored(edit(plain_text(path.read_bytes()))))
+    if reseal:
+        _reseal(path)
 
 
 def _edit_index(path, edit, reseal: bool = True) -> None:
     """Replace the index entries [n, records, bytes, mass] of a table file by
     ``edit(entries)``, and reseal the file unless told not to, as a writer of
     a wrong index would."""
-    lines = path.read_text().split("\n")
-    assert lines[7].startswith("index ")
-    entries = [list(map(int, e.split(","))) for e in lines[7].split()[1:]]
-    edit(entries)
-    lines[7] = " ".join(["index", *(",".join(map(str, e)) for e in entries)])
-    path.write_text("\n".join(lines))
-    if reseal:
-        _reseal(path)
+
+    def edit_text(text):
+        lines = text.split("\n")
+        assert lines[7].startswith("index ")
+        entries = [list(map(int, e.split(","))) for e in lines[7].split()[1:]]
+        edit(entries)
+        lines[7] = " ".join(["index", *(",".join(map(str, e)) for e in entries)])
+        return "\n".join(lines)
+
+    _rewrite(path, edit_text, reseal)
 
 
 def _format1_text(table: ComplexityTable) -> str:
@@ -342,37 +356,40 @@ class TestPersistence:
         t = build_table(6)
         path = tmp_path / "t.table"
         export_table(t, path)
-        text = path.read_text()
+        text = plain_text(path.read_bytes())
         head = text.splitlines()[:9]
         assert head[0] == "machine tpm1-v1"
         assert head[1] == "L 6"
         assert head[2] == "T 100000"
         assert head[3] == "O 4096"
         assert head[4] == f"condition {Condition.none().fingerprint()}"
-        assert head[5] == f"format {TABLE_FORMAT}" == "format 3"
+        assert head[5] == f"format {TABLE_FORMAT}" == "format 4"
         assert head[6] == "hist 0 0 0 1 0 2 0"
         # '' (1 record of 12 bytes, mass 8/64), then '0' and '1' (2 of 12, 2/64 each):
         # 2 = 2^1 records of output length 1 are a dense segment, with no outputs
         assert head[7] == "index 0,1,12,8 1,2,24,4"
         body = text.split("\n", 9)[9]
         assert body == "- 100 1/2^3\n00100 1/2^5\n01100 1/2^5\n"
-        # the digest seals the eight header lines before it as well as the body
-        sealed = "".join(line + "\n" for line in head[:8]) + body
-        assert head[8] == f"sha256 {hashlib.sha256(sealed.encode()).hexdigest()}"
+        # the file stores the body as one zlib stream at the fastest level
+        deflated = path.read_bytes().split(b"\n", 9)[9]
+        assert deflated == zlib.compress(body.encode(), zlib.Z_BEST_SPEED)
+        # the digest seals the eight header lines before it as well as the
+        # stored body
+        sealed = "".join(line + "\n" for line in head[:8]).encode() + deflated
+        assert head[8] == f"sha256 {hashlib.sha256(sealed).hexdigest()}"
 
     def test_version_mismatch(self, tmp_path):
         t = build_table(6)
         path = tmp_path / "t.table"
         export_table(t, path)
-        doctored = path.read_text().replace("tpm1-v1", "tpm1-v0")
-        path.write_text(doctored)
+        _rewrite(path, lambda text: text.replace("tpm1-v1", "tpm1-v0"))
         with pytest.raises(TableVersionError):
             import_table(path)
 
     def test_out_of_range_budgets_header_is_rebuilt(self, tmp_path):
         table, _ = load_or_build(8, cache_dir=tmp_path)
         path = table_path(tmp_path, 8, Budgets(), Condition.none().fingerprint())
-        path.write_text(path.read_text().replace("\nT 100000\n", "\nT -5\n"))
+        _rewrite(path, lambda text: text.replace("\nT 100000\n", "\nT -5\n"))
         with pytest.raises(TableFormatError, match="budgets"):
             import_table(path)
         again, built = load_or_build(8, cache_dir=tmp_path)
@@ -390,7 +407,7 @@ class TestPersistence:
         path = tmp_path / "t.table"
         t = build_table(6)
         export_table(t, path)
-        path.write_text(path.read_text() + "0110 5\n")
+        _rewrite(path, lambda text: text + "0110 5\n")
         with pytest.raises(TableFormatError):
             import_table(path)
 
@@ -402,15 +419,15 @@ class TestPersistence:
         export_table(t, path)
         back = import_table(path)
         assert all(back.k_of(x) == len(back.witness_of(x)) == e.k for x, e in t.entries.items())
-        lines = path.read_text().split("\n", 9)
+        lines = plain_text(path.read_bytes()).split("\n", 9)
         # "01" is in the dense segment of output length 2, which seal writes
         # as export does
         records = full_records(t)
         assert "\n01 0001100 1/2^7\n" in records and "\n0001100 1/2^7\n" in lines[9]
-        assert seal(lines[:5], records).split("\n", 9)[9] == lines[9]
+        assert plain_text(seal(lines[:5], records)).split("\n", 9)[9] == lines[9]
         body = records.replace("\n01 0001100 1/2^7\n", "\n01 000110000 1/2^7\n")
-        path.write_text(seal(lines[:5], body))
-        assert "\n000110000 1/2^7\n" in path.read_text()
+        path.write_bytes(seal(lines[:5], body))
+        assert "\n000110000 1/2^7\n" in plain_text(path.read_bytes())
         assert import_table(path).k_of("01") == 9
 
     def test_overfull_mass_rejected(self, tmp_path):
@@ -422,7 +439,7 @@ class TestPersistence:
             "O 4096",
             f"condition {Condition.none().fingerprint()}",
         ]
-        path.write_text(seal(preamble, "- 100 3/2^1\n"))
+        path.write_bytes(seal(preamble, "- 100 3/2^1\n"))
         with pytest.raises(TableFormatError, match="Kraft sum exceeds 1"):
             import_table(path)
 
@@ -440,10 +457,8 @@ class TestPersistence:
     def test_non_bit_character_rejected(self, tmp_path, L, record, bad_record, x):
         path = tmp_path / "t.table"
         export_table(build_table(L), path)
-        text = path.read_text()
-        assert f"\n{record}\n" in text
-        path.write_text(text.replace(f"\n{record}\n", f"\n{bad_record}\n"))
-        _reseal(path)
+        assert f"\n{record}\n" in plain_text(path.read_bytes())
+        _rewrite(path, lambda text: text.replace(f"\n{record}\n", f"\n{bad_record}\n"), reseal=True)
         table = import_table(path)
         assert table.k_of("0") == 5
         with pytest.raises(TableFormatError, match="malformed record"):
@@ -453,14 +468,32 @@ class TestPersistence:
         table, built = load_or_build(8, cache_dir=tmp_path)
         assert built
         path = table_path(tmp_path, 8, Budgets(), Condition.none().fingerprint())
-        text = path.read_text()
-        assert "\n- 100 " in text
-        path.write_bytes(text.replace("\n- 100 ", "\né 100 ", 1).encode("utf-8"))
+        assert "\n- 100 " in plain_text(path.read_bytes())
+        _rewrite(path, lambda text: text.replace("\n- 100 ", "\né 100 ", 1))
         with pytest.raises(TableFormatError):
             import_table(path)
         again, built = load_or_build(8, cache_dir=tmp_path)
         assert built and again == table
         assert import_table(path) == table
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            # two bytes in UTF-8 for the two of "- ": the index's byte count holds
+            ("\n- 100 ", "\né100 ", "table body is not ASCII text"),
+            ("\nL 8\n", "\nL é8\n", "table file header is not ASCII text"),
+        ],
+        ids=["body", "header"],
+    )
+    def test_undecodable_sealed_file_is_rebuilt(self, tmp_path, old, new, message):
+        # sealed around the edit, so that only the ASCII checks can catch it
+        table, _ = load_or_build(8, cache_dir=tmp_path)
+        path = table_path(tmp_path, 8, Budgets(), Condition.none().fingerprint())
+        _rewrite(path, lambda text: text.replace(old, new, 1), reseal=True)
+        with pytest.raises(TableFormatError, match=message):
+            import_table(path)
+        again, built = load_or_build(8, cache_dir=tmp_path)
+        assert built and again == table == import_table(path)
 
 
 class TestCacheFormat:
@@ -497,6 +530,30 @@ class TestCacheFormat:
         assert was_built and table == built
         assert notes == [f"cache miss: enumerating L=10 under condition [{cond.serial()}]"]
         assert import_table(path) == built
+
+    def test_format3_file_is_ignored_and_rebuilt_as_format4(self, tmp_path):
+        cond = Condition.string("0110")
+        path = table_path(tmp_path, 10, Budgets(), cond.fingerprint())
+        old = path.with_name(path.name.replace("_F4_", "_F3_"))
+        assert "_F4_" in path.name and old != path
+        built = build_table(10, cond)
+        # the format-3 file of this table: its body stored as it is, and
+        # sealed over that text
+        export_table(built, path)
+        text = plain_text(path.read_bytes()).replace("\nformat 4\n", "\nformat 3\n")
+        path.unlink()
+        old.write_bytes(resealed(text.encode()))
+        pristine = old.read_bytes()
+        notes = []
+        table, was_built = load_or_build(10, cond, cache_dir=tmp_path, warn=notes.append)
+        assert was_built and table == built and len(notes) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([old.name, path.name])
+        assert old.read_bytes() == pristine
+        assert import_table(path) == built
+        # under the new name, it fails at open
+        path.write_bytes(pristine)
+        with pytest.raises(TableFormatError, match="format 4"):
+            import_table(path)
 
 
 @pytest.fixture(
@@ -601,11 +658,11 @@ def test_the_file_text_is_dropped_once_every_segment_is_parsed(sealed):
         fresh.k_of("0" * n)
         assert fresh._text
     fresh.k_of("0" * lengths[-1])
-    assert fresh._text == ""
+    assert fresh._text == b""
     assert fresh == table  # answered from the parsed segments
     whole = import_table(path)
     assert whole.sorted_outputs() == table.sorted_outputs()
-    assert whole._text == ""
+    assert whole._text == b""
 
 
 class TestSealedFile:
@@ -630,8 +687,8 @@ class TestSealedFile:
         table, built = load_or_build(8, cache_dir=tmp_path)
         path = table_path(tmp_path, 8, Budgets(), Condition.none().fingerprint())
         pristine = path.read_bytes()
-        assert old in path.read_text()
-        path.write_text(path.read_text().replace(old, new))
+        assert old in plain_text(pristine) and stored(plain_text(pristine)) == pristine
+        _rewrite(path, lambda text: text.replace(old, new))
         with pytest.raises(TableFormatError, match="sha256"):
             import_table(path)
         notes = []
@@ -645,6 +702,8 @@ class TestSealedFile:
             pytest.param(-1, 3, 1 << 8, "Kraft sum exceeds 1", id="masses-over-one"),
             pytest.param(-1, 3, -1, "histogram", id="masses-off-the-histogram"),
             pytest.param(0, 2, 1, "byte counts", id="bytes-past-the-body"),
+            # more bytes than zlib's bound on one read can count
+            pytest.param(0, 2, 1 << 64, "byte counts", id="bytes-2^64"),
             # the longest output length is 2, and O is 4096
             pytest.param(-1, 0, 4095, "length 4097 exceeds the output budget O=4096", id="length-above-O"),
             pytest.param(-1, 0, 5_000_000_000 - 2, "length 5000000000 exceeds", id="length-5000000000"),
@@ -727,10 +786,9 @@ class TestSealedFile:
         table = build_table(14)
         path = tmp_path / "t.table"
         export_table(table, path)
-        text = path.read_text()
         if old:
-            assert text.count(old) == 1
-            path.write_text(text.replace(old, new))
+            assert plain_text(path.read_bytes()).count(old) == 1
+            _rewrite(path, lambda text: text.replace(old, new))
 
         def tamper(entries):
             assert entries[n][0] == n
@@ -745,6 +803,101 @@ class TestSealedFile:
             fresh.k_of(x)
         with pytest.raises(TableFormatError):
             naive_import_table(path)
+
+
+    def test_a_failed_segment_fails_on_every_read(self, tmp_path):
+        # The body is let go before the last unparsed segment is parsed, so
+        # that segment, failing, must fail again without it. Here the empty
+        # output's segment holds one record but claims none and no mass, with
+        # the histogram to match, and is read last: read again from no text,
+        # it would pass as empty.
+        path = tmp_path / "t.table"
+        export_table(build_table(6), path)
+        _rewrite(path, lambda text: text.replace("\nhist 0 0 0 1 0 2 0\n", "\nhist 0 0 0 0 0 2 0\n"))
+
+        def tamper(entries):
+            assert entries[0] == [0, 1, 12, 8]
+            entries[0][1::2] = [0, 0]
+
+        _edit_index(path, tamper)
+        table = import_table(path)
+        assert table.k_of("0") == 5
+        for read in (lambda: table.k_of(""), lambda: table.k_of(""), lambda: table.entries):
+            with pytest.raises(TableFormatError, match="length 0 disagrees with its index entry"):
+                read()
+
+
+def _stored_body(path) -> tuple[bytes, bytes]:
+    """A table file split into its nine header lines and its stored body."""
+    data = path.read_bytes()
+    body = data.split(b"\n", 9)[9]
+    return data[: len(data) - len(body)], body
+
+
+class TestCompressedBody:
+    """The stored body must be one zlib stream that inflates to exactly the
+    index's byte count, with nothing after it. Each file here is resealed, so
+    that only these checks can catch it."""
+
+    def test_body_that_is_no_zlib_stream(self, small_export, tmp_path):
+        # the records stored as they are, as format 3 stored them
+        path = tmp_path / "t.table"
+        path.write_bytes(resealed(plain_text(small_export.read_bytes()).encode()))
+        with pytest.raises(TableFormatError, match="not a zlib stream"):
+            import_table(path)
+        with pytest.raises(TableFormatError):
+            naive_import_table(path)
+
+    @pytest.mark.parametrize(
+        "kept",
+        [lambda n: n - 1, lambda n: n - 4, lambda n: n // 2, lambda n: 2],
+        ids=["checksum-byte", "checksum", "half", "stream-header"],
+    )
+    def test_truncated_stream(self, small_export, tmp_path, kept):
+        # the stream cut short, down to its two-byte zlib header; its last
+        # four bytes are the checksum of the inflated body
+        head, body = _stored_body(small_export)
+        path = tmp_path / "t.table"
+        path.write_bytes(resealed(head + body[: kept(len(body))]))
+        with pytest.raises(TableFormatError, match="truncated table body"):
+            import_table(path)
+        with pytest.raises(TableFormatError):
+            naive_import_table(path)
+
+    @pytest.mark.parametrize(
+        "extra", [b"\0", b"x", zlib.compress(b"")], ids=["zero-byte", "letter", "second-stream"]
+    )
+    def test_bytes_after_the_stream(self, small_export, tmp_path, extra):
+        head, body = _stored_body(small_export)
+        path = tmp_path / "t.table"
+        path.write_bytes(resealed(head + body + extra))
+        with pytest.raises(TableFormatError, match="bytes after the end"):
+            import_table(path)
+        with pytest.raises(TableFormatError):
+            naive_import_table(path)
+
+    def test_stream_past_the_index_total_is_refused_unread(self, small_export, tmp_path):
+        # the records, then 16 MiB more that no index entry counts: refused
+        # having inflated one byte past the index's total, not 16 MiB
+        head, body = _stored_body(small_export)
+        path = tmp_path / "t.table"
+        path.write_bytes(resealed(head + zlib.compress(zlib.decompress(body) + b"0" * (1 << 24), 9)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TableFormatError, match="byte counts"):
+                import_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("level", [0, 6, 9])
+    def test_any_compression_level_is_read(self, small_export, tmp_path, level):
+        head, body = _stored_body(small_export)
+        path = tmp_path / "t.table"
+        path.write_bytes(resealed(head + zlib.compress(zlib.decompress(body), level)))
+        assert path.read_bytes() != small_export.read_bytes()
+        assert import_table(path) == import_table(small_export) == naive_import_table(path)
 
 
 _ROUND_TRIP_CONDS = [
@@ -777,8 +930,8 @@ class TestDenseSegments:
         assert import_table(path) == table == naive_import_table(path)
         # seal, which names a dense run by its outputs, writes the same
         # index and body as export, which names it by its record count
-        lines = path.read_text().split("\n", 9)
-        sealed = seal(lines[:5], full_records(table)).split("\n", 9)
+        lines = plain_text(path.read_bytes()).split("\n", 9)
+        sealed = plain_text(seal(lines[:5], full_records(table))).split("\n", 9)
         assert (sealed[7], sealed[9]) == (lines[7], lines[9])
 
     def test_dense_segments_hold_only_their_columns(self, tmp_path):
@@ -906,7 +1059,7 @@ def _import_like_oracle(path) -> ComplexityTable | None:
         table = import_table(path)
         table.entries
     except TableFormatError:
-        assert _NON_CANONICAL.search(path.read_text())
+        assert _NON_CANONICAL.search(plain_text(path.read_bytes()))
         return None
     assert table == expected
     assert table.count_by_length() == expected.count_by_length()
@@ -930,7 +1083,7 @@ _L8_PREAMBLE = [
 def _l8_file(tmp_path, body: str):
     """An unconditioned L=8 table file with this record text, sealed."""
     path = tmp_path / "t.table"
-    path.write_text(seal(_L8_PREAMBLE, body))
+    path.write_bytes(seal(_L8_PREAMBLE, body))
     return path
 
 
@@ -950,13 +1103,13 @@ class TestBulkImport:
         token=st.sampled_from(_TOKENS),
     )
     def test_edited_record_against_oracle(self, small_export, edit, i, j, token):
-        lines = small_export.read_text().splitlines()
+        lines = plain_text(small_export.read_bytes()).splitlines()
         path = small_export.with_name("edited.table")
         # edited with every output written out, then re-sealed, so that the
         # edit reaches the record parsers; seal writes a run that still holds
         # every n-bit string in lex order as a dense segment
         records = _edited(full_records(import_table(small_export)).splitlines(), edit, i, j, token)
-        path.write_text(seal(lines[:5], "\n".join(records) + "\n"))
+        path.write_bytes(seal(lines[:5], "\n".join(records) + "\n"))
         _import_like_oracle(path)
 
     @pytest.mark.parametrize(
@@ -1006,8 +1159,8 @@ class TestBulkImport:
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
     def test_gc_state_is_restored(self, small_export, tmp_path, enabled):
         bad = tmp_path / "bad.table"
-        lines = small_export.read_text().splitlines()
-        bad.write_text(seal(lines[:5], full_records(import_table(small_export)) + "0110 5\n"))
+        lines = plain_text(small_export.read_bytes()).splitlines()
+        bad.write_bytes(seal(lines[:5], full_records(import_table(small_export)) + "0110 5\n"))
         was = gc.isenabled()
         try:
             (gc.enable if enabled else gc.disable)()
