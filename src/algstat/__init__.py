@@ -5,16 +5,36 @@ probability models, information laws) reduces to exhaustive enumerations
 of a small prefix-free instruction set, so all reported quantities are
 exact integers or dyadic rationals — no estimates, no floats.
 
-The table core (``bits``, ``machine``, ``kernel``, ``enumeration``,
-``cache``, ``complexity``) is imported with the package. The analysis
-modules (``constants``, ``infolaws``, ``models_prob``, ``models_set``,
-``skstats``) are registered in ``sys.modules`` but run only on first
-use, so a command that reads one table does not pay for compiling them;
-their re-exports below resolve on first access.
+The table core (``bits``, ``machine``, ``enumeration``, ``cache``,
+``complexity``) is imported with the package. The walker (``kernel`` and
+``_pykernel``) and the analysis modules (``constants``, ``infolaws``,
+``models_prob``, ``models_set``, ``skstats``) are registered in
+``sys.modules`` but run only on first use: the walker on the first build
+or ``enumerate_halting``, an analysis module on the first read of one of
+its names. So a command that reads one cached table compiles none of
+them; the analysis modules' re-exports below resolve on first access.
 """
 
 import importlib.util
 import sys
+
+
+def _lazy(name: str):
+    """Register the submodule ``name`` in ``sys.modules`` without running it;
+    its code runs on the first attribute read (``importlib.util.LazyLoader``)."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    loader.exec_module(module)
+    return module
+
+
+# Registered before the table core is imported: ``enumeration`` binds these
+# modules, and reads ``walk`` and ``walk_args`` off them only when it walks.
+_pykernel = _lazy("_pykernel")
+kernel = _lazy("kernel")
 
 from .bits import CodeError, bar, bits_to_nat, nat_to_bits, pair, std, unpair
 from .cache import TableSource, load_or_build
@@ -49,18 +69,6 @@ from .machine import (
     opcode_decode,
     run,
 )
-
-
-def _lazy(name: str):
-    """Register the submodule ``name`` in ``sys.modules`` without running it;
-    its code runs on the first attribute read (``importlib.util.LazyLoader``)."""
-    spec = importlib.util.find_spec(f"{__name__}.{name}")
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    loader.exec_module(module)
-    return module
 
 
 constants = _lazy("constants")
@@ -108,6 +116,7 @@ _LAZY_EXPORTS = {
         "TableDist",
         "UniformOn",
         "bernoulli_demo",
+        "check_demo_n",
         "codebook",
         "codeword_length",
         "deficiency_p",

@@ -90,6 +90,9 @@ def _model_opts(args: argparse.Namespace) -> models_set.ModelOpts:
     """The model-search options of a command that takes ``--union-width`` and
     ``--list-cap``; a flag left out keeps ``ModelOpts``' own default."""
     given = {"union_width": args.union_width, "list_cap": args.list_cap}
+    for name, value in given.items():
+        if value is not None and value < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 0")
     return models_set.ModelOpts(**{k: v for k, v in given.items() if v is not None})
 
 
@@ -195,18 +198,22 @@ def cmd_xr(args: argparse.Namespace) -> int:
 
 def cmd_bernoulli(args: argparse.Namespace) -> int:
     cfg = _config(args)
+    opts = _model_opts(args)
+    # Checked before the table is fetched, so that a bad n builds nothing.
+    models_prob.check_demo_n(args.n)
     [table] = cfg.source.k_tables(args.n, [Condition.none()])
-    rep = models_prob.bernoulli_demo(table, args.n, cfg.beta, _model_opts(args))
+    rep = models_prob.bernoulli_demo(table, args.n, cfg.beta, opts)
     _emit(rep.to_csv(), args.out)
     return EXIT_OK
 
 
 def cmd_probstat(args: argparse.Namespace) -> int:
     cfg = _config(args)
+    opts = _model_opts(args)
     x = text_to_bits(args.x)
     dist = models_prob.parse_distlang(args.dist)
     rec = models_prob.deficiency_p(x, dist, source=cfg.source)
-    rep = models_prob.suffstat_p(x, cfg.beta, _model_opts(args))
+    rep = models_prob.suffstat_p(x, cfg.beta, opts)
     lines = [
         f"x={bits_to_text(x)}",
         f"dist={models_prob.format_distlang(dist)}",
@@ -346,85 +353,116 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--list-cap", type=int)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="algstat", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("enumerate", help="build (and cache) an enumeration table")
+def _enumerate_args(p: argparse.ArgumentParser) -> None:
     _add_table_flags(p, cond=True)
     p.add_argument("--out", metavar="FILE", help="export the table file")
-    p.set_defaults(fn=cmd_enumerate)
 
-    p = sub.add_parser("k", help="exact complexity of a string")
+
+def _k_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("x", help="bit string ('-' for empty)")
     _add_table_flags(p, cond=True)
-    p.set_defaults(fn=cmd_k)
 
-    p = sub.add_parser("mi", help="table mutual information between two strings")
+
+def _mi_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("x")
     p.add_argument("y")
     _add_table_flags(p)
-    p.set_defaults(fn=cmd_mi)
 
-    p = sub.add_parser("structfn", help="structure-function curves as CSV")
+
+def _structfn_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("x")
     p.add_argument("--alpha-max", type=int, metavar="A")
     p.add_argument("--no-deficiency", action="store_true", help="skip the beta columns")
     _add_model_flags(p)
     _add_table_flags(p, workers=True)
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(fn=cmd_structfn)
 
-    p = sub.add_parser("suffstat", help="optimal and minimal sufficient set models")
+
+def _suffstat_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("x")
     p.add_argument("--beta", type=int, default=0)
     _add_model_flags(p)
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(fn=cmd_suffstat)
 
-    p = sub.add_parser("sk", help="complexity-level index CSV")
+
+def _sk_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("k", type=int)
     _add_table_flags(p)
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(fn=cmd_sk)
 
-    p = sub.add_parser("xr", help="rareness classes and their mass bounds as CSV")
+
+def _xr_args(p: argparse.ArgumentParser) -> None:
     _add_table_flags(p)
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(fn=cmd_xr)
 
-    p = sub.add_parser("laws", help="information-law audits against frozen constants")
+
+def _laws_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--audit", default="all", help="the audit to run, or all (default)")
     p.add_argument("--constants", metavar="FILE", help="constants file (default: packaged)")
     p.add_argument("--freeze", action="store_true", help="write measured constants and exit")
     p.add_argument("--joint", metavar="FILE", help="audit a joint-model file instead")
     _add_table_flags(p, workers=True)
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(fn=cmd_laws)
 
-    p = sub.add_parser("bernoulli", help="weight-class sufficiency demo as CSV")
+
+def _bernoulli_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("n", type=int)
     p.add_argument("--beta", type=int, default=3)
     _add_model_flags(p)
     _add_table_flags(p)
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(fn=cmd_bernoulli)
 
-    p = sub.add_parser("probstat", help="distribution-level deficiency and sufficiency")
+
+def _probstat_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("x")
     p.add_argument("dist", help="distribution description, e.g. bern:8,1/4")
     p.add_argument("--beta", type=int, default=0)
     _add_model_flags(p)
     _add_table_flags(p)
     p.add_argument("--out", metavar="FILE")
-    p.set_defaults(fn=cmd_probstat)
 
+
+# name -> (help, handler, adds the command's arguments to its subparser)
+COMMANDS = {
+    "enumerate": ("build (and cache) an enumeration table", cmd_enumerate, _enumerate_args),
+    "k": ("exact complexity of a string", cmd_k, _k_args),
+    "mi": ("table mutual information between two strings", cmd_mi, _mi_args),
+    "structfn": ("structure-function curves as CSV", cmd_structfn, _structfn_args),
+    "suffstat": ("optimal and minimal sufficient set models", cmd_suffstat, _suffstat_args),
+    "sk": ("complexity-level index CSV", cmd_sk, _sk_args),
+    "xr": ("rareness classes and their mass bounds as CSV", cmd_xr, _xr_args),
+    "laws": ("information-law audits against frozen constants", cmd_laws, _laws_args),
+    "bernoulli": ("weight-class sufficiency demo as CSV", cmd_bernoulli, _bernoulli_args),
+    "probstat": ("distribution-level deficiency and sufficiency", cmd_probstat, _probstat_args),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command: each subparser is registered with its
+    name, help and handler. Arguments are added to the subparser of the
+    command ``only`` alone, or to every subparser when ``only`` is None.
+
+    A parse runs only the subparser of the command its arguments name, and
+    the top-level usage lists commands, not flags, so a parser built for
+    that command gives the same Namespace, usage, help and errors as one
+    built with every command's arguments."""
+    parser = _Parser(prog="algstat", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_text, fn, add_args) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if only is None or only == name:
+            add_args(p)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # The top level takes no option with a value, so the command is the
+    # first argument that is not an option; a parse that reaches no command
+    # by it ends in an error that reads no command's arguments.
+    command = next((a for a in argv if not a.startswith("-")), "")
+    args = build_parser(only=command).parse_args(argv)
     try:
         return args.fn(args)
     # Python evaluates this tuple only when an exception arrives, so the

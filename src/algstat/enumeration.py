@@ -23,15 +23,18 @@ import re
 import sys
 import zlib
 from contextlib import contextmanager
-from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from . import _pykernel
+# Both run on first use (see the package): only a build reads walk and
+# walk_args off them, so a command that finds its tables cached never runs them.
+from . import _pykernel, kernel
 from .bits import bits_to_text
-from .kernel import walk_args
 from .machine import MACHINE_VERSION, Budgets, Condition, sha256
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_MAX_LEN = 24
 # The fixed cap of one-string readers under a condition: `k --cond`,
@@ -224,6 +227,10 @@ class ComplexityTable:
         return e.witness if e is not None else None
 
     def m_of(self, x: str) -> Fraction:
+        # fractions (and the decimal module it imports) loads with the
+        # first Fraction made, not with every command that reads a table.
+        from fractions import Fraction
+
         e = self._segment(len(x)).get(x)
         return Fraction(e.m_num, 1 << self.L) if e is not None else Fraction(0)
 
@@ -240,6 +247,8 @@ class ComplexityTable:
     # -- aggregates ------------------------------------------------------
 
     def kraft_sum(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(sum(sum(seg.masses) for seg in self._all().values()), 1 << self.L)
 
     def count_by_length(self) -> list[int]:
@@ -300,7 +309,7 @@ def build_table(
     cond = cond if cond is not None else Condition.none()
     budgets = budgets if budgets is not None else Budgets()
     with _gc_paused():
-        found, hist = _pykernel.walk(*walk_args(L, cond, budgets))
+        found, hist = _pykernel.walk(*kernel.walk_args(L, cond, budgets))
         if len(found) > entry_cap:
             raise EntryCapExceeded(f"{len(found)} outputs exceeds entry cap {entry_cap}")
         table = ComplexityTable(L, budgets, cond.fingerprint(), {}, hist, cond_serial=cond.serial())
@@ -322,7 +331,7 @@ def enumerate_halting(
     cond = cond if cond is not None else Condition.none()
     budgets = budgets if budgets is not None else Budgets()
     programs: list[tuple[str, str, int]] = []
-    _pykernel.traverse(*walk_args(L, cond, budgets), lambda *found: programs.append(found))
+    _pykernel.traverse(*kernel.walk_args(L, cond, budgets), lambda *found: programs.append(found))
     programs.sort(key=lambda t: (len(t[0]), t[0]))
     yield from programs
 

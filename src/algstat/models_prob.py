@@ -525,6 +525,13 @@ class BernoulliDemoReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
+def check_demo_n(n: int) -> None:
+    """Raise ValueError unless ``bernoulli_demo`` covers n-bit strings:
+    n even, 0 <= n <= 12."""
+    if n < 0 or n % 2 != 0 or n > 12:
+        raise ValueError("demo needs even n with 0 <= n <= 12")
+
+
 def bernoulli_demo(
     table: ComplexityTable, n: int, beta: int, opts: ModelOpts | None = None
 ) -> BernoulliDemoReport:
@@ -534,8 +541,7 @@ def bernoulli_demo(
     one-part code at slack beta. Regular strings of balanced weight —
     (01)^(n/2) foremost — get flagged while typical strings of the same
     weight do not."""
-    if n % 2 != 0 or n > 12:
-        raise ValueError("demo needs even n <= 12")
+    check_demo_n(n)
     rows = []
     for v in range(1 << n):
         x = format(v, f"0{n}b") if n else ""

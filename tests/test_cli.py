@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import shutil
 import subprocess
 import sys
@@ -9,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from algstat import enumeration, infolaws
+from algstat import cli, enumeration, infolaws
 from algstat.cache import ENV_CACHE_DIR
-from algstat.cli import EXIT_OK, EXIT_REGRESSION, EXIT_USAGE, main
+from algstat.cli import EXIT_OK, EXIT_REGRESSION, EXIT_USAGE, build_parser, main
 from algstat.constants import load_constants
 from algstat.machine import Condition
 from oracles import plain_text, resealed, stored
@@ -628,6 +629,138 @@ class TestUsageErrors:
             raise SystemExit(code)
         assert exc.value.code == EXIT_USAGE
         capsys.readouterr()
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bernoulli", "3"], ["bernoulli", "-2"], ["bernoulli", "14"]],
+        ids=["odd", "negative", "large"],
+    )
+    def test_bernoulli_n_checked_before_any_table(self, run, tmp_path, argv):
+        cache = tmp_path / "cache"
+        code, out, err = run(*argv, "--cache-dir", str(cache))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "algstat: error: demo needs even n with 0 <= n <= 12\n"
+        assert not cache.exists() or not any(cache.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--union-width", "--list-cap"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suffstat", "01101"],
+            ["structfn", "0110"],
+            ["bernoulli", "4"],
+            ["probstat", "0110", "bern:4,1/4"],
+        ],
+        ids=["suffstat", "structfn", "bernoulli", "probstat"],
+    )
+    def test_negative_model_flag_rejected_before_any_table(self, run, tmp_path, argv, flag):
+        cache = tmp_path / "cache"
+        table_flags = [] if argv[0] == "suffstat" else ["--cache-dir", str(cache)]
+        code, out, err = run(*argv, flag, "-1", *table_flags, cache=False)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"algstat: error: {flag} must be >= 0\n"
+        assert not cache.exists()
+
+
+# Every flag of each command, with a value where it takes one.
+_TABLE = ["--max-len", "8", "--steps", "90", "--max-out", "7", "--cache-dir", "DIR"]
+_MODEL = ["--union-width", "2", "--list-cap", "3"]
+FULL_ARGV = {
+    "enumerate": ["enumerate", *_TABLE, "--cond", "01", "--out", "F"],
+    "k": ["k", "0110", *_TABLE, "--cond-set", "all:2"],
+    "mi": ["mi", "0", "1", *_TABLE],
+    "structfn": [
+        "structfn", "0110", "--alpha-max", "9", "--no-deficiency", *_MODEL, *_TABLE,
+        "--workers", "2", "--out", "F",
+    ],
+    "suffstat": ["suffstat", "0110", "--beta", "1", *_MODEL, "--out", "F"],
+    "sk": ["sk", "5", *_TABLE, "--out", "F"],
+    "xr": ["xr", *_TABLE, "--out", "F"],
+    "laws": [
+        "laws", "--audit", "xr", "--constants", "C", "--freeze", "--joint", "J", *_TABLE,
+        "--workers", "2", "--out", "F",
+    ],
+    "bernoulli": ["bernoulli", "8", "--beta", "2", *_MODEL, *_TABLE, "--out", "F"],
+    "probstat": ["probstat", "0110", "bern:4,1/4", "--beta", "1", *_MODEL, *_TABLE, "--out", "F"],
+}
+# Each command with its positionals alone, so every flag keeps its default.
+BARE_ARGV = {
+    name: list(itertools.takewhile(lambda a: not a.startswith("-"), argv))
+    for name, argv in FULL_ARGV.items()
+}
+
+
+class TestParser:
+    """``main`` builds the arguments of the command its argv names alone;
+    what it parses and prints equals the parse of every command's flags."""
+
+    def test_every_command_has_a_full_argv(self):
+        assert list(FULL_ARGV) == list(cli.COMMANDS)
+
+    @pytest.mark.parametrize("command", list(FULL_ARGV))
+    def test_help_matches_the_full_parser(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "-h"])
+        assert capsys.readouterr().out == help_text
+        assert help_text.startswith(f"usage: algstat {command} [-h]")
+
+    @pytest.mark.parametrize("command", list(FULL_ARGV))
+    def test_namespace_matches_the_full_parser(self, command, monkeypatch):
+        seen = []
+        help_text, _, add_args = cli.COMMANDS[command]
+        monkeypatch.setitem(cli.COMMANDS, command, (help_text, seen.append, add_args))
+        for argv in (FULL_ARGV[command], BARE_ARGV[command]):
+            main(argv)
+            assert seen.pop() == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argv, stderr",
+        [
+            (
+                [],
+                "usage: algstat [-h]\n"
+                "               {enumerate,k,mi,structfn,suffstat,sk,xr,laws,bernoulli,probstat}\n"
+                "               ...\n"
+                "algstat: error: the following arguments are required: command\n",
+            ),
+            (
+                ["frobnicate"],
+                "usage: algstat [-h]\n"
+                "               {enumerate,k,mi,structfn,suffstat,sk,xr,laws,bernoulli,probstat}\n"
+                "               ...\n"
+                "algstat: error: argument command: invalid choice: 'frobnicate' (choose from "
+                "'enumerate', 'k', 'mi', 'structfn', 'suffstat', 'sk', 'xr', 'laws', "
+                "'bernoulli', 'probstat')\n",
+            ),
+            (
+                ["k", "0110", "--bogus"],
+                "usage: algstat [-h]\n"
+                "               {enumerate,k,mi,structfn,suffstat,sk,xr,laws,bernoulli,probstat}\n"
+                "               ...\n"
+                "algstat: error: unrecognized arguments: --bogus\n",
+            ),
+            (
+                ["k"],
+                "usage: algstat k [-h] [--max-len L] [--steps T] [--max-out O]\n"
+                "                 [--cache-dir DIR] [--cond BITS | --cond-set SET]\n"
+                "                 x\n"
+                "algstat k: error: the following arguments are required: x\n",
+            ),
+        ],
+        ids=["no-command", "unknown-command", "unknown-flag", "missing-positional"],
+    )
+    def test_usage_errors_are_pinned(self, argv, stderr, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr() == ("", stderr)
 
 
 def console_script() -> list[str]:

@@ -27,25 +27,31 @@ LAZY = [
     "algstat.skstats",
 ]
 
+# The walker: registered like LAZY, run by the first build.
+WALKER = ["algstat._pykernel", "algstat.kernel"]
+
 # Modules that no start-up path may import: ``dataclasses`` generates code
 # for every class it decorates, and it pulls in ``inspect``.
 SLOW = ["dataclasses", "inspect"]
 
 # Runs one command in a fresh interpreter, then prints which lazy modules
-# have run, whether a process pool's modules were imported, which SLOW
-# modules were loaded, whether the kernel's state walk was run and whether
-# hashlib (which maps OpenSSL) was imported, as the last stdout line.
+# and which walker modules have run, whether a process pool's modules were
+# imported, which SLOW modules were loaded, whether the kernel's state walk
+# was run, whether hashlib (which maps OpenSSL) was imported and whether
+# fractions was, as the last stdout line.
 PROBE = f"""
 import json, sys, types
 from algstat.cli import main
 rc = main(sys.argv[1:])
 ran = [n for n in {LAZY!r} if type(sys.modules[n]) is types.ModuleType]
+walker = [n for n in {WALKER!r} if type(sys.modules[n]) is types.ModuleType]
 slow = [n for n in {SLOW!r} if n in sys.modules]
 pool = any(n in sys.modules for n in ("concurrent.futures.process", "multiprocessing"))
 walked = "algstat._statewalk" in sys.modules
 hashlib = any(n in sys.modules for n in ("hashlib", "_hashlib"))
-print(json.dumps({{"rc": rc, "ran": ran, "pool": pool, "slow": slow, "walked": walked,
-                  "hashlib": hashlib}}))
+fractions = "fractions" in sys.modules
+print(json.dumps({{"rc": rc, "ran": ran, "walker": walker, "pool": pool, "slow": slow,
+                  "walked": walked, "hashlib": hashlib, "fractions": fractions}}))
 """
 
 
@@ -57,13 +63,22 @@ def fresh(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
+PROBSTAT = ["probstat", "0110", "bern:4,1/4"]
+
+
 @pytest.fixture(scope="module")
 def warm_cache(tmp_path_factory):
     """A cache holding the tables the probed commands read."""
     cache_dir = tmp_path_factory.mktemp("import-path-cache")
     for cond in (None, Condition.string("01")):
         load_or_build(12, cond, cache_dir=cache_dir)
+    proc = fresh("-m", "algstat.cli", *PROBSTAT, "--max-len", "12", "--cache-dir", str(cache_dir))
+    assert proc.returncode == 0, proc.stderr
     return str(cache_dir)
+
+
+# The warm queries that make a Fraction, and so import fractions.
+FRACTION_MAKERS = {"sk", "probstat"}
 
 
 @pytest.mark.parametrize(
@@ -73,15 +88,22 @@ def warm_cache(tmp_path_factory):
         (["k", "1", "--cond", "01"], []),
         (["mi", "-", "0"], []),
         (["sk", "5"], ["algstat.skstats"]),
+        (PROBSTAT, ["algstat.models_prob", "algstat.models_set"]),
+        (["suffstat", "0110"], ["algstat.models_set"]),
     ],
 )
 def test_commands_run_only_the_modules_they_use(warm_cache, argv, ran):
-    proc = fresh("-c", PROBE, *argv, "--max-len", "12", "--cache-dir", warm_cache)
+    """No warm query runs the walker, and the one-table queries (``k``,
+    ``k --cond``, ``mi``) make no Fraction, so they import no fractions
+    (nor decimal)."""
+    flags = [] if argv[0] == "suffstat" else ["--max-len", "12", "--cache-dir", warm_cache]
+    proc = fresh("-c", PROBE, *argv, *flags)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe == {
-        "rc": 0, "ran": ran, "pool": False, "slow": [], "walked": False, "hashlib": False
+        "rc": 0, "ran": ran, "walker": [], "pool": False, "slow": [], "walked": False,
+        "hashlib": False, "fractions": argv[0] in FRACTION_MAKERS,
     }
 
 
@@ -98,13 +120,15 @@ def test_commands_run_only_the_modules_they_use(warm_cache, argv, ran):
 )
 def test_cold_commands_walk_here_and_load_no_slow_module(tmp_path, argv, ran):
     """A cold ``laws`` runs every analysis module, and it and a cold
-    ``structfn`` at ``--workers 2`` walk every table in this process: no
-    process pool's modules load, nor does any SLOW module or hashlib."""
+    ``structfn`` at ``--workers 2`` run the walker and walk every table in
+    this process: no process pool's modules load, nor does any SLOW module
+    or hashlib."""
     proc = fresh("-c", PROBE, *argv, "--cache-dir", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe == {
-        "rc": 0, "ran": ran, "pool": False, "slow": [], "walked": True, "hashlib": False
+        "rc": 0, "ran": ran, "walker": WALKER, "pool": False, "slow": [], "walked": True,
+        "hashlib": False, "fractions": True,
     }
 
 
