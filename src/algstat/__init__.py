@@ -6,13 +6,13 @@ of a small prefix-free instruction set, so all reported quantities are
 exact integers or dyadic rationals — no estimates, no floats.
 
 The table core (``bits``, ``machine``, ``enumeration``, ``cache``,
-``complexity``) is imported with the package. The walker (``kernel`` and
-``_pykernel``) and the analysis modules (``constants``, ``infolaws``,
-``models_prob``, ``models_set``, ``skstats``) are registered in
-``sys.modules`` but run only on first use: the walker on the first build
-or ``enumerate_halting``, an analysis module on the first read of one of
-its names. So a command that reads one cached table compiles none of
-them; the analysis modules' re-exports below resolve on first access.
+``complexity``) is imported with the package. The walker (``_pykernel``,
+the one path into the machine) and the analysis modules (``constants``,
+``infolaws``, ``models_prob``, ``models_set``, ``skstats``) are registered
+in ``sys.modules`` but run only on first use: the walker on the first
+build, an analysis module on the first read of one of its names. So a
+command that reads one cached table compiles none of them; the analysis
+modules' re-exports below resolve on first access.
 """
 
 import importlib.util
@@ -31,10 +31,9 @@ def _lazy(name: str):
     return module
 
 
-# Registered before the table core is imported: ``enumeration`` binds these
-# modules, and reads ``walk`` and ``walk_args`` off them only when it walks.
+# Registered before the table core is imported: ``enumeration`` binds this
+# module, and reads ``walk`` and ``walk_args`` off it only when it walks.
 _pykernel = _lazy("_pykernel")
-kernel = _lazy("kernel")
 
 from .bits import CodeError, bar, bits_to_nat, nat_to_bits, pair, std, unpair
 from .cache import TableSource, load_or_build
@@ -55,9 +54,7 @@ from .enumeration import (
     TableFormatError,
     TableVersionError,
     build_table,
-    enumerate_halting,
     export_table,
-    find_prefix_violation,
     import_table,
 )
 from .machine import (
@@ -121,7 +118,6 @@ _LAZY_EXPORTS = {
         "codeword_length",
         "deficiency_p",
         "format_distlang",
-        "model_condition",
         "parse_distlang",
         "pk",
         "suffstat_p",

@@ -1,10 +1,9 @@
-"""The enumeration kernel.
+"""The enumeration kernel, the package's one path into the machine.
 
 ``walk`` tabulates a table by walking the machine's states (the walk
-itself is in ``_statewalk``); ``traverse`` lists the halting programs one
-by one, for ``enumeration.enumerate_halting``.
-``algstat.kernel.compile_condition`` flattens a Condition into the
-arguments both take.
+itself is in ``_statewalk``); ``compile_condition`` flattens a Condition
+into the plain arguments it takes, and ``walk_args`` adds the length cap
+and the budgets.
 
 The state graph. After a prefix of whole tokens the machine is in a state:
 its buffer, its input pointer and, when the step budget can bind, the steps
@@ -67,7 +66,7 @@ not sorted, so it skips a codeword rather than ending the scan.
 
 from __future__ import annotations
 
-from typing import Callable
+from .machine import Budgets, Condition
 
 _COMPL = str.maketrans("01", "10")
 
@@ -78,58 +77,23 @@ COND_MODEL = 2
 
 _COPY_CODES = (("00", 1), ("01", 2), ("10", 4), ("11", 8))
 
-def traverse(
-    L: int,
-    max_steps: int,
-    max_output: int,
-    cond_kind: int,
-    cond_bits: str,
-    book_codes: tuple[str, ...],
-    book_elems: tuple[str, ...],
-    halt: Callable[[str, str, int], None],
-) -> None:
-    """Call ``halt(program, output, steps)`` once for every halting
-    program p with l(p) <= L, in decode-tree order. ``book_codes`` must be
-    sorted by length, as compile_condition does."""
-    cond_len = len(cond_bits)
-    book = tuple(zip(book_codes, book_elems))
 
-    def rec(cur: str, steps: int, buf: str, ptr: int) -> None:
-        cur_len = len(cur)
-        buf_len = len(buf)
+def compile_condition(cond: Condition) -> tuple[int, str, tuple[str, ...], tuple[str, ...]]:
+    """Flatten a Condition into (cond_kind, cond_bits, book_codes,
+    book_elems), with the codebook sorted by codeword length."""
+    if cond.kind == Condition.NONE_KIND:
+        return COND_NONE, "", (), ()
+    if cond.kind == Condition.STR_KIND:
+        return COND_STR, cond.bits, (), ()
+    pairs = sorted(cond.model.codebook_pairs(), key=lambda kv: (len(kv[0]), kv[0]))
+    codes = tuple(cw for cw, _ in pairs)
+    elems = tuple(elem for _, elem in pairs)
+    return COND_MODEL, "", codes, elems
 
-        # HALT
-        if cur_len + 3 <= L and steps + 1 <= max_steps:
-            halt(cur + "100", buf, steps + 1)
 
-        # EMIT0 / EMIT1 (non-HALT tokens need 3 more bits for the HALT)
-        if cur_len + 5 <= L and steps + 1 <= max_steps and buf_len + 1 <= max_output:
-            rec(cur + "00", steps + 1, buf + "0", ptr)
-            rec(cur + "01", steps + 1, buf + "1", ptr)
-
-        # COPYIN
-        if cond_kind == COND_STR and cur_len + 8 <= L:
-            for cc, m in _COPY_CODES:
-                if ptr + m <= cond_len and steps + m <= max_steps and buf_len + m <= max_output:
-                    rec(cur + "101" + cc, steps + m, buf + cond_bits[ptr : ptr + m], ptr + m)
-
-        # DOUBLE / FLIP
-        if cur_len + 7 <= L and 2 * buf_len <= max_output:
-            cost = buf_len if buf_len > 1 else 1
-            if steps + cost <= max_steps:
-                rec(cur + "1100", steps + cost, buf + buf, ptr)
-                rec(cur + "1101", steps + cost, buf + buf.translate(_COMPL), ptr)
-
-        # SFDECODE
-        if cond_kind == COND_MODEL:
-            for cw, elem in book:
-                cw_len = len(cw)
-                if cur_len + 7 + cw_len > L or steps + cw_len > max_steps:
-                    break
-                if buf_len + len(elem) <= max_output:
-                    rec(cur + "1110" + cw, steps + cw_len, buf + elem, ptr)
-
-    rec("", 0, "", 0)
+def walk_args(L: int, cond: Condition, budgets: Budgets) -> tuple:
+    """The positional arguments of ``walk`` for one table."""
+    return (L, budgets.max_steps, budgets.max_output, *compile_condition(cond))
 
 
 def walk(

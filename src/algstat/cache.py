@@ -120,8 +120,13 @@ def load_or_build(
     table = build_table(L, cond, budgets)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    export_table(table, tmp)
-    os.replace(tmp, path)
+    try:
+        export_table(table, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        # a full disk or an interrupt mid-write leaves no partial file behind
+        tmp.unlink(missing_ok=True)
+        raise
     return table, True
 
 

@@ -11,8 +11,7 @@ witness and mass columns alone when its outputs are every string of that
 length.
 
 Each build is one serial walk of the machine's states (see
-``_pykernel``), never of raw bit strings; ``enumerate_halting`` lists the
-programs through a traversal of the opcode decode tree.
+``_pykernel``), never of raw bit strings or of programs one by one.
 """
 
 from __future__ import annotations
@@ -25,11 +24,11 @@ import zlib
 from contextlib import contextmanager
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
-# Both run on first use (see the package): only a build reads walk and
-# walk_args off them, so a command that finds its tables cached never runs them.
-from . import _pykernel, kernel
+# Runs on first use (see the package): only a build reads walk and walk_args
+# off it, so a command that finds its tables cached never runs it.
+from . import _pykernel
 from .bits import bits_to_text
 from .machine import MACHINE_VERSION, Budgets, Condition, sha256
 
@@ -309,7 +308,7 @@ def build_table(
     cond = cond if cond is not None else Condition.none()
     budgets = budgets if budgets is not None else Budgets()
     with _gc_paused():
-        found, hist = _pykernel.walk(*kernel.walk_args(L, cond, budgets))
+        found, hist = _pykernel.walk(*_pykernel.walk_args(L, cond, budgets))
         if len(found) > entry_cap:
             raise EntryCapExceeded(f"{len(found)} outputs exceeds entry cap {entry_cap}")
         table = ComplexityTable(L, budgets, cond.fingerprint(), {}, hist, cond_serial=cond.serial())
@@ -317,35 +316,6 @@ def build_table(
     if table.kraft_sum() > 1:
         raise TableError("internal error: Kraft sum exceeds 1")
     return table
-
-
-def enumerate_halting(
-    L: int,
-    cond: Condition | None = None,
-    budgets: Budgets | None = None,
-) -> Iterator[tuple[str, str, int]]:
-    """Yield (program, output, steps) for every halting program of
-    length <= L, each exactly once, in (length, lexicographic) order."""
-    if L < 3:
-        raise ValueError("L must be at least 3 (HALT alone is 3 bits)")
-    cond = cond if cond is not None else Condition.none()
-    budgets = budgets if budgets is not None else Budgets()
-    programs: list[tuple[str, str, int]] = []
-    _pykernel.traverse(*kernel.walk_args(L, cond, budgets), lambda *found: programs.append(found))
-    programs.sort(key=lambda t: (len(t[0]), t[0]))
-    yield from programs
-
-
-def find_prefix_violation(programs: Iterable[str]) -> tuple[str, str] | None:
-    """Return a (shorter, longer) halting-program pair violating
-    prefix-freeness, or None. Adjacent comparison after a lexicographic
-    sort suffices: if a is a proper prefix of c then a is a prefix of its
-    immediate successor too."""
-    ordered = sorted(programs)
-    for a, b in itertools.pairwise(ordered):
-        if len(a) < len(b) and b.startswith(a):
-            return a, b
-    return None
 
 
 # -- persistence ------------------------------------------------------------

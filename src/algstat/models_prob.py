@@ -312,12 +312,6 @@ class Codebook(NamedTuple):
 
     assignments: tuple[tuple[str, str], ...]
 
-    def codeword_of(self, x: str) -> str:
-        for elem, cw in self.assignments:
-            if elem == x:
-                return cw
-        raise KeyError(f"{bits_to_text(x)} has no codeword")
-
     def decode(self, codeword: str) -> str:
         for elem, cw in self.assignments:
             if cw == codeword:
@@ -369,10 +363,6 @@ def codebook(dist: DistDesc) -> Codebook:
 # -- deficiency, typicality, two-part ------------------------------------------
 
 
-def model_condition(dist: DistDesc) -> Condition:
-    return Condition.of_model(dist)
-
-
 class ProbDeficiencyRecord(NamedTuple):
     x: str
     dist: DistDesc
@@ -411,7 +401,7 @@ def deficiency_p(
         raise ValueError(f"{bits_to_text(x)} has zero mass under {format_distlang(dist)}")
     domain = dist.domain()
     # read only at the domain: built up to its longest member
-    [table] = source.k_tables(max(map(len, domain)), [model_condition(dist)])
+    [table] = source.k_tables(max(map(len, domain)), [Condition.of_model(dist)])
     kx = require_k(table, x)
     best_y, best_k, best_score = None, None, Fraction(-1)
     for y in domain:

@@ -2,10 +2,12 @@
 
 The naive table oracle runs the machine on *every* bit string up to a
 length cap — no decode-tree walk, no pruning — so it cross-checks the
-enumeration kernels against the machine semantics alone. ``tree_walk``
-tabulates the kernel's decode-tree traversal one halting program at a
-time, as the kernel's ``walk`` did before it walked machine states; it is
-the reference for ``walk`` at lengths the naive oracle cannot reach. The
+enumeration kernel against the machine semantics alone. ``traverse``
+lists the halting programs one by one through the opcode decode tree, as
+the kernel did before it walked machine states; ``tree_walk`` tabulates
+them, and is the reference for ``_pykernel.walk`` at lengths the naive
+oracle cannot reach. ``enumerate_halting`` sorts them, and
+``find_prefix_violation`` checks that they are prefix-free. The
 counting recurrences predict halting-program totals per length straight
 from the opcode length table, independently of both. The naive table-file parser
 inflates the whole body and reads one record at a time, and ``seal`` writes
@@ -24,10 +26,11 @@ import re
 import zlib
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import pairwise, product
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
-from algstat import _pykernel
+from algstat._pykernel import _COMPL, _COPY_CODES, COND_MODEL, COND_STR, walk_args
 from algstat.bits import check_bits, text_to_bits
 from algstat.enumeration import ComplexityTable, Entry, TableFormatError, TableVersionError
 from algstat.machine import MACHINE_VERSION, Budgets, Condition, Status, run
@@ -57,6 +60,61 @@ def naive_entries(L: int, cond: Condition | None = None, budgets: Budgets | None
     return {out: tuple(e) for out, e in entries.items()}, hist
 
 
+def traverse(
+    L: int,
+    max_steps: int,
+    max_output: int,
+    cond_kind: int,
+    cond_bits: str,
+    book_codes: tuple[str, ...],
+    book_elems: tuple[str, ...],
+    halt: Callable[[str, str, int], None],
+) -> None:
+    """Call ``halt(program, output, steps)`` once for every halting
+    program p with l(p) <= L, in decode-tree order, from the arguments of
+    ``_pykernel.walk``. ``book_codes`` must be sorted by length, as
+    ``_pykernel.compile_condition`` does."""
+    cond_len = len(cond_bits)
+    book = tuple(zip(book_codes, book_elems))
+
+    def rec(cur: str, steps: int, buf: str, ptr: int) -> None:
+        cur_len = len(cur)
+        buf_len = len(buf)
+
+        # HALT
+        if cur_len + 3 <= L and steps + 1 <= max_steps:
+            halt(cur + "100", buf, steps + 1)
+
+        # EMIT0 / EMIT1 (non-HALT tokens need 3 more bits for the HALT)
+        if cur_len + 5 <= L and steps + 1 <= max_steps and buf_len + 1 <= max_output:
+            rec(cur + "00", steps + 1, buf + "0", ptr)
+            rec(cur + "01", steps + 1, buf + "1", ptr)
+
+        # COPYIN
+        if cond_kind == COND_STR and cur_len + 8 <= L:
+            for cc, m in _COPY_CODES:
+                if ptr + m <= cond_len and steps + m <= max_steps and buf_len + m <= max_output:
+                    rec(cur + "101" + cc, steps + m, buf + cond_bits[ptr : ptr + m], ptr + m)
+
+        # DOUBLE / FLIP
+        if cur_len + 7 <= L and 2 * buf_len <= max_output:
+            cost = buf_len if buf_len > 1 else 1
+            if steps + cost <= max_steps:
+                rec(cur + "1100", steps + cost, buf + buf, ptr)
+                rec(cur + "1101", steps + cost, buf + buf.translate(_COMPL), ptr)
+
+        # SFDECODE
+        if cond_kind == COND_MODEL:
+            for cw, elem in book:
+                cw_len = len(cw)
+                if cur_len + 7 + cw_len > L or steps + cw_len > max_steps:
+                    break
+                if buf_len + len(elem) <= max_output:
+                    rec(cur + "1110" + cw, steps + cw_len, buf + elem, ptr)
+
+    rec("", 0, "", 0)
+
+
 def tree_walk(
     L: int,
     max_steps: int,
@@ -67,7 +125,7 @@ def tree_walk(
     book_elems: tuple[str, ...],
 ) -> tuple[dict[str, list], list[int]]:
     """``_pykernel.walk`` by one callback per halting program of
-    ``_pykernel.traverse``: (entries, hist) with entries mapping output ->
+    ``traverse``: (entries, hist) with entries mapping output ->
     [K, witness, m_num over 2**L]."""
     entries: dict[str, list] = {}
     hist = [0] * (L + 1)
@@ -85,8 +143,37 @@ def tree_walk(
                 e[1] = p
             e[2] += 1 << (L - total)
 
-    _pykernel.traverse(L, max_steps, max_output, cond_kind, cond_bits, book_codes, book_elems, halt)
+    traverse(L, max_steps, max_output, cond_kind, cond_bits, book_codes, book_elems, halt)
     return entries, hist
+
+
+def enumerate_halting(
+    L: int,
+    cond: Condition | None = None,
+    budgets: Budgets | None = None,
+) -> Iterator[tuple[str, str, int]]:
+    """Yield (program, output, steps) for every halting program of
+    length <= L, each exactly once, in (length, lexicographic) order."""
+    if L < 3:
+        raise ValueError("L must be at least 3 (HALT alone is 3 bits)")
+    cond = cond if cond is not None else Condition.none()
+    budgets = budgets if budgets is not None else Budgets()
+    programs: list[tuple[str, str, int]] = []
+    traverse(*walk_args(L, cond, budgets), lambda *found: programs.append(found))
+    programs.sort(key=lambda t: (len(t[0]), t[0]))
+    yield from programs
+
+
+def find_prefix_violation(programs: Iterable[str]) -> tuple[str, str] | None:
+    """Return a (shorter, longer) halting-program pair violating
+    prefix-freeness, or None. Adjacent comparison after a lexicographic
+    sort suffices: if a is a proper prefix of c then a is a prefix of its
+    immediate successor too."""
+    ordered = sorted(programs)
+    for a, b in pairwise(ordered):
+        if len(a) < len(b) and b.startswith(a):
+            return a, b
+    return None
 
 
 def naive_halting_programs(L: int, cond: Condition | None = None, budgets: Budgets | None = None):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from algstat.cache import AUDIT_MAX_LEN, TableSource
 from algstat.constants import load_constants, regression_check
-from algstat.enumeration import build_table, enumerate_halting, export_table, find_prefix_violation
+from algstat.enumeration import build_table, export_table
 from algstat.infolaws import Statistic, laws_audit, prob_suff_check, standard_joints, theta_suff_audit
 from algstat.machine import Condition
 from algstat.models_prob import UniformOn, bernoulli_demo, deficiency_p
@@ -33,7 +33,7 @@ from algstat.models_set import (
     uniform_condition,
 )
 from algstat.skstats import sk_csv, slice_bound_check, xr_bound_check, xr_csv
-from oracles import naive_entries
+from oracles import enumerate_halting, find_prefix_violation, naive_entries
 
 import pytest
 

@@ -24,16 +24,17 @@ from algstat.enumeration import (
     TableFormatError,
     TableVersionError,
     build_table,
-    enumerate_halting,
     export_table,
-    find_prefix_violation,
     import_table,
 )
-from algstat.kernel import backend_name, walk_args
+from algstat._pykernel import walk_args
+from algstat.kernel import backend_name
 from algstat.machine import Budgets, Condition, run
 from algstat.models_set import Hamming, Singleton, uniform_condition
 from oracles import (
     ToyModel,
+    enumerate_halting,
+    find_prefix_violation,
     naive_entries,
     naive_halting_programs,
     full_records,
@@ -475,6 +476,23 @@ class TestPersistence:
         again, built = load_or_build(8, cache_dir=tmp_path)
         assert built and again == table
         assert import_table(path) == table
+
+    @pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+    def test_failed_export_leaves_no_temp_file(self, tmp_path, monkeypatch, error):
+        def partial_export(table, path):
+            path.write_bytes(b"machine tpm1-v1\nL 8\n")
+            raise error
+
+        monkeypatch.setattr(cache, "export_table", partial_export)
+        with pytest.raises(type(error)):
+            load_or_build(8, cache_dir=tmp_path)
+        assert list(tmp_path.rglob("*.tmp")) == []
+        monkeypatch.undo()
+        table, built = load_or_build(8, cache_dir=tmp_path)
+        assert built
+        path = table_path(tmp_path, 8, Budgets(), Condition.none().fingerprint())
+        assert import_table(path) == table
+        assert load_or_build(8, cache_dir=tmp_path) == (table, False)
 
     @pytest.mark.parametrize(
         "old, new, message",

@@ -28,21 +28,24 @@ LAZY = [
 ]
 
 # The walker: registered like LAZY, run by the first build.
-WALKER = ["algstat._pykernel", "algstat.kernel"]
+WALKER = ["algstat._pykernel"]
 
 # Modules that no start-up path may import: ``dataclasses`` generates code
 # for every class it decorates, and it pulls in ``inspect``.
 SLOW = ["dataclasses", "inspect"]
 
-# Runs one command in a fresh interpreter, then prints which lazy modules
-# and which walker modules have run, whether a process pool's modules were
-# imported, which SLOW modules were loaded, whether the kernel's state walk
-# was run, whether hashlib (which maps OpenSSL) was imported and whether
-# fractions was, as the last stdout line.
+# Runs one command in a fresh interpreter, checks that it never imported
+# ``algstat.kernel`` (no command takes a path into the machine but the
+# walker's), then prints which lazy modules and which walker modules have
+# run, whether a process pool's modules were imported, which SLOW modules
+# were loaded, whether the kernel's state walk was run, whether hashlib
+# (which maps OpenSSL) was imported and whether fractions was, as the last
+# stdout line.
 PROBE = f"""
 import json, sys, types
 from algstat.cli import main
 rc = main(sys.argv[1:])
+assert "algstat.kernel" not in sys.modules
 ran = [n for n in {LAZY!r} if type(sys.modules[n]) is types.ModuleType]
 walker = [n for n in {WALKER!r} if type(sys.modules[n]) is types.ModuleType]
 slow = [n for n in {SLOW!r} if n in sys.modules]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from algstat.bits import bar_nat, std
 from algstat.cache import TableSource
+from algstat.machine import Condition
 from algstat.models_prob import (
     Bernoulli,
     DistLangError,
@@ -25,7 +26,6 @@ from algstat.models_prob import (
     deficiency_p,
     encode_dist,
     format_distlang,
-    model_condition,
     parse_distlang,
     pk,
     suffstat_p,
@@ -202,11 +202,11 @@ class TestCodebook:
         "lookup, message",
         [
             (
-                lambda source: source.k_tables(21, [model_condition(UniformOn(All(21)))]),
+                lambda source: source.k_tables(21, [Condition.of_model(UniformOn(All(21)))]),
                 r"\|All\(21\)\| = 2\^21 exceeds cap 1048576",
             ),
             (
-                lambda source: source.k_tables(21, [model_condition(Bernoulli(21, Fraction(1, 2)))]),
+                lambda source: source.k_tables(21, [Condition.of_model(Bernoulli(21, Fraction(1, 2)))]),
                 r"Bernoulli domain 2\^21 exceeds cap 1048576",
             ),
             (

@@ -25,7 +25,7 @@ from algstat.complexity import Absent, _all_strings, require_k, shortest_program
 from algstat.enumeration import build_table, export_table, import_table
 from algstat.machine import DEFAULT_MAX_OUTPUT, Budgets, Condition, run
 from algstat.bits import ceil_log2
-from algstat.models_prob import model_condition, parse_distlang
+from algstat.models_prob import parse_distlang
 from algstat.models_set import (
     Hamming,
     ModelOpts,
@@ -123,8 +123,8 @@ MODEL_CONDITIONS = [
     CONDITIONS[3],
     uniform_condition(Hamming(4, 2)),
     uniform_condition(Hamming(6, 1)),
-    model_condition(parse_distlang("table{000000:1/2,010101:1/4,111111:1/4}")),
-    model_condition(parse_distlang("bern:3,1/4")),
+    Condition.of_model(parse_distlang("table{000000:1/2,010101:1/4,111111:1/4}")),
+    Condition.of_model(parse_distlang("bern:3,1/4")),
 ]
 
 

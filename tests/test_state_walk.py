@@ -13,9 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algstat import _pykernel, _statewalk, cli
+from algstat._pykernel import walk_args
 from algstat.cache import AUDIT_MAX_LEN, TableSource
 from algstat.enumeration import LEVEL_MAX_LEN
-from algstat.kernel import walk_args
 from algstat.machine import DEFAULT_MAX_STEPS, Budgets, Condition
 from oracles import ToyModel, naive_entries, tree_walk
 
@@ -102,17 +102,6 @@ def test_uncut_walks_equal_their_cut_walks(name, command_walks):
         cut = (*args[:4], args[4][: args[2]], *args[5:])
         assert cut in walks
         assert _pykernel.walk(*args) == _pykernel.walk(*cut), args[:5]
-
-
-def test_walk_never_calls_traverse(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("walk called traverse")
-
-    monkeypatch.setattr(_pykernel, "traverse", refuse)
-    _statewalk._condition_free.cache_clear()
-    for cond in (Condition.none(), Condition.string("0110"), Condition.of_model(BOOK_WITH_LOOPS)):
-        entries, hist = _pykernel.walk(*walk_args(12, cond, Budgets()))
-        assert entries and sum(hist)
 
 
 # -- property tests ------------------------------------------------------------
