@@ -12,7 +12,7 @@ from __future__ import annotations
 from operator import sub
 from typing import NamedTuple, Sequence
 
-from .bits import bits_to_text, pair
+from .bits import bits_to_text, pair, std
 from .cache import TableSource
 from .enumeration import DEFAULT_COND_MAX_LEN, ComplexityTable
 from .machine import Condition
@@ -168,7 +168,8 @@ def soi_audit(
     """
     xs = _all_strings(len_cap)
     n = len(xs)
-    pairs = [pair(x, y) for x in xs for y in xs]
+    # <x, y> = std(x) + y, with one std(x) per swept x.
+    pairs = [head + y for head in map(std, xs) for y in xs]
     # One read of ``table`` for the swept strings and their pairs, some of
     # which are swept strings too (for instance <e, y> = 0y).
     strings = list(dict.fromkeys(xs + pairs))

@@ -321,8 +321,8 @@ class ProbMIReport(NamedTuple):
 
 def prob_mi(joint: JointModel) -> ProbMIReport:
     """Mutual information between parameter and data, computed from the
-    definition with exact masses and real logs (1e-9 is the documented
-    comparison grain). Entropies come along for free."""
+    definition with exact masses and real logs (``TOL``, 1e-9, is the
+    grain of ``ExpectedMIReport.slack_bits``). Entropies come along for free."""
     support = joint.support()
     p2 = joint.marginal()
     i_val = 0.0
@@ -362,23 +362,54 @@ class SuffCheckReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
+def _conditional_masses(
+    joint: JointModel, statistic: Statistic
+) -> list[list[Fraction | None]]:
+    """Per parameter, p_theta(x | T = T(x)) at each x of the joint's whole
+    domain, None where p_theta(T = T(x)) = 0. Every parameter is read at
+    every x, the ones it gives no mass included."""
+    xs = joint.x_domain()
+    ts = [statistic(x) for x in xs]
+    out = []
+    for d in joint.dists:
+        masses = [d.mass(x) for x in xs]
+        t_mass: dict[str, Fraction] = {}
+        for t, m in zip(ts, masses):
+            t_mass[t] = t_mass.get(t, 0) + m
+        out.append([m / t_mass[t] if t_mass[t] else None for t, m in zip(ts, masses)])
+    return out
+
+
+def _fisher_neyman(cond: list[list[Fraction | None]], params: Iterable[int]) -> bool:
+    """The exact Fisher–Neyman test over the parameter indices ``params``:
+    at every x, p_theta(x | T = T(x)) is one value across the parameters
+    that give T(x) positive mass. ``cond`` is ``_conditional_masses``."""
+    return all(
+        len({q for q in column if q is not None}) <= 1
+        for column in zip(*(cond[i] for i in params))
+    )
+
+
 def prob_suff_check(
     joint: JointModel,
     statistic: Statistic,
     priors: Iterable[Sequence[Fraction]] | None = None,
 ) -> SuffCheckReport:
-    """Does the statistic preserve all parameter information? Checked as
-    I(parameter; data) == I(parameter; statistic) within TOL at every
-    prior in the sweep (the channel computation is exact; only the final
-    logs are real). Processing can only lose information, so equality is
-    the sufficiency verdict."""
+    """Does the statistic preserve all parameter information, at each
+    prior of the sweep? A row's verdict is the exact Fisher–Neyman test
+    (see ``_fisher_neyman``) over the parameters its prior weights
+    positively; that is exactly when I(parameter; data) equals
+    I(parameter; statistic) at that prior. The two informations are
+    carried as real numbers for display only and decide nothing."""
     sweep = prior_sweep(joint) if priors is None else [tuple(p) for p in priors]
+    cond = _conditional_masses(joint, statistic)
     rows = []
     for pr in sweep:
         j = joint.with_priors(pr)
         i_x = prob_mi(j).i
         i_t = prob_mi(pushforward(j, statistic)).i
-        rows.append(PriorCheckRow(tuple(pr), i_x, i_t, abs(i_x - i_t) <= TOL))
+        verdict = _fisher_neyman(cond, (i for i, p in enumerate(pr) if p > 0))
+        rows.append(PriorCheckRow(tuple(pr), i_x, i_t, verdict))
     return SuffCheckReport(statistic, tuple(rows))
 
 
@@ -656,7 +687,9 @@ def theta_suff_audit(
     at or below the threshold. The report also carries the classical
     sufficiency verdict so both directions of the correspondence can be
     read off one object: small-deficiency mass tracks classical
-    sufficiency and vice versa."""
+    sufficiency and vice versa. That verdict is the exact Fisher–Neyman
+    test over every parameter of the family, whatever the prior, in one
+    pass over the joint's domain; it computes no mutual information."""
     cond_tables = _deficiency_terms(joint, statistic, table, source)
     rows = []
     for idx, x, p in joint.support():
@@ -668,7 +701,7 @@ def theta_suff_audit(
         i_x = require_k(table, x) - require_k(given, x)
         i_s = require_k(table, s_x) - require_k(given, s_x)
         rows.append(ThetaSuffRow(label, x, s_x, p, i_x - i_s))
-    verdict = prob_suff_check(joint, statistic).sufficient
+    verdict = _fisher_neyman(_conditional_masses(joint, statistic), range(len(joint.thetas)))
     return ThetaSuffReport(tuple(rows), threshold, verdict)
 
 

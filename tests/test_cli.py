@@ -449,6 +449,22 @@ class TestLawsJoint:
         assert all(l.endswith(",0") for l in lines[1:])
         assert "prob_sufficient=True minimal_tau=0" in err
 
+    def test_theta_loss_below_the_float_grain(self, run, tmp_path):
+        """The constant statistic loses 2.9e-10 bits of this joint's
+        information, below the old 1e-9 float grain; the exact verdict
+        still calls it insufficient."""
+        path = tmp_path / "joint.txt"
+        path.write_text(
+            "theta 0 1/2\ntheta 1 1/2\n"
+            "dist 0 table{0:50001/100000,1:49999/100000}\n"
+            "dist 1 table{0:49999/100000,1:50001/100000}\n"
+            "statistic constant\n",
+            encoding="ascii",
+        )
+        code, _, err = run("laws", "--joint", str(path), "--audit", "theta")
+        assert code == EXIT_OK
+        assert "prob_sufficient=False" in err
+
     def test_identity(self, run, joint_file):
         code, out, err = run("laws", "--joint", joint_file, "--audit", "identity")
         assert code == EXIT_OK

@@ -7,8 +7,12 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from algstat import infolaws
 from algstat.cache import AUDIT_MAX_LEN, TableSource
+from algstat.complexity import _all_strings
 from algstat.constants import load_constants
 from algstat.enumeration import build_table
 from algstat.infolaws import (
@@ -38,6 +42,57 @@ from algstat.infolaws import (
 from algstat.models_prob import Bernoulli, TableDist
 
 HALF = Fraction(1, 2)
+
+# Two coins a hair apart: the constant statistic loses 2.9e-10 bits.
+NEAR_UNINFORMATIVE = parse_joint_text(
+    "theta 0 1/2\ntheta 1 1/2\n"
+    "dist 0 table{0:50001/100000,1:49999/100000}\n"
+    "dist 1 table{0:49999/100000,1:50001/100000}\n"
+)[0]
+
+# Each standard joint under each fixed statistic, with its sufficiency verdict.
+STANDARD_VERDICTS = [
+    ("deterministic", "weight", True),
+    ("deterministic", "identity", True),
+    ("deterministic", "constant", True),
+    ("correlated-bit", "weight", True),
+    ("correlated-bit", "identity", True),
+    ("correlated-bit", "constant", False),
+    ("independent-bit", "weight", True),
+    ("independent-bit", "identity", True),
+    ("independent-bit", "constant", True),
+    ("bernoulli-pair", "weight", True),
+    ("bernoulli-pair", "identity", True),
+    ("bernoulli-pair", "constant", False),
+]
+
+
+@st.composite
+def _small_joints(draw):
+    """A joint of 2-3 labels, each a Bernoulli or a table on at most 3 bits,
+    some priors possibly 0, with a fixed statistic or a random map."""
+    m = draw(st.integers(2, 3))
+    weights = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any))
+    priors = tuple(Fraction(w, sum(weights)) for w in weights)
+    dists = []
+    for _ in range(m):
+        if draw(st.booleans()):
+            den = draw(st.integers(2, 4))
+            p = Fraction(draw(st.integers(1, den - 1)), den)
+            dists.append(Bernoulli(draw(st.integers(0, 2)), p))
+        else:
+            xs = draw(
+                st.lists(st.sampled_from(_all_strings(3)), min_size=1, max_size=4, unique=True)
+            )
+            ws = draw(st.lists(st.integers(1, 3), min_size=len(xs), max_size=len(xs)))
+            total = sum(ws) + draw(st.integers(0, 2))
+            dists.append(TableDist(tuple((x, Fraction(w, total)) for x, w in zip(xs, ws))))
+    joint = JointModel(("0", "1", "00")[:m], priors, tuple(dists))
+    kind = draw(st.sampled_from(("weight", "identity", "constant", "map")))
+    if kind != "map":
+        return joint, Statistic(kind)
+    values = st.sampled_from(("", "0", "1"))
+    return joint, Statistic("map", tuple((x, draw(values)) for x in joint.x_domain()))
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +258,40 @@ class TestClassicalSide:
         assert lines[0] == "prior,I_data,I_statistic,sufficient"
         assert lines[1].startswith("1/2|1/2,")
 
+    def test_loss_below_the_float_grain_is_insufficient(self):
+        """The constant statistic loses 2.9e-10 bits here, below 1e-9: a
+        verdict taken from the float MI gap would call it sufficient."""
+        rep = prob_suff_check(NEAR_UNINFORMATIVE, Statistic("constant"))
+        assert all(0 < r.i_data - r.i_statistic < 1e-9 for r in rep.rows)
+        assert not any(r.sufficient for r in rep.rows)
+        assert not rep.sufficient
+
+    def test_row_reads_only_the_parameters_its_prior_weights(self):
+        """Under a prior with no weight on parameter 1, the constant
+        statistic loses nothing; under any other it loses everything."""
+        rep = prob_suff_check(
+            standard_joints()["correlated-bit"],
+            Statistic("constant"),
+            [(Fraction(1), Fraction(0)), (HALF, HALF)],
+        )
+        assert [r.sufficient for r in rep.rows] == [True, False]
+        assert not rep.sufficient
+
+    @pytest.mark.parametrize(("name", "stat", "verdict"), STANDARD_VERDICTS)
+    def test_standard_verdicts(self, name, stat, verdict):
+        assert prob_suff_check(standard_joints()[name], Statistic(stat)).sufficient is verdict
+
+    @settings(max_examples=150, deadline=None)
+    @given(_small_joints())
+    def test_exact_verdict_matches_clear_mi_gaps(self, drawn):
+        """Wherever the float MI gap is clearly zero or clearly not, each
+        row's exact verdict agrees with it."""
+        joint, statistic = drawn
+        rep = prob_suff_check(joint, statistic)
+        gaps = [abs(r.i_data - r.i_statistic) for r in rep.rows]
+        assume(all(g <= 1e-12 or g >= 1e-6 for g in gaps))
+        assert [r.sufficient for r in rep.rows] == [g <= 1e-12 for g in gaps]
+
 
 class TestExpectedMI:
     def test_bernoulli_pair(self, table_l29, bernoulli_pair):
@@ -279,6 +368,23 @@ class TestMachineSufficiency:
         )
         with pytest.raises(ValueError):
             no_threshold.passed
+
+    @pytest.mark.parametrize(
+        ("name", "stat", "verdict"),
+        [*STANDARD_VERDICTS, ("near-uninformative", "constant", False)],
+    )
+    def test_theta_verdict_is_exact_and_computes_no_mi(
+        self, table_l29, cond_cache, monkeypatch, name, stat, verdict
+    ):
+        def no_mi(_joint):
+            raise AssertionError("the theta audit computed a mutual information")
+
+        monkeypatch.setattr(infolaws, "prob_mi", no_mi)
+        joint = {**standard_joints(), "near-uninformative": NEAR_UNINFORMATIVE}[name]
+        rep = theta_suff_audit(
+            joint, Statistic(stat), table_l29, source=TableSource(cache_dir=cond_cache)
+        )
+        assert rep.prob_sufficient is verdict
 
     def test_theta_csv(self, table_l29, bernoulli_pair, cond_cache):
         rep = theta_suff_audit(
