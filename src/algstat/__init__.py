@@ -7,12 +7,13 @@ exact integers or dyadic rationals — no estimates, no floats.
 
 The table core (``bits``, ``machine``, ``enumeration``, ``cache``,
 ``complexity``) is imported with the package. The walker (``_pykernel``,
-the one path into the machine) and the analysis modules (``constants``,
-``infolaws``, ``models_prob``, ``models_set``, ``skstats``) are registered
-in ``sys.modules`` but run only on first use: the walker on the first
-build, an analysis module on the first read of one of its names. So a
-command that reads one cached table compiles none of them; the analysis
-modules' re-exports below resolve on first access.
+the one path into the machine, state walk and all) and the analysis
+modules (``constants``, ``infolaws``, ``models_prob``, ``models_set``,
+``skstats``) are registered in ``sys.modules`` but run only on first
+use: the walker on the first build, an analysis module on the first read
+of one of its names. So a command that reads one cached table compiles
+none of them; the analysis modules' re-exports below resolve on first
+access.
 """
 
 import importlib.util
@@ -109,7 +110,6 @@ _LAZY_EXPORTS = {
         "DistDesc",
         "DistLangError",
         "ProbDeficiencyRecord",
-        "SuffStatPReport",
         "TableDist",
         "UniformOn",
         "bernoulli_demo",

@@ -9,7 +9,7 @@ generated code when its class is made, which matters because every CLI
 call creates every class it imports.
 
 Records compare and hash with their class, so two records of different
-classes with equal fields stay distinct as dict and ``lru_cache`` keys.
+classes with equal fields stay distinct as dict keys.
 """
 
 from __future__ import annotations

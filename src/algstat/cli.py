@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from . import constants, infolaws, models_prob, models_set, skstats
-from ._record import Record
 from .bits import CodeError, bits_to_text, text_to_bits
 from .cache import ENV_CACHE_DIR, TableSource, load_or_build
 from .complexity import Absent, mutual_info, require_k
@@ -45,45 +44,27 @@ def _warn(message: str) -> None:
     print(f"algstat: {message}", file=sys.stderr)
 
 
-class Config(Record):
-    """Resolved run configuration shared by the command handlers."""
-
-    __slots__ = ("source", "constants_path", "alpha_max", "beta")
-
-    def __init__(
-        self,
-        source: TableSource,
-        constants_path: str | None,
-        alpha_max: int | None,
-        beta: int,
-    ):
-        if source.max_len is not None and source.max_len <= 0:
-            raise ValueError("--max-len must be positive")
-        if source.budgets.max_output <= 0:
-            raise ValueError("--max-out must be positive")
-        if beta < 0:
-            raise ValueError("--beta must be >= 0")
-        for name, value in zip(self.__slots__, (source, constants_path, alpha_max, beta)):
-            object.__setattr__(self, name, value)
-
-
-def _config(args: argparse.Namespace) -> Config:
+def _source(args: argparse.Namespace) -> TableSource:
+    """The table source a command's flags give. Every setting flag is
+    checked here, so that a bad one fails before any table is built."""
     if getattr(args, "workers", 1) <= 0:
         raise ValueError("--workers must be positive")
-    return Config(
-        source=TableSource(
-            budgets=Budgets(
-                max_steps=getattr(args, "steps", DEFAULT_MAX_STEPS),
-                max_output=getattr(args, "max_out", DEFAULT_MAX_OUTPUT),
-            ),
-            cache_dir=getattr(args, "cache_dir", None),
-            warn=_warn,
-            max_len=getattr(args, "max_len", None),
+    source = TableSource(
+        budgets=Budgets(
+            max_steps=getattr(args, "steps", DEFAULT_MAX_STEPS),
+            max_output=getattr(args, "max_out", DEFAULT_MAX_OUTPUT),
         ),
-        constants_path=getattr(args, "constants", None),
-        alpha_max=getattr(args, "alpha_max", None),
-        beta=getattr(args, "beta", 0),
+        cache_dir=getattr(args, "cache_dir", None),
+        warn=_warn,
+        max_len=getattr(args, "max_len", None),
     )
+    if source.max_len is not None and source.max_len <= 0:
+        raise ValueError("--max-len must be positive")
+    if source.budgets.max_output <= 0:
+        raise ValueError("--max-out must be positive")
+    if getattr(args, "beta", 0) < 0:
+        raise ValueError("--beta must be >= 0")
+    return source
 
 
 def _model_opts(args: argparse.Namespace) -> models_set.ModelOpts:
@@ -116,10 +97,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    source = _source(args)
     cond = _condition(args)
-    L = cfg.source.program_cap(DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN)
-    table, built = load_or_build(L, cond, cfg.source.budgets, cfg.source.cache_dir, _warn)
+    L = source.program_cap(DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN)
+    table, built = load_or_build(L, cond, source.budgets, source.cache_dir, _warn)
     if args.out:
         export_table(table, args.out)
         _warn(f"wrote {args.out}")
@@ -132,9 +113,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_k(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    source = _source(args)
     cond = _condition(args)
-    table = cfg.source.table(DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN, cond)
+    table = source.table(DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN, cond)
     x = text_to_bits(args.x)
     k = require_k(table, x)
     print(f"K={k} witness={table.witness_of(x)}")
@@ -142,35 +123,35 @@ def cmd_k(args: argparse.Namespace) -> int:
 
 
 def cmd_mi(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    table = cfg.source.table(DEFAULT_MAX_LEN)
+    source = _source(args)
+    table = source.table(DEFAULT_MAX_LEN)
     rec = mutual_info(table, text_to_bits(args.x), text_to_bits(args.y))
     print(f"I={rec.i} K(x)={rec.kx} K(y)={rec.ky} K(pair)={rec.kxy}")
     return EXIT_OK
 
 
 def cmd_structfn(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    source = _source(args)
     opts = _model_opts(args)
     x = text_to_bits(args.x)
-    alpha_max = cfg.alpha_max
+    alpha_max = args.alpha_max
     if alpha_max is None:
-        alpha_max = min(models_set.two_part(x, models_set.Singleton(x)) + 1, opts.alpha_bound)
+        alpha_max = models_set.alpha_cap(x, 0, opts)
     curve = models_set.structfn(
         x,
         alpha_max,
         opts,
         include_deficiency=not args.no_deficiency,
-        source=cfg.source,
+        source=source,
     )
     _emit(curve.to_csv(), args.out)
     return EXIT_OK
 
 
 def cmd_suffstat(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    _source(args)  # reads no table, but checks --beta as every command does
     x = text_to_bits(args.x)
-    rep = models_set.suffstat(x, cfg.beta, _model_opts(args))
+    rep = models_set.suffstat(x, args.beta, _model_opts(args))
     lines = [
         f"x={bits_to_text(x)}",
         f"beta={rep.beta}",
@@ -183,37 +164,37 @@ def cmd_suffstat(args: argparse.Namespace) -> int:
 
 
 def cmd_sk(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    table = cfg.source.table(LEVEL_MAX_LEN)
+    source = _source(args)
+    table = source.table(LEVEL_MAX_LEN)
     _emit(skstats.sk_csv(table, args.k), args.out)
     return EXIT_OK
 
 
 def cmd_xr(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    table = cfg.source.table(LEVEL_MAX_LEN)
+    source = _source(args)
+    table = source.table(LEVEL_MAX_LEN)
     _emit(skstats.xr_csv(table), args.out)
     return EXIT_OK
 
 
 def cmd_bernoulli(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    source = _source(args)
     opts = _model_opts(args)
     # Checked before the table is fetched, so that a bad n builds nothing.
     models_prob.check_demo_n(args.n)
-    [table] = cfg.source.k_tables(args.n, [Condition.none()])
-    rep = models_prob.bernoulli_demo(table, args.n, cfg.beta, opts)
+    [table] = source.k_tables(args.n, [Condition.none()])
+    rep = models_prob.bernoulli_demo(table, args.n, args.beta, opts)
     _emit(rep.to_csv(), args.out)
     return EXIT_OK
 
 
 def cmd_probstat(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    source = _source(args)
     opts = _model_opts(args)
     x = text_to_bits(args.x)
     dist = models_prob.parse_distlang(args.dist)
-    rec = models_prob.deficiency_p(x, dist, source=cfg.source)
-    rep = models_prob.suffstat_p(x, cfg.beta, opts)
+    rec = models_prob.deficiency_p(x, dist, source=source)
+    rep = models_prob.suffstat_p(x, args.beta, opts)
     lines = [
         f"x={bits_to_text(x)}",
         f"dist={models_prob.format_distlang(dist)}",
@@ -231,7 +212,7 @@ def cmd_probstat(args: argparse.Namespace) -> int:
 # -- the laws command ----------------------------------------------------------
 
 
-def _laws_joint(args: argparse.Namespace, cfg: Config) -> int:
+def _laws_joint(args: argparse.Namespace, source: TableSource) -> int:
     """Audit a user-supplied joint model file; the report is CSV."""
     joint, statistic = infolaws.parse_joint_text(Path(args.joint).read_text(encoding="ascii"))
     audit = args.audit if args.audit != "all" else "theta"
@@ -251,20 +232,20 @@ def _laws_joint(args: argparse.Namespace, cfg: Config) -> int:
     reach = infolaws.expected_mi_reach(joint)
     if statistic is not None:
         reach = max(reach, infolaws.theta_reach(joint, statistic))
-    [table] = cfg.source.k_tables(reach, [Condition.none()])
+    [table] = source.k_tables(reach, [Condition.none()])
     if audit == "expected-mi":
         rep = infolaws.expected_mi_audit(joint, table)
         _warn(f"expected={float(rep.expected):.9f} classical={models_set._fmt_real(rep.prob_i)} k_p={rep.k_p}")
         _emit(rep.to_csv(), args.out)
         return EXIT_OK
     if audit == "theta":
-        rep = infolaws.theta_suff_audit(joint, statistic, table, source=cfg.source)
+        rep = infolaws.theta_suff_audit(joint, statistic, table, source=source)
         _warn(f"prob_sufficient={rep.prob_sufficient} minimal_tau={rep.minimal_tau()}")
         _emit(rep.to_csv(), args.out)
         return EXIT_OK
     n = len(joint.x_domain()[0])
     rep = infolaws.suff_identity_audit(
-        joint, statistic, table, infolaws.weight_models(n), source=cfg.source
+        joint, statistic, table, infolaws.weight_models(n), source=source
     )
     _warn(f"max_gap={rep.max_gap}")
     _emit(rep.to_csv(), args.out)
@@ -277,24 +258,24 @@ def cmd_laws(args: argparse.Namespace) -> int:
     frozen file; with ``--freeze``, write that file instead. Builds the
     level table if a selected audit reads it, then the deep table if one
     reads that; ``--joint FILE`` audits a joint-model file instead."""
-    cfg = _config(args)
+    source = _source(args)
     if args.freeze:
         # Checked before any table is built.
         if args.joint:
             raise ValueError("--freeze freezes the default battery; it does not take --joint")
         if args.audit != "all":
             raise ValueError("--freeze requires --audit all (a full battery)")
-        if not cfg.constants_path:
+        if not args.constants:
             raise ValueError("--freeze needs --constants PATH to write to")
     if args.joint:
-        return _laws_joint(args, cfg)
+        return _laws_joint(args, source)
     reads = {a.reads for a in infolaws.selected_audits(args.audit)}
     # --max-len caps the level table only: the deep table and the audits'
     # conditional tables keep their derived caps.
-    battery = cfg.source._replace(max_len=None)
+    battery = source._replace(max_len=None)
     level = deep = None
     if "level" in reads:
-        level = cfg.source.table(LEVEL_MAX_LEN)
+        level = source.table(LEVEL_MAX_LEN)
     if "deep" in reads:
         # Every selection reads the one deep table the whole battery needs.
         [deep] = battery.k_tables(infolaws.laws_reach(), [Condition.none()])
@@ -302,9 +283,9 @@ def cmd_laws(args: argparse.Namespace) -> int:
     checks = [check for run in runs for check in run.checks]
     measured = {name: value for run in runs for name, value in run.measured.items()}
     if args.freeze:
-        constants.save_constants(measured, cfg.constants_path)
+        constants.save_constants(measured, args.constants)
     elif measured:
-        frozen = constants.load_constants(cfg.constants_path)
+        frozen = constants.load_constants(args.constants)
         for c in constants.regression_check(measured, frozen):
             have = "-" if c.frozen is None else c.frozen
             checks.append((f"{c.name} measured={c.measured} frozen={have}", c.ok))

@@ -157,7 +157,9 @@ class Statistic(Record):
     up in an explicit table and is total only on its keys.
     """
 
-    __slots__ = ("kind", "table")
+    # lookup, the map's table as a dict, derived from table and so not part
+    # of the record's identity or repr
+    __slots__ = ("kind", "table", "lookup")
 
     def __init__(self, kind: str, table: tuple[tuple[str, str], ...] = ()):
         if kind not in _STAT_KINDS:
@@ -174,6 +176,10 @@ class Statistic(Record):
             raise JointModelError(f"{kind} statistic takes no table")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "lookup", dict(table))
+
+    def _values(self) -> tuple:
+        return self.kind, self.table
 
     def __call__(self, x: str) -> str:
         if self.kind == "weight":
@@ -182,10 +188,10 @@ class Statistic(Record):
             return x
         if self.kind == "constant":
             return ""
-        for k, v in self.table:
-            if k == x:
-                return v
-        raise JointModelError(f"map statistic is not defined on {bits_to_text(x)}")
+        try:
+            return self.lookup[x]
+        except KeyError:
+            raise JointModelError(f"map statistic is not defined on {bits_to_text(x)}") from None
 
 
 def parse_statistic(text: str) -> Statistic:
@@ -924,32 +930,15 @@ def laws_audit(
     registry order and keyed by name: the deep ones on ``table``, built up
     to ``laws_reach()`` bits of output at least, the level ones on
     ``level_table``. A record whose table is None is skipped, so the X(r),
-    slice-bound and log N_k checks need a level table. The conditional
-    tables come from ``source.k_tables``, each fetched once in the call
-    however many audits read it; see the individual audits."""
+    slice-bound and log N_k checks need a level table. Each audit fetches
+    its own conditional tables from ``source.k_tables`` and lets each go
+    once it has read it, so a table that several audits read is fetched
+    by each: the two label tables, once by each of the theta audit's two
+    statistics and once by the identity audit. See the individual audits."""
     tables = {"deep": table, "level": level_table}
-    source = _sharing(source)
     return {
         a.name: a.run(tables[a.reads], source)
         for a in selected_audits(audit)
         if tables[a.reads] is not None
     }
 
-
-def _sharing(source: TableSource) -> TableSource:
-    """``source`` for one ``laws_audit`` call: each table it hands out, under
-    any budgets derived from it, is fetched once however many audits read
-    it (``theta`` and ``identity`` read the same label tables), and all are
-    let go with the source when the call returns."""
-    fetched: dict[tuple, ComplexityTable] = {}
-
-    class Sharing(TableSource):
-        __slots__ = ()
-
-        def _load(self, L: int, cond: Condition) -> ComplexityTable:
-            key = (self.cache_dir, self.budgets, L, cond.fingerprint())
-            if key not in fetched:
-                fetched[key] = super()._load(L, cond)
-            return fetched[key]
-
-    return Sharing(*source)

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from ._record import Record
@@ -41,7 +40,7 @@ from .bits import (
     text_to_bits,
 )
 from .cache import TableSource
-from .complexity import require_k
+from .complexity import require_k, require_ks
 from .enumeration import ComplexityTable
 from .machine import Condition
 from .models_set import (
@@ -51,9 +50,10 @@ from .models_set import (
     ListSet,
     ModelOpts,
     SetDesc,
-    Singleton,
+    SuffStatReport,
     _optimal_models,
     _read_desc,
+    alpha_cap,
     encode as encode_set,
     enumerate_models,
     format_setlang,
@@ -91,6 +91,13 @@ def _parse_rat_text(text: str) -> Fraction:
     return Fraction(int(num_text), int(den_text))
 
 
+def _neglog(m: Fraction) -> float:
+    """``DistDesc.neglog`` of a mass m."""
+    if m == 0:
+        return INF_NEGLOG
+    return math.log2(m.denominator) - math.log2(m.numerator)
+
+
 # -- distribution AST ---------------------------------------------------------
 
 
@@ -103,7 +110,7 @@ class DistDesc(Record):
 
     @property
     def code(self) -> str:
-        return _encode_cached(self)
+        return encode_dist(self)
 
     @property
     def code_len(self) -> int:
@@ -124,10 +131,7 @@ class DistDesc(Record):
     def neglog(self, x: str) -> float:
         """-log2 mass as a real (documented 1e-9 precision); +inf marks
         zero mass. Comparisons elsewhere go through exact rationals."""
-        m = self.mass(x)
-        if m == 0:
-            return INF_NEGLOG
-        return math.log2(m.denominator) - math.log2(m.numerator)
+        return _neglog(self.mass(x))
 
     def codebook_pairs(self) -> list[tuple[str, str]]:
         return codebook(self).pairs_codeword_first()
@@ -181,7 +185,9 @@ class Bernoulli(DistDesc):
 
 
 class TableDist(DistDesc):
-    __slots__ = ("entries",)
+    # masses, x -> mass of the entries, derived from entries and so not
+    # part of the record's identity or repr
+    __slots__ = ("entries", "masses")
 
     def __init__(self, entries: tuple[tuple[str, Fraction], ...]):
         if not entries:
@@ -202,26 +208,22 @@ class TableDist(DistDesc):
             if a == b:
                 raise DistLangError(f"duplicate Table entry {bits_to_text(a)}")
         object.__setattr__(self, "entries", tuple(fixed))
+        object.__setattr__(self, "masses", dict(fixed))
+
+    def _values(self) -> tuple:
+        return (self.entries,)
 
     def domain(self) -> list[str]:
         return [x for x, _ in self.entries]
 
     def mass(self, x: str) -> Fraction:
-        for y, q in self.entries:
-            if y == x:
-                return q
-        return Fraction(0)
+        return self.masses.get(x, Fraction(0))
 
     def max_codeword_len(self) -> int:
         return max(ceil_log2_ratio(q.denominator, q.numerator) for _, q in self.entries)
 
 
 # -- encoding ----------------------------------------------------------------
-
-
-@lru_cache(maxsize=65536)
-def _encode_cached(dist: DistDesc) -> str:
-    return encode_dist(dist)
 
 
 def encode_dist(dist: DistDesc) -> str:
@@ -403,19 +405,17 @@ def deficiency_p(
     # read only at the domain: built up to its longest member
     [table] = source.k_tables(max(map(len, domain)), [Condition.of_model(dist)])
     kx = require_k(table, x)
-    best_y, best_k, best_score = None, None, Fraction(-1)
-    for y in domain:
-        ky = require_k(table, y)
-        score = dist.mass(y) * (1 << ky)  # large score = small deficiency
-        if score > best_score:
-            best_y, best_k, best_score = y, ky, score
-    assert best_y is not None and best_k is not None
-    delta_raw = dist.neglog(x) - kx
-    delta_norm = delta_raw - (dist.neglog(best_y) - best_k)
+    ks = require_ks(table, domain)
+    # large score = small deficiency; the first of equal scores wins
+    best_y, best_k, best_mass = max(
+        zip(domain, ks, map(dist.mass, domain)), key=lambda e: e[2] * (1 << e[1])
+    )
+    delta_raw = _neglog(mx) - kx
+    delta_norm = delta_raw - (_neglog(best_mass) - best_k)
     return ProbDeficiencyRecord(
-        x=x, dist=dist, neglog=dist.neglog(x), k_cond=kx,
+        x=x, dist=dist, neglog=_neglog(mx), k_cond=kx,
         delta_raw=delta_raw, delta_norm=delta_norm,
-        mass=mx, best_y=best_y, best_mass=dist.mass(best_y), best_k=best_k,
+        mass=mx, best_y=best_y, best_mass=best_mass, best_k=best_k,
     )
 
 
@@ -424,23 +424,15 @@ def two_part_p(x: str, dist: DistDesc) -> int:
     return dist.code_len + codeword_length(dist, x)
 
 
-class SuffStatPReport(NamedTuple):
-    x: str
-    beta: int
-    lambda_min: int
-    optimal: tuple[DistDesc, ...]
-    minimal: DistDesc
-    in_class_sufficient: bool | None = None
-
-
 def suffstat_p(
     x: str,
     beta: int = 0,
     opts: ModelOpts | None = None,
     family: Iterable[DistDesc] | None = None,
     reference_lambda: int | None = None,
-) -> SuffStatPReport:
-    """Distribution-level sufficient statistics. The default family is
+) -> SuffStatReport:
+    """Distribution-level sufficient statistics, as a ``SuffStatReport``
+    whose models are distributions. The default family is
     the uniform wrap of the set family (each set model S becomes
     UniformOn(S), two extra tag bits), which keeps set-stochastic strings
     quasistochastic at the measured constant. It leaves Bernoulli models
@@ -452,18 +444,13 @@ def suffstat_p(
     if beta < 0:
         raise ValueError("beta must be >= 0")
     if family is None:
-        singleton_total = two_part_p(x, UniformOn(Singleton(x)))
-        # set codes are 2 bits shorter than their uniform wrap; the
-        # family's alpha bound clamps long strings and runaway betas, as
-        # in suffstat
-        alpha_cap = min(
-            singleton_total + beta + 1 - 2, (opts or ModelOpts()).alpha_bound
-        )
-        family = [UniformOn(d) for d in enumerate_models(x, alpha_cap, opts)]
+        # a uniform wrap adds 2 bits to a set's code and to its two-part
+        # total, so the set search range serves the wrapped family
+        family = [UniformOn(d) for d in enumerate_models(x, alpha_cap(x, beta, opts), opts)]
     candidates = [(two_part_p(x, d), d) for d in family if d.mass(x) > 0]
     if not candidates:
         raise ValueError("family gives x zero mass everywhere")
-    return _optimal_models(SuffStatPReport, x, beta, candidates, reference_lambda)
+    return _optimal_models(x, beta, candidates, reference_lambda)
 
 
 # -- complexity-level sets as distributions ------------------------------------

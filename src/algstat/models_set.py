@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache
 from itertools import combinations
 from typing import Any, Iterable, Iterator, NamedTuple
 
@@ -74,7 +73,7 @@ class SetDesc(Record):
 
     @property
     def code(self) -> str:
-        return _encode_cached(self)
+        return encode(self)
 
     @property
     def code_len(self) -> int:
@@ -288,11 +287,6 @@ class ListSet(SetDesc):
 
 
 # -- encoding ----------------------------------------------------------------
-
-
-@lru_cache(maxsize=65536)
-def _encode_cached(desc: SetDesc) -> str:
-    return encode(desc)
 
 
 def encode(desc: SetDesc) -> str:
@@ -617,6 +611,16 @@ def two_part(x: str, desc: SetDesc) -> int:
     return desc.code_len + ceil_log2(desc.size())
 
 
+def alpha_cap(x: str, beta: int = 0, opts: ModelOpts | None = None) -> int:
+    """The exclusive code-length cap of a model search for x: the least
+    alpha at which Singleton(x) is a model below alpha (its two-part total
+    plus one), plus the slack beta, clamped at the family's alpha bound.
+    Every model within beta of the best two-part total has a shorter code,
+    since Singleton(x)'s total bounds the best; long strings and runaway
+    betas meet the clamp, where the class restriction binds."""
+    return min(two_part(x, Singleton(x)) + 1 + beta, (opts or ModelOpts()).alpha_bound)
+
+
 # -- structure function ------------------------------------------------------
 
 
@@ -703,11 +707,14 @@ def structfn(
 
 
 class SuffStatReport(NamedTuple):
+    """The optimal models of x; ``suffstat`` reports set models (``SetDesc``),
+    ``models_prob.suffstat_p`` distributions (``DistDesc``)."""
+
     x: str
     beta: int
     lambda_min: int
-    optimal: tuple[SetDesc, ...]  # two_part <= lambda_min + beta
-    minimal: SetDesc  # least (code_len, code) among optimal
+    optimal: tuple[Any, ...]  # two-part total <= lambda_min + beta
+    minimal: Any  # least (code_len, code) among optimal
     in_class_sufficient: bool | None = None  # only when a reference lambda was given
 
 
@@ -726,32 +733,26 @@ def suffstat(
     if beta < 0:
         raise ValueError("beta must be >= 0")
     if family is None:
-        # two_part(Singleton) bounds lambda_min, so no candidate's code
-        # can be longer than that total plus the slack; the family's own
-        # alpha bound clamps runaway betas (class restriction binds there)
-        alpha_cap = min(
-            two_part(x, Singleton(x)) + beta + 1, (opts or ModelOpts()).alpha_bound
-        )
-        family = enumerate_models(x, alpha_cap, opts)
+        family = enumerate_models(x, alpha_cap(x, beta, opts), opts)
     candidates = [(two_part(x, d), d) for d in family if d.member(x)]
     if not candidates:
         raise ValueError("family contains no model of x")
-    return _optimal_models(SuffStatReport, x, beta, candidates, reference_lambda)
+    return _optimal_models(x, beta, candidates, reference_lambda)
 
 
 def _optimal_models(
-    report: type, x: str, beta: int, candidates: list[tuple[int, Any]], reference_lambda: int | None
-):
-    """The ``report`` (``SuffStatReport`` or ``SuffStatPReport``) of the
-    search over (two-part total, model) ``candidates``: the least total, the
-    models within beta of it by (code_len, code), the first of them, and
-    whether the least total is within beta of ``reference_lambda``."""
+    x: str, beta: int, candidates: list[tuple[int, Any]], reference_lambda: int | None
+) -> SuffStatReport:
+    """The report of the search over (two-part total, model) ``candidates``,
+    set or distribution models: the least total, the models within beta of
+    it by (code_len, code), the first of them, and whether the least total
+    is within beta of ``reference_lambda``."""
     lambda_min = min(t for t, _ in candidates)
     optimal = sorted(
         (d for t, d in candidates if t <= lambda_min + beta), key=lambda d: (d.code_len, d.code)
     )
     in_class = None if reference_lambda is None else lambda_min <= reference_lambda + beta
-    return report(x, beta, lambda_min, tuple(optimal), optimal[0], in_class)
+    return SuffStatReport(x, beta, lambda_min, tuple(optimal), optimal[0], in_class)
 
 
 def stochastic(
@@ -799,11 +800,10 @@ def nonstoch_scan(
     min_len: dict[str, int] = {}
     for v in range(1 << n):
         x = format(v, f"0{n}b") if n else ""
-        # Singleton always qualifies (delta_star = 0), so the search is
-        # bounded by its length.
-        alpha_cap = Singleton(x).code_len + 1
+        # Singleton always qualifies (delta_star = 0), so the search needs
+        # no slack past it.
         best: int | None = None
-        for desc in enumerate_models(x, alpha_cap, opts):
+        for desc in enumerate_models(x, alpha_cap(x, 0, opts), opts):
             if best is not None and desc.code_len >= best:
                 break  # models come sorted by length
             members = desc.denote()
@@ -816,7 +816,10 @@ def nonstoch_scan(
             _, d_star = _normalized_deficiencies(x, members, table)
             if d_star <= beta:
                 best = desc.code_len
-        assert best is not None
+        if best is None:
+            raise ValueError(
+                f"no model of {bits_to_text(x)} below the alpha bound has delta_star <= {beta}"
+            )
         min_len[x] = best
     histogram: dict[int, int] = {}
     for l in min_len.values():

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -276,6 +278,24 @@ class TestCsvCommands:
         assert lines[2] == "0001,1,11,13,11,0"
         assert len(lines) == 17
 
+    def test_bernoulli_6_stdout_is_pinned(self, run):
+        """The whole ``bernoulli 6`` CSV (65 lines) by its SHA-256, and the
+        rows it flags: every model family it enumerates for the 64 strings
+        gives the same totals as it always did."""
+        code, out, err = run("bernoulli", "6")
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert len(lines) == 65
+        assert [l for l in lines if l.endswith(",1")] == [
+            "000111,3,13,18,13,1", "001110,3,13,18,13,1", "010101,3,13,18,13,1",
+            "011011,4,13,17,13,1", "011100,3,13,18,13,1", "100011,3,13,18,13,1",
+            "101010,3,13,18,13,1", "101101,4,13,17,13,1", "110001,3,13,18,13,1",
+            "110110,4,13,17,13,1", "111000,3,13,18,13,1",
+        ]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "725990fb4e244af7c57b74f5c02dad63484c497e492c7628d2348739802fe643"
+        )
+
     def test_out_file(self, run, tmp_path):
         target = tmp_path / "xr.csv"
         code, out, err = run("xr", "--max-len", "12", "--out", str(target))
@@ -365,8 +385,9 @@ class TestLaws:
             builds = [l for l in cold[2].splitlines() if "cache miss" in l]
             assert [b.split()[4] for b in builds[:2]] == ["L=22", "L=29"]
 
-    def test_warm_battery_opens_each_table_once(self, run, monkeypatch):
-        assert run("laws")[0] == EXIT_OK  # fills the cache if no test before did
+    def test_warm_battery_opens_each_file_as_its_audits_read_it(self, run, tmp_path, monkeypatch):
+        assert run("laws", "--cache-dir", str(tmp_path))[0] == EXIT_OK
+        written = sorted(p.name for p in tmp_path.iterdir())
         opened = []
         import_table = enumeration.import_table
 
@@ -377,11 +398,19 @@ class TestLaws:
         # at every module attribute that holds it, as the benchmark's tracer wraps it
         for module in ("algstat.enumeration", "algstat.cache"):
             monkeypatch.setattr(f"{module}.import_table", counted)
-        code, out, err = run("laws")
+        code, out, err = run("laws", "--cache-dir", str(tmp_path))
         assert (code, out, err) == (EXIT_OK, "\n".join(SELECTION_STDOUT["all"]) + "\n", "")
-        # the level and deep tables and 24 conditional ones, each opened once:
-        # the theta and identity audits read the same two label tables
-        assert len(opened) == len(set(opened)) == 26
+        # every file the cold pass wrote, the level and deep tables and 24
+        # conditional ones, is opened, and each audit opens the conditional
+        # tables it reads: only the two L=7, O=2 label tables are read by
+        # more than one, once by each theta statistic and once by the
+        # identity audit
+        counts = Counter(opened)
+        assert sorted(counts) == written and len(written) == 26
+        labels = [name for name in written if "_L7_T100000_O2_" in name]
+        assert len(labels) == 2
+        assert {name: n for name, n in counts.items() if n > 1} == dict.fromkeys(labels, 3)
+        assert len(opened) == 30
 
     @pytest.mark.parametrize("audit", ["all", "nonincrease", "theta"])
     def test_transforms_run_once(self, run, monkeypatch, audit):

@@ -38,9 +38,8 @@ SLOW = ["dataclasses", "inspect"]
 # ``algstat.kernel`` (no command takes a path into the machine but the
 # walker's), then prints which lazy modules and which walker modules have
 # run, whether a process pool's modules were imported, which SLOW modules
-# were loaded, whether the kernel's state walk was run, whether hashlib
-# (which maps OpenSSL) was imported and whether fractions was, as the last
-# stdout line.
+# were loaded, whether hashlib (which maps OpenSSL) was imported and whether
+# fractions was, as the last stdout line.
 PROBE = f"""
 import json, sys, types
 from algstat.cli import main
@@ -50,11 +49,10 @@ ran = [n for n in {LAZY!r} if type(sys.modules[n]) is types.ModuleType]
 walker = [n for n in {WALKER!r} if type(sys.modules[n]) is types.ModuleType]
 slow = [n for n in {SLOW!r} if n in sys.modules]
 pool = any(n in sys.modules for n in ("concurrent.futures.process", "multiprocessing"))
-walked = "algstat._statewalk" in sys.modules
 hashlib = any(n in sys.modules for n in ("hashlib", "_hashlib"))
 fractions = "fractions" in sys.modules
 print(json.dumps({{"rc": rc, "ran": ran, "walker": walker, "pool": pool, "slow": slow,
-                  "walked": walked, "hashlib": hashlib, "fractions": fractions}}))
+                  "hashlib": hashlib, "fractions": fractions}}))
 """
 
 
@@ -105,7 +103,7 @@ def test_commands_run_only_the_modules_they_use(warm_cache, argv, ran):
     assert proc.stderr == ""
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe == {
-        "rc": 0, "ran": ran, "walker": [], "pool": False, "slow": [], "walked": False,
+        "rc": 0, "ran": ran, "walker": [], "pool": False, "slow": [],
         "hashlib": False, "fractions": argv[0] in FRACTION_MAKERS,
     }
 
@@ -130,7 +128,7 @@ def test_cold_commands_walk_here_and_load_no_slow_module(tmp_path, argv, ran):
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe == {
-        "rc": 0, "ran": ran, "walker": WALKER, "pool": False, "slow": [], "walked": True,
+        "rc": 0, "ran": ran, "walker": WALKER, "pool": False, "slow": [],
         "hashlib": False, "fractions": True,
     }
 

@@ -277,6 +277,32 @@ class TestClassicalSide:
         assert [r.sufficient for r in rep.rows] == [True, False]
         assert not rep.sufficient
 
+    def test_map_and_table_of_2048_entries(self):
+        """A ``map`` statistic and a ``table{}`` distribution look a string up
+        in a dict, not along their entries: over the 2,048 strings of 11 bits
+        the values, the zero mass of a non-member and the Fisher–Neyman
+        verdict all hold."""
+        xs = [format(v, "011b") for v in range(1 << 11)]
+        weight = Statistic("weight")
+        by_map = Statistic("map", tuple((x, weight(x)) for x in reversed(xs)))
+        assert [by_map(x) for x in xs] == [weight(x) for x in xs]
+        with pytest.raises(JointModelError):
+            by_map("0" * 12)
+        # a mass that depends on the weight alone: the weight is sufficient
+        total = sum(x.count("1") + 1 for x in xs)
+        uniform = TableDist(tuple((x, Fraction(1, 1 << 11)) for x in xs))
+        tilted = TableDist(tuple((x, Fraction(x.count("1") + 1, total)) for x in reversed(xs)))
+        assert all(uniform.mass(x) == Fraction(1, 1 << 11) for x in xs)
+        assert [tilted.mass(x) for x in xs] == [Fraction(x.count("1") + 1, total) for x in xs]
+        assert uniform.mass("0" * 12) == tilted.mass("") == tilted.mass("1" * 10) == 0
+        joint = JointModel(("0", "1"), (HALF, HALF), (uniform, tilted))
+        assert [m for _, _, m in joint.support()][-1] == HALF * Fraction(12, total)
+        assert pushforward(joint, by_map) == pushforward(joint, weight)
+        assert prob_suff_check(joint, by_map, [(HALF, HALF)]).sufficient
+        # the first bit forgets the weight
+        first = Statistic("map", tuple((x, x[0]) for x in xs))
+        assert not prob_suff_check(joint, first, [(HALF, HALF)]).sufficient
+
     @pytest.mark.parametrize(("name", "stat", "verdict"), STANDARD_VERDICTS)
     def test_standard_verdicts(self, name, stat, verdict):
         assert prob_suff_check(standard_joints()[name], Statistic(stat)).sufficient is verdict

@@ -40,9 +40,11 @@ from algstat.models_set import (
     ListSet,
     ModelOpts,
     Singleton,
+    SuffStatReport,
     UnionSet,
     deficiency,
     enumerate_models,
+    suffstat,
     two_part,
 )
 from oracles import naive_codebook
@@ -299,6 +301,20 @@ class TestTwoPartAndSuffStat:
         assert rep.minimal == UniformOn(All(4))
         assert [d.code_len for d in rep.optimal] == [9, 13]
         assert rep.optimal[1] == UniformOn(Singleton("0101"))
+
+    @pytest.mark.parametrize("x, beta", [("", 0), ("0101", 0), ("0110", 2), ("01101001", 1)])
+    def test_default_family_is_the_uniform_wrap_of_suffstat(self, x, beta):
+        """``suffstat_p`` reports in ``suffstat``'s record, over the same
+        alpha range: each total is 2 bits longer, and the optimal models
+        are the uniform wraps of the set ones, in the same order."""
+        sets = suffstat(x, beta)
+        rep = suffstat_p(x, beta)
+        assert type(rep) is SuffStatReport
+        assert rep == sets._replace(
+            lambda_min=sets.lambda_min + 2,
+            optimal=tuple(map(UniformOn, sets.optimal)),
+            minimal=UniformOn(sets.minimal),
+        )
 
     def test_restricted_family(self):
         fam = [Bernoulli(4, Fraction(1, 4)), Bernoulli(4, Fraction(1, 2))]

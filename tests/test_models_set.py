@@ -325,3 +325,16 @@ class TestStochasticity:
     def test_scan_cap(self):
         with pytest.raises(ValueError):
             nonstoch_scan(13, 0)
+
+    def test_scan_under_a_low_alpha_bound(self, cond_cache):
+        """The search stops at the family's alpha bound, as every model
+        search does: below Singleton's code length All(2) still qualifies
+        for every 2-bit string, and a bound that admits no model of x is
+        an error, not an assertion."""
+        source = TableSource(cache_dir=cond_cache)
+        rep = nonstoch_scan(2, 0, ModelOpts(alpha_bound=6), source=source)
+        assert rep.min_len == nonstoch_scan(2, 0, source=source).min_len == dict.fromkeys(
+            ("00", "01", "10", "11"), 5
+        )
+        with pytest.raises(ValueError, match="below the alpha bound"):
+            nonstoch_scan(2, 0, ModelOpts(alpha_bound=5), source=source)

@@ -12,7 +12,7 @@ import pytest
 
 from algstat.bits import CodeError
 from algstat.cache import TableSource
-from algstat.cli import Config, main
+from algstat.cli import main
 from algstat.complexity import MIRecord
 from algstat.infolaws import JointModel, JointModelError, Statistic, Transform
 from algstat.machine import Budgets, Op, OpToken, RunOutcome, Status
@@ -61,7 +61,6 @@ VALIDATING = [
     JointModel(("0", "1"), (HALF, HALF), (Bernoulli(2, HALF), Bernoulli(2, Fraction(1, 4)))),
     Statistic("map", (("1", "0"), ("0", "1"))),
     SkIndex(3, ("", "0"), 2, 2, 1),
-    Config(TableSource(), None, None, 0),
 ]
 PLAIN = [
     OpToken(Op.COPYIN, 5, 2),
@@ -98,8 +97,6 @@ PLAIN = [
         (lambda: JointModel(("0",), (HALF,), (Bernoulli(1, HALF),)), JointModelError),
         (lambda: Statistic("median"), JointModelError),
         (lambda: Statistic("weight", (("0", "1"),)), JointModelError),
-        (lambda: Config(TableSource(max_len=0), None, None, 0), ValueError),
-        (lambda: Config(TableSource(), None, None, -1), ValueError),
     ],
 )
 def test_invalid_arguments_raise_as_before(make, error):
@@ -119,6 +116,12 @@ def test_invalid_arguments_raise_as_before(make, error):
 def test_cli_rejects_a_zero_setting(capsys, tmp_path, flag, message):
     assert main(["structfn", "0", flag, "0", "--cache-dir", str(tmp_path)]) == 1
     assert capsys.readouterr() == ("", message)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_rejects_a_negative_beta_before_any_table(capsys, tmp_path):
+    assert main(["bernoulli", "4", "--beta", "-1", "--cache-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr() == ("", "algstat: error: --beta must be >= 0\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -156,6 +159,8 @@ def test_repr_names_the_fields():
     assert repr(SkIndex(3, ("", "0"), 2, 2, 1)) == (
         "SkIndex(k=3, members=('', '0'), n_k=2, width=2, t_k=1)"
     )
+    assert repr(TableDist((("1", HALF),))) == "TableDist(entries=(('1', Fraction(1, 2)),))"
+    assert repr(Statistic("map", (("0", "1"),))) == "Statistic(kind='map', table=(('0', '1'),))"
 
 
 @pytest.mark.parametrize(
@@ -174,8 +179,8 @@ def test_records_of_different_classes_differ(a, b):
 
 @pytest.mark.parametrize("first", SET_DESCS + DIST_DESCS, ids=repr)
 def test_cached_codes_belong_to_their_record(first):
-    """Each model's code is computed once and cached by the model; every
-    other model's cached code is still its own after ``first``'s."""
+    """Each model's code is its own encoding and decodes back to the model,
+    whichever model's code was read first, and no two models share one."""
     first.code
     for desc in SET_DESCS:
         assert desc.code == encode(desc) and decode(desc.code) == desc

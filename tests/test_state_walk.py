@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from algstat import _pykernel, _statewalk, cli
+from algstat import _pykernel, cli
 from algstat._pykernel import walk_args
 from algstat.cache import AUDIT_MAX_LEN, TableSource
 from algstat.enumeration import LEVEL_MAX_LEN
@@ -181,9 +181,9 @@ def test_condition_order_and_edits_do_not_reach_later_walks():
     returned changes no later walk."""
     a = walk_args(15, Condition.string("0110"), Budgets(max_output=6))
     b = walk_args(15, Condition.string("11101"), Budgets(max_output=6))
-    _statewalk._condition_free.cache_clear()
+    _pykernel._condition_free.cache_clear()
     first = [_pykernel.walk(*a), _pykernel.walk(*b)]
-    _statewalk._condition_free.cache_clear()
+    _pykernel._condition_free.cache_clear()
     second = [_pykernel.walk(*b), _pykernel.walk(*a)]
     assert first == second[::-1] == [tree_walk(*a), tree_walk(*b)]
 

@@ -111,7 +111,7 @@ def test_no_function_or_method_takes_a_single_valued_knob(module):
 
 def test_the_cap_is_a_source_setting_only():
     assert list(inspect.signature(TableSource.k_tables).parameters) == ["self", "n", "conds"]
-    assert "L" not in cli.Config.__slots__
+    assert "L" not in TableSource._fields
     assert TableSource._fields[-1] == "max_len"
 
 
