@@ -88,7 +88,10 @@ def _parse_rat_text(text: str) -> Fraction:
     num_text, slash, den_text = text.partition("/")
     if not slash:
         raise DistLangError(f"expected a/b rational, got {text!r}")
-    return Fraction(int(num_text), int(den_text))
+    den = int(den_text)
+    if den == 0:
+        raise DistLangError(f"rational {text!r} has a zero denominator")
+    return Fraction(int(num_text), den)
 
 
 def _neglog(m: Fraction) -> float:

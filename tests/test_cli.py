@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import shutil
@@ -677,6 +678,29 @@ class TestUsageErrors:
 
 
     @pytest.mark.parametrize(
+        "argv, joint, text",
+        [
+            (["probstat", "0101", "bern:4,1/0"], None, "bern:4,1/0"),
+            (["probstat", "0101", "table{0101:1/0}"], None, "table{0101:1/0}"),
+            (["laws", "--joint", "JOINT"], "theta 0 1/1\ndist 0 bern:2,1/0\nstatistic weight\n", "bern:2,1/0"),
+        ],
+        ids=["bern", "table", "joint-dist"],
+    )
+    def test_zero_denominator_exits_one_before_any_table(self, run, tmp_path, argv, joint, text):
+        if joint is not None:
+            path = tmp_path / "joint.txt"
+            path.write_text(joint, encoding="ascii")
+            argv = [str(path) if a == "JOINT" else a for a in argv]
+        cache = tmp_path / "cache"
+        code, out, err = run(*argv, "--cache-dir", str(cache))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            f"algstat: error: bad distribution syntax {text!r}: "
+            "rational '1/0' has a zero denominator\n"
+        )
+        assert not cache.exists() or not any(cache.iterdir())
+
+    @pytest.mark.parametrize(
         "argv",
         [["bernoulli", "3"], ["bernoulli", "-2"], ["bernoulli", "14"]],
         ids=["odd", "negative", "large"],
@@ -841,3 +865,117 @@ class TestEntryPoint:
         )
         assert proc.returncode == EXIT_OK
         assert proc.stdout.splitlines()[0] == "r,|X(r)|,sum,bound,pass"
+
+
+class TestCollectorPolicy:
+    """``main`` pauses the cyclic collector for the parse and the command,
+    restores the state it found, and freezes the heap at exit."""
+
+    # argv and what the command itself sees, for each way main can end
+    ENDINGS = {
+        "success": (["k", "0110", "--max-len", "12"], [False]),
+        "error": (["k", "0110", "--max-len", "0"], [False]),
+        "usage": (["k", "0110", "--bogus"], []),
+        "raises": (["k", "0110", "--max-len", "12"], [False]),
+    }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("ending", list(ENDINGS))
+    def test_main_restores_the_collector_state(self, run, monkeypatch, enabled, ending):
+        argv, paused = self.ENDINGS[ending]
+        seen = []
+        help_text, fn, add_args = cli.COMMANDS["k"]
+
+        def spy(args):
+            seen.append(gc.isenabled())
+            if ending == "raises":
+                raise RuntimeError("boom")
+            return fn(args)
+
+        monkeypatch.setitem(cli.COMMANDS, "k", (help_text, spy, add_args))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if ending == "usage":
+                with pytest.raises(SystemExit) as exc:
+                    run(*argv)
+                assert exc.value.code == EXIT_USAGE
+            elif ending == "raises":
+                with pytest.raises(RuntimeError, match="boom"):
+                    run(*argv)
+            else:
+                code, out, err = run(*argv)
+                assert (code, out) == {
+                    "success": (EXIT_OK, "K=11 witness=00010100100\n"),
+                    "error": (EXIT_USAGE, ""),
+                }[ending]
+                assert ("error:" in err) is (ending == "error")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == paused
+
+    def test_exit_hook_freezes_the_heap_once_per_process(self, cli_cache):
+        """Two runs of ``python -m algstat.cli`` in one interpreter freeze the
+        heap once at exit, and a hook registered before them runs after that
+        freeze and sees a frozen heap. ``gc.freeze`` is wrapped to count."""
+        script = (
+            "import atexit, gc, runpy, sys\n"
+            "calls, freeze = [], gc.freeze\n"
+            "gc.freeze = lambda: (calls.append(1), freeze())\n"
+            "atexit.register(lambda: print('freezes', len(calls), gc.get_freeze_count() > 0))\n"
+            "argv = ['algstat', 'k', '0110', '--max-len', '12', '--cache-dir', sys.argv[1]]\n"
+            "for _ in range(2):\n"
+            "    sys.argv = list(argv)\n"
+            "    try:\n"
+            "        runpy.run_module('algstat.cli', run_name='__main__')\n"
+            "    except SystemExit as exc:\n"
+            "        print('rc', exc.code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, cli_cache], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "K=11 witness=00010100100",
+            "rc 0",
+            "K=11 witness=00010100100",
+            "rc 0",
+            "freezes 1 True",
+        ]
+
+    @pytest.mark.parametrize("code", [EXIT_OK, EXIT_USAGE, EXIT_REGRESSION])
+    def test_process_streams_and_exit_code_are_pinned(self, tmp_path, code):
+        """What a command process prints and returns, warm and cold: exit 0
+        (a query), 1 (a usage error) and 2 (a ``laws`` regression)."""
+        cache = tmp_path / "cache"
+        tight = tmp_path / "tight.txt"
+        tight.write_text(
+            "".join(f"{k} {v}\n" for k, v in sorted(dict(GOOD_CONSTANTS, soi_additivity=5).items())),
+            encoding="ascii",
+        )
+        argv, stdout, stderr = {
+            EXIT_OK: (["k", "0110"], "K=11 witness=00010100100\n", ""),
+            EXIT_USAGE: (
+                ["k", "0110", "--steps", "0"],
+                "",
+                "algstat: error: budgets must satisfy max_steps >= 1, max_output >= 0\n",
+            ),
+            EXIT_REGRESSION: (
+                ["laws", "--audit", "soi", "--constants", str(tight)],
+                "mi_self_gap measured=10 frozen=10 PASS\n"
+                "mi_swap_gap measured=10 frozen=10 PASS\n"
+                "soi_additivity measured=10 frozen=5 FAIL\n"
+                "soi_triangle measured=0 frozen=0 PASS\n",
+                "",
+            ),
+        }[code]
+        for _ in range(2):  # cold, then warm
+            proc = subprocess.run(
+                [sys.executable, "-m", "algstat.cli", *argv, "--max-len", "12",
+                 "--cache-dir", str(cache)],
+                capture_output=True,
+                text=True,
+            )
+            assert (proc.returncode, proc.stdout) == (code, stdout)
+        assert proc.stderr == stderr

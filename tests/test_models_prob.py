@@ -145,6 +145,11 @@ class TestCodec:
         with pytest.raises(DistLangError):
             parse_distlang("bern:2,0.25")
 
+    @pytest.mark.parametrize("text", ["bern:4,1/0", "table{0101:1/0}", "table{0:1/2,1:0/0}"])
+    def test_zero_denominator_is_a_syntax_error(self, text):
+        with pytest.raises(DistLangError, match="zero denominator"):
+            parse_distlang(text)
+
 
 class TestCodebook:
     def test_assignment(self):
