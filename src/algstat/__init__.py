@@ -5,15 +5,18 @@ probability models, information laws) reduces to exhaustive enumerations
 of a small prefix-free instruction set, so all reported quantities are
 exact integers or dyadic rationals — no estimates, no floats.
 
-The table core (``bits``, ``machine``, ``enumeration``, ``cache``,
-``complexity``) is imported with the package. The walker (``_pykernel``,
-the one path into the machine, state walk and all) and the analysis
-modules (``constants``, ``infolaws``, ``models_prob``, ``models_set``,
-``skstats``) are registered in ``sys.modules`` but run only on first
-use: the walker on the first build, an analysis module on the first read
-of one of its names. So a command that reads one cached table compiles
-none of them; the analysis modules' re-exports below resolve on first
-access.
+The table core (``bits``, ``condition``, ``enumeration``, ``cache``,
+``complexity``) is imported with the package. Every other module is
+registered in ``sys.modules`` but runs only on first use: the walker
+(``_pykernel``, the one path into the machine, state walk and all) on the
+first build; the single-program interpreter (``machine``), the two model
+grammars (``setlang``, ``distlang``) and the analysis modules
+(``constants``, ``infolaws``, ``models_prob``, ``models_set``,
+``skstats``) on the first read of one of their names. So a command that
+reads one cached table compiles none of them, and ``laws``, which reads
+models without computing over them, compiles the grammars but neither
+``models_set`` nor ``models_prob``. The lazy modules' re-exports below
+resolve on first access.
 """
 
 import importlib.util
@@ -32,9 +35,20 @@ def _lazy(name: str):
     return module
 
 
-# Registered before the table core is imported: ``enumeration`` binds this
-# module, and reads ``walk`` and ``walk_args`` off it only when it walks.
+# Registered before the table core is imported. ``enumeration`` binds the
+# walker's module, and reads ``walk`` and ``walk_args`` off it only when it
+# walks. A core module that imports a name from any other of them runs that
+# module where the import-path tests see it; registered after the core, the
+# lazy entry would hide the copy the core had already run.
 _pykernel = _lazy("_pykernel")
+constants = _lazy("constants")
+distlang = _lazy("distlang")
+infolaws = _lazy("infolaws")
+machine = _lazy("machine")
+models_prob = _lazy("models_prob")
+models_set = _lazy("models_set")
+setlang = _lazy("setlang")
+skstats = _lazy("skstats")
 
 from .bits import CodeError, bar, bits_to_nat, nat_to_bits, pair, std, unpair
 from .cache import TableSource, load_or_build
@@ -48,6 +62,7 @@ from .complexity import (
     shortest_program,
     soi_audit,
 )
+from .condition import MACHINE_VERSION, Budgets, Condition
 from .enumeration import (
     ComplexityTable,
     EntryCapExceeded,
@@ -58,22 +73,7 @@ from .enumeration import (
     export_table,
     import_table,
 )
-from .machine import (
-    MACHINE_VERSION,
-    Budgets,
-    Condition,
-    RunOutcome,
-    Status,
-    opcode_decode,
-    run,
-)
 
-
-constants = _lazy("constants")
-infolaws = _lazy("infolaws")
-models_prob = _lazy("models_prob")
-models_set = _lazy("models_set")
-skstats = _lazy("skstats")
 
 # The re-exports of the lazily run modules, served by ``__getattr__``.
 _LAZY_EXPORTS = {
@@ -82,6 +82,18 @@ _LAZY_EXPORTS = {
         "load_constants",
         "regression_check",
         "save_constants",
+    ),
+    distlang: (
+        "Bernoulli",
+        "Codebook",
+        "DistDesc",
+        "DistLangError",
+        "TableDist",
+        "UniformOn",
+        "codebook",
+        "codeword_length",
+        "format_distlang",
+        "parse_distlang",
     ),
     infolaws: (
         "JointModel",
@@ -103,50 +115,48 @@ _LAZY_EXPORTS = {
         "theta_suff_audit",
         "weight_models",
     ),
+    machine: (
+        "RunOutcome",
+        "Status",
+        "opcode_decode",
+        "run",
+    ),
     models_prob: (
-        "Bernoulli",
         "BernoulliDemoReport",
-        "Codebook",
-        "DistDesc",
-        "DistLangError",
         "ProbDeficiencyRecord",
-        "TableDist",
-        "UniformOn",
         "bernoulli_demo",
         "check_demo_n",
-        "codebook",
-        "codeword_length",
         "deficiency_p",
-        "format_distlang",
-        "parse_distlang",
         "pk",
         "suffstat_p",
         "two_part_p",
     ),
     models_set: (
-        "All",
-        "CapExceeded",
-        "Cyl",
         "DeficiencyRecord",
-        "Hamming",
-        "ListSet",
         "ModelOpts",
         "NonStochReport",
-        "SetDesc",
-        "SetLangError",
-        "Singleton",
         "StructureCurve",
         "SuffStatReport",
-        "UnionSet",
         "deficiency",
         "enumerate_models",
-        "format_setlang",
         "nonstoch_scan",
-        "parse_setlang",
         "stochastic",
         "structfn",
         "suffstat",
         "two_part",
+    ),
+    setlang: (
+        "All",
+        "CapExceeded",
+        "Cyl",
+        "Hamming",
+        "ListSet",
+        "SetDesc",
+        "SetLangError",
+        "Singleton",
+        "UnionSet",
+        "format_setlang",
+        "parse_setlang",
     ),
     skstats: (
         "MxRecord",

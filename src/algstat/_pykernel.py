@@ -70,7 +70,7 @@ from __future__ import annotations
 import heapq
 from functools import lru_cache
 
-from .machine import Budgets, Condition
+from .condition import Budgets, Condition
 
 _COMPL = str.maketrans("01", "10")
 

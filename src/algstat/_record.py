@@ -4,9 +4,15 @@ A plain immutable value (a report, a row) is a ``typing.NamedTuple``. A
 record that checks its arguments, belongs to a class family or keeps a
 field out of its identity derives from ``Record`` instead: its fields are
 its class's ``__slots__``, and its own ``__init__`` checks the arguments
-and sets each field once through ``object.__setattr__``. Neither kind runs
-generated code when its class is made, which matters because every CLI
-call creates every class it imports.
+and sets each field once through ``object.__setattr__``.
+
+Every CLI call creates every class it imports, and the two kinds differ in
+what that costs. Making a ``Record`` class runs no generated code. Making a
+``NamedTuple`` class does: ``collections.namedtuple`` builds the source of
+its ``__new__`` and ``eval``s it, and under ``from __future__ import
+annotations`` each field's annotation is compiled into a ``ForwardRef``.
+An 8-field ``NamedTuple`` class takes about 100 µs to make, against about
+5 µs for a plain class with the same ``__slots__``.
 
 Records compare and hash with their class, so two records of different
 classes with equal fields stay distinct as dict keys.

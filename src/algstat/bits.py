@@ -156,3 +156,9 @@ def ceil_log2_ratio(num: int, den: int) -> int:
 def ceil_log2(n: int) -> int:
     """Exact ceil(log2(n)) for positive n."""
     return ceil_log2_ratio(n, 1)
+
+
+def _fmt_real(v: float) -> str:
+    """Deterministic decimal form with documented 1e-9 precision."""
+    text = f"{v:.9f}".rstrip("0").rstrip(".")
+    return text if text else "0"

@@ -59,7 +59,7 @@ from .enumeration import (
     export_table,
     import_table,
 )
-from .machine import MACHINE_VERSION, Budgets, Condition
+from .condition import MACHINE_VERSION, Budgets, Condition
 
 ENV_CACHE_DIR = "ALGSTAT_CACHE_DIR"
 # The largest cap ``TableSource.k_tables`` derives: that of the ``laws``

@@ -24,8 +24,8 @@ import gc
 import sys
 from pathlib import Path
 
-from . import constants, infolaws, models_prob, models_set, skstats
-from .bits import CodeError, bits_to_text, text_to_bits
+from . import constants, distlang, infolaws, models_prob, models_set, setlang, skstats
+from .bits import _fmt_real, bits_to_text, text_to_bits
 from .cache import ENV_CACHE_DIR, TableSource, load_or_build
 from .complexity import Absent, mutual_info, require_k
 from .enumeration import (
@@ -36,7 +36,7 @@ from .enumeration import (
     _gc_paused,
     export_table,
 )
-from .machine import DEFAULT_MAX_OUTPUT, DEFAULT_MAX_STEPS, Budgets, Condition
+from .condition import DEFAULT_MAX_OUTPUT, DEFAULT_MAX_STEPS, Budgets, Condition
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -93,7 +93,7 @@ def _condition(args: argparse.Namespace) -> Condition | None:
     if getattr(args, "cond", None) is not None:
         return Condition.string(text_to_bits(args.cond))
     if getattr(args, "cond_set", None) is not None:
-        return models_set.uniform_condition(models_set.parse_setlang(args.cond_set))
+        return models_set.uniform_condition(setlang.parse_setlang(args.cond_set))
     return None
 
 
@@ -168,8 +168,8 @@ def cmd_suffstat(args: argparse.Namespace) -> int:
         f"x={bits_to_text(x)}",
         f"beta={rep.beta}",
         f"lambda_min={rep.lambda_min}",
-        f"minimal={models_set.format_setlang(rep.minimal)}",
-        "optimal=" + ";".join(models_set.format_setlang(d) for d in rep.optimal),
+        f"minimal={setlang.format_setlang(rep.minimal)}",
+        "optimal=" + ";".join(setlang.format_setlang(d) for d in rep.optimal),
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -204,18 +204,18 @@ def cmd_probstat(args: argparse.Namespace) -> int:
     source = _source(args)
     opts = _model_opts(args)
     x = text_to_bits(args.x)
-    dist = models_prob.parse_distlang(args.dist)
+    dist = distlang.parse_distlang(args.dist)
     rec = models_prob.deficiency_p(x, dist, source=source)
     rep = models_prob.suffstat_p(x, args.beta, opts)
     lines = [
         f"x={bits_to_text(x)}",
-        f"dist={models_prob.format_distlang(dist)}",
-        f"neglog={models_set._fmt_real(rec.neglog)}",
+        f"dist={distlang.format_distlang(dist)}",
+        f"neglog={_fmt_real(rec.neglog)}",
         f"K_cond={rec.k_cond}",
-        f"delta_norm={models_set._fmt_real(rec.delta_norm)}",
+        f"delta_norm={_fmt_real(rec.delta_norm)}",
         f"two_part={models_prob.two_part_p(x, dist)}",
         f"lambda_min={rep.lambda_min}",
-        f"minimal={models_prob.format_distlang(rep.minimal)}",
+        f"minimal={distlang.format_distlang(rep.minimal)}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -247,7 +247,7 @@ def _laws_joint(args: argparse.Namespace, source: TableSource) -> int:
     [table] = source.k_tables(reach, [Condition.none()])
     if audit == "expected-mi":
         rep = infolaws.expected_mi_audit(joint, table)
-        _warn(f"expected={float(rep.expected):.9f} classical={models_set._fmt_real(rep.prob_i)} k_p={rep.k_p}")
+        _warn(f"expected={float(rep.expected):.9f} classical={_fmt_real(rep.prob_i)} k_p={rep.k_p}")
         _emit(rep.to_csv(), args.out)
         return EXIT_OK
     if audit == "theta":
@@ -462,18 +462,10 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser(only=command).parse_args(argv)
         try:
             return args.fn(args)
-        # Python evaluates this tuple only when an exception arrives, so the
-        # lazily loaded modules named in it run only on an error.
-        except (
-            Absent,
-            models_set.CapExceeded,
-            CodeError,
-            constants.ConstantsError,
-            infolaws.JointModelError,
-            TableError,
-            ValueError,
-            OSError,
-        ) as exc:
+        # Every input error of the analysis modules (a cap exceeded, a bad
+        # model, joint or constants file) is a ValueError, so an error exit
+        # runs no module that its command did not.
+        except (Absent, TableError, ValueError, OSError) as exc:
             print(f"algstat: error: {exc}", file=sys.stderr)
             return EXIT_USAGE
 

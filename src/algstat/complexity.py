@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 from .bits import bits_to_text, pair, std
 from .cache import TableSource
 from .enumeration import DEFAULT_COND_MAX_LEN, ComplexityTable
-from .machine import Condition
+from .condition import Condition
 
 DEFAULT_SOI_LEN_CAP = 4
 

@@ -16,8 +16,8 @@ from typing import NamedTuple
 REGRESSION_TOLERANCE_BITS = 1
 
 
-class ConstantsError(Exception):
-    pass
+class ConstantsError(ValueError):
+    """A malformed constants file."""
 
 
 def packaged_constants_text() -> str:

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 # off it, so a command that finds its tables cached never runs it.
 from . import _pykernel
 from .bits import bits_to_text
-from .machine import MACHINE_VERSION, Budgets, Condition, sha256
+from .condition import MACHINE_VERSION, Budgets, Condition, sha256
 
 if TYPE_CHECKING:
     from fractions import Fraction

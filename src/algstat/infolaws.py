@@ -22,6 +22,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._record import Record
 from .bits import (
+    CodeError,
+    _fmt_real,
     bar_nat,
     bits_to_nat,
     bits_to_text,
@@ -42,17 +44,11 @@ from .complexity import (
     shortest_program,
     soi_audit,
 )
+from .condition import Budgets, Condition
+from .distlang import Bernoulli, DistDesc, TableDist, _rat_bits, format_distlang, parse_distlang
 from .enumeration import ComplexityTable
-from .machine import Budgets, Condition, Op, run
-from .models_prob import (
-    Bernoulli,
-    DistDesc,
-    TableDist,
-    _rat_bits,
-    format_distlang,
-    parse_distlang,
-)
-from .models_set import SetDesc, Hamming, _fmt_real
+from .machine import Op, run
+from .setlang import Hamming, SetDesc
 from .skstats import _dyadic_csv, logn_gap, slice_bound_check, xr_bound_check
 
 TOL = 1e-9
@@ -60,7 +56,7 @@ DEFAULT_NI_LEN_CAP = 6
 MASS_TARGET = Fraction(9, 10)
 
 
-class JointModelError(Exception):
+class JointModelError(ValueError):
     """Malformed joint model, statistic, or joint-model file input."""
 
 
@@ -218,6 +214,14 @@ def format_statistic(statistic: Statistic) -> str:
     return "map{" + body + "}"
 
 
+def _on_line(lineno: int, parse: Callable[[str], object], text: str):
+    """``parse(text)``, with a bad input reported at its file line."""
+    try:
+        return parse(text)
+    except (CodeError, JointModelError) as exc:
+        raise JointModelError(f"line {lineno}: {exc}") from exc
+
+
 def parse_joint_text(text: str) -> tuple[JointModel, Statistic | None]:
     """Joint-model file: ``theta <label> <prior>`` lines, then ``dist
     <label> <distribution>`` lines, optionally one ``statistic <kind>``
@@ -236,7 +240,7 @@ def parse_joint_text(text: str) -> tuple[JointModel, Statistic | None]:
             parts = rest.split()
             if len(parts) != 2:
                 raise JointModelError(f"line {lineno}: expected 'theta <label> <prior>'")
-            label = text_to_bits(parts[0])
+            label = _on_line(lineno, text_to_bits, parts[0])
             if label in thetas:
                 raise JointModelError(f"line {lineno}: duplicate theta {parts[0]}")
             try:
@@ -249,14 +253,14 @@ def parse_joint_text(text: str) -> tuple[JointModel, Statistic | None]:
             parts = rest.split(None, 1)
             if len(parts) != 2:
                 raise JointModelError(f"line {lineno}: expected 'dist <label> <distribution>'")
-            label = text_to_bits(parts[0])
+            label = _on_line(lineno, text_to_bits, parts[0])
             if label in dist_by:
                 raise JointModelError(f"line {lineno}: duplicate dist for {parts[0]}")
-            dist_by[label] = parse_distlang(parts[1])
+            dist_by[label] = _on_line(lineno, parse_distlang, parts[1])
         elif head == "statistic":
             if statistic is not None:
                 raise JointModelError(f"line {lineno}: more than one statistic line")
-            statistic = parse_statistic(rest)
+            statistic = _on_line(lineno, parse_statistic, rest)
         else:
             raise JointModelError(f"line {lineno}: unknown directive {head!r}")
     if not thetas:

@@ -32,8 +32,9 @@ from typing import Callable, Iterable, Iterator
 
 from algstat._pykernel import _COMPL, _COPY_CODES, COND_MODEL, COND_STR, walk_args
 from algstat.bits import check_bits, text_to_bits
+from algstat.condition import MACHINE_VERSION, Budgets, Condition
 from algstat.enumeration import ComplexityTable, Entry, TableFormatError, TableVersionError
-from algstat.machine import MACHINE_VERSION, Budgets, Condition, Status, run
+from algstat.machine import Status, run
 
 
 def naive_entries(L: int, cond: Condition | None = None, budgets: Budgets | None = None):
@@ -484,7 +485,7 @@ def naive_sk_mx(table, k: int, x: str) -> tuple[str, ...]:
 def blind_models(x: str, alpha_max: int):
     """Models of x found by decoding *every* bit string shorter than
     alpha_max — the grammar-free ground truth for enumerate_models."""
-    from algstat.models_set import SetLangError, decode
+    from algstat.setlang import SetLangError, decode
 
     found = []
     for l in range(3, alpha_max):
@@ -515,12 +516,12 @@ class ToyModel:
 
 
 def naive_codebook(dist):
-    """models_prob.codebook by its definition, for every kind of model: each
+    """distlang.codebook by its definition, for every kind of model: each
     domain element's codeword length is ceil(-log2 mass) from its own
     ``mass`` call, and shorter codewords are packed first (ties in domain
     order), each the last one plus 1, shifted to its length."""
     from algstat.bits import ceil_log2_ratio
-    from algstat.models_prob import Codebook
+    from algstat.distlang import Codebook
 
     lengths = []
     for i, x in enumerate(dist.domain()):

@@ -16,8 +16,8 @@ import pytest
 from algstat import cli, enumeration, infolaws
 from algstat.cache import ENV_CACHE_DIR
 from algstat.cli import EXIT_OK, EXIT_REGRESSION, EXIT_USAGE, build_parser, main
+from algstat.condition import Condition
 from algstat.constants import load_constants
-from algstat.machine import Condition
 from oracles import plain_text, resealed, stored
 
 GOOD_CONSTANTS = {
@@ -598,6 +598,30 @@ class TestLawsJoint:
         assert message in err and "cache miss" not in err
         assert not cache.exists() or not any(cache.iterdir())
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "theta 0 1/1\ndist 0 bern:2,1/0\nstatistic weight\n",
+                "line 2: bad distribution syntax 'bern:2,1/0': rational '1/0' has a zero denominator",
+            ),
+            ("theta 0x 1/2\ntheta 1 1/2\n", "line 1: not a bit string: '0x'"),
+            (
+                "theta 0 1/1\ndist 0 bern:2,1/2\nstatistic bogus\n",
+                "line 3: unknown statistic 'bogus'",
+            ),
+            ("theta 0 1/1\n\ndist 0x bern:2,1/2\n", "line 3: not a bit string: '0x'"),
+        ],
+        ids=["distribution", "theta-label", "statistic", "dist-label"],
+    )
+    def test_bad_line_is_reported_with_its_number(self, run, tmp_path, text, message):
+        path = tmp_path / "joint.txt"
+        path.write_text(text, encoding="ascii")
+        cache = tmp_path / "cache"
+        code, out, err = run("laws", "--joint", str(path), "--cache-dir", str(cache))
+        assert (code, out, err) == (EXIT_USAGE, "", f"algstat: error: {message}\n")
+        assert not cache.exists() or not any(cache.iterdir())
+
 
 def _edit_index_entry(path: Path, n: int, edit, reseal: bool) -> None:
     """Replace the index entry of output length n, as [n, records, bytes,
@@ -678,15 +702,22 @@ class TestUsageErrors:
 
 
     @pytest.mark.parametrize(
-        "argv, joint, text",
+        "argv, joint, where, text",
         [
-            (["probstat", "0101", "bern:4,1/0"], None, "bern:4,1/0"),
-            (["probstat", "0101", "table{0101:1/0}"], None, "table{0101:1/0}"),
-            (["laws", "--joint", "JOINT"], "theta 0 1/1\ndist 0 bern:2,1/0\nstatistic weight\n", "bern:2,1/0"),
+            (["probstat", "0101", "bern:4,1/0"], None, "", "bern:4,1/0"),
+            (["probstat", "0101", "table{0101:1/0}"], None, "", "table{0101:1/0}"),
+            (
+                ["laws", "--joint", "JOINT"],
+                "theta 0 1/1\ndist 0 bern:2,1/0\nstatistic weight\n",
+                "line 2: ",
+                "bern:2,1/0",
+            ),
         ],
         ids=["bern", "table", "joint-dist"],
     )
-    def test_zero_denominator_exits_one_before_any_table(self, run, tmp_path, argv, joint, text):
+    def test_zero_denominator_exits_one_before_any_table(
+        self, run, tmp_path, argv, joint, where, text
+    ):
         if joint is not None:
             path = tmp_path / "joint.txt"
             path.write_text(joint, encoding="ascii")
@@ -695,7 +726,7 @@ class TestUsageErrors:
         code, out, err = run(*argv, "--cache-dir", str(cache))
         assert (code, out) == (EXIT_USAGE, "")
         assert err == (
-            f"algstat: error: bad distribution syntax {text!r}: "
+            f"algstat: error: {where}bad distribution syntax {text!r}: "
             "rational '1/0' has a zero denominator\n"
         )
         assert not cache.exists() or not any(cache.iterdir())

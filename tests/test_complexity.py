@@ -16,8 +16,9 @@ from algstat.complexity import (
     shortest_program,
     soi_audit,
 )
+from algstat.condition import Condition
 from algstat.enumeration import build_table
-from algstat.machine import Condition, run
+from algstat.machine import run
 
 short_strings = st.integers(0, 8).flatmap(
     lambda l: st.tuples(*([st.sampled_from("01")] * l)).map("".join)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from algstat import _pykernel, cache, enumeration
 from algstat.cache import TableSource, load_or_build, table_path
+from algstat.condition import Budgets, Condition
 from algstat.enumeration import (
     TABLE_FORMAT,
     ComplexityTable,
@@ -29,8 +30,9 @@ from algstat.enumeration import (
 )
 from algstat._pykernel import walk_args
 from algstat.kernel import backend_name
-from algstat.machine import Budgets, Condition, run
-from algstat.models_set import Hamming, Singleton, uniform_condition
+from algstat.machine import run
+from algstat.models_set import uniform_condition
+from algstat.setlang import Hamming, Singleton
 from oracles import (
     ToyModel,
     enumerate_halting,

@@ -14,6 +14,7 @@ from algstat import infolaws
 from algstat.cache import AUDIT_MAX_LEN, TableSource
 from algstat.complexity import _all_strings
 from algstat.constants import load_constants
+from algstat.distlang import Bernoulli, TableDist
 from algstat.enumeration import build_table
 from algstat.infolaws import (
     AUDITS,
@@ -39,7 +40,6 @@ from algstat.infolaws import (
     theta_suff_audit,
     weight_models,
 )
-from algstat.models_prob import Bernoulli, TableDist
 
 HALF = Fraction(1, 2)
 

@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from algstat.machine import (
-    Budgets,
-    Condition,
-    Op,
-    Status,
-    opcode_decode,
-    run,
-)
+from algstat.condition import Budgets, Condition
+from algstat.machine import Op, Status, opcode_decode, run
 from oracles import ToyModel
 
 programs = st.text(alphabet="01", max_size=40)

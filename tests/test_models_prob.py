@@ -13,40 +13,30 @@ from hypothesis import strategies as st
 
 from algstat.bits import bar_nat, std
 from algstat.cache import TableSource
-from algstat.machine import Condition
-from algstat.models_prob import (
+from algstat.condition import Condition
+from algstat.distlang import (
     Bernoulli,
     DistLangError,
     TableDist,
     UniformOn,
-    bernoulli_demo,
     codebook,
     codeword_length,
     decode_dist,
-    deficiency_p,
     encode_dist,
     format_distlang,
     parse_distlang,
-    pk,
-    suffstat_p,
-    two_part_p,
 )
+from algstat.models_prob import bernoulli_demo, deficiency_p, pk, suffstat_p, two_part_p
 from algstat.models_set import (
     DEFAULT_ALPHA_BOUND,
-    All,
-    CapExceeded,
-    Cyl,
-    Hamming,
-    ListSet,
     ModelOpts,
-    Singleton,
     SuffStatReport,
-    UnionSet,
     deficiency,
     enumerate_models,
     suffstat,
     two_part,
 )
+from algstat.setlang import All, CapExceeded, Cyl, Hamming, ListSet, Singleton, UnionSet
 from oracles import naive_codebook
 
 B2 = Bernoulli(2, Fraction(1, 4))

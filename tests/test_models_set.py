@@ -9,33 +9,35 @@ from hypothesis import strategies as st
 
 from algstat.cache import TableSource
 from algstat.complexity import Absent
+from algstat.condition import Budgets
 from algstat.enumeration import ComplexityTable, Entry
-from algstat.machine import Budgets
 from algstat.models_set import (
-    All,
-    DENOTE_CAP,
-    CapExceeded,
-    Cyl,
-    Hamming,
-    ListSet,
     ModelOpts,
-    SetLangError,
-    Singleton,
-    UnionSet,
     _normalized_deficiencies,
-    decode,
     deficiency,
-    encode,
     enumerate_models,
-    format_setlang,
     nonstoch_scan,
-    parse_setlang,
     star_condition,
     stochastic,
     structfn,
     suffstat,
     two_part,
     uniform_condition,
+)
+from algstat.setlang import (
+    All,
+    DENOTE_CAP,
+    CapExceeded,
+    Cyl,
+    Hamming,
+    ListSet,
+    SetLangError,
+    Singleton,
+    UnionSet,
+    decode,
+    encode,
+    format_setlang,
+    parse_setlang,
 )
 from oracles import blind_models
 

@@ -14,9 +14,8 @@ from algstat.bits import CodeError
 from algstat.cache import TableSource
 from algstat.cli import main
 from algstat.complexity import MIRecord
-from algstat.infolaws import JointModel, JointModelError, Statistic, Transform
-from algstat.machine import Budgets, Op, OpToken, RunOutcome, Status
-from algstat.models_prob import (
+from algstat.condition import Budgets
+from algstat.distlang import (
     Bernoulli,
     DistLangError,
     TableDist,
@@ -25,12 +24,14 @@ from algstat.models_prob import (
     decode_dist,
     encode_dist,
 )
-from algstat.models_set import (
+from algstat.infolaws import JointModel, JointModelError, Statistic, Transform
+from algstat.machine import Op, OpToken, RunOutcome, Status
+from algstat.models_set import ModelOpts
+from algstat.setlang import (
     All,
     Cyl,
     Hamming,
     ListSet,
-    ModelOpts,
     SetLangError,
     Singleton,
     UnionSet,

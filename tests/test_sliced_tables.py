@@ -22,19 +22,19 @@ from hypothesis import strategies as st
 from algstat.cache import TableSource, table_path
 from algstat.cli import EXIT_OK, EXIT_USAGE, main
 from algstat.complexity import Absent, _all_strings, require_k, shortest_program
+from algstat.condition import DEFAULT_MAX_OUTPUT, Budgets, Condition
+from algstat.distlang import parse_distlang
 from algstat.enumeration import build_table, export_table, import_table
-from algstat.machine import DEFAULT_MAX_OUTPUT, Budgets, Condition, run
 from algstat.bits import ceil_log2
-from algstat.models_prob import parse_distlang
+from algstat.machine import run
 from algstat.models_set import (
-    Hamming,
     ModelOpts,
-    Singleton,
     enumerate_models,
     star_condition,
     two_part,
     uniform_condition,
 )
+from algstat.setlang import Hamming, Singleton
 from oracles import ToyModel
 
 EXPECTED = json.loads(

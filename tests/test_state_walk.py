@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from algstat import _pykernel, cli
 from algstat._pykernel import walk_args
 from algstat.cache import AUDIT_MAX_LEN, TableSource
+from algstat.condition import DEFAULT_MAX_STEPS, Budgets, Condition
 from algstat.enumeration import LEVEL_MAX_LEN
-from algstat.machine import DEFAULT_MAX_STEPS, Budgets, Condition
 from oracles import ToyModel, naive_entries, tree_walk
 
 # -- the walks of two commands -------------------------------------------------

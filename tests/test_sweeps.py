@@ -19,9 +19,9 @@ from algstat.complexity import (
     require_ks,
     soi_audit,
 )
+from algstat.condition import Budgets, Condition
 from algstat.enumeration import ComplexityTable, Entry, build_table, export_table, import_table
 from algstat.infolaws import DEFAULT_NI_LEN_CAP, laws_reach, nonincrease_audit
-from algstat.machine import Budgets, Condition
 from oracles import naive_nonincrease_audit, naive_soi_audit
 
 

@@ -9,13 +9,27 @@ from fractions import Fraction
 
 import pytest
 
-from algstat import _pykernel, cache, cli, complexity, enumeration, infolaws, models_prob, models_set
+from algstat import (
+    _pykernel,
+    cache,
+    cli,
+    complexity,
+    condition,
+    distlang,
+    enumeration,
+    infolaws,
+    machine,
+    models_prob,
+    models_set,
+    setlang,
+)
 from algstat.cache import TableSource
 from algstat.complexity import soi_audit
+from algstat.condition import Budgets, Condition
+from algstat.distlang import Bernoulli
 from algstat.enumeration import build_table
 from algstat.infolaws import Statistic, nonincrease_audit, standard_joints, theta_suff_audit
-from algstat.machine import Budgets, Condition
-from algstat.models_prob import Bernoulli, deficiency_p
+from algstat.models_prob import deficiency_p
 from algstat.models_set import structfn
 
 PAIR = standard_joints()["bernoulli-pair"]
@@ -62,7 +76,9 @@ def test_source_max_len_caps_every_table(analysis, tmp_path):
 TABLE_SETTINGS = {"budgets", "workers", "cache_dir", "warn", "_cache", "L_c"}
 
 
-@pytest.mark.parametrize("module", [complexity, models_set, models_prob, infolaws])
+@pytest.mark.parametrize(
+    "module", [complexity, setlang, models_set, distlang, models_prob, infolaws]
+)
 def test_no_public_function_takes_table_settings(module):
     public = [
         (name, obj)
@@ -86,11 +102,25 @@ def test_no_public_function_takes_table_settings(module):
 KNOBS = {"L_c", "cap", "denote_cap", "tol"}
 
 
-@pytest.mark.parametrize("module", [cache, cli, complexity, infolaws, models_prob, models_set])
+@pytest.mark.parametrize(
+    "module",
+    [
+        cache,
+        cli,
+        complexity,
+        condition,
+        distlang,
+        infolaws,
+        machine,
+        models_prob,
+        models_set,
+        setlang,
+    ],
+)
 def test_no_function_or_method_takes_a_single_valued_knob(module):
     """The program-length cap travels in the source (``max_len``); the
     denotation cap and the float tolerance are the constants
-    ``models_set.DENOTE_CAP`` and ``infolaws.TOL``. No function or method,
+    ``setlang.DENOTE_CAP`` and ``infolaws.TOL``. No function or method,
     private ones and the model classes' included, takes any of them."""
     functions = []
     for name, obj in vars(module).items():
