@@ -8,13 +8,14 @@ SHA-256 of its header and its stored, compressed records; ``import_table``
 checks it when it opens the file, before it inflates the records, and
 parses each output length's records when they are first read.
 
-An analysis that knows the longest string it will look up in a table asks
+Every reader that knows the longest string it will look up in a table asks
 for that table through ``TableSource.capped``, so the table is built under
-an output budget no larger than that length. The slice is exact: every
-opcode only appends to the output, so a halting program whose output has
-at most n bits never holds more than n, and the table built under
-``Budgets(T, n)`` holds exactly the outputs of length <= n of the
-``Budgets(T, O)`` table, each with the same K, witness and mass.
+an output budget no larger than that length: ``k`` and ``k_cond`` at |x|,
+``mi`` at |pair(x, y)|, the analyses at their longest lookup. The slice
+is exact: every opcode only appends to the output, so a halting program
+whose output has at most n bits never holds more than n, and the table
+built under ``Budgets(T, n)`` holds exactly the outputs of length <= n of
+the ``Budgets(T, O)`` table, each with the same K, witness and mass.
 
 The output budget also bounds what a walk reads of a string condition c.
 No opcode shortens the buffer, and COPYIN appends exactly the m bits it
@@ -174,10 +175,13 @@ class TableSource(NamedTuple):
         the longest codeword. (Under a step budget below either program's
         run a string may instead be Absent, never given a wrong K.)
         Masses and halting counts grow with the cap, so their readers keep
-        a fixed one: ``sk``, ``xr``, the ``laws`` level table, ``enumerate``.
-        So do the readers of one string (``k``, ``k --cond``, ``k_cond``,
-        ``mi``), which find a long compressible string at the fixed cap
-        without the far longer walk of 2n+3.
+        a fixed one and the full output budget: ``xr``, the ``laws`` level
+        table, ``enumerate``. ``sk k`` reads the table at program cap k,
+        whose outputs are exactly S^k. The readers of one string (``k``,
+        ``k --cond``, ``k_cond``, ``mi``) keep a fixed program cap, which
+        finds a long compressible string without the far longer walk of
+        2n+3, but fetch through ``capped`` and ``tables`` like every
+        reader: one small table per output length and cut condition.
 
         A derived cap above AUDIT_MAX_LEN (2n+3 with n > 13, under a string
         or no condition) raises ValueError before any table is built. A set

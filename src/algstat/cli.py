@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from . import constants, distlang, infolaws, models_prob, models_set, setlang, skstats
-from .bits import _fmt_real, bits_to_text, text_to_bits
+from .bits import _fmt_real, bits_to_text, pair, text_to_bits
 from .cache import ENV_CACHE_DIR, TableSource, load_or_build
 from .complexity import Absent, mutual_info, require_k
 from .enumeration import (
@@ -93,7 +93,7 @@ def _condition(args: argparse.Namespace) -> Condition | None:
     if getattr(args, "cond", None) is not None:
         return Condition.string(text_to_bits(args.cond))
     if getattr(args, "cond_set", None) is not None:
-        return models_set.uniform_condition(setlang.parse_setlang(args.cond_set))
+        return distlang.uniform_condition(setlang.parse_setlang(args.cond_set))
     return None
 
 
@@ -127,8 +127,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_k(args: argparse.Namespace) -> int:
     source = _source(args)
     cond = _condition(args)
-    table = source.table(DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN, cond)
     x = text_to_bits(args.x)
+    # Only programs that print at most |x| bits decide K(x) (see ``cache``).
+    [table] = source.capped(len(x)).tables(
+        DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN,
+        [cond if cond is not None else Condition.none()],
+    )
     k = require_k(table, x)
     print(f"K={k} witness={table.witness_of(x)}")
     return EXIT_OK
@@ -136,8 +140,9 @@ def cmd_k(args: argparse.Namespace) -> int:
 
 def cmd_mi(args: argparse.Namespace) -> int:
     source = _source(args)
-    table = source.table(DEFAULT_MAX_LEN)
-    rec = mutual_info(table, text_to_bits(args.x), text_to_bits(args.y))
+    x, y = text_to_bits(args.x), text_to_bits(args.y)
+    table = source.capped(max(len(x), len(y), len(pair(x, y)))).table(DEFAULT_MAX_LEN)
+    rec = mutual_info(table, x, y)
     print(f"I={rec.i} K(x)={rec.kx} K(y)={rec.ky} K(pair)={rec.kxy}")
     return EXIT_OK
 
@@ -177,7 +182,10 @@ def cmd_suffstat(args: argparse.Namespace) -> int:
 
 def cmd_sk(args: argparse.Namespace) -> int:
     source = _source(args)
-    table = source.table(LEVEL_MAX_LEN)
+    # S^k is exactly the set of outputs of programs of at most k bits. No
+    # program is shorter than HALT's 3 bits, and a k above LEVEL_MAX_LEN is
+    # refused by ``sk`` against that table's cap.
+    table = source.table(min(max(args.k, 3), LEVEL_MAX_LEN))
     _emit(skstats.sk_csv(table, args.k), args.out)
     return EXIT_OK
 

@@ -95,8 +95,10 @@ def shortest_program(table: ComplexityTable, x: str) -> str:
 def k_cond(x: str, cond: Condition, source: TableSource = TableSource()) -> int | None:
     """Exact K(x | cond) under the conditional cap (``source.max_len`` when
     it is set), or None if absent. Builds (and caches) the conditional table
-    on first use."""
-    return source.table(DEFAULT_COND_MAX_LEN, cond).k_of(x)
+    on first use, under an output budget of |x| (``TableSource.capped``),
+    which also cuts a string condition to its first |x| bits."""
+    [table] = source.capped(len(x)).tables(DEFAULT_COND_MAX_LEN, [cond])
+    return table.k_of(x)
 
 
 class MIRecord(NamedTuple):

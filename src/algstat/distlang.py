@@ -38,6 +38,7 @@ from .bits import (
     std,
     text_to_bits,
 )
+from .condition import Condition
 from .setlang import (
     DENOTE_CAP,
     CapExceeded,
@@ -142,6 +143,12 @@ class UniformOn(DistDesc):
 
     def max_codeword_len(self) -> int:
         return ceil_log2(self.desc.size())
+
+
+def uniform_condition(desc: SetDesc) -> Condition:
+    """Model condition: the uniform distribution on the described set
+    (SFDECODE sees its canonical codebook)."""
+    return Condition.of_model(UniformOn(desc))
 
 
 class Bernoulli(DistDesc):

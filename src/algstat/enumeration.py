@@ -35,12 +35,16 @@ from .condition import MACHINE_VERSION, Budgets, Condition, sha256
 if TYPE_CHECKING:
     from fractions import Fraction
 
+# The fixed cap of `k`, `mi` and `enumerate`. `k` and `mi` read it under
+# the output budget of the longest string they look up, x or pair(x, y);
+# `enumerate` under the full budget.
 DEFAULT_MAX_LEN = 24
-# The fixed cap of one-string readers under a condition: `k --cond`,
-# `enumerate --cond` and `complexity.k_cond`.
+# The same under a condition: `k --cond`, `enumerate --cond` and
+# `complexity.k_cond`, which reads it as `k` does.
 DEFAULT_COND_MAX_LEN = 22
-# The fixed cap of the unconditional level table that `sk`, `xr` and the
-# `laws` level audits read whole.
+# The fixed cap of the unconditional level table that `xr` and the `laws`
+# level audits read whole, and the largest that `sk k` reads: it reads the
+# table at cap k, whose outputs are exactly S^k.
 LEVEL_MAX_LEN = 22
 DEFAULT_ENTRY_CAP = 5_000_000
 

@@ -157,12 +157,6 @@ def enumerate_models(x: str, alpha_max: int, opts: ModelOpts | None = None) -> l
 # -- deficiency and two-part codes -------------------------------------------
 
 
-def uniform_condition(desc: SetDesc) -> Condition:
-    """Model condition: the uniform distribution on the described set
-    (SFDECODE sees its canonical codebook)."""
-    return Condition.of_model(distlang.UniformOn(desc))
-
-
 def star_condition(desc: SetDesc) -> Condition:
     """String condition carrying the description and its length — the
     analogue of conditioning on (S, K(S)): the code bits are literally
@@ -196,7 +190,7 @@ def _normalized_deficiencies(
 
 def _model_conditions(desc: SetDesc) -> list[Condition]:
     """The two conditions a deficiency reads: S as a model, then (S, K(S))."""
-    return [uniform_condition(desc), star_condition(desc)]
+    return [distlang.uniform_condition(desc), star_condition(desc)]
 
 
 def deficiency(

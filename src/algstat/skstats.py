@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._record import Record
 from .bits import bits_to_text
 from .enumeration import ComplexityTable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class SkIndex(Record):
@@ -192,6 +194,10 @@ def xr(table: ComplexityTable, r: int) -> tuple[str, ...]:
 def xr_report(table: ComplexityTable) -> list[XrRow]:
     """One row per r from 0 up to the first empty X(r). Each mass sum is
     summed as an integer numerator over 2^L."""
+    # fractions (and decimal with it) loads here, not with ``sk``, which
+    # makes no Fraction (as in ``ComplexityTable.m_of``).
+    from fractions import Fraction
+
     outs, ks, lengths = _mx_pass(table)
     L = table.L
     masses = [1 << (L - k) for k in ks]
@@ -211,6 +217,8 @@ def xr_report(table: ComplexityTable) -> list[XrRow]:
 def xr_bound_check(table: ComplexityTable) -> tuple[bool, Fraction, list[XrRow]]:
     """(all_pass, max ratio sum/bound, rows). The theorem says the ratio
     never exceeds 1; this is exact dyadic arithmetic end to end."""
+    from fractions import Fraction
+
     rows = xr_report(table)
     ratio = max((row.mass_sum / row.bound for row in rows), default=Fraction(0))
     return all(row.passed for row in rows), ratio, rows
@@ -240,6 +248,8 @@ def slice_bound_check(table: ComplexityTable) -> bool:
 def t_kraft_sum(table: ComplexityTable) -> Fraction:
     """Sum over k of t_k 2^-k; at most 1 because S^k growth mirrors the
     prefix-free program tree."""
+    from fractions import Fraction
+
     counts = Counter(table.ks_of(table.sorted_outputs()))
     return sum((Fraction(t, 1 << k) for k, t in counts.items()), Fraction(0))
 

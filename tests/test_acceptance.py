@@ -15,11 +15,11 @@ from fractions import Fraction
 from algstat.cache import AUDIT_MAX_LEN, TableSource
 from algstat.condition import Condition
 from algstat.constants import load_constants, regression_check
-from algstat.distlang import UniformOn
+from algstat.distlang import UniformOn, uniform_condition
 from algstat.enumeration import build_table, export_table
 from algstat.infolaws import Statistic, laws_audit, prob_suff_check, standard_joints, theta_suff_audit
 from algstat.models_prob import bernoulli_demo, deficiency_p
-from algstat.models_set import deficiency, structfn, suffstat, two_part, uniform_condition
+from algstat.models_set import deficiency, structfn, suffstat, two_part
 from algstat.setlang import All, Cyl, Hamming, ListSet, SetDesc, Singleton, UnionSet
 from algstat.skstats import sk_csv, slice_bound_check, xr_bound_check, xr_csv
 from oracles import enumerate_halting, find_prefix_violation, naive_entries

@@ -639,35 +639,43 @@ def _edit_index_entry(path: Path, n: int, edit, reseal: bool) -> None:
 
 class TestTamperedCache:
     def test_segment_error_exits_one_and_prints_no_number(self, run, tmp_path):
-        code, _, _ = run("enumerate", "--max-len", "12", "--cache-dir", str(tmp_path), cache=False)
+        # `k 0110` and `mi 0 -`, whose longest string is the 4-bit pair
+        # 1000, read the same file: the L=12 table under output budget 4
+        argv = ("k", "0110", "--max-len", "12", "--cache-dir", str(tmp_path))
+        code, _, _ = run(*argv, cache=False)
         assert code == EXIT_OK
         (path,) = tmp_path.iterdir()
-        # one more record for output length 4 than the segment holds, in a
+        assert "_O4_" in path.name
+        # one more record for output length 1 than the segment holds, in a
         # file sealed around that index, so that it still opens
-        _edit_index_entry(path, 4, lambda e: [e[0], e[1] + 1, *e[2:]], reseal=True)
-        argv = ("k", "0110", "--max-len", "12", "--cache-dir", str(tmp_path))
-        code, out, err = run(*argv, cache=False)
+        _edit_index_entry(path, 1, lambda e: [e[0], e[1] + 1, *e[2:]], reseal=True)
+        code, out, err = run("mi", "0", "-", *argv[2:], cache=False)
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("algstat: error: ") and "index entry" in err
         # a lookup of another length still reads its own, intact segment
-        code, out, _ = run("k", "01", *argv[2:], cache=False)
-        assert (code, out) == (EXIT_OK, "K=7 witness=0001100\n")
+        code, out, _ = run(*argv, cache=False)
+        assert (code, out) == (EXIT_OK, "K=11 witness=00010100100\n")
 
     @pytest.mark.parametrize("reseal", [False, True], ids=["unsealed", "resealed"])
     def test_index_length_beyond_O_is_rebuilt(self, run, tmp_path, reseal):
-        # The L=12 table's longest outputs have 4 bits; that index entry's
-        # length is made 5000000000, still increasing. Before the header was
-        # sealed and index lengths checked against O, `k 0110` then found no
-        # program and `sk 3` raised OverflowError from the record pattern.
+        # The longest outputs of the L=12 table that `sk 3` reads have 4
+        # bits, as do all of the O=4 table's that `k 0110` reads; that index
+        # entry's length is made 5000000000, still increasing. Before the
+        # header was sealed and index lengths checked against O, `k 0110`
+        # then found no program and `sk 3` raised OverflowError from the
+        # record pattern.
         argvs = [("k", "0110", "--max-len", "12"), ("sk", "3", "--max-len", "12")]
-        expected = [run(*argv, "--cache-dir", str(tmp_path), cache=False) for argv in argvs]
+        caches = [tmp_path / argv[0] for argv in argvs]
+        expected = [
+            run(*argv, "--cache-dir", str(cache), cache=False) for argv, cache in zip(argvs, caches)
+        ]
         assert [code for code, _, _ in expected] == [EXIT_OK, EXIT_OK]
         assert expected[0][1] == "K=11 witness=00010100100\n"
-        (path,) = tmp_path.iterdir()
-        pristine = path.read_bytes()
-        for argv, (_, want, _) in zip(argvs, expected):
+        for argv, cache, (_, want, _) in zip(argvs, caches, expected):
+            (path,) = cache.iterdir()
+            pristine = path.read_bytes()
             _edit_index_entry(path, 4, lambda e: [5000000000, *e[1:]], reseal)
-            code, out, err = run(*argv, "--cache-dir", str(tmp_path), cache=False)
+            code, out, err = run(*argv, "--cache-dir", str(cache), cache=False)
             assert (code, out) == (EXIT_OK, want)
             assert "cache miss" in err and "Traceback" not in err
             assert path.read_bytes() == pristine

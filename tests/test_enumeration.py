@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from algstat import _pykernel, cache, enumeration
 from algstat.cache import TableSource, load_or_build, table_path
 from algstat.condition import Budgets, Condition
+from algstat.distlang import uniform_condition
 from algstat.enumeration import (
     TABLE_FORMAT,
     ComplexityTable,
@@ -31,7 +32,6 @@ from algstat.enumeration import (
 from algstat._pykernel import walk_args
 from algstat.kernel import backend_name
 from algstat.machine import run
-from algstat.models_set import uniform_condition
 from algstat.setlang import Hamming, Singleton
 from oracles import (
     ToyModel,

@@ -13,9 +13,8 @@ import pytest
 
 import algstat
 from algstat import build_table, export_table
-from algstat.cache import load_or_build
 from algstat.condition import Condition
-from algstat.models_set import uniform_condition
+from algstat.distlang import uniform_condition
 from algstat.setlang import Hamming
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -85,21 +84,34 @@ def fresh(*argv: str) -> subprocess.CompletedProcess:
 
 
 PROBSTAT = ["probstat", "0110", "bern:4,1/4"]
+COND_SET = ["k", "0110", "--cond-set", "ham:4,2"]
+# The table-reading queries probed warm, each with its exit code.
+PROBED = [
+    (["k", "0110"], 0),
+    (["k", "1", "--cond", "01"], 0),
+    (COND_SET, 0),
+    (["mi", "-", "0"], 0),
+    (["mi", "0110101", "1"], 1),
+    (["sk", "5"], 0),
+    (PROBSTAT, 0),
+]
 
 
 @pytest.fixture(scope="module")
 def warm_cache(tmp_path_factory):
-    """A cache holding the tables the probed commands read."""
+    """A cache holding the tables the probed commands read, filled by
+    running each of them once: ``k`` and ``mi`` read tables cut to the
+    strings they look up, which only the command itself names."""
     cache_dir = tmp_path_factory.mktemp("import-path-cache")
-    for cond in (None, Condition.string("01")):
-        load_or_build(12, cond, cache_dir=cache_dir)
-    proc = fresh("-m", "algstat.cli", *PROBSTAT, "--max-len", "12", "--cache-dir", str(cache_dir))
-    assert proc.returncode == 0, proc.stderr
+    for argv, code in PROBED:
+        flags = ["--max-len", "12", "--cache-dir", str(cache_dir)]
+        proc = fresh("-m", "algstat.cli", *argv, *flags)
+        assert proc.returncode == code, proc.stderr
     return str(cache_dir)
 
 
 # The warm queries that make a Fraction, and so import fractions.
-FRACTION_MAKERS = {"sk", "probstat"}
+FRACTION_MAKERS = {"probstat"}
 
 
 @pytest.mark.parametrize(
@@ -107,6 +119,7 @@ FRACTION_MAKERS = {"sk", "probstat"}
     [
         (["k", "0110"], []),
         (["k", "1", "--cond", "01"], []),
+        (COND_SET, ["algstat.distlang", "algstat.setlang"]),
         (["mi", "-", "0"], []),
         (["sk", "5"], ["algstat.skstats"]),
         (
@@ -119,9 +132,11 @@ FRACTION_MAKERS = {"sk", "probstat"}
 def test_commands_run_only_the_modules_they_use(warm_cache, argv, ran):
     """No warm query runs the walker, no query but ``laws`` runs the
     single-program interpreter, and the one-table queries (``k``, ``k
-    --cond``, ``mi``) make no Fraction, so they import no fractions (nor
-    decimal). ``suffstat`` reads set models but makes no condition of one,
-    so it runs no ``distlang``."""
+    --cond``, ``mi``, ``sk``) make no Fraction, so they import no fractions
+    (nor decimal). ``k --cond-set`` makes its condition from the two
+    grammars alone, and its codebook's masses are Fractions. ``suffstat``
+    reads set models but makes no condition of one, so it runs no
+    ``distlang``."""
     flags = [] if argv[0] == "suffstat" else ["--max-len", "12", "--cache-dir", warm_cache]
     proc = fresh("-c", PROBE, *argv, *flags)
     assert proc.returncode == 0, proc.stderr
@@ -129,7 +144,7 @@ def test_commands_run_only_the_modules_they_use(warm_cache, argv, ran):
     probe = json.loads(proc.stdout.splitlines()[-1])
     assert probe == {
         "rc": 0, "ran": ran, "walker": [], "pool": False, "slow": [],
-        "hashlib": False, "fractions": argv[0] in FRACTION_MAKERS,
+        "hashlib": False, "fractions": argv[0] in FRACTION_MAKERS or argv == COND_SET,
     }
 
 
@@ -214,7 +229,7 @@ import json, sys
 sys.modules["_sha2"] = sys.modules["_sha256"] = None
 from algstat import build_table, condition, export_table, import_table
 from algstat.condition import Condition
-from algstat.models_set import uniform_condition
+from algstat.distlang import uniform_condition
 from algstat.setlang import Hamming
 conds = [Condition.none(), Condition.string("0110"), uniform_condition(Hamming(4, 2))]
 path = sys.argv[1]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from algstat.cache import TableSource
 from algstat.complexity import Absent
 from algstat.condition import Budgets
+from algstat.distlang import uniform_condition
 from algstat.enumeration import ComplexityTable, Entry
 from algstat.models_set import (
     ModelOpts,
@@ -22,7 +23,6 @@ from algstat.models_set import (
     structfn,
     suffstat,
     two_part,
-    uniform_condition,
 )
 from algstat.setlang import (
     All,

@@ -21,18 +21,25 @@ from hypothesis import strategies as st
 
 from algstat.cache import TableSource, table_path
 from algstat.cli import EXIT_OK, EXIT_USAGE, main
-from algstat.complexity import Absent, _all_strings, require_k, shortest_program
+from algstat.complexity import Absent, _all_strings, mutual_info, require_k, shortest_program
 from algstat.condition import DEFAULT_MAX_OUTPUT, Budgets, Condition
-from algstat.distlang import parse_distlang
-from algstat.enumeration import build_table, export_table, import_table
-from algstat.bits import ceil_log2
+from algstat.distlang import parse_distlang, uniform_condition
+from algstat.enumeration import (
+    DEFAULT_COND_MAX_LEN,
+    DEFAULT_MAX_LEN,
+    LEVEL_MAX_LEN,
+    build_table,
+    export_table,
+    import_table,
+)
+from algstat.bits import bits_to_text, ceil_log2, pair
+from algstat.skstats import sk_csv
 from algstat.machine import run
 from algstat.models_set import (
     ModelOpts,
     enumerate_models,
     star_condition,
     two_part,
-    uniform_condition,
 )
 from algstat.setlang import Hamming, Singleton
 from oracles import ToyModel
@@ -245,3 +252,104 @@ def test_structfn_reads_model_tables_up_to_its_length(x, tmp_path, capsys):
         for L, cond in ((7 + ceil_log2(desc.size()), uniform_condition(desc)), (19, star)):
             want.add(table_path(tmp_path, L, budgets, cond.fingerprint()).name)
     assert {p.name for p in tmp_path.iterdir()} == want
+
+
+# -- the one-string readers read the smallest exact table ---------------------
+
+
+def _full_answer(table, command: str, *strings: str) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of ``k`` or ``mi`` read off one full
+    table, as the commands answered when they read the O=4096 tables."""
+    try:
+        if command == "k":
+            [x] = strings
+            return EXIT_OK, f"K={require_k(table, x)} witness={table.witness_of(x)}\n", ""
+        rec = mutual_info(table, *strings)
+        return EXIT_OK, f"I={rec.i} K(x)={rec.kx} K(y)={rec.ky} K(pair)={rec.kxy}\n", ""
+    except Absent as exc:
+        return EXIT_USAGE, "", f"algstat: error: {exc}\n"
+
+
+def _cli(capsys, *argv: str) -> tuple[int, str, str]:
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    # a cold read notes its build; only the error line is compared
+    return code, out, "".join(l + "\n" for l in err.splitlines() if "cache miss" not in l)
+
+
+@pytest.fixture(scope="module")
+def one_string_cache(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("one-string"))
+
+
+THREE_BITS = [format(v, "03b") for v in range(8)]
+K_FLAGS = [[]] + [["--cond", c] for c in THREE_BITS] + [["--cond-set", "ham:4,2"]]
+
+
+@pytest.mark.parametrize("flags", K_FLAGS, ids=lambda f: " ".join(f) or "plain")
+def test_k_answers_as_the_full_table(flags, one_string_cache, capsys):
+    """``k x`` reads the table under output budget |x|, with a string
+    condition cut to its first |x| bits, and answers every x of at most 8
+    bits as the full O=4096 table does."""
+    if not flags:
+        full = build_table(DEFAULT_MAX_LEN)
+    elif flags[0] == "--cond":
+        full = build_table(DEFAULT_COND_MAX_LEN, Condition.string(flags[1]))
+    else:
+        full = build_table(DEFAULT_COND_MAX_LEN, uniform_condition(Hamming(4, 2)))
+    assert full.budgets.max_output == DEFAULT_MAX_OUTPUT
+    for x in _all_strings(8):
+        got = _cli(capsys, "k", bits_to_text(x), *flags, "--cache-dir", one_string_cache)
+        assert got == _full_answer(full, "k", x), (x, flags)
+
+
+def test_mi_answers_as_the_full_table(one_string_cache, capsys):
+    """``mi x y`` reads the table under output budget |pair(x, y)|, the
+    longest string it looks up, and answers every pair of strings of at
+    most 3 bits as the full table does, with the same error line for the
+    pairs that lie beyond the L=24 cap."""
+    full = build_table(DEFAULT_MAX_LEN)
+    answers = []
+    for x in _all_strings(3):
+        for y in _all_strings(3):
+            argv = ("mi", bits_to_text(x), bits_to_text(y), "--cache-dir", one_string_cache)
+            got = _cli(capsys, *argv)
+            assert got == _full_answer(full, "mi", x, y), (x, y)
+            answers.append(got[0])
+    assert EXIT_OK in answers and EXIT_USAGE in answers
+
+
+def test_sk_answers_as_the_level_table(one_string_cache, capsys):
+    """``sk k`` reads the table at program cap max(k, 3), whose outputs
+    are exactly S^k, and prints the level table's CSV for k = 0 … 22; k = 23
+    still exceeds the level table's cap."""
+    level = build_table(LEVEL_MAX_LEN)
+    for k in range(LEVEL_MAX_LEN + 2):
+        got = _cli(capsys, "sk", str(k), "--cache-dir", one_string_cache)
+        try:
+            want = (EXIT_OK, sk_csv(level, k), "")
+        except ValueError as exc:
+            want = (EXIT_USAGE, "", f"algstat: error: {exc}\n")
+        assert got == want, k
+    assert "k=23 exceeds the table cap L=22" in got[2]
+
+
+@pytest.mark.parametrize(
+    "argv, L, O, note",
+    [
+        (["k", "0110"], 24, 4, "[none]"),
+        (["k", "0110", "--cond", "0110100"], 22, 4, "[str 0110]"),
+        (["mi", "101", "01"], 24, len(pair("101", "01")), "[none]"),
+        (["sk", "8"], 8, DEFAULT_MAX_OUTPUT, "[none]"),
+    ],
+    ids=["k", "k-cond", "mi", "sk"],
+)
+def test_one_string_readers_write_one_small_file(argv, L, O, note, tmp_path, capsys):
+    """A cold one-string query writes one file: at the output budget of its
+    longest string and, for ``k --cond``, under the condition cut to it;
+    ``sk k`` writes the table at program cap k."""
+    assert main([*argv, "--cache-dir", str(tmp_path)]) == EXIT_OK
+    _, err = capsys.readouterr()
+    assert err == f"algstat: cache miss: enumerating L={L} under condition {note}\n"
+    [path] = tmp_path.iterdir()
+    assert f"_L{L}_" in path.name and f"_O{O}_" in path.name
