@@ -52,8 +52,8 @@ exactly a token on which the machine would fail, and no halting program
 passes through it. The same monotonicity makes an output budget of n an
 exact slice: the walk under ``max_output=n`` finds exactly the halting
 programs whose output has at most n bits, which is why an analysis may
-ask for a table only up to the longest string it reads
-(``cache.TableSource.capped``). Nor does a walk read a string condition
+ask for a table only up to the longest string it reads (the ``n`` of
+``cache.TableSource.tables``). Nor does a walk read a string condition
 past bit O: no opcode shortens the buffer and COPYIN appends exactly the
 m bits it advances the pointer by, so pointer <= |buffer| <= O in every
 state, and a COPYIN that passes ``ptr + m <= len(c)`` but would read past

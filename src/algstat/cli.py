@@ -36,7 +36,7 @@ from .enumeration import (
     _gc_paused,
     export_table,
 )
-from .condition import DEFAULT_MAX_OUTPUT, DEFAULT_MAX_STEPS, Budgets, Condition
+from .condition import DEFAULT_MAX_OUTPUT, DEFAULT_MAX_STEPS, MACHINE_VERSION, Budgets, Condition
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -117,7 +117,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         export_table(table, args.out)
         _warn(f"wrote {args.out}")
     print(
-        f"machine={table.machine_version} L={table.L} "
+        f"machine={MACHINE_VERSION} L={table.L} "
         f"condition={table.cond_fingerprint} entries={len(table)} "
         f"{'built' if built else 'cached'}"
     )
@@ -129,9 +129,10 @@ def cmd_k(args: argparse.Namespace) -> int:
     cond = _condition(args)
     x = text_to_bits(args.x)
     # Only programs that print at most |x| bits decide K(x) (see ``cache``).
-    [table] = source.capped(len(x)).tables(
-        DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN,
+    [table] = source.tables(
         [cond if cond is not None else Condition.none()],
+        n=len(x),
+        L=DEFAULT_MAX_LEN if cond is None else DEFAULT_COND_MAX_LEN,
     )
     k = require_k(table, x)
     print(f"K={k} witness={table.witness_of(x)}")
@@ -141,7 +142,7 @@ def cmd_k(args: argparse.Namespace) -> int:
 def cmd_mi(args: argparse.Namespace) -> int:
     source = _source(args)
     x, y = text_to_bits(args.x), text_to_bits(args.y)
-    table = source.capped(max(len(x), len(y), len(pair(x, y)))).table(DEFAULT_MAX_LEN)
+    [table] = source.tables(n=max(len(x), len(y), len(pair(x, y))), L=DEFAULT_MAX_LEN)
     rec = mutual_info(table, x, y)
     print(f"I={rec.i} K(x)={rec.kx} K(y)={rec.ky} K(pair)={rec.kxy}")
     return EXIT_OK
@@ -185,14 +186,14 @@ def cmd_sk(args: argparse.Namespace) -> int:
     # S^k is exactly the set of outputs of programs of at most k bits. No
     # program is shorter than HALT's 3 bits, and a k above LEVEL_MAX_LEN is
     # refused by ``sk`` against that table's cap.
-    table = source.table(min(max(args.k, 3), LEVEL_MAX_LEN))
+    [table] = source.tables(L=min(max(args.k, 3), LEVEL_MAX_LEN))
     _emit(skstats.sk_csv(table, args.k), args.out)
     return EXIT_OK
 
 
 def cmd_xr(args: argparse.Namespace) -> int:
     source = _source(args)
-    table = source.table(LEVEL_MAX_LEN)
+    [table] = source.tables(L=LEVEL_MAX_LEN)
     _emit(skstats.xr_csv(table), args.out)
     return EXIT_OK
 
@@ -202,7 +203,7 @@ def cmd_bernoulli(args: argparse.Namespace) -> int:
     opts = _model_opts(args)
     # Checked before the table is fetched, so that a bad n builds nothing.
     models_prob.check_demo_n(args.n)
-    [table] = source.k_tables(args.n, [Condition.none()])
+    [table] = source.tables(n=args.n)
     rep = models_prob.bernoulli_demo(table, args.n, args.beta, opts)
     _emit(rep.to_csv(), args.out)
     return EXIT_OK
@@ -252,7 +253,7 @@ def _laws_joint(args: argparse.Namespace, source: TableSource) -> int:
     reach = infolaws.expected_mi_reach(joint)
     if statistic is not None:
         reach = max(reach, infolaws.theta_reach(joint, statistic))
-    [table] = source.k_tables(reach, [Condition.none()])
+    [table] = source.tables(n=reach)
     if audit == "expected-mi":
         rep = infolaws.expected_mi_audit(joint, table)
         _warn(f"expected={float(rep.expected):.9f} classical={_fmt_real(rep.prob_i)} k_p={rep.k_p}")
@@ -295,10 +296,10 @@ def cmd_laws(args: argparse.Namespace) -> int:
     battery = source._replace(max_len=None)
     level = deep = None
     if "level" in reads:
-        level = source.table(LEVEL_MAX_LEN)
+        [level] = source.tables(L=LEVEL_MAX_LEN)
     if "deep" in reads:
         # Every selection reads the one deep table the whole battery needs.
-        [deep] = battery.k_tables(infolaws.laws_reach(), [Condition.none()])
+        [deep] = battery.tables(n=infolaws.laws_reach())
     runs = infolaws.laws_audit(deep, level, source=battery, audit=args.audit).values()
     checks = [check for run in runs for check in run.checks]
     measured = {name: value for run in runs for name, value in run.measured.items()}

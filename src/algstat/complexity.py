@@ -67,7 +67,7 @@ def require_ks(table: ComplexityTable, xs: Sequence[str]) -> list[int]:
 def _require_rows(tables: list[ComplexityTable], xs: Sequence[str]) -> list[list[int]]:
     """``[require_ks(t, xs) for t in tables]``, reading the row of each
     distinct table object once: conditions that share the bits a walk reads
-    share one table (``TableSource.k_tables``). Each entry of the list is
+    share one table (``TableSource.tables``). Each entry of the list is
     set to None once its table's row is read, so that the table can be let
     go then and at most one of them is held parsed."""
     sharing: dict[int, list[int]] = {}
@@ -92,12 +92,23 @@ def shortest_program(table: ComplexityTable, x: str) -> str:
     return w
 
 
+def witness_tables(
+    table: ComplexityTable, labels: Sequence[str], n: int, source: TableSource
+) -> list[ComplexityTable]:
+    """The table conditioned on each label's x*, its witness in ``table``,
+    for lookups of strings of at most n bits, in the order of ``labels``:
+    the x* are read, and their tables fetched, in that order. Raises Absent
+    for the first label ``table`` does not hold, before any table is built."""
+    conds = [Condition.string(shortest_program(table, a)) for a in labels]
+    return source.tables(conds, n=n)
+
+
 def k_cond(x: str, cond: Condition, source: TableSource = TableSource()) -> int | None:
     """Exact K(x | cond) under the conditional cap (``source.max_len`` when
     it is set), or None if absent. Builds (and caches) the conditional table
-    on first use, under an output budget of |x| (``TableSource.capped``),
+    on first use, under an output budget of |x| (``TableSource.tables``),
     which also cuts a string condition to its first |x| bits."""
-    [table] = source.capped(len(x)).tables(DEFAULT_COND_MAX_LEN, [cond])
+    [table] = source.tables([cond], n=len(x), L=DEFAULT_COND_MAX_LEN)
     return table.k_of(x)
 
 
@@ -165,8 +176,7 @@ def soi_audit(
     K(x|y*) <= K(z|y*) + K(x|z*) + c hold across the sweep. Also measures
     the self-information gap and the pairing-order gap feeding the frozen
     constants file. ``table`` is read at the swept strings and their pairs;
-    the conditional tables only at the swept strings, so they come from
-    ``source.k_tables(len_cap, ...)``.
+    the conditional tables (``witness_tables``) only at the swept strings.
     """
     xs = _all_strings(len_cap)
     n = len(xs)
@@ -179,8 +189,7 @@ def soi_audit(
     k_un = [k_deep[x] for x in xs]
     # kxy[i][j] = K(<x_i, x_j>); given[i][j] = K(x_j | x_i*).
     kxy = [[k_deep[p] for p in pairs[i : i + n]] for i in range(0, n * n, n)]
-    conds = [Condition.string(shortest_program(table, x)) for x in xs]
-    given = _require_rows(source.k_tables(len_cap, conds), xs)
+    given = _require_rows(witness_tables(table, xs, len_cap, source), xs)
 
     add_max, add_arg = -1, ("", "")
     for x, kx, row, row_given in zip(xs, k_un, kxy, given):

@@ -168,14 +168,10 @@ class ComplexityTable:
         cond_fingerprint: str,
         entries: dict[str, Sequence],
         hist: list[int],
-        cond_serial: str | None = None,
-        machine_version: str = MACHINE_VERSION,
     ):
-        self.machine_version = machine_version
         self.L = L
         self.budgets = budgets
         self.cond_fingerprint = cond_fingerprint
-        self.cond_serial = cond_serial
         self._hist = hist
         # Output length -> segment, or (start, end, records, mass) of its
         # records in _text, the inflated body, until it is parsed, or the
@@ -265,7 +261,6 @@ class ComplexityTable:
 
     def _identity(self):
         return (
-            self.machine_version,
             self.L,
             self.budgets,
             self.cond_fingerprint,
@@ -315,7 +310,7 @@ def build_table(
         found, hist = _pykernel.walk(*_pykernel.walk_args(L, cond, budgets))
         if len(found) > entry_cap:
             raise EntryCapExceeded(f"{len(found)} outputs exceeds entry cap {entry_cap}")
-        table = ComplexityTable(L, budgets, cond.fingerprint(), {}, hist, cond_serial=cond.serial())
+        table = ComplexityTable(L, budgets, cond.fingerprint(), {}, hist)
         table._segs = _segments(found)
     if table.kraft_sum() > 1:
         raise TableError("internal error: Kraft sum exceeds 1")
@@ -398,7 +393,7 @@ def export_table(table: ComplexityTable, path: str | Path) -> None:
     header = "".join(
         line + "\n"
         for line in [
-            f"machine {table.machine_version}",
+            f"machine {MACHINE_VERSION}",
             f"L {L}",
             f"T {table.budgets.max_steps}",
             f"O {table.budgets.max_output}",

@@ -41,8 +41,8 @@ from .complexity import (
     _require_rows,
     mutual_info,
     require_k,
-    shortest_program,
     soi_audit,
+    witness_tables,
 )
 from .condition import Budgets, Condition
 from .distlang import Bernoulli, DistDesc, TableDist, _rat_bits, format_distlang, parse_distlang
@@ -338,8 +338,6 @@ def prob_mi(joint: JointModel) -> ProbMIReport:
     i_val = 0.0
     h_joint = 0.0
     for idx, x, p in support:
-        if p == 0:
-            continue
         i_val += float(p) * _log2_frac(p / (joint.priors[idx] * p2[x]))
         h_joint -= float(p) * _log2_frac(p)
     h_theta = -sum(float(p) * _log2_frac(p) for p in joint.priors if p > 0)
@@ -459,12 +457,7 @@ def expected_mi_reach(joint: JointModel) -> int:
     """The longest string ``expected_mi_audit`` looks up in its table: the
     pair of a label with a data string of positive joint mass."""
     return max(
-        (
-            pair_len(len(joint.thetas[idx]), len(x))
-            for idx, x, p in joint.support()
-            if p != 0
-        ),
-        default=0,
+        (pair_len(len(joint.thetas[idx]), len(x)) for idx, x, _ in joint.support()), default=0
     )
 
 
@@ -475,8 +468,6 @@ def expected_mi_audit(joint: JointModel, table: ComplexityTable) -> ExpectedMIRe
     joint's encoding length alongside the measured slack."""
     rows = []
     for idx, x, p in joint.support():
-        if p == 0:
-            continue
         rec = mutual_info(table, joint.thetas[idx], x)
         rows.append(ExpectedMIRow(joint.thetas[idx], x, p, rec.i))
     expected = sum((r.p * r.i_alg for r in rows), Fraction(0))
@@ -575,16 +566,16 @@ def nonincrease_audit(
     """Max over (x, y, q) of I(q(x):y) - I(x:y) - l(q), with I(a:b) =
     K(b) - K(b | a's witness) and q actually run on the machine.
     ``table`` is read at the swept strings and their images, whose
-    witnesses condition the other tables; those are read only at the swept
-    strings, so they come from ``source.k_tables(len_cap, ...)``."""
+    witnesses condition the other tables (``witness_tables``); those are
+    read only at the swept strings."""
     if transforms is None:
         transforms = default_transforms()
     xs = _all_strings(len_cap)
     applied = _applied(transforms, xs, source.budgets)
     needed = set(xs) | {out for _, out in applied.values()}
     # given[a][j] = K(x_j | a*) for each label a.
-    labels, cond_tables = _label_cond_tables(needed, table, len_cap, source)
-    given = dict(zip(labels, _require_rows(cond_tables, xs)))
+    labels = sorted(needed, key=_canon_key)
+    given = dict(zip(labels, _require_rows(witness_tables(table, labels, len_cap, source), xs)))
 
     per: list[TransformMax] = []
     for q in transforms:
@@ -602,20 +593,6 @@ def nonincrease_audit(
 
 
 # -- parameter sufficiency on the machine side --------------------------------
-
-
-def _label_cond_tables(
-    labels: Iterable[str],
-    table: ComplexityTable,
-    n: int,
-    source: TableSource,
-) -> tuple[list[str], list[ComplexityTable]]:
-    """The labels in canonical order and the table conditioned on each
-    one's shortest program, for lookups of strings of at most n bits
-    (``TableSource.k_tables``)."""
-    ordered = sorted(set(labels), key=_canon_key)
-    conds = [Condition.string(shortest_program(table, label)) for label in ordered]
-    return ordered, source.k_tables(n, conds)
 
 
 class ThetaSuffRow(NamedTuple):
@@ -682,7 +659,8 @@ def _deficiency_terms(
     lookups of the longest of them."""
     xs = joint.x_domain()
     read = set(xs) | {statistic(x) for x in xs}
-    return dict(zip(*_label_cond_tables(joint.thetas, table, max(map(len, read)), source)))
+    labels = sorted(joint.thetas, key=_canon_key)
+    return dict(zip(labels, witness_tables(table, labels, max(map(len, read)), source)))
 
 
 def theta_suff_audit(
@@ -703,8 +681,6 @@ def theta_suff_audit(
     cond_tables = _deficiency_terms(joint, statistic, table, source)
     rows = []
     for idx, x, p in joint.support():
-        if p == 0:
-            continue
         label = joint.thetas[idx]
         s_x = statistic(x)
         given = cond_tables[label]
@@ -823,7 +799,7 @@ class AuditRun(NamedTuple):
 class Audit(NamedTuple):
     """One audit of the ``laws`` battery. ``run(table, source)`` gets the
     table ``reads`` names: ``"level"``, the unconditional table read whole,
-    or ``"deep"``, the ``TableSource.k_tables`` table of ``laws_reach()``
+    or ``"deep"``, the ``TableSource.tables`` table of ``n=laws_reach()``
     bits, the most any record's ``reach`` looks up there. A record
     not ``selectable`` runs only in the whole battery. Run steps call the
     audits by their module names, so a wrapper put in their place sees them."""
@@ -935,7 +911,7 @@ def laws_audit(
     to ``laws_reach()`` bits of output at least, the level ones on
     ``level_table``. A record whose table is None is skipped, so the X(r),
     slice-bound and log N_k checks need a level table. Each audit fetches
-    its own conditional tables from ``source.k_tables`` and lets each go
+    its own conditional tables from ``source.tables`` and lets each go
     once it has read it, so a table that several audits read is fetched
     by each: the two label tables, once by each of the theta audit's two
     statistics and once by the identity audit. See the individual audits."""

@@ -71,7 +71,7 @@ def deficiency_p(
         raise ValueError(f"{bits_to_text(x)} has zero mass under {format_distlang(dist)}")
     domain = dist.domain()
     # read only at the domain: built up to its longest member
-    [table] = source.k_tables(max(map(len, domain)), [Condition.of_model(dist)])
+    [table] = source.tables([Condition.of_model(dist)], n=max(map(len, domain)))
     kx = require_k(table, x)
     ks = require_ks(table, domain)
     # large score = small deficiency; the first of equal scores wins

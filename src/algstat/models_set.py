@@ -80,12 +80,11 @@ def _base_pool(budget: int) -> list[SetDesc]:
 def _tuples_within(pool: list[tuple[int, object]], count: int, budget: int) -> Iterator[tuple]:
     """Ordered count-tuples with repetition whose entry costs sum <= budget.
 
-    ``pool`` must be sorted by ascending cost so the prune below (this
-    entry plus cheapest fillers for the remaining slots) can break."""
+    ``pool`` must be non-empty and sorted by ascending cost so the prune
+    below (this entry plus cheapest fillers for the remaining slots) can
+    break; every caller's pool holds the empty string or its singleton."""
     if count == 0:
         yield ()
-        return
-    if not pool:
         return
     min_cost = pool[0][0]
     for cost, item in pool:
@@ -202,7 +201,7 @@ def deficiency(
         raise ValueError(f"{bits_to_text(x)} is not in {format_setlang(desc)}")
     members = desc.denote()
     # read only at the members: built up to the longest of them
-    uniform, star = source.k_tables(max(map(len, members)), _model_conditions(desc))
+    uniform, star = source.tables(_model_conditions(desc), n=max(map(len, members)))
     return _deficiency(x, desc, members, uniform, star)
 
 
@@ -297,7 +296,7 @@ def structfn(
         conds = [c for desc in models for c in _model_conditions(desc)]
         # read only at the members: built up to the longest of them
         reach = max((len(m) for elems in members for m in elems), default=0)
-        tables = source.k_tables(reach, conds)
+        tables = source.tables(conds, n=reach)
     per_model: list[tuple[int, float, int | None, int | None]] = []
     for i, desc in enumerate(models):
         log2_size = math.log2(desc.size())
@@ -430,7 +429,7 @@ def nonstoch_scan(
             table = tables.get(cond.fingerprint())
             if table is None:
                 # read only at the members: built up to the longest of them
-                [table] = source.k_tables(max(map(len, members)), [cond])
+                [table] = source.tables([cond], n=max(map(len, members)))
                 tables[cond.fingerprint()] = table
             _, d_star = _normalized_deficiencies(x, members, table)
             if d_star <= beta:

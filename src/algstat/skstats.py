@@ -263,8 +263,6 @@ def logn_gap(table: ComplexityTable) -> int:
     counts = Counter(table.ks_of(table.sorted_outputs()))
     for k in range(min(counts), table.L + 1):
         n_seen = sum(t for kk, t in counts.items() if kk <= k)
-        if n_seen == 0:
-            continue
         k_of_k = table.k_of(nat_to_bits(k))
         if k_of_k is None:
             continue

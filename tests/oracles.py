@@ -551,7 +551,7 @@ def naive_soi_audit(table, len_cap: int, source):
     xs = _all_strings(len_cap)
     k_un = {x: require_k(table, x) for x in xs}
     conds = [Condition.string(shortest_program(table, x)) for x in xs]
-    cond_tables = dict(zip(xs, source.capped(len_cap).tables(source.max_len, conds)))
+    cond_tables = dict(zip(xs, source.tables(conds, n=len_cap, L=source.max_len)))
 
     add_max, add_arg = -1, ("", "")
     swap_max = 0
@@ -609,7 +609,7 @@ def naive_nonincrease_audit(table, len_cap: int, source, transforms=None):
     needed = sorted(set(xs) | {out for _, out in applied.values()})
     L = source.max_len if source.max_len is not None else 2 * len_cap + 3
     conds = [Condition.string(shortest_program(table, s)) for s in needed]
-    cond_k = dict(zip(needed, source.capped(len_cap).tables(L, conds)))
+    cond_k = dict(zip(needed, source.tables(conds, n=len_cap, L=L)))
 
     per = []
     for q in transforms:

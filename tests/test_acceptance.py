@@ -177,9 +177,9 @@ def test_10_determinism(tmp_path, table_l22):
         uniform_condition(Hamming(4, 2)),
         Condition.string("0110"),
     ]
-    cold = TableSource(cache_dir=tmp_path / "a").tables(16, conds)
-    again = TableSource(cache_dir=tmp_path / "b").tables(16, conds)
-    warm = TableSource(cache_dir=tmp_path / "a").tables(16, conds)
+    cold = TableSource(cache_dir=tmp_path / "a").tables(conds, L=16)
+    again = TableSource(cache_dir=tmp_path / "b").tables(conds, L=16)
+    warm = TableSource(cache_dir=tmp_path / "a").tables(conds, L=16)
     assert cold == again == warm
     export_table(build_table(16), tmp_path / "rebuilt.tsv")
     blobs = {run: {p.name: p.read_bytes() for p in (tmp_path / run).iterdir()} for run in "ab"}

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from algstat import _pykernel, cache, enumeration
 from algstat.cache import TableSource, load_or_build, table_path
-from algstat.condition import Budgets, Condition
+from algstat.condition import MACHINE_VERSION, Budgets, Condition
 from algstat.distlang import uniform_condition
 from algstat.enumeration import (
     TABLE_FORMAT,
@@ -221,7 +221,7 @@ class TestLoadOrBuildMany:
     """``TableSource.tables``, the batch lookup over many conditions."""
 
     def test_tables_come_back_in_input_order(self, tmp_path):
-        tables = TableSource(cache_dir=tmp_path).tables(10, SMALL_CONDS)
+        tables = TableSource(cache_dir=tmp_path).tables(SMALL_CONDS, L=10)
         assert [t.cond_fingerprint for t in tables] == [c.fingerprint() for c in SMALL_CONDS]
         for cond, table in zip(SMALL_CONDS, tables):
             assert table == build_table(10, cond)
@@ -230,7 +230,7 @@ class TestLoadOrBuildMany:
         notes = []
         conds = [SMALL_CONDS[0], SMALL_CONDS[1], SMALL_CONDS[0], SMALL_CONDS[1]]
         source = TableSource(cache_dir=tmp_path, warn=notes.append)
-        tables = source.tables(10, conds)
+        tables = source.tables(conds, L=10)
         assert notes == [
             f"cache miss: enumerating L=10 under condition [{c.serial()}]" for c in conds[:2]
         ]
@@ -238,14 +238,14 @@ class TestLoadOrBuildMany:
         assert len(_cache_files(tmp_path)) == 2
 
     def test_all_hits_build_nothing(self, tmp_path, monkeypatch):
-        built = TableSource(cache_dir=tmp_path).tables(10, SMALL_CONDS)
+        built = TableSource(cache_dir=tmp_path).tables(SMALL_CONDS, L=10)
 
         def no_build(*args, **kwargs):
             raise AssertionError("a cached table was built again")
 
         monkeypatch.setattr(cache, "build_table", no_build)
         notes = []
-        again = TableSource(cache_dir=tmp_path, warn=notes.append).tables(10, SMALL_CONDS)
+        again = TableSource(cache_dir=tmp_path, warn=notes.append).tables(SMALL_CONDS, L=10)
         assert again == built
         assert notes == []
 
@@ -327,7 +327,7 @@ def _format1_text(table: ComplexityTable) -> str:
     """The file the format-1 writer made: the five preamble lines, then one
     ``output K witness mass`` record per output."""
     head = [
-        f"machine {table.machine_version}",
+        f"machine {MACHINE_VERSION}",
         f"L {table.L}",
         f"T {table.budgets.max_steps}",
         f"O {table.budgets.max_output}",
@@ -531,7 +531,7 @@ class TestCacheFormat:
             )
             (tmp_path / old_name).write_text(_format1_text(build_table(10, cond)))
         notes = []
-        tables = TableSource(cache_dir=tmp_path, warn=notes.append).tables(10, conds)
+        tables = TableSource(cache_dir=tmp_path, warn=notes.append).tables(conds, L=10)
         assert len(notes) == 2 and all(n.startswith("cache miss") for n in notes)
         for cond, table in zip(conds, tables):
             assert table == build_table(10, cond)

@@ -199,11 +199,11 @@ class TestCodebook:
         "lookup, message",
         [
             (
-                lambda source: source.k_tables(21, [Condition.of_model(UniformOn(All(21)))]),
+                lambda source: source.tables([Condition.of_model(UniformOn(All(21)))], n=21),
                 r"\|All\(21\)\| = 2\^21 exceeds cap 1048576",
             ),
             (
-                lambda source: source.k_tables(21, [Condition.of_model(Bernoulli(21, Fraction(1, 2)))]),
+                lambda source: source.tables([Condition.of_model(Bernoulli(21, Fraction(1, 2)))], n=21),
                 r"Bernoulli domain 2\^21 exceeds cap 1048576",
             ),
             (

@@ -4,7 +4,7 @@ oracle, deficiencies, structure curves, and the stochasticity scan."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from algstat.cache import TableSource
@@ -55,6 +55,13 @@ simple_descs = st.one_of(
     st.lists(st.text("01", max_size=4), min_size=1, max_size=4).map(
         lambda es: ListSet(tuple(es))
     ),
+)
+unions = st.recursive(
+    st.lists(simple_descs, min_size=2, max_size=3).map(lambda ps: UnionSet(tuple(ps))),
+    lambda inner: st.lists(st.one_of(simple_descs, inner), min_size=2, max_size=3).map(
+        lambda ps: UnionSet(tuple(ps))
+    ),
+    max_leaves=6,
 )
 
 
@@ -135,6 +142,17 @@ class TestCodec:
     @settings(max_examples=60, deadline=None)
     def test_text_roundtrip(self, desc):
         assert parse_setlang(format_setlang(desc)) == desc
+
+    @given(unions)
+    @settings(max_examples=60, deadline=None)
+    @example(parse_setlang("union(list{0,1},all:2)"))  # commas inside a part
+    @example(UnionSet((Cyl("11", 3), Hamming(3, 1))))  # the prefix outweighs s
+    @example(UnionSet((UnionSet((All(1), Singleton("00"))), Hamming(2, 1))))  # nested
+    def test_unions_count_and_round_trip(self, union):
+        """A union of simple shapes, nested ones included, counts its
+        members exactly and reads back from its text and from its code."""
+        assert union.size() == len(union.denote())
+        assert parse_setlang(format_setlang(union)) == union == decode(union.code)
 
     def test_text_forms(self):
         assert format_setlang(Singleton("")) == "singleton:-"

@@ -3,10 +3,10 @@
 Every opcode only appends to the output, so the table built under
 ``Budgets(T, n)`` is the ``Budgets(T, O)`` table restricted to outputs of at
 most n bits. The analyses that know their longest lookup ask for that slice
-(``TableSource.capped``); a reader whose bound is wrong must fail loudly.
-A reader of K and witnesses alone also gets a derived program-length cap
-(``TableSource.k_tables``): 2n+3, or under a model condition 7 plus the
-longest codeword when that is less; no deeper cap improves on it."""
+(``n`` of ``TableSource.tables``); a reader whose bound is wrong must fail
+loudly. A reader that keeps no fixed program-length cap gets a derived one:
+2n+3, or under a model condition 7 plus the longest codeword when that is
+less; no deeper cap improves on it."""
 
 from __future__ import annotations
 
@@ -99,12 +99,18 @@ def test_imported_witnesses_replay(L, cond, n):
         assert len(e.witness) == e.k
 
 
-def test_capped_lowers_only_the_output_budget():
-    source = TableSource(budgets=Budgets(max_steps=300, max_output=40), cache_dir="c", max_len=9)
-    capped = source.capped(13)
+def test_capped_lowers_only_the_output_budget(tmp_path):
+    notes = []
+    budgets = Budgets(max_steps=300, max_output=40)
+    source = TableSource(budgets=budgets, cache_dir=tmp_path, warn=notes.append, max_len=9)
+    [capped] = source.tables(n=13)
     assert capped.budgets == Budgets(max_steps=300, max_output=13)
-    assert (capped.cache_dir, capped.warn, capped.max_len) == ("c", None, 9)
-    assert source.capped(40) is source and source.capped(99) is source
+    assert capped.L == 9
+    assert table_path(tmp_path, 9, capped.budgets, capped.cond_fingerprint).exists()
+    for n in (40, 99):
+        [table] = source.tables(n=n)
+        assert (table.L, table.budgets) == (9, budgets)
+    assert len(notes) == 2  # the O=13 table, then the O=40 one that n=99 reads too
 
 
 @pytest.fixture(scope="module")
@@ -118,8 +124,8 @@ def test_derived_cap_gives_the_k_and_witness_of_a_deeper_table(k_cache, x, c):
     """Every string of at most |x| bits has the same K and witness at the
     derived cap 2|x|+3 as 3 bits deeper, under a string condition."""
     source, n = TableSource(cache_dir=k_cache), len(x)
-    [derived] = source.k_tables(n, [Condition.string(c)])
-    [deeper] = source._replace(max_len=2 * n + 6).k_tables(n, [Condition.string(c)])
+    [derived] = source.tables([Condition.string(c)], n=n)
+    [deeper] = source._replace(max_len=2 * n + 6).tables([Condition.string(c)], n=n)
     assert (derived.L, derived.budgets.max_output) == (2 * n + 3, n)
     assert derived.k_of(x) is not None
     for y in _all_strings(n):
@@ -144,23 +150,23 @@ def test_derived_model_cap_gives_the_k_and_witness_of_every_member(k_cache, cond
     members = set(book.values())
     n = max(map(len, members))
     source = TableSource(cache_dir=k_cache)
-    [derived] = source.k_tables(n, [cond])
-    [full] = source._replace(max_len=2 * n + 3).k_tables(n, [cond])
+    [derived] = source.tables([cond], n=n)
+    [full] = source._replace(max_len=2 * n + 3).tables([cond], n=n)
     assert derived.L == min(2 * n + 3, 7 + max(map(len, book)))
     for y in members:
         assert derived.k_of(y) is not None
         assert (derived.k_of(y), derived.witness_of(y)) == (full.k_of(y), full.witness_of(y))
 
 
-def test_k_tables_refuse_a_derived_cap_beyond_the_battery(tmp_path):
+def test_tables_refuse_a_derived_cap_beyond_the_battery(tmp_path):
     """n = 14 would derive L = 31, above the deep table's 29: an error that
     names --max-len, before any table is built. A source's ``max_len`` is
     used as it is."""
     source = TableSource(cache_dir=tmp_path)
     with pytest.raises(ValueError, match="L=31, above the largest derived cap L=29; pass --max-len"):
-        source.k_tables(14, [Condition.none()])
+        source.tables(n=14)
     assert list(tmp_path.iterdir()) == []
-    [table] = source._replace(max_len=5).k_tables(14, [Condition.none()])
+    [table] = source._replace(max_len=5).tables(n=14)
     assert (table.L, table.budgets.max_output) == (5, 14)
 
 

@@ -25,18 +25,20 @@ from oracles import ToyModel, naive_entries, tree_walk
 def _recorded_walks(argv: list[str], tmp_path_factory) -> tuple[list[tuple], list[tuple]]:
     """The arguments of every kernel walk a cold run of ``algstat argv``
     makes in this process, and the walk arguments of every table it asks
-    ``TableSource.tables`` or ``k_tables`` for, before its string condition
-    is cut to the output budget."""
+    ``TableSource.tables`` for, before its string condition is cut to the
+    output budget: each table's own cap and budgets, with the condition it
+    was asked for."""
     walks, asked = [], []
-    real_walk, real_tables = _pykernel.walk, TableSource._tables
+    real_walk, real_tables = _pykernel.walk, TableSource.tables
 
-    def tables(self, jobs):
-        asked.extend(walk_args(L, cond, self.budgets) for L, cond in jobs)
-        return real_tables(self, jobs)
+    def tables(self, conds=(Condition.none(),), **caps):
+        found = real_tables(self, conds, **caps)
+        asked.extend(walk_args(t.L, cond, t.budgets) for t, cond in zip(found, conds))
+        return found
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_pykernel, "walk", lambda *args: walks.append(args) or real_walk(*args))
-        mp.setattr(TableSource, "_tables", tables)
+        mp.setattr(TableSource, "tables", tables)
         mp.setenv("ALGSTAT_CACHE_DIR", str(tmp_path_factory.mktemp("walks")))
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert cli.main([*argv, "--workers", "1"]) == 0

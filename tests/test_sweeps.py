@@ -93,7 +93,8 @@ def test_soi_reads_its_pairs_before_building_conditional_tables(tmp_path):
 @pytest.fixture(scope="module")
 def deep(cond_cache):
     """The deep table of the default law battery, as the ``laws`` command reads it."""
-    return TableSource(cache_dir=cond_cache).capped(laws_reach()).table(AUDIT_MAX_LEN)
+    [table] = TableSource(cache_dir=cond_cache).tables(n=laws_reach(), L=AUDIT_MAX_LEN)
+    return table
 
 
 @pytest.mark.parametrize("len_cap", [2, 3, DEFAULT_SOI_LEN_CAP])
@@ -148,13 +149,7 @@ class _MadeUpSource:
     def __init__(self, seed: int, strings, spread: int):
         self._seed, self._strings, self._spread = seed, strings, spread
 
-    def capped(self, n: int) -> _MadeUpSource:
-        return self
-
-    def k_tables(self, n: int, conds):
-        return self.tables(self.max_len, conds)
-
-    def tables(self, L: int, conds):
+    def tables(self, conds, *, n=None, L=None):
         return [
             _made_up(random.Random(f"{self._seed} {c.serial()}"), self._strings, 0, self._spread)
             for c in conds

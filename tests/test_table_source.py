@@ -4,6 +4,7 @@ and no public function takes those settings as parameters of its own."""
 
 from __future__ import annotations
 
+import collections
 import inspect
 from fractions import Fraction
 
@@ -66,7 +67,7 @@ def test_source_budgets_reach_every_table(analysis, tmp_path):
 @pytest.mark.parametrize("analysis", ANALYSES)
 def test_source_max_len_caps_every_table(analysis, tmp_path):
     """A set ``max_len`` replaces the cap of every table an analysis builds,
-    the caps ``k_tables`` would derive included."""
+    the caps ``tables`` would derive included."""
     analysis(TableSource(cache_dir=tmp_path, max_len=10))
     names = sorted(p.name for p in tmp_path.iterdir())
     assert names
@@ -140,7 +141,10 @@ def test_no_function_or_method_takes_a_single_valued_knob(module):
 
 
 def test_the_cap_is_a_source_setting_only():
-    assert list(inspect.signature(TableSource.k_tables).parameters) == ["self", "n", "conds"]
+    assert list(inspect.signature(TableSource.tables).parameters) == ["self", "conds", "n", "L"]
+    plain = vars(collections.namedtuple("Plain", TableSource._fields))
+    methods = sorted(k for k, v in vars(TableSource).items() if callable(v) and k not in plain)
+    assert methods == ["program_cap", "tables"]
     assert "L" not in TableSource._fields
     assert TableSource._fields[-1] == "max_len"
 
@@ -163,13 +167,13 @@ def test_each_cached_table_is_named_and_stat_ed_once(tmp_path, monkeypatch):
     source = TableSource(cache_dir=tmp_path)
     for _ in ("cold", "warm"):
         named.clear()
-        tables = source.tables(8, conds)
+        tables = source.tables(conds, L=8)
         assert len(named) == 3 == len(set(named))
         assert tables[0] is tables[2]
 
 
 def test_conditions_sharing_their_O_bit_prefix_share_one_table(tmp_path, monkeypatch):
-    """Under k_tables(4, ...) a walk reads only 4 bits of a string condition,
+    """Under tables(conds, n=4) a walk reads only 4 bits of a string condition,
     so 0110100 and 01101 get one walk, one file and one ``cache miss`` note,
     and their table is the one built under each uncut condition."""
     conds = [Condition.string("0110100"), Condition.string("01101"), Condition.string("1")]
@@ -177,7 +181,7 @@ def test_conditions_sharing_their_O_bit_prefix_share_one_table(tmp_path, monkeyp
     real = _pykernel.walk
     monkeypatch.setattr(_pykernel, "walk", lambda *args: walks.append(args) or real(*args))
     notes = []
-    first, second, other = TableSource(cache_dir=tmp_path, warn=notes.append).k_tables(4, conds)
+    first, second, other = TableSource(cache_dir=tmp_path, warn=notes.append).tables(conds, n=4)
     assert first is second and other is not first
     assert [args[4] for args in walks] == ["0110", "1"]
     assert [note.split()[-1] for note in notes] == ["0110]", "1]"]
@@ -186,10 +190,3 @@ def test_conditions_sharing_their_O_bit_prefix_share_one_table(tmp_path, monkeyp
         built = build_table(11, cond, Budgets(max_output=4))
         assert (first.entries, first.count_by_length()) == (built.entries, built.count_by_length())
 
-
-def test_table_keeps_the_requested_condition(tmp_path):
-    """``TableSource.table`` does not cut its condition, even where a walk
-    reads only its first O bits."""
-    cond = Condition.string("0110100110")
-    table = TableSource(budgets=Budgets(max_output=2), cache_dir=tmp_path).table(8, cond)
-    assert table.cond_fingerprint == cond.fingerprint()
