@@ -182,6 +182,10 @@ class ComplexityTable:
             dict(entries)
         )
         self._text = b""
+        # K and l(m_x) of every output in canonical order, once
+        # skstats._mx_pass has made them: the table never changes, so they
+        # never go stale, and they are let go with it.
+        self._mx_pass: tuple[list[int], list[int]] | None = None
 
     def _segment(self, n: int) -> _Sparse | _Dense:
         seg = self._segs.get(n, _NO_SEGMENT)
@@ -242,6 +246,18 @@ class ComplexityTable:
     def sorted_outputs(self) -> list[str]:
         """Every output, in (length, lex) order."""
         return list(itertools.chain.from_iterable(map(sorted, self._all().values())))
+
+    def sorted_ks(self) -> list[int]:
+        """K of every output, in the order of ``sorted_outputs``, read off
+        the segments: a dense segment's are its witnesses' lengths, read
+        with no output made."""
+        ks: list[int] = []
+        for seg in self._all().values():
+            if type(seg) is _Dense:
+                ks += map(len, seg.wits)
+            else:
+                ks += map(itemgetter(0), map(seg.__getitem__, sorted(seg)))
+        return ks
 
     # -- aggregates ------------------------------------------------------
 
@@ -344,9 +360,16 @@ def build_table(
 #
 # The compression level is fixed, so an export is byte-identical across runs
 # with one zlib build; another build may compress differently, and any
-# reader accepts any sealed file.
+# reader accepts any sealed file, at any level.
 
 TABLE_FORMAT = 4
+# The deflate level of a table body. Level 4 is zlib's first with lazy
+# matching. The 26 tables of a cold `laws` store 107.7, 102.9, 103.8, 83.0,
+# 79.0 and 79.0 KB at levels 1 to 6, and deflating the bodies of its two
+# largest in one shot takes about 4, 4, 9, 5, 10 and 24 ms: level 4 keeps
+# 86% of level 6's saving for a fifth of its time, and a smaller body is
+# less to inflate on every read.
+DEFLATE_LEVEL = 4
 # Stored bytes inflated per call. Each call's output, a few times as many
 # bytes, is a small transient beside the body it is appended to; one call
 # for the whole body would hold it twice, as zlib joins its output blocks.
@@ -367,14 +390,15 @@ def _dyadic_text(m_num: int, L: int) -> str:
 
 def export_table(table: ComplexityTable, path: str | Path) -> None:
     """Write the format-4 file: the header, then the records, fed a segment
-    at a time through one zlib stream, so that only the stream is held
-    whole. Byte-identical across runs with one zlib build."""
+    at a time through one zlib stream at ``DEFLATE_LEVEL``, so that only
+    the stream is held whole. Byte-identical across runs with one zlib
+    build."""
     L = table.L
     segs = table._all()
     # A table has a few hundred distinct masses; witnesses are never empty (K >= 3).
     masses = set(itertools.chain.from_iterable(seg.masses for seg in segs.values()))
     mass_text = {m: _dyadic_text(m, L) for m in masses}
-    deflate = zlib.compressobj(zlib.Z_BEST_SPEED)
+    deflate = zlib.compressobj(DEFLATE_LEVEL)
     body = []
     index = []
     for n, seg in segs.items():

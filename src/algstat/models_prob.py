@@ -130,7 +130,7 @@ def pk(table: ComplexityTable, k: int) -> UniformOn:
     if k > table.L:
         raise ValueError(f"k={k} exceeds the table cap L={table.L}")
     outs = table.sorted_outputs()
-    members = [x for x, kx in zip(outs, table.ks_of(outs)) if kx <= k]
+    members = [x for x, kx in zip(outs, table.sorted_ks()) if kx <= k]
     if not members:
         raise ValueError(f"no strings of complexity <= {k} in the table")
     return UniformOn(ListSet(tuple(members)))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from itertools import combinations
+from typing import Iterator
 
 from ._record import Record
 from .bits import BitReader, CodeError, bar_nat, bits_to_text, check_bits, std, text_to_bits
@@ -164,13 +165,15 @@ class UnionSet(SetDesc):
         return any(p.member(x) for p in self.parts)
 
     def size(self) -> int:
-        # inclusion-exclusion keeps huge structured unions exact without
-        # materializing; nested unions fall back to the capped walk
-        if len(self.parts) <= 8 and all(_is_simple(p) for p in self.parts):
+        # inclusion-exclusion over the simple shapes, nested unions opened
+        # into their parts, keeps huge structured unions exact without
+        # materializing; past 8 shapes it falls back to the capped walk
+        parts = tuple(_simple_parts(self))
+        if len(parts) <= 8:
             total = 0
-            for r in range(1, len(self.parts) + 1):
+            for r in range(1, len(parts) + 1):
                 sign = 1 if r % 2 else -1
-                for combo in combinations(self.parts, r):
+                for combo in combinations(parts, r):
                     total += sign * _intersection_size(combo)
             return total
         return len(self.denote())
@@ -184,8 +187,14 @@ class UnionSet(SetDesc):
         return sorted(seen, key=lambda s: (len(s), s))
 
 
-def _is_simple(desc: SetDesc) -> bool:
-    return isinstance(desc, (Singleton, All, Cyl, Hamming, ListSet))
+def _simple_parts(union: UnionSet) -> Iterator[SetDesc]:
+    """The shapes a union joins, each nested union replaced by its parts:
+    every other shape is simple."""
+    for p in union.parts:
+        if isinstance(p, UnionSet):
+            yield from _simple_parts(p)
+        else:
+            yield p
 
 
 def _intersection_size(parts: tuple[SetDesc, ...]) -> int:

@@ -20,9 +20,12 @@ tuple, a {member: rank} map, so a rank or index lookup costs O(1).
 Because both words have the same width, l(m_x) has a closed form in
 the rank alone: width - 1 when rank == N_k, otherwise
 width - bit_length(rank XOR N_k). The X(r) checks build no level: one
-pass over the outputs keeps a running count per level, which gives each
-x its rank in S^{K(x)}, and the final counts give every N_k, so they
-cost O(N * levels) integer additions for N table outputs.
+pass over K in canonical order, read off the table's segments, keeps a
+running count per level, which gives each x its rank in S^{K(x)}, and
+the final counts give every N_k, so they cost O(N * levels) integer
+additions for N table outputs. The pass is made once per table and kept
+on it; X(r)'s mass sums and the slice bound read a tally of it by K and
+l(m_x).
 """
 
 from __future__ import annotations
@@ -79,7 +82,7 @@ def sk(table: ComplexityTable, k: int) -> SkIndex:
     if k > table.L:
         raise ValueError(f"k={k} exceeds the table cap L={table.L}")
     outs = table.sorted_outputs()  # already canonical (length, lex)
-    ks = table.ks_of(outs)
+    ks = table.sorted_ks()
     members = [x for x, kx in zip(outs, ks) if kx <= k]
     newest = ks.count(k)
     n_k = len(members)
@@ -162,55 +165,65 @@ class XrRow(NamedTuple):
         return self.mass_sum <= self.bound
 
 
-def _mx_pass(table: ComplexityTable) -> tuple[list[str], list[int], list[int]]:
-    """(canonical outputs, K of each, l(m_x) of each at k = K(x)) in one
-    pass over the outputs. The pass keeps a running count per level, so
-    the rank of x in S^{K(x)} is the number of outputs up to x with K at
-    most K(x); N_k follows from the final counts, and l(m_x) from the two."""
-    outs = table.sorted_outputs()
-    ks = table.ks_of(outs)
-    seen = [0] * (table.L + 1)
-    ranks = []
-    for k in ks:
-        seen[k] += 1
-        ranks.append(sum(seen[: k + 1]))
-    n_at = list(itertools.accumulate(seen))
-    return outs, ks, list(map(_mx_len, ranks, map(n_at.__getitem__, ks)))
+def _mx_pass(table: ComplexityTable) -> tuple[list[int], list[int]]:
+    """(K of each output, l(m_x) of each at k = K(x)), in canonical order.
+    K is read off the segments (``sorted_ks``), and one pass over it keeps a
+    running count per level, so the rank of x in S^{K(x)} is the number of
+    outputs up to x with K at most K(x); N_k follows from the final counts,
+    and l(m_x) from the two. The lists are kept on the table, which never
+    changes, so the X(r), slice-bound and log N_k checks of one table make
+    the pass once; callers only read them."""
+    if table._mx_pass is None:
+        ks = table.sorted_ks()
+        seen = [0] * (table.L + 1)
+        ranks = []
+        for k in ks:
+            seen[k] += 1
+            ranks.append(sum(seen[: k + 1]))
+        n_at = list(itertools.accumulate(seen))
+        table._mx_pass = ks, list(map(_mx_len, ranks, map(n_at.__getitem__, ks)))
+    return table._mx_pass
 
 
 def _mx_lengths(table: ComplexityTable) -> dict[str, int]:
     """l(m_x) for every table string, each at its own level k = K(x)."""
-    outs, _, lengths = _mx_pass(table)
-    return dict(zip(outs, lengths))
+    return dict(zip(table.sorted_outputs(), _mx_pass(table)[1]))
 
 
 def xr(table: ComplexityTable, r: int) -> tuple[str, ...]:
     """X(r) = {x : l(m_x) >= r} with m_x taken at k = K(x), canonical
     order, restricted to the table support."""
-    outs, _, lengths = _mx_pass(table)
-    return tuple(itertools.compress(outs, [l >= r for l in lengths]))
+    lengths = _mx_pass(table)[1]
+    return tuple(itertools.compress(table.sorted_outputs(), map(r.__le__, lengths)))
 
 
 def xr_report(table: ComplexityTable) -> list[XrRow]:
     """One row per r from 0 up to the first empty X(r). Each mass sum is
-    summed as an integer numerator over 2^L."""
+    summed as an integer numerator over 2^L, from a tally of the outputs
+    by K and l(m_x)."""
     # fractions (and decimal with it) loads here, not with ``sk``, which
     # makes no Fraction (as in ``ComplexityTable.m_of``).
     from fractions import Fraction
 
-    outs, ks, lengths = _mx_pass(table)
+    ks, lengths = _mx_pass(table)
     L = table.L
-    masses = [1 << (L - k) for k in ks]
+    top = max(lengths, default=-1)
+    # size[l], mass[l]: the count and mass numerator over 2^L of the
+    # outputs with l(m_x) = l
+    size = [0] * (top + 1)
+    mass = [0] * (top + 1)
+    for (k, l), count in Counter(zip(ks, lengths)).items():
+        size[l] += count
+        mass[l] += count << (L - k)
+    outs = table.sorted_outputs()
+    # the positions of the outputs by l(m_x), canonical within each l: the
+    # members of X(r) are the positions from the first of l = r on
+    by_l = sorted(range(len(lengths)), key=lengths.__getitem__)
     rows = []
-    r = 0
-    while True:
-        chosen = [l >= r for l in lengths]
-        members = tuple(itertools.compress(outs, chosen))
-        mass = Fraction(sum(itertools.compress(masses, chosen)), 1 << L)
-        rows.append(XrRow(r=r, members=members, mass_sum=mass, bound=Fraction(4, 1 << r)))
-        if not members:
-            break
-        r += 1
+    for r, start in zip(range(top + 2), itertools.accumulate(size, initial=0)):
+        members = tuple(map(outs.__getitem__, sorted(by_l[start:])))
+        mass_sum = Fraction(sum(mass[r:]), 1 << L)
+        rows.append(XrRow(r=r, members=members, mass_sum=mass_sum, bound=Fraction(4, 1 << r)))
     return rows
 
 
@@ -228,12 +241,12 @@ def slice_bound_check(table: ComplexityTable) -> bool:
     """|X(r) ∩ (S^k \\ S^{k-1})| <= 2^(-r+1) N_k for every (k, r), checked
     as the integer inequality count * 2^r <= 2 * N_k. The counts come from
     one tally of the outputs by K and l(m_x)."""
-    _, ks, lengths = _mx_pass(table)
+    ks, lengths = _mx_pass(table)
     max_r = max(lengths, default=0)
     # by_level[k][l]: the outputs of complexity k with l(m_x) = l
     by_level: dict[int, list[int]] = {}
-    for k, l in zip(ks, lengths):
-        by_level.setdefault(k, [0] * (max_r + 2))[l] += 1
+    for (k, l), count in Counter(zip(ks, lengths)).items():
+        by_level.setdefault(k, [0] * (max_r + 2))[l] += count
     n_k = 0
     for k in sorted(by_level):
         hist = by_level[k]
@@ -250,7 +263,7 @@ def t_kraft_sum(table: ComplexityTable) -> Fraction:
     prefix-free program tree."""
     from fractions import Fraction
 
-    counts = Counter(table.ks_of(table.sorted_outputs()))
+    counts = Counter(table.sorted_ks())
     return sum((Fraction(t, 1 << k) for k, t in counts.items()), Fraction(0))
 
 
@@ -260,7 +273,7 @@ def logn_gap(table: ComplexityTable) -> int:
     from .bits import nat_to_bits
 
     worst = 0
-    counts = Counter(table.ks_of(table.sorted_outputs()))
+    counts = Counter(_mx_pass(table)[0])
     for k in range(min(counts), table.L + 1):
         n_seen = sum(t for kk, t in counts.items() if kk <= k)
         k_of_k = table.k_of(nat_to_bits(k))

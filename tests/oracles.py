@@ -33,7 +33,13 @@ from typing import Callable, Iterable, Iterator
 from algstat._pykernel import _COMPL, _COPY_CODES, COND_MODEL, COND_STR, walk_args
 from algstat.bits import check_bits, text_to_bits
 from algstat.condition import MACHINE_VERSION, Budgets, Condition
-from algstat.enumeration import ComplexityTable, Entry, TableFormatError, TableVersionError
+from algstat.enumeration import (
+    DEFLATE_LEVEL,
+    ComplexityTable,
+    Entry,
+    TableFormatError,
+    TableVersionError,
+)
 from algstat.machine import Status, run
 
 
@@ -232,7 +238,7 @@ def stored(text: str) -> bytes:
     line copied, not recomputed. The text of an export, left as it is, gives
     back the exported bytes."""
     *head, body = text.encode().split(b"\n", 9)
-    return b"\n".join([*head, zlib.compress(body, zlib.Z_BEST_SPEED)])
+    return b"\n".join([*head, zlib.compress(body, DEFLATE_LEVEL)])
 
 
 def resealed(data: bytes) -> bytes:
@@ -499,6 +505,22 @@ def blind_models(x: str, alpha_max: int):
                 found.append(desc)
     found.sort(key=lambda d: (d.code_len, d.code))
     return found
+
+
+def naive_union_size(union) -> int:
+    """|union| for a union of simple shapes, nested or not, without
+    inclusion-exclusion: the strings of a length that an All part fills
+    count 2^n, and the members of every other shape are listed and counted
+    once."""
+    from algstat.setlang import All, UnionSet
+
+    def shapes(desc):
+        return [s for p in desc.parts for s in shapes(p)] if isinstance(desc, UnionSet) else [desc]
+
+    leaves = shapes(union)
+    full = {s.n for s in leaves if isinstance(s, All)}
+    listed = {x for s in leaves if not isinstance(s, All) for x in s.denote() if len(x) not in full}
+    return sum(1 << n for n in full) + len(listed)
 
 
 class ToyModel:

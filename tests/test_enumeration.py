@@ -19,6 +19,7 @@ from algstat.cache import TableSource, load_or_build, table_path
 from algstat.condition import MACHINE_VERSION, Budgets, Condition
 from algstat.distlang import uniform_condition
 from algstat.enumeration import (
+    DEFLATE_LEVEL,
     TABLE_FORMAT,
     ComplexityTable,
     Entry,
@@ -373,9 +374,9 @@ class TestPersistence:
         assert head[7] == "index 0,1,12,8 1,2,24,4"
         body = text.split("\n", 9)[9]
         assert body == "- 100 1/2^3\n00100 1/2^5\n01100 1/2^5\n"
-        # the file stores the body as one zlib stream at the fastest level
+        # the file stores the body as one zlib stream at the export level
         deflated = path.read_bytes().split(b"\n", 9)[9]
-        assert deflated == zlib.compress(body.encode(), zlib.Z_BEST_SPEED)
+        assert deflated == zlib.compress(body.encode(), DEFLATE_LEVEL)
         # the digest seals the eight header lines before it as well as the
         # stored body
         sealed = "".join(line + "\n" for line in head[:8]).encode() + deflated
@@ -646,10 +647,11 @@ class TestLazyRead:
         [
             lambda t: t.entries,
             lambda t: t.sorted_outputs(),
+            lambda t: t.sorted_ks(),
             lambda t: t.kraft_sum(),
             len,
         ],
-        ids=["entries", "sorted_outputs", "kraft_sum", "len"],
+        ids=["entries", "sorted_outputs", "sorted_ks", "kraft_sum", "len"],
     )
     def test_whole_table_reads_parse_every_length(self, sealed, parsed, read):
         table, path = sealed
@@ -919,6 +921,22 @@ class TestCompressedBody:
         assert path.read_bytes() != small_export.read_bytes()
         assert import_table(path) == import_table(small_export) == naive_import_table(path)
 
+    def test_a_cache_file_deflated_at_level_one_is_served(self, tmp_path):
+        # earlier versions deflated format-4 bodies at level 1: a cache of
+        # such files must be read as it is, not rebuilt
+        cond = Condition.string("0110")
+        table, built = load_or_build(12, cond, cache_dir=tmp_path)
+        path = table_path(tmp_path, 12, Budgets(), cond.fingerprint())
+        head, body = _stored_body(path)
+        level_one = resealed(head + zlib.compress(zlib.decompress(body), zlib.Z_BEST_SPEED))
+        assert built and level_one != path.read_bytes()
+        path.write_bytes(level_one)
+        notes = []
+        again, built = load_or_build(12, cond, cache_dir=tmp_path, warn=notes.append)
+        assert not built and notes == []
+        assert again.entries == table.entries and again == table
+        assert path.read_bytes() == level_one
+
 
 _ROUND_TRIP_CONDS = [
     Condition.none(),
@@ -1007,6 +1025,7 @@ class TestDenseSegments:
         ][:1]
         absent = missing + ["0" * (O + 1), "0b1", "-1", " 1", "2"]
         read = import_table(path)
+        assert read.sorted_ks() == built.sorted_ks() == built.ks_of(outs)
         for x in outs + absent:
             assert _lookups(read, x) == _lookups(built, x)
         for x in absent:
