@@ -12,7 +12,9 @@ element look atypical.
 
 from __future__ import annotations
 
+import itertools
 import math
+from operator import attrgetter, itemgetter
 from typing import Any, Iterable, Iterator, NamedTuple
 
 # Bound, not run, here: distlang (and fractions with it) runs only when a
@@ -46,28 +48,24 @@ class ModelOpts(NamedTuple):
     alpha_bound: int = DEFAULT_ALPHA_BOUND
 
 
+def _strings(budget: int) -> list[str]:
+    """Every string whose self-delimiting code fits in ``budget`` bits."""
+    lengths = itertools.takewhile(lambda l: std_len(l) <= budget, itertools.count())
+    return [format(v, f"0{l}b") if l else "" for l in lengths for v in range(1 << l)]
+
+
 def _base_pool(budget: int) -> list[SetDesc]:
     """Every Singleton/All/Cyl/Hamming whose code fits in ``budget`` bits."""
-    pool: list[SetDesc] = []
-    l = 0
-    while 2 + std_len(l) <= budget:
-        pool.extend(Singleton(format(v, f"0{l}b") if l else "") for v in range(1 << l))
-        l += 1
+    pool: list[SetDesc] = list(map(Singleton, _strings(budget - 2)))
     n = 0
     while 2 + 2 * nat_len(n) + 1 <= budget:
         pool.append(All(n))
         n += 1
-    lp = 0
-    while True:
-        if 3 + std_len(lp) + 1 > budget:  # even n with 1-bit bar won't fit
-            break
-        for v in range(1 << lp):
-            p = format(v, f"0{lp}b") if lp else ""
-            n = lp
-            while 3 + std_len(lp) + 2 * nat_len(n) + 1 <= budget:
-                pool.append(Cyl(p, n))
-                n += 1
-        lp += 1
+    for p in _strings(budget - 4):  # even n with a 1-bit bar must fit
+        n = len(p)
+        while 3 + std_len(len(p)) + 2 * nat_len(n) + 1 <= budget:
+            pool.append(Cyl(p, n))
+            n += 1
     n = 0
     while 3 + (2 * nat_len(n) + 1) + 1 <= budget:
         for s in range(n + 1):
@@ -77,21 +75,32 @@ def _base_pool(budget: int) -> list[SetDesc]:
     return pool
 
 
-def _tuples_within(pool: list[tuple[int, object]], count: int, budget: int) -> Iterator[tuple]:
-    """Ordered count-tuples with repetition whose entry costs sum <= budget.
-
-    ``pool`` must be non-empty and sorted by ascending cost so the prune
-    below (this entry plus cheapest fillers for the remaining slots) can
-    break; every caller's pool holds the empty string or its singleton."""
-    if count == 0:
+def _tuples_within(pools: list[list[tuple[int, Any]]], budget: int) -> Iterator[tuple]:
+    """Tuples of one entry from each pool in turn whose costs sum <= budget.
+    Each pool is sorted by ascending cost, so the prune below (this entry
+    plus the cheapest of every later pool) can break; an empty one yields
+    nothing."""
+    if not pools:
         yield ()
-        return
-    min_cost = pool[0][0]
-    for cost, item in pool:
-        if cost + (count - 1) * min_cost > budget:
-            break
-        for rest in _tuples_within(pool, count - 1, budget - cost):
-            yield (item,) + rest
+    elif all(pools):
+        rest = sum(pool[0][0] for pool in pools[1:])
+        for cost, item in pools[0]:
+            if cost + rest > budget:
+                break
+            for tail in _tuples_within(pools[1:], budget - cost):
+                yield (item,) + tail
+
+
+def _containing(pool: list, own: set, count: int, budget: int) -> Iterator[tuple]:
+    """The count-tuples of ``pool`` entries with one of ``own`` (those with
+    x), whose costs sum <= budget. Each is made once, at the slot of its
+    first entry with x: the slots before it take entries without x, that
+    slot one with x, and the slots after it any entry."""
+    with_x = [e for e in pool if e[1] in own]
+    without_x = [e for e in pool if e[1] not in own]
+    for slot in range(count):
+        pools = [without_x] * slot + [with_x] + [pool] * (count - 1 - slot)
+        yield from _tuples_within(pools, budget)
 
 
 def enumerate_models(x: str, alpha_max: int, opts: ModelOpts | None = None) -> list[SetDesc]:
@@ -102,52 +111,36 @@ def enumerate_models(x: str, alpha_max: int, opts: ModelOpts | None = None) -> l
     sets (width <= opts.union_width) and lists of <= opts.list_cap
     elements; below 16 bits this equals the unrestricted grammar, which
     the blind-decoding oracle test pins down.
+
+    Only the n+4 base sets below contain an n-bit x, so a union is made
+    only with one of them as a part, and a list only with x as an element:
+    each once, at the slot of its first part or element with x.
     """
     opts = opts or ModelOpts()
     if alpha_max > opts.alpha_bound:
         raise ValueError(f"alpha_max {alpha_max} exceeds configured bound {opts.alpha_bound}")
     check_bits(x)
-    found: list[SetDesc] = []
+    n = len(x)
+    base = [Singleton(x), All(n), *(Cyl(x[:lp], n) for lp in range(n + 1))]
+    base.append(Hamming(n, x.count("1")))
+    found = [d for d in base if d.code_len < alpha_max]
 
-    def consider(desc: SetDesc):
-        if desc.code_len < alpha_max:
-            found.append(desc)
+    def budget(count: int) -> int:
+        """The bits a count-entry union or list leaves its entries."""
+        return alpha_max - 1 - (3 + 2 * nat_len(count) + 1)
 
-    consider(Singleton(x))
-    consider(All(len(x)))
-    for lp in range(len(x) + 1):
-        consider(Cyl(x[:lp], len(x)))
-    consider(Hamming(len(x), x.count("1")))
-
-    # unions: at least one part must contain x
-    min_part = 3  # smallest base code (Singleton(""), All(0))
-    for count in range(2, opts.union_width + 1):
-        header = 3 + 2 * nat_len(count) + 1
-        budget = alpha_max - 1 - header
-        if budget < count * min_part:
-            continue
-        pool = [(d.code_len, d) for d in _base_pool(budget - (count - 1) * min_part)]
-        pool.sort(key=lambda t: (t[0], t[1].code))
-        for parts in _tuples_within(pool, count, budget):
-            if any(p.member(x) for p in parts):
-                consider(UnionSet(parts))
-
-    # lists: x must literally appear among the elements
-    for count in range(1, opts.list_cap + 1):
-        header = 3 + 2 * nat_len(count) + 1
-        budget = alpha_max - 1 - header
-        if std_len(len(x)) + (count - 1) > budget:  # x plus minimal others
-            continue
-        strings: list[tuple[int, str]] = []
-        l = 0
-        while std_len(l) + (count - 1) <= budget:
-            strings.extend(
-                (std_len(l), format(v, f"0{l}b") if l else "") for v in range(1 << l)
-            )
-            l += 1
-        for elems in _tuples_within(strings, count, budget):
-            if x in elems:
-                consider(ListSet(elems))
+    for shape, counts, own, within, cost in (
+        (UnionSet, range(2, opts.union_width + 1), base, _base_pool, attrgetter("code_len")),
+        (ListSet, range(1, opts.list_cap + 1), [x], _strings, lambda s: std_len(len(s))),
+    ):
+        # Count 2 leaves the most bits (headers grow with the count), so one
+        # pool serves every count: each entry of at most ``room`` bits, what
+        # one may cost beside the cheapest with x, then those with x past it.
+        room = budget(2) - min(map(cost, own))
+        pool = within(room) + [e for e in own if cost(e) > room]
+        pool = sorted(((cost(e), e) for e in pool), key=itemgetter(0))
+        for count in counts:
+            found.extend(map(shape, _containing(pool, set(own), count, budget(count))))
 
     found.sort(key=lambda d: (d.code_len, d.code))
     return found

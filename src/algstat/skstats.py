@@ -77,21 +77,27 @@ class SkIndex(Record):
         return format(self.n_k, f"0{self.width}b")
 
 
-def sk(table: ComplexityTable, k: int) -> SkIndex:
-    """S^k with its padded index assignment."""
+def _level(table: ComplexityTable, k: int) -> tuple[list[str], list[int]]:
+    """The members of S^k in canonical (length, lex) order, and the K of
+    each, in one pass over the table's outputs."""
     if k > table.L:
         raise ValueError(f"k={k} exceeds the table cap L={table.L}")
-    outs = table.sorted_outputs()  # already canonical (length, lex)
     ks = table.sorted_ks()
-    members = [x for x, kx in zip(outs, ks) if kx <= k]
-    newest = ks.count(k)
+    keep = [kx <= k for kx in ks]
+    members = list(itertools.compress(table.sorted_outputs(), keep))
+    return members, list(itertools.compress(ks, keep))
+
+
+def sk(table: ComplexityTable, k: int) -> SkIndex:
+    """S^k with its padded index assignment."""
+    members, ks = _level(table, k)
     n_k = len(members)
     return SkIndex(
         k=k,
         members=tuple(members),
         n_k=n_k,
         width=n_k.bit_length(),
-        t_k=newest,
+        t_k=ks.count(k),
     )
 
 
@@ -288,10 +294,12 @@ def logn_gap(table: ComplexityTable) -> int:
 
 
 def sk_csv(table: ComplexityTable, k: int) -> str:
-    idx = sk(table, k)
+    """S^k as CSV: each member, its K and its index, which is its rank."""
+    members, ks = _level(table, k)
+    spec = f"0{len(members).bit_length()}b"  # SkIndex's index width
     lines = ["member,K,index"]
-    for x, kx in zip(idx.members, table.ks_of(idx.members)):
-        lines.append(f"{bits_to_text(x)},{kx},{idx.index_of(x)}")
+    for rank, (x, kx) in enumerate(zip(members, ks), 1):
+        lines.append(f"{bits_to_text(x)},{kx},{format(rank, spec)}")
     return "\n".join(lines) + "\n"
 
 

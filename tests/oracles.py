@@ -16,7 +16,9 @@ rather than their counts. ``plain_text`` and ``stored`` turn a table file
 into its text, body inflated, and back, for tests that edit files.
 The law-audit and X(r) references recompute each quantity term by term, one
 lookup at a time, as the library computed them before it swept whole K
-lists.
+lists. ``filtered_models`` finds the models of x as the library did before
+it made only tuples containing x: it builds every union and list tuple
+within the code budget and keeps those that contain x.
 """
 
 from __future__ import annotations
@@ -503,6 +505,104 @@ def blind_models(x: str, alpha_max: int):
                 continue
             if desc.member(x):
                 found.append(desc)
+    found.sort(key=lambda d: (d.code_len, d.code))
+    return found
+
+
+def filtered_models(x: str, alpha_max: int, opts=None) -> list:
+    """enumerate_models as it was before it made only the models of x:
+    every union and list tuple within the code budget is built, with the
+    pool rebuilt for each count, and those without x are filtered out."""
+    from algstat.bits import check_bits, nat_len, std_len
+    from algstat.models_set import ModelOpts
+    from algstat.setlang import All, Cyl, Hamming, ListSet, Singleton, UnionSet
+
+    def base_pool(budget):
+        """Every Singleton/All/Cyl/Hamming whose code fits in ``budget`` bits."""
+        pool = []
+        l = 0
+        while 2 + std_len(l) <= budget:
+            pool.extend(Singleton(format(v, f"0{l}b") if l else "") for v in range(1 << l))
+            l += 1
+        n = 0
+        while 2 + 2 * nat_len(n) + 1 <= budget:
+            pool.append(All(n))
+            n += 1
+        lp = 0
+        while True:
+            if 3 + std_len(lp) + 1 > budget:  # even n with 1-bit bar won't fit
+                break
+            for v in range(1 << lp):
+                p = format(v, f"0{lp}b") if lp else ""
+                n = lp
+                while 3 + std_len(lp) + 2 * nat_len(n) + 1 <= budget:
+                    pool.append(Cyl(p, n))
+                    n += 1
+            lp += 1
+        n = 0
+        while 3 + (2 * nat_len(n) + 1) + 1 <= budget:
+            for s in range(n + 1):
+                if 3 + (2 * nat_len(n) + 1) + (2 * nat_len(s) + 1) <= budget:
+                    pool.append(Hamming(n, s))
+            n += 1
+        return pool
+
+    def tuples_within(pool, count, budget):
+        # ordered count-tuples with repetition whose costs sum <= budget
+        if count == 0:
+            yield ()
+            return
+        min_cost = pool[0][0]
+        for cost, item in pool:
+            if cost + (count - 1) * min_cost > budget:
+                break
+            for rest in tuples_within(pool, count - 1, budget - cost):
+                yield (item,) + rest
+
+    opts = opts or ModelOpts()
+    check_bits(x)
+    found = []
+
+    def consider(desc):
+        if desc.code_len < alpha_max:
+            found.append(desc)
+
+    consider(Singleton(x))
+    consider(All(len(x)))
+    for lp in range(len(x) + 1):
+        consider(Cyl(x[:lp], len(x)))
+    consider(Hamming(len(x), x.count("1")))
+
+    # unions: at least one part must contain x
+    min_part = 3  # smallest base code (Singleton(""), All(0))
+    for count in range(2, opts.union_width + 1):
+        header = 3 + 2 * nat_len(count) + 1
+        budget = alpha_max - 1 - header
+        if budget < count * min_part:
+            continue
+        pool = [(d.code_len, d) for d in base_pool(budget - (count - 1) * min_part)]
+        pool.sort(key=lambda t: (t[0], t[1].code))
+        for parts in tuples_within(pool, count, budget):
+            if any(p.member(x) for p in parts):
+                consider(UnionSet(parts))
+
+    # lists: x must literally appear among the elements
+    for count in range(1, opts.list_cap + 1):
+        header = 3 + 2 * nat_len(count) + 1
+        budget = alpha_max - 1 - header
+        if std_len(len(x)) + (count - 1) > budget:  # x plus minimal others
+            continue
+        strings = []
+        l = 0
+        while std_len(l) + (count - 1) <= budget:
+            strings.extend(
+                (std_len(l), format(v, f"0{l}b") if l else "") for v in range(1 << l)
+            )
+            l += 1
+        for elems in tuples_within(strings, count, budget):
+            if x in elems:
+                consider(ListSet(elems))
+
     found.sort(key=lambda d: (d.code_len, d.code))
     return found
 

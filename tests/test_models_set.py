@@ -3,6 +3,9 @@ oracle, deficiencies, structure curves, and the stochasticity scan."""
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,8 @@ from algstat.enumeration import ComplexityTable, Entry
 from algstat.models_set import (
     ModelOpts,
     _normalized_deficiencies,
+    _tuples_within,
+    alpha_cap,
     deficiency,
     enumerate_models,
     nonstoch_scan,
@@ -39,7 +44,7 @@ from algstat.setlang import (
     format_setlang,
     parse_setlang,
 )
-from oracles import blind_models, naive_union_size
+from oracles import blind_models, filtered_models, naive_union_size
 
 simple_descs = st.one_of(
     st.builds(Singleton, st.text("01", max_size=4)),
@@ -191,6 +196,37 @@ class TestEnumeration:
     def test_alpha_bound_enforced(self):
         with pytest.raises(ValueError):
             enumerate_models("0", 41)
+
+    def test_matches_filtered_generation(self):
+        # the generate-and-filter search that made every tuple, kept as the
+        # reference: the same list, order included
+        for n in range(9):
+            for v in range(1 << n):
+                x = format(v, f"0{n}b") if n else ""
+                for cap in {alpha_cap(x), min(alpha_cap(x) + 3, 36)}:
+                    assert enumerate_models(x, cap) == filtered_models(x, cap), (x, cap)
+
+    @pytest.mark.parametrize("x", ["0110100110010110", "01" * 13])
+    @pytest.mark.parametrize("cap", [24, 28, 32])
+    def test_long_strings_match_filtered_generation(self, x, cap):
+        assert enumerate_models(x, cap) == filtered_models(x, cap)
+
+    @given(
+        st.lists(st.lists(st.integers(1, 6), max_size=4).map(sorted), min_size=1, max_size=4),
+        st.integers(0, 20),
+    )
+    @example([[2, 3], [], [1]], 10)
+    @example([[4, 5], [6]], 3)
+    @settings(max_examples=80, deadline=None)
+    def test_tuples_within_is_the_filtered_product(self, costs, budget):
+        # distinct items, so a tuple made twice would show in the count
+        pools = [[(c, (slot, i)) for i, c in enumerate(cs)] for slot, cs in enumerate(costs)]
+        cost = {item: c for pool in pools for c, item in pool}
+        want = Counter(
+            t for t in itertools.product(*([item for _, item in pool] for pool in pools))
+            if sum(map(cost.__getitem__, t)) <= budget
+        )
+        assert Counter(_tuples_within(pools, budget)) == want
 
 
 class TestDeficiency:
