@@ -133,7 +133,6 @@ _LAZY_EXPORTS = {
     ),
     models_set: (
         "DeficiencyRecord",
-        "ModelOpts",
         "NonStochReport",
         "StructureCurve",
         "SuffStatReport",

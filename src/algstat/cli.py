@@ -79,16 +79,6 @@ def _source(args: argparse.Namespace) -> TableSource:
     return source
 
 
-def _model_opts(args: argparse.Namespace) -> models_set.ModelOpts:
-    """The model-search options of a command that takes ``--union-width`` and
-    ``--list-cap``; a flag left out keeps ``ModelOpts``' own default."""
-    given = {"union_width": args.union_width, "list_cap": args.list_cap}
-    for name, value in given.items():
-        if value is not None and value < 0:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= 0")
-    return models_set.ModelOpts(**{k: v for k, v in given.items() if v is not None})
-
-
 def _condition(args: argparse.Namespace) -> Condition | None:
     if getattr(args, "cond", None) is not None:
         return Condition.string(text_to_bits(args.cond))
@@ -150,15 +140,13 @@ def cmd_mi(args: argparse.Namespace) -> int:
 
 def cmd_structfn(args: argparse.Namespace) -> int:
     source = _source(args)
-    opts = _model_opts(args)
     x = text_to_bits(args.x)
     alpha_max = args.alpha_max
     if alpha_max is None:
-        alpha_max = models_set.alpha_cap(x, 0, opts)
+        alpha_max = models_set.alpha_cap(x)
     curve = models_set.structfn(
         x,
         alpha_max,
-        opts,
         include_deficiency=not args.no_deficiency,
         source=source,
     )
@@ -169,7 +157,7 @@ def cmd_structfn(args: argparse.Namespace) -> int:
 def cmd_suffstat(args: argparse.Namespace) -> int:
     _source(args)  # reads no table, but checks --beta as every command does
     x = text_to_bits(args.x)
-    rep = models_set.suffstat(x, args.beta, _model_opts(args))
+    rep = models_set.suffstat(x, args.beta)
     lines = [
         f"x={bits_to_text(x)}",
         f"beta={rep.beta}",
@@ -200,22 +188,20 @@ def cmd_xr(args: argparse.Namespace) -> int:
 
 def cmd_bernoulli(args: argparse.Namespace) -> int:
     source = _source(args)
-    opts = _model_opts(args)
     # Checked before the table is fetched, so that a bad n builds nothing.
     models_prob.check_demo_n(args.n)
     [table] = source.tables(n=args.n)
-    rep = models_prob.bernoulli_demo(table, args.n, args.beta, opts)
+    rep = models_prob.bernoulli_demo(table, args.n, args.beta)
     _emit(rep.to_csv(), args.out)
     return EXIT_OK
 
 
 def cmd_probstat(args: argparse.Namespace) -> int:
     source = _source(args)
-    opts = _model_opts(args)
     x = text_to_bits(args.x)
     dist = distlang.parse_distlang(args.dist)
     rec = models_prob.deficiency_p(x, dist, source=source)
-    rep = models_prob.suffstat_p(x, args.beta, opts)
+    rep = models_prob.suffstat_p(x, args.beta)
     lines = [
         f"x={bits_to_text(x)}",
         f"dist={distlang.format_distlang(dist)}",
@@ -349,12 +335,6 @@ def _add_table_flags(
         )
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    # No defaults here: building the parser must not run models_set.
-    p.add_argument("--union-width", type=int)
-    p.add_argument("--list-cap", type=int)
-
-
 def _enumerate_args(p: argparse.ArgumentParser) -> None:
     _add_table_flags(p, cond=True)
     p.add_argument("--out", metavar="FILE", help="export the table file")
@@ -375,7 +355,6 @@ def _structfn_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("x")
     p.add_argument("--alpha-max", type=int, metavar="A")
     p.add_argument("--no-deficiency", action="store_true", help="skip the beta columns")
-    _add_model_flags(p)
     _add_table_flags(p, workers=True)
     p.add_argument("--out", metavar="FILE")
 
@@ -383,7 +362,6 @@ def _structfn_args(p: argparse.ArgumentParser) -> None:
 def _suffstat_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("x")
     p.add_argument("--beta", type=int, default=0)
-    _add_model_flags(p)
     p.add_argument("--out", metavar="FILE")
 
 
@@ -410,7 +388,6 @@ def _laws_args(p: argparse.ArgumentParser) -> None:
 def _bernoulli_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("n", type=int)
     p.add_argument("--beta", type=int, default=3)
-    _add_model_flags(p)
     _add_table_flags(p)
     p.add_argument("--out", metavar="FILE")
 
@@ -419,7 +396,6 @@ def _probstat_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("x")
     p.add_argument("dist", help="distribution description, e.g. bern:8,1/4")
     p.add_argument("--beta", type=int, default=0)
-    _add_model_flags(p)
     _add_table_flags(p)
     p.add_argument("--out", metavar="FILE")
 

@@ -19,7 +19,6 @@ from .condition import Condition
 from .distlang import DistDesc, UniformOn, _neglog, codeword_length, format_distlang
 from .enumeration import ComplexityTable
 from .models_set import (
-    ModelOpts,
     SuffStatReport,
     _optimal_models,
     alpha_cap,
@@ -95,15 +94,15 @@ def two_part_p(x: str, dist: DistDesc) -> int:
 def suffstat_p(
     x: str,
     beta: int = 0,
-    opts: ModelOpts | None = None,
     family: Iterable[DistDesc] | None = None,
     reference_lambda: int | None = None,
 ) -> SuffStatReport:
     """Distribution-level sufficient statistics, as a ``SuffStatReport``
-    whose models are distributions. The default family is
-    the uniform wrap of the set family (each set model S becomes
+    whose models are distributions. The default family is the uniform
+    wrap of the base set models of ``enumerate_models`` (each S becomes
     UniformOn(S), two extra tag bits), which keeps set-stochastic strings
-    quasistochastic at the measured constant. It leaves Bernoulli models
+    quasistochastic at the measured constant; a wrapped union or list
+    would be beaten as the set is. It leaves Bernoulli models
     out: over every x of length 4, 6, 8 and 10 the best Bernoulli(n, k/d)
     two-part length is 5-9 bits above the set lambda, so they would move
     no answer on this grammar. Pass ``family`` for a restricted class,
@@ -114,7 +113,7 @@ def suffstat_p(
     if family is None:
         # a uniform wrap adds 2 bits to a set's code and to its two-part
         # total, so the set search range serves the wrapped family
-        family = [UniformOn(d) for d in enumerate_models(x, alpha_cap(x, beta, opts), opts)]
+        family = [UniformOn(d) for d in enumerate_models(x, alpha_cap(x, beta))]
     candidates = [(two_part_p(x, d), d) for d in family if d.mass(x) > 0]
     if not candidates:
         raise ValueError("family gives x zero mass everywhere")
@@ -180,9 +179,7 @@ def check_demo_n(n: int) -> None:
         raise ValueError("demo needs even n with 0 <= n <= 12")
 
 
-def bernoulli_demo(
-    table: ComplexityTable, n: int, beta: int, opts: ModelOpts | None = None
-) -> BernoulliDemoReport:
+def bernoulli_demo(table: ComplexityTable, n: int, beta: int) -> BernoulliDemoReport:
     """The restricted-class demonstration: within the weight-class
     (Hamming) family the only model of x is Hamming(n, weight(x)); x is
     flagged when that class total cannot compete with the machine's own
@@ -196,7 +193,7 @@ def bernoulli_demo(
         weight = x.count("1")
         kx = require_k(table, x)
         hamming_total = two_part(x, Hamming(n, weight))
-        lam = suffstat(x, beta, opts).lambda_min
+        lam = suffstat(x, beta).lambda_min
         rows.append(
             DemoRow(
                 x=x,

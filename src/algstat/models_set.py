@@ -12,10 +12,8 @@ element look atypical.
 
 from __future__ import annotations
 
-import itertools
 import math
-from operator import attrgetter, itemgetter
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 # Bound, not run, here: distlang (and fractions with it) runs only when a
 # set becomes a uniform-distribution condition.
@@ -25,125 +23,49 @@ from .bits import (
     bits_to_text,
     ceil_log2,
     check_bits,
-    nat_len,
     nat_to_bits,
     pair,
-    std_len,
 )
 from .cache import TableSource
 from .complexity import require_k, require_ks
 from .condition import Condition
 from .enumeration import ComplexityTable
-from .setlang import All, Cyl, Hamming, ListSet, SetDesc, Singleton, UnionSet, format_setlang
+from .setlang import All, Cyl, Hamming, SetDesc, Singleton, format_setlang
 
-DEFAULT_ALPHA_BOUND = 36
+ALPHA_BOUND = 36
 
 
 # -- model enumeration -------------------------------------------------------
 
 
-class ModelOpts(NamedTuple):
-    union_width: int = 3  # max parts per union (depth stays 1: parts are base sets)
-    list_cap: int = 4  # max elements per list
-    alpha_bound: int = DEFAULT_ALPHA_BOUND
+def enumerate_models(x: str, alpha_max: int) -> list[SetDesc]:
+    """The models of x with code length strictly below alpha_max, in
+    deterministic (length, code) order: of the n+4 base sets that contain
+    an n-bit x, Singleton(x), All(n), Cyl(x[:lp], n) for every prefix and
+    Hamming(n, |x|_1), those whose code fits.
 
-
-def _strings(budget: int) -> list[str]:
-    """Every string whose self-delimiting code fits in ``budget`` bits."""
-    lengths = itertools.takewhile(lambda l: std_len(l) <= budget, itertools.count())
-    return [format(v, f"0{l}b") if l else "" for l in lengths for v in range(1 << l)]
-
-
-def _base_pool(budget: int) -> list[SetDesc]:
-    """Every Singleton/All/Cyl/Hamming whose code fits in ``budget`` bits."""
-    pool: list[SetDesc] = list(map(Singleton, _strings(budget - 2)))
-    n = 0
-    while 2 + 2 * nat_len(n) + 1 <= budget:
-        pool.append(All(n))
-        n += 1
-    for p in _strings(budget - 4):  # even n with a 1-bit bar must fit
-        n = len(p)
-        while 3 + std_len(len(p)) + 2 * nat_len(n) + 1 <= budget:
-            pool.append(Cyl(p, n))
-            n += 1
-    n = 0
-    while 3 + (2 * nat_len(n) + 1) + 1 <= budget:
-        for s in range(n + 1):
-            if 3 + (2 * nat_len(n) + 1) + (2 * nat_len(s) + 1) <= budget:
-                pool.append(Hamming(n, s))
-        n += 1
-    return pool
-
-
-def _tuples_within(pools: list[list[tuple[int, Any]]], budget: int) -> Iterator[tuple]:
-    """Tuples of one entry from each pool in turn whose costs sum <= budget.
-    Each pool is sorted by ascending cost, so the prune below (this entry
-    plus the cheapest of every later pool) can break; an empty one yields
-    nothing."""
-    if not pools:
-        yield ()
-    elif all(pools):
-        rest = sum(pool[0][0] for pool in pools[1:])
-        for cost, item in pools[0]:
-            if cost + rest > budget:
-                break
-            for tail in _tuples_within(pools[1:], budget - cost):
-                yield (item,) + tail
-
-
-def _containing(pool: list, own: set, count: int, budget: int) -> Iterator[tuple]:
-    """The count-tuples of ``pool`` entries with one of ``own`` (those with
-    x), whose costs sum <= budget. Each is made once, at the slot of its
-    first entry with x: the slots before it take entries without x, that
-    slot one with x, and the slots after it any entry."""
-    with_x = [e for e in pool if e[1] in own]
-    without_x = [e for e in pool if e[1] not in own]
-    for slot in range(count):
-        pools = [without_x] * slot + [with_x] + [pool] * (count - 1 - slot)
-        yield from _tuples_within(pools, budget)
-
-
-def enumerate_models(x: str, alpha_max: int, opts: ModelOpts | None = None) -> list[SetDesc]:
-    """All descriptions in the family with member(x) and code length
-    strictly below alpha_max, in deterministic (length, code) order.
-
-    The family is the full grammar restricted to depth-1 unions of base
-    sets (width <= opts.union_width) and lists of <= opts.list_cap
-    elements; below 16 bits this equals the unrestricted grammar, which
-    the blind-decoding oracle test pins down.
-
-    Only the n+4 base sets below contain an n-bit x, so a union is made
-    only with one of them as a part, and a list only with x as an element:
-    each once, at the slot of its first part or element with x.
+    No union or list can set a structure function or a sufficient
+    statistic, so none is made. A list that contains x holds std(x) beside
+    a header of at least 6 bits, where Singleton(x) holds it beside 2, and
+    has at least one member. A union U that contains x has a part that
+    contains x, and so on down through nested unions to a base set or a
+    list P that contains x; U's code holds P's, so code_len(P) <
+    code_len(U), and |P| <= |U|. Either way a base model of x below the
+    same cap beats the union or list on both axes, with a shorter code
+    and no more members. So h, lambda, the least two-part total and the
+    minimal sufficient statistic are the same without them (Vereshchagin
+    and Vitanyi: a model dominated in both K(S) and log|S| never sets the
+    curve). The deficiency columns of ``structfn`` are minima that a
+    superset could in principle lower; the golden digests in the tests
+    pin them.
     """
-    opts = opts or ModelOpts()
-    if alpha_max > opts.alpha_bound:
-        raise ValueError(f"alpha_max {alpha_max} exceeds configured bound {opts.alpha_bound}")
+    if alpha_max > ALPHA_BOUND:
+        raise ValueError(f"alpha_max {alpha_max} exceeds configured bound {ALPHA_BOUND}")
     check_bits(x)
     n = len(x)
     base = [Singleton(x), All(n), *(Cyl(x[:lp], n) for lp in range(n + 1))]
     base.append(Hamming(n, x.count("1")))
-    found = [d for d in base if d.code_len < alpha_max]
-
-    def budget(count: int) -> int:
-        """The bits a count-entry union or list leaves its entries."""
-        return alpha_max - 1 - (3 + 2 * nat_len(count) + 1)
-
-    for shape, counts, own, within, cost in (
-        (UnionSet, range(2, opts.union_width + 1), base, _base_pool, attrgetter("code_len")),
-        (ListSet, range(1, opts.list_cap + 1), [x], _strings, lambda s: std_len(len(s))),
-    ):
-        # Count 2 leaves the most bits (headers grow with the count), so one
-        # pool serves every count: each entry of at most ``room`` bits, what
-        # one may cost beside the cheapest with x, then those with x past it.
-        room = budget(2) - min(map(cost, own))
-        pool = within(room) + [e for e in own if cost(e) > room]
-        pool = sorted(((cost(e), e) for e in pool), key=itemgetter(0))
-        for count in counts:
-            found.extend(map(shape, _containing(pool, set(own), count, budget(count))))
-
-    found.sort(key=lambda d: (d.code_len, d.code))
-    return found
+    return sorted((d for d in base if d.code_len < alpha_max), key=lambda d: (d.code_len, d.code))
 
 
 # -- deficiency and two-part codes -------------------------------------------
@@ -228,14 +150,15 @@ def two_part(x: str, desc: SetDesc) -> int:
     return desc.code_len + ceil_log2(desc.size())
 
 
-def alpha_cap(x: str, beta: int = 0, opts: ModelOpts | None = None) -> int:
+def alpha_cap(x: str, beta: int = 0) -> int:
     """The exclusive code-length cap of a model search for x: the least
     alpha at which Singleton(x) is a model below alpha (its two-part total
-    plus one), plus the slack beta, clamped at the family's alpha bound.
-    Every model within beta of the best two-part total has a shorter code,
-    since Singleton(x)'s total bounds the best; long strings and runaway
-    betas meet the clamp, where the class restriction binds."""
-    return min(two_part(x, Singleton(x)) + 1 + beta, (opts or ModelOpts()).alpha_bound)
+    plus one), plus the slack beta, clamped at ALPHA_BOUND. Every model
+    within beta of the best two-part total has a shorter code, since
+    Singleton(x)'s total bounds the best. Long strings and runaway betas
+    meet the clamp: there the search ranges over the base models whose
+    codes fit below the bound, and Singleton(x) may not be one of them."""
+    return min(two_part(x, Singleton(x)) + 1 + beta, ALPHA_BOUND)
 
 
 # -- structure function ------------------------------------------------------
@@ -272,7 +195,6 @@ class StructureCurve(NamedTuple):
 def structfn(
     x: str,
     alpha_max: int,
-    opts: ModelOpts | None = None,
     include_deficiency: bool = True,
     source: TableSource = TableSource(),
 ) -> StructureCurve:
@@ -281,15 +203,14 @@ def structfn(
     h(alpha) minimizes real-valued log2|S| over models of code length
     strictly below alpha; beta curves minimize the normalized
     deficiencies; rows run from the first alpha admitting a model."""
-    models = enumerate_models(x, alpha_max, opts)
+    models = enumerate_models(x, alpha_max)
     members: list[list[str]] = []
     tables: list[ComplexityTable] = []
     if include_deficiency:
         members = [desc.denote() for desc in models]
         conds = [c for desc in models for c in _model_conditions(desc)]
-        # read only at the members: built up to the longest of them
-        reach = max((len(m) for elems in members for m in elems), default=0)
-        tables = source.tables(conds, n=reach)
+        # read only at the members, which all have the length of x
+        tables = source.tables(conds, n=len(x))
     per_model: list[tuple[int, float, int | None, int | None]] = []
     for i, desc in enumerate(models):
         log2_size = math.log2(desc.size())
@@ -332,19 +253,19 @@ class SuffStatReport(NamedTuple):
 def suffstat(
     x: str,
     beta: int = 0,
-    opts: ModelOpts | None = None,
     family: Iterable[SetDesc] | None = None,
     reference_lambda: int | None = None,
 ) -> SuffStatReport:
     """Optimal models of x: those whose two-part total is within beta of
-    the best achievable. With an explicit ``family`` the search is
+    the best achievable, by default among the base models of
+    ``enumerate_models``. With an explicit ``family`` the search is
     class-restricted and, given ``reference_lambda`` (the unrestricted
     lambda_min), reports whether the class contains a sufficient
     statistic at this beta."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
     if family is None:
-        family = enumerate_models(x, alpha_cap(x, beta, opts), opts)
+        family = enumerate_models(x, alpha_cap(x, beta))
     candidates = [(two_part(x, d), d) for d in family if d.member(x)]
     if not candidates:
         raise ValueError("family contains no model of x")
@@ -366,19 +287,13 @@ def _optimal_models(
     return SuffStatReport(x, beta, lambda_min, tuple(optimal), optimal[0], in_class)
 
 
-def stochastic(
-    x: str,
-    alpha: int,
-    beta: int,
-    table: ComplexityTable,
-    opts: ModelOpts | None = None,
-) -> bool:
+def stochastic(x: str, alpha: int, beta: int, table: ComplexityTable) -> bool:
     """(alpha, beta)-stochastic within the family: some model of code
     length <= alpha contains x with ceil(log2|S|) - K(x) <= beta. Uses
     the one-part machine K from ``table`` (raises Absent if x is beyond
     its cap) and exact integer logs."""
     kx = require_k(table, x)
-    for desc in enumerate_models(x, alpha + 1, opts):
+    for desc in enumerate_models(x, alpha + 1):
         if ceil_log2(desc.size()) - kx <= beta:
             return True
     return False
@@ -396,12 +311,7 @@ class NonStochReport(NamedTuple):
         return max(self.min_len.values())
 
 
-def nonstoch_scan(
-    n: int,
-    beta: int,
-    opts: ModelOpts | None = None,
-    source: TableSource = TableSource(),
-) -> NonStochReport:
+def nonstoch_scan(n: int, beta: int, source: TableSource = TableSource()) -> NonStochReport:
     """For every x of length n, the least model length whose delta_star
     is within beta — the most structure-resistant strings stand out as
     the argmax. Exhaustive and deterministic; n is capped at 12."""
@@ -414,15 +324,15 @@ def nonstoch_scan(
         # Singleton always qualifies (delta_star = 0), so the search needs
         # no slack past it.
         best: int | None = None
-        for desc in enumerate_models(x, alpha_cap(x, 0, opts), opts):
+        for desc in enumerate_models(x, alpha_cap(x)):
             if best is not None and desc.code_len >= best:
                 break  # models come sorted by length
             members = desc.denote()
             cond = star_condition(desc)
             table = tables.get(cond.fingerprint())
             if table is None:
-                # read only at the members: built up to the longest of them
-                [table] = source.tables([cond], n=max(map(len, members)))
+                # read only at the members, which all have n bits
+                [table] = source.tables([cond], n=n)
                 tables[cond.fingerprint()] = table
             _, d_star = _normalized_deficiencies(x, members, table)
             if d_star <= beta:

@@ -509,57 +509,84 @@ def blind_models(x: str, alpha_max: int):
     return found
 
 
-def filtered_models(x: str, alpha_max: int, opts=None) -> list:
-    """enumerate_models as it was before it made only the models of x:
-    every union and list tuple within the code budget is built, with the
-    pool rebuilt for each count, and those without x are filtered out."""
+def _filtered_base_pool(budget):
+    """Every Singleton/All/Cyl/Hamming whose code fits in ``budget`` bits."""
+    from algstat.bits import nat_len, std_len
+    from algstat.setlang import All, Cyl, Hamming, Singleton
+
+    pool = []
+    l = 0
+    while 2 + std_len(l) <= budget:
+        pool.extend(Singleton(format(v, f"0{l}b") if l else "") for v in range(1 << l))
+        l += 1
+    n = 0
+    while 2 + 2 * nat_len(n) + 1 <= budget:
+        pool.append(All(n))
+        n += 1
+    lp = 0
+    while True:
+        if 3 + std_len(lp) + 1 > budget:  # even n with 1-bit bar won't fit
+            break
+        for v in range(1 << lp):
+            p = format(v, f"0{lp}b") if lp else ""
+            n = lp
+            while 3 + std_len(lp) + 2 * nat_len(n) + 1 <= budget:
+                pool.append(Cyl(p, n))
+                n += 1
+        lp += 1
+    n = 0
+    while 3 + (2 * nat_len(n) + 1) + 1 <= budget:
+        for s in range(n + 1):
+            if 3 + (2 * nat_len(n) + 1) + (2 * nat_len(s) + 1) <= budget:
+                pool.append(Hamming(n, s))
+        n += 1
+    return pool
+
+
+def _tuples_within(pool, count, budget):
+    # ordered count-tuples with repetition whose costs sum <= budget
+    if count == 0:
+        yield ()
+        return
+    min_cost = pool[0][0]
+    for cost, item in pool:
+        if cost + (count - 1) * min_cost > budget:
+            break
+        for rest in _tuples_within(pool, count - 1, budget - cost):
+            yield (item,) + rest
+
+
+# Every x of one length shares its cap in a sweep, so the tuples, which do not
+# depend on x, are made once per (count, budget) and filtered for each x.
+@lru_cache(maxsize=16)
+def _union_tuples(count, budget):
+    min_part = 3  # smallest base code (Singleton(""), All(0))
+    pool = [(d.code_len, d) for d in _filtered_base_pool(budget - (count - 1) * min_part)]
+    pool.sort(key=lambda t: (t[0], t[1].code))
+    return list(_tuples_within(pool, count, budget))
+
+
+@lru_cache(maxsize=16)
+def _list_tuples(count, budget):
+    from algstat.bits import std_len
+
+    strings = []
+    l = 0
+    while std_len(l) + (count - 1) <= budget:
+        strings.extend((std_len(l), format(v, f"0{l}b") if l else "") for v in range(1 << l))
+        l += 1
+    return list(_tuples_within(strings, count, budget))
+
+
+def filtered_models(x: str, alpha_max: int, union_width: int = 3, list_cap: int = 4) -> list:
+    """The model search as it was when it made unions (of up to
+    ``union_width`` base parts) and lists (of up to ``list_cap`` elements):
+    every union and list tuple within the code budget is built, and those
+    without x are filtered out. ``enumerate_models`` makes only the base
+    sets of this list."""
     from algstat.bits import check_bits, nat_len, std_len
-    from algstat.models_set import ModelOpts
     from algstat.setlang import All, Cyl, Hamming, ListSet, Singleton, UnionSet
 
-    def base_pool(budget):
-        """Every Singleton/All/Cyl/Hamming whose code fits in ``budget`` bits."""
-        pool = []
-        l = 0
-        while 2 + std_len(l) <= budget:
-            pool.extend(Singleton(format(v, f"0{l}b") if l else "") for v in range(1 << l))
-            l += 1
-        n = 0
-        while 2 + 2 * nat_len(n) + 1 <= budget:
-            pool.append(All(n))
-            n += 1
-        lp = 0
-        while True:
-            if 3 + std_len(lp) + 1 > budget:  # even n with 1-bit bar won't fit
-                break
-            for v in range(1 << lp):
-                p = format(v, f"0{lp}b") if lp else ""
-                n = lp
-                while 3 + std_len(lp) + 2 * nat_len(n) + 1 <= budget:
-                    pool.append(Cyl(p, n))
-                    n += 1
-            lp += 1
-        n = 0
-        while 3 + (2 * nat_len(n) + 1) + 1 <= budget:
-            for s in range(n + 1):
-                if 3 + (2 * nat_len(n) + 1) + (2 * nat_len(s) + 1) <= budget:
-                    pool.append(Hamming(n, s))
-            n += 1
-        return pool
-
-    def tuples_within(pool, count, budget):
-        # ordered count-tuples with repetition whose costs sum <= budget
-        if count == 0:
-            yield ()
-            return
-        min_cost = pool[0][0]
-        for cost, item in pool:
-            if cost + (count - 1) * min_cost > budget:
-                break
-            for rest in tuples_within(pool, count - 1, budget - cost):
-                yield (item,) + rest
-
-    opts = opts or ModelOpts()
     check_bits(x)
     found = []
 
@@ -574,32 +601,22 @@ def filtered_models(x: str, alpha_max: int, opts=None) -> list:
     consider(Hamming(len(x), x.count("1")))
 
     # unions: at least one part must contain x
-    min_part = 3  # smallest base code (Singleton(""), All(0))
-    for count in range(2, opts.union_width + 1):
+    for count in range(2, union_width + 1):
         header = 3 + 2 * nat_len(count) + 1
         budget = alpha_max - 1 - header
-        if budget < count * min_part:
+        if budget < count * 3:  # each part costs at least 3 bits
             continue
-        pool = [(d.code_len, d) for d in base_pool(budget - (count - 1) * min_part)]
-        pool.sort(key=lambda t: (t[0], t[1].code))
-        for parts in tuples_within(pool, count, budget):
+        for parts in _union_tuples(count, budget):
             if any(p.member(x) for p in parts):
                 consider(UnionSet(parts))
 
     # lists: x must literally appear among the elements
-    for count in range(1, opts.list_cap + 1):
+    for count in range(1, list_cap + 1):
         header = 3 + 2 * nat_len(count) + 1
         budget = alpha_max - 1 - header
         if std_len(len(x)) + (count - 1) > budget:  # x plus minimal others
             continue
-        strings = []
-        l = 0
-        while std_len(l) + (count - 1) <= budget:
-            strings.extend(
-                (std_len(l), format(v, f"0{l}b") if l else "") for v in range(1 << l)
-            )
-            l += 1
-        for elems in tuples_within(strings, count, budget):
+        for elems in _list_tuples(count, budget):
             if x in elems:
                 consider(ListSet(elems))
 

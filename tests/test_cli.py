@@ -121,6 +121,21 @@ class TestQueries:
             "optimal=all:8;singleton:00010111",
         ]
 
+    def test_suffstat_lists_base_models_only(self, run):
+        """At beta 4 the optimal models of 00000011 are its base sets alone.
+        list{00000011} has a two-part total of 21 = lambda_min + beta, but
+        the search no longer makes it: Singleton(00000011) beats it with 17
+        bits of code against 21 and the same size."""
+        code, out, _ = run("suffstat", "00000011", "--beta", "4", cache=False)
+        assert code == EXIT_OK
+        assert out.splitlines() == [
+            "x=00000011",
+            "beta=4",
+            "lambda_min=17",
+            "minimal=all:8",
+            "optimal=all:8;cyl:-/8;ham:8,2;cyl:0/8;cyl:00/8;singleton:00000011",
+        ]
+
     def test_probstat(self, run):
         code, out, _ = run("probstat", "0101", "bern:4,1/4", "--max-len", "15")
         assert code == EXIT_OK
@@ -751,46 +766,26 @@ class TestUsageErrors:
         assert err == "algstat: error: demo needs even n with 0 <= n <= 12\n"
         assert not cache.exists() or not any(cache.iterdir())
 
-    @pytest.mark.parametrize("flag", ["--union-width", "--list-cap"])
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["suffstat", "01101"],
-            ["structfn", "0110"],
-            ["bernoulli", "4"],
-            ["probstat", "0110", "bern:4,1/4"],
-        ],
-        ids=["suffstat", "structfn", "bernoulli", "probstat"],
-    )
-    def test_negative_model_flag_rejected_before_any_table(self, run, tmp_path, argv, flag):
-        cache = tmp_path / "cache"
-        table_flags = [] if argv[0] == "suffstat" else ["--cache-dir", str(cache)]
-        code, out, err = run(*argv, flag, "-1", *table_flags, cache=False)
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err == f"algstat: error: {flag} must be >= 0\n"
-        assert not cache.exists()
-
 
 # Every flag of each command, with a value where it takes one.
 _TABLE = ["--max-len", "8", "--steps", "90", "--max-out", "7", "--cache-dir", "DIR"]
-_MODEL = ["--union-width", "2", "--list-cap", "3"]
 FULL_ARGV = {
     "enumerate": ["enumerate", *_TABLE, "--cond", "01", "--out", "F"],
     "k": ["k", "0110", *_TABLE, "--cond-set", "all:2"],
     "mi": ["mi", "0", "1", *_TABLE],
     "structfn": [
-        "structfn", "0110", "--alpha-max", "9", "--no-deficiency", *_MODEL, *_TABLE,
+        "structfn", "0110", "--alpha-max", "9", "--no-deficiency", *_TABLE,
         "--workers", "2", "--out", "F",
     ],
-    "suffstat": ["suffstat", "0110", "--beta", "1", *_MODEL, "--out", "F"],
+    "suffstat": ["suffstat", "0110", "--beta", "1", "--out", "F"],
     "sk": ["sk", "5", *_TABLE, "--out", "F"],
     "xr": ["xr", *_TABLE, "--out", "F"],
     "laws": [
         "laws", "--audit", "xr", "--constants", "C", "--freeze", "--joint", "J", *_TABLE,
         "--workers", "2", "--out", "F",
     ],
-    "bernoulli": ["bernoulli", "8", "--beta", "2", *_MODEL, *_TABLE, "--out", "F"],
-    "probstat": ["probstat", "0110", "bern:4,1/4", "--beta", "1", *_MODEL, *_TABLE, "--out", "F"],
+    "bernoulli": ["bernoulli", "8", "--beta", "2", *_TABLE, "--out", "F"],
+    "probstat": ["probstat", "0110", "bern:4,1/4", "--beta", "1", *_TABLE, "--out", "F"],
 }
 # Each command with its positionals alone, so every flag keeps its default.
 BARE_ARGV = {

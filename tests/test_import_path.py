@@ -311,5 +311,5 @@ def test_root_reexports_every_public_name():
     for name in algstat.__all__:
         assert getattr(algstat, name) is namespace[name]
     assert algstat.laws_audit is algstat.infolaws.laws_audit
-    assert algstat.ModelOpts is sys.modules["algstat.models_set"].ModelOpts
+    assert algstat.structfn is sys.modules["algstat.models_set"].structfn
     assert not hasattr(algstat, "no_such_name")

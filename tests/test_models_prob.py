@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from algstat import models_set
 from algstat.bits import bar_nat, std
 from algstat.cache import TableSource
 from algstat.condition import Condition
@@ -28,13 +29,11 @@ from algstat.distlang import (
 )
 from algstat.models_prob import bernoulli_demo, deficiency_p, pk, suffstat_p, two_part_p
 from algstat.models_set import (
-    DEFAULT_ALPHA_BOUND,
-    ModelOpts,
     SuffStatReport,
+    alpha_cap,
     deficiency,
     enumerate_models,
     suffstat,
-    two_part,
 )
 from algstat.setlang import All, CapExceeded, Cyl, Hamming, ListSet, Singleton, UnionSet
 from oracles import naive_codebook
@@ -190,7 +189,7 @@ class TestCodebook:
     def test_uniform_books_of_structfn_models_equal_the_packed_book(self, x):
         """Every uniform model a default ``structfn`` reads gets the book of
         the mass-by-mass packing from the closed form."""
-        models = enumerate_models(x, min(two_part(x, Singleton(x)) + 1, DEFAULT_ALPHA_BOUND))
+        models = enumerate_models(x, alpha_cap(x))
         assert len(models) > 1
         for desc in models:
             assert codebook(UniformOn(desc)) == naive_codebook(UniformOn(desc))
@@ -317,10 +316,11 @@ class TestTwoPartAndSuffStat:
         assert rep.minimal in fam
         assert rep.in_class_sufficient is not None
 
-    def test_default_family_clamped_to_alpha_bound(self):
+    def test_default_family_clamped_to_alpha_bound(self, monkeypatch):
         # 13 + 5 + 1 - 2 = 17 bits would exceed the bound; the clamp
         # keeps All(4) (9 bits) and drops the Singleton
-        rep = suffstat_p("0101", beta=5, opts=ModelOpts(alpha_bound=10))
+        monkeypatch.setattr(models_set, "ALPHA_BOUND", 10)
+        rep = suffstat_p("0101", beta=5)
         assert rep.lambda_min == 13
         assert rep.minimal == UniformOn(All(4))
         assert UniformOn(Singleton("0101")) not in rep.optimal

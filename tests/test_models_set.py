@@ -3,22 +3,20 @@ oracle, deficiencies, structure curves, and the stochasticity scan."""
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
+import os
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from algstat import models_set
 from algstat.cache import TableSource
 from algstat.complexity import Absent
 from algstat.condition import Budgets
 from algstat.distlang import uniform_condition
 from algstat.enumeration import ComplexityTable, Entry
 from algstat.models_set import (
-    ModelOpts,
     _normalized_deficiencies,
-    _tuples_within,
     alpha_cap,
     deficiency,
     enumerate_models,
@@ -175,15 +173,34 @@ class TestCodec:
             parse_setlang("ball:3,1")
 
 
-class TestEnumeration:
-    @pytest.mark.parametrize("x", ["0", "01", "0110", "1011"])
-    def test_matches_blind_decoding(self, x):
-        assert enumerate_models(x, 16) == blind_models(x, 16)
+def assert_base_models_win(x: str, cap: int, models: list) -> None:
+    """``models`` are the models of x below ``cap`` that an older or a blind
+    search makes: its base sets are exactly ``enumerate_models(x, cap)``, at
+    most n+4 of them, and each of its unions and lists is beaten by one of
+    those, with a strictly shorter code and a size no larger."""
+    found = enumerate_models(x, cap)
+    assert len(found) <= len(x) + 4
+    assert [d for d in models if not isinstance(d, (UnionSet, ListSet))] == found, (x, cap)
+    sized = [(b.code_len, b.size()) for b in found]
+    for d in models:
+        if isinstance(d, (UnionSet, ListSet)):
+            sizes = [size for code_len, size in sized if code_len < d.code_len]
+            assert sizes and min(sizes) <= d.size(), (x, cap, format_setlang(d))
 
-    def test_matches_blind_decoding_empty(self):
-        # the empty string packs into longer lists than any other element,
-        # so the sweep needs the list cap raised to cover the grammar
-        assert enumerate_models("", 16, ModelOpts(list_cap=6)) == blind_models("", 16)
+
+# Every x of each length n at the cap alpha_cap(x, beta). Set ALGSTAT_FULL_SWEEP
+# to sweep every n <= 10 at beta = 0, 4 and 8 (about six minutes).
+SWEEPS = [(n, beta) for n in range(9) for beta in (0, 4)] + [(10, 0)]
+if os.environ.get("ALGSTAT_FULL_SWEEP"):
+    SWEEPS += [(n, b) for n in range(11) for b in (0, 4, 8) if (n, b) not in SWEEPS]
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("x", ["", "0", "01", "0110", "1011"])
+    def test_base_models_beat_blind_decoding(self, x):
+        """Against every model the grammar decodes below 16 bits, nested
+        unions and lists of any count included."""
+        assert_base_models_win(x, 16, blind_models(x, 16))
 
     @given(st.text("01", max_size=5), st.integers(4, 14))
     @settings(max_examples=40, deadline=None)
@@ -197,36 +214,19 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             enumerate_models("0", 41)
 
-    def test_matches_filtered_generation(self):
-        # the generate-and-filter search that made every tuple, kept as the
-        # reference: the same list, order included
-        for n in range(9):
-            for v in range(1 << n):
-                x = format(v, f"0{n}b") if n else ""
-                for cap in {alpha_cap(x), min(alpha_cap(x) + 3, 36)}:
-                    assert enumerate_models(x, cap) == filtered_models(x, cap), (x, cap)
+    @pytest.mark.parametrize("n, beta", SWEEPS)
+    def test_base_models_beat_filtered_generation(self, n, beta):
+        """Against the unions and lists the old search made, which
+        ``filtered_models`` keeps."""
+        for v in range(1 << n):
+            x = format(v, f"0{n}b") if n else ""
+            cap = alpha_cap(x, beta)
+            assert_base_models_win(x, cap, filtered_models(x, cap))
 
     @pytest.mark.parametrize("x", ["0110100110010110", "01" * 13])
     @pytest.mark.parametrize("cap", [24, 28, 32])
-    def test_long_strings_match_filtered_generation(self, x, cap):
-        assert enumerate_models(x, cap) == filtered_models(x, cap)
-
-    @given(
-        st.lists(st.lists(st.integers(1, 6), max_size=4).map(sorted), min_size=1, max_size=4),
-        st.integers(0, 20),
-    )
-    @example([[2, 3], [], [1]], 10)
-    @example([[4, 5], [6]], 3)
-    @settings(max_examples=80, deadline=None)
-    def test_tuples_within_is_the_filtered_product(self, costs, budget):
-        # distinct items, so a tuple made twice would show in the count
-        pools = [[(c, (slot, i)) for i, c in enumerate(cs)] for slot, cs in enumerate(costs)]
-        cost = {item: c for pool in pools for c, item in pool}
-        want = Counter(
-            t for t in itertools.product(*([item for _, item in pool] for pool in pools))
-            if sum(map(cost.__getitem__, t)) <= budget
-        )
-        assert Counter(_tuples_within(pools, budget)) == want
+    def test_long_strings_beat_filtered_generation(self, x, cap):
+        assert_base_models_win(x, cap, filtered_models(x, cap))
 
 
 class TestDeficiency:
@@ -387,15 +387,16 @@ class TestStochasticity:
         with pytest.raises(ValueError):
             nonstoch_scan(13, 0)
 
-    def test_scan_under_a_low_alpha_bound(self, cond_cache):
-        """The search stops at the family's alpha bound, as every model
-        search does: below Singleton's code length All(2) still qualifies
-        for every 2-bit string, and a bound that admits no model of x is
-        an error, not an assertion."""
+    def test_scan_under_a_low_alpha_bound(self, cond_cache, monkeypatch):
+        """The search stops at the alpha bound, as every model search does:
+        below Singleton's code length All(2) still qualifies for every
+        2-bit string, and a bound that admits no model of x is an error,
+        not an assertion."""
         source = TableSource(cache_dir=cond_cache)
-        rep = nonstoch_scan(2, 0, ModelOpts(alpha_bound=6), source=source)
-        assert rep.min_len == nonstoch_scan(2, 0, source=source).min_len == dict.fromkeys(
-            ("00", "01", "10", "11"), 5
-        )
+        full = nonstoch_scan(2, 0, source=source)
+        monkeypatch.setattr(models_set, "ALPHA_BOUND", 6)
+        rep = nonstoch_scan(2, 0, source=source)
+        assert rep.min_len == full.min_len == dict.fromkeys(("00", "01", "10", "11"), 5)
+        monkeypatch.setattr(models_set, "ALPHA_BOUND", 5)
         with pytest.raises(ValueError, match="below the alpha bound"):
-            nonstoch_scan(2, 0, ModelOpts(alpha_bound=5), source=source)
+            nonstoch_scan(2, 0, source=source)

@@ -26,7 +26,6 @@ from algstat.distlang import (
 )
 from algstat.infolaws import JointModel, JointModelError, Statistic, Transform
 from algstat.machine import Op, OpToken, RunOutcome, Status
-from algstat.models_set import ModelOpts
 from algstat.setlang import (
     All,
     Cyl,
@@ -68,7 +67,6 @@ PLAIN = [
     RunOutcome(Status.HALTED, "01", 3, 7),
     TableSource(),
     MIRecord("0", "1", 5, 5, 9),
-    ModelOpts(),
     codebook(Bernoulli(2, HALF)),
     Transform("identity", str),
     MxRecord("0", 5, "10", "1", "", "", False),

@@ -35,13 +35,8 @@ from algstat.enumeration import (
 from algstat.bits import bits_to_text, ceil_log2, pair
 from algstat.skstats import sk_csv
 from algstat.machine import run
-from algstat.models_set import (
-    ModelOpts,
-    enumerate_models,
-    star_condition,
-    two_part,
-)
-from algstat.setlang import Hamming, Singleton
+from algstat.models_set import alpha_cap, enumerate_models, star_condition
+from algstat.setlang import Hamming
 from oracles import ToyModel
 
 EXPECTED = json.loads(
@@ -253,7 +248,7 @@ def test_structfn_reads_model_tables_up_to_its_length(x, tmp_path, capsys):
     assert _digest(capsys.readouterr().out) == EXPECTED["structfn"][x]
     budgets = Budgets(max_output=8)
     want = set()
-    for desc in enumerate_models(x, min(two_part(x, Singleton(x)) + 1, ModelOpts().alpha_bound)):
+    for desc in enumerate_models(x, alpha_cap(x)):
         star = Condition.string(star_condition(desc).bits[:8])
         for L, cond in ((7 + ceil_log2(desc.size()), uniform_condition(desc)), (19, star)):
             want.add(table_path(tmp_path, L, budgets, cond.fingerprint()).name)
