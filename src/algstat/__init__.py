@@ -91,7 +91,6 @@ _LAZY_EXPORTS = {
         "TableDist",
         "UniformOn",
         "codebook",
-        "codeword_length",
         "format_distlang",
         "parse_distlang",
     ),
@@ -123,13 +122,10 @@ _LAZY_EXPORTS = {
     ),
     models_prob: (
         "BernoulliDemoReport",
-        "ProbDeficiencyRecord",
         "bernoulli_demo",
         "check_demo_n",
         "deficiency_p",
-        "pk",
         "suffstat_p",
-        "two_part_p",
     ),
     models_set: (
         "DeficiencyRecord",
@@ -139,7 +135,6 @@ _LAZY_EXPORTS = {
         "deficiency",
         "enumerate_models",
         "nonstoch_scan",
-        "stochastic",
         "structfn",
         "suffstat",
         "two_part",

@@ -205,10 +205,10 @@ def cmd_probstat(args: argparse.Namespace) -> int:
     lines = [
         f"x={bits_to_text(x)}",
         f"dist={distlang.format_distlang(dist)}",
-        f"neglog={_fmt_real(rec.neglog)}",
+        f"neglog={_fmt_real(dist.neglog(x))}",
         f"K_cond={rec.k_cond}",
         f"delta_norm={_fmt_real(rec.delta_norm)}",
-        f"two_part={models_prob.two_part_p(x, dist)}",
+        f"two_part={models_set.two_part(x, dist)}",
         f"lambda_min={rep.lambda_min}",
         f"minimal={distlang.format_distlang(rep.minimal)}",
     ]

@@ -94,7 +94,9 @@ def _neglog(m: Fraction) -> float:
 class DistDesc(Record):
     """Base class. Also a valid machine Model condition: the machine sees
     ``code`` plus the canonical codebook. Instances are immutable, and two
-    of different kinds never compare equal."""
+    of different kinds never compare equal. ``code_len``, ``member`` and
+    ``codeword_len`` are the model interface it shares with
+    ``setlang.SetDesc``."""
 
     __slots__ = ()
 
@@ -112,6 +114,18 @@ class DistDesc(Record):
 
     def mass(self, x: str) -> Fraction:
         raise NotImplementedError
+
+    def member(self, x: str) -> bool:
+        """x has positive mass."""
+        return self.mass(x) > 0
+
+    def codeword_len(self, x: str) -> int:
+        """ceil(-log2 mass(x)), computed exactly: the length of x's codeword
+        in ``codebook(self)``. Raises DistLangError when x has zero mass."""
+        m = self.mass(x)
+        if m == 0:
+            raise DistLangError(f"{bits_to_text(x)} has zero mass under {format_distlang(self)}")
+        return ceil_log2_ratio(m.denominator, m.numerator)
 
     def max_codeword_len(self) -> int:
         """The length of the longest codeword of ``codebook(self)``, that is
@@ -323,14 +337,6 @@ class Codebook(NamedTuple):
         return sum((Fraction(1, 1 << len(cw)) for _, cw in self.assignments), Fraction(0))
 
 
-def codeword_length(dist: DistDesc, x: str) -> int:
-    """ceil(-log2 mass(x)), computed exactly."""
-    m = dist.mass(x)
-    if m == 0:
-        raise DistLangError(f"{bits_to_text(x)} has zero mass")
-    return ceil_log2_ratio(m.denominator, m.numerator)
-
-
 def codebook(dist: DistDesc) -> Codebook:
     domain = dist.domain()
     if isinstance(dist, UniformOn):
@@ -342,7 +348,7 @@ def codebook(dist: DistDesc) -> Codebook:
                 (x, format(i, f"0{width}b") if width else "") for i, x in enumerate(domain)
             )
         )
-    with_lengths = [(codeword_length(dist, x), i, x) for i, x in enumerate(domain)]
+    with_lengths = [(dist.codeword_len(x), i, x) for i, x in enumerate(domain)]
     with_lengths.sort(key=lambda t: (t[0], t[1]))
     assigned: dict[str, str] = {}
     value = 0

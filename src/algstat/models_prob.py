@@ -1,94 +1,53 @@
-"""Distribution models: deficiency, typicality, two-part totals and the
-sufficient-statistic search over the DistLang descriptions of
-``distlang``, mirroring the finite-set module. The uniform wrapper
-reproduces the set semantics exactly (identical condition object,
-identical conditional table). Also S^k as a distribution and the
-weight-class (Bernoulli) demonstration.
+"""Distribution models: the distribution entry points of the one
+explicit-model engine of ``models_set``, and the weight-class (Bernoulli)
+demonstration.
+
+A distribution (``distlang.DistDesc``) is a model through the interface
+that a set shares: ``code_len``, ``member`` (positive mass) and
+``codeword_len`` (ceil(-log2 P(x))). So ``models_set.two_part``, its
+``DeficiencyRecord`` and its ``suffstat`` serve both. A set S is the
+uniform distribution on S: ``UniformOn(S)`` is the very condition a set
+deficiency reads, and gives the same K(x|model) and delta_norm.
+``deficiency_p`` reads one conditional table, with no star table, and
+``suffstat_p`` supplies the default family of uniform wraps.
 """
 
 from __future__ import annotations
 
-import operator
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .bits import bits_to_text
 from .cache import TableSource
-from .complexity import require_k, require_ks
+from .complexity import require_k
 from .condition import Condition
-from .distlang import DistDesc, UniformOn, _neglog, codeword_length, format_distlang
+from .distlang import DistDesc, UniformOn
 from .enumeration import ComplexityTable
 from .models_set import (
+    DeficiencyRecord,
     SuffStatReport,
-    _optimal_models,
+    _least_deficient,
     alpha_cap,
     enumerate_models,
     suffstat,
     two_part,
 )
-from .setlang import Hamming, ListSet
+from .setlang import Hamming
 
 
-# -- deficiency, typicality, two-part ------------------------------------------
+# -- deficiency and sufficient statistics --------------------------------------
 
 
-class ProbDeficiencyRecord(NamedTuple):
-    x: str
-    dist: DistDesc
-    neglog: float
-    k_cond: int  # K(x | Model(dist))
-    delta_raw: float  # neglog - k_cond, before shifting out the machine's offset
-    delta_norm: float  # delta_raw - min_y delta_raw(y), always >= 0
-    mass: Fraction  # m(x) under dist
-    best_y: str  # the least-deficient domain element
-    best_mass: Fraction  # m(best_y)
-    best_k: int  # K(best_y | Model(dist))
-
-    def typical(self, beta: int) -> bool:
-        """delta_norm <= beta, decided exactly: delta_norm is
-        log2(m(best_y) / m(x)) - K(x) + K(best_y), so the test is
-        m(best_y) <= m(x) * 2^(beta + K(x) - K(best_y)) in rationals. The
-        float fields are for display only."""
-        return self.best_mass <= self.mass * Fraction(2) ** (
-            operator.index(beta) + self.k_cond - self.best_k
-        )
-
-
-def deficiency_p(
-    x: str,
-    dist: DistDesc,
-    source: TableSource = TableSource(),
-) -> ProbDeficiencyRecord:
+def deficiency_p(x: str, dist: DistDesc, source: TableSource = TableSource()) -> DeficiencyRecord:
     """Randomness deficiency of x within dist, normalized against the
-    least-deficient domain element. The winner of the normalization is
-    found by exact rational comparison (score = mass * 2^K, descending in
-    deficiency), so no float tie-breaking is involved; only the reported
-    gap is a real. For UniformOn this equals the finite-set deficiency —
-    the condition object is the same."""
-    mx = dist.mass(x)
-    if mx == 0:
-        raise ValueError(f"{bits_to_text(x)} has zero mass under {format_distlang(dist)}")
+    least-deficient domain element. For UniformOn(S) it equals the set
+    deficiency, whose uniform condition is the same object. A distribution
+    has no star table, so ``delta_star`` is None."""
+    codeword_len = dist.codeword_len(x)  # raises when x has zero mass
     domain = dist.domain()
     # read only at the domain: built up to its longest member
     [table] = source.tables([Condition.of_model(dist)], n=max(map(len, domain)))
-    kx = require_k(table, x)
-    ks = require_ks(table, domain)
-    # large score = small deficiency; the first of equal scores wins
-    best_y, best_k, best_mass = max(
-        zip(domain, ks, map(dist.mass, domain)), key=lambda e: e[2] * (1 << e[1])
-    )
-    delta_raw = _neglog(mx) - kx
-    delta_norm = delta_raw - (_neglog(best_mass) - best_k)
-    return ProbDeficiencyRecord(
-        x=x, dist=dist, neglog=_neglog(mx), k_cond=kx,
-        delta_raw=delta_raw, delta_norm=delta_norm,
-        mass=mx, best_y=best_y, best_mass=best_mass, best_k=best_k,
-    )
-
-
-def two_part_p(x: str, dist: DistDesc) -> int:
-    """Model bits plus ideal-code bits: len(code) + ceil(-log2 mass(x))."""
-    return dist.code_len + codeword_length(dist, x)
+    kx, best_y, best_k, ratio = _least_deficient(x, domain, table, dist.mass)
+    return DeficiencyRecord(x, dist, codeword_len, kx, best_y, best_k, ratio, delta_star=None)
 
 
 def suffstat_p(
@@ -97,42 +56,20 @@ def suffstat_p(
     family: Iterable[DistDesc] | None = None,
     reference_lambda: int | None = None,
 ) -> SuffStatReport:
-    """Distribution-level sufficient statistics, as a ``SuffStatReport``
-    whose models are distributions. The default family is the uniform
-    wrap of the base set models of ``enumerate_models`` (each S becomes
-    UniformOn(S), two extra tag bits), which keeps set-stochastic strings
-    quasistochastic at the measured constant; a wrapped union or list
-    would be beaten as the set is. It leaves Bernoulli models
-    out: over every x of length 4, 6, 8 and 10 the best Bernoulli(n, k/d)
-    two-part length is 5-9 bits above the set lambda, so they would move
-    no answer on this grammar. Pass ``family`` for a restricted class,
-    plus ``reference_lambda`` to have the report state whether the class
-    stays within beta of the unrestricted total."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    """``models_set.suffstat`` over distributions. The default family is the
+    uniform wrap of the base set models of ``enumerate_models`` (each S
+    becomes UniformOn(S), two extra tag bits), so every total is its set's
+    plus 2 and the optimal models are the wraps of the set ones. It leaves
+    Bernoulli models out: over every x of length 4, 6, 8 and 10 the best
+    Bernoulli(n, k/d) two-part length is 5-9 bits above the set lambda, so
+    they would move no answer on this grammar. Pass ``family`` for a
+    restricted class, plus ``reference_lambda`` to have the report state
+    whether the class stays within beta of the unrestricted total."""
     if family is None:
         # a uniform wrap adds 2 bits to a set's code and to its two-part
         # total, so the set search range serves the wrapped family
         family = [UniformOn(d) for d in enumerate_models(x, alpha_cap(x, beta))]
-    candidates = [(two_part_p(x, d), d) for d in family if d.mass(x) > 0]
-    if not candidates:
-        raise ValueError("family gives x zero mass everywhere")
-    return _optimal_models(x, beta, candidates, reference_lambda)
-
-
-# -- complexity-level sets as distributions ------------------------------------
-
-
-def pk(table: ComplexityTable, k: int) -> UniformOn:
-    """Uniform distribution on S^k = {x : K(x) <= k}, materialized as an
-    explicit list in canonical order."""
-    if k > table.L:
-        raise ValueError(f"k={k} exceeds the table cap L={table.L}")
-    outs = table.sorted_outputs()
-    members = [x for x, kx in zip(outs, table.sorted_ks()) if kx <= k]
-    if not members:
-        raise ValueError(f"no strings of complexity <= {k} in the table")
-    return UniformOn(ListSet(tuple(members)))
+    return suffstat(x, beta, family, reference_lambda)
 
 
 # -- Bernoulli / weight-class demonstration ------------------------------------

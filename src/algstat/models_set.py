@@ -1,36 +1,30 @@
-"""Finite-set models: randomness deficiency, two-part codes, the structure
-functions h/beta/lambda, sufficient-statistic search and the
-(alpha, beta)-stochasticity predicate, over the SetLang descriptions of
-``setlang``. A description's code length stands for the model complexity.
-
-Conventions: deficiencies are *normalized* — delta_norm(x) is measured
-from the most compressible member (max_y K(y|S) - K(x|S)), which is zero
-exactly when x attains the in-set maximum; on this machine the raw
-log|S| - K(x|S) carries a uniform negative offset that would make every
-element look atypical.
+"""Explicit models: randomness deficiency, two-part codes, the structure
+functions h/beta/lambda, the sufficient-statistic search and the
+(alpha, beta) non-stochasticity scan. A model is a finite set (``setlang``)
+or a distribution (``distlang``); a set S is the uniform distribution on
+S, so both read through one interface (``code_len``, ``member`` and
+``codeword_len``) and share one record, one two-part total and one search.
+A description's code length stands for the model complexity. The model
+searches range over the base set models of x; ``models_prob`` holds the
+distribution entry points.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Iterable, NamedTuple
+import operator
+from collections import Counter
+from typing import Any, Callable, Iterable, NamedTuple
 
 # Bound, not run, here: distlang (and fractions with it) runs only when a
 # set becomes a uniform-distribution condition.
 from . import distlang
-from .bits import (
-    _fmt_real,
-    bits_to_text,
-    ceil_log2,
-    check_bits,
-    nat_to_bits,
-    pair,
-)
+from .bits import _fmt_real, bits_to_text, check_bits, nat_to_bits, pair
 from .cache import TableSource
 from .complexity import require_k, require_ks
 from .condition import Condition
 from .enumeration import ComplexityTable
-from .setlang import All, Cyl, Hamming, SetDesc, Singleton, format_setlang
+from .setlang import All, Cyl, Hamming, SetDesc, Singleton
 
 ALPHA_BOUND = 36
 
@@ -80,26 +74,62 @@ def star_condition(desc: SetDesc) -> Condition:
 
 
 class DeficiencyRecord(NamedTuple):
+    """The randomness deficiency of x in a model, a set or a distribution,
+    in exact fields. It is *normalized* against the least-deficient member
+    y, the one with the largest m(y) * 2^K(y|model) (for a set, the most
+    complex member): delta_norm = log2(m(y)/m(x)) + K(y|model) -
+    K(x|model), zero exactly when x is such a member. On this machine the
+    raw codeword_len - K(x|model) carries a uniform negative offset that
+    would make every element look atypical."""
+
     x: str
-    desc: SetDesc
-    log_size: int  # ceil(log2 |S|)
-    k_cond_set: int  # K(x | uniform-on-S model)
-    delta_raw: int  # log_size - k_cond_set
-    delta_norm: int  # max_y K(y|S) - K(x|S), always >= 0
-    delta_star: int  # same, conditioned on (code, len(code)) as a string
+    model: Any  # a SetDesc or a DistDesc
+    codeword_len: int  # ceil(-log2 m(x)); ceil(log2 |S|) for a set
+    k_cond: int  # K(x | model)
+    best_y: str  # the least-deficient member
+    best_k: int  # K(best_y | model)
+    mass_ratio: Any  # m(best_y) / m(x), a Fraction; the int 1 when equal, as for a set
+    delta_star: int | None  # a set's max_y K(y|S*) - K(x|S*), S* its (code, len(code))
+
+    @property
+    def delta_norm(self) -> int | float:
+        """An integer when the masses are equal, as in a set. Otherwise a real
+        for display only, as the difference of the two -log2 m(.) - K(.|model)
+        terms; ``typical`` decides exactly."""
+        if self.mass_ratio == 1:
+            return self.best_k - self.k_cond
+        neglog = self.model.neglog
+        return (neglog(self.x) - self.k_cond) - (neglog(self.best_y) - self.best_k)
 
     def typical(self, beta: int) -> bool:
-        return self.delta_norm <= beta
+        """delta_norm <= beta, decided exactly: m(best_y)/m(x) <= 2^(beta +
+        K(x|model) - K(best_y|model)), compared in integers."""
+        e = operator.index(beta) + self.k_cond - self.best_k
+        num, den = self.mass_ratio.numerator, self.mass_ratio.denominator
+        return num << max(-e, 0) <= den << max(e, 0)
 
 
-def _normalized_deficiencies(
-    x: str, members: list[str], table: ComplexityTable
-) -> tuple[int, int]:
-    """(K(x|.), max_y K(y|.) - K(x|.)) over the member list, read in one
-    ``require_ks`` call."""
+def _unit_mass(y: str) -> int:
+    """The mass of every member of a set, up to the factor |S| that no
+    ratio of two of them sees."""
+    return 1
+
+
+def _least_deficient(
+    x: str, members: list[str], table: ComplexityTable, mass: Callable[[str], Any] = _unit_mass
+) -> tuple[int, str, int, Any]:
+    """(K(x|.), y, K(y|.), m(y)/m(x)) for the least-deficient member y, the
+    first of the largest score m(y) * 2^K(y|.), with the members' Ks read off
+    ``table`` in one ``require_ks`` call (raises Absent for the first member
+    beyond its horizon). Exact: no float decides the winner. The ratio is
+    the int 1 when the two masses are equal."""
     ks = require_ks(table, members)
     kx = ks[members.index(x)] if x in members else require_k(table, x)
-    return kx, max(ks, default=-1) - kx
+    best_y, best_k, best_mass = max(
+        zip(members, ks, map(mass, members)), key=lambda e: e[2] * (1 << e[1])
+    )
+    mx = mass(x)
+    return kx, best_y, best_k, 1 if best_mass == mx else best_mass / mx
 
 
 def _model_conditions(desc: SetDesc) -> list[Condition]:
@@ -107,47 +137,33 @@ def _model_conditions(desc: SetDesc) -> list[Condition]:
     return [distlang.uniform_condition(desc), star_condition(desc)]
 
 
-def deficiency(
-    x: str,
-    desc: SetDesc,
-    source: TableSource = TableSource(),
-) -> DeficiencyRecord:
-    if not desc.member(x):
-        raise ValueError(f"{bits_to_text(x)} is not in {format_setlang(desc)}")
+def deficiency(x: str, desc: SetDesc, source: TableSource = TableSource()) -> DeficiencyRecord:
+    log_size = desc.codeword_len(x)  # raises unless x is in S
     members = desc.denote()
     # read only at the members: built up to the longest of them
     uniform, star = source.tables(_model_conditions(desc), n=max(map(len, members)))
-    return _deficiency(x, desc, members, uniform, star)
+    return _deficiency(x, desc, log_size, members, uniform, star)
 
 
 def _deficiency(
-    x: str,
-    desc: SetDesc,
-    members: list[str],
-    uniform: ComplexityTable,
-    star: ComplexityTable,
+    x: str, desc: SetDesc, log_size: int, members: list[str],
+    uniform: ComplexityTable, star: ComplexityTable,
 ) -> DeficiencyRecord:
     """The deficiencies of x in S from S's members and its two conditional
     tables, as ``_model_conditions`` orders them."""
-    log_size = ceil_log2(desc.size())
-    k_set, d_norm = _normalized_deficiencies(x, members, uniform)
-    _, d_star = _normalized_deficiencies(x, members, star)
+    kx, best_y, best_k, ratio = _least_deficient(x, members, uniform)
+    kx_star, _, best_k_star, _ = _least_deficient(x, members, star)
     return DeficiencyRecord(
-        x=x,
-        desc=desc,
-        log_size=log_size,
-        k_cond_set=k_set,
-        delta_raw=log_size - k_set,
-        delta_norm=d_norm,
-        delta_star=d_star,
+        x, desc, log_size, kx, best_y, best_k, ratio, delta_star=best_k_star - kx_star
     )
 
 
-def two_part(x: str, desc: SetDesc) -> int:
-    """Model bits plus index bits: len(code) + ceil(log2 |S|)."""
-    if not desc.member(x):
-        raise ValueError(f"{bits_to_text(x)} is not in {format_setlang(desc)}")
-    return desc.code_len + ceil_log2(desc.size())
+def two_part(x: str, model: Any) -> int:
+    """Model bits plus data-to-model bits, for a set or a distribution:
+    code_len + codeword_len(x), that is len(code) + ceil(log2 |S|) or
+    len(code) + ceil(-log2 P(x)). Raises ValueError unless x is in the
+    model."""
+    return model.code_len + model.codeword_len(x)
 
 
 def alpha_cap(x: str, beta: int = 0) -> int:
@@ -204,43 +220,39 @@ def structfn(
     strictly below alpha; beta curves minimize the normalized
     deficiencies; rows run from the first alpha admitting a model."""
     models = enumerate_models(x, alpha_max)
-    members: list[list[str]] = []
-    tables: list[ComplexityTable] = []
+    # (code_len, log2|S|, delta_norm, delta_star) per model
+    per_model: list[tuple[int, float, Any, Any]] = [
+        (desc.code_len, math.log2(desc.size()), None, None) for desc in models
+    ]
     if include_deficiency:
         members = [desc.denote() for desc in models]
         conds = [c for desc in models for c in _model_conditions(desc)]
         # read only at the members, which all have the length of x
         tables = source.tables(conds, n=len(x))
-    per_model: list[tuple[int, float, int | None, int | None]] = []
-    for i, desc in enumerate(models):
-        log2_size = math.log2(desc.size())
-        if include_deficiency:
+        for i, desc in enumerate(models):
             uniform, star = tables[2 * i], tables[2 * i + 1]
-            rec = _deficiency(x, desc, members[i], uniform, star)
-            per_model.append((desc.code_len, log2_size, rec.delta_norm, rec.delta_star))
-        else:
-            per_model.append((desc.code_len, log2_size, None, None))
+            rec = _deficiency(x, desc, desc.codeword_len(x), members[i], uniform, star)
+            per_model[i] = (*per_model[i][:2], rec.delta_norm, rec.delta_star)
 
     rows: list[CurveRow] = []
-    if models:
-        first_alpha = models[0].code_len + 1
-        for alpha in range(first_alpha, alpha_max + 1):
-            eligible = [m for m in per_model if m[0] < alpha]
-            h = min(m[1] for m in eligible)
-            beta = min((m[2] for m in eligible), default=None) if include_deficiency else None
-            beta_star = (
-                min((m[3] for m in eligible), default=None) if include_deficiency else None
-            )
-            rows.append(CurveRow(alpha, h, beta, beta_star, h + alpha))
+    for alpha in range(models[0].code_len + 1, alpha_max + 1) if models else ():
+        eligible = [m for m in per_model if m[0] < alpha]
+        h = min(m[1] for m in eligible)
+        beta = beta_star = None
+        if include_deficiency:
+            beta, beta_star = (min(m[i] for m in eligible) for i in (2, 3))
+        rows.append(CurveRow(alpha, h, beta, beta_star, h + alpha))
     return StructureCurve(x=x, alpha_max=alpha_max, rows=tuple(rows))
 
 
-# -- sufficient statistics and stochasticity ----------------------------------
+# -- sufficient statistics and the (alpha, beta) scan ------------------------
 
 
 class SuffStatReport(NamedTuple):
-    """The optimal models of x; ``suffstat`` reports set models (``SetDesc``),
-    ``models_prob.suffstat_p`` distributions (``DistDesc``)."""
+    """The optimal models of x, of the class searched: set models
+    (``SetDesc``) for the default family of ``suffstat``, their uniform
+    wraps (``DistDesc``) for that of ``models_prob.suffstat_p``, or those
+    of the family given."""
 
     x: str
     beta: int
@@ -253,15 +265,16 @@ class SuffStatReport(NamedTuple):
 def suffstat(
     x: str,
     beta: int = 0,
-    family: Iterable[SetDesc] | None = None,
+    family: Iterable[Any] | None = None,
     reference_lambda: int | None = None,
 ) -> SuffStatReport:
     """Optimal models of x: those whose two-part total is within beta of
     the best achievable, by default among the base models of
-    ``enumerate_models``. With an explicit ``family`` the search is
-    class-restricted and, given ``reference_lambda`` (the unrestricted
-    lambda_min), reports whether the class contains a sufficient
-    statistic at this beta."""
+    ``enumerate_models``. An explicit ``family`` of sets or distributions
+    makes the search class-restricted and, given ``reference_lambda`` (the
+    unrestricted lambda_min), the report states whether the class contains
+    a sufficient statistic at this beta. The optimal models come in
+    (code_len, code) order, and the minimal one is the first."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
     if family is None:
@@ -269,34 +282,12 @@ def suffstat(
     candidates = [(two_part(x, d), d) for d in family if d.member(x)]
     if not candidates:
         raise ValueError("family contains no model of x")
-    return _optimal_models(x, beta, candidates, reference_lambda)
-
-
-def _optimal_models(
-    x: str, beta: int, candidates: list[tuple[int, Any]], reference_lambda: int | None
-) -> SuffStatReport:
-    """The report of the search over (two-part total, model) ``candidates``,
-    set or distribution models: the least total, the models within beta of
-    it by (code_len, code), the first of them, and whether the least total
-    is within beta of ``reference_lambda``."""
     lambda_min = min(t for t, _ in candidates)
     optimal = sorted(
         (d for t, d in candidates if t <= lambda_min + beta), key=lambda d: (d.code_len, d.code)
     )
     in_class = None if reference_lambda is None else lambda_min <= reference_lambda + beta
     return SuffStatReport(x, beta, lambda_min, tuple(optimal), optimal[0], in_class)
-
-
-def stochastic(x: str, alpha: int, beta: int, table: ComplexityTable) -> bool:
-    """(alpha, beta)-stochastic within the family: some model of code
-    length <= alpha contains x with ceil(log2|S|) - K(x) <= beta. Uses
-    the one-part machine K from ``table`` (raises Absent if x is beyond
-    its cap) and exact integer logs."""
-    kx = require_k(table, x)
-    for desc in enumerate_models(x, alpha + 1):
-        if ceil_log2(desc.size()) - kx <= beta:
-            return True
-    return False
 
 
 class NonStochReport(NamedTuple):
@@ -334,17 +325,15 @@ def nonstoch_scan(n: int, beta: int, source: TableSource = TableSource()) -> Non
                 # read only at the members, which all have n bits
                 [table] = source.tables([cond], n=n)
                 tables[cond.fingerprint()] = table
-            _, d_star = _normalized_deficiencies(x, members, table)
-            if d_star <= beta:
+            kx, _, best_k, _ = _least_deficient(x, members, table)
+            if best_k - kx <= beta:
                 best = desc.code_len
         if best is None:
             raise ValueError(
                 f"no model of {bits_to_text(x)} below the alpha bound has delta_star <= {beta}"
             )
         min_len[x] = best
-    histogram: dict[int, int] = {}
-    for l in min_len.values():
-        histogram[l] = histogram.get(l, 0) + 1
+    histogram = dict(Counter(min_len.values()))
     top = max(min_len.values())
     argmax = tuple(sorted((x for x, l in min_len.items() if l == top)))
     return NonStochReport(n=n, beta=beta, min_len=min_len, histogram=histogram, argmax=argmax)

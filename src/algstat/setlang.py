@@ -24,7 +24,16 @@ from itertools import combinations
 from typing import Iterator
 
 from ._record import Record
-from .bits import BitReader, CodeError, bar_nat, bits_to_text, check_bits, std, text_to_bits
+from .bits import (
+    BitReader,
+    CodeError,
+    bar_nat,
+    bits_to_text,
+    ceil_log2,
+    check_bits,
+    std,
+    text_to_bits,
+)
 
 # The most members a denotation or a domain materializes.
 DENOTE_CAP = 1 << 20
@@ -43,7 +52,11 @@ class CapExceeded(ValueError):
 
 class SetDesc(Record):
     """Base class; concrete shapes below. Instances are immutable, and two
-    of different shapes never compare equal."""
+    of different shapes never compare equal.
+
+    A set is a model as ``distlang.DistDesc`` is, the uniform distribution
+    on its members: ``code_len``, ``member`` and ``codeword_len`` are the
+    interface the model searches of ``models_set`` read."""
 
     __slots__ = ()
 
@@ -57,6 +70,13 @@ class SetDesc(Record):
 
     def member(self, x: str) -> bool:
         raise NotImplementedError
+
+    def codeword_len(self, x: str) -> int:
+        """ceil(log2 |S|), the length of x's codeword in the uniform code
+        on S; raises ValueError unless x is in S."""
+        if not self.member(x):
+            raise ValueError(f"{bits_to_text(x)} is not in {format_setlang(self)}")
+        return ceil_log2(self.size())
 
     def size(self) -> int:
         raise NotImplementedError

@@ -144,7 +144,7 @@ def test_08_uniform_wrap_equals_set_deficiency(cond_cache):
         x = rng.choice(desc.denote())
         rp = deficiency_p(x, UniformOn(desc), source=TableSource(cache_dir=cond_cache, max_len=15))
         rs = deficiency(x, desc, source=TableSource(cache_dir=cond_cache, max_len=15))
-        assert rp.k_cond == rs.k_cond_set, f"model {i}: {desc!r}, x={x!r}"
+        assert rp.k_cond == rs.k_cond, f"model {i}: {desc!r}, x={x!r}"
         assert rp.delta_norm == rs.delta_norm, f"model {i}: {desc!r}, x={x!r}"
     _done(8, "uniform/set correspondence", "100 random models, exact equality")
 

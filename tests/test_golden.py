@@ -1,6 +1,6 @@
-"""The byte-identity gates: every recorded ``structfn`` digest and every
-``$ algstat`` sample in README.md, run through ``cli.main`` on a
-temporary cache.
+"""The byte-identity gates: every recorded ``structfn`` digest, every
+recorded digest of the model-command grid and every ``$ algstat`` sample
+in README.md, run through ``cli.main`` on a temporary cache.
 
 README samples follow one rule for elisions: a line that is ``...`` matches
 any run of lines, none included, and a token (a run of characters between
@@ -19,11 +19,20 @@ import pytest
 
 from algstat.cache import ENV_CACHE_DIR
 from algstat.cli import EXIT_OK, main
-from structfn_digests import SAMPLE, recorded, structfn_digest
+from golden_digests import (
+    GRID_RECORD,
+    MODEL_GRID,
+    SAMPLE,
+    STRUCTFN_RECORD,
+    model_digest,
+    recorded,
+    structfn_digest,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 EXPECTED = json.loads((ROOT / "perfbench" / "expected.json").read_text(encoding="ascii"))
-RECORDED = recorded()
+RECORDED = recorded(STRUCTFN_RECORD)
+GRID = recorded(GRID_RECORD)
 
 
 @pytest.fixture(scope="module")
@@ -43,8 +52,23 @@ def test_long_sample_is_recorded_whole():
 @pytest.mark.parametrize("x", SAMPLE)
 def test_structfn_matches_the_long_sample_digest(x, golden_cache):
     """Lengths 10 and 12, past the 8 bits of the benchmark's digests; to
-    re-record, see ``tests/structfn_digests.py``."""
+    re-record, see ``tests/golden_digests.py``."""
     assert structfn_digest(x, golden_cache) == RECORDED[x]
+
+
+def test_model_grid_is_recorded_whole():
+    assert sorted(GRID) == sorted(MODEL_GRID)
+
+
+def test_model_commands_match_the_recorded_grid(golden_cache):
+    """``probstat``, ``suffstat`` and ``bernoulli`` over the grid of
+    ``tests/golden_digests.py``: each stdout, or error line, as recorded."""
+    wrong = {}
+    for command in MODEL_GRID:
+        digest = model_digest(command, golden_cache)
+        if digest != GRID[command]:
+            wrong[command] = (GRID[command], digest)
+    assert wrong == {}
 
 
 # -- README samples -------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from algstat import models_set
-from algstat.bits import bar_nat, std
+from algstat.bits import _fmt_real, bar_nat, std
 from algstat.cache import TableSource
 from algstat.condition import Condition
 from algstat.distlang import (
@@ -21,19 +21,20 @@ from algstat.distlang import (
     TableDist,
     UniformOn,
     codebook,
-    codeword_length,
     decode_dist,
     encode_dist,
     format_distlang,
     parse_distlang,
 )
-from algstat.models_prob import bernoulli_demo, deficiency_p, pk, suffstat_p, two_part_p
+from algstat.models_prob import bernoulli_demo, deficiency_p, suffstat_p
 from algstat.models_set import (
+    DeficiencyRecord,
     SuffStatReport,
     alpha_cap,
     deficiency,
     enumerate_models,
     suffstat,
+    two_part,
 )
 from algstat.setlang import All, CapExceeded, Cyl, Hamming, ListSet, Singleton, UnionSet
 from oracles import naive_codebook
@@ -152,11 +153,11 @@ class TestCodebook:
         assert book.kraft_sum() == Fraction(13, 16)
 
     def test_lengths_are_ceil_neglog(self):
-        assert codeword_length(B2, "00") == 1
-        assert codeword_length(B2, "01") == 3
-        assert codeword_length(UniformOn(All(3)), "000") == 3
-        with pytest.raises(DistLangError):
-            codeword_length(B2, "000")
+        assert B2.codeword_len("00") == 1
+        assert B2.codeword_len("01") == 3
+        assert UniformOn(All(3)).codeword_len("000") == 3
+        with pytest.raises(DistLangError, match="^000 has zero mass under bern:2,1/4$"):
+            B2.codeword_len("000")
 
     def test_decode_inverts(self):
         book = codebook(B2)
@@ -226,7 +227,9 @@ class TestDeficiencyP:
     def test_all_zeros_is_nearly_typical(self, cond_cache):
         r = deficiency_p("0" * 8, B8, source=TableSource(cache_dir=cond_cache, max_len=19))
         assert r.k_cond == 11
-        assert r.neglog == pytest.approx(16 - 8 * math.log2(3))
+        assert B8.neglog("0" * 8) == pytest.approx(16 - 8 * math.log2(3))
+        assert r.codeword_len == 4
+        assert r.delta_star is None
         assert r.delta_norm == pytest.approx(0.2451125, abs=1e-6)
         assert r.typical(1) and not r.typical(0)
 
@@ -237,7 +240,8 @@ class TestDeficiencyP:
 
     def test_all_ones_is_far(self, cond_cache):
         r = deficiency_p("1" * 8, B8, source=TableSource(cache_dir=cond_cache, max_len=19))
-        assert r.delta_raw == pytest.approx(1.0)
+        # m(x) = 2^-16, so the raw deficiency -log2 m(x) - K(x) is exact
+        assert r.codeword_len - r.k_cond == 1
         assert r.delta_norm == pytest.approx(8.9248125, abs=1e-6)
 
     def test_typical_at_the_boundary(self, cond_cache):
@@ -263,13 +267,28 @@ class TestDeficiencyP:
             for beta in range(-1, rs.delta_norm + 2):
                 assert rp.typical(beta) == rs.typical(beta)
 
+    def test_delta_norm_is_the_difference_of_the_two_neglog_terms(self):
+        """The real is computed as (-log2 m(x) - K(x)) - (-log2 m(y) - K(y)),
+        the float order ``probstat`` has always printed. Here m(y)/m(x) =
+        2^-10 and K(y) - K(x) = 10, so the gap is 0, yet this order rounds to
+        a negative real where log2(ratio) + 10 gives 0.0; ``typical`` still
+        decides exactly."""
+        x, y = "0", "1"
+        dist = TableDist(((x, Fraction(8, 2187)), (y, Fraction(1, 279936))))
+        r = DeficiencyRecord(x, dist, 9, 15, y, 25, Fraction(2187, 2239488), None)
+        assert r.mass_ratio == Fraction(1, 1024)
+        assert r.delta_norm == (dist.neglog(x) - 15) - (dist.neglog(y) - 25)
+        assert _fmt_real(r.delta_norm) == "-0"
+        assert _fmt_real(math.log2(r.mass_ratio) + 10) == "0"
+        assert r.typical(0) and not r.typical(-1)
+
     def test_typical_needs_an_integer_beta(self, cond_cache):
         r = deficiency_p("0" * 8, B8, source=TableSource(cache_dir=cond_cache, max_len=19))
         with pytest.raises(TypeError):
             r.typical(0.5)
 
     def test_zero_mass_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^000 has zero mass under bern:2,1/4$"):
             deficiency_p("000", B2)
 
     @pytest.mark.parametrize(
@@ -279,15 +298,15 @@ class TestDeficiencyP:
         for x in desc.denote():
             rp = deficiency_p(x, UniformOn(desc), source=TableSource(cache_dir=cond_cache, max_len=15))
             rs = deficiency(x, desc, source=TableSource(cache_dir=cond_cache, max_len=15))
-            assert rp.k_cond == rs.k_cond_set
+            assert rp.k_cond == rs.k_cond
             assert rp.delta_norm == rs.delta_norm
 
 
 class TestTwoPartAndSuffStat:
     def test_two_part_totals(self):
-        assert two_part_p("0101", Bernoulli(4, Fraction(1, 4))) == 20
-        assert two_part_p("0" * 8, B8) == 21
-        assert two_part_p("0110", UniformOn(All(4))) == 13
+        assert two_part("0101", Bernoulli(4, Fraction(1, 4))) == 20
+        assert two_part("0" * 8, B8) == 21
+        assert two_part("0110", UniformOn(All(4))) == 13
 
     def test_suffstat_minimal(self):
         rep = suffstat_p("0101")
@@ -333,22 +352,6 @@ class TestTwoPartAndSuffStat:
     def test_zero_mass_family_rejected(self):
         with pytest.raises(ValueError):
             suffstat_p("01", family=[UniformOn(All(3))])
-
-
-class TestPk:
-    def test_small_level(self, table_l22):
-        assert pk(table_l22, 5) == UniformOn(ListSet(("", "0", "1")))
-
-    def test_mass_is_uniform(self, table_l22):
-        dist = pk(table_l22, 5)
-        assert dist.mass("0") == Fraction(1, 3)
-        assert dist.mass("00") == 0
-
-    def test_bad_levels(self, table_l12):
-        with pytest.raises(ValueError):
-            pk(table_l12, 13)
-        with pytest.raises(ValueError):
-            pk(table_l12, 2)
 
 
 class TestBernoulliDemo:

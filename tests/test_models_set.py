@@ -1,9 +1,11 @@
 """Finite set models: codec, sizes, enumeration vs the blind-decoding
-oracle, deficiencies, structure curves, and the stochasticity scan."""
+oracle, deficiencies and their shared core, structure curves, and the
+(alpha, beta) non-stochasticity scan."""
 
 from __future__ import annotations
 
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,13 +18,12 @@ from algstat.condition import Budgets
 from algstat.distlang import uniform_condition
 from algstat.enumeration import ComplexityTable, Entry
 from algstat.models_set import (
-    _normalized_deficiencies,
+    _least_deficient,
     alpha_cap,
     deficiency,
     enumerate_models,
     nonstoch_scan,
     star_condition,
-    stochastic,
     structfn,
     suffstat,
     two_part,
@@ -234,27 +235,27 @@ class TestDeficiency:
         source = TableSource(cache_dir=cond_cache, max_len=19)
         r = deficiency("01" * 4, Singleton("01" * 4), source=source)
         # decode-the-model costs tag + empty codeword + halt
-        assert r.k_cond_set == 7
-        assert r.log_size == 0
+        assert r.k_cond == 7
+        assert r.codeword_len == 0
         assert r.delta_norm == 0 and r.delta_star == 0
 
     def test_alternating_string_is_typical_but_star_lags(self, cond_cache):
         r = deficiency("01" * 4, All(8), source=TableSource(cache_dir=cond_cache, max_len=19))
-        assert (r.log_size, r.k_cond_set) == (8, 15)
+        assert (r.codeword_len, r.k_cond) == (8, 15)
         assert r.delta_norm == 0
         assert r.delta_star == 4
         assert r.typical(0) and not r.typical(-1)
 
     def test_weight_class(self, cond_cache):
         r = deficiency("01" * 4, Hamming(8, 4), source=TableSource(cache_dir=cond_cache, max_len=19))
-        assert (r.log_size, r.k_cond_set, r.delta_norm, r.delta_star) == (7, 14, 0, 4)
+        assert (r.codeword_len, r.k_cond, r.delta_norm, r.delta_star) == (7, 14, 0, 4)
 
     def test_small_models(self, cond_cache):
         source = TableSource(cache_dir=cond_cache, max_len=15)
         r = deficiency("0110", All(4), source=source)
-        assert (r.log_size, r.k_cond_set, r.delta_norm, r.delta_star) == (4, 11, 0, 0)
+        assert (r.codeword_len, r.k_cond, r.delta_norm, r.delta_star) == (4, 11, 0, 0)
         r = deficiency("0110", ListSet(("0110", "1001")), source=source)
-        assert (r.log_size, r.k_cond_set, r.delta_norm, r.delta_star) == (1, 8, 0, 0)
+        assert (r.codeword_len, r.k_cond, r.delta_norm, r.delta_star) == (1, 8, 0, 0)
 
     def test_ten_bits_at_the_derived_cap(self, cond_cache):
         """By default a model's tables are capped at 2n+3 for its n-bit
@@ -272,11 +273,15 @@ class TestDeficiency:
     def test_members_are_read_in_one_call(self, outputs, first_absent):
         entries = {y: Entry(5 + i, "1" * (5 + i), 1) for i, y in enumerate(outputs)}
         table = ComplexityTable(9, Budgets(), "made-up", entries, [0] * 10)
-        assert _normalized_deficiencies("01", ["00", "01"], table) == (6, 0)
+        assert _least_deficient("01", ["00", "01"], table) == (6, "01", 6, 1)
         # x outside the member list
-        assert _normalized_deficiencies("00", ["01", "11"], table) == (5, len(outputs) - 1)
+        kx, best_y, best_k, ratio = _least_deficient("00", ["01", "11"], table)
+        assert (kx, best_y, best_k - kx, ratio) == (5, "11", len(outputs) - 1, 1)
+        # equal scores m(y) * 2^K(y): the first member wins, and the ratio is exact
+        masses = {"00": Fraction(1, 2), "01": Fraction(1, 4)}
+        assert _least_deficient("01", ["00", "01"], table, masses.get) == (6, "00", 5, 2)
         with pytest.raises(Absent) as absent:
-            _normalized_deficiencies("00", ["00", "10", "111", "1"], table)
+            _least_deficient("00", ["00", "10", "111", "1"], table)
         assert absent.value.x == first_absent
 
     def test_nonmember_rejected(self):
@@ -368,15 +373,6 @@ class TestSuffStat:
 
 
 class TestStochasticity:
-    def test_threshold_in_alpha(self, table_l22):
-        assert stochastic("0110", 7, 0, table_l22)
-        assert not stochastic("0110", 6, 0, table_l22)
-
-    def test_threshold_in_beta(self, table_l22):
-        # only the singleton reaches log-size 0 - K(x) = -11
-        assert stochastic("0110", 11, -11, table_l22)
-        assert not stochastic("0110", 10, -11, table_l22)
-
     def test_scan_length_four(self, cond_cache):
         rep = nonstoch_scan(4, 0, source=TableSource(cache_dir=cond_cache, max_len=15))
         assert rep.histogram == {7: 15, 11: 1}
