@@ -159,6 +159,7 @@ def ceil_log2(n: int) -> int:
 
 
 def _fmt_real(v: float) -> str:
-    """Deterministic decimal form with documented 1e-9 precision."""
+    """Deterministic decimal form with documented 1e-9 precision. A real
+    that rounds to zero prints ``0`` whatever its sign."""
     text = f"{v:.9f}".rstrip("0").rstrip(".")
-    return text if text else "0"
+    return "0" if text == "-0" else text

@@ -155,14 +155,6 @@ class SoiReport(NamedTuple):
     mi_self_gap_max: int  # max |I(x:x) - (K(x) - K(x|x*))|
     mi_swap_gap_max: int  # max |I(x:y) - I(y:x)|
 
-    def measured(self) -> dict[str, int]:
-        return {
-            "soi_additivity": self.additivity_max_slack,
-            "soi_triangle": self.triangle_c,
-            "mi_self_gap": self.mi_self_gap_max,
-            "mi_swap_gap": self.mi_swap_gap_max,
-        }
-
 
 def soi_audit(
     table: ComplexityTable,

@@ -67,17 +67,13 @@ class RegressionLine(NamedTuple):
     ok: bool
 
 
-def regression_check(
-    measured: dict[str, int],
-    frozen: dict[str, int],
-    tolerance: int = REGRESSION_TOLERANCE_BITS,
-) -> list[RegressionLine]:
+def regression_check(measured: dict[str, int], frozen: dict[str, int]) -> list[RegressionLine]:
     """Compare measured slacks to frozen ones. A missing frozen entry
     fails (the audit was never blessed); measured may exceed frozen by at
-    most ``tolerance`` bits."""
+    most ``REGRESSION_TOLERANCE_BITS`` (1) bits."""
     lines = []
     for name in sorted(measured):
         have = frozen.get(name)
-        ok = have is not None and measured[name] <= have + tolerance
+        ok = have is not None and measured[name] <= have + REGRESSION_TOLERANCE_BITS
         lines.append(RegressionLine(name, measured[name], have, ok))
     return lines

@@ -54,6 +54,7 @@ from .skstats import _dyadic_csv, logn_gap, slice_bound_check, xr_bound_check
 TOL = 1e-9
 DEFAULT_NI_LEN_CAP = 6
 MASS_TARGET = Fraction(9, 10)
+PRIOR_SWEEP_STEPS = 9
 
 
 class JointModelError(ValueError):
@@ -292,15 +293,16 @@ def format_joint_text(joint: JointModel, statistic: Statistic | None = None) -> 
 # -- classical side -----------------------------------------------------------
 
 
-def prior_sweep(joint: JointModel, steps: int = 9) -> list[tuple[Fraction, ...]]:
-    """The joint's own prior followed by ``steps`` full-support grid
-    priors: the i-th mixes the uniform prior with a point mass on
-    parameter i mod m at weight i/(steps+1). Exact rationals."""
+def prior_sweep(joint: JointModel) -> list[tuple[Fraction, ...]]:
+    """The joint's own prior followed by ``PRIOR_SWEEP_STEPS`` (9)
+    full-support grid priors: the i-th mixes the uniform prior with a
+    point mass on parameter i mod m at weight i/(PRIOR_SWEEP_STEPS+1).
+    Exact rationals."""
     m = len(joint.thetas)
     unif = Fraction(1, m)
     rows = [joint.priors]
-    for i in range(1, steps + 1):
-        w = Fraction(i, steps + 1)
+    for i in range(1, PRIOR_SWEEP_STEPS + 1):
+        w = Fraction(i, PRIOR_SWEEP_STEPS + 1)
         rows.append(
             tuple((1 - w) * unif + (w if j == i % m else 0) for j in range(m))
         )
@@ -538,9 +540,6 @@ class NonincreaseReport(NamedTuple):
     def max_deficit(self) -> int:
         return max(t.max_deficit for t in self.per_transform)
 
-    def measured(self) -> dict[str, int]:
-        return {"nonincrease": self.max_deficit}
-
     def to_csv(self) -> str:
         lines = ["transform,max_deficit,x,y"]
         lines.extend(
@@ -559,17 +558,15 @@ def _applied(
 
 def nonincrease_audit(
     table: ComplexityTable,
-    transforms: Sequence[Transform] | None = None,
     len_cap: int = DEFAULT_NI_LEN_CAP,
     source: TableSource = TableSource(),
 ) -> NonincreaseReport:
     """Max over (x, y, q) of I(q(x):y) - I(x:y) - l(q), with I(a:b) =
-    K(b) - K(b | a's witness) and q actually run on the machine.
-    ``table`` is read at the swept strings and their images, whose
-    witnesses condition the other tables (``witness_tables``); those are
-    read only at the swept strings."""
-    if transforms is None:
-        transforms = default_transforms()
+    K(b) - K(b | a's witness), q one of ``default_transforms()`` and q
+    actually run on the machine. ``table`` is read at the swept strings
+    and their images, whose witnesses condition the other tables
+    (``witness_tables``); those are read only at the swept strings."""
+    transforms = default_transforms()
     xs = _all_strings(len_cap)
     applied = _applied(transforms, xs, source.budgets)
     needed = set(xs) | {out for _, out in applied.values()}
@@ -605,30 +602,20 @@ class ThetaSuffRow(NamedTuple):
 
 class ThetaSuffReport(NamedTuple):
     rows: tuple[ThetaSuffRow, ...]
-    threshold: int | None
     prob_sufficient: bool
 
     def mass_leq(self, threshold: int) -> Fraction:
         return sum((r.p for r in self.rows if r.d <= threshold), Fraction(0))
 
-    def minimal_tau(self, target: Fraction = MASS_TARGET) -> int:
-        """Smallest integer threshold whose deficiency mass reaches the
-        target."""
+    def minimal_tau(self) -> int:
+        """Smallest integer threshold whose deficiency mass reaches
+        ``MASS_TARGET`` (9/10)."""
         total = Fraction(0)
         for d in sorted({r.d for r in self.rows}):
             total = self.mass_leq(d)
-            if total >= target:
+            if total >= MASS_TARGET:
                 return d
-        raise ValueError(f"total mass {total} never reaches {target}")
-
-    @property
-    def passed(self) -> bool:
-        if self.threshold is None:
-            raise ValueError("no threshold was given to audit against")
-        return self.mass_leq(self.threshold) >= MASS_TARGET
-
-    def measured(self) -> dict[str, int]:
-        return {"theta_tau": self.minimal_tau()}
+        raise ValueError(f"total mass {total} never reaches {MASS_TARGET}")
 
     def to_csv(self) -> str:
         lines = ["theta,x,statistic,p,d"]
@@ -667,17 +654,17 @@ def theta_suff_audit(
     joint: JointModel,
     statistic: Statistic,
     table: ComplexityTable,
-    threshold: int | None = None,
     source: TableSource = TableSource(),
 ) -> ThetaSuffReport:
     """Per-(parameter, x) deficiency d = I(theta:x) - I(theta:S(x)) with
-    I(a:b) = K(b) - K(b | a's witness), plus the exact joint mass sitting
-    at or below the threshold. The report also carries the classical
-    sufficiency verdict so both directions of the correspondence can be
-    read off one object: small-deficiency mass tracks classical
-    sufficiency and vice versa. That verdict is the exact Fisher–Neyman
-    test over every parameter of the family, whatever the prior, in one
-    pass over the joint's domain; it computes no mutual information."""
+    I(a:b) = K(b) - K(b | a's witness), with the joint mass of each row
+    (``mass_leq`` and ``minimal_tau`` read it). The report also carries
+    the classical sufficiency verdict so both directions of the
+    correspondence can be read off one object: small-deficiency mass
+    tracks classical sufficiency and vice versa. That verdict is the
+    exact Fisher–Neyman test over every parameter of the family, whatever
+    the prior, in one pass over the joint's domain; it computes no mutual
+    information."""
     cond_tables = _deficiency_terms(joint, statistic, table, source)
     rows = []
     for idx, x, p in joint.support():
@@ -688,7 +675,7 @@ def theta_suff_audit(
         i_s = require_k(table, s_x) - require_k(given, s_x)
         rows.append(ThetaSuffRow(label, x, s_x, p, i_x - i_s))
     verdict = _fisher_neyman(_conditional_masses(joint, statistic), range(len(joint.thetas)))
-    return ThetaSuffReport(tuple(rows), threshold, verdict)
+    return ThetaSuffReport(tuple(rows), verdict)
 
 
 class SuffIdentityRow(NamedTuple):
@@ -704,9 +691,6 @@ class SuffIdentityReport(NamedTuple):
     @property
     def max_gap(self) -> int:
         return max(abs(r.lhs - r.rhs) for r in self.rows)
-
-    def measured(self) -> dict[str, int]:
-        return {"suff_identity": self.max_gap}
 
     def to_csv(self) -> str:
         lines = ["x,theta_star,lhs,rhs"]
@@ -789,7 +773,8 @@ def standard_joints() -> dict[str, JointModel]:
 
 
 class AuditRun(NamedTuple):
-    """One audit's report, its (line, passed) checks and the constants it measured."""
+    """One audit's report, its (line, passed) checks and the constants it
+    measured, keyed by their names in the frozen constants file."""
 
     report: object
     checks: tuple[tuple[str, bool], ...]
@@ -802,7 +787,10 @@ class Audit(NamedTuple):
     or ``"deep"``, the ``TableSource.tables`` table of ``n=laws_reach()``
     bits, the most any record's ``reach`` looks up there. A record
     not ``selectable`` runs only in the whole battery. Run steps call the
-    audits by their module names, so a wrapper put in their place sees them."""
+    audits by their module names, so a wrapper put in their place sees them.
+    The run steps are the one place that names a frozen constant: each
+    name of ``data/constants.txt`` is set by one record's ``run``, from
+    its report's fields."""
 
     name: str
     reads: str
@@ -827,12 +815,18 @@ def _slices_run(table: ComplexityTable, source: TableSource) -> AuditRun:
 
 def _soi_run(table: ComplexityTable, source: TableSource) -> AuditRun:
     rep = soi_audit(table, source=source)
-    return AuditRun(rep, (), rep.measured())
+    measured = {
+        "soi_additivity": rep.additivity_max_slack,
+        "soi_triangle": rep.triangle_c,
+        "mi_self_gap": rep.mi_self_gap_max,
+        "mi_swap_gap": rep.mi_swap_gap_max,
+    }
+    return AuditRun(rep, (), measured)
 
 
 def _nonincrease_run(table: ComplexityTable, source: TableSource) -> AuditRun:
     rep = nonincrease_audit(table, source=source)
-    return AuditRun(rep, (), rep.measured())
+    return AuditRun(rep, (), {"nonincrease": rep.max_deficit})
 
 
 _JOINTS = standard_joints()
@@ -855,12 +849,12 @@ def _theta_run(table: ComplexityTable, source: TableSource) -> AuditRun:
         ("theta weight-prob-sufficient", rep.prob_sufficient),
         ("theta identity-deficiency-zero", all(r.d == 0 for r in identity.rows)),
     )
-    return AuditRun(rep, checks, rep.measured())
+    return AuditRun(rep, checks, {"theta_tau": rep.minimal_tau()})
 
 
 def _identity_run(table: ComplexityTable, source: TableSource) -> AuditRun:
     rep = suff_identity_audit(_PAIR, Statistic("weight"), table, weight_models(2), source=source)
-    return AuditRun(rep, (), rep.measured())
+    return AuditRun(rep, (), {"suff_identity": rep.max_gap})
 
 
 def _logn_gap_run(table: ComplexityTable, source: TableSource) -> AuditRun:

@@ -50,12 +50,7 @@ def deficiency_p(x: str, dist: DistDesc, source: TableSource = TableSource()) ->
     return DeficiencyRecord(x, dist, codeword_len, kx, best_y, best_k, ratio, delta_star=None)
 
 
-def suffstat_p(
-    x: str,
-    beta: int = 0,
-    family: Iterable[DistDesc] | None = None,
-    reference_lambda: int | None = None,
-) -> SuffStatReport:
+def suffstat_p(x: str, beta: int = 0, family: Iterable[DistDesc] | None = None) -> SuffStatReport:
     """``models_set.suffstat`` over distributions. The default family is the
     uniform wrap of the base set models of ``enumerate_models`` (each S
     becomes UniformOn(S), two extra tag bits), so every total is its set's
@@ -63,13 +58,12 @@ def suffstat_p(
     Bernoulli models out: over every x of length 4, 6, 8 and 10 the best
     Bernoulli(n, k/d) two-part length is 5-9 bits above the set lambda, so
     they would move no answer on this grammar. Pass ``family`` for a
-    restricted class, plus ``reference_lambda`` to have the report state
-    whether the class stays within beta of the unrestricted total."""
+    restricted class."""
     if family is None:
         # a uniform wrap adds 2 bits to a set's code and to its two-part
         # total, so the set search range serves the wrapped family
         family = [UniformOn(d) for d in enumerate_models(x, alpha_cap(x, beta))]
-    return suffstat(x, beta, family, reference_lambda)
+    return suffstat(x, beta, family)
 
 
 # -- Bernoulli / weight-class demonstration ------------------------------------

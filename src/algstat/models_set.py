@@ -252,28 +252,21 @@ class SuffStatReport(NamedTuple):
     """The optimal models of x, of the class searched: set models
     (``SetDesc``) for the default family of ``suffstat``, their uniform
     wraps (``DistDesc``) for that of ``models_prob.suffstat_p``, or those
-    of the family given."""
+    of the family given. Whether a restricted class stays within beta of
+    the unrestricted total is read by comparing two reports' lambda_min."""
 
     x: str
     beta: int
     lambda_min: int
     optimal: tuple[Any, ...]  # two-part total <= lambda_min + beta
     minimal: Any  # least (code_len, code) among optimal
-    in_class_sufficient: bool | None = None  # only when a reference lambda was given
 
 
-def suffstat(
-    x: str,
-    beta: int = 0,
-    family: Iterable[Any] | None = None,
-    reference_lambda: int | None = None,
-) -> SuffStatReport:
+def suffstat(x: str, beta: int = 0, family: Iterable[Any] | None = None) -> SuffStatReport:
     """Optimal models of x: those whose two-part total is within beta of
     the best achievable, by default among the base models of
     ``enumerate_models``. An explicit ``family`` of sets or distributions
-    makes the search class-restricted and, given ``reference_lambda`` (the
-    unrestricted lambda_min), the report states whether the class contains
-    a sufficient statistic at this beta. The optimal models come in
+    makes the search class-restricted. The optimal models come in
     (code_len, code) order, and the minimal one is the first."""
     if beta < 0:
         raise ValueError("beta must be >= 0")
@@ -286,8 +279,7 @@ def suffstat(
     optimal = sorted(
         (d for t, d in candidates if t <= lambda_min + beta), key=lambda d: (d.code_len, d.code)
     )
-    in_class = None if reference_lambda is None else lambda_min <= reference_lambda + beta
-    return SuffStatReport(x, beta, lambda_min, tuple(optimal), optimal[0], in_class)
+    return SuffStatReport(x, beta, lambda_min, tuple(optimal), optimal[0])
 
 
 class NonStochReport(NamedTuple):

@@ -733,7 +733,7 @@ def naive_soi_audit(table, len_cap: int, source):
     )
 
 
-def naive_nonincrease_audit(table, len_cap: int, source, transforms=None):
+def naive_nonincrease_audit(table, len_cap: int, source):
     """infolaws.nonincrease_audit as a loop over (transform, x, y) that
     calls require_k twice per triple: the reference for its sweeps. The
     conditional tables are built at the source's ``max_len``, or at the
@@ -741,8 +741,7 @@ def naive_nonincrease_audit(table, len_cap: int, source, transforms=None):
     from algstat.complexity import _all_strings, require_k, shortest_program
     from algstat.infolaws import NonincreaseReport, TransformMax, _applied, default_transforms
 
-    if transforms is None:
-        transforms = default_transforms()
+    transforms = default_transforms()
     xs = _all_strings(len_cap)
     applied = _applied(transforms, xs, source.budgets)
     needed = sorted(set(xs) | {out for _, out in applied.values()})

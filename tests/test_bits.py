@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from algstat.bits import (
     BitReader,
     CodeError,
+    _fmt_real,
     bar,
     bar_len,
     bar_nat,
@@ -147,3 +148,10 @@ class TestTextForm:
     def test_is_bits_rejects_non_str(self):
         assert not is_bits(b"01")
         assert not is_bits(None)
+
+    @pytest.mark.parametrize(
+        ("v", "text"),
+        [(-0.0, "0"), (-1e-12, "0"), (-0.5, "-0.5")],
+    )
+    def test_fmt_real_prints_no_negative_zero(self, v, text):
+        assert _fmt_real(v) == text

@@ -17,7 +17,7 @@ from algstat import cli, enumeration, infolaws
 from algstat.cache import ENV_CACHE_DIR
 from algstat.cli import EXIT_OK, EXIT_REGRESSION, EXIT_USAGE, build_parser, main
 from algstat.condition import Condition
-from algstat.constants import load_constants
+from algstat.constants import load_constants, packaged_constants_text
 from oracles import plain_text, resealed, stored
 
 GOOD_CONSTANTS = {
@@ -384,7 +384,8 @@ class TestLaws:
         )
         assert code == EXIT_OK
         assert "soi_additivity measured=10 frozen" in out
-        assert load_constants(target) == load_constants() == GOOD_CONSTANTS
+        assert target.read_bytes() == packaged_constants_text().encode("ascii")
+        assert load_constants() == GOOD_CONSTANTS
 
     @pytest.mark.parametrize("audit", list(SELECTION_STDOUT))
     def test_every_selection_cold_and_warm(self, run, tmp_path, audit):

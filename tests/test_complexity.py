@@ -132,12 +132,10 @@ class TestSoiAudit:
         t = build_table(17)
         rep = soi_audit(t, len_cap=2, source=TableSource(cache_dir=cond_cache, max_len=14))
         assert rep.pairs_checked == 49
-        assert rep.measured() == {
-            "soi_additivity": 3,
-            "soi_triangle": 0,
-            "mi_self_gap": 3,
-            "mi_swap_gap": 4,
-        }
+        assert rep.additivity_max_slack == 3
+        assert rep.triangle_c == 0
+        assert rep.mi_self_gap_max == 3
+        assert rep.mi_swap_gap_max == 4
 
     def test_argmax_is_reported(self, cond_cache):
         t = build_table(17)

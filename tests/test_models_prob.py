@@ -271,15 +271,16 @@ class TestDeficiencyP:
         """The real is computed as (-log2 m(x) - K(x)) - (-log2 m(y) - K(y)),
         the float order ``probstat`` has always printed. Here m(y)/m(x) =
         2^-10 and K(y) - K(x) = 10, so the gap is 0, yet this order rounds to
-        a negative real where log2(ratio) + 10 gives 0.0; ``typical`` still
-        decides exactly."""
+        a negative real where log2(ratio) + 10 gives 0.0; it prints as 0, and
+        ``typical`` still decides exactly."""
         x, y = "0", "1"
         dist = TableDist(((x, Fraction(8, 2187)), (y, Fraction(1, 279936))))
         r = DeficiencyRecord(x, dist, 9, 15, y, 25, Fraction(2187, 2239488), None)
         assert r.mass_ratio == Fraction(1, 1024)
         assert r.delta_norm == (dist.neglog(x) - 15) - (dist.neglog(y) - 25)
-        assert _fmt_real(r.delta_norm) == "-0"
-        assert _fmt_real(math.log2(r.mass_ratio) + 10) == "0"
+        assert r.delta_norm < 0
+        assert math.log2(r.mass_ratio) + 10 == 0
+        assert _fmt_real(r.delta_norm) == "0"
         assert r.typical(0) and not r.typical(-1)
 
     def test_typical_needs_an_integer_beta(self, cond_cache):
@@ -331,9 +332,8 @@ class TestTwoPartAndSuffStat:
 
     def test_restricted_family(self):
         fam = [Bernoulli(4, Fraction(1, 4)), Bernoulli(4, Fraction(1, 2))]
-        rep = suffstat_p("0101", family=fam, reference_lambda=13)
+        rep = suffstat_p("0101", family=fam)
         assert rep.minimal in fam
-        assert rep.in_class_sufficient is not None
 
     def test_default_family_clamped_to_alpha_bound(self, monkeypatch):
         # 13 + 5 + 1 - 2 = 17 bits would exceed the bound; the clamp
